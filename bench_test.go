@@ -474,26 +474,6 @@ func BenchmarkAblationBucketing(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPathWorkers sweeps the §7 future-work feature: parallel
-// per-path symbolic execution inside each function.
-func BenchmarkAblationPathWorkers(b *testing.B) {
-	prog, _ := ablationProgram(b)
-	for _, pw := range []int{1, 2, 4} {
-		b.Run("pathworkers"+itoa(pw), func(b *testing.B) {
-			opts := core.Options{Exec: symexec.Config{
-				MaxPaths: 100, MaxSubcases: 10, PathWorkers: pw,
-			}}
-			b.ReportAllocs()
-			var reports int
-			for i := 0; i < b.N; i++ {
-				res := core.Analyze(context.Background(), prog, spec.LinuxDPM(), opts)
-				reports = len(res.Reports)
-			}
-			b.ReportMetric(float64(reports), "reports")
-		})
-	}
-}
-
 // BenchmarkAblationBitTests measures the paper's future-work abstraction
 // extension: preserving "x & CONST" as stable terms removes the §6.4
 // bit-operation false positives without losing true bugs.

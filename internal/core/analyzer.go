@@ -1,7 +1,7 @@
 // Package core orchestrates the complete RID analysis: predefined-summary
 // installation, call-graph construction, the two-phase function
 // classification of §5.2, and summary-based inter-procedural IPP checking
-// in reverse topological order (optionally SCC-parallel, §5.3).
+// in reverse topological order on a work-stealing scheduler (§5.3).
 //
 // The pipeline degrades rather than dies: every entry point takes a
 // context.Context, a per-function wall-clock budget and per-query solver
@@ -33,11 +33,12 @@ import (
 type Options struct {
 	Exec         symexec.Config
 	MaxCat2Conds int // §5.2 complexity gate; default 3
-	// Workers is the number of scheduler workers: default 1 (sequential);
-	// any negative value means runtime.GOMAXPROCS(0). With Workers > 1 the
-	// two-level work-stealing scheduler runs: SCCs are distributed in
-	// reverse topological order and, within a function, per-path tasks are
-	// stolen between workers. Output is byte-identical at any setting.
+	// Workers is the number of workers of the two-level work-stealing
+	// scheduler: default 1; any negative value means runtime.GOMAXPROCS(0).
+	// SCCs are distributed in reverse topological order and, within a
+	// function, per-path tasks are stolen between workers. One worker is
+	// simply the case nobody steals from: it runs each function's paths in
+	// index order. Output is byte-identical at any setting.
 	Workers int
 	// StealSeed seeds the per-worker victim-selection RNG of the
 	// work-stealing scheduler. Any seed produces identical reports,
@@ -58,8 +59,7 @@ type Options struct {
 	// default entry and the run continues; 0 means unlimited.
 	FuncTimeout time.Duration
 	// SolverLimits bounds the work of each satisfiability query, for every
-	// solver in the run — sequential, SCC workers, and the path workers
-	// forked from them. Zero values select the solver's defaults.
+	// worker's solver in the run. Zero values select the solver's defaults.
 	SolverLimits solver.Limits
 	// Obs, when non-nil, observes the run: phase spans go to its tracer
 	// and event counters to its registry. The pipeline always counts into
@@ -248,11 +248,7 @@ func analyzeWithDB(ctx context.Context, prog *ir.Program, specs *spec.Specs, db 
 	}
 
 	t1 := time.Now()
-	if opts.Workers <= 1 {
-		analyzeSequential(ctx, prog, g, db, toAnalyze, cache, opts, res)
-	} else {
-		analyzeSteal(ctx, prog, g, db, toAnalyze, cache, opts, res)
-	}
+	analyzeSteal(ctx, prog, g, db, toAnalyze, cache, opts, res)
 	res.Stats.AnalyzeTime = time.Since(t1)
 	// Drain the fleet write-behind queue and surface any remote
 	// degradation before diagnostics are sorted into their final order.
@@ -304,8 +300,8 @@ func sortReports(res *Result) {
 }
 
 // funcOutcome is everything analyzing one function produced, including
-// its degradation record, so sequential and parallel schedulers merge
-// results identically.
+// its degradation record, so fresh analyses and summary-store replays
+// merge into the result identically.
 type funcOutcome struct {
 	reports  []*ipp.Report
 	sum      *summary.Summary
@@ -317,86 +313,8 @@ type funcOutcome struct {
 	canceled bool // the run context (not the per-function budget) expired
 }
 
-// analyzeOne summarizes a single function and checks its path entries.
-// It never panics: a panic anywhere in symbolic execution or IPP checking
-// is recovered into a default summary plus a DegradePanic diagnostic, so
-// one pathological function cannot take down the run. Solver give-ups are
-// attributed to the function by differencing the worker solver's counters
-// (each worker owns its solver, so the delta is exact).
-func analyzeOne(ctx context.Context, fn *ir.Func, db *summary.DB, slv *solver.Solver, opts Options) funcOutcome {
-	var out funcOutcome
-	fctx := ctx
-	if opts.FuncTimeout > 0 {
-		var cancel context.CancelFunc
-		fctx, cancel = context.WithTimeout(ctx, opts.FuncTimeout)
-		defer cancel()
-	}
-	gaveUp0 := slv.Stats().GaveUp
-
-	var sres symexec.Result
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				out.panicked = true
-				out.reports = nil
-				out.paths = 0
-				out.sum = summary.Default(fn.Name)
-				out.diags = append(out.diags, Diagnostic{
-					Fn:    fn.Name,
-					Kind:  DegradePanic,
-					Cause: fmt.Sprintf("recovered panic: %v", r),
-				})
-			}
-		}()
-		ex := symexec.New(db, slv, opts.Exec)
-		sres = ex.Summarize(fctx, fn)
-		out.reports, out.sum = ipp.CheckWith(fctx, sres, slv, ipp.Options{NoBucketing: opts.NoBucketing, Obs: opts.Obs, Provenance: opts.Provenance, FieldKinds: opts.fieldKinds})
-		out.paths = sres.NumPaths
-	}()
-	if out.panicked {
-		return out
-	}
-
-	if ctx.Err() != nil {
-		// The whole run is being canceled; the run-level diagnostic is
-		// recorded once by analyzeWithDB.
-		out.canceled = true
-	} else if fctx.Err() != nil {
-		out.timedOut = true
-		out.diags = append(out.diags, Diagnostic{
-			Fn:    fn.Name,
-			Kind:  DegradeTimeout,
-			Cause: fmt.Sprintf("function budget %v exceeded after %d paths; default entry added", opts.FuncTimeout, sres.NumPaths),
-		})
-	}
-	if sres.TruncatedPaths {
-		out.trunc = true
-		out.diags = append(out.diags, Diagnostic{
-			Fn:    fn.Name,
-			Kind:  DegradePathBudget,
-			Cause: fmt.Sprintf("path enumeration truncated at MaxPaths=%d", opts.Exec.MaxPaths),
-		})
-	}
-	if sres.TruncatedSubcases {
-		out.trunc = true
-		out.diags = append(out.diags, Diagnostic{
-			Fn:    fn.Name,
-			Kind:  DegradeSubcaseBudget,
-			Cause: fmt.Sprintf("sub-case set truncated at MaxSubcases=%d", opts.Exec.MaxSubcases),
-		})
-	}
-	if d := slv.Stats().GaveUp - gaveUp0; d > 0 {
-		out.diags = append(out.diags, Diagnostic{
-			Fn:    fn.Name,
-			Kind:  DegradeSolverGiveUp,
-			Cause: fmt.Sprintf("%d solver queries exceeded limits and answered SAT conservatively", d),
-		})
-	}
-	return out
-}
-
-// absorb folds one function's outcome into the result. Callers in
-// parallel mode must hold the result lock.
+// absorb folds one function's outcome into the result. Callers must hold
+// the scheduler's result lock.
 func (res *Result) absorb(out funcOutcome) {
 	res.Reports = append(res.Reports, out.reports...)
 	res.Diagnostics = append(res.Diagnostics, out.diags...)
@@ -410,44 +328,5 @@ func (res *Result) absorb(out funcOutcome) {
 	}
 	if out.panicked {
 		res.Stats.FuncsPanicked++
-	}
-}
-
-func analyzeSequential(ctx context.Context, prog *ir.Program, g *callgraph.Graph, db *summary.DB, toAnalyze func(string) bool, cache *cacheState, opts Options, res *Result) {
-	slv := solver.NewWithLimits(opts.SolverLimits)
-	slv.SetObs(opts.Obs)
-	if opts.NoCache {
-		slv.DisableCache()
-	}
-	for _, fn := range g.ReverseTopo() {
-		if ctx.Err() != nil {
-			break
-		}
-		if !toAnalyze(fn) {
-			continue
-		}
-		if cache != nil {
-			out, hit, diag := cache.load(fn)
-			if diag != nil {
-				res.Diagnostics = append(res.Diagnostics, *diag)
-			}
-			if hit {
-				db.Put(out.sum)
-				res.absorb(out)
-				continue
-			}
-		}
-		slv.SetFunction(fn)
-		out := analyzeOne(ctx, prog.Funcs[fn], db, slv, opts)
-		db.Put(out.sum)
-		res.absorb(out)
-		if cache != nil {
-			if diag := cache.save(fn, out); diag != nil {
-				res.Diagnostics = append(res.Diagnostics, *diag)
-			}
-		}
-		if out.canceled {
-			break
-		}
 	}
 }

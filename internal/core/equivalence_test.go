@@ -125,7 +125,7 @@ func TestSharedCacheDeterministicAcrossWorkers(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		par := renderReports(Analyze(context.Background(), prog, spec.LinuxDPM(), Options{Workers: workers}))
 		if par != seq {
-			t.Fatalf("round %d: workers=%d reports differ from workers=1\n--- parallel ---\n%s\n--- sequential ---\n%s",
+			t.Fatalf("round %d: workers=%d reports differ from workers=1\n--- parallel ---\n%s\n--- workers=1 ---\n%s",
 				round, workers, par, seq)
 		}
 	}

@@ -99,7 +99,7 @@ func TestStatsSolverExactUnderWorkers(t *testing.T) {
 
 	// With the cache off, each function is analyzed exactly once with the
 	// same budgets regardless of scheduling, so the totals must agree
-	// exactly between sequential and parallel runs.
+	// exactly between single-worker and parallel runs.
 	if seq.Stats.Solver != par.Stats.Solver {
 		t.Errorf("solver stats diverge across worker counts:\nworkers=1: %+v\nworkers=4: %+v",
 			seq.Stats.Solver, par.Stats.Solver)

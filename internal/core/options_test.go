@@ -24,7 +24,7 @@ func TestOptionsDefaults(t *testing.T) {
 }
 
 // TestWorkersClamp pins the documented -workers contract end to end:
-// 0 defaults to 1 (sequential), positive values pass through, and any
+// 0 defaults to 1 (one worker), positive values pass through, and any
 // negative value — not just -1 — means runtime.GOMAXPROCS(0).
 func TestWorkersClamp(t *testing.T) {
 	cores := runtime.GOMAXPROCS(0)

@@ -1,12 +1,14 @@
-// Two-level work-stealing scheduler (§5.3 refined): the outer level keeps
-// the SCC DAG discipline of analyzeParallel — an SCC becomes ready only
+// Two-level work-stealing scheduler (§5.3 refined), the only scheduler:
+// the outer level keeps the SCC DAG discipline — an SCC becomes ready only
 // when every callee SCC has completed — but the inner unit of scheduled
 // work is one enumerated path of one function, not a whole function. The
 // worker that takes an SCC ("owner") runs Step I, publishes the path
 // tasks to its own deque, and any idle worker steals from the top while
 // the owner drains from the bottom. Steps I and III stay on the owner, so
 // per-function state (cache load/save interleaving, summary DB ordering
-// within an SCC) is exactly what the sequential scheduler produces.
+// within an SCC) does not depend on the schedule. With one worker there
+// is nobody to steal from, so the owner runs its tasks in index order and
+// publishes none.
 //
 // Determinism: task results land in per-index slots and Job.Finish merges
 // them in path order; per-task solver give-ups are accumulated into the
@@ -19,6 +21,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,19 +47,19 @@ type pathTask struct {
 type funcJob struct {
 	fn        string
 	job       *symexec.Job
-	remaining atomic.Int64  // open tasks; the closer of the last one closes done
-	done      chan struct{} // closed when every task has finished
-	gaveUp    atomic.Int64  // summed per-task solver give-up deltas
+	remaining atomic.Int64   // open tasks; the finisher of the last one releases done
+	done      sync.WaitGroup // held once while any task is open
+	gaveUp    atomic.Int64   // summed per-task solver give-up deltas
 
 	mu         sync.Mutex
 	panicked   bool
-	panicIdx   int // minimum panicking task index (-1: Step I itself)
+	panicIdx   int // minimum panicking task index (-1: Step I, MaxInt: Step III)
 	panicCause string
 }
 
 // notePanic records a recovered task panic. When several tasks panic, the
-// one with the minimum index wins, which is the panic a sequential run
-// would have surfaced — so the DegradePanic cause is schedule-independent.
+// one with the minimum index wins, which is the panic a single worker
+// meets first — so the DegradePanic cause is schedule-independent.
 func (fj *funcJob) notePanic(idx int, r any) {
 	fj.mu.Lock()
 	if !fj.panicked || idx < fj.panicIdx {
@@ -112,10 +115,9 @@ type stealRun struct {
 	parkCond *sync.Cond
 }
 
-// analyzeSteal runs the two-level work-stealing scheduler. It replaces
-// the function-granularity analyzeParallel: same SCC DAG, same shared
-// solver cache, same cancellation drain, but Workers > 1 now helps inside
-// a single expensive function instead of idling beside it.
+// analyzeSteal runs the two-level work-stealing scheduler with
+// opts.Workers workers. Extra workers help inside a single expensive
+// function instead of idling beside it.
 func analyzeSteal(ctx context.Context, prog *ir.Program, g *callgraph.Graph, db *summary.DB, toAnalyze func(string) bool, cache *cacheState, opts Options, res *Result) {
 	sccs := g.SCCs()
 	n := len(sccs)
@@ -125,11 +127,25 @@ func analyzeSteal(ctx context.Context, prog *ir.Program, g *callgraph.Graph, db 
 		sccs: sccs, pending: n,
 	}
 	s.parkCond = sync.NewCond(&s.parkMu)
+	// dependents[d] lists the SCCs waiting on d, carved out of one flat
+	// backing array sized by a first counting pass.
 	s.waiting = make([]int, n)
+	counts := make([]int, n)
+	edges := 0
+	for i := 0; i < n; i++ {
+		s.waiting[i] = len(g.SCCSuccs(i))
+		edges += s.waiting[i]
+		for _, dep := range g.SCCSuccs(i) {
+			counts[dep]++
+		}
+	}
+	flat := make([]int, edges)
 	s.dependents = make([][]int, n)
+	for d, c := range counts {
+		s.dependents[d], flat = flat[:0:c], flat[c:]
+	}
 	for i := 0; i < n; i++ {
 		for _, dep := range g.SCCSuccs(i) {
-			s.waiting[i]++
 			s.dependents[dep] = append(s.dependents[dep], i)
 		}
 	}
@@ -291,13 +307,13 @@ func (s *stealRun) runTask(t pathTask, w *stealWorker, stolen bool) {
 	}
 	w.wc.AddTask(stolen, time.Since(start))
 	if fj.remaining.Add(-1) == 0 {
-		close(fj.done)
+		fj.done.Done()
 	}
 }
 
-// driveSCC analyzes the members of SCC i in order (the same sorted order
-// the sequential scheduler uses, preserving cache load/save interleaving
-// and sibling-summary visibility), then completes the SCC. After
+// driveSCC analyzes the members of SCC i in their sorted order (so cache
+// load/save interleaving and sibling-summary visibility never depend on
+// the schedule), then completes the SCC. After
 // cancellation it still completes, so dependents unblock and the run
 // drains promptly.
 func (s *stealRun) driveSCC(i int, w *stealWorker) {
@@ -321,7 +337,7 @@ func (s *stealRun) driveSCC(i int, w *stealWorker) {
 					continue
 				}
 			}
-			out := s.analyzeOneStealing(s.prog.Funcs[fn], w)
+			out := s.analyzeOne(s.prog.Funcs[fn], w)
 			s.db.Put(out.sum)
 			s.mu.Lock()
 			s.res.absorb(out)
@@ -341,14 +357,15 @@ func (s *stealRun) driveSCC(i int, w *stealWorker) {
 	s.complete(i)
 }
 
-// analyzeOneStealing is analyzeOne restructured over the Job seam: the
-// owner enumerates (Step I), fans the paths out as stealable tasks (Step
-// II), helps the rest of the run while stolen tasks drain, then merges
-// and checks (Step III) on its own solver. Outcome fields, diagnostic
-// causes, and give-up totals match analyzeOne byte for byte.
-func (s *stealRun) analyzeOneStealing(fn *ir.Func, w *stealWorker) funcOutcome {
+// analyzeOne summarizes a single function and checks its path entries
+// over the Job seam: the owner enumerates (Step I), fans the paths out as
+// stealable tasks (Step II), helps the rest of the run while stolen tasks
+// drain, then merges and checks (Step III) on its own solver. It never
+// panics: a panic anywhere in symbolic execution or IPP checking is
+// recovered into a default summary plus a DegradePanic diagnostic, so one
+// pathological function cannot take down the run.
+func (s *stealRun) analyzeOne(fn *ir.Func, w *stealWorker) funcOutcome {
 	opts := s.opts
-	var out funcOutcome
 	fctx := s.ctx
 	if opts.FuncTimeout > 0 {
 		var cancel context.CancelFunc
@@ -356,12 +373,12 @@ func (s *stealRun) analyzeOneStealing(fn *ir.Func, w *stealWorker) funcOutcome {
 		defer cancel()
 	}
 
-	fj := &funcJob{fn: fn.Name, done: make(chan struct{})}
+	fj := &funcJob{fn: fn.Name}
 	w.slv.SetFunction(fn.Name)
 
 	// Step I on the owner; a panic here (e.g. from an OnFunction hook) is
-	// recorded as index -1 so it outranks any task panic, exactly as it
-	// preempts them in a sequential run.
+	// recorded as index -1 so it outranks any task panic, since no task
+	// would have run after it.
 	tPrep := time.Now()
 	func() {
 		defer func() {
@@ -377,11 +394,14 @@ func (s *stealRun) analyzeOneStealing(fn *ir.Func, w *stealWorker) funcOutcome {
 	if fj.job != nil {
 		if n := fj.job.NumTasks(); n > 0 {
 			fj.remaining.Store(int64(n))
-			if n > 1 {
+			fj.done.Add(1)
+			inline := n // tasks the owner runs in place, in index order
+			if n > 1 && len(s.deques) > 1 {
 				// Push tasks n-1..1 (reverse, so the owner's LIFO pops
 				// ascending) and run task 0 inline; thieves steal from the
 				// top, i.e. the highest indices — the ones the owner would
-				// reach last.
+				// reach last. A lone worker has no thieves, so it pushes
+				// nothing and emits no queue spans.
 				for i := n - 1; i >= 1; i-- {
 					s.deques[w.id].PushBottom(pathTask{
 						fj: fj, idx: i,
@@ -389,8 +409,11 @@ func (s *stealRun) analyzeOneStealing(fn *ir.Func, w *stealWorker) funcOutcome {
 					})
 				}
 				s.publish()
+				inline = 1
 			}
-			s.runTask(pathTask{fj: fj, idx: 0}, w, false)
+			for i := 0; i < inline; i++ {
+				s.runTask(pathTask{fj: fj, idx: i}, w, false)
+			}
 			for {
 				t, ok := s.deques[w.id].PopBottom()
 				if !ok {
@@ -400,56 +423,44 @@ func (s *stealRun) analyzeOneStealing(fn *ir.Func, w *stealWorker) funcOutcome {
 			}
 			// Stolen tasks may still be in flight. Help other functions
 			// while waiting rather than idling; when no work is available
-			// anywhere, block until the last task closes done.
+			// anywhere, block until the last task releases done.
 			for fj.remaining.Load() > 0 {
 				if t, ok := s.trySteal(w); ok {
 					s.runTask(t, w, true)
 					continue
 				}
-				<-fj.done
+				fj.done.Wait()
 			}
 		}
 	}
 
-	if cause, panicked := fj.panicCauseMin(); panicked {
-		out.panicked = true
-		out.sum = summary.Default(fn.Name)
-		out.diags = append(out.diags, Diagnostic{
-			Fn:    fn.Name,
-			Kind:  DegradePanic,
-			Cause: cause,
-		})
-		return out
-	}
-
-	// Step III on the owner's solver. Stolen tasks may have relabeled it.
-	tCheck := time.Now()
+	// Step III on the owner's solver, unless an earlier step panicked. A
+	// panic here ranks after every task's, since they all ran before it.
+	// Stolen tasks may have relabeled the solver.
+	var out funcOutcome
+	var sres symexec.Result
 	w.slv.SetFunction(fn.Name)
 	g0 := w.slv.Stats().GaveUp
-	var sres symexec.Result
-	stepPanicked := false
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				stepPanicked = true
-				out.panicked = true
-				out.reports = nil
-				out.paths = 0
-				out.sum = summary.Default(fn.Name)
-				out.diags = append(out.diags[:0], Diagnostic{
-					Fn:    fn.Name,
-					Kind:  DegradePanic,
-					Cause: fmt.Sprintf("recovered panic: %v", r),
-				})
-			}
+	if _, panicked := fj.panicCauseMin(); !panicked {
+		tCheck := time.Now()
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					fj.notePanic(math.MaxInt, r)
+				}
+			}()
+			sres = fj.job.Finish()
+			out.reports, out.sum = ipp.CheckWith(fctx, sres, w.slv, ipp.Options{NoBucketing: opts.NoBucketing, Obs: opts.Obs, Provenance: opts.Provenance, FieldKinds: opts.fieldKinds})
+			out.paths = sres.NumPaths
 		}()
-		sres = fj.job.Finish()
-		out.reports, out.sum = ipp.CheckWith(fctx, sres, w.slv, ipp.Options{NoBucketing: opts.NoBucketing, Obs: opts.Obs, Provenance: opts.Provenance, FieldKinds: opts.fieldKinds})
-		out.paths = sres.NumPaths
-	}()
-	w.wc.AddBusy(time.Since(tCheck))
-	if stepPanicked {
-		return out
+		w.wc.AddBusy(time.Since(tCheck))
+	}
+	if cause, panicked := fj.panicCauseMin(); panicked {
+		return funcOutcome{
+			panicked: true,
+			sum:      summary.Default(fn.Name),
+			diags:    []Diagnostic{{Fn: fn.Name, Kind: DegradePanic, Cause: cause}},
+		}
 	}
 
 	if s.ctx.Err() != nil {
@@ -483,7 +494,7 @@ func (s *stealRun) analyzeOneStealing(fn *ir.Func, w *stealWorker) funcOutcome {
 	// A function's give-up total is the sum of its tasks' deltas (each
 	// measured on whichever solver ran the task) plus the owner's Step III
 	// delta. The cache replays give-ups on hits, so the total is the same
-	// one analyzeOne computes on a single solver.
+	// one a single worker computes on a single solver.
 	if d := fj.gaveUp.Load() + int64(w.slv.Stats().GaveUp-g0); d > 0 {
 		out.diags = append(out.diags, Diagnostic{
 			Fn:    fn.Name,

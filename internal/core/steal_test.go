@@ -35,7 +35,8 @@ func renderOutcome(res *Result) string {
 // test: the work-stealing scheduler, driven through many injected steal
 // orders (StealSeed seeds the victim-selection RNG) and worker counts,
 // must produce byte-identical reports, diagnostics, and stats to the
-// sequential scheduler. NoCache keeps the solver verdict counters
+// single-worker run, where nobody steals and every function's paths run in
+// index order. NoCache keeps the solver verdict counters
 // schedule-independent (with a shared cache, which worker populates an
 // entry first legitimately shifts the CacheHits/Sat/Unsat split), so the
 // oracle can cover the full stats, not just reports. Budgets are set
@@ -66,7 +67,7 @@ func TestStealDeterminismProperty(t *testing.T) {
 		for seed := int64(0); seed < 4; seed++ {
 			got := renderOutcome(Analyze(context.Background(), prog, spec.LinuxDPM(), opts(workers, seed)))
 			if got != want {
-				t.Fatalf("workers=%d seed=%d diverged from sequential\n--- got ---\n%s\n--- want ---\n%s",
+				t.Fatalf("workers=%d seed=%d diverged from the single-worker run\n--- got ---\n%s\n--- want ---\n%s",
 					workers, seed, got, want)
 			}
 		}
@@ -74,8 +75,9 @@ func TestStealDeterminismProperty(t *testing.T) {
 }
 
 // TestStealSchedulerCountsTasks pins that the scheduler feeds the
-// observability layer: a parallel run must count every executed path task
-// and register per-worker utilization records.
+// observability layer at any worker count, the single worker included:
+// every executed path task is counted and every worker registers a
+// utilization record.
 func TestStealSchedulerCountsTasks(t *testing.T) {
 	c := kernelgen.Generate(kernelgen.Config{
 		Seed: 23, Mix: kernelgen.PaperMix(),
@@ -83,22 +85,27 @@ func TestStealSchedulerCountsTasks(t *testing.T) {
 	})
 	prog := buildCorpus(t, c.Files)
 
-	reg := obs.NewRegistry()
-	res := Analyze(context.Background(), prog, spec.LinuxDPM(), Options{Workers: 4, Obs: obs.New(nil, reg)})
-	if res.Stats.PathsEnumerated == 0 {
-		t.Fatal("corpus enumerated no paths")
-	}
-	// Every enumerated path of every cold-analyzed function is exactly one
-	// task.
-	if got := reg.Counter(obs.MTasksExecuted); got != int64(res.Stats.PathsEnumerated) {
-		t.Errorf("tasks_executed = %d, want %d (one per enumerated path)", got, res.Stats.PathsEnumerated)
-	}
-	if reg.NumWorkers() != 4 {
-		t.Errorf("registered worker records = %d, want 4", reg.NumWorkers())
-	}
-	// tasks_stolen is schedule-dependent (may legitimately be zero on a
-	// fast corpus), but can never exceed tasks_executed.
-	if stolen, tasks := reg.Counter(obs.MTasksStolen), reg.Counter(obs.MTasksExecuted); stolen > tasks {
-		t.Errorf("tasks_stolen = %d exceeds tasks_executed = %d", stolen, tasks)
+	for _, workers := range []int{1, 4} {
+		reg := obs.NewRegistry()
+		res := Analyze(context.Background(), prog, spec.LinuxDPM(), Options{Workers: workers, Obs: obs.New(nil, reg)})
+		if res.Stats.PathsEnumerated == 0 {
+			t.Fatal("corpus enumerated no paths")
+		}
+		// Every enumerated path of every cold-analyzed function is exactly
+		// one task.
+		if got := reg.Counter(obs.MTasksExecuted); got != int64(res.Stats.PathsEnumerated) {
+			t.Errorf("workers=%d: tasks_executed = %d, want %d (one per enumerated path)",
+				workers, got, res.Stats.PathsEnumerated)
+		}
+		if reg.NumWorkers() != workers {
+			t.Errorf("workers=%d: registered worker records = %d", workers, reg.NumWorkers())
+		}
+		// tasks_stolen is schedule-dependent (may legitimately be zero on a
+		// fast corpus), but can never exceed tasks_executed, and a lone
+		// worker has nobody to steal from.
+		stolen, tasks := reg.Counter(obs.MTasksStolen), reg.Counter(obs.MTasksExecuted)
+		if stolen > tasks || (workers == 1 && stolen != 0) {
+			t.Errorf("workers=%d: tasks_stolen = %d, tasks_executed = %d", workers, stolen, tasks)
+		}
 	}
 }

@@ -69,9 +69,7 @@ func Ablations(ctx context.Context) ([]AblationRow, error) {
 	prev := sym.SetInterning(false)
 	run("expression interning off", core.Options{})
 	sym.SetInterning(prev)
-	run("path workers = 4 (§7 future work)", core.Options{Exec: symexec.Config{
-		MaxPaths: 100, MaxSubcases: 10, PathWorkers: 4,
-	}})
+	run("workers = 4 (path-level stealing, §7)", core.Options{Workers: 4})
 
 	// Bit-test preservation needs a differently lowered program; score FPs
 	// and true bugs against ground truth for both abstractions.

@@ -124,8 +124,8 @@ func TestAblations(t *testing.T) {
 	if keep := byName["keep local conditions (no §3.3.3 projection)"]; keep.Reports*10 > base.Reports {
 		t.Errorf("keep-locals ablation should collapse reports: %d vs baseline %d", keep.Reports, base.Reports)
 	}
-	if pw := byName["path workers = 4 (§7 future work)"]; pw.Reports != base.Reports {
-		t.Errorf("path workers changed reports: %d vs %d", pw.Reports, base.Reports)
+	if w4 := byName["workers = 4 (path-level stealing, §7)"]; w4.Reports != base.Reports {
+		t.Errorf("workers = 4 changed reports: %d vs %d", w4.Reports, base.Reports)
 	}
 	havoc := byName["bit tests havocked (paper abstraction)"]
 	preserved := byName["bit tests preserved (§5.4 future work)"]

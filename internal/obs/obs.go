@@ -65,7 +65,7 @@ func (p Phase) String() string {
 const NumPhases = int(numPhases)
 
 // Tracer receives one event per completed span. Implementations must be
-// safe for concurrent use: SCC workers and path workers emit concurrently.
+// safe for concurrent use: scheduler workers emit concurrently.
 type Tracer interface {
 	Span(ph Phase, fn string, start time.Time, dur time.Duration)
 }

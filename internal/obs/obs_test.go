@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"math/rand"
 	"net/http"
 	"strings"
 	"sync"
@@ -77,6 +79,46 @@ func TestRegistryConcurrentExactness(t *testing.T) {
 	}
 	if got := r.Snapshot().Phase(PhaseSolver).Count; got != workers*perWorker {
 		t.Fatalf("concurrent histogram count = %d, want %d", got, workers*perWorker)
+	}
+}
+
+// TestQuantilesStayInObservedRange is the quantile property test: for
+// random sample sets, min ≤ p50 ≤ p95 ≤ max, where min and max are the
+// exact extremes of the samples. A child registry forwards every
+// observation, so the parent's view must obey the same bounds over the
+// union of both sample sets.
+func TestQuantilesStayInObservedRange(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for iter := 0; iter < 500; iter++ {
+		parent := NewRegistry()
+		child := parent.Child()
+		lo, hi := int64(math.MaxInt64), int64(0)
+		n := 1 + rng.Intn(40)
+		for i := 0; i < n; i++ {
+			// Log-uniform over 1ns..~1s, so samples spread across buckets.
+			d := int64(1) << rng.Intn(30)
+			d += rng.Int63n(d)
+			lo, hi = min(lo, d), max(hi, d)
+			if rng.Intn(2) == 0 {
+				child.Observe(PhaseRun, time.Duration(d))
+			} else {
+				parent.Observe(PhaseRun, time.Duration(d))
+			}
+		}
+		p := parent.Snapshot().Phase(PhaseRun)
+		if time.Duration(lo) > p.P50 || p.P50 > p.P95 || p.P95 > p.Max || p.Max != time.Duration(hi) {
+			t.Fatalf("iter %d: min=%v p50=%v p95=%v max=%v (want min ≤ p50 ≤ p95 ≤ max=%v)",
+				iter, time.Duration(lo), p.P50, p.P95, p.Max, time.Duration(hi))
+		}
+		if got := parent.phases[PhaseRun].minNS(); got != lo {
+			t.Fatalf("iter %d: tracked min = %d, want %d", iter, got, lo)
+		}
+	}
+	// One sample: every quantile is that sample.
+	r := NewRegistry()
+	r.Observe(PhaseRun, 67*time.Microsecond)
+	if p := r.Snapshot().Phase(PhaseRun); p.P50 != p.Max || p.P95 != p.Max {
+		t.Fatalf("single 67µs sample: p50=%v p95=%v max=%v", p.P50, p.P95, p.Max)
 	}
 }
 

@@ -113,6 +113,7 @@ type hist struct {
 	count   atomic.Int64
 	sum     atomic.Int64 // total ns
 	max     atomic.Int64 // ns
+	minP1   atomic.Int64 // smallest observation in ns, plus one; 0 before any
 	buckets [histBuckets]atomic.Int64
 }
 
@@ -128,6 +129,12 @@ func (h *hist) observe(ns int64) {
 			break
 		}
 	}
+	for {
+		m := h.minP1.Load()
+		if (m != 0 && ns+1 >= m) || h.minP1.CompareAndSwap(m, ns+1) {
+			break
+		}
+	}
 	i := bits.Len64(uint64(ns)) // 0 → bucket 0, [2^(k-1), 2^k) → bucket k
 	if i >= histBuckets {
 		i = histBuckets - 1
@@ -135,10 +142,19 @@ func (h *hist) observe(ns int64) {
 	h.buckets[i].Add(1)
 }
 
+// minNS returns the smallest observation in ns (0 before any).
+func (h *hist) minNS() int64 {
+	if m := h.minP1.Load(); m > 0 {
+		return m - 1
+	}
+	return 0
+}
+
 // quantile returns an estimate of the q-quantile (0 < q ≤ 1) from the log
-// buckets: the geometric midpoint of the bucket holding the q-th
-// observation. Exact to within a factor of √2, which is plenty for "where
-// did the time go" attribution.
+// buckets: the midpoint of the bucket holding the q-th observation,
+// clamped to the observed [min, max]. Exact to within a factor of 1.5,
+// which is plenty for "where did the time go" attribution, and never
+// outside the range of what was actually observed.
 func (h *hist) quantile(q float64) time.Duration {
 	n := h.count.Load()
 	if n == 0 {
@@ -151,18 +167,21 @@ func (h *hist) quantile(q float64) time.Duration {
 	if rank > n {
 		rank = n
 	}
+	est := h.max.Load()
 	var cum int64
 	for i := 0; i < histBuckets; i++ {
 		cum += h.buckets[i].Load()
 		if cum >= rank {
 			if i <= 1 {
-				return time.Duration(i) // 0 or 1 ns
+				est = int64(i) // 0 or 1 ns
+			} else {
+				lo := int64(1) << (i - 1)
+				est = lo + lo/2 // midpoint of [2^(i-1), 2^i)
 			}
-			lo := int64(1) << (i - 1)
-			return time.Duration(lo + lo/2) // midpoint of [2^(i-1), 2^i)
+			break
 		}
 	}
-	return time.Duration(h.max.Load())
+	return time.Duration(min(max(est, h.minNS()), h.max.Load()))
 }
 
 // WorkerCounters is the utilization record of one scheduler worker:
@@ -191,9 +210,9 @@ func (w *WorkerCounters) AddTask(stolen bool, d time.Duration) {
 func (w *WorkerCounters) AddBusy(d time.Duration) { w.busyNS.Add(int64(d)) }
 
 // Registry is the shared metrics store: a fixed set of padded atomic
-// counters plus one duration histogram per phase, and — once a parallel
-// scheduler registers — one utilization record per worker. One Registry
-// serves an entire run (all SCC and path workers) and may outlive it —
+// counters plus one duration histogram per phase, and one utilization
+// record per scheduler worker. One Registry serves an entire run (every
+// scheduler worker) and may outlive it —
 // cmd/rid keeps a single registry across -separate file groups, and
 // ServeDebug exposes it live.
 type Registry struct {
@@ -302,8 +321,9 @@ type WorkerStats struct {
 
 // Snapshot is a point-in-time copy of the registry, in fixed metric and
 // phase order (deterministic output shape regardless of activity).
-// Workers is present only when a parallel scheduler registered
-// utilization records, so single-worker output is unchanged.
+// Workers holds one utilization record per scheduler worker — every run
+// registers at least worker 0 — and is absent only from registries no
+// scheduler ran against.
 type Snapshot struct {
 	Counters []CounterValue `json:"counters"`
 	Phases   []PhaseStats   `json:"phases"`

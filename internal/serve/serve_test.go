@@ -86,6 +86,26 @@ func getHealth(t *testing.T, url string) Health {
 	return h
 }
 
+// drainedHealth polls /healthz until no request holds or waits for an
+// inflight slot, and fails only if that never happens within a bounded
+// deadline. The analyze handler frees its slot in a deferred call that
+// runs after the response is written, so a client can read its response
+// before the slot is back; a single immediate /healthz read races that.
+func drainedHealth(t *testing.T, url string) Health {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		h := getHealth(t, url)
+		if h.Inflight == 0 && h.Queued == 0 {
+			return h
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("slots never drained: %+v", h)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestAnalyzeFindsBug(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp, ar := postAnalyze(t, ts.URL, &AnalyzeRequest{Files: map[string]string{"drv.c": buggyDriver}})
@@ -98,7 +118,7 @@ func TestAnalyzeFindsBug(t *testing.T) {
 	if ar.Cached {
 		t.Fatal("first request must not be cached")
 	}
-	if h := getHealth(t, ts.URL); h.Served != 1 || h.Inflight != 0 {
+	if h := drainedHealth(t, ts.URL); h.Served != 1 {
 		t.Fatalf("health after one request: %+v", h)
 	}
 }
@@ -417,7 +437,5 @@ func TestConcurrentClientsByteIdentical(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if h := getHealth(t, ts.URL); h.Inflight != 0 || h.Queued != 0 {
-		t.Fatalf("slots leaked after the run: %+v", h)
-	}
+	drainedHealth(t, ts.URL)
 }

@@ -8,13 +8,17 @@ import (
 	"repro/internal/sym"
 )
 
+// TestCacheSharedAcrossForks checks the per-worker solvers a run builds over
+// its one cache: a later worker hits the verdict an earlier one cached, and
+// each keeps counters of its own.
 func TestCacheSharedAcrossForks(t *testing.T) {
-	parent := New()
+	cache := NewCache()
+	parent := NewWithCache(Limits{}, cache)
 	cs := set(sym.Cond(sym.Arg("a"), ir.GT, sym.Arg("b")))
 	if !parent.Sat(cs) {
 		t.Fatal("query should be SAT")
 	}
-	child := parent.Fork()
+	child := NewWithCache(parent.Limits(), cache)
 	if !child.Sat(cs) {
 		t.Fatal("query should be SAT in fork")
 	}
@@ -45,8 +49,9 @@ func TestNewWithCacheSharesAcrossSolvers(t *testing.T) {
 	s1 := NewWithCache(Limits{}, cache)
 	s2 := NewWithCache(Limits{}, cache)
 	cs := set(sym.Cond(sym.Arg("x"), ir.LE, sym.Arg("y")))
-	s1.Sat(cs)
-	s2.Sat(cs)
+	if !s1.Sat(cs) || !s2.Sat(cs) {
+		t.Fatal("query should be SAT on both solvers")
+	}
 	if s2.Stats().CacheHits != 1 {
 		t.Errorf("second solver missed shared cache: %+v", s2.Stats())
 	}
@@ -66,7 +71,7 @@ func TestNilCacheDisablesMemoization(t *testing.T) {
 }
 
 func TestCacheConcurrentAccess(t *testing.T) {
-	parent := New()
+	cache := NewCache()
 	queries := make([]sym.Set, 40)
 	for i := range queries {
 		queries[i] = set(
@@ -81,7 +86,7 @@ func TestCacheConcurrentAccess(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			slv := parent.Fork()
+			slv := NewWithCache(Limits{}, cache)
 			results[w] = make([]bool, len(queries))
 			for i, q := range queries {
 				results[w][i] = slv.Sat(q)

@@ -61,8 +61,8 @@ func FuzzSolver(f *testing.F) {
 		}
 		cs := sym.NewSet(conds)
 
-		fast := NewWithLimits(limits)
-		slow := NewWithLimits(limits)
+		fast := NewWithCache(limits, NewCache())
+		slow := NewWithCache(limits, NewCache())
 		slow.noQuick = true
 		v1 := fast.Sat(cs)
 		v2 := slow.Sat(cs)

@@ -84,8 +84,7 @@ func (s Stats) Sub(o Stats) Stats {
 
 // Solver answers satisfiability queries with memoization. A Solver's
 // counters are not safe for concurrent use — create one per worker — but
-// the underlying Cache may be shared across workers (see Fork and
-// NewWithCache).
+// the underlying Cache may be shared across workers (see NewWithCache).
 type Solver struct {
 	limits  Limits
 	cache   *Cache
@@ -109,30 +108,17 @@ type Solver struct {
 	varBuf    []string        // collectVars: result buffer
 	elimLo    []linear        // eliminate: lower-bound partition
 	elimHi    []linear        // eliminate: upper-bound partition
-	pairs     PairBatch // scratch for Pairs (one live batch per solver)
+	pairs     PairBatch       // scratch for Pairs (one live batch per solver)
 }
 
 // New returns a solver with default limits and a private cache.
-func New() *Solver { return NewWithLimits(Limits{}) }
-
-// NewWithLimits returns a solver with explicit limits and a private cache.
-func NewWithLimits(l Limits) *Solver {
-	return NewWithCache(l, NewCache())
-}
+func New() *Solver { return NewWithCache(Limits{}, NewCache()) }
 
 // NewWithCache returns a solver with explicit limits backed by the given
 // shared cache. A nil cache disables memoization. Solvers sharing a cache
 // must use identical limits, so cached verdicts are interchangeable.
 func NewWithCache(l Limits, c *Cache) *Solver {
 	return &Solver{limits: l.Normalized(), cache: c}
-}
-
-// Fork returns a new solver sharing s's limits, cache, and observer, with
-// fresh counters. Use one fork per worker goroutine; merge the counters
-// back with AddStats. (The observer's registry is atomic, so forks count
-// into it directly; only the local Stats need merging.)
-func (s *Solver) Fork() *Solver {
-	return &Solver{limits: s.limits, cache: s.cache, obs: s.obs, fn: s.fn, noQuick: s.noQuick}
 }
 
 // SetObs attaches an observer: every query increments the registry
@@ -148,14 +134,8 @@ func (s *Solver) SetFunction(fn string) { s.fn = fn }
 func (s *Solver) Stats() Stats { return s.stats }
 
 // Limits returns the effective (normalized) per-query limits, so callers
-// can verify that forked workers inherited the configured bounds.
+// can verify that every worker's solver got the configured bounds.
 func (s *Solver) Limits() Limits { return s.limits }
-
-// AddStats merges counters from a forked worker back into s.
-func (s *Solver) AddStats(o Stats) { s.stats.Add(o) }
-
-// DisableCache turns memoization off (ablation support).
-func (s *Solver) DisableCache() { s.cache = nil }
 
 // Sat reports whether the conjunction is satisfiable over the integers.
 func (s *Solver) Sat(cs sym.Set) bool {

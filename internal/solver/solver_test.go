@@ -275,7 +275,7 @@ func TestSplitBudgetGivesUpConservatively(t *testing.T) {
 		sym.Cond(a, ir.NE, sym.Const(2)),
 		sym.Cond(a, ir.NE, sym.Const(3)),
 	)
-	s := NewWithLimits(Limits{MaxSplits: 1})
+	s := NewWithCache(Limits{MaxSplits: 1}, NewCache())
 	if !s.Sat(cs) {
 		t.Fatal("budget-limited solver must give up toward SAT")
 	}
@@ -284,17 +284,12 @@ func TestSplitBudgetGivesUpConservatively(t *testing.T) {
 	}
 }
 
-// TestForkAndCacheInheritLimits pins the property the per-run budget
-// plumbing relies on: every solver derived from a limited one — forked
-// path workers and cache-sharing SCC workers alike — carries the same
-// limits, so a per-query budget set once in core.Options governs the
-// whole run.
-func TestForkAndCacheInheritLimits(t *testing.T) {
+// TestSharedCacheSolversKeepLimits pins the property the per-run budget
+// plumbing relies on: every worker's solver, built over the run's shared
+// cache, carries the configured limits, so a per-query budget set once in
+// core.Options governs the whole run.
+func TestSharedCacheSolversKeepLimits(t *testing.T) {
 	want := Limits{MaxConstraints: 17, MaxSplits: 2}
-	s := NewWithLimits(want)
-	if got := s.Fork().Limits(); got != want {
-		t.Errorf("Fork limits = %+v, want %+v", got, want)
-	}
 	if got := NewWithCache(want, NewCache()).Limits(); got != want {
 		t.Errorf("NewWithCache limits = %+v, want %+v", got, want)
 	}
@@ -305,9 +300,10 @@ func TestForkAndCacheInheritLimits(t *testing.T) {
 	}
 }
 
+// TestDisableCache checks that a solver built without a cache, as
+// core.Options.NoCache builds them, answers every query afresh.
 func TestDisableCache(t *testing.T) {
-	s := New()
-	s.DisableCache()
+	s := NewWithCache(Limits{}, nil)
 	cs := set(sym.Cond(sym.Arg("a"), ir.GT, sym.Const(0)))
 	s.Sat(cs)
 	s.Sat(cs)

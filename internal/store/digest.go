@@ -55,7 +55,7 @@ func (d Digest) IsZero() bool { return d == Digest{} }
 // summary, reports, or deterministic diagnostics. Two runs with equal
 // fingerprints and equal per-function digests compute identical outcomes,
 // so entries are interchangeable between them. Wall-clock options
-// (FuncTimeout), scheduling options (Workers, PathWorkers), and
+// (FuncTimeout), scheduling options (Workers, StealSeed), and
 // memoization toggles (solver cache) are deliberately absent: they cannot
 // change results, only how long they take.
 type Fingerprint struct {

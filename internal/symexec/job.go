@@ -24,8 +24,8 @@ import (
 // indices never contend, and Finish produces entries in path order
 // regardless of which workers ran which tasks in which interleaving —
 // that order independence is what makes reports byte-identical at any
-// Workers setting. Summarize is implemented on this same seam, so the
-// sequential, path-parallel, and work-stealing modes share one semantics.
+// Workers setting. Summarize is implemented on this same seam, so direct
+// callers and the work-stealing scheduler share one semantics.
 type Job struct {
 	ex   *Executor
 	ctx  context.Context
@@ -84,9 +84,6 @@ func (ex *Executor) Prepare(ctx context.Context, fn *ir.Func) *Job {
 
 // NumTasks returns the number of path tasks.
 func (j *Job) NumTasks() int { return len(j.enum.Paths) }
-
-// Fn returns the function under analysis.
-func (j *Job) Fn() *ir.Func { return j.fn }
 
 // RunTask symbolically executes path i using slv for satisfiability.
 // Safe to call concurrently for distinct i; calling twice for the same i

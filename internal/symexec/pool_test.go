@@ -99,6 +99,19 @@ func TestStateResetBuildContract(t *testing.T) {
 	}
 }
 
+// branchySrc has 2^5 = 32 paths, enough to cycle pathRun scratch.
+const branchySrc = `
+int f(struct device *dev, int a, int b, int c, int d, int e) {
+    int acc = 0;
+    if (a > 0) { pm_runtime_get(dev); acc = 1; pm_runtime_put(dev); }
+    if (b > 0) acc = do_thing(dev);
+    if (c > 0) { pm_runtime_get_sync(dev); acc = 2; }
+    if (d > 0) acc = 3;
+    if (e > 0) pm_runtime_put(dev);
+    return acc;
+}
+`
+
 // TestPathRunPoolDropsJobReferences checks the task-context half of the
 // pooling contract: a recycled pathRun must not pin the finished job,
 // executor, or solver, and all scratch must be observably empty on reuse.

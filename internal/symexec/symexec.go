@@ -9,7 +9,6 @@ package symexec
 import (
 	"context"
 	"strconv"
-	"sync"
 
 	"repro/internal/cfg"
 	"repro/internal/frontend/token"
@@ -29,13 +28,6 @@ import (
 type Config struct {
 	MaxPaths    int
 	MaxSubcases int
-
-	// PathWorkers > 1 summarizes a function's paths concurrently (each
-	// worker with its own solver) — the "symbolically executing multiple
-	// paths in parallel" item of the paper's §7 future work. Results are
-	// deterministic: entries are collected in path order regardless of
-	// completion order.
-	PathWorkers int
 
 	// NoPrune disables the satisfiability check of Algorithm 1 line 6
 	// when forking on callee summary entries (the
@@ -301,10 +293,10 @@ func (pr *pathRun) anonSym(prefix string) *sym.Expr {
 
 // Summarize runs Steps I and II on fn: enumerate paths, symbolically
 // execute each, and return the per-path entries (Step III — consistency
-// checking and merging — lives in internal/ipp). It is Prepare + RunTask
-// for every path + Finish; the work-stealing scheduler in package core
-// drives the same seam with stolen tasks, so both modes share one
-// semantics.
+// checking and merging — lives in internal/ipp). It is Prepare, then
+// RunTask for each path in order on the executor's solver, then Finish;
+// the work-stealing scheduler in package core drives the same seam with
+// stolen tasks, so both share one semantics.
 //
 // ctx bounds the work: when it expires the executor stops at the next
 // path (or block) boundary and returns whatever it has, with Canceled and
@@ -312,39 +304,8 @@ func (pr *pathRun) anonSym(prefix string) *sym.Expr {
 // §5.2 default entry rather than blocking the run.
 func (ex *Executor) Summarize(ctx context.Context, fn *ir.Func) Result {
 	j := ex.Prepare(ctx, fn)
-	n := j.NumTasks()
-	workers := ex.cfg.PathWorkers
-	if workers <= 1 || n < 2 {
-		for i := 0; i < n; i++ {
-			j.RunTask(i, ex.slv)
-		}
-		return j.Finish()
-	}
-	var wg sync.WaitGroup
-	work := make(chan int)
-	forks := make([]*solver.Solver, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		// Each worker forks the executor's solver: same limits, shared
-		// cache (one worker's verdict is every worker's cache hit),
-		// private counters merged back below.
-		forks[w] = ex.slv.Fork()
-		go func(slv *solver.Solver) {
-			defer wg.Done()
-			for i := range work {
-				// RunTask drains remaining work without executing once
-				// the context expires, so close(work) is always reached.
-				j.RunTask(i, slv)
-			}
-		}(forks[w])
-	}
-	for i := 0; i < n; i++ {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-	for _, f := range forks {
-		ex.slv.AddStats(f.Stats())
+	for i := 0; i < j.NumTasks(); i++ {
+		j.RunTask(i, ex.slv)
 	}
 	return j.Finish()
 }

@@ -325,14 +325,14 @@ func TestConfigDefaults(t *testing.T) {
 
 // comparable_ projects Config onto its value fields (dropping the
 // OnFunction hook, which makes the struct non-comparable).
-func comparable_(c Config) [5]int {
+func comparable_(c Config) [4]int {
 	b2i := func(b bool) int {
 		if b {
 			return 1
 		}
 		return 0
 	}
-	return [5]int{c.MaxPaths, c.MaxSubcases, c.PathWorkers, b2i(c.NoPrune), b2i(c.KeepLocalConds)}
+	return [4]int{c.MaxPaths, c.MaxSubcases, b2i(c.NoPrune), b2i(c.KeepLocalConds)}
 }
 
 // TestConfigWithDefaultsTable drives withDefaults over every zero/nonzero
@@ -354,9 +354,8 @@ func TestConfigWithDefaultsTable(t *testing.T) {
 		{"noprune survives", Config{NoPrune: true}, Config{MaxPaths: 100, MaxSubcases: 10, NoPrune: true}},
 		{"noprune with paths", Config{MaxPaths: 7, NoPrune: true}, Config{MaxPaths: 7, MaxSubcases: 10, NoPrune: true}},
 		{"keep locals survives", Config{KeepLocalConds: true}, Config{MaxPaths: 100, MaxSubcases: 10, KeepLocalConds: true}},
-		{"path workers survive", Config{PathWorkers: 4}, Config{MaxPaths: 100, MaxSubcases: 10, PathWorkers: 4}},
-		{"everything set", Config{MaxPaths: 1, MaxSubcases: 2, PathWorkers: 3, NoPrune: true, KeepLocalConds: true},
-			Config{MaxPaths: 1, MaxSubcases: 2, PathWorkers: 3, NoPrune: true, KeepLocalConds: true}},
+		{"everything set", Config{MaxPaths: 1, MaxSubcases: 2, NoPrune: true, KeepLocalConds: true},
+			Config{MaxPaths: 1, MaxSubcases: 2, NoPrune: true, KeepLocalConds: true}},
 	}
 	for _, tc := range cases {
 		got := tc.in.withDefaults()

@@ -35,7 +35,7 @@ type Evidence struct {
 	// QueryIndex is the global ordinal of the deciding solver query
 	// (the solver_queries counter just after it ran); TraceSeq is the
 	// trace sequence number at the same moment when tracing was on.
-	// Exact for sequential runs, lower bounds under Workers>1.
+	// Exact for single-worker runs, lower bounds under Workers>1.
 	QueryIndex int64
 	TraceSeq   int64
 	// Replay is one of the Replay* verdicts, or "" if replay never ran.

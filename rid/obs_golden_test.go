@@ -113,7 +113,8 @@ var phaseNames = []string{"run", "classify", "enumerate", "exec", "ipp", "solver
 
 // TestMetricsGoldenText pins the text metrics layout: one counter line per
 // metric in fixed order, then one phase line per phase in fixed order,
-// with coherent values for the known single-bug input.
+// then one utilization line per scheduler worker — exactly `worker 0` at
+// Workers=1 — with coherent values for the known single-bug input.
 func TestMetricsGoldenText(t *testing.T) {
 	_, res := runTraced(t, buggy)
 	var buf bytes.Buffer
@@ -121,7 +122,7 @@ func TestMetricsGoldenText(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
-	if want := len(metricNames) + len(phaseNames); len(lines) != want {
+	if want := len(metricNames) + len(phaseNames) + 1; len(lines) != want {
 		t.Fatalf("got %d lines, want %d:\n%s", len(lines), want, buf.String())
 	}
 	vals := map[string]int64{}
@@ -142,6 +143,15 @@ func TestMetricsGoldenText(t *testing.T) {
 		if m == nil || m[1] != name {
 			t.Fatalf("phase line %d = %q, want phase %s", i, ln, name)
 		}
+	}
+	workerLine := regexp.MustCompile(`^worker 0 +tasks=(\d+) stolen=0 busy=\S+$`)
+	m := workerLine.FindStringSubmatch(lines[len(lines)-1])
+	if m == nil {
+		t.Fatalf("last line = %q, want the single worker 0 line", lines[len(lines)-1])
+	}
+	if m[1] != fmt.Sprint(vals["tasks_executed"]) || vals["tasks_executed"] != vals["paths_enumerated"] {
+		t.Errorf("worker 0 tasks=%s, tasks_executed=%d, paths_enumerated=%d; want all equal",
+			m[1], vals["tasks_executed"], vals["paths_enumerated"])
 	}
 	if vals["ipp_confirmed"] != 1 {
 		t.Errorf("ipp_confirmed = %d, want 1 (one bug in input)", vals["ipp_confirmed"])
@@ -194,10 +204,10 @@ func TestMetricsGoldenJSON(t *testing.T) {
 		if snap.Phases[i].Phase != name {
 			t.Errorf("phase %d = %q, want %q", i, snap.Phases[i].Phase, name)
 		}
-		// Quantiles are log2-bucket midpoints, so they can overshoot the
-		// exact max by up to the midpoint of max's bucket (< 1.5x) — but
-		// never by 2x, and they must be monotone; total bounds max exactly.
-		if p := snap.Phases[i]; p.Count > 0 && (p.Total < p.Max || p.P50 > p.P95 || p.P95 > 2*p.Max) {
+		// Quantiles are log2-bucket midpoints clamped to the observed
+		// range, so they never exceed max and must be monotone; total
+		// bounds max exactly.
+		if p := snap.Phases[i]; p.Count > 0 && (p.Total < p.Max || p.P50 > p.P95 || p.P95 > p.Max) {
 			t.Errorf("phase %s has incoherent stats: %+v", name, p)
 		}
 	}

@@ -97,7 +97,7 @@ func (s Specs) Parse(name, src string) (Specs, error) {
 // Options tunes the analysis. The zero value reproduces the paper's
 // evaluation configuration (§6.1): at most 100 paths per function, 10
 // sub-cases per path, category-2 functions analyzed only when they have at
-// most 3 conditional branches, sequential scheduling.
+// most 3 conditional branches, one scheduler worker.
 type Options struct {
 	// MaxPaths bounds path enumeration per function (default 100).
 	MaxPaths int
@@ -105,8 +105,10 @@ type Options struct {
 	MaxSubcases int
 	// MaxCat2Conds is the §5.2 complexity gate (default 3).
 	MaxCat2Conds int
-	// Workers >1 analyzes independent call-graph SCCs in parallel;
-	// <0 uses GOMAXPROCS.
+	// Workers is the number of work-stealing scheduler workers (default
+	// 1): extra workers take independent call-graph SCCs and steal per-path
+	// tasks inside a function. <0 uses GOMAXPROCS. Reports are
+	// byte-identical at any setting.
 	Workers int
 	// PreserveBitTests keeps "x & CONST" expressions as stable symbolic
 	// terms instead of abstracting them to unknowns, eliminating the §6.4
@@ -525,8 +527,8 @@ func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 // enumerated, subcases forked, solver verdicts, IPP candidates and
 // reports) and per-phase wall-clock histograms (count, total, p50, p95,
 // max) — in the named format ("text" or "json"); see cmd/rid's -metrics
-// flag. Counter lines are deterministic for a sequential run; durations
-// are wall-clock and vary.
+// flag. Counter lines are deterministic for a single-worker run;
+// durations are wall-clock and vary.
 func (r *Result) WriteMetrics(w io.Writer, format string) error {
 	f, err := report.ParseFormat(format)
 	if err != nil {

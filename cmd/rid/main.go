@@ -5,9 +5,17 @@
 //
 //	rid [flags] file.c [file2.c ...]
 //	rid [flags] -dir path/to/tree
-//	rid explain [-fn F] [-html out.html] file.c [file2.c ...]
-//	rid serve [-addr host:port] [-dir corpus] [-cache-dir dir]
+//	rid [flags] -separate file.c [file2.c ...]
+//	rid explain [flags] [-fn F] [-html out.html] file.c [file2.c ...]
+//	rid serve [flags] [-addr host:port] [-dir corpus]
 //	rid storeserve [-addr host:port] -cache-dir dir
+//
+// rid, rid explain and rid serve share one set of analysis flags (-spec,
+// -spec-pack, -spec-file, -workers, -max-paths, -max-subcases,
+// -cat2-conds, -func-timeout, -solver-max-constraints,
+// -solver-max-splits), declared once by bindAnalysisFlags; rid and rid
+// serve also share -cache-dir and -cache-url. -separate runs the §5.3
+// separate-compilation mode through the same rid facade and output path.
 //
 // The explain subcommand re-runs the analysis with provenance capture on
 // and prints, per bug, the complete derivation: both CFG paths with
@@ -54,20 +62,15 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
 	"strings"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/obs"
-	"repro/internal/report"
 	"repro/internal/serve"
-	"repro/internal/solver"
-	"repro/internal/spec"
 	"repro/internal/store/remote"
-	"repro/internal/summary"
 	"repro/rid"
 )
 
@@ -108,41 +111,34 @@ func cliMain() (code int) {
 			return 0
 		}
 	}
+	af := bindAnalysisFlags(flag.CommandLine)
+	bindCacheFlags(flag.CommandLine, &af.opts)
 	var (
-		specName  = flag.String("spec", "linux-dpm", "base API specs: a built-in pack (fd, linux-dpm, lock, python-c) or a spec-DSL file path")
-		specPacks = flag.String("spec-pack", "", "comma-separated built-in packs merged into -spec (conflicting API definitions are rejected)")
-		specFile  = flag.String("spec-file", "", "additional summary-DSL file to merge")
-		dir       = flag.String("dir", "", "analyze every *.c file under this directory")
-		maxPaths  = flag.Int("max-paths", 100, "maximum paths enumerated per function")
-		maxSubs   = flag.Int("max-subcases", 10, "maximum summary entries per path")
-		cat2      = flag.Int("cat2-conds", 3, "category-2 complexity gate (conditional branches)")
-		workers   = flag.Int("workers", 1, "scheduler workers (negative = all cores)")
-		deadline  = flag.Duration("deadline", 0, "overall run deadline (0 = none); partial results are printed")
-		funcTO    = flag.Duration("func-timeout", 0, "per-function wall-clock budget (0 = none)")
-		maxCons   = flag.Int("solver-max-constraints", 0, "solver give-up threshold in inequalities per query (0 = default)")
-		maxSplit  = flag.Int("solver-max-splits", 0, "solver disequality case-split budget per query (0 = default)")
-		verbose   = flag.Bool("v", false, "print full two-entry evidence for each bug")
-		stats     = flag.Bool("stats", false, "print classification and analysis statistics")
-		diag      = flag.Bool("diag", false, "print degradation diagnostics (truncations, timeouts, panics)")
-		separate  = flag.Bool("separate", false, "analyze files separately with a shared summary DB (§5.3)")
-		saveSums  = flag.String("save-summaries", "", "write the computed summary database to this JSON file")
-		dotFn     = flag.String("dot", "", "print the named function's CFG in Graphviz dot syntax and exit")
-		format    = flag.String("format", "text", "report format: text, json or sarif")
-		suppress  = flag.String("suppress", "", "comma-separated function names whose reports are discarded")
-		trace     = flag.String("trace", "", "write a JSONL span log of every pipeline phase to this file")
-		cacheDir  = flag.String("cache-dir", "", "persistent summary store directory: warm runs skip unchanged functions (see README)")
-		cacheURL  = flag.String("cache-url", "", "fleet summary store URL (`rid storeserve`) layered behind -cache-dir; requires -cache-dir")
-		metrics   = flag.Bool("metrics", false, "print the metrics registry (counters and phase histograms) after the run")
-		pprofSrv  = flag.String("pprof", "", "serve /debug/pprof/ and /debug/vars on this address (e.g. localhost:6060) for the duration of the run")
+		dir      = flag.String("dir", "", "analyze every *.c file under this directory")
+		deadline = flag.Duration("deadline", 0, "overall run deadline (0 = none); partial results are printed")
+		verbose  = flag.Bool("v", false, "print full two-entry evidence for each bug")
+		stats    = flag.Bool("stats", false, "print classification and analysis statistics")
+		diag     = flag.Bool("diag", false, "print degradation diagnostics (truncations, timeouts, panics)")
+		separate = flag.Bool("separate", false, "analyze the file arguments separately with a shared summary DB (§5.3)")
+		saveSums = flag.String("save-summaries", "", "write the computed summary database to this JSON file")
+		dotFn    = flag.String("dot", "", "print the named function's CFG in Graphviz dot syntax and exit")
+		format   = flag.String("format", "text", "report format: text, json or sarif")
+		suppress = flag.String("suppress", "", "comma-separated function names whose reports are discarded")
+		trace    = flag.String("trace", "", "write a JSONL span log of every pipeline phase to this file")
+		metrics  = flag.Bool("metrics", false, "print the metrics registry (counters and phase histograms) after the run")
+		pprofSrv = flag.String("pprof", "", "serve /debug/pprof/ and /debug/vars on this address (e.g. localhost:6060) for the duration of the run")
 	)
 	flag.Parse()
 
-	if *cacheURL != "" && *cacheDir == "" {
+	if af.opts.CacheURL != "" && af.opts.CacheDir == "" {
 		// The fleet store is a warm tier behind the local one, not a
 		// replacement: without a local directory there is nowhere to write
 		// through to, and a network blip would mean re-analyzing work this
 		// very run already did.
 		fatalf("-cache-url requires -cache-dir (the fleet store layers behind a local store)")
+	}
+	if *separate && (*dir != "" || *dotFn != "") {
+		fatalf("-separate takes explicit file arguments and combines with neither -dir nor -dot")
 	}
 
 	// ^C cancels the analysis; the run returns promptly with partial
@@ -155,60 +151,16 @@ func cliMain() (code int) {
 		defer cancel()
 	}
 
-	specs := loadSpecs(*specName, *specFile)
-
-	traceW := openTrace(*trace)
-	if traceW != nil {
+	opts, specs := af.resolve()
+	opts.QueryTiming = *metrics
+	if traceW := openTrace(*trace); traceW != nil {
 		defer traceW.close()
-	}
-
-	if *separate {
-		copts := core.Options{
-			Workers:      *workers,
-			MaxCat2Conds: *cat2,
-			FuncTimeout:  *funcTO,
-			SolverLimits: solver.Limits{MaxConstraints: *maxCons, MaxSplits: *maxSplit},
-			CacheDir:     *cacheDir,
-			CacheURL:     *cacheURL,
-		}
-		copts.Exec.MaxPaths = *maxPaths
-		copts.Exec.MaxSubcases = *maxSubs
-		var tracer obs.Tracer
-		if traceW != nil {
-			tracer = obs.NewJSONLTracer(traceW.buf)
-		}
-		copts.Obs = obs.New(tracer, obs.NewRegistry())
-		if *metrics {
-			copts.Obs.EnableQueryTiming()
-		}
-		if *pprofSrv != "" {
-			stopSrv := serveDebug(*pprofSrv, copts.Obs.Registry())
-			defer stopSrv()
-		}
-		runSeparate(ctx, flag.Args(), *specName, splitList(*specPacks), *specFile, copts, *saveSums, *diag, *metrics, *format)
-		return 0
-	}
-
-	a := rid.New(specs)
-	opts := rid.Options{
-		MaxPaths:             *maxPaths,
-		MaxSubcases:          *maxSubs,
-		MaxCat2Conds:         *cat2,
-		SpecPacks:            splitList(*specPacks),
-		Workers:              *workers,
-		FuncTimeout:          *funcTO,
-		SolverMaxConstraints: *maxCons,
-		SolverMaxSplits:      *maxSplit,
-		QueryTiming:          *metrics,
-		CacheDir:             *cacheDir,
-		CacheURL:             *cacheURL,
-	}
-	if traceW != nil {
 		opts.TraceWriter = traceW.buf
 	}
 	if *suppress != "" {
 		opts.Suppress = strings.Split(*suppress, ",")
 	}
+	a := rid.New(specs)
 	a.SetOptions(opts)
 
 	if *pprofSrv != "" {
@@ -220,30 +172,22 @@ func cliMain() (code int) {
 		defer stop() //nolint:errcheck
 	}
 
-	if *dir != "" {
-		if err := a.AddDir(*dir); err != nil {
-			fatalf("%v", err)
+	var res *rid.Result
+	var err error
+	if *separate {
+		res, err = a.RunSeparate(ctx, readFiles(flag.Args()))
+	} else {
+		loadSources(a, *dir, flag.Args())
+		if *dotFn != "" {
+			dot := a.FunctionCFG(*dotFn)
+			if dot == "" {
+				fatalf("function %q not defined", *dotFn)
+			}
+			fmt.Print(dot)
+			return 0
 		}
+		res, err = a.RunContext(ctx)
 	}
-	for _, f := range flag.Args() {
-		if err := a.AddFile(f); err != nil {
-			fatalf("%v", err)
-		}
-	}
-	if a.NumFunctions() == 0 {
-		fatalf("no functions to analyze (pass files or -dir)")
-	}
-
-	if *dotFn != "" {
-		dot := a.FunctionCFG(*dotFn)
-		if dot == "" {
-			fatalf("function %q not defined", *dotFn)
-		}
-		fmt.Print(dot)
-		return 0
-	}
-
-	res, err := a.RunContext(ctx)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -271,15 +215,104 @@ func cliMain() (code int) {
 			fatalf("%v", err)
 		}
 	}
+	if *saveSums != "" {
+		if err := writeFile(*saveSums, res.WriteSummaries); err != nil {
+			fatalf("%v", err)
+		}
+	}
+	return exitStatus(ctx, len(res.Bugs))
+}
+
+// exitStatus maps a finished run onto the process exit code: 3 when the
+// run was canceled (partial results were printed), 1 when bugs were
+// reported, 0 otherwise.
+func exitStatus(ctx context.Context, bugs int) int {
 	if ctx.Err() != nil {
 		// Partial results were printed; make the truncation unmissable.
 		fmt.Fprintf(os.Stderr, "rid: run canceled (%v); results are partial\n", ctx.Err())
 		return 3
 	}
-	if len(res.Bugs) > 0 {
+	if bugs > 0 {
 		return 1
 	}
 	return 0
+}
+
+// analysisFlags are the analysis flags rid, rid serve and rid explain
+// share: spec selection and the budgets of rid.Options. The flag set
+// writes straight into opts; resolve finishes the job after parsing.
+type analysisFlags struct {
+	opts                      rid.Options
+	spec, specPacks, specFile string
+}
+
+// bindAnalysisFlags declares the shared analysis flags on fs, once for
+// every subcommand, so their names, defaults and help texts cannot drift
+// apart.
+func bindAnalysisFlags(fs *flag.FlagSet) *analysisFlags {
+	f := &analysisFlags{}
+	fs.StringVar(&f.spec, "spec", "linux-dpm", "base API specs: a built-in pack ("+strings.Join(rid.SpecPackNames(), ", ")+") or a spec-DSL file path")
+	fs.StringVar(&f.specPacks, "spec-pack", "", "comma-separated built-in packs merged into -spec (conflicting API definitions are rejected)")
+	fs.StringVar(&f.specFile, "spec-file", "", "additional summary-DSL file merged into -spec (conflicting API definitions are rejected)")
+	fs.IntVar(&f.opts.Workers, "workers", 1, "scheduler workers per analysis (negative = all cores)")
+	fs.IntVar(&f.opts.MaxPaths, "max-paths", 100, "maximum paths enumerated per function")
+	fs.IntVar(&f.opts.MaxSubcases, "max-subcases", 10, "maximum summary entries per path")
+	fs.IntVar(&f.opts.MaxCat2Conds, "cat2-conds", 3, "category-2 complexity gate (conditional branches)")
+	fs.DurationVar(&f.opts.FuncTimeout, "func-timeout", 0, "per-function wall-clock budget (0 = none)")
+	fs.IntVar(&f.opts.SolverMaxConstraints, "solver-max-constraints", 0, "solver give-up threshold in inequalities per query (0 = default)")
+	fs.IntVar(&f.opts.SolverMaxSplits, "solver-max-splits", 0, "solver disequality case-split budget per query (0 = default)")
+	return f
+}
+
+// resolve returns the parsed options and the specs they select. -spec
+// and -spec-file are read from disk here, once, so no later run (or `rid
+// serve` request) re-reads a spec file.
+func (f *analysisFlags) resolve() (rid.Options, rid.Specs) {
+	f.opts.SpecPacks = splitList(f.specPacks)
+	return f.opts, loadSpecs(f.spec, f.specFile)
+}
+
+// bindCacheFlags declares the summary-store flags on fs, writing into o.
+// rid and rid serve take them; rid explain does not, because provenance
+// runs always re-derive.
+func bindCacheFlags(fs *flag.FlagSet, o *rid.Options) {
+	fs.StringVar(&o.CacheDir, "cache-dir", "", "persistent summary store directory: warm runs skip unchanged functions (see README)")
+	fs.StringVar(&o.CacheURL, "cache-url", "", "fleet summary store URL (a rid storeserve) layered behind -cache-dir as a shared warm tier")
+}
+
+// loadSources adds -dir and the file arguments to a, exiting 2 when
+// nothing loads.
+func loadSources(a *rid.Analyzer, dir string, files []string) {
+	if dir != "" {
+		if err := a.AddDir(dir); err != nil {
+			fatalf("%v", err)
+		}
+	}
+	for _, f := range files {
+		if err := a.AddFile(f); err != nil {
+			fatalf("%v", err)
+		}
+	}
+	if a.NumFunctions() == 0 {
+		fatalf("no functions to analyze (pass files or -dir)")
+	}
+}
+
+// readFiles reads the -separate file arguments into the name → source
+// map RunSeparate takes.
+func readFiles(paths []string) map[string]string {
+	files := make(map[string]string, len(paths))
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			fatalf("%v", err)
+		}
+		files[p] = string(data)
+	}
+	if len(files) == 0 {
+		fatalf("-separate needs explicit file arguments")
+	}
+	return files
 }
 
 // runServe implements `rid serve`: the long-lived analysis daemon. It
@@ -287,18 +320,11 @@ func cliMain() (code int) {
 // analyses drain (bounded) before the process exits 0.
 func runServe(args []string) {
 	fs := flag.NewFlagSet("rid serve", flag.ExitOnError)
+	af := bindAnalysisFlags(fs)
+	bindCacheFlags(fs, &af.opts)
 	var (
 		addr        = fs.String("addr", "localhost:8080", "listen address (port 0 picks a free one)")
-		specName    = fs.String("spec", "linux-dpm", "default API specs: a built-in pack (fd, linux-dpm, lock, python-c) or a spec-DSL file path")
-		specPacks   = fs.String("spec-pack", "", "comma-separated built-in packs merged into -spec for every request")
-		specFile    = fs.String("spec-file", "", "additional summary-DSL file merged into the default specs")
 		dir         = fs.String("dir", "", "resident corpus: every *.c under this directory is kept loaded; enables corpus requests and /v1/explain")
-		cacheDir    = fs.String("cache-dir", "", "persistent summary store shared by all requests; enables /v1/summary digest lookups")
-		cacheURL    = fs.String("cache-url", "", "fleet summary store URL (`rid storeserve`) layered behind -cache-dir (or alone, for lookup-only /v1/summary)")
-		workers     = fs.Int("workers", 1, "default scheduler workers per analysis (negative = all cores)")
-		maxPaths    = fs.Int("max-paths", 100, "default maximum paths enumerated per function")
-		maxSubs     = fs.Int("max-subcases", 10, "default maximum summary entries per path")
-		funcTO      = fs.Duration("func-timeout", 0, "per-function wall-clock budget (0 = none)")
 		maxInflight = fs.Int("max-inflight", 2, "concurrent analyses; more are queued")
 		queueDepth  = fs.Int("queue-depth", 0, "requests waiting for a slot before 429 (0 = 4x max-inflight)")
 		queueWait   = fs.Duration("queue-wait", 2*time.Second, "longest a queued request waits for a slot before 429")
@@ -312,18 +338,14 @@ func runServe(args []string) {
 	)
 	fs.Parse(args) //nolint:errcheck // ExitOnError
 
+	// The flags are server-wide defaults; requests may override the
+	// budgets and stack further packs. -cache-url alone (no -cache-dir)
+	// gives lookup-only /v1/summary.
+	opts, specs := af.resolve()
 	cfg := serve.Config{
-		Specs:    loadSpecs(*specName, *specFile),
-		SpecName: *specName,
-		Options: rid.Options{
-			MaxPaths:    *maxPaths,
-			MaxSubcases: *maxSubs,
-			Workers:     *workers,
-			FuncTimeout: *funcTO,
-			CacheDir:    *cacheDir,
-			CacheURL:    *cacheURL,
-			SpecPacks:   splitList(*specPacks),
-		},
+		Specs:          specs,
+		SpecName:       af.spec,
+		Options:        opts,
 		CorpusDir:      *dir,
 		MaxInflight:    *maxInflight,
 		QueueDepth:     *queueDepth,
@@ -365,7 +387,7 @@ func runServe(args []string) {
 		fatalf("%v", err)
 	}
 	fmt.Fprintf(os.Stderr, "rid: serving analysis API on http://%s (spec %s, max-inflight %d, request-timeout %v)\n",
-		actual, *specName, *maxInflight, *reqTimeout)
+		actual, af.spec, *maxInflight, *reqTimeout)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -439,15 +461,12 @@ func runStoreServe(args []string) {
 // (text to stdout, optionally a self-contained HTML page).
 func runExplain(args []string) {
 	fs := flag.NewFlagSet("rid explain", flag.ExitOnError)
+	af := bindAnalysisFlags(fs)
 	var (
-		specName  = fs.String("spec", "linux-dpm", "base API specs: a built-in pack (fd, linux-dpm, lock, python-c) or a spec-DSL file path")
-		specPacks = fs.String("spec-pack", "", "comma-separated built-in packs merged into -spec")
-		specFile  = fs.String("spec-file", "", "additional summary-DSL file to merge")
-		dir       = fs.String("dir", "", "analyze every *.c file under this directory")
-		fnFilter  = fs.String("fn", "", "explain only bugs in this comma-separated function list")
-		htmlOut   = fs.String("html", "", "also write a self-contained HTML evidence page to this file")
-		workers   = fs.Int("workers", 1, "scheduler workers (negative = all cores)")
-		trace     = fs.String("trace", "", "with sources: write a JSONL span log to this file; without sources: read, validate and summarize an existing trace file (e.g. a serve slow-trace)")
+		dir      = fs.String("dir", "", "analyze every *.c file under this directory")
+		fnFilter = fs.String("fn", "", "explain only bugs in this comma-separated function list")
+		htmlOut  = fs.String("html", "", "also write a self-contained HTML evidence page to this file")
+		trace    = fs.String("trace", "", "with sources: write a JSONL span log to this file; without sources: read, validate and summarize an existing trace file (e.g. a serve slow-trace)")
 	)
 	fs.Parse(args) //nolint:errcheck // ExitOnError
 
@@ -463,30 +482,15 @@ func runExplain(args []string) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	specs := loadSpecs(*specName, *specFile)
-
-	a := rid.New(specs)
-	opts := rid.Options{Workers: *workers, Provenance: true, SpecPacks: splitList(*specPacks)}
-	traceW := openTrace(*trace)
-	if traceW != nil {
+	opts, specs := af.resolve()
+	opts.Provenance = true
+	if traceW := openTrace(*trace); traceW != nil {
 		defer traceW.close()
 		opts.TraceWriter = traceW.buf
 	}
+	a := rid.New(specs)
 	a.SetOptions(opts)
-
-	if *dir != "" {
-		if err := a.AddDir(*dir); err != nil {
-			fatalf("%v", err)
-		}
-	}
-	for _, f := range fs.Args() {
-		if err := a.AddFile(f); err != nil {
-			fatalf("%v", err)
-		}
-	}
-	if a.NumFunctions() == 0 {
-		fatalf("no functions to analyze (pass files or -dir)")
-	}
+	loadSources(a, *dir, fs.Args())
 
 	res, err := a.RunContext(ctx)
 	if err != nil {
@@ -501,120 +505,38 @@ func runExplain(args []string) {
 		fatalf("%v", err)
 	}
 	if *htmlOut != "" {
-		f, err := os.Create(*htmlOut)
-		if err != nil {
+		if err := writeFile(*htmlOut, res.WriteExplainHTML); err != nil {
 			fatalf("%v", err)
-		}
-		werr := res.WriteExplainHTML(f)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fatalf("%v", werr)
 		}
 		fmt.Fprintf(os.Stderr, "rid: wrote HTML evidence report to %s\n", *htmlOut)
 	}
-	if ctx.Err() != nil {
-		fmt.Fprintf(os.Stderr, "rid: run canceled (%v); results are partial\n", ctx.Err())
-		exit(3)
-	}
-	if len(res.Bugs) > 0 {
-		exit(1)
-	}
+	exit(exitStatus(ctx, len(res.Bugs)))
 }
 
-// runSeparate implements the §5.3 separate-compilation mode: each file is
-// lowered on its own and file groups are analyzed in dependency order with
-// a shared summary database.
-func runSeparate(ctx context.Context, paths []string, specName string, specPacks []string, specFile string, opts core.Options, saveSums string, diag, metrics bool, format string) {
-	files := make(map[string]string, len(paths))
-	for _, p := range paths {
-		data, err := os.ReadFile(p)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		files[p] = string(data)
-	}
-	if len(files) == 0 {
-		fatalf("-separate needs explicit file arguments")
-	}
-	sp, err := spec.Pack(specName)
+// writeFile creates path and fills it with write, surfacing the close
+// error a deferred Close would swallow.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
 	if err != nil {
-		data, rerr := os.ReadFile(specName)
-		if rerr != nil {
-			fatalf("unknown -spec %q (want a built-in pack: fd, linux-dpm, lock, python-c, or a spec file path)", specName)
-		}
-		if sp, err = spec.Parse(specName, string(data)); err != nil {
-			fatalf("%v", err)
-		}
+		return err
 	}
-	for _, name := range specPacks {
-		p, err := spec.Pack(name)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if err := sp.MergeStrict(p); err != nil {
-			fatalf("spec pack %s: %v", name, err)
-		}
+	werr := write(f)
+	if cerr := f.Close(); werr == nil {
+		werr = cerr
 	}
-	if specFile != "" {
-		data, err := os.ReadFile(specFile)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		extra, err := spec.Parse(specFile, string(data))
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if err := sp.MergeStrict(extra); err != nil {
-			fatalf("%s: %v", specFile, err)
-		}
-	}
-	res, err := core.AnalyzeFiles(ctx, files, sp, opts)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	for _, r := range res.ReportsByFunction() {
-		fmt.Println(r)
-	}
-	if diag {
-		for _, d := range res.Diagnostics {
-			fmt.Println(d)
-		}
-	}
-	if metrics {
-		f, ferr := report.ParseFormat(format)
-		if ferr != nil {
-			fatalf("%v", ferr)
-		}
-		if err := report.WriteMetrics(os.Stdout, f, opts.Obs.Registry().Snapshot()); err != nil {
-			fatalf("%v", err)
-		}
-	}
-	if saveSums != "" {
-		if err := saveDB(res.DB, saveSums); err != nil {
-			fatalf("%v", err)
-		}
-	}
-	if ctx.Err() != nil {
-		fmt.Fprintf(os.Stderr, "rid: run canceled (%v); results are partial\n", ctx.Err())
-		exit(3)
-	}
-	if len(res.Reports) > 0 {
-		exit(1)
-	}
+	return werr
 }
 
 // loadSpecs resolves the -spec/-spec-file pair shared by every
-// subcommand. -spec accepts a built-in pack name (fd, linux-dpm, lock,
-// python-c) or a path to a spec DSL file; -spec-file merges an extra DSL
-// file on top, rejecting conflicting API redefinitions.
+// subcommand. -spec accepts a built-in pack name (rid.SpecPackNames) or a
+// path to a spec DSL file; -spec-file merges an extra DSL file on top,
+// rejecting conflicting API redefinitions.
 func loadSpecs(specName, specFile string) rid.Specs {
 	specs, err := rid.SpecPack(specName)
 	if err != nil {
 		data, rerr := os.ReadFile(specName)
 		if rerr != nil {
-			fatalf("unknown -spec %q (want a built-in pack: fd, linux-dpm, lock, python-c, or a spec file path)", specName)
+			fatalf("unknown -spec %q (want a built-in pack: %s, or a spec file path)", specName, strings.Join(rid.SpecPackNames(), ", "))
 		}
 		specs, err = rid.Specs{}.Parse(specName, string(data))
 		if err != nil {
@@ -650,17 +572,6 @@ func splitList(s string) []string {
 	return out
 }
 
-// serveDebug starts the pprof/expvar server for -separate mode (the main
-// path uses Analyzer.ServeDebug) and returns its stop function.
-func serveDebug(addr string, reg *obs.Registry) func() {
-	stop, actual, err := obs.Serve(addr, reg)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	fmt.Fprintf(os.Stderr, "rid: serving /debug/pprof/ and /debug/vars on http://%s\n", actual)
-	return func() { stop() } //nolint:errcheck
-}
-
 // traceSink is the -trace destination: the JSONL tracer writes through a
 // buffer (span emission stays cheap under -workers), and close flushes it
 // before the file closes. close runs via defer on EVERY exit path — the
@@ -693,15 +604,6 @@ func (t *traceSink) close() {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rid: closing trace file: %v\n", err)
 	}
-}
-
-func saveDB(db *summary.DB, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return db.Save(f)
 }
 
 // fatalf reports a usage/setup error and exits 2, unwinding through the

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/serve"
+	"repro/rid"
 )
 
 // buildCLI compiles the rid binary once per test run.
@@ -109,11 +110,18 @@ func TestCLIStats(t *testing.T) {
 	}
 }
 
+// TestCLIUnknownSpec pins the unknown -spec diagnostic: exit 2, and the
+// pack list in the message comes from the registry, naming every pack.
 func TestCLIUnknownSpec(t *testing.T) {
 	bin := buildCLI(t)
 	out, err := exec.Command(bin, "-spec", "bogus", "x.c").CombinedOutput()
-	if err == nil || !strings.Contains(string(out), "unknown -spec") {
-		t.Fatalf("expected spec error, got: %s", out)
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 || !strings.Contains(string(out), "unknown -spec") {
+		t.Fatalf("expected spec error, got %v: %s", err, out)
+	}
+	for _, name := range rid.SpecPackNames() {
+		if !strings.Contains(string(out), name) {
+			t.Fatalf("diagnostic does not name pack %q: %s", name, out)
+		}
 	}
 }
 
@@ -211,6 +219,22 @@ func TestCLISpecLoaderErrors(t *testing.T) {
 	}
 }
 
+// runCLI runs bin with args and returns its stdout and exit code.
+func runCLI(t *testing.T, bin string, args ...string) (string, int) {
+	t.Helper()
+	out, err := exec.Command(bin, args...).Output()
+	if ee, ok := err.(*exec.ExitError); ok {
+		return string(out), ee.ExitCode()
+	} else if err != nil {
+		t.Fatal(err)
+	}
+	return string(out), 0
+}
+
+// TestCLISeparateMode drives the §5.3 separate-compilation mode over a
+// wrapper file and its caller. -separate shares the linked run's output
+// tail, so it must print the same bytes with the same exit code in every
+// format, and -save-summaries, -suppress and -stats work in both modes.
 func TestCLISeparateMode(t *testing.T) {
 	bin := buildCLI(t)
 	dir := t.TempDir()
@@ -248,20 +272,93 @@ error:
 `), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	sums := filepath.Join(dir, "sums.json")
-	out, err := exec.Command(bin, "-separate", "-save-summaries", sums, w, d).CombinedOutput()
-	if err == nil {
-		t.Fatal("bug expected in separate mode")
+	modes := []struct {
+		name string
+		args []string
+	}{{"separate", []string{"-separate"}}, {"linked", nil}}
+	for _, mode := range modes {
+		t.Run(mode.name, func(t *testing.T) {
+			sums := filepath.Join(t.TempDir(), "sums.json")
+			out, code := runCLI(t, bin, append(mode.args, "-save-summaries", sums, w, d)...)
+			if code != 1 || !strings.Contains(out, "function op:") {
+				t.Fatalf("want exit 1 with a bug in op, got %d: %s", code, out)
+			}
+			data, err := os.ReadFile(sums)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(string(data), "ss_get") {
+				t.Fatal("summary database missing wrapper")
+			}
+			out, code = runCLI(t, bin, append(mode.args, "-suppress", "op", "-stats", w, d)...)
+			if code != 0 || strings.Contains(out, "function op:") || !strings.Contains(out, "categories:") {
+				t.Fatalf("-suppress op -stats: exit %d: %s", code, out)
+			}
+		})
 	}
-	if !strings.Contains(string(out), "op") {
-		t.Fatalf("output: %s", out)
+	for _, format := range []string{"text", "json", "sarif"} {
+		t.Run("format "+format, func(t *testing.T) {
+			want, wantCode := runCLI(t, bin, "-format", format, "-v", w, d)
+			got, gotCode := runCLI(t, bin, "-separate", "-format", format, "-v", w, d)
+			if got != want || gotCode != wantCode {
+				t.Fatalf("-separate differs from the linked run\nlinked (exit %d):\n%s\nseparate (exit %d):\n%s",
+					wantCode, want, gotCode, got)
+			}
+		})
 	}
-	data, err := os.ReadFile(sums)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// flagUsage splits `-h` output into one usage block per flag name.
+func flagUsage(help string) map[string]string {
+	blocks := map[string]string{}
+	name := ""
+	for _, line := range strings.Split(help, "\n") {
+		if rest, ok := strings.CutPrefix(line, "  -"); ok {
+			name, _, _ = strings.Cut(rest, " ")
+		}
+		if name != "" {
+			blocks[name] += line + "\n"
+		}
 	}
-	if !strings.Contains(string(data), "ss_get") {
-		t.Fatal("summary database missing wrapper")
+	return blocks
+}
+
+// TestCLIHelpParity pins the one flag binder: every shared analysis flag
+// prints identical usage text under rid, rid serve and rid explain, and
+// the cache flags under rid and rid serve (explain's provenance runs skip
+// the store, so it has none).
+func TestCLIHelpParity(t *testing.T) {
+	bin := buildCLI(t)
+	help := map[string]map[string]string{}
+	for _, sub := range []string{"", "serve", "explain"} {
+		args := []string{"-h"}
+		if sub != "" {
+			args = []string{sub, "-h"}
+		}
+		out, _ := exec.Command(bin, args...).CombinedOutput()
+		help[sub] = flagUsage(string(out))
+	}
+	check := func(flag string, subs ...string) {
+		t.Helper()
+		want := help[subs[0]][flag]
+		if want == "" {
+			t.Fatalf("rid %s -h lists no -%s", subs[0], flag)
+		}
+		for _, sub := range subs[1:] {
+			if got := help[sub][flag]; got != want {
+				t.Errorf("-%s usage differs:\nrid %s:\n%srid %s:\n%s", flag, subs[0], want, sub, got)
+			}
+		}
+	}
+	for _, flag := range []string{"spec", "spec-pack", "spec-file", "workers", "max-paths", "max-subcases",
+		"cat2-conds", "func-timeout", "solver-max-constraints", "solver-max-splits"} {
+		check(flag, "", "serve", "explain")
+	}
+	for _, flag := range []string{"cache-dir", "cache-url"} {
+		check(flag, "", "serve")
+		if help["explain"][flag] != "" {
+			t.Errorf("rid explain declares -%s", flag)
+		}
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/store"
@@ -365,7 +366,9 @@ func (s *Server) resolveSpecs(name string, packs []string, src string) (rid.Spec
 	if name != "" {
 		var err error
 		if specs, err = rid.SpecPack(name); err != nil {
-			return rid.Specs{}, fmt.Errorf("unknown spec %q (want fd, linux-dpm, lock or python-c)", name)
+			names := rid.SpecPackNames()
+			return rid.Specs{}, fmt.Errorf("unknown spec %q (want %s or %s)",
+				name, strings.Join(names[:len(names)-1], ", "), names[len(names)-1])
 		}
 	}
 	for _, p := range packs {

@@ -119,3 +119,24 @@ func TestAnalyzeUnknownSpecPack(t *testing.T) {
 		t.Fatalf("error %q missing pack diagnostic", ar.Error)
 	}
 }
+
+// TestAnalyzeUnknownSpecListsPacks pins that the unknown-spec error is
+// built from the pack registry: every built-in pack name appears in it.
+func TestAnalyzeUnknownSpecListsPacks(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp, ar := postAnalyze(t, ts.URL, &AnalyzeRequest{
+		Files: map[string]string{"a.c": "int f(void) { return 0; }"},
+		Spec:  "bsd",
+	})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d (want 400): %+v", resp.StatusCode, ar)
+	}
+	if ar.Error != `unknown spec "bsd" (want fd, linux-dpm, lock or python-c)` {
+		t.Fatalf("error %q", ar.Error)
+	}
+	for _, name := range rid.SpecPackNames() {
+		if !strings.Contains(ar.Error, name) {
+			t.Fatalf("error %q does not name pack %q", ar.Error, name)
+		}
+	}
+}

@@ -1,6 +1,9 @@
 package spec
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Shipped spec packs beyond the two refcount packs: the same path-pair
 // discipline applied to lock acquire/release balance and to file-handle
@@ -104,5 +107,5 @@ func Pack(name string) (*Specs, error) {
 	case "fd":
 		return FD(), nil
 	}
-	return nil, fmt.Errorf("unknown spec pack %q (have fd, linux-dpm, lock, python-c)", name)
+	return nil, fmt.Errorf("unknown spec pack %q (have %s)", name, strings.Join(PackNames(), ", "))
 }

@@ -158,9 +158,6 @@ type Options struct {
 	// "python-c") merged into the analyzer's specifications at Run time.
 	// Conflicting API definitions across packs are a Run error.
 	SpecPacks []string
-	// SpecFiles lists spec DSL files loaded from disk and merged at Run
-	// time, after SpecPacks, under the same conflict rule.
-	SpecFiles []string
 	// Provenance records, per bug, the full derivation (Bug.Provenance,
 	// Result.WriteExplain/WriteExplainHTML): both CFG paths with source
 	// positions, the constraint before and after the projection of
@@ -409,11 +406,10 @@ func (a *Analyzer) Run() (*Result, error) {
 }
 
 // effectiveSpecs resolves the run's specifications: the analyzer's base
-// specs plus Options.SpecPacks and Options.SpecFiles, merged strictly so
-// a conflicting API redefinition surfaces as a diagnostic rather than a
-// silent last-wins.
+// specs plus Options.SpecPacks, merged strictly so a conflicting API
+// redefinition surfaces as an error rather than a silent last-wins.
 func (a *Analyzer) effectiveSpecs() (*spec.Specs, error) {
-	if len(a.opts.SpecPacks) == 0 && len(a.opts.SpecFiles) == 0 {
+	if len(a.opts.SpecPacks) == 0 {
 		return a.specs.s, nil
 	}
 	merged := spec.NewSpecs()
@@ -429,16 +425,37 @@ func (a *Analyzer) effectiveSpecs() (*spec.Specs, error) {
 			return nil, fmt.Errorf("spec pack %s: %w", name, err)
 		}
 	}
-	for _, path := range a.opts.SpecFiles {
-		s, err := spec.LoadFile(path)
-		if err != nil {
-			return nil, fmt.Errorf("-spec-file %s: %w", path, err)
-		}
-		if err := merged.MergeStrict(s); err != nil {
-			return nil, fmt.Errorf("-spec-file %s: %w", path, err)
-		}
-	}
 	return merged, nil
+}
+
+// coreOptions translates the facade options into the pipeline's: the one
+// place rid.Options meets core.Options, shared by every Run variant.
+// Unset budgets default individually inside core (the paper's §6.1
+// values).
+func (a *Analyzer) coreOptions() core.Options {
+	opts := core.Options{
+		MaxCat2Conds: a.opts.MaxCat2Conds,
+		Workers:      a.opts.Workers,
+		FuncTimeout:  a.opts.FuncTimeout,
+		SolverLimits: solver.Limits{
+			MaxConstraints: a.opts.SolverMaxConstraints,
+			MaxSplits:      a.opts.SolverMaxSplits,
+		},
+		Provenance: a.opts.Provenance,
+		CacheDir:   a.opts.CacheDir,
+		CacheURL:   a.opts.CacheURL,
+	}
+	opts.Exec.MaxPaths = a.opts.MaxPaths
+	opts.Exec.MaxSubcases = a.opts.MaxSubcases
+	var tracer obs.Tracer
+	if a.opts.TraceWriter != nil {
+		tracer = obs.NewJSONLTracer(a.opts.TraceWriter)
+	}
+	opts.Obs = obs.New(tracer, a.reg)
+	if a.opts.QueryTiming {
+		opts.Obs.EnableQueryTiming()
+	}
+	return opts
 }
 
 // RunContext executes the full pipeline under a context. Cancellation (or
@@ -455,30 +472,30 @@ func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := core.Options{
-		MaxCat2Conds: a.opts.MaxCat2Conds,
-		Workers:      a.opts.Workers,
-		FuncTimeout:  a.opts.FuncTimeout,
-		SolverLimits: solver.Limits{
-			MaxConstraints: a.opts.SolverMaxConstraints,
-			MaxSplits:      a.opts.SolverMaxSplits,
-		},
-		Provenance: a.opts.Provenance,
-		CacheDir:   a.opts.CacheDir,
-		CacheURL:   a.opts.CacheURL,
+	return a.result(core.Analyze(ctx, a.prog, specs, a.coreOptions()), a.prog), nil
+}
+
+// RunSeparate is RunContext in the separate-compilation mode of §5.3:
+// files (name → source) are lowered one by one instead of through the
+// analyzer's program, file groups are analyzed in dependency order, and
+// one summary database is shared across groups. It honours the same
+// Options and renders through the same Result. Sources added with
+// AddSource/AddFile/AddDir are not part of the run.
+func (a *Analyzer) RunSeparate(ctx context.Context, files map[string]string) (*Result, error) {
+	specs, err := a.effectiveSpecs()
+	if err != nil {
+		return nil, err
 	}
-	// Unset fields default individually inside core (paper's §6.1 values).
-	opts.Exec.MaxPaths = a.opts.MaxPaths
-	opts.Exec.MaxSubcases = a.opts.MaxSubcases
-	var tracer obs.Tracer
-	if a.opts.TraceWriter != nil {
-		tracer = obs.NewJSONLTracer(a.opts.TraceWriter)
+	res, err := core.AnalyzeFiles(ctx, files, specs, a.coreOptions())
+	if err != nil {
+		return nil, err
 	}
-	opts.Obs = obs.New(tracer, a.reg)
-	if a.opts.QueryTiming {
-		opts.Obs.EnableQueryTiming()
-	}
-	res := core.Analyze(ctx, a.prog, specs, opts)
+	return a.result(res, nil), nil
+}
+
+// result applies Options.Suppress to a pipeline result and converts it to
+// the facade's. prog backs explain's source excerpts; nil omits them.
+func (a *Analyzer) result(res *core.Result, prog *ir.Program) *Result {
 	if len(a.opts.Suppress) > 0 {
 		drop := make(map[string]bool, len(a.opts.Suppress))
 		for _, fn := range a.opts.Suppress {
@@ -506,7 +523,7 @@ func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 		FuncsTimedOut:   res.Stats.FuncsTimedOut,
 		FuncsPanicked:   res.Stats.FuncsPanicked,
 		db:              res.DB,
-		prog:            a.prog,
+		prog:            prog,
 		reports:         res.Reports,
 		metrics:         a.reg.Snapshot(),
 	}
@@ -520,8 +537,13 @@ func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 	for _, r := range res.ReportsByFunction() {
 		out.Bugs = append(out.Bugs, toBug(r))
 	}
-	return out, nil
+	return out
 }
+
+// WriteSummaries saves the run's summary database — the predefined API
+// summaries plus every derived function summary — to w as JSON (see
+// cmd/rid's -save-summaries flag).
+func (r *Result) WriteSummaries(w io.Writer) error { return r.db.Save(w) }
 
 // WriteMetrics renders the run's metrics — event counters (paths
 // enumerated, subcases forked, solver verdicts, IPP candidates and

@@ -358,3 +358,67 @@ int many_paths(struct device *dev, int a, int b, int c) {
 		t.Errorf("default run degraded: %v", cres.Diagnostics)
 	}
 }
+
+// TestRunSeparateMatchesLinked pins RunSeparate to the linked run: a
+// wrapper in one file and its buggy caller in another give the same bugs
+// and categories, Options.Suppress applies to both, and WriteSummaries
+// carries the wrapper's derived summary.
+func TestRunSeparateMatchesLinked(t *testing.T) {
+	files := map[string]string{
+		"w.c": `
+int ss_get(struct ss_iface *intf) {
+    int status;
+    status = pm_runtime_get_sync(&intf->dev);
+    if (status < 0)
+        pm_runtime_put_sync(&intf->dev);
+    if (status > 0)
+        status = 0;
+    return status;
+}
+void ss_put(struct ss_iface *intf) { pm_runtime_put_sync(&intf->dev); }
+`,
+		"d.c": `
+int op(struct ss_iface *intf, struct device *aux) {
+    int result;
+    result = ss_get(intf);
+    if (result)
+        goto error;
+    result = create_thing(aux);
+    if (result)
+        goto error;
+    ss_put(intf);
+error:
+    return result;
+}
+`,
+	}
+	linked := New(LinuxDPMSpecs())
+	for _, name := range []string{"w.c", "d.c"} {
+		if err := linked.AddSource(name, files[name]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := linked.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := New(LinuxDPMSpecs())
+	got, err := a.RunSeparate(context.Background(), files)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Bugs) != 1 || got.Bugs[0].String() != want.Bugs[0].String() || got.Categories != want.Categories {
+		t.Fatalf("separate bugs %v categories %+v; linked %v %+v", got.Bugs, got.Categories, want.Bugs, want.Categories)
+	}
+	var sums strings.Builder
+	if err := got.WriteSummaries(&sums); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(sums.String(), "ss_get") {
+		t.Fatalf("summary database missing the wrapper:\n%s", sums.String())
+	}
+	a.SetOptions(Options{Suppress: []string{"op"}})
+	if res, err := a.RunSeparate(context.Background(), files); err != nil || len(res.Bugs) != 0 {
+		t.Fatalf("suppressed separate run: %v, %v", res, err)
+	}
+}

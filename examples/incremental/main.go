@@ -1,19 +1,23 @@
 // Incremental demonstrates the §5.4 workflow the paper proposes for
 // recovering from RID's drop-one-side rule: analyze, fix a reported
-// function, then *incrementally* re-check only that function and its
-// transitive callers, reusing every other summary from the previous run.
+// function, then re-check only that function and its transitive callers,
+// reusing every other function's result from the previous run.
+//
+// The reuse comes from the summary store (Options.CacheDir). Its entries
+// are keyed by the content of each function and of its callees, not by
+// file name or line: the fixed source below is saved as v2.c, and the fix
+// shifts other_driver down two lines, yet other_driver and wrapper_get are
+// still replayed from the store.
 //
 // Run with: go run ./examples/incremental
 package main
 
 import (
-	"context"
 	"fmt"
 	"log"
+	"os"
 
-	"repro/internal/core"
-	"repro/internal/lower"
-	"repro/internal/spec"
+	"repro/rid"
 )
 
 const v1 = `
@@ -80,29 +84,43 @@ int other_driver(struct device *dev) {
 `
 
 func main() {
-	prog1, err := lower.SourceString("v1.c", v1)
+	dir, err := os.MkdirTemp("", "rid-incremental-")
 	if err != nil {
 		log.Fatal(err)
 	}
-	first := core.Analyze(context.Background(), prog1, spec.LinuxDPM(), core.Options{})
-	fmt.Println("Initial analysis:")
-	for _, r := range first.ReportsByFunction() {
-		fmt.Printf("  %s\n", r)
-	}
-	fmt.Printf("  functions summarized: %d\n\n", first.Stats.FuncsAnalyzed)
+	defer os.RemoveAll(dir)
 
-	prog2, err := lower.SourceString("v2.c", v2)
-	if err != nil {
-		log.Fatal(err)
+	first := analyze(dir, "v1.c", v1)
+	fmt.Println("Initial analysis:")
+	for _, b := range first.Bugs {
+		fmt.Printf("  %s\n", b)
 	}
-	inc := core.Incremental(context.Background(), prog2, spec.LinuxDPM(), core.Options{}, first.DB, []string{"op"})
-	fmt.Println("After fixing op(), incremental recheck of op and its callers:")
-	if len(inc.Reports) == 0 {
+	fmt.Printf("  functions summarized: %d\n\n", first.FuncsAnalyzed)
+
+	second := analyze(dir, "v2.c", v2)
+	fmt.Println("After fixing op() in v2.c, recheck against the summary store:")
+	if len(second.Bugs) == 0 {
 		fmt.Println("  no reports — the fix holds")
 	}
-	for _, r := range inc.ReportsByFunction() {
-		fmt.Printf("  %s\n", r)
+	for _, b := range second.Bugs {
+		fmt.Printf("  %s\n", b)
 	}
-	fmt.Printf("  functions re-summarized: %d (wrapper_get and other_driver reused from cache)\n",
-		inc.Stats.FuncsAnalyzed)
+	fmt.Printf("  functions re-summarized: %d, replayed from the store: %d\n",
+		second.MetricValue("store_misses"), second.MetricValue("store_hits"))
+}
+
+// analyze runs one file through a fresh analyzer whose summary store is
+// dir. Each analyzer counts into its own registry, so the store counters
+// are this run's alone.
+func analyze(dir, name, src string) *rid.Result {
+	a := rid.New(rid.LinuxDPMSpecs())
+	a.SetOptions(rid.Options{CacheDir: dir})
+	if err := a.AddSource(name, src); err != nil {
+		log.Fatal(err)
+	}
+	res, err := a.Run()
+	if err != nil {
+		log.Fatal(err)
+	}
+	return res
 }

@@ -49,7 +49,7 @@ func Build(prog *ir.Program) *Graph {
 			g.In[c] = append(g.In[c], name)
 		}
 	}
-	g.tarjan()
+	g.condense()
 	return g
 }
 
@@ -84,47 +84,80 @@ func (g *Graph) Topo() []string {
 	return out
 }
 
-// tarjan computes SCCs iteratively (generated corpora have deep chains).
-func (g *Graph) tarjan() {
+// condense computes the SCCs, each function's SCC index, and the
+// condensation DAG.
+func (g *Graph) condense() {
+	g.sccs = Tarjan(g.Nodes, func(n string) []string { return g.Out[n] })
+	g.sccOf = make(map[string]int, len(g.Nodes))
+	for id, comp := range g.sccs {
+		for _, m := range comp {
+			g.sccOf[m] = id
+		}
+	}
+	// Tarjan emits SCCs in reverse topological order already.
+	g.sccDAG = make([][]int, len(g.sccs))
+	for i, comp := range g.sccs {
+		seen := map[int]bool{i: true}
+		for _, m := range comp {
+			for _, c := range g.Out[m] {
+				cs := g.sccOf[c]
+				if !seen[cs] {
+					seen[cs] = true
+					g.sccDAG[i] = append(g.sccDAG[i], cs)
+				}
+			}
+		}
+		sort.Ints(g.sccDAG[i])
+	}
+}
+
+// Tarjan computes the strongly connected components of the graph whose
+// edges run from each node to succs(node), iteratively (generated corpora
+// have deep chains). Components come out in reverse topological order —
+// each after every component it reaches — with members sorted. Roots are
+// tried in nodes order and successors in the order succs returns them,
+// which makes the component order deterministic. succs is called once per
+// node.
+func Tarjan(nodes []string, succs func(string) []string) [][]string {
 	index := make(map[string]int)
 	low := make(map[string]int)
 	onStack := make(map[string]bool)
 	var stack []string
-	g.sccOf = make(map[string]int)
+	var out [][]string
 	next := 0
 
 	type frame struct {
 		node string
 		ei   int
+		ss   []string
 	}
-	var visit func(root string)
-	visit = func(root string) {
-		var frames []frame
-		push := func(v string) {
-			index[v] = next
-			low[v] = next
-			next++
-			stack = append(stack, v)
-			onStack[v] = true
-			frames = append(frames, frame{v, 0})
+	var frames []frame
+	push := func(v string) {
+		index[v] = next
+		low[v] = next
+		next++
+		stack = append(stack, v)
+		onStack[v] = true
+		frames = append(frames, frame{node: v, ss: succs(v)})
+	}
+	for _, root := range nodes {
+		if _, seen := index[root]; seen {
+			continue
 		}
 		push(root)
 		for len(frames) > 0 {
 			f := &frames[len(frames)-1]
-			succs := g.Out[f.node]
-			if f.ei < len(succs) {
-				w := succs[f.ei]
+			if f.ei < len(f.ss) {
+				w := f.ss[f.ei]
 				f.ei++
 				if _, seen := index[w]; !seen {
 					push(w)
-				} else if onStack[w] {
-					if index[w] < low[f.node] {
-						low[f.node] = index[w]
-					}
+				} else if onStack[w] && index[w] < low[f.node] {
+					low[f.node] = index[w]
 				}
 				continue
 			}
-			// Pop frame; maybe emit SCC.
+			// Pop frame; maybe emit a component.
 			v := f.node
 			frames = frames[:len(frames)-1]
 			if len(frames) > 0 {
@@ -145,32 +178,9 @@ func (g *Graph) tarjan() {
 					}
 				}
 				sort.Strings(comp) // deterministic member order
-				id := len(g.sccs)
-				for _, m := range comp {
-					g.sccOf[m] = id
-				}
-				g.sccs = append(g.sccs, comp)
+				out = append(out, comp)
 			}
 		}
 	}
-	for _, n := range g.Nodes {
-		if _, seen := index[n]; !seen {
-			visit(n)
-		}
-	}
-	// Tarjan emits SCCs in reverse topological order already.
-	g.sccDAG = make([][]int, len(g.sccs))
-	for i, comp := range g.sccs {
-		seen := map[int]bool{i: true}
-		for _, m := range comp {
-			for _, c := range g.Out[m] {
-				cs := g.sccOf[c]
-				if !seen[cs] {
-					seen[cs] = true
-					g.sccDAG[i] = append(g.sccDAG[i], cs)
-				}
-			}
-		}
-		sort.Ints(g.sccDAG[i])
-	}
+	return out
 }

@@ -177,16 +177,14 @@ func Analyze(ctx context.Context, prog *ir.Program, specs *spec.Specs, opts Opti
 	if specs != nil {
 		specs.ApplyTo(db)
 	}
-	return analyzeWithDB(ctx, prog, specs, db, opts, nil)
+	return analyzeWithDB(ctx, prog, specs, db, opts)
 }
 
 // analyzeWithDB runs the pipeline against an existing summary database
-// (multi-file and incremental modes carry summaries across calls). When
-// only is non-nil, functions it rejects keep their existing summaries and
-// are not re-analyzed. specs is used only by the provenance replay
-// post-pass (extern callees execute their predefined summaries); nil is
-// fine without Options.Provenance.
-func analyzeWithDB(ctx context.Context, prog *ir.Program, specs *spec.Specs, db *summary.DB, opts Options, only func(string) bool) *Result {
+// (multi-file mode carries summaries across calls). specs is used only by
+// the provenance replay post-pass (extern callees execute their predefined
+// summaries); nil is fine without Options.Provenance.
+func analyzeWithDB(ctx context.Context, prog *ir.Program, specs *spec.Specs, db *summary.DB, opts Options) *Result {
 	// Every run counts into a registry (a private one when the caller did
 	// not attach an observer) so Stats.Solver can be read back as the
 	// counter delta across this call — exact under Workers>1, and immune
@@ -218,9 +216,6 @@ func analyzeWithDB(ctx context.Context, prog *ir.Program, specs *spec.Specs, db 
 	toAnalyze := func(fn string) bool {
 		if s := db.Get(fn); s != nil && s.Predefined {
 			return false // predefined summaries are never re-derived
-		}
-		if only != nil && !only(fn) {
-			return false
 		}
 		if opts.AnalyzeAll {
 			return true

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/callgraph"
+	"repro/internal/ir"
 	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/internal/store/remote"
@@ -12,8 +13,8 @@ import (
 )
 
 // cacheState binds an open persistent summary store to one analyzeWithDB
-// call: the per-function content digests computed for this program plus a
-// latch that keeps one disk problem from flooding the diagnostics. With
+// call: the program, the per-function content digests computed for it, and
+// a latch that keeps one disk problem from flooding the diagnostics. With
 // Options.CacheURL set, the store is the local directory tiered over the
 // fleet store (read-through, write-behind); tiered is non-nil exactly
 // then, and finish drains its write-behind queue and reports whether the
@@ -21,6 +22,7 @@ import (
 type cacheState struct {
 	store    store.Backend
 	tiered   *remote.Tiered
+	prog     *ir.Program
 	digests  map[string]store.Digest
 	saveFail atomic.Bool
 }
@@ -44,7 +46,7 @@ func openCache(opts Options, g *callgraph.Graph, db *summary.DB, res *Result) *c
 	sp := opts.Obs.Start(obs.PhaseCacheIO, "")
 	digests := store.Digests(g, db, fp)
 	sp.End()
-	c := &cacheState{store: st, digests: digests}
+	c := &cacheState{store: st, prog: g.Prog, digests: digests}
 	if opts.CacheURL != "" {
 		client, err := remote.NewClient(remote.Config{
 			URL:         opts.CacheURL,
@@ -108,8 +110,10 @@ func cacheFingerprint(opts Options) store.Fingerprint {
 }
 
 // load looks fn up in the store. hit means out replays a previous run's
-// outcome verbatim (including its deterministic diagnostics). A non-nil
-// diag reports an invalid entry; the caller appends it and analyzes cold.
+// outcome (including its deterministic diagnostics) with each report's
+// position and source file taken from fn's current IR: entries store no
+// positions, so a function that only moved still hits. A non-nil diag
+// reports an invalid entry; the caller appends it and analyzes cold.
 func (c *cacheState) load(fn string) (out funcOutcome, hit bool, diag *Diagnostic) {
 	d, ok := c.digests[fn]
 	if !ok {
@@ -122,6 +126,10 @@ func (c *cacheState) load(fn string) (out funcOutcome, hit bool, diag *Diagnosti
 	}
 	if e == nil {
 		return out, false, nil
+	}
+	f := c.prog.Funcs[fn]
+	for _, r := range e.Reports {
+		r.SrcFile, r.Pos = f.SrcFile, f.Pos
 	}
 	out.sum = e.Summary
 	out.reports = e.Reports

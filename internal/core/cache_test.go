@@ -231,6 +231,34 @@ func TestCacheOptionsChangeIsCleanMiss(t *testing.T) {
 	}
 }
 
+// TestCacheReplayTakesPositionsFromIR: entries hold no positions, so a
+// warm run over a moved and renamed source still hits every entry, and
+// the replayed report names the new file and line.
+func TestCacheReplayTakesPositionsFromIR(t *testing.T) {
+	dir := t.TempDir()
+	analyzeCached(t, dir, Options{})
+	analyze := func(cacheDir string) (*Result, *obs.Registry) {
+		prog, err := lower.SourceString("moved.c", "/* moved */\n\n"+cacheSrc)
+		if err != nil {
+			t.Fatalf("lower: %v", err)
+		}
+		reg := obs.NewRegistry()
+		return Analyze(context.Background(), prog, spec.LinuxDPM(),
+			Options{CacheDir: cacheDir, Obs: obs.New(nil, reg)}), reg
+	}
+	warm, wreg := analyze(dir)
+	cold, _ := analyze("")
+	if h, m := wreg.Counter(obs.MStoreHits), wreg.Counter(obs.MStoreMisses); h == 0 || m != 0 {
+		t.Errorf("moved-source warm run hits/misses = %d/%d, want all hits", h, m)
+	}
+	if len(warm.Reports) == 0 || warm.Reports[0].SrcFile != "moved.c" {
+		t.Fatalf("replayed reports do not name the new file: %v", warm.Reports)
+	}
+	if got, want := renderRun(warm), renderRun(cold); got != want {
+		t.Errorf("replayed output differs from a cold run:\n--- warm ---\n%s--- cold ---\n%s", got, want)
+	}
+}
+
 func TestCacheParallelWarmIdentical(t *testing.T) {
 	dir := t.TempDir()
 	cold, _ := analyzeCached(t, dir, Options{Workers: 4})
@@ -270,8 +298,12 @@ func TestCacheTransientOutcomesNotStored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	prog, err := lower.SourceString("f.c", "int f(int x) { return x; }")
+	if err != nil {
+		t.Fatal(err)
+	}
 	d := store.Digest{5}
-	c := &cacheState{store: st, digests: map[string]store.Digest{"f": d}}
+	c := &cacheState{store: st, prog: prog, digests: map[string]store.Digest{"f": d}}
 	sum := summary.Default("f")
 	for _, out := range []funcOutcome{
 		{sum: sum, timedOut: true},

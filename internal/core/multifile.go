@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/callgraph"
 	"repro/internal/frontend/parser"
 	"repro/internal/ir"
 	"repro/internal/lower"
@@ -66,7 +67,17 @@ func AnalyzeFiles(ctx context.Context, files map[string]string, specs *spec.Spec
 		}
 	}
 
-	groups := fileSCCs(names, deps)
+	// Strongly connected file groups, dependencies first; each file's
+	// dependencies are visited in name order, so group order is
+	// deterministic.
+	groups := callgraph.Tarjan(names, func(n string) []string {
+		s := make([]string, 0, len(deps[n]))
+		for d := range deps[n] {
+			s = append(s, d)
+		}
+		sort.Strings(s)
+		return s
+	})
 
 	// Shared state across groups.
 	db := summary.NewDB()
@@ -91,7 +102,7 @@ func AnalyzeFiles(ctx context.Context, files map[string]string, specs *spec.Spec
 		if err := linked.Validate(); err != nil {
 			return nil, err
 		}
-		res := analyzeWithDB(ctx, linked, specs, db, opts, nil)
+		res := analyzeWithDB(ctx, linked, specs, db, opts)
 		total.Reports = append(total.Reports, res.Reports...)
 		total.Diagnostics = append(total.Diagnostics, res.Diagnostics...)
 		total.Stats.FuncsTotal += res.Stats.FuncsTotal
@@ -117,84 +128,4 @@ func AnalyzeFiles(ctx context.Context, files map[string]string, specs *spec.Spec
 	sortDiagnostics(total.Diagnostics)
 	sortReports(total)
 	return total, nil
-}
-
-// fileSCCs computes strongly connected file groups in reverse topological
-// order (dependencies first) with a deterministic tie-break.
-func fileSCCs(names []string, deps map[string]map[string]bool) [][]string {
-	index := make(map[string]int)
-	low := make(map[string]int)
-	onStack := make(map[string]bool)
-	var stack []string
-	var out [][]string
-	next := 0
-
-	succs := func(n string) []string {
-		var s []string
-		for d := range deps[n] {
-			s = append(s, d)
-		}
-		sort.Strings(s)
-		return s
-	}
-
-	type frame struct {
-		node string
-		ei   int
-		ss   []string
-	}
-	var visit func(root string)
-	visit = func(root string) {
-		var frames []frame
-		push := func(v string) {
-			index[v] = next
-			low[v] = next
-			next++
-			stack = append(stack, v)
-			onStack[v] = true
-			frames = append(frames, frame{node: v, ss: succs(v)})
-		}
-		push(root)
-		for len(frames) > 0 {
-			f := &frames[len(frames)-1]
-			if f.ei < len(f.ss) {
-				w := f.ss[f.ei]
-				f.ei++
-				if _, seen := index[w]; !seen {
-					push(w)
-				} else if onStack[w] && index[w] < low[f.node] {
-					low[f.node] = index[w]
-				}
-				continue
-			}
-			v := f.node
-			frames = frames[:len(frames)-1]
-			if len(frames) > 0 {
-				p := &frames[len(frames)-1]
-				if low[v] < low[p.node] {
-					low[p.node] = low[v]
-				}
-			}
-			if low[v] == index[v] {
-				var comp []string
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp = append(comp, w)
-					if w == v {
-						break
-					}
-				}
-				sort.Strings(comp)
-				out = append(out, comp)
-			}
-		}
-	}
-	for _, n := range names {
-		if _, seen := index[n]; !seen {
-			visit(n)
-		}
-	}
-	return out
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/lower"
+	"repro/internal/obs"
 	"repro/internal/spec"
 )
 
@@ -102,6 +103,26 @@ func TestAnalyzeFilesParseError(t *testing.T) {
 	}
 }
 
+// analyzeStored analyzes src, lowered as file name, with dir as the
+// summary store, and returns the result and the run's store misses — the
+// number of functions actually re-analyzed (Stats.FuncsAnalyzed also
+// counts store hits).
+func analyzeStored(t *testing.T, dir, name, src string) (*Result, int64) {
+	t.Helper()
+	prog, err := lower.SourceString(name, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	res := Analyze(context.Background(), prog, spec.LinuxDPM(), Options{CacheDir: dir, Obs: obs.New(nil, reg)})
+	return res, reg.Counter(obs.MStoreMisses)
+}
+
+// TestIncrementalEquivalence is the §5.4 recheck on the summary store:
+// after a one-function fix, only that function misses the store, and the
+// warm run matches a cold run byte for byte. The fixed source is saved
+// under another file name and shifts unrelated down two lines; neither
+// costs a miss.
 func TestIncrementalEquivalence(t *testing.T) {
 	buggy := `
 int wrapper_get(struct device *dev) {
@@ -124,11 +145,8 @@ int unrelated(struct device *dev) {
     return 0;
 }
 `
-	prog, err := lower.SourceString("v1.c", buggy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := Analyze(context.Background(), prog, spec.LinuxDPM(), Options{})
+	dir := t.TempDir()
+	first, _ := analyzeStored(t, dir, "v1.c", buggy)
 	if len(first.Reports) != 1 || first.Reports[0].Fn != "op" {
 		t.Fatalf("v1 reports: %v", first.Reports)
 	}
@@ -158,22 +176,17 @@ int unrelated(struct device *dev) {
     return 0;
 }
 `
-	prog2, err := lower.SourceString("v2.c", fixed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inc := Incremental(context.Background(), prog2, spec.LinuxDPM(), Options{}, first.DB, []string{"op"})
-	full := Analyze(context.Background(), prog2, spec.LinuxDPM(), Options{})
-
-	if len(inc.Reports) != len(full.Reports) {
-		t.Fatalf("incremental %d reports, full %d", len(inc.Reports), len(full.Reports))
+	warm, misses := analyzeStored(t, dir, "v2.c", fixed)
+	cold, _ := analyzeStored(t, "", "v2.c", fixed)
+	if got, want := renderRun(warm), renderRun(cold); got != want {
+		t.Errorf("warm recheck differs from a cold run:\n--- warm ---\n%s--- cold ---\n%s", got, want)
 	}
 	// Only op was affected: one function re-analyzed instead of three.
-	if inc.Stats.FuncsAnalyzed != 1 {
-		t.Errorf("re-analyzed %d functions, want 1", inc.Stats.FuncsAnalyzed)
+	if misses != 1 {
+		t.Errorf("re-analyzed %d functions, want 1", misses)
 	}
-	if full.Stats.FuncsAnalyzed != 3 {
-		t.Errorf("full analysis covered %d, want 3", full.Stats.FuncsAnalyzed)
+	if cold.Stats.FuncsAnalyzed != 3 {
+		t.Errorf("full analysis covered %d, want 3", cold.Stats.FuncsAnalyzed)
 	}
 }
 
@@ -195,15 +208,12 @@ int op(struct device *dev) {
     return ret;
 }
 `
-	prog, err := lower.SourceString("v1.c", src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := Analyze(context.Background(), prog, spec.LinuxDPM(), Options{})
+	dir := t.TempDir()
+	analyzeStored(t, dir, "v1.c", src)
 
 	// "Fix" the wrapper to conditional semantics: op, written for the
-	// transparent contract, is now clean — the incremental recheck of the
-	// caller must clear the report.
+	// transparent contract, is now clean — the recheck of the caller must
+	// clear the report.
 	fixedSrc := `
 int wrapper_get(struct device *dev) {
     int status;
@@ -223,15 +233,15 @@ int op(struct device *dev) {
     return ret;
 }
 `
-	prog2, err := lower.SourceString("v2.c", fixedSrc)
-	if err != nil {
-		t.Fatal(err)
+	warm, misses := analyzeStored(t, dir, "v2.c", fixedSrc)
+	if misses != 2 {
+		t.Errorf("re-analyzed %d, want 2 (wrapper and its caller)", misses)
 	}
-	inc := Incremental(context.Background(), prog2, spec.LinuxDPM(), Options{}, first.DB, []string{"wrapper_get"})
-	if inc.Stats.FuncsAnalyzed != 2 {
-		t.Errorf("re-analyzed %d, want 2 (wrapper and its caller)", inc.Stats.FuncsAnalyzed)
-	}
-	for _, r := range inc.Reports {
+	for _, r := range warm.Reports {
 		t.Errorf("fixed program reported: %s", r)
+	}
+	cold, _ := analyzeStored(t, "", "v2.c", fixedSrc)
+	if got, want := renderRun(warm), renderRun(cold); got != want {
+		t.Errorf("warm recheck differs from a cold run:\n--- warm ---\n%s--- cold ---\n%s", got, want)
 	}
 }

@@ -102,13 +102,27 @@ func mutateFiles(t *testing.T, base, variant map[string]string, rngSeed int64) m
 	return out
 }
 
+// shiftAndRename returns files with a comment line prepended to each and
+// every file moved under a new directory: every position changes, no code
+// does.
+func shiftAndRename(files map[string]string) map[string]string {
+	out := make(map[string]string, len(files))
+	for n, src := range files {
+		out["moved/"+n] = "/* moved */\n" + src
+	}
+	return out
+}
+
 // TestCacheWarmStartDifferential is the randomized warm-start oracle: a
 // cold run populates the store from corpus A, a random subset of A's
 // files is then replaced with differently-seeded bodies, and the
 // warm-start run over the mutated corpus must be byte-identical — reports
 // and diagnostics — to a from-scratch run, at one worker and at four.
 // The warm run must also actually exercise the partial-hit path: some
-// functions served from the store, some re-analyzed.
+// functions served from the store, some re-analyzed. Finally the mutated
+// corpus, shifted down a line and moved to another directory, must replay
+// entirely from the store and still match a from-scratch run: entries
+// carry no positions, and replay takes them from the current IR.
 func TestCacheWarmStartDifferential(t *testing.T) {
 	cfgA := Config{Seed: 71, Mix: smallMix(), SimpleHelpers: 8, ComplexHelpers: 5, OtherFuncs: 30}
 	cfgB := cfgA
@@ -134,6 +148,16 @@ func TestCacheWarmStartDifferential(t *testing.T) {
 			h, m := wreg.Counter(obs.MStoreHits), wreg.Counter(obs.MStoreMisses)
 			if h == 0 || m == 0 {
 				t.Errorf("warm run hits/misses = %d/%d; the mutation should hit some entries and miss others", h, m)
+			}
+
+			moved := shiftAndRename(mutated)
+			replay, rreg := analyzeFiles(t, moved, dir, workers)
+			fresh, _ := analyzeFiles(t, moved, "", workers)
+			if got, want := renderOutcome(replay), renderOutcome(fresh); got != want {
+				t.Errorf("shifted and renamed replay differs from from-scratch:\n--- replay ---\n%s--- scratch ---\n%s", got, want)
+			}
+			if h, m := rreg.Counter(obs.MStoreHits), rreg.Counter(obs.MStoreMisses); h == 0 || m != 0 {
+				t.Errorf("shifted and renamed run hits/misses = %d/%d, want all hits", h, m)
 			}
 		})
 	}

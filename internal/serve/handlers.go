@@ -499,7 +499,7 @@ func (s *Server) explainResult(ctx context.Context) (*rid.Result, error) {
 	if s.explainRes != nil {
 		return s.explainRes, nil
 	}
-	a := s.base.NewRequest()
+	a := s.base.NewRequestChild()
 	opts := s.cfg.Options
 	opts.Provenance = true
 	a.SetOptions(opts)

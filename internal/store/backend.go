@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 )
 
 // Backend is the summary-store contract the analysis pipeline programs
@@ -84,6 +85,40 @@ func (s *Store) Raw(fn string) ([]byte, error) {
 		return nil, nil
 	}
 	return data, err
+}
+
+// RawDigest scans the store for the first entry published under content
+// digest d (any function name) and returns its bytes verbatim, header and
+// checksum validated. (nil, nil) when no entry carries d. Unreadable or
+// corrupt files are skipped — they are Load's problem, reported on the
+// analysis path. A linear scan: digest lookup is a debugging/API
+// convenience, not the analysis hot path.
+//
+// No fingerprint comparison: the digest folds the fingerprint in (see
+// digest.go), so digest equality already implies the entry was computed
+// under the options the digest names. This lets a lookup-only Store
+// (opened with a zero fingerprint, as `rid serve` and `rid storeserve` do)
+// resolve digests written by analysis runs.
+func (s *Store) RawDigest(d Digest) ([]byte, error) {
+	var found []byte
+	err := filepath.WalkDir(filepath.Join(s.dir, "entries"), func(path string, de os.DirEntry, err error) error {
+		if err != nil || de.IsDir() || !strings.HasSuffix(path, ".sum") {
+			return err
+		}
+		data, rerr := os.ReadFile(path)
+		if rerr != nil {
+			return nil
+		}
+		if info, verr := ValidateRaw(data); verr != nil || info.Digest != d {
+			return nil
+		}
+		found = data
+		return filepath.SkipAll
+	})
+	if err != nil {
+		return nil, fmt.Errorf("scan entries: %w", err)
+	}
+	return found, nil
 }
 
 // PutRaw validates raw entry bytes and publishes them for fn with the

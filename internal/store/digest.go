@@ -18,10 +18,13 @@
 // can reach it — exactly the cone the edit can affect — while every other
 // entry keeps its digest and stays valid.
 //
-// The canonical IR serialization includes source positions (file, line,
-// column) because reports carry them: a body moved to a different line
-// must produce a fresh entry or the replayed report would point at the old
-// location.
+// The canonical IR serialization has no source positions and no file
+// names: nothing the analysis computes depends on them, and the only
+// positions a stored outcome could carry — each report's function position
+// and source file — are set from the current IR when the entry is
+// replayed. A comment that shifts every line below it, or a file rename,
+// therefore keeps every digest; only an edit to a function's code, or to
+// a callee's, invalidates its entry.
 package store
 
 import (
@@ -40,7 +43,8 @@ import (
 // encoding, the digest recipe, or the semantics of any analysis stage
 // change in a way that makes old entries unsound to replay. Version 2:
 // the fingerprint gained the spec digest and reports a resource tag.
-const FormatVersion = 2
+// Version 3: digests and entries carry no source positions or file names.
+const FormatVersion = 3
 
 // Digest is a SHA-256 content address.
 type Digest [sha256.Size]byte
@@ -130,16 +134,14 @@ func Digests(g *callgraph.Graph, db *summary.DB, fp Fingerprint) map[string]Dige
 }
 
 // writeCanonFunc serializes everything about a function that the analysis
-// or its reports can observe: signature, source location, and every
-// instruction with its position.
+// can observe: its signature and every instruction, without positions.
 func writeCanonFunc(w io.Writer, f *ir.Func) {
-	fmt.Fprintf(w, "func %s(%s) ret=%t conds=%d src=%s @%s:%d:%d\n",
-		f.Name, strings.Join(f.Params, ","), f.HasRet, f.NumConds,
-		f.SrcFile, f.Pos.File, f.Pos.Line, f.Pos.Column)
+	fmt.Fprintf(w, "func %s(%s) ret=%t conds=%d\n",
+		f.Name, strings.Join(f.Params, ","), f.HasRet, f.NumConds)
 	for _, b := range f.Blocks {
 		fmt.Fprintf(w, "b%d:\n", b.Index)
 		for _, in := range b.Instrs {
-			fmt.Fprintf(w, "%s @%s:%d:%d\n", in, in.Pos.File, in.Pos.Line, in.Pos.Column)
+			fmt.Fprintf(w, "%s\n", in)
 		}
 	}
 }

@@ -2,6 +2,8 @@ package store
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -11,14 +13,11 @@ import (
 // panic, and any entry that decodes must satisfy the store's structural
 // invariants and survive a re-encode/re-decode round trip unchanged.
 func FuzzStoreLoad(f *testing.F) {
-	valid, err := encodeEntry(testEntry("drv_probe"), Fingerprint{MaxPaths: 64}.Hash(), Digest{7})
-	if err != nil {
-		f.Fatal(err)
-	}
+	valid, skew := fuzzSeeds(f)
 	f.Add(valid)
-	f.Add(valid[:len(valid)/2])                                      // truncated payload
-	f.Add(bytes.Replace(valid, []byte("RIDSUM 1 "), []byte("RIDSUM 2 "), 1)) // version skew
-	f.Add([]byte("RIDSUM 1\n"))                                      // short header
+	f.Add(valid[:len(valid)/2]) // truncated payload
+	f.Add(skew)
+	f.Add([]byte(fmt.Sprintf("%s %d\n", magic, FormatVersion))) // short header
 	f.Add([]byte("not a store entry at all"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -53,4 +52,23 @@ func FuzzStoreLoad(f *testing.F) {
 			t.Fatalf("round trip not lossless:\n  %+v\n  %+v", e, e2)
 		}
 	})
+}
+
+// fuzzSeeds builds the valid seed entry at the current FormatVersion and
+// its version-skewed twin, and checks that they still exercise what they
+// are named for: valid parses, skew fails the version check.
+func fuzzSeeds(f *testing.F) (valid, skew []byte) {
+	valid, err := encodeEntry(testEntry("drv_probe"), Fingerprint{MaxPaths: 64}.Hash(), Digest{7})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := ParseEntry(valid); err != nil {
+		f.Fatalf("valid seed does not parse: %v", err)
+	}
+	cur := fmt.Sprintf("%s %d ", magic, FormatVersion)
+	skew = bytes.Replace(valid, []byte(cur), []byte(fmt.Sprintf("%s %d ", magic, FormatVersion+1)), 1)
+	if _, err := ParseEntry(skew); err == nil || !strings.Contains(err.Error(), "version") {
+		f.Fatalf("version-skew seed: got error %v, want a version error", err)
+	}
+	return valid, skew
 }

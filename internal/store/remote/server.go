@@ -282,33 +282,16 @@ func (s *Server) handleHas(w http.ResponseWriter, r *http.Request) {
 
 // handleDigest serves the raw bytes of any entry published under the
 // given content digest — the fleet-side half of `rid serve`'s
-// /v1/summary lookups. A linear scan, like store.LookupDigest: digest
-// lookup is a debugging/API convenience, not the analysis hot path.
+// /v1/summary lookups.
 func (s *Server) handleDigest(w http.ResponseWriter, r *http.Request) {
 	d, err := parseDigestParam(r.PathValue("digest"))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	var found []byte
-	root := filepath.Join(s.cfg.Dir, "entries")
-	err = filepath.WalkDir(root, func(path string, de os.DirEntry, err error) error {
-		if err != nil || found != nil || de.IsDir() || !strings.HasSuffix(path, ".sum") {
-			return err
-		}
-		data, rerr := os.ReadFile(path)
-		if rerr != nil {
-			return nil
-		}
-		info, verr := store.ValidateRaw(data)
-		if verr != nil || info.Digest != d {
-			return nil
-		}
-		found = data
-		return filepath.SkipAll
-	})
+	found, err := s.st.RawDigest(d)
 	if err != nil {
-		http.Error(w, "scan entries: "+err.Error(), http.StatusInternalServerError)
+		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
 	if found == nil {

@@ -36,7 +36,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/frontend/token"
 	"repro/internal/ipp"
 	"repro/internal/obs"
 	"repro/internal/summary"
@@ -57,7 +56,9 @@ type Diag struct {
 // Entry is everything one function's analysis produced: its summary, its
 // bug reports, the number of enumerated paths, and any deterministic
 // degradation diagnostics. Provenance evidence is deliberately absent —
-// `rid explain` always re-analyzes (see DESIGN.md).
+// `rid explain` always re-analyzes (see DESIGN.md) — and so are report
+// positions: a loaded report has no SrcFile or Pos until the caller sets
+// them from the function's current IR.
 type Entry struct {
 	Fn      string
 	Summary *summary.Summary
@@ -180,46 +181,19 @@ func syncDir(dir string) error {
 	return err
 }
 
-// LookupDigest scans the store for an entry published under content
-// digest d (any function name) and decodes it on a match. It is the
-// lookup behind `rid serve`'s GET /v1/summary/{digest}: content digests
-// are global names, so a client holding one can fetch the corresponding
-// summary without knowing which function produced it. Returns (nil, nil)
-// when no entry carries d. Unreadable or corrupt files are skipped — they
-// are Load's problem, reported on the analysis path.
+// LookupDigest finds the entry published under content digest d (any
+// function name) and decodes it. It is the lookup behind `rid serve`'s
+// GET /v1/summary/{digest}: content digests are global names, so a client
+// holding one can fetch the corresponding summary without knowing which
+// function produced it. Returns (nil, nil) when no entry carries d.
 func (s *Store) LookupDigest(d Digest) (*Entry, error) {
 	sp := s.o.Start(obs.PhaseCacheIO, "")
 	defer sp.End()
-	var found *Entry
-	root := filepath.Join(s.dir, "entries")
-	err := filepath.WalkDir(root, func(path string, de os.DirEntry, err error) error {
-		if err != nil || found != nil || de.IsDir() || !strings.HasSuffix(path, ".sum") {
-			return err
-		}
-		data, rerr := os.ReadFile(path)
-		if rerr != nil {
-			return nil
-		}
-		// No fingerprint comparison here: the digest folds the fingerprint
-		// in (see digest.go), so digest equality already implies the entry
-		// was computed under the options the digest names. This lets a
-		// lookup-only Store (opened with a zero fingerprint, as `rid
-		// serve` does) resolve digests written by analysis runs.
-		hdr, payload, perr := parseHeader(data)
-		if perr != nil || hdr.digest != d {
-			return nil
-		}
-		e, derr := decodePayload(hdr, payload)
-		if derr != nil {
-			return nil
-		}
-		found = e
-		return filepath.SkipAll
-	})
-	if err != nil {
-		return nil, fmt.Errorf("lookup digest: %w", err)
+	data, err := s.RawDigest(d)
+	if err != nil || data == nil {
+		return nil, err
 	}
-	return found, nil
+	return ParseEntry(data)
 }
 
 // ---------------------------------------------------------------------------
@@ -310,16 +284,11 @@ func ParseEntry(data []byte) (*Entry, error) {
 // JSON of summary.DB.Save, so decoding rebuilds them through the sym
 // constructors and every loaded expression is re-interned.
 
-type posJSON struct {
-	File string `json:"file,omitempty"`
-	Line int    `json:"line"`
-	Col  int    `json:"col"`
-}
-
+// Reports are stored without SrcFile and Pos: both are the reported
+// function's, and the replaying run sets them from its own IR, so a stored
+// outcome stays valid when its function moves to another line or file.
 type reportJSON struct {
 	Fn       string           `json:"fn"`
-	SrcFile  string           `json:"src_file,omitempty"`
-	Pos      posJSON          `json:"pos"`
 	Refcount json.RawMessage  `json:"refcount"`
 	Resource string           `json:"resource,omitempty"`
 	EntryA   json.RawMessage  `json:"entry_a"`
@@ -348,8 +317,6 @@ func encodeEntry(e *Entry, fp, d Digest) ([]byte, error) {
 	for _, r := range e.Reports {
 		rj := reportJSON{
 			Fn:       r.Fn,
-			SrcFile:  r.SrcFile,
-			Pos:      posJSON{File: r.Pos.File, Line: r.Pos.Line, Col: r.Pos.Column},
 			Resource: r.Resource,
 			PathA:    r.PathA, PathB: r.PathB,
 			DeltaA: r.DeltaA, DeltaB: r.DeltaB,
@@ -398,8 +365,6 @@ func decodePayload(hdr header, payload []byte) (*Entry, error) {
 	for i, rj := range ej.Reports {
 		r := &ipp.Report{
 			Fn:       rj.Fn,
-			SrcFile:  rj.SrcFile,
-			Pos:      token.Pos{File: rj.Pos.File, Line: rj.Pos.Line, Column: rj.Pos.Col},
 			Resource: rj.Resource,
 			PathA:    rj.PathA, PathB: rj.PathB,
 			DeltaA: rj.DeltaA, DeltaB: rj.DeltaB,

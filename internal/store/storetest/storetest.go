@@ -16,7 +16,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/frontend/token"
 	"repro/internal/ipp"
 	"repro/internal/ir"
 	"repro/internal/store"
@@ -59,8 +58,6 @@ func Entry(fn string) *store.Entry {
 	s.Entries = append(s.Entries, e1, e2)
 	rep := &ipp.Report{
 		Fn:       fn,
-		SrcFile:  "drivers/gen/file0001.c",
-		Pos:      token.Pos{File: "drivers/gen/file0001.c", Line: 42, Column: 5},
 		Refcount: sym.Field(sym.Arg("dev"), "pm"),
 		EntryA:   e1,
 		EntryB:   e2,

@@ -385,7 +385,7 @@ func NewSet(conds []*Expr) Set {
 	back := make([]*Expr, 2*n)
 	s := Set{
 		conds:  back[0:0:n],
-		sorted: back[n:n:2*n],
+		sorted: back[n : n : 2*n],
 	}
 	for _, cond := range conds {
 		c := cond.AsCond()
@@ -436,7 +436,7 @@ func (s Set) And(cond *Expr) Set {
 	back := make([]*Expr, 2*ln)
 	n := Set{
 		conds:  back[0:0:ln],
-		sorted: back[ln:ln:2*ln],
+		sorted: back[ln : ln : 2*ln],
 	}
 	n.conds = append(append(n.conds, s.conds...), c)
 	n.sorted = append(n.sorted, s.sorted[:idx]...)

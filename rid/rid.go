@@ -325,25 +325,16 @@ func (a *Analyzer) SetOptions(o Options) { a.opts = o }
 // their lowering; only the next Run is affected.
 func (a *Analyzer) SetSpecs(s Specs) { a.specs = s }
 
-// NewRequest returns a fresh analyzer for one request-scoped run: it
-// shares a's specifications, options, and live metrics registry, but holds
-// its own (empty) program, so many requests can load sources and run
-// concurrently while their counters aggregate in one registry — the shape
-// `rid serve` uses, with DebugHandler exposing the shared registry live.
-// The returned analyzer's options and specs may be overridden per request
-// with SetOptions/SetSpecs without affecting a.
-func (a *Analyzer) NewRequest() *Analyzer {
-	return &Analyzer{specs: a.specs, opts: a.opts, prog: ir.NewProgram(), reg: a.reg}
-}
-
-// NewRequestChild is NewRequest with a child metrics registry: the
-// request analyzer counts into its own fresh registry, and every count
-// also rolls up into a's long-lived one. The request's Result then
-// carries an exact per-request metrics delta (its registry started at
-// zero) while the parent keeps process-wide totals — the observability
-// shape `rid serve` uses for per-request phase breakdowns and the
-// /metrics endpoint at once. The rollup is lock-free; the only per-call
-// cost is one extra atomic add per event.
+// NewRequestChild returns a fresh analyzer for one request-scoped run: it
+// shares a's specifications and options but holds its own (empty)
+// program, so many requests can load sources and run concurrently — the
+// shape `rid serve` uses. Its options and specs may be overridden per
+// request with SetOptions/SetSpecs without affecting a. It counts into
+// its own child metrics registry, and every count also rolls up into a's
+// long-lived one: the request's Result carries an exact per-request
+// metrics delta (its registry started at zero) while the parent keeps
+// process-wide totals for DebugHandler and /metrics. The rollup is
+// lock-free; the only per-call cost is one extra atomic add per event.
 func (a *Analyzer) NewRequestChild() *Analyzer {
 	return &Analyzer{specs: a.specs, opts: a.opts, prog: ir.NewProgram(), reg: a.reg.Child()}
 }

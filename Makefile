@@ -13,7 +13,7 @@ test: vet
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/...
+	$(GO) test -race ./internal/... ./rid/...
 
 # Short fuzzing pass over the five fuzz targets; CI runs the same budget.
 fuzz-smoke:

@@ -24,6 +24,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/solver"
 	"repro/internal/spec"
+	"repro/internal/store"
 	"repro/internal/summary"
 	"repro/internal/symexec"
 )
@@ -87,6 +88,13 @@ type Options struct {
 	// never change results and never hang the run. Ignored without
 	// CacheDir.
 	CacheURL string
+	// Resident, when non-nil alongside CacheDir, is a process-lifetime
+	// tier of decoded store entries in front of the store: a function
+	// resident at its current digest is replayed from memory, skipping
+	// the read, checksum and decode. Hits and misses count exactly as
+	// they would against the disk alone. Long-lived processes share one
+	// across runs over the same CacheDir; nil reads the disk every time.
+	Resident *store.Resident
 	// Provenance records, per report, the full derivation as an
 	// ipp.Evidence object (CFG paths with positions, constraint history,
 	// applied callee entries, the deciding solver query) and then runs
@@ -239,7 +247,7 @@ func analyzeWithDB(ctx context.Context, prog *ir.Program, specs *spec.Specs, db 
 	// is never serialized, and explain must observe a real derivation.
 	var cache *cacheState
 	if opts.CacheDir != "" && !opts.Provenance {
-		cache = openCache(opts, g, db, res)
+		cache = openCache(opts, g, db, toAnalyze, res)
 	}
 
 	t1 := time.Now()

@@ -27,13 +27,13 @@ type cacheState struct {
 	saveFail atomic.Bool
 }
 
-// openCache opens opts.CacheDir (tiered over opts.CacheURL when set) and
-// computes the program's digests. On failure it appends a run-level
-// cache-invalid diagnostic to res and returns nil — the run proceeds
-// cold, it never dies over the cache. A fleet store that cannot even be
+// openCache opens opts.CacheDir (tiered over opts.CacheURL when set,
+// behind opts.Resident when set) and computes the program's digests. On
+// failure it appends a run-level cache-invalid diagnostic to res and
+// returns nil — the run proceeds cold, it never dies over the cache. A fleet store that cannot even be
 // configured (a malformed URL) likewise only costs a cache-remote
 // diagnostic, not the local tier.
-func openCache(opts Options, g *callgraph.Graph, db *summary.DB, res *Result) *cacheState {
+func openCache(opts Options, g *callgraph.Graph, db *summary.DB, toAnalyze func(string) bool, res *Result) *cacheState {
 	fp := cacheFingerprint(opts)
 	st, err := store.Open(opts.CacheDir, fp, opts.Obs)
 	if err != nil {
@@ -46,7 +46,7 @@ func openCache(opts Options, g *callgraph.Graph, db *summary.DB, res *Result) *c
 	sp := opts.Obs.Start(obs.PhaseCacheIO, "")
 	digests := store.Digests(g, db, fp)
 	sp.End()
-	c := &cacheState{store: st, prog: g.Prog, digests: digests}
+	c := &cacheState{store: opts.Resident.Over(st, opts.Obs), prog: g.Prog, digests: digests}
 	if opts.CacheURL != "" {
 		client, err := remote.NewClient(remote.Config{
 			URL:         opts.CacheURL,
@@ -61,12 +61,16 @@ func openCache(opts Options, g *callgraph.Graph, db *summary.DB, res *Result) *c
 			return c
 		}
 		t := remote.NewTiered(st, client)
-		fns := make([]string, 0, len(digests))
-		for fn := range digests {
-			fns = append(fns, fn)
+		// Only analyzed functions are looked up, and one resident at its
+		// current digest never reaches the fleet tier: probe the rest.
+		var fns []string
+		for fn, d := range digests {
+			if toAnalyze(fn) && !opts.Resident.Has(fn, d) {
+				fns = append(fns, fn)
+			}
 		}
 		t.Prime(fns)
-		c.store, c.tiered = t, t
+		c.store, c.tiered = opts.Resident.Over(t, opts.Obs), t
 	}
 	return c
 }

@@ -16,6 +16,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/spec"
+	"repro/internal/store"
 )
 
 // buildFiles lowers a raw file map (deterministic order) into a program.
@@ -44,9 +45,16 @@ func buildFiles(t testing.TB, files map[string]string) *ir.Program {
 
 func analyzeFiles(t testing.TB, files map[string]string, cacheDir string, workers int) (*core.Result, *obs.Registry) {
 	t.Helper()
+	return analyzeResident(t, files, cacheDir, workers, nil)
+}
+
+// analyzeResident is analyzeFiles with a resident tier in front of the
+// store, as a long-lived process runs.
+func analyzeResident(t testing.TB, files map[string]string, cacheDir string, workers int, r *store.Resident) (*core.Result, *obs.Registry) {
+	t.Helper()
 	reg := obs.NewRegistry()
 	res := core.Analyze(context.Background(), buildFiles(t, files), spec.LinuxDPM(),
-		core.Options{Workers: workers, CacheDir: cacheDir, Obs: obs.New(nil, reg)})
+		core.Options{Workers: workers, CacheDir: cacheDir, Resident: r, Obs: obs.New(nil, reg)})
 	return res, reg
 }
 
@@ -122,7 +130,9 @@ func shiftAndRename(files map[string]string) map[string]string {
 // functions served from the store, some re-analyzed. Finally the mutated
 // corpus, shifted down a line and moved to another directory, must replay
 // entirely from the store and still match a from-scratch run: entries
-// carry no positions, and replay takes them from the current IR.
+// carry no positions, and replay takes them from the current IR. The
+// same three runs through one resident tier must match the disk-only
+// runs byte for byte and count for count.
 func TestCacheWarmStartDifferential(t *testing.T) {
 	cfgA := Config{Seed: 71, Mix: smallMix(), SimpleHelpers: 8, ComplexHelpers: 5, OtherFuncs: 30}
 	cfgB := cfgA
@@ -134,7 +144,7 @@ func TestCacheWarmStartDifferential(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			dir := t.TempDir()
-			cold, _ := analyzeFiles(t, a.Files, dir, workers)
+			cold, creg := analyzeFiles(t, a.Files, dir, workers)
 			if len(cold.Reports) == 0 {
 				t.Fatal("cold corpus produced no reports; the oracle is vacuous")
 			}
@@ -158,6 +168,27 @@ func TestCacheWarmStartDifferential(t *testing.T) {
 			}
 			if h, m := rreg.Counter(obs.MStoreHits), rreg.Counter(obs.MStoreMisses); h == 0 || m != 0 {
 				t.Errorf("shifted and renamed run hits/misses = %d/%d, want all hits", h, m)
+			}
+
+			resident, rdir := store.NewResident(), t.TempDir()
+			disk := []struct {
+				files map[string]string
+				res   *core.Result
+				reg   *obs.Registry
+			}{{a.Files, cold, creg}, {mutated, warm, wreg}, {moved, replay, rreg}}
+			for i, d := range disk {
+				res, reg := analyzeResident(t, d.files, rdir, workers, resident)
+				if got, want := renderOutcome(res), renderOutcome(d.res); got != want {
+					t.Errorf("run %d through the resident tier differs from the disk-only run:\n--- resident ---\n%s--- disk ---\n%s", i, got, want)
+				}
+				h, m, rh := reg.Counter(obs.MStoreHits), reg.Counter(obs.MStoreMisses), reg.Counter(obs.MResidentHits)
+				if dh, dm := d.reg.Counter(obs.MStoreHits), d.reg.Counter(obs.MStoreMisses); h != dh || m != dm {
+					t.Errorf("run %d hits/misses = %d/%d through the resident tier, %d/%d from disk", i, h, m, dh, dm)
+				}
+				// Every hit is of an entry an earlier run read or wrote.
+				if rh != h {
+					t.Errorf("run %d: %d of %d hits from memory, want all", i, rh, h)
+				}
 			}
 		})
 	}

@@ -41,6 +41,7 @@ var counterHelp = [numMetrics]string{
 	MRemoteErrors:     "fleet-store operations that failed",
 	MRemoteIntegrity:  "fleet-store responses rejected by validation",
 	MRemotePuts:       "entries shipped to the fleet store",
+	MResidentHits:     "store hits served from memory without a disk read",
 }
 
 // promBucketBounds returns the histogram upper bounds in seconds: bucket

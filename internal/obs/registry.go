@@ -42,6 +42,7 @@ const (
 	MRemoteErrors                   // fleet-store operations that failed (timeout, refusal, 5xx)
 	MRemoteIntegrity                // fleet-store responses rejected by validation
 	MRemotePuts                     // entries shipped to the fleet store (write-behind)
+	MResidentHits                   // store hits served from the daemon-resident tier (no disk read)
 	numMetrics
 )
 
@@ -71,6 +72,7 @@ var metricNames = [numMetrics]string{
 	MRemoteErrors:     "remote_errors",
 	MRemoteIntegrity:  "remote_integrity_errors",
 	MRemotePuts:       "remote_puts",
+	MResidentHits:     "store_resident_hits",
 }
 
 // Name returns the stable metric name used in -metrics and /debug/vars.

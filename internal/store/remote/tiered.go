@@ -42,8 +42,7 @@ type Tiered struct {
 	o      *obs.Obs
 
 	primeMu sync.Mutex
-	primed  bool
-	known   map[string]bool // entry name → fleet had it at prime time
+	known   map[string]bool // probed entry name → fleet had it at prime time
 
 	wbMu      sync.Mutex // serializes enqueue vs close (send on a closed channel panics)
 	wbClosed  bool
@@ -99,9 +98,10 @@ func (t *Tiered) DroppedPuts() int64 { return t.dropped.Load() }
 
 // Prime probes the fleet for the named functions in batches, so that
 // during the run a local miss for a function the fleet has never seen
-// skips the remote round trip entirely. Best-effort: a failed probe
-// leaves the backend unprimed (every local miss asks the fleet, and the
-// circuit breaker bounds the damage if it is down).
+// skips the remote round trip entirely. Functions not named are not
+// probed, and their local misses ask the fleet. Best-effort: a failed
+// probe leaves the backend unprimed (every local miss asks the fleet, and
+// the circuit breaker bounds the damage if it is down).
 func (t *Tiered) Prime(fns []string) {
 	names := make([]string, len(fns))
 	for i, fn := range fns {
@@ -124,7 +124,7 @@ func (t *Tiered) Prime(fns []string) {
 		}
 	}
 	t.primeMu.Lock()
-	t.primed, t.known = true, known
+	t.known = known
 	t.primeMu.Unlock()
 }
 
@@ -132,7 +132,8 @@ func (t *Tiered) Prime(fns []string) {
 func (t *Tiered) skipRemote(name string) bool {
 	t.primeMu.Lock()
 	defer t.primeMu.Unlock()
-	return t.primed && !t.known[name]
+	has, probed := t.known[name]
+	return probed && !has
 }
 
 // Load implements store.Backend. Local errors (an untrustworthy local

@@ -102,3 +102,33 @@ func TestLiveMetricValueUnknown(t *testing.T) {
 		t.Errorf("unknown counter = %d, want 0", v)
 	}
 }
+
+// TestResidentTierFollowsCacheDir: request children share the analyzer's
+// decoded store entries, so a repeat replays from memory; switching the
+// analyzer to another CacheDir starts empty, so its first run misses as
+// a disk-only run over that directory would.
+func TestResidentTierFollowsCacheDir(t *testing.T) {
+	run := func(a *Analyzer) (hits, misses, resident int64) {
+		t.Helper()
+		if err := a.AddSource("drv.c", buggy); err != nil {
+			t.Fatal(err)
+		}
+		res, err := a.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.MetricValue("store_hits"), res.MetricValue("store_misses"), res.MetricValue("store_resident_hits")
+	}
+	base := New(LinuxDPMSpecs())
+	base.SetOptions(Options{CacheDir: t.TempDir()})
+	if h, m, r := run(base.NewRequestChild()); h != 0 || m != 1 || r != 0 {
+		t.Fatalf("cold child: hits/misses/resident = %d/%d/%d, want 0/1/0", h, m, r)
+	}
+	if h, m, r := run(base.NewRequestChild()); h != 1 || m != 0 || r != 1 {
+		t.Fatalf("warm child: hits/misses/resident = %d/%d/%d, want 1/0/1", h, m, r)
+	}
+	base.SetOptions(Options{CacheDir: t.TempDir()})
+	if h, m, r := run(base.NewRequestChild()); h != 0 || m != 1 || r != 0 {
+		t.Fatalf("child over a new directory: hits/misses/resident = %d/%d/%d, want 0/1/0", h, m, r)
+	}
+}

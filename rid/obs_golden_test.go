@@ -107,6 +107,7 @@ var metricNames = []string{
 	"tasks_executed", "tasks_stolen",
 	"remote_hits", "remote_misses", "remote_errors",
 	"remote_integrity_errors", "remote_puts",
+	"store_resident_hits",
 }
 
 var phaseNames = []string{"run", "classify", "enumerate", "exec", "ipp", "solver", "replay", "cacheio", "steal", "queue"}

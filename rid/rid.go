@@ -40,6 +40,7 @@ import (
 	"repro/internal/report"
 	"repro/internal/solver"
 	"repro/internal/spec"
+	"repro/internal/store"
 	"repro/internal/summary"
 )
 
@@ -311,15 +312,25 @@ type Analyzer struct {
 	prog  *ir.Program
 	opts  Options
 	reg   *obs.Registry
+	// resident holds the store entries decoded by this analyzer's runs
+	// over Options.CacheDir, shared with its request children.
+	resident *store.Resident
 }
 
 // New returns an analyzer with the given API specifications.
 func New(specs Specs) *Analyzer {
-	return &Analyzer{specs: specs, prog: ir.NewProgram(), reg: obs.NewRegistry()}
+	return &Analyzer{specs: specs, prog: ir.NewProgram(), reg: obs.NewRegistry(), resident: store.NewResident()}
 }
 
 // SetOptions replaces the analysis options.
-func (a *Analyzer) SetOptions(o Options) { a.opts = o }
+func (a *Analyzer) SetOptions(o Options) {
+	if o.CacheDir != a.opts.CacheDir {
+		// Resident entries came from the old directory; a run over the
+		// new one must see that directory's hits and misses.
+		a.resident = store.NewResident()
+	}
+	a.opts = o
+}
 
 // SetSpecs replaces the API specifications. Sources already added keep
 // their lowering; only the next Run is affected.
@@ -335,8 +346,10 @@ func (a *Analyzer) SetSpecs(s Specs) { a.specs = s }
 // metrics delta (its registry started at zero) while the parent keeps
 // process-wide totals for DebugHandler and /metrics. The rollup is
 // lock-free; the only per-call cost is one extra atomic add per event.
+// Children also share a's decoded summary-store entries, so a request
+// replays an unchanged function from memory instead of from Options.CacheDir.
 func (a *Analyzer) NewRequestChild() *Analyzer {
-	return &Analyzer{specs: a.specs, opts: a.opts, prog: ir.NewProgram(), reg: a.reg.Child()}
+	return &Analyzer{specs: a.specs, opts: a.opts, prog: ir.NewProgram(), reg: a.reg.Child(), resident: a.resident}
 }
 
 // AddSource parses and lowers one mini-C source buffer into the program
@@ -435,6 +448,7 @@ func (a *Analyzer) coreOptions() core.Options {
 		Provenance: a.opts.Provenance,
 		CacheDir:   a.opts.CacheDir,
 		CacheURL:   a.opts.CacheURL,
+		Resident:   a.resident,
 	}
 	opts.Exec.MaxPaths = a.opts.MaxPaths
 	opts.Exec.MaxSubcases = a.opts.MaxSubcases

@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race fuzz-smoke spec-suite bench bench-sweep bench-all serve-bench vet fmt cover examples experiments clean
+.PHONY: all build test race fuzz-smoke spec-suite bench bench-sweep bench-all vet fmt cover examples experiments clean
 
 all: build vet test
 
@@ -42,12 +42,6 @@ bench-sweep:
 
 bench-all:
 	$(GO) test -bench=. -benchmem ./...
-
-# Regenerate the checked-in `rid serve` saturation snapshot: ridload boots
-# the daemon in-process and sweeps concurrent-client levels against it.
-# Machine-dependent like the other BENCH files; refresh on a quiet box.
-serve-bench:
-	$(GO) run ./cmd/ridload -clients 1,2,4,8 -n 16 -scale 1 -json BENCH_serve.json
 
 vet:
 	$(GO) vet ./...

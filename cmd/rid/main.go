@@ -32,8 +32,8 @@
 // POST /v1/analyze, GET /v1/explain/{fn}, GET /v1/summary/{digest},
 // GET /healthz and /debug/... with admission control (bounded in-flight
 // analyses, 429 + Retry-After beyond the queue) and per-request
-// deadlines; see the README's "rid serve" section and cmd/ridload for
-// the matching load generator.
+// deadlines; see the README's "rid serve" section. The repository
+// benchmark (bench/) measures it under load.
 //
 // Flags select the predefined API specifications (-spec linux-dpm or
 // -spec python-c, plus -spec-file for custom DSL files), tune the path and

@@ -1,15 +1,14 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/serve"
 	"repro/rid"
@@ -490,18 +489,17 @@ func TestCLIServeReportMatchesCLI(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 4} {
-		body, _ := json.Marshal(&serve.AnalyzeRequest{
+		resp, ar, err := postAnalyze(ts.URL, &serve.AnalyzeRequest{
 			Files:   map[string]string{src: string(data)},
 			Workers: workers,
 			NoCache: true,
 		})
-		resp, _, err := serve.AnalyzeOnce(context.Background(), ts.URL, body, time.Minute)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("workers=%d: %v %+v", workers, err, ar)
 		}
-		if resp.Report != string(cliOut) {
+		if ar.Report != string(cliOut) {
 			t.Fatalf("workers=%d: daemon report differs from CLI stdout\ncli:\n%s\ndaemon:\n%s",
-				workers, cliOut, resp.Report)
+				workers, cliOut, ar.Report)
 		}
 	}
 }

@@ -1,58 +1,14 @@
 package main
 
 import (
-	"bufio"
 	"errors"
 	"io/fs"
 	"net/http"
-	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 )
-
-// startStoreServe launches `rid storeserve` as a real subprocess on a
-// free port and returns its base URL. SIGINT + drain at cleanup.
-func startStoreServe(t *testing.T, bin, storeDir string, extra ...string) string {
-	t.Helper()
-	args := append([]string{"storeserve", "-addr", "127.0.0.1:0", "-cache-dir", storeDir, "-quiet"}, extra...)
-	cmd := exec.Command(bin, args...)
-	stderr, err := cmd.StderrPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cmd.Start(); err != nil {
-		t.Fatalf("start storeserve: %v", err)
-	}
-	t.Cleanup(func() {
-		cmd.Process.Signal(os.Interrupt) //nolint:errcheck // best-effort teardown
-		cmd.Wait()                       //nolint:errcheck
-	})
-
-	// The startup line carries the bound address:
-	//   rid: serving summary store <dir> on http://<addr> (...)
-	addrCh := make(chan string, 1)
-	go func() {
-		sc := bufio.NewScanner(stderr)
-		for sc.Scan() {
-			line := sc.Text()
-			if _, rest, ok := strings.Cut(line, "on http://"); ok {
-				addr, _, _ := strings.Cut(rest, " ")
-				addrCh <- "http://" + addr
-				break
-			}
-		}
-	}()
-	select {
-	case url := <-addrCh:
-		return url
-	case <-time.After(10 * time.Second):
-		t.Fatal("storeserve did not announce its address")
-		return ""
-	}
-}
 
 func countStoredEntries(t *testing.T, dir string) int {
 	t.Helper()
@@ -75,7 +31,7 @@ func TestCLIStoreServeSharedCache(t *testing.T) {
 	bin := buildCLI(t)
 	src := writeDriver(t)
 	storeDir := filepath.Join(t.TempDir(), "fleet")
-	url := startStoreServe(t, bin, storeDir)
+	url := startDaemon(t, bin, "storeserve", "-quiet", "-cache-dir", storeDir)
 
 	// Baseline: no caching anywhere.
 	want, err := exec.Command(bin, src).CombinedOutput()
@@ -135,7 +91,7 @@ func TestCLIStoreServeSharedCache(t *testing.T) {
 func TestCLIStoreServeFailEvery(t *testing.T) {
 	bin := buildCLI(t)
 	src := writeDriver(t)
-	url := startStoreServe(t, bin, filepath.Join(t.TempDir(), "fleet"), "-fail-every", "2")
+	url := startDaemon(t, bin, "storeserve", "-quiet", "-cache-dir", filepath.Join(t.TempDir(), "fleet"), "-fail-every", "2")
 
 	want, err := exec.Command(bin, src).CombinedOutput()
 	if cmdExit(err) != 1 {

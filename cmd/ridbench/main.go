@@ -9,7 +9,6 @@
 //	ridbench -misuse         # §6.3 pm_runtime_get census
 //	ridbench -perf           # §6.5 scaling series
 //	ridbench -perf -perf-json perf.json   # ...and save the series
-//	ridbench -perf -compare perf.json     # ...and diff against a saved series
 //	ridbench -perf -cache-dir dir         # cold vs warm runs with the persistent summary store
 //	ridbench -perf -workers 1,2,4,8       # worker sweep: one snapshot per setting + scaling efficiency
 //	ridbench -packs          # spec packs: precision/recall on the lock/fd corpora
@@ -79,10 +78,9 @@ func main() {
 		dpm         = flag.Bool("dpm", false, "§6.2: DPM bug reports vs confirmed")
 		misuse      = flag.Bool("misuse", false, "§6.3: pm_runtime_get misuse census")
 		perf        = flag.Bool("perf", false, "§6.5: performance scaling")
-		perfJSON    = flag.String("perf-json", "", "write the -perf series to this file as JSON")
+		perfJSON    = flag.String("perf-json", "", "write the -perf series to this file as JSON: one snapshot per -workers setting")
 		cacheDir    = flag.String("cache-dir", "", "with -perf: measure cold vs warm runs against this persistent summary store")
 		cacheURL    = flag.String("cache-url", "", "with -perf -cache-dir: layer a fleet summary store (`rid storeserve`) behind the local one")
-		compare     = flag.String("compare", "", "diff the -perf series against a snapshot written by -perf-json")
 		ablations   = flag.Bool("ablations", false, "design-decision ablations (DESIGN.md §5)")
 		packs       = flag.Bool("packs", false, "spec packs: precision/recall of the lock and fd packs on their seeded corpora")
 		minPrec     = flag.Float64("min-precision", 0, "with -packs: exit non-zero if any pack's precision is below this (0 = no gate)")
@@ -124,7 +122,7 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *deadline)
 		defer cancel()
 	}
-	if *perfJSON != "" || *compare != "" || *minScaling > 0 {
+	if *perfJSON != "" || *minScaling > 0 {
 		*perf = true
 	}
 	if *minScaling > 0 && len(workerList) < 2 {
@@ -167,15 +165,28 @@ func main() {
 		check(err)
 		fmt.Println(r.Format())
 	}
-	if *perf && len(workerList) > 1 {
-		// Sweep mode: the full §6.5 series once per worker setting, plus a
-		// scaling-efficiency table; -perf-json saves the whole sweep.
-		if *cacheDir != "" || *compare != "" {
-			fmt.Fprintln(os.Stderr, "ridbench: -cache-dir/-compare apply to a single -workers setting and are ignored in a sweep")
+	if *perf && *cacheDir != "" && len(workerList) == 1 {
+		// Cold/warm mode: each scale is analyzed twice against the store;
+		// the warm run must be byte-identical and mostly store hits.
+		if *perfJSON != "" {
+			fmt.Fprintln(os.Stderr, "ridbench: -perf-json applies to the plain -perf series and is ignored with -cache-dir")
+		}
+		pts, err := experiments.PerfCached(ctx, scales, *workers, *cacheDir, *cacheURL)
+		check(err)
+		fmt.Println(experiments.FormatPerfCached(pts, *workers))
+	} else if *perf {
+		// The full §6.5 series once per worker setting; several settings
+		// add a scaling-efficiency table. -perf-json saves the whole sweep.
+		if *cacheDir != "" {
+			fmt.Fprintln(os.Stderr, "ridbench: -cache-dir applies to a single -workers setting and is ignored in a sweep")
 		}
 		sweep, err := experiments.RunPerfSweep(ctx, scales, workerList)
 		check(err)
-		fmt.Println(experiments.FormatPerfSweep(sweep))
+		if len(workerList) > 1 {
+			fmt.Println(experiments.FormatPerfSweep(sweep))
+		} else {
+			fmt.Println(experiments.FormatPerf(sweep.Snapshots[0].Points, *workers))
+		}
 		if *perfJSON != "" {
 			f, err := os.Create(*perfJSON)
 			check(err)
@@ -194,34 +205,6 @@ func main() {
 					top, sp, workerList[0], *minScaling))
 			}
 			fmt.Fprintf(os.Stderr, "ridbench: scaling gate passed: workers=%d speedup %.2fx >= %.2fx\n", top, sp, *minScaling)
-		}
-	} else if *perf && *cacheDir != "" {
-		// Cold/warm mode: each scale is analyzed twice against the store;
-		// the warm run must be byte-identical and mostly store hits.
-		if *perfJSON != "" || *compare != "" {
-			fmt.Fprintln(os.Stderr, "ridbench: -perf-json/-compare apply to the plain -perf series and are ignored with -cache-dir")
-		}
-		pts, err := experiments.PerfCached(ctx, scales, *workers, *cacheDir, *cacheURL)
-		check(err)
-		fmt.Println(experiments.FormatPerfCached(pts, *workers))
-	} else if *perf {
-		pts, err := experiments.Perf(ctx, scales, *workers)
-		check(err)
-		fmt.Println(experiments.FormatPerf(pts, *workers))
-		if *perfJSON != "" {
-			f, err := os.Create(*perfJSON)
-			check(err)
-			check(experiments.WritePerfSnapshot(f, *workers, pts))
-			check(f.Close())
-			fmt.Fprintf(os.Stderr, "ridbench: perf snapshot written to %s\n", *perfJSON)
-		}
-		if *compare != "" {
-			f, err := os.Open(*compare)
-			check(err)
-			old, err := experiments.ReadPerfSnapshot(f)
-			check(f.Close())
-			check(err)
-			fmt.Println(experiments.DiffPerf(old, &experiments.PerfSnapshot{Workers: *workers, Points: pts}))
 		}
 	}
 	if *ablations {

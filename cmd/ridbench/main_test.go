@@ -1,10 +1,13 @@
 package main
 
 import (
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/experiments"
 )
 
 func TestBenchMisuseAndTable2(t *testing.T) {
@@ -77,5 +80,36 @@ func TestBenchShowSpecs(t *testing.T) {
 	s := string(out)
 	if !strings.Contains(s, "pm_runtime_get_sync") || !strings.Contains(s, "Py_DECREF") {
 		t.Errorf("specs output incomplete:\n%s", s)
+	}
+}
+
+// TestBenchPerfJSONSingleWorker: -perf-json has one format, a PerfSweep,
+// also for a single -workers setting, and the plain series table is still
+// what -perf prints.
+func TestBenchPerfJSONSingleWorker(t *testing.T) {
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "ridbench")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("build: %v\n%s", err, out)
+	}
+	path := filepath.Join(dir, "perf.json")
+	out, err := exec.Command(bin, "-perf", "-perf-scales", "1", "-workers", "1", "-perf-json", path).Output()
+	if err != nil {
+		t.Fatalf("%v\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "§6.5: performance scaling (workers=1") {
+		t.Errorf("no scaling table:\n%s", out)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	sweep, err := experiments.ReadPerfSweep(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sweep.Snapshots) != 1 || sweep.Snapshots[0].Workers != 1 || len(sweep.Snapshots[0].Points) != 1 {
+		t.Fatalf("sweep: %+v", sweep)
 	}
 }

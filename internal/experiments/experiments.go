@@ -401,11 +401,7 @@ type PerfPoint struct {
 func Perf(ctx context.Context, scales []int, workers int) ([]PerfPoint, error) {
 	var out []PerfPoint
 	for _, s := range scales {
-		c := kernelgen.Generate(kernelgen.Config{
-			Seed: int64(100 + s), Mix: scaleMix(kernelgen.PaperMix(), s),
-			SimpleHelpers: 10 * s, ComplexHelpers: 8 * s, OtherFuncs: 200 * s,
-		})
-		prog, err := BuildProgram(c.Files)
+		prog, err := BuildProgram(ServeCorpus(s, int64(100+s)))
 		if err != nil {
 			return nil, err
 		}
@@ -422,6 +418,18 @@ func Perf(ctx context.Context, scales []int, workers int) ([]PerfPoint, error) {
 		})
 	}
 	return out, nil
+}
+
+// ServeCorpus is the §6.5 scaling corpus at the given scale: the paper
+// mix times scale, plus helper and utility mass growing with it. Perf and
+// PerfCached analyze it with seed 100+scale; the serve tests ship it as
+// the files of an analyze request.
+func ServeCorpus(scale int, seed int64) map[string]string {
+	c := kernelgen.Generate(kernelgen.Config{
+		Seed: seed, Mix: scaleMix(kernelgen.PaperMix(), scale),
+		SimpleHelpers: 10 * scale, ComplexHelpers: 8 * scale, OtherFuncs: 200 * scale,
+	})
+	return c.Files
 }
 
 func scaleMix(m kernelgen.Mix, s int) kernelgen.Mix {
@@ -508,11 +516,7 @@ type CachedPerfPoint struct {
 func PerfCached(ctx context.Context, scales []int, workers int, dir, url string) ([]CachedPerfPoint, error) {
 	var out []CachedPerfPoint
 	for _, s := range scales {
-		c := kernelgen.Generate(kernelgen.Config{
-			Seed: int64(100 + s), Mix: scaleMix(kernelgen.PaperMix(), s),
-			SimpleHelpers: 10 * s, ComplexHelpers: 8 * s, OtherFuncs: 200 * s,
-		})
-		prog, err := BuildProgram(c.Files)
+		prog, err := BuildProgram(ServeCorpus(s, int64(100+s)))
 		if err != nil {
 			return nil, err
 		}

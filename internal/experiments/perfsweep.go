@@ -13,8 +13,15 @@ import (
 // §6.5 worker sweep: the scaling series at several worker counts, with
 // scaling efficiency relative to the first (lowest) setting
 
-// PerfSweep is the result of `ridbench -workers 1,2,4,8 -perf`: one full
-// perf snapshot per worker setting, in the order requested.
+// PerfSnapshot is the §6.5 scaling series at one worker setting.
+// Durations are nanoseconds on the wire.
+type PerfSnapshot struct {
+	Workers int         `json:"workers"`
+	Points  []PerfPoint `json:"points"`
+}
+
+// PerfSweep is the result of `ridbench -perf` and the one -perf-json
+// format: one snapshot per -workers setting, in the order requested.
 type PerfSweep struct {
 	Snapshots []PerfSnapshot `json:"snapshots"`
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -195,14 +196,8 @@ func labelString(labels map[string]string) string {
 	for k, v := range labels {
 		parts = append(parts, k+"="+v)
 	}
-	// order-insensitive join is fine for map keys in one process run
-	b := append([]string(nil), parts...)
-	for i := 1; i < len(b); i++ {
-		for j := i; j > 0 && b[j] < b[j-1]; j-- {
-			b[j], b[j-1] = b[j-1], b[j]
-		}
-	}
-	return strings.Join(b, ",")
+	sort.Strings(parts)
+	return strings.Join(parts, ",")
 }
 
 // TestRequestIDs: generated IDs are deterministic under IDSeed, inbound

@@ -15,7 +15,7 @@
 //	GET  /v1/summary/{digest} look a summary up in the persistent store
 //	                          by content digest
 //	GET  /healthz             admission gauges, request counters,
-//	                          goroutine count (leak checks in CI)
+//	                          goroutine count (the drain tests' leak check)
 //	GET  /metrics             Prometheus text exposition v0.0.4:
 //	                          serve-level series (requests by route and
 //	                          status, queue wait, durations, memoization)

@@ -492,7 +492,6 @@ func TestCLIServeReportMatchesCLI(t *testing.T) {
 		resp, ar, err := postAnalyze(ts.URL, &serve.AnalyzeRequest{
 			Files:   map[string]string{src: string(data)},
 			Workers: workers,
-			NoCache: true,
 		})
 		if err != nil || resp.StatusCode != http.StatusOK {
 			t.Fatalf("workers=%d: %v %+v", workers, err, ar)

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/obs"
 	"repro/internal/obs/promtext"
 	"repro/internal/serve"
 )
@@ -139,14 +140,14 @@ func TestCLIServeObservabilityE2E(t *testing.T) {
 		"-request-timeout", "2m",
 	)
 
-	fastResp, fastAR, err := postAnalyze(base, &serve.AnalyzeRequest{Files: map[string]string{"drv.c": buggyDriver}, NoCache: true})
+	fastResp, fastAR, err := postAnalyze(base, &serve.AnalyzeRequest{Files: map[string]string{"drv.c": buggyDriver}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fastResp.StatusCode != http.StatusOK || fastAR.Bugs != 1 {
 		t.Fatalf("fast request: %d %+v", fastResp.StatusCode, fastAR)
 	}
-	slowResp, slowAR, err := postAnalyze(base, &serve.AnalyzeRequest{Files: experiments.ServeCorpus(2, 1), NoCache: true})
+	slowResp, slowAR, err := postAnalyze(base, &serve.AnalyzeRequest{Files: experiments.ServeCorpus(2, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,9 +235,9 @@ func TestCLIServeObservabilityE2E(t *testing.T) {
 
 // TestCLIServeDrainE2E holds the daemon's load gates against the built
 // binary: the analyze counter accounts for every request of a concurrent
-// burst, an identical repeat is a result-cache hit with the same report,
-// and afterwards the admission gauges and the goroutine count return to
-// idle. startDaemon's cleanup checks the SIGINT drain.
+// burst, an identical repeat reads every function from the daemon's
+// resident store tier and returns the same report, and afterwards the
+// admission gauges and the goroutine count return to idle. startDaemon's cleanup checks the SIGINT drain.
 func TestCLIServeDrainE2E(t *testing.T) {
 	bin := buildCLI(t)
 	base := startDaemon(t, bin, "serve", "-quiet",
@@ -268,14 +269,17 @@ func TestCLIServeDrainE2E(t *testing.T) {
 		}
 		return n
 	}
-	cacheHits := func() float64 {
+	storeTraffic := func(ar *serve.AnalyzeResponse) (hits, misses, resident int64) {
 		t.Helper()
-		v, _ := scrapeMetrics(t, base).Value("rid_serve_result_cache_hits_total", nil)
-		return v
+		var snap obs.Snapshot
+		if err := json.Unmarshal(ar.Metrics, &snap); err != nil {
+			t.Fatalf("decode metrics: %v", err)
+		}
+		return snap.Counter(obs.MStoreHits), snap.Counter(obs.MStoreMisses), snap.Counter(obs.MResidentHits)
 	}
 	boot := health().Goroutines
 
-	// A burst of 12 uncached analyses from 4 clients against 2 slots.
+	// A burst of 12 analyses from 4 clients against 2 slots.
 	const clients, burst = 4, 12
 	files := experiments.ServeCorpus(1, 317)
 	before := analyzeRequests()
@@ -291,7 +295,7 @@ func TestCLIServeDrainE2E(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for range work {
-				resp, _, err := postAnalyze(base, &serve.AnalyzeRequest{Files: files, NoCache: true})
+				resp, _, err := postAnalyze(base, &serve.AnalyzeRequest{Files: files})
 				if err == nil && resp.StatusCode != http.StatusOK {
 					err = fmt.Errorf("burst request: status %d", resp.StatusCode)
 				}
@@ -319,23 +323,29 @@ func TestCLIServeDrainE2E(t *testing.T) {
 		t.Errorf("rid_serve_requests_total{route=analyze} grew by %v, want %d", got, burst)
 	}
 
-	// The same cacheable request twice: a miss, then one result-cache hit
-	// carrying the same report.
-	hits0 := cacheHits()
-	_, cold, err := postAnalyze(base, &serve.AnalyzeRequest{Files: files})
-	if err != nil {
-		t.Fatal(err)
+	// The same request twice: the repeat finds every function of the
+	// first run in the store, all of them resident in the daemon, and
+	// carries the same report.
+	req := &serve.AnalyzeRequest{Files: files, Metrics: true}
+	var replies [2]*serve.AnalyzeResponse
+	for i := range replies {
+		resp, ar, err := postAnalyze(base, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("repeat request %d: status %d", i, resp.StatusCode)
+		}
+		replies[i] = ar
 	}
-	hits1 := cacheHits()
-	_, warm, err := postAnalyze(base, &serve.AnalyzeRequest{Files: files})
-	if err != nil {
-		t.Fatal(err)
+	cold, warm := replies[0], replies[1]
+	coldHits, coldMisses, _ := storeTraffic(cold)
+	if hits, misses, resident := storeTraffic(warm); misses != 0 || resident != hits || hits != coldHits+coldMisses {
+		t.Errorf("repeat store traffic: %d hits (%d resident), %d misses; want all %d from memory",
+			hits, resident, misses, coldHits+coldMisses)
 	}
-	if hits2 := cacheHits(); hits1 != hits0 || hits2 != hits1+1 {
-		t.Errorf("result-cache hits %v -> %v -> %v, want one hit on the repeat only", hits0, hits1, hits2)
-	}
-	if !warm.Cached || warm.Report != cold.Report || cold.Report == "" {
-		t.Errorf("repeat: cached=%t, report identical=%t", warm.Cached, warm.Report == cold.Report)
+	if warm.Report != cold.Report || cold.Report == "" {
+		t.Errorf("repeat: report identical=%t, first report empty=%t", warm.Report == cold.Report, cold.Report == "")
 	}
 
 	// Drained: no analysis slot held, nothing queued, no goroutine leak.

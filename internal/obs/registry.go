@@ -3,6 +3,7 @@ package obs
 import (
 	"math"
 	"math/bits"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -80,21 +81,7 @@ func (m Metric) Name() string {
 	if int(m) < len(metricNames) {
 		return metricNames[m]
 	}
-	return "metric" + itoa(int(m))
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [8]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
+	return "metric" + strconv.Itoa(int(m))
 }
 
 // counter is a cache-line-padded atomic, so independent counters hammered

@@ -54,11 +54,10 @@ type AnalyzeRequest struct {
 	// Metrics includes the run's exact per-request metrics snapshot in
 	// the response (the run then uses a private registry so concurrent
 	// requests don't bleed into it). Trace includes the run's JSONL span
-	// trace. Either one bypasses the result cache.
+	// trace.
 	Metrics bool `json:"metrics,omitempty"`
 	Trace   bool `json:"trace,omitempty"`
-	// NoCache bypasses the in-memory result cache (load generators use
-	// it to measure analysis, not memoization).
+	// NoCache has no effect; it is still decoded so clients that send it work.
 	NoCache bool `json:"no_cache,omitempty"`
 }
 
@@ -80,7 +79,6 @@ type AnalyzeResponse struct {
 	Paths         int             `json:"paths"`
 	Degraded      bool            `json:"degraded"`
 	Diagnostics   []Diag          `json:"diagnostics,omitempty"`
-	Cached        bool            `json:"cached"`
 	ElapsedMS     float64         `json:"elapsed_ms"`
 	Phases        []PhaseMS       `json:"phases,omitempty"`
 	Metrics       json.RawMessage `json:"metrics,omitempty"`
@@ -93,8 +91,7 @@ type AnalyzeResponse struct {
 // order (classify, enumerate, exec, ipp, solver, cacheio, replay) and
 // exact for this request alone at any Workers setting — the run counts
 // into a private child of the server registry, so concurrent requests
-// never bleed into each other's breakdown. A cached response replays
-// the phases of the run that produced it. The same numbers ride the
+// never bleed into each other's breakdown. The same numbers ride the
 // Server-Timing response header.
 type PhaseMS struct {
 	Phase string  `json:"phase"`
@@ -158,27 +155,6 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	// Memoization: a repeat of an identical request is served from
-	// memory. Trace/metrics runs bypass it — their payloads are
-	// wall-clock-dependent by nature.
-	cacheable := !req.NoCache && !req.Trace && !req.Metrics
-	key := ""
-	if cacheable {
-		key = requestKey(&req)
-		if resp := s.rcache.get(key); resp != nil {
-			s.cacheHits.Add(1)
-			resp.Cached = true
-			s.served.Add(1)
-			if rec != nil {
-				rec.memoHit = true
-			}
-			w.Header().Set("Server-Timing", serverTiming(resp.Phases))
-			writeJSON(w, http.StatusOK, resp)
-			return
-		}
-		s.metrics.cacheMiss.Add(1)
-	}
-
 	ctx, cancel := s.requestContext(r.Context(), req.DeadlineMS)
 	defer cancel()
 
@@ -191,14 +167,11 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	resp.ElapsedMS = float64(time.Since(t0).Microseconds()) / 1000
 	if status == http.StatusOK {
 		s.served.Add(1)
-		if cacheable && cachable(resp) {
-			s.rcache.put(key, resp)
-		}
 	} else if status == http.StatusGatewayTimeout {
 		s.deadlineExceeded.Add(1)
 	}
-	s.logf("analyze files=%d corpus=%t status=%d cached=%t elapsed=%.1fms",
-		len(req.Files), req.Corpus, status, resp.Cached, resp.ElapsedMS)
+	s.logf("analyze files=%d corpus=%t status=%d elapsed=%.1fms",
+		len(req.Files), req.Corpus, status, resp.ElapsedMS)
 	w.Header().Set("Server-Timing", serverTiming(resp.Phases))
 	writeJSON(w, status, resp)
 }
@@ -386,56 +359,6 @@ func (s *Server) resolveSpecs(name string, packs []string, src string) (rid.Spec
 	return specs, nil
 }
 
-// cachable reports whether a completed response may be memoized: only
-// runs whose every degradation is deterministic (budget truncation,
-// solver give-ups). Wall-clock degradations — timeouts, panics,
-// cancellation — must not be replayed to later requests.
-func cachable(resp *AnalyzeResponse) bool {
-	if resp.Error != "" {
-		return false
-	}
-	for _, d := range resp.Diagnostics {
-		switch d.Kind {
-		case "timeout", "panic", "canceled", "cache-remote":
-			// cache-remote is transient too: it records that the fleet
-			// store was unreachable during THIS run, which must not be
-			// replayed to requests served after the remote recovers.
-			return false
-		}
-	}
-	return true
-}
-
-// requestKey is the result-cache key: a digest over every field that can
-// change the response bytes. Workers is deliberately absent — report
-// output is byte-identical at any worker count (pinned by the scheduler
-// determinism tests), so one cache entry serves every setting.
-func requestKey(req *AnalyzeRequest) string {
-	h := sha256.New()
-	put := func(ss ...string) {
-		for _, x := range ss {
-			fmt.Fprintf(h, "%d:%s\x00", len(x), x)
-		}
-	}
-	put("spec", req.Spec, "specsrc", req.SpecSrc, "format", req.Format)
-	put("specpacks")
-	put(req.SpecPacks...) // order matters: merge order is load order
-	fmt.Fprintf(h, "verbose=%t corpus=%t maxpaths=%d maxsub=%d cat2=%d\x00",
-		req.Verbose, req.Corpus, req.MaxPaths, req.MaxSubcases, req.Cat2Conds)
-	sup := append([]string(nil), req.Suppress...)
-	sort.Strings(sup)
-	put(sup...)
-	names := make([]string, 0, len(req.Files))
-	for n := range req.Files {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		put(n, req.Files[n])
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -570,26 +493,23 @@ func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {
 
 // Health is the GET /healthz reply: liveness plus the admission gauges
 // and counters CI smoke checks assert on (goroutine stability across a
-// load run, zero stuck inflight after drain). The schema is versioned
-// by accretion: fields are only ever appended, never renamed or
-// removed, so checks written against an older daemon keep working. The
-// full schema is documented in DESIGN.md §10.
+// load run, zero stuck inflight after drain). New fields are appended
+// and no field is renamed; a field is removed only together with the
+// mechanism it reports. The full schema is documented in DESIGN.md §10.
 type Health struct {
-	Spec              string `json:"spec"`
-	CorpusFuncs       int    `json:"corpus_funcs"`
-	Inflight          int    `json:"inflight"`
-	MaxInflight       int    `json:"max_inflight"`
-	Queued            int64  `json:"queued"`
-	QueueDepth        int    `json:"queue_depth"`
-	Served            int64  `json:"served"`
-	Rejected          int64  `json:"rejected"`
-	DeadlineExceeded  int64  `json:"deadline_exceeded"`
-	ResultCacheHits   int64  `json:"result_cache_hits"`
-	Goroutines        int    `json:"goroutines"`
-	ResultCacheMisses int64  `json:"result_cache_misses"`
-	StoreHits         int64  `json:"store_hits"`
-	StoreMisses       int64  `json:"store_misses"`
-	SlowTraces        int64  `json:"slow_traces"`
+	Spec             string `json:"spec"`
+	CorpusFuncs      int    `json:"corpus_funcs"`
+	Inflight         int    `json:"inflight"`
+	MaxInflight      int    `json:"max_inflight"`
+	Queued           int64  `json:"queued"`
+	QueueDepth       int    `json:"queue_depth"`
+	Served           int64  `json:"served"`
+	Rejected         int64  `json:"rejected"`
+	DeadlineExceeded int64  `json:"deadline_exceeded"`
+	Goroutines       int    `json:"goroutines"`
+	StoreHits        int64  `json:"store_hits"`
+	StoreMisses      int64  `json:"store_misses"`
+	SlowTraces       int64  `json:"slow_traces"`
 	// Fleet-cache tier (-cache-url). RemoteState is "" without a remote,
 	// else the circuit-breaker state: "closed" (healthy), "open"
 	// (degraded to local, probe pending) or "probing".
@@ -606,25 +526,23 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		remoteState = remote.CircuitState(s.cfg.Options.CacheURL)
 	}
 	writeJSON(w, http.StatusOK, Health{
-		Spec:              s.cfg.SpecName,
-		CorpusFuncs:       s.base.NumFunctions(),
-		Inflight:          s.gate.Inflight(),
-		MaxInflight:       s.cfg.MaxInflight,
-		Queued:            s.gate.Queued(),
-		QueueDepth:        s.cfg.QueueDepth,
-		Served:            s.served.Load(),
-		Rejected:          s.gate.Rejected(),
-		DeadlineExceeded:  s.deadlineExceeded.Load(),
-		ResultCacheHits:   s.cacheHits.Load(),
-		Goroutines:        runtime.NumGoroutine(),
-		ResultCacheMisses: s.metrics.cacheMiss.Load(),
-		StoreHits:         s.base.LiveMetricValue("store_hits"),
-		StoreMisses:       s.base.LiveMetricValue("store_misses"),
-		SlowTraces:        s.metrics.slowTraces.Load(),
-		RemoteHits:        s.base.LiveMetricValue("remote_hits"),
-		RemoteMisses:      s.base.LiveMetricValue("remote_misses"),
-		RemoteErrors:      s.base.LiveMetricValue("remote_errors"),
-		RemoteIntegrity:   s.base.LiveMetricValue("remote_integrity_errors"),
-		RemoteState:       remoteState,
+		Spec:             s.cfg.SpecName,
+		CorpusFuncs:      s.base.NumFunctions(),
+		Inflight:         s.gate.Inflight(),
+		MaxInflight:      s.cfg.MaxInflight,
+		Queued:           s.gate.Queued(),
+		QueueDepth:       s.cfg.QueueDepth,
+		Served:           s.served.Load(),
+		Rejected:         s.gate.Rejected(),
+		DeadlineExceeded: s.deadlineExceeded.Load(),
+		Goroutines:       runtime.NumGoroutine(),
+		StoreHits:        s.base.LiveMetricValue("store_hits"),
+		StoreMisses:      s.base.LiveMetricValue("store_misses"),
+		SlowTraces:       s.metrics.slowTraces.Load(),
+		RemoteHits:       s.base.LiveMetricValue("remote_hits"),
+		RemoteMisses:     s.base.LiveMetricValue("remote_misses"),
+		RemoteErrors:     s.base.LiveMetricValue("remote_errors"),
+		RemoteIntegrity:  s.base.LiveMetricValue("remote_integrity_errors"),
+		RemoteState:      remoteState,
 	})
 }

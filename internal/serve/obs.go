@@ -10,6 +10,7 @@
 package serve
 
 import (
+	"bytes"
 	"crypto/rand"
 	"encoding/hex"
 	"io"
@@ -19,6 +20,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -62,15 +64,15 @@ func routeOf(path string) route {
 	switch {
 	case path == "/v1/analyze":
 		return routeAnalyze
-	case len(path) >= len("/v1/explain/") && path[:len("/v1/explain/")] == "/v1/explain/":
+	case strings.HasPrefix(path, "/v1/explain/"):
 		return routeExplain
-	case len(path) >= len("/v1/summary/") && path[:len("/v1/summary/")] == "/v1/summary/":
+	case strings.HasPrefix(path, "/v1/summary/"):
 		return routeSummary
 	case path == "/healthz":
 		return routeHealthz
 	case path == "/metrics":
 		return routeMetrics
-	case len(path) >= len("/debug/") && path[:len("/debug/")] == "/debug/":
+	case strings.HasPrefix(path, "/debug/"):
 		return routeDebug
 	}
 	return routeOther
@@ -104,7 +106,6 @@ type serveMetrics struct {
 	queueWait  obs.Histogram
 	duration   [numRoutes]obs.Histogram
 	slowTraces atomic.Int64
-	cacheMiss  atomic.Int64
 }
 
 func (m *serveMetrics) record(rt route, code int, dur time.Duration) {
@@ -179,7 +180,6 @@ type reqRecord struct {
 	status    int
 	queueWait time.Duration
 	elapsed   time.Duration
-	memoHit   bool
 	storeHit  int64
 	storeMiss int64
 	degraded  bool
@@ -270,12 +270,12 @@ var accessPhases = []string{"classify", "enumerate", "exec", "ipp", "solver", "c
 // accessLogger writes one JSONL line per request with a fixed key order:
 //
 //	{"id":...,"route":...,"status":...,"queue_wait_us":...,"elapsed_us":...,
-//	 "phases":{"classify":...,...},"memo_hit":...,"store_hits":...,
-//	 "store_misses":...,"degraded":...,"diags":[...]}
+//	 "phases":{"classify":...,...},"store_hits":...,"store_misses":...,
+//	 "degraded":...,"diags":[...]}
 //
-// The schema is append-only, like the trace format: keys never move,
-// change meaning, or disappear. Writes are serialized and the line
-// buffer reused, mirroring obs.JSONLTracer.
+// New keys are appended; keys never move or change meaning, and a key
+// is removed only together with the mechanism it reports. Writes are
+// serialized and the line buffer reused, mirroring obs.JSONLTracer.
 type accessLogger struct {
 	mu  sync.Mutex
 	w   io.Writer
@@ -312,9 +312,7 @@ func (l *accessLogger) log(rec *reqRecord) {
 		b = append(b, `":`...)
 		b = strconv.AppendInt(b, phaseTotal(rec.phases, name).Microseconds(), 10)
 	}
-	b = append(b, `},"memo_hit":`...)
-	b = strconv.AppendBool(b, rec.memoHit)
-	b = append(b, `,"store_hits":`...)
+	b = append(b, `},"store_hits":`...)
 	b = strconv.AppendInt(b, rec.storeHit, 10)
 	b = append(b, `,"store_misses":`...)
 	b = strconv.AppendInt(b, rec.storeMiss, 10)
@@ -491,10 +489,10 @@ func (s *slowSampler) flush(rec *reqRecord, buf *boundedBuf) error {
 
 // WriteMetrics renders the daemon's full Prometheus exposition: the
 // serve-level families first (requests, admission gauges, queue-wait and
-// duration histograms, memoization and slow-trace counters), then the
-// shared analysis registry via rid's exposition. Families are disjoint,
-// so the concatenation is one valid text-format document — `rid serve
-// -check-metrics` and the CI smoke test round-trip it through
+// duration histograms, the slow-trace counter), then the shared analysis
+// registry via rid's exposition. Families are disjoint, so the
+// concatenation is one valid text-format document — `rid serve
+// -check-metrics` and the daemon tests round-trip it through
 // promtext.Parse.
 func (s *Server) WriteMetrics(w io.Writer) error {
 	pw := promtext.NewWriter(w)
@@ -530,10 +528,6 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 	pw.Int("rid_serve_rejected_total", nil, s.gate.Rejected())
 	pw.Family("rid_serve_deadline_exceeded_total", "counter", "requests answered 504 with partial results")
 	pw.Int("rid_serve_deadline_exceeded_total", nil, s.deadlineExceeded.Load())
-	pw.Family("rid_serve_result_cache_hits_total", "counter", "analyze requests served from the in-memory result cache")
-	pw.Int("rid_serve_result_cache_hits_total", nil, s.cacheHits.Load())
-	pw.Family("rid_serve_result_cache_misses_total", "counter", "cacheable analyze requests that required analysis")
-	pw.Int("rid_serve_result_cache_misses_total", nil, s.metrics.cacheMiss.Load())
 	pw.Family("rid_serve_slow_traces_total", "counter", "slow-request trace files flushed by tail sampling")
 	pw.Int("rid_serve_slow_traces_total", nil, s.metrics.slowTraces.Load())
 
@@ -555,29 +549,12 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 // through the validating parser — the self-check behind `rid serve
 // -check-metrics` and the CI well-formedness gate.
 func (s *Server) CheckMetrics() error {
-	var sb sb512
-	if err := s.WriteMetrics(&sb); err != nil {
+	var buf bytes.Buffer
+	if err := s.WriteMetrics(&buf); err != nil {
 		return err
 	}
-	_, err := promtext.Parse(&sb)
+	_, err := promtext.Parse(&buf)
 	return err
-}
-
-// sb512 is a tiny grow-only buffer (bytes.Buffer without the import
-// cycle temptation); Read drains what Write stored.
-type sb512 struct {
-	b   []byte
-	off int
-}
-
-func (s *sb512) Write(p []byte) (int, error) { s.b = append(s.b, p...); return len(p), nil }
-func (s *sb512) Read(p []byte) (int, error) {
-	if s.off >= len(s.b) {
-		return 0, io.EOF
-	}
-	n := copy(p, s.b[s.off:])
-	s.off += n
-	return n, nil
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

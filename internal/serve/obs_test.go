@@ -40,8 +40,8 @@ func scrapeMetrics(t *testing.T, url string) promtext.Families {
 // TestMetricsGoldenShape pins the exposition's family set: every
 // serve-level family and a sample of registry families must be present
 // with the right type, whatever the traffic so far. New families may be
-// added (append-only), but the ones listed here must never disappear or
-// change type.
+// added; one listed here never changes type and disappears only together
+// with the mechanism it reports.
 func TestMetricsGoldenShape(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	if resp, ar := postAnalyze(t, ts.URL, &AnalyzeRequest{Files: map[string]string{"drv.c": buggyDriver}}); resp.StatusCode != http.StatusOK {
@@ -57,8 +57,6 @@ func TestMetricsGoldenShape(t *testing.T) {
 		{"rid_serve_queue_limit", "gauge"},
 		{"rid_serve_rejected_total", "counter"},
 		{"rid_serve_deadline_exceeded_total", "counter"},
-		{"rid_serve_result_cache_hits_total", "counter"},
-		{"rid_serve_result_cache_misses_total", "counter"},
 		{"rid_serve_slow_traces_total", "counter"},
 		{"rid_serve_queue_wait_seconds", "histogram"},
 		{"rid_serve_request_duration_seconds", "histogram"},
@@ -117,7 +115,7 @@ func TestMetricsMonotonicUnderConcurrentScrapes(t *testing.T) {
 		analyzers.Add(1)
 		go func() {
 			defer analyzers.Done()
-			body, _ := json.Marshal(&AnalyzeRequest{Files: map[string]string{"drv.c": buggyDriver}, NoCache: true})
+			body, _ := json.Marshal(&AnalyzeRequest{Files: map[string]string{"drv.c": buggyDriver}})
 			for {
 				select {
 				case <-stop:
@@ -269,7 +267,7 @@ func (s *syncBuf) lines() []string {
 // accessLine pins the access-log schema: fixed key order, append-only.
 var accessLine = regexp.MustCompile(`^\{"id":"[^"]+","route":"[a-z]+","status":\d+,"queue_wait_us":\d+,"elapsed_us":\d+,` +
 	`"phases":\{"classify":\d+,"enumerate":\d+,"exec":\d+,"ipp":\d+,"solver":\d+,"cacheio":\d+,"replay":\d+\},` +
-	`"memo_hit":(true|false),"store_hits":\d+,"store_misses":\d+,"degraded":(true|false),"diags":\[[^\]]*\]\}$`)
+	`"store_hits":\d+,"store_misses":\d+,"degraded":(true|false),"diags":\[[^\]]*\]\}$`)
 
 // waitLines polls until the access log holds want lines (the middleware
 // writes after the response is on the wire).
@@ -289,14 +287,14 @@ func waitLines(t *testing.T, buf *syncBuf, want int) []string {
 }
 
 // TestAccessLog: one line per request — any route, any outcome — in the
-// pinned key order; memo hits marked; analyze lines carry a real exec
-// phase.
+// pinned key order; every analyze line, an identical repeat included,
+// carries a real pipeline phase.
 func TestAccessLog(t *testing.T) {
 	var buf syncBuf
 	_, ts := newTestServer(t, Config{AccessLog: &buf, IDSeed: 3})
 
 	postAnalyze(t, ts.URL, &AnalyzeRequest{Files: map[string]string{"drv.c": buggyDriver}})
-	postAnalyze(t, ts.URL, &AnalyzeRequest{Files: map[string]string{"drv.c": buggyDriver}}) // memo hit
+	postAnalyze(t, ts.URL, &AnalyzeRequest{Files: map[string]string{"drv.c": buggyDriver}})
 	getHealth(t, ts.URL)
 
 	lines := waitLines(t, &buf, 3)
@@ -308,20 +306,19 @@ func TestAccessLog(t *testing.T) {
 			t.Fatalf("line %d breaks the pinned schema:\n%s", i, l)
 		}
 	}
-	if !strings.Contains(lines[0], `"route":"analyze"`) || !strings.Contains(lines[0], `"memo_hit":false`) {
-		t.Fatalf("first analyze line: %s", lines[0])
-	}
-	var first struct {
-		Phases map[string]int64 `json:"phases"`
-	}
-	if err := json.Unmarshal([]byte(lines[0]), &first); err != nil {
-		t.Fatal(err)
-	}
-	if first.Phases["exec"] == 0 && first.Phases["enumerate"] == 0 {
-		t.Fatalf("analyze line shows no pipeline time: %s", lines[0])
-	}
-	if !strings.Contains(lines[1], `"memo_hit":true`) {
-		t.Fatalf("repeat request not marked memo hit: %s", lines[1])
+	for _, l := range lines[:2] {
+		if !strings.Contains(l, `"route":"analyze"`) {
+			t.Fatalf("analyze line: %s", l)
+		}
+		var rec struct {
+			Phases map[string]int64 `json:"phases"`
+		}
+		if err := json.Unmarshal([]byte(l), &rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Phases["exec"] == 0 && rec.Phases["enumerate"] == 0 {
+			t.Fatalf("analyze line shows no pipeline time: %s", l)
+		}
 	}
 	if !strings.Contains(lines[2], `"route":"healthz"`) {
 		t.Fatalf("third line: %s", lines[2])
@@ -337,10 +334,10 @@ func TestPhaseBreakdownAndServerTiming(t *testing.T) {
 
 	// Prime the shared registry with another run so bleed-through would
 	// be visible as inflated counts.
-	postAnalyze(t, ts.URL, &AnalyzeRequest{Files: map[string]string{"drv.c": buggyDriver}, NoCache: true})
+	postAnalyze(t, ts.URL, &AnalyzeRequest{Files: map[string]string{"drv.c": buggyDriver}})
 
 	resp, ar := postAnalyze(t, ts.URL, &AnalyzeRequest{
-		Files: map[string]string{"drv.c": buggyDriver}, Workers: 4, NoCache: true,
+		Files: map[string]string{"drv.c": buggyDriver}, Workers: 4,
 	})
 	want := []string{"classify", "enumerate", "exec", "ipp", "solver", "cacheio", "replay"}
 	if len(ar.Phases) != len(want) {
@@ -495,7 +492,7 @@ func TestHealthzObservabilityCounters(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		h := getHealth(t, ts.URL)
-		if h.ResultCacheMisses == 1 && h.ResultCacheHits == 1 && h.SlowTraces >= 1 {
+		if h.Served == 2 && h.SlowTraces >= 1 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -523,25 +520,5 @@ func TestBoundedBuf(t *testing.T) {
 	}
 	if b.dropped != total-int64(maxTraceBuf) {
 		t.Fatalf("dropped = %d, want %d", b.dropped, total-int64(maxTraceBuf))
-	}
-}
-
-// TestCachedResponseKeepsContract: a memo hit still carries request ID,
-// Server-Timing, and the phases of the producing run.
-func TestCachedResponseKeepsContract(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	postAnalyze(t, ts.URL, &AnalyzeRequest{Files: map[string]string{"drv.c": buggyDriver}})
-	resp, ar := postAnalyze(t, ts.URL, &AnalyzeRequest{Files: map[string]string{"drv.c": buggyDriver}})
-	if !ar.Cached {
-		t.Fatal("second identical request not cached")
-	}
-	if resp.Header.Get("X-Rid-Request-Id") == "" {
-		t.Fatal("cached response missing request id")
-	}
-	if resp.Header.Get("Server-Timing") == "" {
-		t.Fatal("cached response missing Server-Timing")
-	}
-	if len(ar.Phases) == 0 {
-		t.Fatal("cached response lost the producing run's phases")
 	}
 }

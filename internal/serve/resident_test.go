@@ -66,10 +66,9 @@ func shiftTree(files map[string]string) map[string]string {
 // storeCounts is one run's summary-store traffic.
 type storeCounts struct{ hits, misses, resident int64 }
 
-// analyzeCounted posts one metrics-carrying analysis (which bypasses the
-// result memo, so the run really happens), checks that the resident
-// hits are a subset of the store hits, and returns the reply and its
-// store traffic.
+// analyzeCounted posts one metrics-carrying analysis, checks that the
+// resident hits are a subset of the store hits, and returns the reply
+// and its store traffic.
 func analyzeCounted(url string, files map[string]string, workers int) (*AnalyzeResponse, storeCounts, error) {
 	body, err := json.Marshal(&AnalyzeRequest{Files: files, Workers: workers, Metrics: true})
 	if err != nil {
@@ -159,7 +158,7 @@ func TestServeResidentEditStream(t *testing.T) {
 	trees := []map[string]string{base, editA, editB, shifted}
 	want := make([]string, len(trees))
 	for i, files := range trees {
-		resp, ar := postAnalyze(t, plain.URL, &AnalyzeRequest{Files: files, NoCache: true})
+		resp, ar := postAnalyze(t, plain.URL, &AnalyzeRequest{Files: files})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("tree %d without a store: status %d", i, resp.StatusCode)
 		}
@@ -249,6 +248,41 @@ func TestServeResidentCorruptedEntry(t *testing.T) {
 	}
 	if second.Report != first.Report {
 		t.Fatal("the resident replay differs from the cold re-analysis")
+	}
+}
+
+// TestServeResidentRepeatIsFresh sends the same plain request twice to a
+// daemon whose store holds one corrupted entry. The first reply reports
+// the cache-invalid entry; the repeat is a new run that finds the fresh
+// outcome resident, so it carries no diagnostic and the same report.
+func TestServeResidentRepeatIsFresh(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{"drv.c": buggyDriver}
+	if c := freshRun(t, dir, files); c.misses != 1 {
+		t.Fatalf("populating run: %+v, want one miss", c)
+	}
+	flipPayloadByte(t, dir, "drv_op")
+
+	cfg := Config{}
+	cfg.Options.CacheDir = dir
+	_, ts := newTestServer(t, cfg)
+	req := &AnalyzeRequest{Files: files}
+	resp, first := postAnalyze(t, ts.URL, req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("first request: status %d %+v", resp.StatusCode, first)
+	}
+	if len(first.Diagnostics) != 1 || first.Diagnostics[0].Kind != "cache-invalid" {
+		t.Fatalf("first request diagnostics %+v, want one cache-invalid", first.Diagnostics)
+	}
+	resp, second := postAnalyze(t, ts.URL, req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("repeat: status %d %+v", resp.StatusCode, second)
+	}
+	if len(second.Diagnostics) != 0 || second.Degraded {
+		t.Fatalf("repeat: diagnostics %+v, degraded %t; want a fresh run with neither", second.Diagnostics, second.Degraded)
+	}
+	if second.Report != first.Report {
+		t.Fatal("the repeat's report differs from the first request's")
 	}
 }
 

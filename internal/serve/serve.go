@@ -18,7 +18,7 @@
 //	                          goroutine count (the drain tests' leak check)
 //	GET  /metrics             Prometheus text exposition v0.0.4:
 //	                          serve-level series (requests by route and
-//	                          status, queue wait, durations, memoization)
+//	                          status, queue wait, durations, slow traces)
 //	                          plus the shared analysis registry
 //	                          (counters, per-phase histograms)
 //	GET  /debug/...           net/http/pprof + /debug/vars with the live
@@ -88,11 +88,6 @@ type Config struct {
 	// RequestTimeout caps every request's analysis wall-clock (default
 	// 60s). Clients can only shorten it (deadline_ms), never extend it.
 	RequestTimeout time.Duration
-	// ResultCacheEntries bounds the in-memory memoization of analyze
-	// responses (default 128; 0 = default, negative = disabled). A
-	// repeated request — same sources, same options — is served from
-	// memory without re-analysis, byte-identical.
-	ResultCacheEntries int
 	// Log receives one line per served request; nil logs nothing.
 	Log *log.Logger
 	// AccessLog, when non-nil, receives one structured JSONL line per
@@ -131,9 +126,6 @@ func (c Config) withDefaults() Config {
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 60 * time.Second
 	}
-	if c.ResultCacheEntries == 0 {
-		c.ResultCacheEntries = 128
-	}
 	return c
 }
 
@@ -156,9 +148,6 @@ type Server struct {
 
 	served           atomic.Int64 // analyze requests answered 200
 	deadlineExceeded atomic.Int64 // 504s
-	cacheHits        atomic.Int64 // result-cache hits
-
-	rcache *resultCache
 
 	// lookup answers /v1/summary digest lookups: the local store when the
 	// server has -cache-dir, layered over the fleet store when it also has
@@ -179,10 +168,9 @@ func New(cfg Config) (*Server, error) {
 	base := rid.New(cfg.Specs)
 	base.SetOptions(cfg.Options)
 	s := &Server{
-		cfg:    cfg,
-		base:   base,
-		rcache: newResultCache(cfg.ResultCacheEntries),
-		ids:    newIDSource(cfg.IDSeed),
+		cfg:  cfg,
+		base: base,
+		ids:  newIDSource(cfg.IDSeed),
 	}
 	s.gate = admit.New(cfg.MaxInflight, cfg.QueueDepth, cfg.QueueWait, s.metrics.queueWait.Observe)
 	if cfg.AccessLog != nil {

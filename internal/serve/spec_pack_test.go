@@ -68,39 +68,47 @@ func TestAnalyzeSpecPackMatchesCLI(t *testing.T) {
 	if ar2.Report != asBase {
 		t.Errorf("spec_packs=[lock] report differs from CLI:\n--- serve ---\n%s--- cli ---\n%s", ar2.Report, asBase)
 	}
-	if ar2.Cached {
-		t.Error("spec_packs=[lock] was served from the spec=lock cache entry: the memo key must separate the routes")
-	}
 }
 
 // TestAnalyzeSpecPackMemoKey pins cache safety at the daemon layer: the
-// same sources analyzed under different packs must never share a memo
-// entry, while an exact repeat still hits.
+// same sources analyzed under different packs must never share an entry
+// of the summary store, while an exact repeat is served from it.
 func TestAnalyzeSpecPackMemoKey(t *testing.T) {
 	files := lockgen.Generate(lockgen.Config{Seed: 43, Mix: lockgen.DefaultMix()}).Files
-	_, ts := newTestServer(t, Config{})
-
-	_, lock1 := postAnalyze(t, ts.URL, &AnalyzeRequest{Files: files, SpecPacks: []string{"lock"}})
-	if lock1.Cached || lock1.Bugs == 0 {
-		t.Fatalf("cold lock run: cached=%t bugs=%d", lock1.Cached, lock1.Bugs)
+	cfg := Config{}
+	cfg.Options.CacheDir = t.TempDir()
+	_, ts := newTestServer(t, cfg)
+	// analyze posts one request and returns its store hits and misses,
+	// read as /healthz deltas (requests run one at a time).
+	analyze := func(packs ...string) (*AnalyzeResponse, int64, int64) {
+		t.Helper()
+		h0 := getHealth(t, ts.URL)
+		resp, ar := postAnalyze(t, ts.URL, &AnalyzeRequest{Files: files, SpecPacks: packs})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("packs %v: status %d: %+v", packs, resp.StatusCode, ar)
+		}
+		h1 := getHealth(t, ts.URL)
+		return ar, h1.StoreHits - h0.StoreHits, h1.StoreMisses - h0.StoreMisses
 	}
 
-	// Same files, different pack: a fresh run, not the lock entry.
-	_, fd := postAnalyze(t, ts.URL, &AnalyzeRequest{Files: files, SpecPacks: []string{"fd"}})
-	if fd.Cached {
-		t.Fatal("fd-pack request was served from the lock-pack cache entry")
-	}
-	if fd.Report == lock1.Report {
-		t.Fatal("fd-pack report identical to lock-pack report; the differential is vacuous")
+	lock1, hits, misses := analyze("lock")
+	if lock1.Bugs == 0 || hits != 0 || misses == 0 {
+		t.Fatalf("cold lock run: bugs=%d store hits/misses %d/%d", lock1.Bugs, hits, misses)
 	}
 
-	// Exact repeat: memoized, byte-identical.
-	_, lock2 := postAnalyze(t, ts.URL, &AnalyzeRequest{Files: files, SpecPacks: []string{"lock"}})
-	if !lock2.Cached {
-		t.Fatal("identical lock-pack repeat must be served from the result cache")
+	// Exact repeat: every function from the store, byte-identical.
+	lock2, hits, misses := analyze("lock")
+	if hits == 0 || misses != 0 {
+		t.Fatalf("lock-pack repeat: store hits/misses %d/%d, want all hits", hits, misses)
 	}
 	if lock2.Report != lock1.Report {
-		t.Fatal("cached lock-pack response differs from the original")
+		t.Fatal("lock-pack repeat differs from the original")
+	}
+
+	// The same functions under another spec set: analyzed afresh, none
+	// served from a lock-only entry.
+	if _, hits, misses := analyze("lock", "fd"); hits != 0 || misses == 0 {
+		t.Fatalf("lock+fd run: store hits/misses %d/%d, want only misses", hits, misses)
 	}
 }
 

@@ -25,7 +25,7 @@ import (
 // mustProgram builds one program from generated files.
 func mustProgram(b *testing.B, files map[string]string) *ir.Program {
 	b.Helper()
-	prog, err := experiments.BuildProgram(files)
+	prog, err := lower.Program(files, lower.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -487,7 +487,7 @@ func BenchmarkAblationBitTests(b *testing.B) {
 		if preserve {
 			name = "preserve-bitops"
 		}
-		prog, err := experiments.BuildProgramOpts(c.Files, lower.Options{PreserveBitTests: preserve})
+		prog, err := lower.Program(c.Files, lower.Options{PreserveBitTests: preserve})
 		if err != nil {
 			b.Fatal(err)
 		}

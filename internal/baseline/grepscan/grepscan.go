@@ -11,6 +11,7 @@ package grepscan
 
 import (
 	"regexp"
+	"sort"
 	"strings"
 )
 
@@ -138,7 +139,7 @@ func (s *Scanner) ScanAll(files map[string]string) ([]CallSite, Stats) {
 	for n := range files {
 		names = append(names, n)
 	}
-	sortStrings(names)
+	sort.Strings(names)
 	for _, n := range names {
 		src := files[n]
 		st.TotalCalls += len(reGetCall.FindAllString(src, -1))
@@ -152,12 +153,4 @@ func (s *Scanner) ScanAll(files map[string]string) ([]CallSite, Stats) {
 		sites = append(sites, fileSites...)
 	}
 	return sites, st
-}
-
-func sortStrings(v []string) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
 }

@@ -6,8 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/corpus/pycgen"
-	"repro/internal/frontend/parser"
-	"repro/internal/ir"
 	"repro/internal/lower"
 	"repro/internal/spec"
 )
@@ -106,15 +104,9 @@ func TestSupersetOnPycgenCorpus(t *testing.T) {
 	m := pycgen.Generate(pycgen.Config{Name: "sup", Seed: 55, Mix: pycgen.Mix{
 		Common: 6, RIDOnly: 6, CpyOnly: 6, Correct: 8,
 	}})
-	prog := ir.NewProgram()
-	for name, src := range m.Files {
-		f, err := parser.ParseFile(name, src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := lower.Into(prog, f); err != nil {
-			t.Fatal(err)
-		}
+	prog, err := lower.Program(m.Files, lower.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
 	specs := spec.PythonC()
 	pungiHits := hits(New(specs, Config{}).Check(prog))

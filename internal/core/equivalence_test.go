@@ -3,40 +3,22 @@ package core
 import (
 	"context"
 	"runtime"
-	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/corpus/kernelgen"
 	"repro/internal/corpus/pycgen"
-	"repro/internal/frontend/parser"
 	"repro/internal/ir"
 	"repro/internal/lower"
 	"repro/internal/spec"
 	"repro/internal/sym"
 )
 
-// buildCorpus parses and lowers a generated file set in deterministic
-// order (the test-local twin of experiments.BuildProgram, which cannot be
-// imported here without a cycle).
+// buildCorpus lowers a generated file set into one program.
 func buildCorpus(t *testing.T, files map[string]string) *ir.Program {
 	t.Helper()
-	names := make([]string, 0, len(files))
-	for n := range files {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	prog := ir.NewProgram()
-	for _, n := range names {
-		f, err := parser.ParseFile(n, files[n])
-		if err != nil {
-			t.Fatalf("parse %s: %v", n, err)
-		}
-		if err := lower.IntoOpts(prog, f, lower.Options{}); err != nil {
-			t.Fatalf("lower %s: %v", n, err)
-		}
-	}
-	if err := prog.Validate(); err != nil {
+	prog, err := lower.Program(files, lower.Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
 	return prog

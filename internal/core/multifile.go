@@ -2,54 +2,42 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"sort"
 
 	"repro/internal/callgraph"
-	"repro/internal/frontend/parser"
 	"repro/internal/ir"
-	"repro/internal/lower"
 	"repro/internal/spec"
 	"repro/internal/summary"
 )
 
-// AnalyzeFiles implements the separate-compilation mode of §5.3: each
-// source file is lowered on its own, a dependency graph over files is
-// built (A depends on B when A uses a symbol B defines), strongly
-// connected file groups are linked into one unit, and the groups are
-// analyzed in reverse topological order with a shared summary database —
-// summaries computed for one group are reused, not recomputed, when later
-// groups call into it.
+// AnalyzeFiles implements the separate-compilation mode of §5.3: progs
+// holds one program per source file (name → program, each lowered on its
+// own), a dependency graph over files is built (A depends on B when A
+// uses a symbol B defines), strongly connected file groups are linked
+// into one unit, and the groups are analyzed in reverse topological order
+// with a shared summary database — summaries computed for one group are
+// reused, not recomputed, when later groups call into it.
 //
 // Cancellation stops between (and within) file groups: groups analyzed so
 // far contribute their reports and diagnostics, later groups are skipped.
-func AnalyzeFiles(ctx context.Context, files map[string]string, specs *spec.Specs, opts Options) (*Result, error) {
+func AnalyzeFiles(ctx context.Context, progs map[string]*ir.Program, specs *spec.Specs, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	// One registry for the whole multi-file run: per-group Stats.Solver is
 	// delta-based, so sharing keeps the Add below exact while -metrics and
 	// /debug/vars see a single live view.
 	opts.Obs = opts.Obs.EnsureRegistry()
 
-	names := make([]string, 0, len(files))
-	for n := range files {
+	names := make([]string, 0, len(progs))
+	for n := range progs {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 
-	// Per-file programs and symbol tables.
-	progs := make(map[string]*ir.Program, len(names))
+	// Symbol table: in name order, so a symbol defined in several files
+	// resolves to the last one.
 	definedIn := make(map[string]string) // symbol → file
 	for _, n := range names {
-		f, err := parser.ParseFile(n, files[n])
-		if err != nil {
-			return nil, fmt.Errorf("parse %s: %w", n, err)
-		}
-		p, err := lower.File(f)
-		if err != nil {
-			return nil, fmt.Errorf("lower %s: %w", n, err)
-		}
-		progs[n] = p
-		for _, fn := range p.Order {
+		for _, fn := range progs[n].Order {
 			definedIn[fn] = n
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/ir"
 	"repro/internal/lower"
 	"repro/internal/obs"
 	"repro/internal/spec"
@@ -40,7 +41,7 @@ error:
 }
 `,
 	}
-	multi, err := AnalyzeFiles(context.Background(), files, spec.LinuxDPM(), Options{})
+	multi, err := AnalyzeFiles(context.Background(), lowerEach(t, files), spec.LinuxDPM(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ int bf(struct device *dev, int n) {
 }
 `,
 	}
-	res, err := AnalyzeFiles(context.Background(), files, spec.LinuxDPM(), Options{})
+	res, err := AnalyzeFiles(context.Background(), lowerEach(t, files), spec.LinuxDPM(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,10 +98,18 @@ int bf(struct device *dev, int n) {
 	}
 }
 
-func TestAnalyzeFilesParseError(t *testing.T) {
-	if _, err := AnalyzeFiles(context.Background(), map[string]string{"x.c": "int broken("}, spec.LinuxDPM(), Options{}); err == nil {
-		t.Fatal("expected parse error")
+// lowerEach lowers every file on its own, the input shape of AnalyzeFiles.
+func lowerEach(t *testing.T, files map[string]string) map[string]*ir.Program {
+	t.Helper()
+	progs := make(map[string]*ir.Program, len(files))
+	for n, src := range files {
+		p, err := lower.SourceString(n, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs[n] = p
 	}
+	return progs
 }
 
 // analyzeStored analyzes src, lowered as file name, with dir as the

@@ -186,7 +186,7 @@ void fp_pattern(struct device *dev, struct dpm_opts *o) {
 	}
 
 	// Extended abstraction: the FP vanishes, the real bug stays.
-	prog2, err := lower.SourceStringOpts("t.c", src, lower.Options{PreserveBitTests: true})
+	prog2, err := lower.Program(map[string]string{"t.c": src}, lower.Options{PreserveBitTests: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/baseline/grepscan"
 	"repro/internal/core"
-	"repro/internal/frontend/parser"
 	"repro/internal/ir"
 	"repro/internal/lower"
 	"repro/internal/spec"
@@ -15,18 +14,9 @@ import (
 // buildProgram parses and lowers every generated file into one program.
 func buildProgram(t testing.TB, c *Corpus) *ir.Program {
 	t.Helper()
-	prog := ir.NewProgram()
-	for name, src := range c.Files {
-		f, err := parser.ParseFile(name, src)
-		if err != nil {
-			t.Fatalf("parse %s: %v", name, err)
-		}
-		if err := lower.Into(prog, f); err != nil {
-			t.Fatalf("lower %s: %v", name, err)
-		}
-	}
-	if err := prog.Validate(); err != nil {
-		t.Fatalf("invalid IR: %v", err)
+	prog, err := lower.Program(c.Files, lower.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
 	return prog
 }

@@ -9,33 +9,18 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/frontend/parser"
 	"repro/internal/ir"
 	"repro/internal/lower"
 	"repro/internal/obs"
 	"repro/internal/spec"
 )
 
-// buildRawFiles lowers a raw file map in deterministic order.
+// buildRawFiles lowers a raw file map into a program.
 func buildRawFiles(t testing.TB, files map[string]string) *ir.Program {
 	t.Helper()
-	prog := ir.NewProgram()
-	names := make([]string, 0, len(files))
-	for n := range files {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		f, err := parser.ParseFile(n, files[n])
-		if err != nil {
-			t.Fatalf("parse %s: %v", n, err)
-		}
-		if err := lower.Into(prog, f); err != nil {
-			t.Fatalf("lower %s: %v", n, err)
-		}
-	}
-	if err := prog.Validate(); err != nil {
-		t.Fatalf("invalid IR: %v", err)
+	prog, err := lower.Program(files, lower.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
 	return prog
 }

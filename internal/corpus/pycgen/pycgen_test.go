@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/baseline/cpyrule"
 	"repro/internal/core"
-	"repro/internal/frontend/parser"
 	"repro/internal/ir"
 	"repro/internal/lower"
 	"repro/internal/spec"
@@ -14,18 +13,9 @@ import (
 
 func buildProgram(t testing.TB, m *Module) *ir.Program {
 	t.Helper()
-	prog := ir.NewProgram()
-	for name, src := range m.Files {
-		f, err := parser.ParseFile(name, src)
-		if err != nil {
-			t.Fatalf("parse %s: %v", name, err)
-		}
-		if err := lower.Into(prog, f); err != nil {
-			t.Fatalf("lower %s: %v", name, err)
-		}
-	}
-	if err := prog.Validate(); err != nil {
-		t.Fatalf("invalid IR: %v", err)
+	prog, err := lower.Program(m.Files, lower.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
 	return prog
 }

@@ -32,7 +32,7 @@ func Ablations(ctx context.Context) ([]AblationRow, error) {
 		Seed: 9, Mix: kernelgen.PaperMix(),
 		SimpleHelpers: 10, ComplexHelpers: 8, OtherFuncs: 50,
 	})
-	prog, err := BuildProgram(c.Files)
+	prog, err := lower.Program(c.Files, lower.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -74,7 +74,7 @@ func Ablations(ctx context.Context) ([]AblationRow, error) {
 	// Bit-test preservation needs a differently lowered program; score FPs
 	// and true bugs against ground truth for both abstractions.
 	score := func(name string, preserve bool) error {
-		p2, err := BuildProgramOpts(c.Files, lower.Options{PreserveBitTests: preserve})
+		p2, err := lower.Program(c.Files, lower.Options{PreserveBitTests: preserve})
 		if err != nil {
 			return err
 		}

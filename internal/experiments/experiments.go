@@ -17,51 +17,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus/kernelgen"
 	"repro/internal/corpus/pycgen"
-	"repro/internal/frontend/parser"
-	"repro/internal/ir"
 	"repro/internal/lower"
 	"repro/internal/obs"
 	"repro/internal/solver"
 	"repro/internal/spec"
 )
-
-// BuildProgram parses and lowers a generated file set into one program.
-func BuildProgram(files map[string]string) (*ir.Program, error) {
-	return BuildProgramOpts(files, lower.Options{})
-}
-
-// BuildProgramOpts is BuildProgram with explicit abstraction options (used
-// by the bit-test ablation).
-func BuildProgramOpts(files map[string]string, opts lower.Options) (*ir.Program, error) {
-	prog := ir.NewProgram()
-	// Deterministic order.
-	names := make([]string, 0, len(files))
-	for n := range files {
-		names = append(names, n)
-	}
-	sortStrings(names)
-	for _, n := range names {
-		f, err := parser.ParseFile(n, files[n])
-		if err != nil {
-			return nil, fmt.Errorf("parse %s: %w", n, err)
-		}
-		if err := lower.IntoOpts(prog, f, opts); err != nil {
-			return nil, fmt.Errorf("lower %s: %w", n, err)
-		}
-	}
-	if err := prog.Validate(); err != nil {
-		return nil, err
-	}
-	return prog, nil
-}
-
-func sortStrings(v []string) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
-}
 
 // ---------------------------------------------------------------------------
 // Table 1: function classification
@@ -108,7 +68,7 @@ func Table1(ctx context.Context, cfg Table1Config) (*Table1Result, error) {
 		ComplexHelpers: cfg.Complex,
 		OtherFuncs:     cfg.Other,
 	})
-	prog, err := BuildProgram(c.Files)
+	prog, err := lower.Program(c.Files, lower.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -161,7 +121,7 @@ func DPMBugs(ctx context.Context, seed int64, workers int) (*DPMResult, error) {
 		Seed: seed, Mix: kernelgen.PaperMix(),
 		SimpleHelpers: 10, ComplexHelpers: 8, OtherFuncs: 100,
 	})
-	prog, err := BuildProgram(c.Files)
+	prog, err := lower.Program(c.Files, lower.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -229,7 +189,7 @@ func Misuse(ctx context.Context, seed int64, workers int) (*MisuseResult, error)
 		Seed: seed, Mix: kernelgen.PaperMix(),
 		SimpleHelpers: 10, ComplexHelpers: 8, OtherFuncs: 100,
 	})
-	prog, err := BuildProgram(c.Files)
+	prog, err := lower.Program(c.Files, lower.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -311,7 +271,7 @@ func Table2(ctx context.Context, workers int) (*Table2Result, error) {
 	out.Total.Program = "total"
 	for _, cfg := range pycgen.PaperConfigs() {
 		m := pycgen.Generate(cfg)
-		prog, err := BuildProgram(m.Files)
+		prog, err := lower.Program(m.Files, lower.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -401,7 +361,7 @@ type PerfPoint struct {
 func Perf(ctx context.Context, scales []int, workers int) ([]PerfPoint, error) {
 	var out []PerfPoint
 	for _, s := range scales {
-		prog, err := BuildProgram(ServeCorpus(s, int64(100+s)))
+		prog, err := lower.Program(ServeCorpus(s, int64(100+s)), lower.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -516,7 +476,7 @@ type CachedPerfPoint struct {
 func PerfCached(ctx context.Context, scales []int, workers int, dir, url string) ([]CachedPerfPoint, error) {
 	var out []CachedPerfPoint
 	for _, s := range scales {
-		prog, err := BuildProgram(ServeCorpus(s, int64(100+s)))
+		prog, err := lower.Program(ServeCorpus(s, int64(100+s)), lower.Options{})
 		if err != nil {
 			return nil, err
 		}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus/fdgen"
 	"repro/internal/corpus/lockgen"
+	"repro/internal/lower"
 	"repro/internal/spec"
 )
 
@@ -113,7 +114,7 @@ func fdTruth(c *fdgen.Corpus) map[string]GroundTruth {
 }
 
 func evalCorpus(ctx context.Context, pack string, files map[string]string, truth map[string]GroundTruth, sp *spec.Specs, workers int) (PackScore, error) {
-	prog, err := BuildProgram(files)
+	prog, err := lower.Program(files, lower.Options{})
 	if err != nil {
 		return PackScore{}, fmt.Errorf("%s corpus: %w", pack, err)
 	}

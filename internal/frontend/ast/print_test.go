@@ -23,12 +23,12 @@ func reparseEquivalent(t *testing.T, src string) {
 	if err != nil {
 		t.Fatalf("re-parse printed output: %v\n--- printed ---\n%s", err, printed)
 	}
-	p1, err := lower.File(f1)
-	if err != nil {
+	p1 := ir.NewProgram()
+	if err := lower.IntoOpts(p1, f1, lower.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	p2, err := lower.File(f2)
-	if err != nil {
+	p2 := ir.NewProgram()
+	if err := lower.IntoOpts(p2, f2, lower.Options{}); err != nil {
 		t.Fatalf("lower printed: %v\n--- printed ---\n%s", err, printed)
 	}
 	if len(p1.Order) != len(p2.Order) {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/corpus/pycgen"
 	"repro/internal/frontend/ast"
 	"repro/internal/frontend/parser"
+	"repro/internal/ir"
 	"repro/internal/lower"
 )
 
@@ -47,12 +48,12 @@ func roundTripFiles(t *testing.T, files map[string]string) {
 		if err != nil {
 			t.Fatalf("re-parse %s: %v\n--- printed ---\n%s", name, err, printed)
 		}
-		p1, err := lower.File(f1)
-		if err != nil {
+		p1 := ir.NewProgram()
+		if err := lower.IntoOpts(p1, f1, lower.Options{}); err != nil {
 			t.Fatal(err)
 		}
-		p2, err := lower.File(f2)
-		if err != nil {
+		p2 := ir.NewProgram()
+		if err := lower.IntoOpts(p2, f2, lower.Options{}); err != nil {
 			t.Fatal(err)
 		}
 		if len(p1.Order) != len(p2.Order) {

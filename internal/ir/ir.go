@@ -419,6 +419,8 @@ func (p *Program) Merge(other *Program) {
 // is terminated, and branch targets are in range. It returns the first
 // violation found.
 func (p *Program) Validate() error {
+	var buf [2]int // a block has at most two successors
+	succs := buf[:0]
 	for _, name := range p.Order {
 		f := p.Funcs[name]
 		if len(f.Blocks) == 0 {
@@ -434,7 +436,8 @@ func (p *Program) Validate() error {
 					return fmt.Errorf("function %s: block b%d has terminator mid-block", name, b.Index)
 				}
 			}
-			for _, s := range b.Succs() {
+			succs = b.AppendSuccs(succs[:0])
+			for _, s := range succs {
 				if s < 0 || s >= len(f.Blocks) {
 					return fmt.Errorf("function %s: block b%d branches to out-of-range b%d", name, b.Index, s)
 				}

@@ -11,6 +11,7 @@ package lower
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/frontend/ast"
 	"repro/internal/frontend/parser"
@@ -28,25 +29,6 @@ type Options struct {
 	// the paper sketches as future work ("SMT BitVector Theory"). Off by
 	// default for fidelity with the paper's evaluation.
 	PreserveBitTests bool
-}
-
-// File lowers a parsed file into a fresh program.
-func File(f *ast.File) (*ir.Program, error) {
-	return FileOpts(f, Options{})
-}
-
-// FileOpts lowers a parsed file with explicit abstraction options.
-func FileOpts(f *ast.File, opts Options) (*ir.Program, error) {
-	p := ir.NewProgram()
-	if err := IntoOpts(p, f, opts); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-// Into lowers a parsed file into an existing program (multi-file mode).
-func Into(p *ir.Program, f *ast.File) error {
-	return IntoOpts(p, f, Options{})
 }
 
 // IntoOpts lowers a parsed file into an existing program with explicit
@@ -70,19 +52,37 @@ func IntoOpts(p *ir.Program, f *ast.File, opts Options) error {
 	return nil
 }
 
-// SourceString parses and lowers mini-C source text; filename is used in
-// positions. It is the one-call entry used by tests, examples and tools.
-func SourceString(filename, src string) (*ir.Program, error) {
-	return SourceStringOpts(filename, src, Options{})
+// Program parses and lowers a file set (name → source) into one program
+// and validates it. Files are parsed in sorted-name order, so last-wins
+// duplicate definitions merge deterministically. It is the one loader from
+// source text to IR, so every analysis mode lowers with the same options.
+func Program(files map[string]string, opts Options) (*ir.Program, error) {
+	names := make([]string, 0, len(files))
+	for n := range files {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	p := ir.NewProgram()
+	for _, n := range names {
+		f, err := parser.ParseFile(n, files[n])
+		if err != nil {
+			return nil, fmt.Errorf("parse %s: %w", n, err)
+		}
+		if err := IntoOpts(p, f, opts); err != nil {
+			return nil, fmt.Errorf("lower %s: %w", n, err)
+		}
+	}
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
-// SourceStringOpts parses and lowers with explicit abstraction options.
-func SourceStringOpts(filename, src string, opts Options) (*ir.Program, error) {
-	f, err := parser.ParseFile(filename, src)
-	if err != nil {
-		return nil, fmt.Errorf("parse %s: %w", filename, err)
-	}
-	return FileOpts(f, opts)
+// SourceString parses and lowers one mini-C source buffer with default
+// options; filename is used in positions. It is the one-call entry used by
+// tests, examples and tools.
+func SourceString(filename, src string) (*ir.Program, error) {
+	return Program(map[string]string{filename: src}, Options{})
 }
 
 // ---------------------------------------------------------------------------

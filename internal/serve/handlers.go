@@ -236,7 +236,7 @@ func (s *Server) runAnalyze(ctx context.Context, specs rid.Specs, req *AnalyzeRe
 	if req.Corpus {
 		files = s.corpus
 	}
-	if err := addSources(a, files); err != nil {
+	if err := a.AddSources(files); err != nil {
 		return nil, http.StatusBadRequest, err
 	}
 	res, err := a.RunContext(ctx)
@@ -426,7 +426,7 @@ func (s *Server) explainResult(ctx context.Context) (*rid.Result, error) {
 	opts := s.cfg.Options
 	opts.Provenance = true
 	a.SetOptions(opts)
-	if err := addSources(a, s.corpus); err != nil {
+	if err := a.AddSources(s.corpus); err != nil {
 		return nil, err
 	}
 	res, err := a.RunContext(ctx)

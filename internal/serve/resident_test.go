@@ -107,7 +107,7 @@ func freshRun(t *testing.T, dir string, files map[string]string) storeCounts {
 	t.Helper()
 	a := rid.New(rid.LinuxDPMSpecs())
 	a.SetOptions(rid.Options{CacheDir: dir})
-	if err := addSources(a, files); err != nil {
+	if err := a.AddSources(files); err != nil {
 		t.Fatal(err)
 	}
 	res, err := a.Run()

@@ -48,9 +48,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -183,7 +180,7 @@ func New(cfg Config) (*Server, error) {
 		s.sampler = newSlowSampler(cfg.SlowTraceDir, cfg.SlowThreshold)
 	}
 	if cfg.CorpusDir != "" {
-		files, err := loadCorpus(cfg.CorpusDir)
+		files, err := rid.ReadSources(cfg.CorpusDir)
 		if err != nil {
 			return nil, fmt.Errorf("serve: load corpus: %w", err)
 		}
@@ -191,7 +188,7 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("serve: corpus dir %s holds no .c files", cfg.CorpusDir)
 		}
 		s.corpus = files
-		if err := addSources(base, files); err != nil {
+		if err := base.AddSources(files); err != nil {
 			return nil, fmt.Errorf("serve: corpus: %w", err)
 		}
 	}
@@ -271,44 +268,4 @@ func (s *Server) logf(format string, args ...any) {
 	if s.cfg.Log != nil {
 		s.cfg.Log.Printf(format, args...)
 	}
-}
-
-// loadCorpus reads every *.c file under dir into memory, keyed by path.
-func loadCorpus(dir string) (map[string]string, error) {
-	files := map[string]string{}
-	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() || !strings.HasSuffix(path, ".c") {
-			return nil
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		files[path] = string(data)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return files, nil
-}
-
-// addSources loads files into a in sorted name order — the same
-// deterministic order the CLI's -dir walk and AnalyzeFiles use, so
-// last-wins duplicate merging behaves identically.
-func addSources(a *rid.Analyzer, files map[string]string) error {
-	names := make([]string, 0, len(files))
-	for n := range files {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		if err := a.AddSource(n, files[n]); err != nil {
-			return err
-		}
-	}
-	return nil
 }

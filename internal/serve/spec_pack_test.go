@@ -18,7 +18,7 @@ func cliReport(t *testing.T, files map[string]string, specs rid.Specs, opts rid.
 	t.Helper()
 	a := rid.New(specs)
 	a.SetOptions(opts)
-	if err := addSources(a, files); err != nil {
+	if err := a.AddSources(files); err != nil {
 		t.Fatal(err)
 	}
 	res, err := a.RunContext(context.Background())

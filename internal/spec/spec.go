@@ -22,6 +22,7 @@ package spec
 
 import (
 	"fmt"
+	"sort"
 	"strconv"
 	"strings"
 	"unicode"
@@ -92,7 +93,7 @@ func unionResource(a, b *Resource) *Resource {
 			out.Fields = append(out.Fields, f)
 		}
 	}
-	sortStrings(out.Fields)
+	sort.Strings(out.Fields)
 	return out
 }
 
@@ -153,7 +154,7 @@ func sortedResourceNames(m map[string]*Resource) []string {
 	for k := range m {
 		out = append(out, k)
 	}
-	sortStrings(out)
+	sort.Strings(out)
 	return out
 }
 
@@ -170,16 +171,8 @@ func (s *Specs) Names() []string {
 	for k := range s.APIs {
 		out = append(out, k)
 	}
-	sortStrings(out)
+	sort.Strings(out)
 	return out
-}
-
-func sortStrings(v []string) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
 }
 
 // MustParse parses src and panics on error; for built-in specifications.

@@ -5,13 +5,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/corpus/kernelgen"
-	"repro/internal/frontend/parser"
 	"repro/internal/ir"
 	"repro/internal/lower"
 	"repro/internal/obs"
@@ -48,26 +46,12 @@ func testCorpus(seed int64) *kernelgen.Corpus {
 	})
 }
 
-// buildFiles lowers a raw file map (deterministic order) into a program.
+// buildFiles lowers a raw file map into a program.
 func buildFiles(t testing.TB, files map[string]string) *ir.Program {
 	t.Helper()
-	prog := ir.NewProgram()
-	names := make([]string, 0, len(files))
-	for n := range files {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		f, err := parser.ParseFile(n, files[n])
-		if err != nil {
-			t.Fatalf("parse %s: %v", n, err)
-		}
-		if err := lower.Into(prog, f); err != nil {
-			t.Fatalf("lower %s: %v", n, err)
-		}
-	}
-	if err := prog.Validate(); err != nil {
-		t.Fatalf("invalid IR: %v", err)
+	prog, err := lower.Program(files, lower.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
 	return prog
 }

@@ -32,7 +32,6 @@ import (
 	"repro/internal/baseline/cpyrule"
 	"repro/internal/cfg"
 	"repro/internal/core"
-	"repro/internal/frontend/parser"
 	"repro/internal/ipp"
 	"repro/internal/ir"
 	"repro/internal/lower"
@@ -356,14 +355,18 @@ func (a *Analyzer) NewRequestChild() *Analyzer {
 // under analysis. Multiple sources merge as with linking (§5.3); duplicate
 // definitions follow last-wins, mirroring weak-symbol merging.
 func (a *Analyzer) AddSource(filename, src string) error {
-	f, err := parser.ParseFile(filename, src)
+	return a.AddSources(map[string]string{filename: src})
+}
+
+// AddSources parses and lowers a file set (name → source) and merges it
+// into the program under analysis. Files load in sorted-name order, so
+// last-wins duplicate definitions resolve the same way on every run.
+func (a *Analyzer) AddSources(files map[string]string) error {
+	p, err := lower.Program(files, a.lowerOptions())
 	if err != nil {
-		return fmt.Errorf("parse %s: %w", filename, err)
+		return err
 	}
-	lopts := lower.Options{PreserveBitTests: a.opts.PreserveBitTests}
-	if err := lower.IntoOpts(a.prog, f, lopts); err != nil {
-		return fmt.Errorf("lower %s: %w", filename, err)
-	}
+	a.prog.Merge(p)
 	return nil
 }
 
@@ -376,17 +379,39 @@ func (a *Analyzer) AddFile(path string) error {
 	return a.AddSource(path, string(data))
 }
 
-// AddDir loads every *.c file under dir, recursively.
+// AddDir loads every *.c file under dir, recursively, in sorted path
+// order (see ReadSources).
 func (a *Analyzer) AddDir(dir string) error {
-	return filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+	files, err := ReadSources(dir)
+	if err != nil {
+		return err
+	}
+	return a.AddSources(files)
+}
+
+// ReadSources reads every *.c file under dir, recursively, keyed by path.
+// AddSources and RunSeparate take the result; both order files by name,
+// so a directory loads the same way however it is walked.
+func ReadSources(dir string) (map[string]string, error) {
+	files := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() || !strings.HasSuffix(path, ".c") {
 			return nil
 		}
-		return a.AddFile(path)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		files[path] = string(data)
+		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	return files, nil
 }
 
 // NumFunctions returns how many functions are currently loaded.
@@ -463,6 +488,13 @@ func (a *Analyzer) coreOptions() core.Options {
 	return opts
 }
 
+// lowerOptions translates the facade options into the frontend's: the one
+// place rid.Options meets lower.Options, shared by AddSources and
+// RunSeparate so linked and separate runs lower with the same abstraction.
+func (a *Analyzer) lowerOptions() lower.Options {
+	return lower.Options{PreserveBitTests: a.opts.PreserveBitTests}
+}
+
 // RunContext executes the full pipeline under a context. Cancellation (or
 // a deadline) stops the run promptly at the next function or path
 // boundary; the returned Result then holds the reports derived so far and
@@ -484,14 +516,30 @@ func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 // files (name → source) are lowered one by one instead of through the
 // analyzer's program, file groups are analyzed in dependency order, and
 // one summary database is shared across groups. It honours the same
-// Options and renders through the same Result. Sources added with
-// AddSource/AddFile/AddDir are not part of the run.
+// Options — the abstraction options included — and renders through the
+// same Result. Sources added with AddSource/AddSources/AddFile/AddDir are
+// not part of the run.
 func (a *Analyzer) RunSeparate(ctx context.Context, files map[string]string) (*Result, error) {
 	specs, err := a.effectiveSpecs()
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.AnalyzeFiles(ctx, files, specs, a.coreOptions())
+	// Each file lowers on its own, in name order so the first bad file
+	// reported is the same on every run.
+	names := make([]string, 0, len(files))
+	for n := range files {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	progs := make(map[string]*ir.Program, len(files))
+	for _, n := range names {
+		p, err := lower.Program(map[string]string{n: files[n]}, a.lowerOptions())
+		if err != nil {
+			return nil, err
+		}
+		progs[n] = p
+	}
+	res, err := core.AnalyzeFiles(ctx, progs, specs, a.coreOptions())
 	if err != nil {
 		return nil, err
 	}

@@ -2,11 +2,14 @@ package rid
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/corpus/kernelgen"
 )
 
 const buggy = `
@@ -420,5 +423,109 @@ error:
 	a.SetOptions(Options{Suppress: []string{"op"}})
 	if res, err := a.RunSeparate(context.Background(), files); err != nil || len(res.Bugs) != 0 {
 		t.Fatalf("suppressed separate run: %v, %v", res, err)
+	}
+
+	// Both modes lower with the same abstraction: the JSON reports agree
+	// byte for byte under either PreserveBitTests setting, on this pair and
+	// on the paper-mix corpus, whose §6.4 bitmask FPs the option removes.
+	inputs := []struct {
+		name  string
+		files map[string]string
+	}{
+		{"wrapper", files},
+		{"papermix", kernelgen.Generate(kernelgen.Config{Seed: 7, Mix: kernelgen.PaperMix()}).Files},
+	}
+	for _, in := range inputs {
+		for _, preserve := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/PreserveBitTests=%v", in.name, preserve), func(t *testing.T) {
+				opts := Options{PreserveBitTests: preserve}
+				whole := New(LinuxDPMSpecs())
+				whole.SetOptions(opts)
+				if err := whole.AddSources(in.files); err != nil {
+					t.Fatal(err)
+				}
+				want, err := whole.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				sep := New(LinuxDPMSpecs())
+				sep.SetOptions(opts)
+				got, err := sep.RunSeparate(context.Background(), in.files)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var wantJSON, gotJSON strings.Builder
+				if err := want.WriteReports(&wantJSON, "json", false); err != nil {
+					t.Fatal(err)
+				}
+				if err := got.WriteReports(&gotJSON, "json", false); err != nil {
+					t.Fatal(err)
+				}
+				if gotJSON.String() != wantJSON.String() {
+					t.Fatalf("separate run reports %d bugs, linked %d; JSON reports differ", len(got.Bugs), len(want.Bugs))
+				}
+			})
+		}
+	}
+}
+
+func TestRunSeparateParseError(t *testing.T) {
+	_, err := New(LinuxDPMSpecs()).RunSeparate(context.Background(), map[string]string{"x.c": "int broken("})
+	if err == nil || !strings.HasPrefix(err.Error(), "parse x.c: ") {
+		t.Fatalf("want a parse x.c error, got %v", err)
+	}
+}
+
+// TestAddDirMatchesAddSources pins the directory order: drv.c and
+// drv/x.c both define drv_op, buggy in drv.c and clean in drv/x.c. A
+// directory walk visits drv/x.c first; sorted path order puts it last.
+// AddDir must resolve the duplicate as AddSources does, so `rid -dir` and
+// `rid serve -dir` on the same tree report the same bugs.
+func TestAddDirMatchesAddSources(t *testing.T) {
+	const clean = `
+int drv_op(struct device *dev) {
+    int ret;
+    ret = pm_runtime_get_sync(dev);
+    pm_runtime_put(dev);
+    return ret;
+}
+`
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "drv"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "drv.c"), []byte(buggy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "drv", "x.c"), []byte(clean), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	files, err := ReadSources(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 2 {
+		t.Fatalf("ReadSources: %d files", len(files))
+	}
+	run := func(load func(a *Analyzer) error) string {
+		t.Helper()
+		a := New(LinuxDPMSpecs())
+		if err := load(a); err != nil {
+			t.Fatal(err)
+		}
+		res, err := a.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out strings.Builder
+		if err := res.WriteReports(&out, "json", false); err != nil {
+			t.Fatal(err)
+		}
+		return out.String()
+	}
+	fromDir := run(func(a *Analyzer) error { return a.AddDir(dir) })
+	fromMap := run(func(a *Analyzer) error { return a.AddSources(files) })
+	if fromDir != fromMap {
+		t.Fatalf("AddDir and AddSources disagree:\n--- AddDir ---\n%s--- AddSources ---\n%s", fromDir, fromMap)
 	}
 }

@@ -21,6 +21,7 @@ package ir
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/frontend/token"
@@ -159,17 +160,24 @@ func Null() Value { return Value{Kind: ValNull} }
 
 // String renders the value.
 func (v Value) String() string {
+	if v.Kind == ValVar {
+		return v.Var
+	}
+	return string(v.appendText(nil))
+}
+
+func (v Value) appendText(dst []byte) []byte {
 	switch v.Kind {
 	case ValVar:
-		return v.Var
+		return append(dst, v.Var...)
 	case ValInt:
-		return fmt.Sprintf("%d", v.Int)
+		return strconv.AppendInt(dst, v.Int, 10)
 	case ValBool:
-		return fmt.Sprintf("%t", v.Bool)
+		return strconv.AppendBool(dst, v.Bool)
 	case ValNull:
-		return "null"
+		return append(dst, "null"...)
 	}
-	return "?"
+	return append(dst, '?')
 }
 
 // ---------------------------------------------------------------------------
@@ -212,39 +220,71 @@ type Instr struct {
 }
 
 // String renders the instruction in the paper's syntax.
-func (in *Instr) String() string {
+func (in *Instr) String() string { return string(in.AppendText(nil)) }
+
+// AppendText appends the instruction's String form to dst and returns the
+// extended slice. Hot serializers (the summary store's digests) use it to
+// render into one reused buffer.
+func (in *Instr) AppendText(dst []byte) []byte {
 	switch in.Op {
 	case OpAssign:
-		return fmt.Sprintf("%s = %s", in.Dst, in.Val)
+		dst = append(dst, in.Dst...)
+		dst = append(dst, " = "...)
+		return in.Val.appendText(dst)
 	case OpLoadField:
-		return fmt.Sprintf("%s = %s.%s", in.Dst, in.Obj, in.Field)
+		dst = append(dst, in.Dst...)
+		dst = append(dst, " = "...)
+		dst = in.Obj.appendText(dst)
+		dst = append(dst, '.')
+		return append(dst, in.Field...)
 	case OpRandom:
-		return fmt.Sprintf("%s = random", in.Dst)
+		dst = append(dst, in.Dst...)
+		return append(dst, " = random"...)
 	case OpCall:
-		args := make([]string, len(in.Args))
-		for i, a := range in.Args {
-			args[i] = a.String()
-		}
-		call := fmt.Sprintf("%s(%s)", in.Fn, strings.Join(args, ", "))
 		if in.Dst != "" {
-			return fmt.Sprintf("%s = %s", in.Dst, call)
+			dst = append(dst, in.Dst...)
+			dst = append(dst, " = "...)
 		}
-		return call
+		dst = append(dst, in.Fn...)
+		dst = append(dst, '(')
+		for i, a := range in.Args {
+			if i > 0 {
+				dst = append(dst, ", "...)
+			}
+			dst = a.appendText(dst)
+		}
+		return append(dst, ')')
 	case OpReturn:
 		if in.HasVal {
-			return fmt.Sprintf("return %s", in.Val)
+			dst = append(dst, "return "...)
+			return in.Val.appendText(dst)
 		}
-		return "return"
+		return append(dst, "return"...)
 	case OpCompare:
-		return fmt.Sprintf("%s = %s %s %s", in.Dst, in.A, in.Pred, in.B)
+		dst = append(dst, in.Dst...)
+		dst = append(dst, " = "...)
+		dst = in.A.appendText(dst)
+		dst = append(dst, ' ')
+		dst = append(dst, in.Pred.String()...)
+		dst = append(dst, ' ')
+		return in.B.appendText(dst)
 	case OpBranchCond:
-		return fmt.Sprintf("branch %s, b%d, b%d", in.Cond, in.True, in.False)
+		dst = append(dst, "branch "...)
+		dst = in.Cond.appendText(dst)
+		dst = append(dst, ", b"...)
+		dst = strconv.AppendInt(dst, int64(in.True), 10)
+		dst = append(dst, ", b"...)
+		return strconv.AppendInt(dst, int64(in.False), 10)
 	case OpBranch:
-		return fmt.Sprintf("branch b%d", in.Target)
+		dst = append(dst, "branch b"...)
+		return strconv.AppendInt(dst, int64(in.Target), 10)
 	case OpAssume:
-		return fmt.Sprintf("assume %s", in.Cond)
+		dst = append(dst, "assume "...)
+		return in.Cond.appendText(dst)
 	}
-	return fmt.Sprintf("op(%d)", int(in.Op))
+	dst = append(dst, "op("...)
+	dst = strconv.AppendInt(dst, int64(in.Op), 10)
+	return append(dst, ')')
 }
 
 // IsTerminator reports whether the instruction ends a basic block.

@@ -12,6 +12,7 @@ package lower
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/frontend/ast"
 	"repro/internal/frontend/parser"
@@ -34,48 +35,139 @@ type Options struct {
 // IntoOpts lowers a parsed file into an existing program with explicit
 // abstraction options.
 func IntoOpts(p *ir.Program, f *ast.File, opts Options) error {
+	lf, err := lowerFile(f, opts)
+	if err != nil {
+		return err
+	}
+	lf.mergeInto(p)
+	return nil
+}
+
+// loweredFile is one file's IR as plain slices: its function definitions
+// in definition order and its extern declarations, with the name, source
+// and options it was lowered from. Merging files in name order rebuilds
+// the program a single pass over their declarations would: definitions
+// are last-wins and a definition anywhere removes an extern.
+type loweredFile struct {
+	name, src string
+	opts      Options
+	funcs     []*ir.Func
+	externs   []string
+}
+
+func lowerFile(f *ast.File, opts Options) (loweredFile, error) {
+	nfuncs, nexterns := 0, 0
+	for _, d := range f.Decls {
+		if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
+			nfuncs++
+		} else if ok {
+			nexterns++
+		}
+	}
+	lf := loweredFile{opts: opts, funcs: make([]*ir.Func, 0, nfuncs)}
+	if nexterns > 0 {
+		lf.externs = make([]string, 0, nexterns)
+	}
 	for _, d := range f.Decls {
 		fd, ok := d.(*ast.FuncDecl)
 		if !ok {
 			continue // globals are havoc; nothing to lower
 		}
 		if fd.Body == nil {
-			p.AddExtern(fd.Name)
+			lf.externs = append(lf.externs, fd.Name)
 			continue
 		}
 		fn, err := lowerFunc(fd, f.Name, opts)
 		if err != nil {
-			return err
+			return loweredFile{}, err
 		}
+		lf.funcs = append(lf.funcs, fn)
+	}
+	return lf, nil
+}
+
+func (lf *loweredFile) mergeInto(p *ir.Program) {
+	for _, fn := range lf.funcs {
 		p.Add(fn)
 	}
-	return nil
+	for _, name := range lf.externs {
+		p.AddExtern(name)
+	}
+}
+
+// Memo reuses lowered files across Program calls: a file whose name,
+// source text and options all equal an entry from the memo's previous
+// successful call keeps that call's *ir.Func values instead of being
+// parsed and lowered again. It holds only the file set of that most
+// recent call, so it never outgrows one request's IR. Lowered IR is never
+// written after lowering and holds no interned expressions, so concurrent
+// callers may share it. A Memo is safe for concurrent use; a nil *Memo
+// caches nothing.
+type Memo struct {
+	mu    sync.Mutex
+	files []loweredFile // sorted by name; never modified once stored
 }
 
 // Program parses and lowers a file set (name → source) into one program
 // and validates it. Files are parsed in sorted-name order, so last-wins
 // duplicate definitions merge deterministically. It is the one loader from
 // source text to IR, so every analysis mode lowers with the same options.
-func Program(files map[string]string, opts Options) (*ir.Program, error) {
+// reused counts the files taken from the memo; the rest were lowered. A
+// failed call leaves the memo as it was.
+func (m *Memo) Program(files map[string]string, opts Options) (p *ir.Program, reused int, err error) {
 	names := make([]string, 0, len(files))
 	for n := range files {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	p := ir.NewProgram()
+	var prev, next []loweredFile
+	if m != nil {
+		m.mu.Lock()
+		prev = m.files
+		m.mu.Unlock()
+		next = make([]loweredFile, 0, len(names))
+	}
+	p = ir.NewProgram()
 	for _, n := range names {
-		f, err := parser.ParseFile(n, files[n])
-		if err != nil {
-			return nil, fmt.Errorf("parse %s: %w", n, err)
+		src := files[n]
+		// Both lists are sorted, so prev[0] is the only candidate for n.
+		for len(prev) > 0 && prev[0].name < n {
+			prev = prev[1:]
 		}
-		if err := IntoOpts(p, f, opts); err != nil {
-			return nil, fmt.Errorf("lower %s: %w", n, err)
+		var lf loweredFile
+		if len(prev) > 0 && prev[0].name == n && prev[0].src == src && prev[0].opts == opts {
+			lf = prev[0]
+			reused++
+		} else {
+			f, err := parser.ParseFile(n, src)
+			if err != nil {
+				return nil, 0, fmt.Errorf("parse %s: %w", n, err)
+			}
+			if lf, err = lowerFile(f, opts); err != nil {
+				return nil, 0, fmt.Errorf("lower %s: %w", n, err)
+			}
+			lf.name, lf.src = n, src
+		}
+		lf.mergeInto(p)
+		if m != nil {
+			next = append(next, lf)
 		}
 	}
 	if err := p.Validate(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return p, nil
+	if m != nil {
+		m.mu.Lock()
+		m.files = next
+		m.mu.Unlock()
+	}
+	return p, reused, nil
+}
+
+// Program is Program on a nil Memo: every file is parsed and lowered.
+func Program(files map[string]string, opts Options) (*ir.Program, error) {
+	p, _, err := (*Memo)(nil).Program(files, opts)
+	return p, err
 }
 
 // SourceString parses and lowers one mini-C source buffer with default

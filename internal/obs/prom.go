@@ -42,6 +42,8 @@ var counterHelp = [numMetrics]string{
 	MRemoteIntegrity:  "fleet-store responses rejected by validation",
 	MRemotePuts:       "entries shipped to the fleet store",
 	MResidentHits:     "store hits served from memory without a disk read",
+	MFrontendReused:   "source files whose lowered IR was reused",
+	MFrontendLowered:  "source files parsed and lowered",
 }
 
 // promBucketBounds returns the histogram upper bounds in seconds: bucket

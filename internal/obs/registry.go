@@ -44,6 +44,8 @@ const (
 	MRemoteIntegrity                // fleet-store responses rejected by validation
 	MRemotePuts                     // entries shipped to the fleet store (write-behind)
 	MResidentHits                   // store hits served from the daemon-resident tier (no disk read)
+	MFrontendReused                 // source files whose lowered IR was reused from an earlier load
+	MFrontendLowered                // source files parsed and lowered
 	numMetrics
 )
 
@@ -74,6 +76,8 @@ var metricNames = [numMetrics]string{
 	MRemoteIntegrity:  "remote_integrity_errors",
 	MRemotePuts:       "remote_puts",
 	MResidentHits:     "store_resident_hits",
+	MFrontendReused:   "frontend_files_reused",
+	MFrontendLowered:  "frontend_files_lowered",
 }
 
 // Name returns the stable metric name used in -metrics and /debug/vars.

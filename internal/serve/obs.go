@@ -81,7 +81,7 @@ func routeOf(path string) route {
 // statusCodes is the fixed set of status codes the daemon emits; anything
 // else folds into the final "other" bucket. Fixed so the counter matrix
 // is a lock-free array and exposition order is deterministic.
-var statusCodes = [...]int{200, 400, 404, 429, 500, 503, 504}
+var statusCodes = [...]int{200, 400, 404, 413, 429, 500, 503, 504}
 
 const numStatus = len(statusCodes) + 1 // + other
 

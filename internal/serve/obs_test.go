@@ -63,6 +63,8 @@ func TestMetricsGoldenShape(t *testing.T) {
 		{"rid_funcs_analyzed_total", "counter"},
 		{"rid_solver_queries_total", "counter"},
 		{"rid_store_hits_total", "counter"},
+		{"rid_frontend_files_reused_total", "counter"},
+		{"rid_frontend_files_lowered_total", "counter"},
 		{"rid_phase_duration_seconds", "histogram"},
 	}
 	for _, g := range golden {

@@ -66,39 +66,48 @@ func shiftTree(files map[string]string) map[string]string {
 // storeCounts is one run's summary-store traffic.
 type storeCounts struct{ hits, misses, resident int64 }
 
-// analyzeCounted posts one metrics-carrying analysis, checks that the
-// resident hits are a subset of the store hits, and returns the reply
-// and its store traffic.
-func analyzeCounted(url string, files map[string]string, workers int) (*AnalyzeResponse, storeCounts, error) {
+// analyzeSnapshot posts one metrics-carrying analysis and returns the
+// reply and its per-request metrics.
+func analyzeSnapshot(url string, files map[string]string, workers int) (*AnalyzeResponse, obs.Snapshot, error) {
+	var snap obs.Snapshot
 	body, err := json.Marshal(&AnalyzeRequest{Files: files, Workers: workers, Metrics: true})
 	if err != nil {
-		return nil, storeCounts{}, err
+		return nil, snap, err
 	}
 	r, err := http.Post(url+"/v1/analyze", "application/json", bytes.NewReader(body))
 	if err != nil {
-		return nil, storeCounts{}, err
+		return nil, snap, err
 	}
 	defer r.Body.Close()
 	data, err := io.ReadAll(r.Body)
 	if err != nil {
-		return nil, storeCounts{}, err
+		return nil, snap, err
 	}
 	var ar AnalyzeResponse
 	if err := json.Unmarshal(data, &ar); err != nil {
-		return nil, storeCounts{}, fmt.Errorf("status %d: %v: %s", r.StatusCode, err, data)
+		return nil, snap, fmt.Errorf("status %d: %v: %s", r.StatusCode, err, data)
 	}
 	if r.StatusCode != http.StatusOK {
-		return nil, storeCounts{}, fmt.Errorf("status %d: %s", r.StatusCode, ar.Error)
+		return nil, snap, fmt.Errorf("status %d: %s", r.StatusCode, ar.Error)
 	}
-	var snap obs.Snapshot
 	if err := json.Unmarshal(ar.Metrics, &snap); err != nil {
-		return nil, storeCounts{}, fmt.Errorf("decode metrics: %v", err)
+		return nil, snap, fmt.Errorf("decode metrics: %v", err)
+	}
+	return &ar, snap, nil
+}
+
+// analyzeCounted is analyzeSnapshot that checks the resident hits are a
+// subset of the store hits and returns the run's store traffic.
+func analyzeCounted(url string, files map[string]string, workers int) (*AnalyzeResponse, storeCounts, error) {
+	ar, snap, err := analyzeSnapshot(url, files, workers)
+	if err != nil {
+		return nil, storeCounts{}, err
 	}
 	c := storeCounts{snap.Counter(obs.MStoreHits), snap.Counter(obs.MStoreMisses), snap.Counter(obs.MResidentHits)}
 	if c.resident > c.hits {
 		return nil, c, fmt.Errorf("store_resident_hits %d > store_hits %d", c.resident, c.hits)
 	}
-	return &ar, c, nil
+	return ar, c, nil
 }
 
 // freshRun analyzes files the way one CLI invocation does: a new

@@ -154,6 +154,39 @@ func TestAnalyzeMalformedInputs(t *testing.T) {
 	}
 }
 
+// TestAnalyzeBodyTooLarge: a body over maxBodyBytes is refused with 413,
+// not reported as a malformed body.
+func TestAnalyzeBodyTooLarge(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	body := io.MultiReader(
+		strings.NewReader(`{"files":{"a.c":"`),
+		io.LimitReader(zeroDigits{}, maxBodyBytes),
+		strings.NewReader(`"}}`))
+	resp, err := http.Post(ts.URL+"/v1/analyze", "application/json", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(data), "request body over") {
+		t.Fatalf("status %d (want 413): %s", resp.StatusCode, data)
+	}
+	fams := scrapeMetrics(t, ts.URL)
+	if v, ok := fams.Value("rid_serve_requests_total", map[string]string{"route": "analyze", "code": "413"}); !ok || v != 1 {
+		t.Errorf("requests_total{analyze,413} = %v, %t; want 1", v, ok)
+	}
+}
+
+// zeroDigits is an endless stream of '0' bytes.
+type zeroDigits struct{}
+
+func (zeroDigits) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = '0'
+	}
+	return len(p), nil
+}
+
 func TestAnalyzeDeadline504(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp, ar := postAnalyze(t, ts.URL, &AnalyzeRequest{

@@ -32,7 +32,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
-	"strings"
+	"strconv"
 
 	"repro/internal/callgraph"
 	"repro/internal/ir"
@@ -99,29 +99,34 @@ func (f Fingerprint) Hash() Digest {
 // does.
 func Digests(g *callgraph.Graph, db *summary.DB, fp Fingerprint) map[string]Digest {
 	fph := fp.Hash()
+	header := fmt.Sprintf("rid-store v%d\x00", FormatVersion)
 	sccs := g.SCCs()
 	sccDigest := make([]Digest, len(sccs))
+	h := sha256.New()
+	var buf []byte // canonical IR of one function, reused across functions
+	// Each undefined callee's record is rendered once per call.
+	externs := make(map[string][]byte)
 	for i, members := range sccs {
-		h := sha256.New()
-		fmt.Fprintf(h, "rid-store v%d\x00", FormatVersion)
+		h.Reset()
+		io.WriteString(h, header)
 		h.Write(fph[:])
 		// Callee SCCs precede i in SCCs() order, so their digests exist.
 		for _, dep := range g.SCCSuccs(i) {
 			h.Write(sccDigest[dep][:])
 		}
 		for _, m := range members {
-			writeCanonFunc(h, g.Prog.Funcs[m])
+			buf = appendCanonFunc(buf[:0], g.Prog.Funcs[m])
+			h.Write(buf)
 			for _, callee := range g.All[m] {
 				if _, defined := g.Prog.Funcs[callee]; defined {
 					continue
 				}
-				fmt.Fprintf(h, "extern\x00%s\x00", callee)
-				if s := db.Get(callee); s != nil {
-					fmt.Fprintf(h, "pre=%t def=%t %s", s.Predefined, s.HasDefault, s)
-				} else {
-					io.WriteString(h, "unknown")
+				rec, ok := externs[callee]
+				if !ok {
+					rec = externRecord(callee, db.Get(callee))
+					externs[callee] = rec
 				}
-				io.WriteString(h, "\x00")
+				h.Write(rec)
 			}
 		}
 		h.Sum(sccDigest[i][:0])
@@ -133,15 +138,44 @@ func Digests(g *callgraph.Graph, db *summary.DB, fp Fingerprint) map[string]Dige
 	return out
 }
 
-// writeCanonFunc serializes everything about a function that the analysis
-// can observe: its signature and every instruction, without positions.
-func writeCanonFunc(w io.Writer, f *ir.Func) {
-	fmt.Fprintf(w, "func %s(%s) ret=%t conds=%d\n",
-		f.Name, strings.Join(f.Params, ","), f.HasRet, f.NumConds)
+// externRecord renders an undefined callee for its callers' digests: its
+// name and the summary it resolves to (nil when unknown).
+func externRecord(callee string, s *summary.Summary) []byte {
+	rec := fmt.Appendf(nil, "extern\x00%s\x00", callee)
+	if s != nil {
+		rec = fmt.Appendf(rec, "pre=%t def=%t %s", s.Predefined, s.HasDefault, s)
+	} else {
+		rec = append(rec, "unknown"...)
+	}
+	return append(rec, 0)
+}
+
+// appendCanonFunc appends everything about a function that the analysis
+// can observe to dst: its signature and every instruction, without
+// positions.
+func appendCanonFunc(dst []byte, f *ir.Func) []byte {
+	dst = append(dst, "func "...)
+	dst = append(dst, f.Name...)
+	dst = append(dst, '(')
+	for i, p := range f.Params {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, p...)
+	}
+	dst = append(dst, ") ret="...)
+	dst = strconv.AppendBool(dst, f.HasRet)
+	dst = append(dst, " conds="...)
+	dst = strconv.AppendInt(dst, int64(f.NumConds), 10)
+	dst = append(dst, '\n')
 	for _, b := range f.Blocks {
-		fmt.Fprintf(w, "b%d:\n", b.Index)
+		dst = append(dst, 'b')
+		dst = strconv.AppendInt(dst, int64(b.Index), 10)
+		dst = append(dst, ":\n"...)
 		for _, in := range b.Instrs {
-			fmt.Fprintf(w, "%s\n", in)
+			dst = in.AppendText(dst)
+			dst = append(dst, '\n')
 		}
 	}
+	return dst
 }

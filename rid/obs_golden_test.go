@@ -108,6 +108,7 @@ var metricNames = []string{
 	"remote_hits", "remote_misses", "remote_errors",
 	"remote_integrity_errors", "remote_puts",
 	"store_resident_hits",
+	"frontend_files_reused", "frontend_files_lowered",
 }
 
 var phaseNames = []string{"run", "classify", "enumerate", "exec", "ipp", "solver", "replay", "cacheio", "steal", "queue"}

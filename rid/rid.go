@@ -314,11 +314,15 @@ type Analyzer struct {
 	// resident holds the store entries decoded by this analyzer's runs
 	// over Options.CacheDir, shared with its request children.
 	resident *store.Resident
+	// memo holds the lowered files of the most recent AddSources, shared
+	// with request children, so a re-sent tree re-lowers only the files
+	// that changed.
+	memo *lower.Memo
 }
 
 // New returns an analyzer with the given API specifications.
 func New(specs Specs) *Analyzer {
-	return &Analyzer{specs: specs, prog: ir.NewProgram(), reg: obs.NewRegistry(), resident: store.NewResident()}
+	return &Analyzer{specs: specs, prog: ir.NewProgram(), reg: obs.NewRegistry(), resident: store.NewResident(), memo: &lower.Memo{}}
 }
 
 // SetOptions replaces the analysis options.
@@ -346,9 +350,11 @@ func (a *Analyzer) SetSpecs(s Specs) { a.specs = s }
 // process-wide totals for DebugHandler and /metrics. The rollup is
 // lock-free; the only per-call cost is one extra atomic add per event.
 // Children also share a's decoded summary-store entries, so a request
-// replays an unchanged function from memory instead of from Options.CacheDir.
+// replays an unchanged function from memory instead of from Options.CacheDir,
+// and a's frontend memo, so a request re-lowers only the files that differ
+// from the previous request's.
 func (a *Analyzer) NewRequestChild() *Analyzer {
-	return &Analyzer{specs: a.specs, opts: a.opts, prog: ir.NewProgram(), reg: a.reg.Child(), resident: a.resident}
+	return &Analyzer{specs: a.specs, opts: a.opts, prog: ir.NewProgram(), reg: a.reg.Child(), resident: a.resident, memo: a.memo}
 }
 
 // AddSource parses and lowers one mini-C source buffer into the program
@@ -360,12 +366,18 @@ func (a *Analyzer) AddSource(filename, src string) error {
 
 // AddSources parses and lowers a file set (name → source) and merges it
 // into the program under analysis. Files load in sorted-name order, so
-// last-wins duplicate definitions resolve the same way on every run.
+// last-wins duplicate definitions resolve the same way on every run. A
+// file identical (same name, source and lowering options) to one of the
+// previous load through this analyzer's memo, which request children
+// share, reuses that load's IR; the frontend_files_reused and
+// frontend_files_lowered counters record the split.
 func (a *Analyzer) AddSources(files map[string]string) error {
-	p, err := lower.Program(files, a.lowerOptions())
+	p, reused, err := a.memo.Program(files, a.lowerOptions())
 	if err != nil {
 		return err
 	}
+	a.reg.Count(obs.MFrontendReused, int64(reused))
+	a.reg.Count(obs.MFrontendLowered, int64(len(files)-reused))
 	a.prog.Merge(p)
 	return nil
 }

@@ -1,9 +1,14 @@
 package ast_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"sort"
 	"testing"
 
+	"repro/internal/corpus/fdgen"
 	"repro/internal/corpus/kernelgen"
+	"repro/internal/corpus/lockgen"
 	"repro/internal/corpus/pycgen"
 	"repro/internal/frontend/ast"
 	"repro/internal/frontend/parser"
@@ -64,5 +69,48 @@ func roundTripFiles(t *testing.T, files map[string]string) {
 				t.Errorf("%s: function %s IR changed after print/re-parse", name, fn)
 			}
 		}
+	}
+}
+
+// printedCorporaSHA256 is the SHA-256 of ast.Print over every file of the
+// four default corpora (see TestPrintedCorporaPinned), recorded before the
+// lexer and parser were rewritten to stream bytes. Any change to what the
+// frontend parses, down to one position-free token, moves it.
+const printedCorporaSHA256 = "d1e3cb3e9c543f2164b6fa61bdda46487e55334c98fdbda7f9b595b5c429c7dc"
+
+// TestPrintedCorporaPinned parses every file of the default kernelgen
+// (seed 317, the paper mix, 10 simple and 8 complex helpers, 200 others),
+// pycgen (the three paper modules), lockgen and fdgen (seed 317, default
+// mix) corpora and hashes each name and printed AST in name order.
+func TestPrintedCorporaPinned(t *testing.T) {
+	files := map[string]string{}
+	add := func(prefix string, fs map[string]string) {
+		for name, src := range fs {
+			files[prefix+name] = src
+		}
+	}
+	add("kernel/", kernelgen.Generate(kernelgen.Config{
+		Seed: 317, Mix: kernelgen.PaperMix(), SimpleHelpers: 10, ComplexHelpers: 8, OtherFuncs: 200,
+	}).Files)
+	for _, cfg := range pycgen.PaperConfigs() {
+		add("pyc/", pycgen.Generate(cfg).Files)
+	}
+	add("lock/", lockgen.Generate(lockgen.Config{Seed: 317, Mix: lockgen.DefaultMix()}).Files)
+	add("fd/", fdgen.Generate(fdgen.Config{Seed: 317, Mix: fdgen.DefaultMix()}).Files)
+	names := make([]string, 0, len(files))
+	for name := range files {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	h := sha256.New()
+	for _, name := range names {
+		f, err := parser.ParseFile(name, files[name])
+		if err != nil {
+			t.Fatalf("parse %s: %v", name, err)
+		}
+		h.Write([]byte(name + "\n" + ast.Print(f) + "\n"))
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != printedCorporaSHA256 {
+		t.Errorf("printed corpora hash %s over %d files, want %s", got, len(names), printedCorporaSHA256)
 	}
 }

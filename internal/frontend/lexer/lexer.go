@@ -5,6 +5,8 @@ package lexer
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"unicode"
 	"unicode/utf8"
 
@@ -12,18 +14,31 @@ import (
 )
 
 // Lexer scans a single source buffer. It is not safe for concurrent use.
+//
+// The scan works on bytes: ASCII, which is all of the language's syntax,
+// never goes through a UTF-8 decoder, and a byte >= 0x80 is decoded only
+// where it occurs. Columns count runes, as they always have.
 type Lexer struct {
 	file   string
 	src    string
 	off    int // byte offset of the next rune
+	start  int // offset of the first byte after a leading byte-order mark
 	line   int
 	col    int
 	errors []error
 }
 
-// New returns a lexer over src; file is used in positions only.
+// bom is the UTF-8 byte-order mark some editors write at the start of a file.
+const bom = "\uFEFF"
+
+// New returns a lexer over src; file is used in positions only. A leading
+// byte-order mark is skipped, so the first token is still at 1:1.
 func New(file, src string) *Lexer {
-	return &Lexer{file: file, src: src, line: 1, col: 1}
+	l := &Lexer{file: file, src: src, line: 1, col: 1}
+	if strings.HasPrefix(src, bom) {
+		l.off, l.start = len(bom), len(bom)
+	}
+	return l
 }
 
 // Errors returns the scan errors encountered so far, in order.
@@ -42,20 +57,10 @@ func (l *Lexer) peek() rune {
 	if l.off >= len(l.src) {
 		return -1
 	}
+	if c := l.src[l.off]; c < utf8.RuneSelf {
+		return rune(c)
+	}
 	r, _ := utf8.DecodeRuneInString(l.src[l.off:])
-	return r
-}
-
-// peek2 returns the rune after the next one, or -1.
-func (l *Lexer) peek2() rune {
-	if l.off >= len(l.src) {
-		return -1
-	}
-	_, w := utf8.DecodeRuneInString(l.src[l.off:])
-	if l.off+w >= len(l.src) {
-		return -1
-	}
-	r, _ := utf8.DecodeRuneInString(l.src[l.off+w:])
 	return r
 }
 
@@ -63,19 +68,73 @@ func (l *Lexer) advance() rune {
 	if l.off >= len(l.src) {
 		return -1
 	}
+	if c := l.src[l.off]; c < utf8.RuneSelf {
+		l.off++
+		if c == '\n' {
+			l.line++
+			l.col = 1
+		} else {
+			l.col++
+		}
+		return rune(c)
+	}
 	r, w := utf8.DecodeRuneInString(l.src[l.off:])
 	l.off += w
-	if r == '\n' {
-		l.line++
-		l.col = 1
-	} else {
-		l.col++
-	}
+	l.col++
 	return r
 }
 
-func isIdentStart(r rune) bool {
-	return r == '_' || unicode.IsLetter(r)
+// match consumes the next byte if it is c, which must be ASCII other than
+// a newline.
+func (l *Lexer) match(c byte) bool {
+	if l.off < len(l.src) && l.src[l.off] == c {
+		l.off++
+		l.col++
+		return true
+	}
+	return false
+}
+
+// skipTo moves the scan position forward to byte offset end, counting the
+// lines and runes it passes over.
+func (l *Lexer) skipTo(end int) {
+	seg := l.src[l.off:end]
+	if i := strings.LastIndexByte(seg, '\n'); i >= 0 {
+		l.line += strings.Count(seg, "\n")
+		l.col = 1 + utf8.RuneCountInString(seg[i+1:])
+	} else {
+		l.col += utf8.RuneCountInString(seg)
+	}
+	l.off = end
+}
+
+// skipLine moves the scan position to the end of the current line, before
+// its newline.
+func (l *Lexer) skipLine() {
+	if i := strings.IndexByte(l.src[l.off:], '\n'); i >= 0 {
+		l.skipTo(l.off + i)
+	} else {
+		l.skipTo(len(l.src))
+	}
+}
+
+// atLineStart reports whether only blanks precede the scan position on its
+// line.
+func (l *Lexer) atLineStart() bool {
+	for i := l.off - 1; i >= l.start; i-- {
+		switch l.src[i] {
+		case ' ', '\t':
+		case '\n':
+			return true
+		default:
+			return false
+		}
+	}
+	return true
+}
+
+func isIdentByte(c byte) bool {
+	return c == '_' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9'
 }
 
 func isIdentPart(r rune) bool {
@@ -83,37 +142,40 @@ func isIdentPart(r rune) bool {
 }
 
 // skipSpaceAndComments consumes whitespace, // and /* */ comments, and
-// preprocessor-style lines (# ...), which the frontend treats as blank.
+// preprocessor-style lines (# after nothing but blanks), which the frontend
+// treats as blank.
 func (l *Lexer) skipSpaceAndComments() {
-	for {
-		r := l.peek()
-		switch {
-		case r == ' ' || r == '\t' || r == '\r' || r == '\n':
-			l.advance()
-		case r == '#' && l.col == 1:
-			for l.peek() != '\n' && l.peek() != -1 {
-				l.advance()
+	for l.off < len(l.src) {
+		switch l.src[l.off] {
+		case ' ', '\t', '\r':
+			l.off++
+			l.col++
+		case '\n':
+			l.off++
+			l.line++
+			l.col = 1
+		case '#':
+			if !l.atLineStart() {
+				return
 			}
-		case r == '/' && l.peek2() == '/':
-			for l.peek() != '\n' && l.peek() != -1 {
-				l.advance()
+			l.skipLine()
+		case '/':
+			if l.off+1 == len(l.src) {
+				return
 			}
-		case r == '/' && l.peek2() == '*':
-			p := l.pos()
-			l.advance()
-			l.advance()
-			closed := false
-			for l.peek() != -1 {
-				if l.peek() == '*' && l.peek2() == '/' {
-					l.advance()
-					l.advance()
-					closed = true
-					break
+			switch l.src[l.off+1] {
+			case '/':
+				l.skipLine()
+			case '*':
+				p := l.pos()
+				if i := strings.Index(l.src[l.off+2:], "*/"); i >= 0 {
+					l.skipTo(l.off + 2 + i + 2)
+				} else {
+					l.skipTo(len(l.src))
+					l.errorf(p, "unterminated block comment")
 				}
-				l.advance()
-			}
-			if !closed {
-				l.errorf(p, "unterminated block comment")
+			default:
+				return
 			}
 		default:
 			return
@@ -126,41 +188,55 @@ func (l *Lexer) skipSpaceAndComments() {
 func (l *Lexer) Next() token.Token {
 	l.skipSpaceAndComments()
 	p := l.pos()
-	r := l.peek()
-	switch {
-	case r == -1:
+	if l.off >= len(l.src) {
 		return token.Token{Kind: token.EOF, Pos: p}
-	case isIdentStart(r):
+	}
+	c := l.src[l.off]
+	if c >= utf8.RuneSelf {
+		r, w := utf8.DecodeRuneInString(l.src[l.off:])
+		switch {
+		case unicode.IsLetter(r):
+			return l.scanIdent(p)
+		case unicode.IsDigit(r):
+			return l.scanNumber(p)
+		}
+		l.off += w
+		l.col++
+		l.errorf(p, "unexpected character %q", r)
+		return token.Token{Kind: token.ILLEGAL, Lit: string(r), Pos: p}
+	}
+	switch {
+	case c == '_' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z':
 		return l.scanIdent(p)
-	case unicode.IsDigit(r):
+	case '0' <= c && c <= '9':
 		return l.scanNumber(p)
-	case r == '"':
+	case c == '"':
 		return l.scanString(p)
-	case r == '\'':
+	case c == '\'':
 		return l.scanChar(p)
 	}
-	l.advance()
-	two := func(next rune, k2, k1 token.Kind) token.Token {
-		if l.peek() == next {
-			l.advance()
+	// c is an ASCII byte other than a newline, which skipSpaceAndComments
+	// has consumed.
+	l.off++
+	l.col++
+	two := func(next byte, k2, k1 token.Kind) token.Token {
+		if l.match(next) {
 			return token.Token{Kind: k2, Pos: p}
 		}
 		return token.Token{Kind: k1, Pos: p}
 	}
-	switch r {
+	switch c {
 	case '=':
 		return two('=', token.EQ, token.ASSIGN)
 	case '!':
 		return two('=', token.NE, token.NOT)
 	case '<':
-		if l.peek() == '<' {
-			l.advance()
+		if l.match('<') {
 			return token.Token{Kind: token.SHL, Pos: p}
 		}
 		return two('=', token.LE, token.LT)
 	case '>':
-		if l.peek() == '>' {
-			l.advance()
+		if l.match('>') {
 			return token.Token{Kind: token.SHR, Pos: p}
 		}
 		return two('=', token.GE, token.GT)
@@ -169,18 +245,15 @@ func (l *Lexer) Next() token.Token {
 	case '|':
 		return two('|', token.LOR, token.PIPE)
 	case '+':
-		if l.peek() == '+' {
-			l.advance()
+		if l.match('+') {
 			return token.Token{Kind: token.PLUSPLUS, Pos: p}
 		}
 		return two('=', token.PLUSASSIGN, token.PLUS)
 	case '-':
-		if l.peek() == '-' {
-			l.advance()
+		if l.match('-') {
 			return token.Token{Kind: token.MINUSMINUS, Pos: p}
 		}
-		if l.peek() == '>' {
-			l.advance()
+		if l.match('>') {
 			return token.Token{Kind: token.ARROW, Pos: p}
 		}
 		return two('=', token.MINUSASSIGN, token.MINUS)
@@ -215,17 +288,29 @@ func (l *Lexer) Next() token.Token {
 	case ']':
 		return token.Token{Kind: token.RBRACK, Pos: p}
 	}
-	l.errorf(p, "unexpected character %q", r)
-	return token.Token{Kind: token.ILLEGAL, Lit: string(r), Pos: p}
+	l.errorf(p, "unexpected character %q", rune(c))
+	return token.Token{Kind: token.ILLEGAL, Lit: string(rune(c)), Pos: p}
 }
 
 func (l *Lexer) scanIdent(p token.Pos) token.Token {
 	start := l.off
-	for isIdentPart(l.peek()) {
-		l.advance()
+	for l.off < len(l.src) {
+		if c := l.src[l.off]; c < utf8.RuneSelf {
+			if !isIdentByte(c) {
+				break
+			}
+			l.off++
+		} else {
+			r, w := utf8.DecodeRuneInString(l.src[l.off:])
+			if !isIdentPart(r) {
+				break
+			}
+			l.off += w
+		}
+		l.col++
 	}
 	lit := l.src[start:l.off]
-	if k, ok := token.Keywords[lit]; ok {
+	if k, ok := token.Lookup(lit); ok {
 		return token.Token{Kind: k, Lit: lit, Pos: p}
 	}
 	return token.Token{Kind: token.IDENT, Lit: lit, Pos: p}
@@ -233,26 +318,39 @@ func (l *Lexer) scanIdent(p token.Pos) token.Token {
 
 func (l *Lexer) scanNumber(p token.Pos) token.Token {
 	start := l.off
-	if l.peek() == '0' && (l.peek2() == 'x' || l.peek2() == 'X') {
-		l.advance()
-		l.advance()
-		for isHexDigit(l.peek()) {
-			l.advance()
-		}
-	} else {
-		for unicode.IsDigit(l.peek()) {
-			l.advance()
-		}
+	hex := strings.HasPrefix(l.src[l.off:], "0x") || strings.HasPrefix(l.src[l.off:], "0X")
+	if hex {
+		l.off += 2
+		l.col += 2
 	}
+	l.scanDigits(hex)
 	// Swallow integer suffixes (U, L, UL, LL...) so kernel-style literals lex.
-	for l.peek() == 'u' || l.peek() == 'U' || l.peek() == 'l' || l.peek() == 'L' {
-		l.advance()
+	for l.off < len(l.src) && strings.IndexByte("uUlL", l.src[l.off]) >= 0 {
+		l.off++
+		l.col++
 	}
 	return token.Token{Kind: token.INT, Lit: l.src[start:l.off], Pos: p}
 }
 
-func isHexDigit(r rune) bool {
-	return unicode.IsDigit(r) || (r >= 'a' && r <= 'f') || (r >= 'A' && r <= 'F')
+// scanDigits consumes a run of decimal digits, or of hex digits when hex is
+// set. A non-ASCII Unicode digit counts as a digit too; the parser rejects
+// the literal.
+func (l *Lexer) scanDigits(hex bool) {
+	for l.off < len(l.src) {
+		if c := l.src[l.off]; c < utf8.RuneSelf {
+			if !('0' <= c && c <= '9' || hex && ('a' <= c && c <= 'f' || 'A' <= c && c <= 'F')) {
+				return
+			}
+			l.off++
+		} else {
+			r, w := utf8.DecodeRuneInString(l.src[l.off:])
+			if !unicode.IsDigit(r) {
+				return
+			}
+			l.off += w
+		}
+		l.col++
+	}
 }
 
 func (l *Lexer) scanString(p token.Pos) token.Token {
@@ -303,7 +401,7 @@ func (l *Lexer) scanChar(p token.Pos) token.Token {
 	} else {
 		l.errorf(p, "unterminated character literal")
 	}
-	return token.Token{Kind: token.INT, Lit: fmt.Sprintf("%d", r), Pos: p}
+	return token.Token{Kind: token.INT, Lit: strconv.Itoa(int(r)), Pos: p}
 }
 
 // All scans the entire input and returns every token up to and including

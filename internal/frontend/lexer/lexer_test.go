@@ -168,3 +168,85 @@ func TestEOFForever(t *testing.T) {
 		}
 	}
 }
+
+func TestByteOrderMark(t *testing.T) {
+	l := New("x.c", "\uFEFFint x;\n#define Y\n")
+	ts := l.All()
+	if errs := l.Errors(); len(errs) != 0 {
+		t.Fatalf("errors on a leading byte-order mark: %v", errs)
+	}
+	want := []token.Kind{token.KwInt, token.IDENT, token.SEMI, token.EOF}
+	if got := kinds(ts); len(got) != len(want) {
+		t.Fatalf("got %v, want %v", got, want)
+	}
+	if p := ts[0].Pos; p.Line != 1 || p.Column != 1 {
+		t.Errorf("first token at %v, want 1:1", p)
+	}
+	// Only a mark at offset 0 is skipped; one anywhere else is a stray
+	// character.
+	l = New("x.c", "int \uFEFFx;")
+	l.All()
+	if errs := l.Errors(); len(errs) != 1 || errs[0].Error() != `x.c:1:5: unexpected character '\ufeff'` {
+		t.Errorf("mid-file byte-order mark: %v", errs)
+	}
+	// A directive on the first line still counts as at the line start.
+	l = New("x.c", "\uFEFF#include <a.h>\nint x;")
+	if ts := l.All(); len(l.Errors()) != 0 || ts[0].Kind != token.KwInt || ts[0].Pos.Line != 2 {
+		t.Errorf("directive after a byte-order mark: %v %v", ts, l.Errors())
+	}
+}
+
+func TestIndentedDirective(t *testing.T) {
+	src := "int f(void) {\n\t#ifdef X\n  \t # define Y 1\n\treturn 0;\n#endif\n}\n"
+	l := New("x.c", src)
+	ts := l.All()
+	if errs := l.Errors(); len(errs) != 0 {
+		t.Fatalf("errors on indented directives: %v", errs)
+	}
+	want := []token.Kind{token.KwInt, token.IDENT, token.LPAREN, token.KwVoid, token.RPAREN,
+		token.LBRACE, token.KwReturn, token.INT, token.SEMI, token.RBRACE, token.EOF}
+	got := kinds(ts)
+	if len(got) != len(want) {
+		t.Fatalf("got %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("token %d: got %s, want %s", i, got[i], want[i])
+		}
+	}
+	if p := ts[6].Pos; p.Line != 4 || p.Column != 2 {
+		t.Errorf("return at %v, want 4:2", p)
+	}
+	// A '#' after anything but blanks is still a stray character.
+	l = New("x.c", "x; #define Y\n")
+	l.All()
+	if errs := l.Errors(); len(errs) == 0 || errs[0].Error() != `x.c:1:4: unexpected character '#'` {
+		t.Errorf("mid-line '#': %v", errs)
+	}
+}
+
+// TestPositionsCountRunes pins that columns count runes, not bytes, across
+// identifiers, comments and strings holding multi-byte and invalid UTF-8.
+func TestPositionsCountRunes(t *testing.T) {
+	src := "/* é\xff */ x // ü\n\"ä\" é1 y"
+	ts := New("x.c", src).All()
+	want := []struct {
+		kind      token.Kind
+		lit       string
+		line, col int
+	}{
+		{token.IDENT, "x", 1, 10},
+		{token.STRING, "ä", 2, 1},
+		{token.IDENT, "é1", 2, 5},
+		{token.IDENT, "y", 2, 8},
+		{token.EOF, "", 2, 9},
+	}
+	if len(ts) != len(want) {
+		t.Fatalf("got %v", ts)
+	}
+	for i, w := range want {
+		if ts[i].Kind != w.kind || ts[i].Lit != w.lit || ts[i].Pos.Line != w.line || ts[i].Pos.Column != w.col {
+			t.Errorf("token %d: got %v at %v, want %s %q at %d:%d", i, ts[i], ts[i].Pos, w.kind, w.lit, w.line, w.col)
+		}
+	}
+}

@@ -15,10 +15,14 @@ import (
 	"repro/internal/frontend/token"
 )
 
-// Parser parses one translation unit.
+// Parser parses one translation unit. It pulls tokens from the lexer on
+// demand into a small ring window and drops them once consumed, so no
+// per-file token slice is built.
 type Parser struct {
-	toks   []token.Token
-	pos    int
+	lx     *lexer.Lexer
+	win    []token.Token // token i is win[i&(len(win)-1)]; len is a power of two
+	pos    int           // index of the current token, counted from the start of the file
+	lexed  int           // tokens taken from lx; always > pos
 	file   string
 	errs   []error
 	panics int // consecutive resync count, to guarantee progress
@@ -28,28 +32,52 @@ type Parser struct {
 // syntax errors (the AST is still usable when errors are non-nil, covering
 // the declarations that parsed cleanly).
 func ParseFile(filename, src string) (*ast.File, error) {
-	lx := lexer.New(filename, src)
-	p := &Parser{toks: lx.All(), file: filename}
+	p := &Parser{lx: lexer.New(filename, src), win: make([]token.Token, 8), file: filename}
+	p.lex()
 	f := p.parseFile()
-	errs := append(lx.Errors(), p.errs...)
+	errs := append(p.lx.Errors(), p.errs...)
 	if len(errs) > 0 {
 		return f, errors.Join(errs...)
 	}
 	return f, nil
 }
 
-func (p *Parser) cur() token.Token { return p.toks[p.pos] }
-func (p *Parser) peek() token.Token {
-	if p.pos+1 < len(p.toks) {
-		return p.toks[p.pos+1]
+// lex appends the lexer's next token to the window, doubling the window
+// when every slot holds a token not yet consumed.
+func (p *Parser) lex() {
+	if p.lexed-p.pos == len(p.win) {
+		win := make([]token.Token, 2*len(p.win))
+		for i := p.pos; i < p.lexed; i++ {
+			win[i&(len(win)-1)] = p.win[i&(len(p.win)-1)]
+		}
+		p.win = win
 	}
-	return p.toks[len(p.toks)-1]
+	p.win[p.lexed&(len(p.win)-1)] = p.lx.Next()
+	p.lexed++
 }
 
-func (p *Parser) next() token.Token {
-	t := p.toks[p.pos]
-	if p.pos < len(p.toks)-1 {
+// la returns the token k places after the current one. The lexer yields
+// EOF forever, so looking past the end returns the EOF token.
+func (p *Parser) la(k int) *token.Token {
+	for p.lexed <= p.pos+k {
+		p.lex()
+	}
+	return &p.win[(p.pos+k)&(len(p.win)-1)]
+}
+
+func (p *Parser) cur() *token.Token  { return &p.win[p.pos&(len(p.win)-1)] }
+func (p *Parser) peek() *token.Token { return p.la(1) }
+
+// next consumes the current token and returns it in place. At EOF it
+// stays put. The window reuses the slot once the parser looks a few tokens
+// further ahead, so callers read the token before parsing on.
+func (p *Parser) next() *token.Token {
+	t := p.cur()
+	if t.Kind != token.EOF {
 		p.pos++
+		if p.pos == p.lexed {
+			p.lex()
+		}
 	}
 	return t
 }
@@ -64,12 +92,12 @@ func (p *Parser) accept(k token.Kind) bool {
 	return false
 }
 
-func (p *Parser) expect(k token.Kind) token.Token {
+func (p *Parser) expect(k token.Kind) *token.Token {
 	if p.at(k) {
 		return p.next()
 	}
 	p.errorf("expected %s, found %s", k, p.cur())
-	return token.Token{Kind: k, Pos: p.cur().Pos}
+	return &token.Token{Kind: k, Pos: p.cur().Pos}
 }
 
 func (p *Parser) errorf(format string, args ...any) {
@@ -138,7 +166,7 @@ func (p *Parser) parseTopDecl(f *ast.File) ast.Decl {
 	// A struct declaration: struct tag { ... };
 	if p.at(token.KwStruct) && p.peek().Kind == token.IDENT {
 		// Lookahead for "struct tag {" or "struct tag ;"
-		if p.toks[p.pos+2].Kind == token.LBRACE || p.toks[p.pos+2].Kind == token.SEMI {
+		if k := p.la(2).Kind; k == token.LBRACE || k == token.SEMI {
 			sd := p.parseStructDecl()
 			if sd != nil {
 				f.Structs = append(f.Structs, sd)
@@ -396,12 +424,12 @@ func (p *Parser) looksLikeDecl() bool {
 		// "x * y;" is ambiguous in C; in this corpus a multiplication
 		// statement is meaningless, so treat as declaration only when the
 		// token after the stars is IDENT followed by ';' or '='.
-		i := p.pos + 1
-		for i < len(p.toks) && p.toks[i].Kind == token.STAR {
+		i := 1
+		for p.la(i).Kind == token.STAR {
 			i++
 		}
-		if i < len(p.toks) && p.toks[i].Kind == token.IDENT {
-			j := p.toks[i+1].Kind
+		if p.la(i).Kind == token.IDENT {
+			j := p.la(i + 1).Kind
 			return j == token.SEMI || j == token.ASSIGN || j == token.COMMA
 		}
 	}
@@ -562,23 +590,39 @@ func (p *Parser) parseTernary() ast.Expr {
 	return p.parseBinary(0)
 }
 
-// binary operator precedence, loosest (0) to tightest.
-var precedence = map[token.Kind]int{
-	token.LOR:  1,
-	token.LAND: 2,
-	token.PIPE: 3, token.CARET: 4, token.AMP: 5,
-	token.EQ: 6, token.NE: 6,
-	token.LT: 7, token.LE: 7, token.GT: 7, token.GE: 7,
-	token.SHL: 8, token.SHR: 8,
-	token.PLUS: 9, token.MINUS: 9,
-	token.STAR: 10, token.SLASH: 10, token.PERCENT: 10,
+// precedence returns a binary operator's precedence, loosest (1) to
+// tightest, and false for a token that is not a binary operator.
+func precedence(k token.Kind) (int, bool) {
+	switch k {
+	case token.LOR:
+		return 1, true
+	case token.LAND:
+		return 2, true
+	case token.PIPE:
+		return 3, true
+	case token.CARET:
+		return 4, true
+	case token.AMP:
+		return 5, true
+	case token.EQ, token.NE:
+		return 6, true
+	case token.LT, token.LE, token.GT, token.GE:
+		return 7, true
+	case token.SHL, token.SHR:
+		return 8, true
+	case token.PLUS, token.MINUS:
+		return 9, true
+	case token.STAR, token.SLASH, token.PERCENT:
+		return 10, true
+	}
+	return 0, false
 }
 
 func (p *Parser) parseBinary(minPrec int) ast.Expr {
 	lhs := p.parseUnary()
 	for {
 		op := p.cur().Kind
-		prec, ok := precedence[op]
+		prec, ok := precedence(op)
 		if !ok || prec < minPrec {
 			return lhs
 		}
@@ -723,10 +767,24 @@ func castLookahead(p *Parser) bool {
 	return p.peek().Kind == token.STAR
 }
 
+// parseIntLit returns the value of a C integer literal: hexadecimal after
+// 0x, octal after a leading 0, decimal otherwise; U and L suffixes are
+// ignored. Values up to 2^64-1 are accepted as their two's-complement
+// int64, so a U64_MAX-style mask reads as -1.
 func parseIntLit(s string) (int64, error) {
 	s = strings.TrimRight(s, "uUlL")
-	if strings.HasPrefix(s, "0x") || strings.HasPrefix(s, "0X") {
-		return strconv.ParseInt(s[2:], 16, 64)
+	base := 10
+	switch {
+	case strings.HasPrefix(s, "0x") || strings.HasPrefix(s, "0X"):
+		s, base = s[2:], 16
+	case len(s) > 1 && s[0] == '0':
+		s, base = s[1:], 8
+	default:
+		// A character literal cut off by the end of input lexes as -1.
+		if v, err := strconv.ParseInt(s, 10, 64); err == nil {
+			return v, nil
+		}
 	}
-	return strconv.ParseInt(s, 10, 64)
+	u, err := strconv.ParseUint(s, base, 64)
+	return int64(u), err
 }

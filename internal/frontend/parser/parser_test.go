@@ -378,3 +378,74 @@ int counter;
 		t.Errorf("global: %+v", v)
 	}
 }
+
+func TestParseIntLit(t *testing.T) {
+	for _, tt := range []struct {
+		lit  string
+		want int64
+	}{
+		{"0", 0},
+		{"7", 7},
+		{"42UL", 42},
+		{"012", 10},
+		{"0777", 511},
+		{"00", 0},
+		{"0x54", 0x54},
+		{"0XdeadBEEF", 0xdeadbeef},
+		{"9223372036854775807", 1<<63 - 1},
+		{"9223372036854775808", -1 << 63},
+		{"18446744073709551615", -1},
+		{"0xffffffffffffffff", -1},
+		{"0xFFFFFFFFFFFFFFFFULL", -1},
+		{"01777777777777777777777", -1},
+		{"0x8000000000000000", -1 << 63},
+		{"-1", -1},
+	} {
+		got, err := parseIntLit(tt.lit)
+		if err != nil || got != tt.want {
+			t.Errorf("parseIntLit(%q) = %d, %v; want %d", tt.lit, got, err, tt.want)
+		}
+	}
+	for _, lit := range []string{"08", "09", "0789", "0x", "0xg", "18446744073709551616", "0x10000000000000000", "1_000"} {
+		if v, err := parseIntLit(lit); err == nil {
+			t.Errorf("parseIntLit(%q) = %d, want an error", lit, v)
+		}
+	}
+}
+
+// TestParseWideMaskLiteral pins that a driver using a U64_MAX-style mask
+// parses: the literal used to fail the whole file.
+func TestParseWideMaskLiteral(t *testing.T) {
+	f := mustParse(t, "int f(int x) { return x & 0xffffffffffffffffULL; }\nint g(void) { return 012; }")
+	ret := func(i int) *ast.IntLit {
+		r := f.Decls[i].(*ast.FuncDecl).Body.Stmts[0].(*ast.ReturnStmt)
+		if b, ok := r.X.(*ast.BinaryExpr); ok {
+			return b.Y.(*ast.IntLit)
+		}
+		return r.X.(*ast.IntLit)
+	}
+	if v := ret(0).Value; v != -1 {
+		t.Errorf("0xffffffffffffffffULL = %d, want -1", v)
+	}
+	if v := ret(1).Value; v != 10 {
+		t.Errorf("012 = %d, want 10", v)
+	}
+	if _, err := ParseFile("test.c", "int f(void) { return 09; }"); err == nil || !strings.Contains(err.Error(), `bad integer literal "09"`) {
+		t.Errorf("09: got %v, want a bad integer literal error", err)
+	}
+}
+
+// TestParseLongStarRun pins the lookahead past a run of '*' longer than
+// the parser's initial token window: looksLikeDecl must see the name and
+// the ';' after all twelve stars.
+func TestParseLongStarRun(t *testing.T) {
+	f := mustParse(t, "void f(void) { T ************ x; y = 1; }")
+	body := f.Decls[0].(*ast.FuncDecl).Body.Stmts
+	d, ok := body[0].(*ast.DeclStmt)
+	if !ok || d.Name != "x" || d.Type.Name != "T" || d.Type.Pointer != 12 {
+		t.Fatalf("got %#v, want a declaration of x as T with 12 pointer levels", body[0])
+	}
+	if _, ok := body[1].(*ast.ExprStmt); !ok {
+		t.Errorf("statement after the declaration: got %T", body[1])
+	}
+}

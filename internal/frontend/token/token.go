@@ -127,17 +127,70 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// Keywords maps keyword spellings to their kinds. NULL is uppercase as in C.
-var Keywords = map[string]Kind{
-	"int": KwInt, "long": KwLong, "char": KwChar, "void": KwVoid,
-	"bool": KwBool, "struct": KwStruct, "if": KwIf, "else": KwElse,
-	"while": KwWhile, "for": KwFor, "do": KwDo, "goto": KwGoto,
-	"return": KwReturn, "break": KwBreak, "continue": KwContinue,
-	"extern": KwExtern, "static": KwStatic, "const": KwConst,
-	"unsigned": KwUnsigned, "NULL": KwNull, "true": KwTrue, "false": KwFalse,
-	"assert": KwAssert, "random": KwRandom, "asm": KwAsm,
-	"__asm__": KwAsm, "sizeof": KwSizeof,
-	"switch": KwSwitch, "case": KwCase, "default": KwDefault,
+// Lookup returns the keyword kind spelled lit, and false when lit is an
+// identifier. NULL is uppercase as in C, and __asm__ spells asm.
+func Lookup(lit string) (Kind, bool) {
+	switch lit {
+	case "int":
+		return KwInt, true
+	case "long":
+		return KwLong, true
+	case "char":
+		return KwChar, true
+	case "void":
+		return KwVoid, true
+	case "bool":
+		return KwBool, true
+	case "struct":
+		return KwStruct, true
+	case "if":
+		return KwIf, true
+	case "else":
+		return KwElse, true
+	case "while":
+		return KwWhile, true
+	case "for":
+		return KwFor, true
+	case "do":
+		return KwDo, true
+	case "goto":
+		return KwGoto, true
+	case "return":
+		return KwReturn, true
+	case "break":
+		return KwBreak, true
+	case "continue":
+		return KwContinue, true
+	case "extern":
+		return KwExtern, true
+	case "static":
+		return KwStatic, true
+	case "const":
+		return KwConst, true
+	case "unsigned":
+		return KwUnsigned, true
+	case "NULL":
+		return KwNull, true
+	case "true":
+		return KwTrue, true
+	case "false":
+		return KwFalse, true
+	case "assert":
+		return KwAssert, true
+	case "random":
+		return KwRandom, true
+	case "asm", "__asm__":
+		return KwAsm, true
+	case "sizeof":
+		return KwSizeof, true
+	case "switch":
+		return KwSwitch, true
+	case "case":
+		return KwCase, true
+	case "default":
+		return KwDefault, true
+	}
+	return IDENT, false
 }
 
 // Pos is a position in a source file. Line and Column are 1-based; a zero

@@ -22,12 +22,17 @@ func TestKindString(t *testing.T) {
 }
 
 func TestKeywordsRoundTrip(t *testing.T) {
-	for spelling, kind := range Keywords {
-		if spelling == "__asm__" {
-			continue // alias of asm
+	for k := KwInt; k <= KwDefault; k++ {
+		if got, ok := Lookup(k.String()); !ok || got != k {
+			t.Errorf("Lookup(%q) = %s, %v; want %s", k.String(), got, ok, k)
 		}
-		if kind.String() != spelling {
-			t.Errorf("keyword %q renders as %q", spelling, kind)
+	}
+	if got, ok := Lookup("__asm__"); !ok || got != KwAsm {
+		t.Errorf("Lookup(__asm__) = %s, %v; want asm", got, ok)
+	}
+	for _, id := range []string{"", "x", "Int", "null", "asm_", "__asm", "integer", "continues"} {
+		if got, ok := Lookup(id); ok || got != IDENT {
+			t.Errorf("Lookup(%q) = %s, %v; want IDENT, false", id, got, ok)
 		}
 	}
 }

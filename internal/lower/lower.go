@@ -12,6 +12,7 @@ package lower
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 
 	"repro/internal/frontend/ast"
@@ -252,7 +253,7 @@ func (lw *funcLowerer) emit(in *ir.Instr) {
 
 func (lw *funcLowerer) temp() string {
 	lw.ntemp++
-	return fmt.Sprintf("%%t%d", lw.ntemp)
+	return "%t" + strconv.Itoa(lw.ntemp)
 }
 
 // jump terminates the current block with an unconditional branch if it has

@@ -8,6 +8,7 @@ package repro_test
 
 import (
 	"context"
+	"sort"
 	"testing"
 
 	"repro/internal/baseline/cpyrule"
@@ -20,6 +21,7 @@ import (
 	"repro/internal/spec"
 	"repro/internal/sym"
 	"repro/internal/symexec"
+	"repro/rid"
 )
 
 // mustProgram builds one program from generated files.
@@ -146,6 +148,39 @@ func BenchmarkTable1Classification(b *testing.B) {
 	b.ReportMetric(float64(cl.NumAffectingAnalyzed), "cat2-analyzed")
 	b.ReportMetric(float64(cl.NumAffectingUnanalyzed), "cat2-skipped")
 	b.ReportMetric(float64(cl.NumOther), "cat3")
+}
+
+// BenchmarkFacadeTable1 is one scan of the Table-1 tree through the rid
+// package, the way a caller (and ridperf's batch_wide) does it: AddSource
+// per file, then RunContext. Only category-1 and -2 bodies are lowered.
+func BenchmarkFacadeTable1(b *testing.B) {
+	cfg := experiments.DefaultTable1()
+	c := kernelgen.Generate(kernelgen.Config{
+		Seed: cfg.Seed, Mix: kernelgen.PaperMix(),
+		SimpleHelpers: cfg.Helpers, ComplexHelpers: cfg.Complex, OtherFuncs: cfg.Other,
+	})
+	names := make([]string, 0, len(c.Files))
+	for n := range c.Files {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var res *rid.Result
+	for i := 0; i < b.N; i++ {
+		a := rid.New(rid.LinuxDPMSpecs())
+		for _, n := range names {
+			if err := a.AddSource(n, c.Files[n]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		var err error
+		if res, err = a.RunContext(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(res.MetricValue("funcs_lowered")), "funcs-lowered")
+	b.ReportMetric(float64(res.FuncsTotal), "funcs")
 }
 
 // ---------------------------------------------------------------------------

@@ -215,7 +215,7 @@ func TestCLIServeObservabilityE2E(t *testing.T) {
 		if err := json.Unmarshal([]byte(l), &rec); err != nil {
 			t.Fatalf("access line %d: %v: %s", i, err, l)
 		}
-		if rec.Route != "analyze" || rec.Status != 200 || rec.ID == "" || len(rec.Phases) != 7 {
+		if rec.Route != "analyze" || rec.Status != 200 || rec.ID == "" || len(rec.Phases) != 8 {
 			t.Fatalf("access line %d: %s", i, l)
 		}
 	}

@@ -168,8 +168,9 @@ func (c *Checker) checkPath(fn *ir.Func, p cfg.Path) []*Report {
 	hasReturn := false
 
 	blocks := p.Blocks
+	body := fn.Body().Blocks
 	for bi, b := range blocks {
-		blk := fn.Blocks[b]
+		blk := body[b]
 		next := -1
 		if bi+1 < len(blocks) {
 			next = blocks[bi+1]

@@ -12,44 +12,43 @@ import (
 	"repro/internal/ir"
 )
 
-// Graph is the call graph over defined functions. Calls to undefined
-// functions (externs, predefined APIs) appear in Callees but not as nodes.
+// Graph is the call graph over defined functions, built from each
+// function's Calls, so no body is lowered. Calls to undefined functions
+// (externs, predefined APIs) appear in All but not as nodes.
 type Graph struct {
 	Prog  *ir.Program
 	Nodes []string            // defined functions, in definition order
-	Out   map[string][]string // edges to *defined* callees only
-	In    map[string][]string
-	All   map[string][]string // edges including undefined callees
+	All   map[string][]string // callees, defined or not
 
-	sccOf  map[string]int
-	sccs   [][]string // SCC id → members (deterministic order)
-	sccDAG [][]int    // SCC id → successor SCC ids
+	index  map[string]int // function → its position in Nodes
+	sccOf  []int          // position in Nodes → SCC id
+	sccs   [][]string     // SCC id → members (deterministic order)
+	sccDAG [][]int        // SCC id → successor SCC ids
 }
 
 // Build constructs the call graph for prog.
 func Build(prog *ir.Program) *Graph {
+	n := len(prog.Order)
 	g := &Graph{
-		Prog: prog,
-		Out:  make(map[string][]string),
-		In:   make(map[string][]string),
-		All:  make(map[string][]string),
+		Prog:  prog,
+		Nodes: append([]string(nil), prog.Order...),
+		All:   make(map[string][]string, n),
+		index: make(map[string]int, n),
 	}
-	for _, name := range prog.Order {
-		g.Nodes = append(g.Nodes, name)
+	for i, name := range g.Nodes {
+		g.index[name] = i
 	}
-	for _, name := range g.Nodes {
-		fn := prog.Funcs[name]
-		callees := fn.Callees()
+	succs := make([][]int, n)
+	for i, name := range g.Nodes {
+		callees := prog.Funcs[name].Calls
 		g.All[name] = callees
 		for _, c := range callees {
-			if _, defined := prog.Funcs[c]; !defined {
-				continue
+			if j, defined := g.index[c]; defined {
+				succs[i] = append(succs[i], j)
 			}
-			g.Out[name] = append(g.Out[name], c)
-			g.In[c] = append(g.In[c], name)
 		}
 	}
-	g.condense()
+	g.condense(succs)
 	return g
 }
 
@@ -59,7 +58,7 @@ func Build(prog *ir.Program) *Graph {
 func (g *Graph) SCCs() [][]string { return g.sccs }
 
 // SCCOf returns the SCC index of fn (indices follow SCCs() order).
-func (g *Graph) SCCOf(fn string) int { return g.sccOf[fn] }
+func (g *Graph) SCCOf(fn string) int { return g.sccOf[g.index[fn]] }
 
 // SCCSuccs returns, for SCC i, the SCC indices it depends on (its callees'
 // SCCs); all of them precede i in SCCs() order.
@@ -85,24 +84,31 @@ func (g *Graph) Topo() []string {
 }
 
 // condense computes the SCCs, each function's SCC index, and the
-// condensation DAG.
-func (g *Graph) condense() {
-	g.sccs = Tarjan(g.Nodes, func(n string) []string { return g.Out[n] })
-	g.sccOf = make(map[string]int, len(g.Nodes))
-	for id, comp := range g.sccs {
-		for _, m := range comp {
-			g.sccOf[m] = id
+// condensation DAG from the node-index adjacency succs.
+func (g *Graph) condense(succs [][]int) {
+	comps := Tarjan(succs)
+	g.sccOf = make([]int, len(succs))
+	g.sccs = make([][]string, len(comps))
+	names := make([]string, 0, len(succs)) // every SCC's members, carved below
+	for i, comp := range comps {
+		for _, v := range comp {
+			names = append(names, g.Nodes[v])
+			g.sccOf[v] = i
 		}
+		members := names[len(names)-len(comp):]
+		sort.Strings(members) // deterministic member order
+		g.sccs[i] = members[:len(comp):len(comp)]
 	}
-	// Tarjan emits SCCs in reverse topological order already.
-	g.sccDAG = make([][]int, len(g.sccs))
-	for i, comp := range g.sccs {
-		seen := map[int]bool{i: true}
-		for _, m := range comp {
-			for _, c := range g.Out[m] {
-				cs := g.sccOf[c]
-				if !seen[cs] {
-					seen[cs] = true
+	// Tarjan emits SCCs in reverse topological order already. seen[j] ==
+	// i+1 marks SCC j as already listed for SCC i.
+	g.sccDAG = make([][]int, len(comps))
+	seen := make([]int, len(comps))
+	for i, comp := range comps {
+		seen[i] = i + 1
+		for _, v := range comp {
+			for _, w := range succs[v] {
+				if cs := g.sccOf[w]; seen[cs] != i+1 {
+					seen[cs] = i + 1
 					g.sccDAG[i] = append(g.sccDAG[i], cs)
 				}
 			}
@@ -111,73 +117,69 @@ func (g *Graph) condense() {
 	}
 }
 
-// Tarjan computes the strongly connected components of the graph whose
-// edges run from each node to succs(node), iteratively (generated corpora
-// have deep chains). Components come out in reverse topological order —
-// each after every component it reaches — with members sorted. Roots are
-// tried in nodes order and successors in the order succs returns them,
-// which makes the component order deterministic. succs is called once per
-// node.
-func Tarjan(nodes []string, succs func(string) []string) [][]string {
-	index := make(map[string]int)
-	low := make(map[string]int)
-	onStack := make(map[string]bool)
-	var stack []string
-	var out [][]string
+// Tarjan computes the strongly connected components of the graph over
+// nodes 0..len(succs)-1 whose edges run from node v to each of succs[v],
+// iteratively (generated corpora have deep chains). Components come out
+// in reverse topological order — each after every component it reaches —
+// with members in increasing order. Roots are tried in index order and
+// successors in the order succs lists them, which makes the component
+// order deterministic.
+func Tarjan(succs [][]int) [][]int {
+	n := len(succs)
+	index := make([]int, n) // DFS number plus one; 0 = unvisited
+	low := make([]int, n)
+	onStack := make([]bool, n)
+	var stack []int
+	out := make([][]int, 0, n)
+	members := make([]int, 0, n) // every component's members, carved below
 	next := 0
 
-	type frame struct {
-		node string
-		ei   int
-		ss   []string
-	}
+	type frame struct{ v, ei int }
 	var frames []frame
-	push := func(v string) {
-		index[v] = next
-		low[v] = next
+	push := func(v int) {
 		next++
+		index[v], low[v] = next, next
 		stack = append(stack, v)
 		onStack[v] = true
-		frames = append(frames, frame{node: v, ss: succs(v)})
+		frames = append(frames, frame{v: v})
 	}
-	for _, root := range nodes {
-		if _, seen := index[root]; seen {
+	for root := 0; root < n; root++ {
+		if index[root] != 0 {
 			continue
 		}
 		push(root)
 		for len(frames) > 0 {
 			f := &frames[len(frames)-1]
-			if f.ei < len(f.ss) {
-				w := f.ss[f.ei]
+			if ss := succs[f.v]; f.ei < len(ss) {
+				w := ss[f.ei]
 				f.ei++
-				if _, seen := index[w]; !seen {
+				if index[w] == 0 {
 					push(w)
-				} else if onStack[w] && index[w] < low[f.node] {
-					low[f.node] = index[w]
+				} else if onStack[w] && index[w] < low[f.v] {
+					low[f.v] = index[w]
 				}
 				continue
 			}
 			// Pop frame; maybe emit a component.
-			v := f.node
+			v := f.v
 			frames = frames[:len(frames)-1]
 			if len(frames) > 0 {
-				p := &frames[len(frames)-1]
-				if low[v] < low[p.node] {
-					low[p.node] = low[v]
+				if p := frames[len(frames)-1].v; low[v] < low[p] {
+					low[p] = low[v]
 				}
 			}
 			if low[v] == index[v] {
-				var comp []string
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp = append(comp, w)
-					if w == v {
-						break
-					}
+				k := len(stack) - 1
+				for stack[k] != v {
+					k--
 				}
-				sort.Strings(comp) // deterministic member order
+				members = append(members, stack[k:]...)
+				comp := members[len(members)-(len(stack)-k) : len(members) : len(members)]
+				for _, w := range comp {
+					onStack[w] = false
+				}
+				stack = stack[:k]
+				sort.Ints(comp)
 				out = append(out, comp)
 			}
 		}

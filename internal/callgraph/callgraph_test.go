@@ -48,8 +48,8 @@ int a(int x) { return ext(x); }
 	if len(g.Nodes) != 1 {
 		t.Fatalf("nodes: %v", g.Nodes)
 	}
-	if len(g.Out["a"]) != 0 {
-		t.Errorf("defined-out edges: %v", g.Out["a"])
+	if len(g.SCCSuccs(0)) != 0 {
+		t.Errorf("defined-callee SCCs: %v", g.SCCSuccs(0))
 	}
 	if len(g.All["a"]) != 1 || g.All["a"][0] != "ext" {
 		t.Errorf("all edges: %v", g.All["a"])

@@ -26,7 +26,8 @@ type Graph struct {
 // count — this runs once per (function, path-enumeration) and showed up
 // in allocation profiles when it allocated per block.
 func New(fn *ir.Func) *Graph {
-	n := len(fn.Blocks)
+	blocks := fn.Body().Blocks
+	n := len(blocks)
 	g := &Graph{
 		Fn:   fn,
 		Succ: make([][]int, n),
@@ -35,7 +36,7 @@ func New(fn *ir.Func) *Graph {
 	// Pass 1: count edges and per-block indegrees.
 	total := 0
 	indeg := make([]int, n)
-	for _, b := range fn.Blocks {
+	for _, b := range blocks {
 		k := b.NumSuccs()
 		total += k
 		var two [2]int
@@ -45,7 +46,7 @@ func New(fn *ir.Func) *Graph {
 	}
 	// Pass 2: carve Succ lists out of one backing array.
 	succBack := make([]int, 0, total)
-	for _, b := range fn.Blocks {
+	for _, b := range blocks {
 		lo := len(succBack)
 		succBack = b.AppendSuccs(succBack)
 		g.Succ[b.Index] = succBack[lo:len(succBack):len(succBack)]
@@ -57,7 +58,7 @@ func New(fn *ir.Func) *Graph {
 		g.Pred[i] = predBack[off : off : off+indeg[i]]
 		off += indeg[i]
 	}
-	for _, b := range fn.Blocks {
+	for _, b := range blocks {
 		for _, s := range g.Succ[b.Index] {
 			g.Pred[s] = append(g.Pred[s], b.Index)
 		}
@@ -188,6 +189,7 @@ func (g *Graph) EnumerateCtx(ctx context.Context, maxPaths int) EnumerateResult 
 	if len(g.back) > 0 {
 		usedBack = make(map[[2]int]int, len(g.back))
 	}
+	blocks := g.Fn.Body().Blocks
 	var walk func(b int)
 	walk = func(b int) {
 		if res.Canceled {
@@ -205,8 +207,7 @@ func (g *Graph) EnumerateCtx(ctx context.Context, maxPaths int) EnumerateResult 
 		}
 		cur = append(cur, b)
 		defer func() { cur = cur[:len(cur)-1] }()
-		blk := g.Fn.Blocks[b]
-		t := blk.Terminator()
+		t := blocks[b].Terminator()
 		if t.Op == ir.OpReturn {
 			p := Path{Blocks: make([]int, len(cur))}
 			copy(p.Blocks, cur)
@@ -240,8 +241,9 @@ func (g *Graph) EnumerateCtx(ctx context.Context, maxPaths int) EnumerateResult 
 // branch terminators by looking at the next block in the path).
 func (p Path) Instrs(fn *ir.Func) []*ir.Instr {
 	var out []*ir.Instr
+	blocks := fn.Body().Blocks
 	for _, b := range p.Blocks {
-		out = append(out, fn.Blocks[b].Instrs...)
+		out = append(out, blocks[b].Instrs...)
 	}
 	return out
 }

@@ -51,7 +51,7 @@ int f(int a) {
 		if p.Blocks[0] != 0 {
 			t.Errorf("path does not start at entry: %v", p.Blocks)
 		}
-		last := g.Fn.Blocks[p.Blocks[len(p.Blocks)-1]]
+		last := g.Fn.Body().Blocks[p.Blocks[len(p.Blocks)-1]]
 		if last.Terminator().Op != ir.OpReturn {
 			t.Errorf("path does not end in return: %v", p.Blocks)
 		}
@@ -224,7 +224,7 @@ func TestPropertyPathsWellFormed(t *testing.T) {
 					}
 				}
 			}
-			last := g.Fn.Blocks[p.Blocks[len(p.Blocks)-1]]
+			last := g.Fn.Body().Blocks[p.Blocks[len(p.Blocks)-1]]
 			if last.Terminator().Op != ir.OpReturn {
 				t.Fatalf("trial %d: path does not end at return", trial)
 			}

@@ -13,7 +13,7 @@ func (g *Graph) Dot() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "digraph %q {\n", g.Fn.Name)
 	b.WriteString("  node [shape=box, fontname=\"monospace\"];\n")
-	for _, blk := range g.Fn.Blocks {
+	for _, blk := range g.Fn.Body().Blocks {
 		if !g.Reachable(blk.Index) {
 			continue
 		}
@@ -63,7 +63,7 @@ func (g *Graph) DotPaths(a, b []int) string {
 	var out strings.Builder
 	fmt.Fprintf(&out, "digraph %q {\n", g.Fn.Name)
 	out.WriteString("  node [shape=box, fontname=\"monospace\"];\n")
-	for _, blk := range g.Fn.Blocks {
+	for _, blk := range g.Fn.Body().Blocks {
 		if !g.Reachable(blk.Index) {
 			continue
 		}

@@ -211,8 +211,11 @@ func analyzeWithDB(ctx context.Context, prog *ir.Program, specs *spec.Specs, db 
 	reg := opts.Obs.Registry()
 	solverBase := solverCounters(reg)
 	runSpan := opts.Obs.Start(obs.PhaseRun, "")
+	lowered0 := countLowered(prog)
 
+	cgSpan := opts.Obs.Start(obs.PhaseCallgraph, "")
 	g := callgraph.Build(prog)
+	cgSpan.End()
 
 	t0 := time.Now()
 	classifySpan := opts.Obs.Start(obs.PhaseClassify, "")
@@ -275,8 +278,22 @@ func analyzeWithDB(ctx context.Context, prog *ir.Program, specs *spec.Specs, db 
 	// Read the solver totals back from the registry only now, after every
 	// worker has exited and all diagnostics are finalized.
 	res.Stats.Solver = solverCounters(reg).Sub(solverBase)
+	opts.Obs.Count(obs.MFuncsLowered, countLowered(prog)-lowered0)
 	runSpan.End()
 	return res
+}
+
+// countLowered counts prog's functions whose body has been lowered. Its
+// change across a run is the bodies that run lowered; a concurrent run
+// over shared functions (rid serve's frontend memo) may lower some first.
+func countLowered(prog *ir.Program) int64 {
+	var n int64
+	for _, f := range prog.Funcs {
+		if f.Lowered() {
+			n++
+		}
+	}
+	return n
 }
 
 // solverCounters reads the registry's solver counters as a solver.Stats.

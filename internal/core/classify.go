@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/callgraph"
 	"repro/internal/slice"
 	"repro/internal/summary"
@@ -62,41 +64,50 @@ func classify(g *callgraph.Graph, db *summary.DB, maxCat2Conds int) *Classificat
 		return s != nil && s.ChangesRefcounts()
 	}
 
-	// Phase 1: reverse topological propagation of "changes refcounts".
+	// Phase 1: reverse topological propagation of "changes refcounts", one
+	// SCC at a time. Members of an SCC reach each other, so the whole SCC
+	// changes refcounts as soon as one member calls a callee that does.
 	hasRC := make(map[string]bool)
-	for _, fn := range g.ReverseTopo() {
-		for _, c := range g.All[fn] {
-			if hasRC[c] || isAPI(c) {
-				hasRC[fn] = true
-				break
-			}
+	affectsRC := func(callee string) bool { return hasRC[callee] || isAPI(callee) }
+	for _, scc := range g.SCCs() {
+		rc := false
+		for _, fn := range scc {
+			rc = rc || slices.ContainsFunc(g.All[fn], affectsRC)
 		}
-	}
-	for _, fn := range g.Nodes {
-		if hasRC[fn] {
-			cl.Category[fn] = CatRefcount
+		if rc {
+			for _, fn := range scc {
+				hasRC[fn] = true
+				cl.Category[fn] = CatRefcount
+			}
 		}
 	}
 
-	// Phase 2: topological traversal with backward slicing. Processing
-	// callers first lets a freshly marked category-2 function be sliced in
-	// turn when its own position in the order is reached.
-	affectsRC := func(callee string) bool { return hasRC[callee] || isAPI(callee) }
-	for _, fn := range g.Topo() {
-		cat := cl.Category[fn]
-		if cat != CatRefcount && cat != CatAffecting {
-			continue
-		}
-		res := slice.Compute(g.Prog.Funcs[fn], slice.Criteria{
-			ReturnValue:   true,
-			ArgsOfCallsTo: affectsRC,
-		})
-		for callee := range res.CalleesInSlice {
-			if _, defined := g.Prog.Funcs[callee]; !defined {
-				continue
-			}
-			if cl.Category[callee] == CatOther {
-				cl.Category[callee] = CatAffecting
+	// Phase 2: backward slicing, callers' SCCs before callees'. A slice can
+	// mark a member of its own SCC category 2, so each SCC is sliced to a
+	// fixpoint: every category-1 or -2 function is sliced exactly once,
+	// whatever the names of the members.
+	sliced := make(map[string]bool)
+	sccs := g.SCCs()
+	for i := len(sccs) - 1; i >= 0; i-- {
+		for changed := true; changed; {
+			changed = false
+			for _, fn := range sccs[i] {
+				if cat := cl.Category[fn]; sliced[fn] || (cat != CatRefcount && cat != CatAffecting) {
+					continue
+				}
+				sliced[fn], changed = true, true
+				res := slice.Compute(g.Prog.Funcs[fn], slice.Criteria{
+					ReturnValue:   true,
+					ArgsOfCallsTo: affectsRC,
+				})
+				for callee := range res.CalleesInSlice {
+					if _, defined := g.Prog.Funcs[callee]; !defined {
+						continue
+					}
+					if cl.Category[callee] == CatOther {
+						cl.Category[callee] = CatAffecting
+					}
+				}
 			}
 		}
 	}
@@ -107,7 +118,7 @@ func classify(g *callgraph.Graph, db *summary.DB, maxCat2Conds int) *Classificat
 		case CatRefcount:
 			cl.NumRefcount++
 		case CatAffecting:
-			if g.Prog.Funcs[fn].NumConds <= maxCat2Conds {
+			if g.Prog.Funcs[fn].Body().NumConds <= maxCat2Conds {
 				cl.Analyzed[fn] = true
 				cl.NumAffectingAnalyzed++
 			} else {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sort"
 
 	"repro/internal/callgraph"
@@ -35,37 +36,29 @@ func AnalyzeFiles(ctx context.Context, progs map[string]*ir.Program, specs *spec
 
 	// Symbol table: in name order, so a symbol defined in several files
 	// resolves to the last one.
-	definedIn := make(map[string]string) // symbol → file
-	for _, n := range names {
+	definedIn := make(map[string]int) // symbol → index in names
+	for i, n := range names {
 		for _, fn := range progs[n].Order {
-			definedIn[fn] = n
+			definedIn[fn] = i
 		}
 	}
 
-	// File dependency edges.
-	deps := make(map[string]map[string]bool, len(names))
-	for _, n := range names {
-		deps[n] = make(map[string]bool)
+	// File dependency edges, each file's in name order, so the group order
+	// below is deterministic.
+	deps := make([][]int, len(names))
+	for i, n := range names {
 		for _, fn := range progs[n].Order {
-			for _, callee := range progs[n].Funcs[fn].Callees() {
-				if m, ok := definedIn[callee]; ok && m != n {
-					deps[n][m] = true
+			for _, callee := range progs[n].Funcs[fn].Calls {
+				if m, ok := definedIn[callee]; ok && m != i && !slices.Contains(deps[i], m) {
+					deps[i] = append(deps[i], m)
 				}
 			}
 		}
+		slices.Sort(deps[i])
 	}
 
-	// Strongly connected file groups, dependencies first; each file's
-	// dependencies are visited in name order, so group order is
-	// deterministic.
-	groups := callgraph.Tarjan(names, func(n string) []string {
-		s := make([]string, 0, len(deps[n]))
-		for d := range deps[n] {
-			s = append(s, d)
-		}
-		sort.Strings(s)
-		return s
-	})
+	// Strongly connected file groups, dependencies first.
+	groups := callgraph.Tarjan(deps)
 
 	// Shared state across groups.
 	db := summary.NewDB()
@@ -84,11 +77,8 @@ func AnalyzeFiles(ctx context.Context, progs map[string]*ir.Program, specs *spec
 			break
 		}
 		linked := ir.NewProgram()
-		for _, n := range group {
-			linked.Merge(progs[n])
-		}
-		if err := linked.Validate(); err != nil {
-			return nil, err
+		for _, i := range group {
+			linked.Merge(progs[names[i]])
 		}
 		res := analyzeWithDB(ctx, linked, specs, db, opts)
 		total.Reports = append(total.Reports, res.Reports...)

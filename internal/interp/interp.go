@@ -175,7 +175,7 @@ func (ip *Interp) run(fnName string, args []int64, depth int) (ret int64, hasRet
 		if depth == 0 && ip.traceOn {
 			ip.trace = append(ip.trace, block)
 		}
-		blk := fn.Blocks[block]
+		blk := fn.Body().Blocks[block]
 		for _, in := range blk.Instrs {
 			steps++
 			if steps > ip.cfg.MaxSteps {

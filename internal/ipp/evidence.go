@@ -132,10 +132,11 @@ func pathEvidence(fn *ir.Func, res symexec.Result, pe symexec.PathEntry) PathEvi
 	if pe.PathIndex >= 0 && pe.PathIndex < len(res.Paths) {
 		blocks := res.Paths[pe.PathIndex].Blocks
 		ev.Blocks = make([]BlockStep, 0, len(blocks))
+		body := fn.Body().Blocks
 		for _, bi := range blocks {
 			step := BlockStep{Index: bi}
-			if bi >= 0 && bi < len(fn.Blocks) {
-				blk := fn.Blocks[bi]
+			if bi >= 0 && bi < len(body) {
+				blk := body[bi]
 				step.Instrs = make([]string, len(blk.Instrs))
 				for i, in := range blk.Instrs {
 					step.Instrs[i] = in.String()

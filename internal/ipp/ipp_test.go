@@ -27,7 +27,7 @@ func entry(path int, ret *sym.Expr, delta int, rc *sym.Expr, conds ...*sym.Expr)
 
 func result(fn string, entries ...symexec.PathEntry) symexec.Result {
 	f := &ir.Func{Name: fn, Params: []string{"dev"}}
-	f.NewBlock().Instrs = []*ir.Instr{{Op: ir.OpReturn}}
+	f.Body().NewBlock().Instrs = []*ir.Instr{{Op: ir.OpReturn}}
 	return symexec.Result{Fn: f, Entries: entries, NumPaths: len(entries)}
 }
 

@@ -23,6 +23,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/frontend/token"
 )
@@ -363,54 +365,83 @@ func (b *Block) NumSuccs() int {
 	return 0
 }
 
-// Func is a function in the abstract program. Block 0 is the entry.
-type Func struct {
-	Name     string
-	Params   []string
+// Body is a function's lowered code. Block 0 is the entry.
+type Body struct {
 	Blocks   []*Block
-	HasRet   bool // declared with a non-void result
-	Pos      token.Pos
-	SrcFile  string
 	NumConds int // number of conditional branches (category-2 gating, §5.2)
 }
 
-// Entry returns the entry block.
-func (f *Func) Entry() *Block { return f.Blocks[0] }
+// body names Body for embedding in Func under an unexported field name.
+type body = Body
+
+// Func is a function in the abstract program. Its signature and Calls are
+// known once the source is parsed; its Body is built on first use.
+type Func struct {
+	Name    string
+	Params  []string
+	HasRet  bool // declared with a non-void result
+	Pos     token.Pos
+	SrcFile string
+	// Calls is the set of function names f calls, sorted. The frontend
+	// reads it off the syntax tree, so the call graph needs no body.
+	Calls []string
+
+	// *body is nil until Body runs. It is embedded only so that code
+	// reading f.Blocks directly, like bench/ridperf, still compiles; such
+	// a read of a function nobody has lowered panics instead of seeing no
+	// code. Everything else reads the body through Body.
+	*body
+	once    sync.Once
+	build   func() *Body
+	lowered atomic.Bool // build has run
+}
+
+// Defer makes build produce f's body the first time Body is called.
+func (f *Func) Defer(build func() *Body) { f.build = build }
+
+// Body returns f's lowered code, building and validating it on the first
+// call; concurrent first calls build it once. The builder is dropped
+// afterwards, together with any syntax tree it holds.
+func (f *Func) Body() *Body {
+	f.once.Do(f.force)
+	return f.body
+}
+
+// force builds f's body; a function built by hand without Defer gets an
+// empty one to add blocks to.
+func (f *Func) force() {
+	if f.build != nil {
+		f.body, f.build = f.build(), nil
+		f.lowered.Store(true)
+		if err := f.body.validate(f.Name); err != nil {
+			panic(err)
+		}
+	} else if f.body == nil {
+		f.body = &Body{}
+	}
+}
+
+// Lowered reports whether a deferred builder has produced f's body.
+func (f *Func) Lowered() bool { return f.lowered.Load() }
 
 // NewBlock appends an empty block and returns it.
-func (f *Func) NewBlock() *Block {
-	b := &Block{Index: len(f.Blocks)}
-	f.Blocks = append(f.Blocks, b)
-	return b
+func (b *Body) NewBlock() *Block {
+	blk := &Block{Index: len(b.Blocks)}
+	b.Blocks = append(b.Blocks, blk)
+	return blk
 }
 
 // String renders the function as readable IR text.
 func (f *Func) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "func %s(%s):\n", f.Name, strings.Join(f.Params, ", "))
-	for _, b := range f.Blocks {
+	for _, b := range f.Body().Blocks {
 		fmt.Fprintf(&sb, "b%d:\n", b.Index)
 		for _, in := range b.Instrs {
 			fmt.Fprintf(&sb, "  %s\n", in)
 		}
 	}
 	return sb.String()
-}
-
-// Callees returns the set of function names called by f, in first-call
-// order without duplicates.
-func (f *Func) Callees() []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if in.Op == OpCall && !seen[in.Fn] {
-				seen[in.Fn] = true
-				out = append(out, in.Fn)
-			}
-		}
-	}
-	return out
 }
 
 // Program is a set of functions indexed by name, plus the list of extern
@@ -455,32 +486,35 @@ func (p *Program) Merge(other *Program) {
 	}
 }
 
-// Validate checks structural invariants: entry block exists, every block
-// is terminated, and branch targets are in range. It returns the first
-// violation found.
+// Validate builds every function's body and checks its structural
+// invariants: entry block exists, every block is terminated, and branch
+// targets are in range. It returns the first violation found.
 func (p *Program) Validate() error {
-	var buf [2]int // a block has at most two successors
-	succs := buf[:0]
 	for _, name := range p.Order {
-		f := p.Funcs[name]
-		if len(f.Blocks) == 0 {
-			return fmt.Errorf("function %s has no blocks", name)
+		if err := p.Funcs[name].Body().validate(name); err != nil {
+			return err
 		}
-		for _, b := range f.Blocks {
-			t := b.Terminator()
-			if t == nil {
-				return fmt.Errorf("function %s: block b%d not terminated", name, b.Index)
+	}
+	return nil
+}
+
+func (b *Body) validate(name string) error {
+	if len(b.Blocks) == 0 {
+		return fmt.Errorf("function %s has no blocks", name)
+	}
+	var buf [2]int // a block has at most two successors
+	for _, blk := range b.Blocks {
+		if blk.Terminator() == nil {
+			return fmt.Errorf("function %s: block b%d not terminated", name, blk.Index)
+		}
+		for i, in := range blk.Instrs {
+			if in.IsTerminator() && i != len(blk.Instrs)-1 {
+				return fmt.Errorf("function %s: block b%d has terminator mid-block", name, blk.Index)
 			}
-			for i, in := range b.Instrs {
-				if in.IsTerminator() && i != len(b.Instrs)-1 {
-					return fmt.Errorf("function %s: block b%d has terminator mid-block", name, b.Index)
-				}
-			}
-			succs = b.AppendSuccs(succs[:0])
-			for _, s := range succs {
-				if s < 0 || s >= len(f.Blocks) {
-					return fmt.Errorf("function %s: block b%d branches to out-of-range b%d", name, b.Index, s)
-				}
+		}
+		for _, s := range blk.AppendSuccs(buf[:0]) {
+			if s < 0 || s >= len(b.Blocks) {
+				return fmt.Errorf("function %s: block b%d branches to out-of-range b%d", name, blk.Index, s)
 			}
 		}
 	}

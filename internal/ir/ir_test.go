@@ -107,9 +107,9 @@ func TestInstrString(t *testing.T) {
 
 func buildFunc() *Func {
 	f := &Func{Name: "f", Params: []string{"a"}}
-	b0 := f.NewBlock()
-	b1 := f.NewBlock()
-	b2 := f.NewBlock()
+	b0 := f.Body().NewBlock()
+	b1 := f.Body().NewBlock()
+	b2 := f.Body().NewBlock()
 	b0.Instrs = append(b0.Instrs,
 		&Instr{Op: OpCompare, Dst: "c", Pred: GT, A: Var("a"), B: Int(0)},
 		&Instr{Op: OpBranchCond, Cond: Var("c"), True: b1.Index, False: b2.Index},
@@ -124,13 +124,13 @@ func buildFunc() *Func {
 
 func TestBlockSuccs(t *testing.T) {
 	f := buildFunc()
-	if got := f.Blocks[0].Succs(); len(got) != 2 || got[0] != 1 || got[1] != 2 {
+	if got := f.Body().Blocks[0].Succs(); len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Errorf("b0 succs: %v", got)
 	}
-	if got := f.Blocks[1].Succs(); len(got) != 1 || got[0] != 2 {
+	if got := f.Body().Blocks[1].Succs(); len(got) != 1 || got[0] != 2 {
 		t.Errorf("b1 succs: %v", got)
 	}
-	if got := f.Blocks[2].Succs(); got != nil {
+	if got := f.Body().Blocks[2].Succs(); got != nil {
 		t.Errorf("return block succs: %v", got)
 	}
 }
@@ -143,13 +143,6 @@ func TestBranchCondSameTargets(t *testing.T) {
 	}
 }
 
-func TestCallees(t *testing.T) {
-	f := buildFunc()
-	if got := f.Callees(); len(got) != 1 || got[0] != "g" {
-		t.Errorf("callees: %v", got)
-	}
-}
-
 func TestProgramAddAndExterns(t *testing.T) {
 	p := NewProgram()
 	p.AddExtern("g")
@@ -158,14 +151,14 @@ func TestProgramAddAndExterns(t *testing.T) {
 	}
 	p.Add(buildFunc())
 	g := &Func{Name: "g"}
-	g.NewBlock().Instrs = []*Instr{{Op: OpReturn}}
+	g.Body().NewBlock().Instrs = []*Instr{{Op: OpReturn}}
 	p.Add(g)
 	if p.Externs["g"] {
 		t.Error("definition must clear extern mark")
 	}
 	// Last definition wins (weak-symbol behavior).
 	g2 := &Func{Name: "g", Params: []string{"x"}}
-	g2.NewBlock().Instrs = []*Instr{{Op: OpReturn}}
+	g2.Body().NewBlock().Instrs = []*Instr{{Op: OpReturn}}
 	p.Add(g2)
 	if len(p.Funcs["g"].Params) != 1 {
 		t.Error("redefinition should replace")
@@ -178,7 +171,7 @@ func TestProgramAddAndExterns(t *testing.T) {
 func TestValidateCatchesUnterminated(t *testing.T) {
 	p := NewProgram()
 	f := &Func{Name: "bad"}
-	f.NewBlock() // empty block, no terminator
+	f.Body().NewBlock() // empty block, no terminator
 	p.Add(f)
 	if err := p.Validate(); err == nil {
 		t.Error("unterminated block must fail validation")
@@ -188,7 +181,7 @@ func TestValidateCatchesUnterminated(t *testing.T) {
 func TestValidateCatchesOutOfRangeBranch(t *testing.T) {
 	p := NewProgram()
 	f := &Func{Name: "bad"}
-	b := f.NewBlock()
+	b := f.Body().NewBlock()
 	b.Instrs = []*Instr{{Op: OpBranch, Target: 7}}
 	p.Add(f)
 	if err := p.Validate(); err == nil {
@@ -199,7 +192,7 @@ func TestValidateCatchesOutOfRangeBranch(t *testing.T) {
 func TestValidateCatchesMidBlockTerminator(t *testing.T) {
 	p := NewProgram()
 	f := &Func{Name: "bad"}
-	b := f.NewBlock()
+	b := f.Body().NewBlock()
 	b.Instrs = []*Instr{
 		{Op: OpReturn},
 		{Op: OpAssign, Dst: "x", Val: Int(1)},

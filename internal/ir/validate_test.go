@@ -6,8 +6,8 @@ import (
 	"repro/internal/lower"
 )
 
-// Validate runs on every loaded program — once in lower.Program and once
-// more before each analysis — so it must not allocate per block.
+// Validate runs on every function body as it is built, so it must not
+// allocate per block.
 func TestValidateDoesNotAllocate(t *testing.T) {
 	prog, err := lower.SourceString("v.c", `
 int f(int a, int b) {
@@ -25,7 +25,7 @@ int f(int a, int b) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(prog.Funcs["f"].Blocks); n < 8 {
+	if n := len(prog.Funcs["f"].Body().Blocks); n < 8 {
 		t.Fatalf("want a multi-block function, got %d blocks", n)
 	}
 	if allocs := testing.AllocsPerRun(100, func() {

@@ -11,6 +11,7 @@ package lower
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -34,7 +35,7 @@ type Options struct {
 }
 
 // IntoOpts lowers a parsed file into an existing program with explicit
-// abstraction options.
+// abstraction options. Each function's body is built on first use.
 func IntoOpts(p *ir.Program, f *ast.File, opts Options) error {
 	lf, err := lowerFile(f, opts)
 	if err != nil {
@@ -78,7 +79,7 @@ func lowerFile(f *ast.File, opts Options) (loweredFile, error) {
 			lf.externs = append(lf.externs, fd.Name)
 			continue
 		}
-		fn, err := lowerFunc(fd, f.Name, opts)
+		fn, err := declare(fd, f.Name, opts)
 		if err != nil {
 			return loweredFile{}, err
 		}
@@ -96,39 +97,41 @@ func (lf *loweredFile) mergeInto(p *ir.Program) {
 	}
 }
 
-// Memo reuses lowered files across Program calls: a file whose name,
+// Memo reuses lowered files across Load calls: a file whose name,
 // source text and options all equal an entry from the memo's previous
-// successful call keeps that call's *ir.Func values instead of being
-// parsed and lowered again. It holds only the file set of that most
-// recent call, so it never outgrows one request's IR. Lowered IR is never
-// written after lowering and holds no interned expressions, so concurrent
-// callers may share it. A Memo is safe for concurrent use; a nil *Memo
-// caches nothing.
+// successful call keeps that call's *ir.Func values, bodies built so far
+// included, instead of being parsed again. It holds only the file set of
+// that most recent call, so it never outgrows one request's IR. A body is
+// built once (ir.Func.Body), never written afterwards and holds no
+// interned expressions, so concurrent callers may share it. A Memo is safe
+// for concurrent use; a nil *Memo caches nothing.
 type Memo struct {
 	mu    sync.Mutex
 	files []loweredFile // sorted by name; never modified once stored
 }
 
-// Program parses and lowers a file set (name → source) into one program
-// and validates it. Files are parsed in sorted-name order, so last-wins
-// duplicate definitions merge deterministically. It is the one loader from
-// source text to IR, so every analysis mode lowers with the same options.
-// reused counts the files taken from the memo; the rest were lowered. A
-// failed call leaves the memo as it was.
-func (m *Memo) Program(files map[string]string, opts Options) (p *ir.Program, reused int, err error) {
+// Load parses a file set (name → source) and merges it into p. Files are
+// parsed in sorted-name order, so last-wins duplicate definitions merge
+// deterministically. Parsing is eager: every parse error and every goto to
+// an undefined label is returned here, and then p is left as it was.
+// Lowering is not: each function carries its signature and Calls, and its
+// body is lowered and validated the first time ir.Func.Body is called.
+// Load is the one loader from source text to IR, so every analysis mode
+// lowers with the same options. reused counts the files taken from the
+// memo; the rest were parsed. A failed call leaves the memo as it was.
+func (m *Memo) Load(p *ir.Program, files map[string]string, opts Options) (reused int, err error) {
 	names := make([]string, 0, len(files))
 	for n := range files {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	var prev, next []loweredFile
+	var prev []loweredFile
 	if m != nil {
 		m.mu.Lock()
 		prev = m.files
 		m.mu.Unlock()
-		next = make([]loweredFile, 0, len(names))
 	}
-	p = ir.NewProgram()
+	next := make([]loweredFile, 0, len(names))
 	for _, n := range names {
 		src := files[n]
 		// Both lists are sorted, so prev[0] is the only candidate for n.
@@ -142,33 +145,33 @@ func (m *Memo) Program(files map[string]string, opts Options) (p *ir.Program, re
 		} else {
 			f, err := parser.ParseFile(n, src)
 			if err != nil {
-				return nil, 0, fmt.Errorf("parse %s: %w", n, err)
+				return 0, fmt.Errorf("parse %s: %w", n, err)
 			}
 			if lf, err = lowerFile(f, opts); err != nil {
-				return nil, 0, fmt.Errorf("lower %s: %w", n, err)
+				return 0, fmt.Errorf("lower %s: %w", n, err)
 			}
 			lf.name, lf.src = n, src
 		}
-		lf.mergeInto(p)
-		if m != nil {
-			next = append(next, lf)
-		}
+		next = append(next, lf)
 	}
-	if err := p.Validate(); err != nil {
-		return nil, 0, err
+	for i := range next {
+		next[i].mergeInto(p)
 	}
 	if m != nil {
 		m.mu.Lock()
 		m.files = next
 		m.mu.Unlock()
 	}
-	return p, reused, nil
+	return reused, nil
 }
 
-// Program is Program on a nil Memo: every file is parsed and lowered.
+// Program loads a file set into a new program, without a memo.
 func Program(files map[string]string, opts Options) (*ir.Program, error) {
-	p, _, err := (*Memo)(nil).Program(files, opts)
-	return p, err
+	p := ir.NewProgram()
+	if _, err := (*Memo)(nil).Load(p, files, opts); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 // SourceString parses and lowers one mini-C source buffer with default
@@ -189,7 +192,7 @@ func (e *loweringError) Error() string { return fmt.Sprintf("%s: %s", e.pos, e.m
 
 type funcLowerer struct {
 	opts    Options
-	fn      *ir.Func
+	fn      *ir.Body
 	cur     *ir.Block
 	ntemp   int
 	labels  map[string]*ir.Block
@@ -202,10 +205,14 @@ type funcLowerer struct {
 type pendingGoto struct {
 	block *ir.Block // block whose terminator must be patched
 	label string
-	pos   token.Pos
 }
 
-func lowerFunc(fd *ast.FuncDecl, srcFile string, opts Options) (*ir.Func, error) {
+// declare returns fd's function with its signature and Calls filled in
+// and its body deferred to lowerBody. Calls and the label check walk the
+// syntax tree the way lowering will, skipping the operands lowering never
+// evaluates, so Calls is exactly the callee set of the lowered body. The
+// only error is a goto to a label fd does not define.
+func declare(fd *ast.FuncDecl, srcFile string, opts Options) (*ir.Func, error) {
 	fn := &ir.Func{
 		Name:    fd.Name,
 		HasRet:  !fd.Result.IsVoid(),
@@ -219,12 +226,50 @@ func lowerFunc(fd *ast.FuncDecl, srcFile string, opts Options) (*ir.Func, error)
 		}
 		fn.Params = append(fn.Params, name)
 	}
+	var gotos []*ast.GotoStmt
+	var labels []string
+	var visit func(ast.Node) bool
+	visit = func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CallExpr:
+			fn.Calls = append(fn.Calls, n.Fun)
+		case *ast.GotoStmt:
+			gotos = append(gotos, n)
+		case *ast.LabeledStmt:
+			labels = append(labels, n.Label)
+		case *ast.IncDecExpr:
+			return false // only an identifier operand is lowered, as random
+		case *ast.AssignExpr:
+			switch n.LHS.(type) {
+			case *ast.Ident, *ast.FieldExpr, *ast.IndexExpr, *ast.UnaryExpr:
+			default:
+				ast.Inspect(n.RHS, visit) // any other target is dropped
+				return false
+			}
+		}
+		return true
+	}
+	ast.Inspect(fd.Body, visit)
+	for _, g := range gotos {
+		if !slices.Contains(labels, g.Label) {
+			return nil, &loweringError{g.P, fmt.Sprintf("goto to undefined label %q", g.Label)}
+		}
+	}
+	slices.Sort(fn.Calls)
+	fn.Calls = slices.Compact(fn.Calls)
+	fn.Defer(func() *ir.Body { return lowerBody(fd, opts) })
+	return fn, nil
+}
+
+// lowerBody lowers fd's body. declare has checked its gotos.
+func lowerBody(fd *ast.FuncDecl, opts Options) *ir.Body {
+	fn := &ir.Body{}
 	lw := &funcLowerer{opts: opts, fn: fn, labels: make(map[string]*ir.Block)}
 	lw.cur = fn.NewBlock()
 	lw.stmt(fd.Body)
 	lw.terminateWithReturn(fd.P)
-	if err := lw.patchGotos(); err != nil {
-		return nil, err
+	for _, g := range lw.gotos {
+		g.block.Terminator().Target = lw.labels[g.label].Index
 	}
 	// Seal dead continuation blocks (after return/goto/break) so every
 	// block satisfies the terminator invariant.
@@ -239,7 +284,7 @@ func lowerFunc(fd *ast.FuncDecl, srcFile string, opts Options) (*ir.Func, error)
 			fn.NumConds++
 		}
 	}
-	return fn, nil
+	return fn
 }
 
 func (lw *funcLowerer) emit(in *ir.Instr) {
@@ -272,18 +317,6 @@ func (lw *funcLowerer) terminateWithReturn(pos token.Pos) {
 	}
 }
 
-func (lw *funcLowerer) patchGotos() error {
-	for _, g := range lw.gotos {
-		target, ok := lw.labels[g.label]
-		if !ok {
-			return &loweringError{g.pos, fmt.Sprintf("goto to undefined label %q", g.label)}
-		}
-		t := g.block.Terminator()
-		t.Target = target.Index
-	}
-	return nil
-}
-
 // ---------------------------------------------------------------------------
 // Statements
 
@@ -313,7 +346,7 @@ func (lw *funcLowerer) stmt(s ast.Stmt) {
 	case *ast.GotoStmt:
 		if lw.cur.Terminator() == nil {
 			lw.emit(&ir.Instr{Op: ir.OpBranch, Target: -1, Pos: s.P})
-			lw.gotos = append(lw.gotos, pendingGoto{lw.cur, s.Label, s.P})
+			lw.gotos = append(lw.gotos, pendingGoto{lw.cur, s.Label})
 			lw.cur = lw.fn.NewBlock() // dead continuation
 		}
 	case *ast.LabeledStmt:

@@ -83,8 +83,8 @@ int f(int a) {
     return 0;
 }`)
 	// !(a>0) swaps the branch targets; still exactly one conditional.
-	if p.Funcs["f"].NumConds != 1 {
-		t.Errorf("NumConds: %d", p.Funcs["f"].NumConds)
+	if p.Funcs["f"].Body().NumConds != 1 {
+		t.Errorf("NumConds: %d", p.Funcs["f"].Body().NumConds)
 	}
 }
 
@@ -190,7 +190,7 @@ int f(struct device *d) {
 func TestLowerEmptyFunctionBody(t *testing.T) {
 	p := mustLower(t, `void f(void) { }`)
 	f := p.Funcs["f"]
-	if f.Blocks[0].Terminator().Op != ir.OpReturn {
+	if f.Body().Blocks[0].Terminator().Op != ir.OpReturn {
 		t.Errorf("empty body must return:\n%s", f)
 	}
 }

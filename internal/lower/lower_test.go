@@ -48,11 +48,11 @@ exit:
 			t.Errorf("missing %q in IR:\n%s", want, text)
 		}
 	}
-	if foo.NumConds != 1 {
-		t.Errorf("NumConds = %d, want 1", foo.NumConds)
+	if foo.Body().NumConds != 1 {
+		t.Errorf("NumConds = %d, want 1", foo.Body().NumConds)
 	}
-	if len(foo.Callees()) != 2 {
-		t.Errorf("callees: %v", foo.Callees())
+	if len(foo.Calls) != 2 {
+		t.Errorf("callees: %v", foo.Calls)
 	}
 }
 
@@ -67,8 +67,8 @@ int f(int a, int b) {
 	p := mustLower(t, src)
 	f := p.Funcs["f"]
 	// Two conditional branches (one per operand of &&).
-	if f.NumConds != 2 {
-		t.Errorf("NumConds = %d, want 2\n%s", f.NumConds, f)
+	if f.Body().NumConds != 2 {
+		t.Errorf("NumConds = %d, want 2\n%s", f.Body().NumConds, f)
 	}
 }
 
@@ -86,7 +86,7 @@ int f(int n) {
 	// Find a back edge: an edge to a lower-or-equal indexed block that
 	// dominates... here simply an edge from a later block to an earlier one.
 	hasBack := false
-	for _, b := range f.Blocks {
+	for _, b := range f.Body().Blocks {
 		for _, s := range b.Succs() {
 			if s <= b.Index && s != 0 {
 				hasBack = true
@@ -137,7 +137,7 @@ void f(struct device *d) {
 `
 	p := mustLower(t, src)
 	f := p.Funcs["f"]
-	for _, b := range f.Blocks {
+	for _, b := range f.Body().Blocks {
 		for _, in := range b.Instrs {
 			if in.Op == ir.OpAssign {
 				t.Errorf("field store must not produce an assignment: %s", in)
@@ -150,7 +150,7 @@ func TestLowerReturnVoid(t *testing.T) {
 	src := `void f(void) { g(); }`
 	p := mustLower(t, src)
 	f := p.Funcs["f"]
-	last := f.Blocks[len(f.Blocks)-1]
+	last := f.Body().Blocks[len(f.Body().Blocks)-1]
 	term := last.Terminator()
 	if term.Op != ir.OpReturn || term.HasVal {
 		t.Errorf("void return: %s", term)
@@ -197,7 +197,7 @@ int f(int n) {
 	}
 	// All three g calls must be reachable in the IR.
 	calls := 0
-	for _, b := range f.Blocks {
+	for _, b := range f.Body().Blocks {
 		for _, in := range b.Instrs {
 			if in.Op == ir.OpCall && in.Fn == "g" {
 				calls++
@@ -232,7 +232,7 @@ func TestLowerMergePrograms(t *testing.T) {
 func TestLowerCalleesDeduplicated(t *testing.T) {
 	src := `void f(struct device *d) { g(d); g(d); h(d); }`
 	p := mustLower(t, src)
-	c := p.Funcs["f"].Callees()
+	c := p.Funcs["f"].Calls
 	if len(c) != 2 || c[0] != "g" || c[1] != "h" {
 		t.Errorf("callees: %v", c)
 	}
@@ -259,7 +259,7 @@ int f(int n) {
 	p := mustLower(t, src)
 	f := p.Funcs["f"]
 	hasBack := false
-	for _, b := range f.Blocks {
+	for _, b := range f.Body().Blocks {
 		for _, s := range b.Succs() {
 			if s < b.Index && s != 0 {
 				hasBack = true

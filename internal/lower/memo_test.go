@@ -39,6 +39,13 @@ int c_op(int z) {
 `
 )
 
+// load loads files into a fresh program through m.
+func load(m *Memo, files map[string]string, opts Options) (*ir.Program, int, error) {
+	p := ir.NewProgram()
+	reused, err := m.Load(p, files, opts)
+	return p, reused, err
+}
+
 // sameProgram fails unless got and want have the same definition order,
 // the same externs, and functions that render alike from the same files
 // and positions.
@@ -106,7 +113,7 @@ func TestMemoMatchesProgram(t *testing.T) {
 	m := &Memo{}
 	prev := map[string]*ir.Func{}
 	for _, st := range steps {
-		got, reused, err := m.Program(st.files, st.opts)
+		got, reused, err := load(m, st.files, st.opts)
 		if err != nil {
 			t.Fatalf("%s: %v", st.name, err)
 		}
@@ -146,12 +153,12 @@ func TestMemoReusesUnchangedFuncs(t *testing.T) {
 		files[fmt.Sprintf("f%d.c", i)] = fmt.Sprintf("int op%d(int x) { if (x > %d) return 1; return 0; }\n", i, i)
 	}
 	m := &Memo{}
-	before, _, err := m.Program(files, Options{})
+	before, _, err := load(m, files, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	files["f2.c"] = "int op2(int x) { return x; }\n"
-	after, reused, err := m.Program(files, Options{})
+	after, reused, err := load(m, files, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,18 +177,18 @@ func TestMemoReusesUnchangedFuncs(t *testing.T) {
 func TestMemoKeepsSetOnError(t *testing.T) {
 	files := map[string]string{"a.c": memoA, "b.c": memoB}
 	m := &Memo{}
-	if _, _, err := m.Program(files, Options{}); err != nil {
+	if _, _, err := load(m, files, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	for _, bad := range []struct{ src, want string }{
 		{"int broken(", "parse bad.c: "},
 		{"int f(void) { goto nowhere; }", "lower bad.c: "},
 	} {
-		_, _, err := m.Program(map[string]string{"a.c": memoA, "bad.c": bad.src}, Options{})
+		_, _, err := load(m, map[string]string{"a.c": memoA, "bad.c": bad.src}, Options{})
 		if err == nil || !strings.HasPrefix(err.Error(), bad.want) {
 			t.Fatalf("error %v, want prefix %q", err, bad.want)
 		}
-		if _, reused, err := m.Program(files, Options{}); err != nil || reused != 2 {
+		if _, reused, err := load(m, files, Options{}); err != nil || reused != 2 {
 			t.Fatalf("after a failed call: reused %d, err %v; want the previous set reused", reused, err)
 		}
 	}
@@ -211,7 +218,7 @@ func TestMemoConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				k := (g + i) % len(sets)
-				p, _, err := m.Program(sets[k], Options{})
+				p, _, err := load(m, sets[k], Options{})
 				if err != nil {
 					t.Error(err)
 					return
@@ -232,7 +239,7 @@ func TestMemoConcurrent(t *testing.T) {
 func TestNilMemo(t *testing.T) {
 	var m *Memo
 	for i := 0; i < 2; i++ {
-		if _, reused, err := m.Program(map[string]string{"a.c": memoA}, Options{}); err != nil || reused != 0 {
+		if _, reused, err := load(m, map[string]string{"a.c": memoA}, Options{}); err != nil || reused != 0 {
 			t.Fatalf("call %d: reused %d, err %v", i, reused, err)
 		}
 	}

@@ -24,8 +24,9 @@ import (
 type Phase uint8
 
 // The span taxonomy. PhaseRun covers a whole Analyze call; the others are
-// per-function (fn label set) except PhaseClassify, which is per-run, and
-// PhaseSolver, which is per-query (emitted only when query timing is on).
+// per-function (fn label set) except PhaseClassify and PhaseCallgraph,
+// which are per-run, and PhaseSolver, which is per-query (emitted only
+// when query timing is on).
 const (
 	PhaseRun       Phase = iota // one whole Analyze call
 	PhaseClassify               // §5.2 two-phase classification
@@ -37,6 +38,7 @@ const (
 	PhaseCacheIO                // one persistent summary-store operation (digest/load/save)
 	PhaseSteal                  // one successful steal: time spent hunting before acquiring a task
 	PhaseQueue                  // one task's wait from enqueue to execution start
+	PhaseCallgraph              // call graph and SCC construction
 	numPhases
 )
 
@@ -51,6 +53,7 @@ var phaseNames = [numPhases]string{
 	PhaseCacheIO:   "cacheio",
 	PhaseSteal:     "steal",
 	PhaseQueue:     "queue",
+	PhaseCallgraph: "callgraph",
 }
 
 // String names the phase as it appears in trace and metrics output.

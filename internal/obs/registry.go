@@ -45,7 +45,8 @@ const (
 	MRemotePuts                     // entries shipped to the fleet store (write-behind)
 	MResidentHits                   // store hits served from the daemon-resident tier (no disk read)
 	MFrontendReused                 // source files whose lowered IR was reused from an earlier load
-	MFrontendLowered                // source files parsed and lowered
+	MFrontendLowered                // source files parsed (their functions lower on first use)
+	MFuncsLowered                   // function bodies lowered during the run
 	numMetrics
 )
 
@@ -78,6 +79,7 @@ var metricNames = [numMetrics]string{
 	MResidentHits:     "store_resident_hits",
 	MFrontendReused:   "frontend_files_reused",
 	MFrontendLowered:  "frontend_files_lowered",
+	MFuncsLowered:     "funcs_lowered",
 }
 
 // Name returns the stable metric name used in -metrics and /debug/vars.

@@ -285,6 +285,7 @@ func (s *Server) runAnalyze(ctx context.Context, specs rid.Specs, req *AnalyzeRe
 		rec.phases = append(rec.phases[:0], timings...)
 		rec.storeHit = res.MetricValue("store_hits")
 		rec.storeMiss = res.MetricValue("store_misses")
+		rec.lowered = res.MetricValue("funcs_lowered")
 		rec.degraded = res.Degraded()
 		rec.diags = diagKinds(rec.diags[:0], res.Diagnostics)
 		for _, k := range rec.diags {

@@ -182,6 +182,7 @@ type reqRecord struct {
 	elapsed   time.Duration
 	storeHit  int64
 	storeMiss int64
+	lowered   int64 // function bodies the request's run lowered
 	degraded  bool
 	panicked  bool
 	diags     []string // degradation kinds, deduplicated, sorted
@@ -263,15 +264,23 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 // Access log
 
 // accessPhases is the per-request phase breakdown the access log and
-// Server-Timing header carry: the pipeline stages a single request
-// exercises (run-level and scheduler-internal phases are omitted).
-var accessPhases = []string{"classify", "enumerate", "exec", "ipp", "solver", "cacheio", "replay"}
+// Server-Timing header carry: the obs phase table in its (append-only)
+// order, less the run-level and scheduler-internal phases.
+var accessPhases = func() []string {
+	var out []string
+	for p := obs.Phase(0); int(p) < obs.NumPhases; p++ {
+		if p != obs.PhaseRun && p != obs.PhaseSteal && p != obs.PhaseQueue {
+			out = append(out, p.String())
+		}
+	}
+	return out
+}()
 
 // accessLogger writes one JSONL line per request with a fixed key order:
 //
 //	{"id":...,"route":...,"status":...,"queue_wait_us":...,"elapsed_us":...,
 //	 "phases":{"classify":...,...},"store_hits":...,"store_misses":...,
-//	 "degraded":...,"diags":[...]}
+//	 "degraded":...,"diags":[...],"funcs_lowered":...}
 //
 // New keys are appended; keys never move or change meaning, and a key
 // is removed only together with the mechanism it reports. Writes are
@@ -325,7 +334,9 @@ func (l *accessLogger) log(rec *reqRecord) {
 		}
 		b = strconv.AppendQuote(b, d)
 	}
-	b = append(b, ']', '}', '\n')
+	b = append(b, `],"funcs_lowered":`...)
+	b = strconv.AppendInt(b, rec.lowered, 10)
+	b = append(b, '}', '\n')
 	l.buf = b
 	_, l.err = l.w.Write(b)
 }

@@ -65,6 +65,7 @@ func TestMetricsGoldenShape(t *testing.T) {
 		{"rid_store_hits_total", "counter"},
 		{"rid_frontend_files_reused_total", "counter"},
 		{"rid_frontend_files_lowered_total", "counter"},
+		{"rid_funcs_lowered_total", "counter"},
 		{"rid_phase_duration_seconds", "histogram"},
 	}
 	for _, g := range golden {
@@ -268,8 +269,8 @@ func (s *syncBuf) lines() []string {
 
 // accessLine pins the access-log schema: fixed key order, append-only.
 var accessLine = regexp.MustCompile(`^\{"id":"[^"]+","route":"[a-z]+","status":\d+,"queue_wait_us":\d+,"elapsed_us":\d+,` +
-	`"phases":\{"classify":\d+,"enumerate":\d+,"exec":\d+,"ipp":\d+,"solver":\d+,"cacheio":\d+,"replay":\d+\},` +
-	`"store_hits":\d+,"store_misses":\d+,"degraded":(true|false),"diags":\[[^\]]*\]\}$`)
+	`"phases":\{"classify":\d+,"enumerate":\d+,"exec":\d+,"ipp":\d+,"solver":\d+,"replay":\d+,"cacheio":\d+,"callgraph":\d+\},` +
+	`"store_hits":\d+,"store_misses":\d+,"degraded":(true|false),"diags":\[[^\]]*\],"funcs_lowered":\d+\}$`)
 
 // waitLines polls until the access log holds want lines (the middleware
 // writes after the response is on the wire).
@@ -341,7 +342,7 @@ func TestPhaseBreakdownAndServerTiming(t *testing.T) {
 	resp, ar := postAnalyze(t, ts.URL, &AnalyzeRequest{
 		Files: map[string]string{"drv.c": buggyDriver}, Workers: 4,
 	})
-	want := []string{"classify", "enumerate", "exec", "ipp", "solver", "cacheio", "replay"}
+	want := []string{"classify", "enumerate", "exec", "ipp", "solver", "replay", "cacheio", "callgraph"}
 	if len(ar.Phases) != len(want) {
 		t.Fatalf("phases = %+v, want %d entries", ar.Phases, len(want))
 	}

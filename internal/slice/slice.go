@@ -48,7 +48,7 @@ func Compute(fn *ir.Func, crit Criteria) Result {
 
 	// Seeds.
 	seedBlocks := make(map[int]bool)
-	for _, b := range fn.Blocks {
+	for _, b := range fn.Body().Blocks {
 		for _, in := range b.Instrs {
 			switch in.Op {
 			case ir.OpReturn:
@@ -78,7 +78,7 @@ func Compute(fn *ir.Func, crit Criteria) Result {
 				changed = true
 			}
 		}
-		for _, b := range fn.Blocks {
+		for _, b := range fn.Body().Blocks {
 			for _, in := range b.Instrs {
 				switch in.Op {
 				case ir.OpAssign:
@@ -123,12 +123,12 @@ func Compute(fn *ir.Func, crit Criteria) Result {
 // reachesAny computes, per block, whether any block in targets is
 // reachable from it (including itself).
 func reachesAny(fn *ir.Func, targets map[int]bool) []bool {
-	n := len(fn.Blocks)
+	n := len(fn.Body().Blocks)
 	reach := make([]bool, n)
 	// Predecessor map.
 	preds := make([][]int, n)
 	var two [2]int
-	for _, b := range fn.Blocks {
+	for _, b := range fn.Body().Blocks {
 		for _, s := range b.AppendSuccs(two[:0]) {
 			preds[s] = append(preds[s], b.Index)
 		}

@@ -44,7 +44,9 @@ import (
 // change in a way that makes old entries unsound to replay. Version 2:
 // the fingerprint gained the spec digest and reports a resource tag.
 // Version 3: digests and entries carry no source positions or file names.
-const FormatVersion = 3
+// Version 4: each function's callees come sorted from the frontend, which
+// renumbers SCCs and reorders the extern records a digest hashes.
+const FormatVersion = 4
 
 // Digest is a SHA-256 content address.
 type Digest [sha256.Size]byte
@@ -163,12 +165,13 @@ func appendCanonFunc(dst []byte, f *ir.Func) []byte {
 		}
 		dst = append(dst, p...)
 	}
+	body := f.Body()
 	dst = append(dst, ") ret="...)
 	dst = strconv.AppendBool(dst, f.HasRet)
 	dst = append(dst, " conds="...)
-	dst = strconv.AppendInt(dst, int64(f.NumConds), 10)
+	dst = strconv.AppendInt(dst, int64(body.NumConds), 10)
 	dst = append(dst, '\n')
-	for _, b := range f.Blocks {
+	for _, b := range body.Blocks {
 		dst = append(dst, 'b')
 		dst = strconv.AppendInt(dst, int64(b.Index), 10)
 		dst = append(dst, ":\n"...)

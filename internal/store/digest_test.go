@@ -35,8 +35,8 @@ func fmtDigests(g *callgraph.Graph, db *summary.DB, fp Fingerprint) map[string]D
 		for _, m := range members {
 			f := g.Prog.Funcs[m]
 			fmt.Fprintf(h, "func %s(%s) ret=%t conds=%d\n",
-				f.Name, strings.Join(f.Params, ","), f.HasRet, f.NumConds)
-			for _, b := range f.Blocks {
+				f.Name, strings.Join(f.Params, ","), f.HasRet, f.Body().NumConds)
+			for _, b := range f.Body().Blocks {
 				fmt.Fprintf(h, "b%d:\n", b.Index)
 				for _, in := range b.Instrs {
 					fmt.Fprintf(h, "%s\n", fmtInstr(in))
@@ -136,7 +136,7 @@ func digestCorpora() []struct {
 
 // TestDigestsMatchFmtRecipe pins the digest bytes: the appender-based
 // Digests equals the fmt recipe on every function of every corpus family,
-// with PreserveBitTests off and on, so FormatVersion stays 3.
+// with PreserveBitTests off and on, so FormatVersion stays 4.
 func TestDigestsMatchFmtRecipe(t *testing.T) {
 	for _, c := range digestCorpora() {
 		for _, preserve := range []bool{false, true} {
@@ -157,7 +157,7 @@ func TestDigestsMatchFmtRecipe(t *testing.T) {
 				}
 			}
 			for _, fn := range prog.Order {
-				for _, b := range prog.Funcs[fn].Blocks {
+				for _, b := range prog.Funcs[fn].Body().Blocks {
 					for _, in := range b.Instrs {
 						if got, want := in.String(), fmtInstr(in); got != want {
 							t.Fatalf("%s: instruction renders %q, fmt recipe %q", c.name, got, want)

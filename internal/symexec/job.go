@@ -58,7 +58,7 @@ func (ex *Executor) Prepare(ctx context.Context, fn *ir.Func) *Job {
 	j := &Job{ex: ex, ctx: ctx, fn: fn}
 	j.siteIDs = make(map[*ir.Instr]int)
 	id := 0
-	for _, b := range fn.Blocks {
+	for _, b := range fn.Body().Blocks {
 		for _, in := range b.Instrs {
 			j.siteIDs[in] = id
 			id++

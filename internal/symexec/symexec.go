@@ -325,12 +325,13 @@ func (pr *pathRun) execPath(ctx context.Context, fn *ir.Func, path cfg.Path) ([]
 	truncated := false
 	canceled := false
 
+	blocks := fn.Body().Blocks
 	for bi, b := range path.Blocks {
 		if ctx.Err() != nil {
 			canceled = true
 			break
 		}
-		blk := fn.Blocks[b]
+		blk := blocks[b]
 		nextBlock := -1
 		if bi+1 < len(path.Blocks) {
 			nextBlock = path.Blocks[bi+1]

@@ -14,7 +14,7 @@ import (
 // Consumers are told they can parse this with line-oriented tools, so the
 // key order and the absence of extra fields are part of the contract.
 var traceLine = regexp.MustCompile(
-	`^\{"seq":(\d+),"phase":"(run|classify|enumerate|exec|ipp|solver|replay)","fn":"([^"]*)","start_us":\d+,"dur_us":\d+\}$`)
+	`^\{"seq":(\d+),"phase":"(run|callgraph|classify|enumerate|exec|ipp|solver|replay)","fn":"([^"]*)","start_us":\d+,"dur_us":\d+\}$`)
 
 func runTraced(t *testing.T, src string) (string, *Result) {
 	t.Helper()
@@ -33,7 +33,7 @@ func runTraced(t *testing.T, src string) (string, *Result) {
 
 // TestTraceGoldenShape pins the JSONL trace format: every line matches the
 // schema, seq numbers are 1..N with no gaps, the first completed span is
-// the classify phase and the last is the whole-run span, and every
+// the call-graph build and the last is the whole-run span, and every
 // pipeline phase shows up for a function that is actually analyzed.
 func TestTraceGoldenShape(t *testing.T) {
 	out, _ := runTraced(t, buggy)
@@ -52,15 +52,15 @@ func TestTraceGoldenShape(t *testing.T) {
 		}
 		seen[m[2]] = true
 	}
-	for _, phase := range []string{"run", "classify", "enumerate", "exec", "ipp", "solver"} {
+	for _, phase := range []string{"run", "callgraph", "classify", "enumerate", "exec", "ipp", "solver"} {
 		if !seen[phase] {
 			t.Errorf("phase %q missing from trace:\n%s", phase, out)
 		}
 	}
 	first := traceLine.FindStringSubmatch(lines[0])
 	last := traceLine.FindStringSubmatch(lines[len(lines)-1])
-	if first[2] != "classify" {
-		t.Errorf("first completed span is %q, want classify", first[2])
+	if first[2] != "callgraph" {
+		t.Errorf("first completed span is %q, want callgraph", first[2])
 	}
 	if last[2] != "run" || last[3] != "" {
 		t.Errorf("last completed span is %q fn=%q, want the run span", last[2], last[3])
@@ -109,9 +109,10 @@ var metricNames = []string{
 	"remote_integrity_errors", "remote_puts",
 	"store_resident_hits",
 	"frontend_files_reused", "frontend_files_lowered",
+	"funcs_lowered",
 }
 
-var phaseNames = []string{"run", "classify", "enumerate", "exec", "ipp", "solver", "replay", "cacheio", "steal", "queue"}
+var phaseNames = []string{"run", "classify", "enumerate", "exec", "ipp", "solver", "replay", "cacheio", "steal", "queue", "callgraph"}
 
 // TestMetricsGoldenText pins the text metrics layout: one counter line per
 // metric in fixed order, then one phase line per phase in fixed order,

@@ -372,13 +372,12 @@ func (a *Analyzer) AddSource(filename, src string) error {
 // share, reuses that load's IR; the frontend_files_reused and
 // frontend_files_lowered counters record the split.
 func (a *Analyzer) AddSources(files map[string]string) error {
-	p, reused, err := a.memo.Program(files, a.lowerOptions())
+	reused, err := a.memo.Load(a.prog, files, a.lowerOptions())
 	if err != nil {
 		return err
 	}
 	a.reg.Count(obs.MFrontendReused, int64(reused))
 	a.reg.Count(obs.MFrontendLowered, int64(len(files)-reused))
-	a.prog.Merge(p)
 	return nil
 }
 
@@ -511,12 +510,9 @@ func (a *Analyzer) lowerOptions() lower.Options {
 // a deadline) stops the run promptly at the next function or path
 // boundary; the returned Result then holds the reports derived so far and
 // a "canceled" Diagnostic recording how far the run got. A canceled run
-// is still a valid, partial result — err is non-nil only for invalid
-// input.
+// is still a valid, partial result — err is non-nil only when the
+// options name spec packs that do not resolve.
 func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
-	if err := a.prog.Validate(); err != nil {
-		return nil, fmt.Errorf("invalid program: %w", err)
-	}
 	specs, err := a.effectiveSpecs()
 	if err != nil {
 		return nil, err
@@ -744,9 +740,6 @@ func (b EscapeBug) String() string {
 // value or reference-stealing APIs. Useful for Table-2-style side-by-side
 // comparisons; RID itself does not rely on this rule.
 func (a *Analyzer) RunEscapeRule() ([]EscapeBug, error) {
-	if err := a.prog.Validate(); err != nil {
-		return nil, fmt.Errorf("invalid program: %w", err)
-	}
 	var out []EscapeBug
 	for _, r := range cpyrule.New(a.specs.s, cpyrule.Config{}).Check(a.prog) {
 		out = append(out, EscapeBug{

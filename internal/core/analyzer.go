@@ -37,9 +37,10 @@ type Options struct {
 	// Workers is the number of workers of the two-level work-stealing
 	// scheduler: default 1; any negative value means runtime.GOMAXPROCS(0).
 	// SCCs are distributed in reverse topological order and, within a
-	// function, per-path tasks are stolen between workers. One worker is
-	// simply the case nobody steals from: it runs each function's paths in
-	// index order. Output is byte-identical at any setting.
+	// function, subtrees of the path trie are stolen between workers. One
+	// worker is simply the case nobody steals from: it runs each
+	// function's subtrees in index order. Output is byte-identical at any
+	// setting.
 	Workers int
 	// StealSeed seeds the per-worker victim-selection RNG of the
 	// work-stealing scheduler. Any seed produces identical reports,

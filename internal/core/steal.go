@@ -1,16 +1,17 @@
 // Two-level work-stealing scheduler (§5.3 refined), the only scheduler:
 // the outer level keeps the SCC DAG discipline — an SCC becomes ready only
 // when every callee SCC has completed — but the inner unit of scheduled
-// work is one enumerated path of one function, not a whole function. The
-// worker that takes an SCC ("owner") runs Step I, publishes the path
-// tasks to its own deque, and any idle worker steals from the top while
+// work is one subtree of one function's path trie (the paths below one
+// child of its first branching block), not a whole function. The worker
+// that takes an SCC ("owner") runs Step I, publishes the subtree tasks to
+// its own deque, and any idle worker steals from the top while
 // the owner drains from the bottom. Steps I and III stay on the owner, so
 // per-function state (cache load/save interleaving, summary DB ordering
 // within an SCC) does not depend on the schedule. With one worker there
 // is nobody to steal from, so the owner runs its tasks in index order and
 // publishes none.
 //
-// Determinism: task results land in per-index slots and Job.Finish merges
+// Determinism: task results land in per-path slots and Job.Finish merges
 // them in path order; per-task solver give-ups are accumulated into the
 // function's job and the panic cause is chosen by minimum task index, so
 // reports, diagnostics, and stats are byte-identical at any Workers
@@ -36,20 +37,20 @@ import (
 	"repro/internal/symexec"
 )
 
-// pathTask is the unit of stealable work: execute path idx of fj's job.
-type pathTask struct {
+// subtreeTask is the unit of stealable work: execute subtree idx of fj's job.
+type subtreeTask struct {
 	fj     *funcJob
 	idx    int
 	queued obs.Span // opened at enqueue, ended when execution starts
 }
 
-// funcJob tracks one function's in-flight path tasks across workers.
+// funcJob tracks one function's in-flight subtree tasks across workers.
 type funcJob struct {
 	fn        string
 	job       *symexec.Job
 	remaining atomic.Int64   // open tasks; the finisher of the last one releases done
 	done      sync.WaitGroup // held once while any task is open
-	gaveUp    atomic.Int64   // summed per-task solver give-up deltas
+	gaveUp    atomic.Int64   // summed per-task solver give-ups
 
 	mu         sync.Mutex
 	panicked   bool
@@ -104,7 +105,7 @@ type stealRun struct {
 	ready      []int
 	pending    int
 
-	deques []sched.Deque[pathTask]
+	deques []sched.Deque[subtreeTask]
 
 	// Eventcount parking: publishers bump events and broadcast; a worker
 	// that found nothing re-checks events against the value it read before
@@ -167,7 +168,7 @@ func analyzeSteal(ctx context.Context, prog *ir.Program, g *callgraph.Graph, db 
 	}
 
 	workers := opts.Workers
-	s.deques = make([]sched.Deque[pathTask], workers)
+	s.deques = make([]sched.Deque[subtreeTask], workers)
 	reg := opts.Obs.Registry()
 	var wg sync.WaitGroup
 	wg.Add(workers)
@@ -248,7 +249,7 @@ func (s *stealRun) complete(i int) {
 
 // trySteal scans the other deques from a seeded random start and takes
 // the oldest task of the first non-empty one.
-func (s *stealRun) trySteal(w *stealWorker) (pathTask, bool) {
+func (s *stealRun) trySteal(w *stealWorker) (subtreeTask, bool) {
 	n := len(s.deques)
 	start := w.rng.Intn(n)
 	for k := 0; k < n; k++ {
@@ -263,7 +264,7 @@ func (s *stealRun) trySteal(w *stealWorker) (pathTask, bool) {
 			return t, true
 		}
 	}
-	return pathTask{}, false
+	return subtreeTask{}, false
 }
 
 // publish signals that new work may exist (task pushed, SCC readied, or
@@ -284,23 +285,21 @@ func (s *stealRun) park(seen int64) {
 	s.parkMu.Unlock()
 }
 
-// runTask executes one path task on w's solver, with per-task panic
+// runTask executes one subtree task on w's solver, with per-task panic
 // recovery and give-up attribution to the task's function.
-func (s *stealRun) runTask(t pathTask, w *stealWorker, stolen bool) {
+func (s *stealRun) runTask(t subtreeTask, w *stealWorker, stolen bool) {
 	t.queued.End()
 	fj := t.fj
 	start := time.Now()
 	w.slv.SetFunction(fj.fn)
-	g0 := w.slv.Stats().GaveUp
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
 				fj.notePanic(t.idx, r)
 			}
 		}()
-		fj.job.RunTask(t.idx, w.slv)
+		fj.gaveUp.Add(int64(fj.job.RunTask(t.idx, w.slv)))
 	}()
-	fj.gaveUp.Add(int64(w.slv.Stats().GaveUp - g0))
 	s.opts.Obs.Count(obs.MTasksExecuted, 1)
 	if stolen {
 		s.opts.Obs.Count(obs.MTasksStolen, 1)
@@ -358,8 +357,8 @@ func (s *stealRun) driveSCC(i int, w *stealWorker) {
 }
 
 // analyzeOne summarizes a single function and checks its path entries
-// over the Job seam: the owner enumerates (Step I), fans the paths out as
-// stealable tasks (Step II), helps the rest of the run while stolen tasks
+// over the Job seam: the owner enumerates (Step I), fans the path trie's
+// subtrees out as stealable tasks (Step II), helps the rest of the run while stolen tasks
 // drain, then merges and checks (Step III) on its own solver. It never
 // panics: a panic anywhere in symbolic execution or IPP checking is
 // recovered into a default summary plus a DegradePanic diagnostic, so one
@@ -403,7 +402,7 @@ func (s *stealRun) analyzeOne(fn *ir.Func, w *stealWorker) funcOutcome {
 				// reach last. A lone worker has no thieves, so it pushes
 				// nothing and emits no queue spans.
 				for i := n - 1; i >= 1; i-- {
-					s.deques[w.id].PushBottom(pathTask{
+					s.deques[w.id].PushBottom(subtreeTask{
 						fj: fj, idx: i,
 						queued: opts.Obs.Start(obs.PhaseQueue, fn.Name),
 					})
@@ -412,7 +411,7 @@ func (s *stealRun) analyzeOne(fn *ir.Func, w *stealWorker) funcOutcome {
 				inline = 1
 			}
 			for i := 0; i < inline; i++ {
-				s.runTask(pathTask{fj: fj, idx: i}, w, false)
+				s.runTask(subtreeTask{fj: fj, idx: i}, w, false)
 			}
 			for {
 				t, ok := s.deques[w.id].PopBottom()
@@ -491,10 +490,11 @@ func (s *stealRun) analyzeOne(fn *ir.Func, w *stealWorker) funcOutcome {
 			Cause: fmt.Sprintf("sub-case set truncated at MaxSubcases=%d", opts.Exec.MaxSubcases),
 		})
 	}
-	// A function's give-up total is the sum of its tasks' deltas (each
-	// measured on whichever solver ran the task) plus the owner's Step III
-	// delta. The cache replays give-ups on hits, so the total is the same
-	// one a single worker computes on a single solver.
+	// A function's give-up total is the sum of its tasks' counts (each
+	// query counted once per path through its trie node, whichever solver
+	// ran it) plus the owner's Step III delta. The cache replays give-ups
+	// on hits, so the total is the same one a single worker computes on a
+	// single solver.
 	if d := fj.gaveUp.Load() + int64(w.slv.Stats().GaveUp-g0); d > 0 {
 		out.diags = append(out.diags, Diagnostic{
 			Fn:    fn.Name,

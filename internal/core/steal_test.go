@@ -76,7 +76,7 @@ func TestStealDeterminismProperty(t *testing.T) {
 
 // TestStealSchedulerCountsTasks pins that the scheduler feeds the
 // observability layer at any worker count, the single worker included:
-// every executed path task is counted and every worker registers a
+// every executed subtree task is counted and every worker registers a
 // utilization record.
 func TestStealSchedulerCountsTasks(t *testing.T) {
 	c := kernelgen.Generate(kernelgen.Config{
@@ -91,11 +91,20 @@ func TestStealSchedulerCountsTasks(t *testing.T) {
 		if res.Stats.PathsEnumerated == 0 {
 			t.Fatal("corpus enumerated no paths")
 		}
-		// Every enumerated path of every cold-analyzed function is exactly
-		// one task.
-		if got := reg.Counter(obs.MTasksExecuted); got != int64(res.Stats.PathsEnumerated) {
-			t.Errorf("workers=%d: tasks_executed = %d, want %d (one per enumerated path)",
-				workers, got, res.Stats.PathsEnumerated)
+		// Every subtree of every cold-analyzed function's path trie is
+		// exactly one task, and sharing makes tasks fewer than paths.
+		subtrees := 0
+		for _, name := range res.DB.Names() {
+			if s := res.DB.Get(name); !s.Predefined && prog.Funcs[name] != nil {
+				subtrees += symexec.New(nil, nil, symexec.Config{}).Prepare(context.Background(), prog.Funcs[name]).NumTasks()
+			}
+		}
+		got := reg.Counter(obs.MTasksExecuted)
+		if got != int64(subtrees) {
+			t.Errorf("workers=%d: tasks_executed = %d, want %d (one per subtree)", workers, got, subtrees)
+		}
+		if got >= int64(res.Stats.PathsEnumerated) {
+			t.Errorf("workers=%d: tasks_executed = %d, want fewer than the %d paths", workers, got, res.Stats.PathsEnumerated)
 		}
 		if reg.NumWorkers() != workers {
 			t.Errorf("workers=%d: registered worker records = %d", workers, reg.NumWorkers())
@@ -106,6 +115,46 @@ func TestStealSchedulerCountsTasks(t *testing.T) {
 		stolen, tasks := reg.Counter(obs.MTasksStolen), reg.Counter(obs.MTasksExecuted)
 		if stolen > tasks || (workers == 1 && stolen != 0) {
 			t.Errorf("workers=%d: tasks_stolen = %d, tasks_executed = %d", workers, stolen, tasks)
+		}
+	}
+}
+
+// TestTrieGiveUpCountedPerPath pins the DegradeSolverGiveUp count when a
+// query that gives up sits in a trie prefix shared by two paths: the
+// Py_XDECREF fork below two disequalities exceeds a one-split budget, and
+// both c-paths run through it. Executing each path alone from the entry
+// issued that query once per path, so the trie must count it once per
+// path too. The count is the one that per-path execution reported: each
+// of the 2 paths gives up on the 2 Py_XDECREF forks and on its 2
+// finalized entries (8), and Step III's pair queries add 4.
+func TestTrieGiveUpCountedPerPath(t *testing.T) {
+	prog := buildCorpus(t, map[string]string{"f.c": `
+int f(PyObject *o, int a, int b, int c) {
+    if (a != 1) {
+        if (b != 2) {
+            Py_XDECREF(o);
+            if (c > 0)
+                return 1;
+            return 2;
+        }
+    }
+    return 0;
+}
+`})
+	for _, workers := range []int{1, 4} {
+		res := Analyze(context.Background(), prog, spec.PythonC(), Options{
+			Workers:      workers,
+			SolverLimits: solver.Limits{MaxSplits: 1},
+		})
+		var got []string
+		for _, d := range res.Diagnostics {
+			if d.Kind == DegradeSolverGiveUp {
+				got = append(got, d.String())
+			}
+		}
+		want := "f: solver-give-up: 12 solver queries exceeded limits and answered SAT conservatively"
+		if len(got) != 1 || got[0] != want {
+			t.Errorf("workers=%d: give-up diagnostics %q, want [%q]", workers, got, want)
 		}
 	}
 }

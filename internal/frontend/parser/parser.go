@@ -761,10 +761,15 @@ func (p *Parser) parsePrimary() ast.Expr {
 }
 
 // castLookahead reports whether "( IDENT ..." is a pointer cast such as
-// "(PyObject *)x". Only pointer casts are recognized for typedef-style
-// names; "(x)" stays an expression.
+// "(PyObject *)x": the name must be followed by one or more '*' and then
+// ')'. Only pointer casts are recognized for typedef-style names; "(x)"
+// and "(len * 4)" stay expressions.
 func castLookahead(p *Parser) bool {
-	return p.peek().Kind == token.STAR
+	i := 1
+	for p.la(i).Kind == token.STAR {
+		i++
+	}
+	return i > 1 && p.la(i).Kind == token.RPAREN
 }
 
 // parseIntLit returns the value of a C integer literal: hexadecimal after

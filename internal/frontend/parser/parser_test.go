@@ -449,3 +449,32 @@ func TestParseLongStarRun(t *testing.T) {
 		t.Errorf("statement after the declaration: got %T", body[1])
 	}
 }
+
+// TestParseParenthesizedProductIsNotCast pins that "( IDENT * ..." is a
+// cast only when the stars are followed by ')': "(A * 2)" is a product,
+// while "(PyObject *)p" and "(PyObject **)p" stay casts (dropped, leaving
+// the operand).
+func TestParseParenthesizedProductIsNotCast(t *testing.T) {
+	f := mustParse(t, `
+void f(void *p, int A) {
+    x = (A * 2);
+    y = (PyObject *)p;
+    z = (PyObject **)p;
+}
+`)
+	rhs := func(i int) ast.Expr {
+		return f.Funcs()[0].Body.Stmts[i].(*ast.ExprStmt).X.(*ast.AssignExpr).RHS
+	}
+	be, ok := rhs(0).(*ast.BinaryExpr)
+	if !ok {
+		t.Fatalf("(A * 2) parsed as %T, want *ast.BinaryExpr", rhs(0))
+	}
+	if x, ok := be.X.(*ast.Ident); !ok || x.Name != "A" || be.Op.String() != "*" {
+		t.Errorf("(A * 2) parsed as %s", ast.Print(f))
+	}
+	for i := 1; i <= 2; i++ {
+		if id, ok := rhs(i).(*ast.Ident); !ok || id.Name != "p" {
+			t.Errorf("statement %d: cast parsed as %T, want the operand p", i, rhs(i))
+		}
+	}
+}

@@ -34,7 +34,7 @@ var counterHelp = [numMetrics]string{
 	MStoreHits:        "functions served from the persistent summary store",
 	MStoreMisses:      "functions analyzed cold",
 	MStoreEvictions:   "stale store entries replaced by a fresh write",
-	MTasksExecuted:    "path-level scheduler tasks executed",
+	MTasksExecuted:    "path-trie subtree tasks executed by the scheduler",
 	MTasksStolen:      "tasks executed by a worker other than the enqueuer",
 	MRemoteHits:       "functions served from the fleet summary store",
 	MRemoteMisses:     "fleet-store lookups that found no usable entry",

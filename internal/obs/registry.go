@@ -36,7 +36,7 @@ const (
 	MStoreHits                      // functions served from the persistent summary store
 	MStoreMisses                    // functions analyzed cold (absent or stale store entry)
 	MStoreEvictions                 // stale store entries replaced by a fresh write
-	MTasksExecuted                  // path-level scheduler tasks executed (any worker)
+	MTasksExecuted                  // path-trie subtree tasks executed (any worker)
 	MTasksStolen                    // tasks executed by a worker other than the enqueuer
 	MRemoteHits                     // functions served from the fleet summary store
 	MRemoteMisses                   // fleet-store lookups that found no usable entry

@@ -15,51 +15,12 @@ import (
 // over a small term vocabulary (so terms collide and intervals interact)
 // and asserts both procedures agree under several limit settings.
 func FuzzSolver(f *testing.F) {
-	f.Add([]byte{0, 2, 9}, uint8(0))
-	f.Add([]byte{0, 2, 9, 0, 5, 3}, uint8(1))                   // contradictory bounds on one term
-	f.Add([]byte{1, 1, 0, 1, 1, 1, 1, 1, 2}, uint8(2))          // NE exclusions
-	f.Add([]byte{0x80, 0, 7, 2, 3, 200, 3, 4, 128}, uint8(3))   // flipped orientation, negatives
-	f.Add([]byte{5, 0, 1, 5, 1, 0, 4, 2, 1, 4, 3, 1}, uint8(0)) // bool term + Ret
-	f.Add([]byte{0x40, 0, 0, 0x41, 1, 0, 0x42, 2, 0}, uint8(1)) // term-vs-term (slow path only)
+	for _, seed := range solverSeeds {
+		f.Add(seed.data, seed.limitSel)
+	}
 	f.Fuzz(func(t *testing.T, data []byte, limitSel uint8) {
-		var limits Limits
-		switch limitSel % 4 {
-		case 1:
-			limits = Limits{MaxSplits: 1}
-		case 2:
-			limits = Limits{MaxSplits: 3, MaxConstraints: 8}
-		case 3:
-			limits = Limits{MaxConstraints: 6}
-		}
-		// A small vocabulary of interned terms: collisions across conjuncts
-		// are what make intervals (and disequality exclusions) interact.
-		terms := []*sym.Expr{
-			sym.Arg("a"),
-			sym.Arg("b"),
-			sym.Field(sym.Arg("a"), "f"),
-			sym.Fresh("w"),
-			sym.Ret(),
-			sym.Cond(sym.Arg("b"), ir.NE, sym.Null()), // opaque boolean term
-		}
-		preds := []ir.Pred{ir.EQ, ir.NE, ir.LT, ir.LE, ir.GT, ir.GE}
-		var conds []*sym.Expr
-		for i := 0; i+2 < len(data) && len(conds) < 24; i += 3 {
-			tm := terms[int(data[i]&0x0f)%len(terms)]
-			pred := preds[int(data[i+1])%len(preds)]
-			// Small constants so bounds from different conjuncts overlap.
-			k := sym.Const(int64(int8(data[i+2])) / 8)
-			a, b := tm, sym.Const(k.Int)
-			switch {
-			case data[i]&0x40 != 0:
-				// Term-vs-term conjunct: out of quickSolve's scope by
-				// construction, exercises the bail-out agreement.
-				b = terms[int(data[i+2])%len(terms)]
-			case data[i]&0x80 != 0:
-				a, b = b, a // constant on the left
-			}
-			conds = append(conds, sym.Cond(a, pred, b))
-		}
-		cs := sym.NewSet(conds)
+		limits := fuzzLimits(limitSel)
+		cs := sym.NewSet(fuzzConds(data, fuzzTerms()))
 
 		fast := NewWithCache(limits, NewCache())
 		slow := NewWithCache(limits, NewCache())
@@ -75,4 +36,68 @@ func FuzzSolver(f *testing.F) {
 			t.Fatal("cached verdict differs from computed verdict")
 		}
 	})
+}
+
+// solverSeeds are FuzzSolver's in-code seeds.
+var solverSeeds = []struct {
+	data     []byte
+	limitSel uint8
+}{
+	{[]byte{0, 2, 9}, 0},
+	{[]byte{0, 2, 9, 0, 5, 3}, 1},                   // contradictory bounds on one term
+	{[]byte{1, 1, 0, 1, 1, 1, 1, 1, 2}, 2},          // NE exclusions
+	{[]byte{0x80, 0, 7, 2, 3, 200, 3, 4, 128}, 3},   // flipped orientation, negatives
+	{[]byte{5, 0, 1, 5, 1, 0, 4, 2, 1, 4, 3, 1}, 0}, // bool term + Ret
+	{[]byte{0x40, 0, 0, 0x41, 1, 0, 0x42, 2, 0}, 1}, // term-vs-term (slow path only)
+}
+
+// fuzzLimits maps a fuzz input's selector to one of four limit settings.
+func fuzzLimits(sel uint8) Limits {
+	switch sel % 4 {
+	case 1:
+		return Limits{MaxSplits: 1}
+	case 2:
+		return Limits{MaxSplits: 3, MaxConstraints: 8}
+	case 3:
+		return Limits{MaxConstraints: 6}
+	}
+	return Limits{}
+}
+
+// fuzzTerms is a small vocabulary of interned terms: collisions across
+// conjuncts are what make intervals (and disequality exclusions) interact.
+func fuzzTerms() []*sym.Expr {
+	return []*sym.Expr{
+		sym.Arg("a"),
+		sym.Arg("b"),
+		sym.Field(sym.Arg("a"), "f"),
+		sym.Fresh("w"),
+		sym.Ret(),
+		sym.Cond(sym.Arg("b"), ir.NE, sym.Null()), // opaque boolean term
+	}
+}
+
+// fuzzConds decodes data into a conjunction over terms, three bytes per
+// conjunct: term (low nibble; 0x40 makes the right side a term too, 0x80
+// puts the constant on the left), predicate, and a small constant.
+func fuzzConds(data []byte, terms []*sym.Expr) []*sym.Expr {
+	preds := []ir.Pred{ir.EQ, ir.NE, ir.LT, ir.LE, ir.GT, ir.GE}
+	var conds []*sym.Expr
+	for i := 0; i+2 < len(data) && len(conds) < 24; i += 3 {
+		tm := terms[int(data[i]&0x0f)%len(terms)]
+		pred := preds[int(data[i+1])%len(preds)]
+		// Small constants so bounds from different conjuncts overlap.
+		k := sym.Const(int64(int8(data[i+2])) / 8)
+		a, b := tm, sym.Const(k.Int)
+		switch {
+		case data[i]&0x40 != 0:
+			// Term-vs-term conjunct: out of quickSolve's scope by
+			// construction, exercises the bail-out agreement.
+			b = terms[int(data[i+2])%len(terms)]
+		case data[i]&0x80 != 0:
+			a, b = b, a // constant on the left
+		}
+		conds = append(conds, sym.Cond(a, pred, b))
+	}
+	return conds
 }

@@ -10,17 +10,18 @@ import (
 
 // Step II allocates in two hot shapes: one pathRun per task (occurrence
 // counters, scratch buffers) and one state per live sub-case (forked on
-// every multi-entry call). Both are recycled through sync.Pools under an
-// ownership contract:
+// every multi-entry call, cloned where trie paths diverge). Both are
+// recycled through sync.Pools under an ownership contract:
 //
-//   - a state is uniquely owned by the goroutine executing its path;
+//   - a state is uniquely owned by the goroutine executing its trie node;
 //     clone() copies every mutable container (conds, changes, vmap, apps),
 //     so the only storage shared between a state and its clones is
 //     immutable — interned *sym.Expr values and the backing arrays of
 //     sym.Set, which are never written after construction;
-//   - putState returns a state to the pool when its path drops it (dead,
-//     truncated by the sub-case budget, leftover at path end, or finalized
-//     into an entry). From that point the state must be unreachable.
+//   - putState returns a state to the pool when its trie node drops it
+//     (dead, truncated by the sub-case budget, left over when the context
+//     expires, or finalized into an entry). From that point the state
+//     must be unreachable.
 //   - st.apps escapes into EntryProv at finalize under Config.Provenance,
 //     so resetForPut always drops the apps backing rather than reusing it.
 //
@@ -61,6 +62,8 @@ func getPathRun(j *Job, slv *solver.Solver) *pathRun {
 	pr.job = j
 	pr.slv = slv
 	pr.anon = 0
+	pr.weight = 0
+	pr.gaveUp = 0
 	if cap(pr.occ) < j.numSites {
 		pr.occ = make([]int32, j.numSites)
 	} else {
@@ -80,8 +83,7 @@ func putPathRun(pr *pathRun) {
 	pr.Executor = nil
 	pr.job = nil
 	pr.slv = nil
-	pr.states = pr.states[:0]
-	pr.nextStates = pr.nextStates[:0]
+	pr.occSaved = pr.occSaved[:0]
 	pr.finished = pr.finished[:0]
 	pr.outBuf = pr.outBuf[:0]
 	pr.oneBuf[0] = nil

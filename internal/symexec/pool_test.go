@@ -135,7 +135,10 @@ func TestPathRunPoolDropsJobReferences(t *testing.T) {
 	}
 	// Dirty the scratch as a task would.
 	pr.occ[0] = 7
-	pr.states = append(pr.states, getState())
+	pr.finished = append(pr.finished, getState())
+	pr.putBuf(append(pr.getBuf(), getState()))
+	pr.occSaved = append(pr.occSaved, pr.occ...)
+	pr.weight, pr.gaveUp = 3, 2
 	pr.callArgs["arg0"] = sym.Arg("v")
 	pr.instScratch.Ret = sym.Arg("r")
 	pr.instScratch.AddChange(sym.Arg("dev"), 1)
@@ -144,8 +147,13 @@ func TestPathRunPoolDropsJobReferences(t *testing.T) {
 	if pr.Executor != nil || pr.job != nil || pr.slv != nil {
 		t.Error("recycled pathRun pins executor/job/solver")
 	}
-	if len(pr.states) != 0 || len(pr.nextStates) != 0 || len(pr.finished) != 0 || len(pr.outBuf) != 0 {
+	if len(pr.finished) != 0 || len(pr.outBuf) != 0 || len(pr.occSaved) != 0 {
 		t.Error("recycled pathRun carries state slices")
+	}
+	for _, b := range pr.bufs {
+		if len(b) != 0 {
+			t.Error("recycled pathRun carries a non-empty state buffer")
+		}
 	}
 	if pr.oneBuf[0] != nil {
 		t.Error("recycled pathRun pins a state through oneBuf")
@@ -159,6 +167,9 @@ func TestPathRunPoolDropsJobReferences(t *testing.T) {
 
 	// A fresh acquisition against the same job must see cleared counters.
 	pr2 := getPathRun(j, slv)
+	if pr2.weight != 0 || pr2.gaveUp != 0 || pr2.anon != 0 {
+		t.Errorf("reacquired pathRun counters weight=%d gaveUp=%d anon=%d, want 0", pr2.weight, pr2.gaveUp, pr2.anon)
+	}
 	for i, v := range pr2.occ {
 		if v != 0 {
 			t.Fatalf("occ[%d] = %d on reacquisition, want 0", i, v)

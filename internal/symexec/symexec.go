@@ -1,6 +1,8 @@
 // Package symexec implements Step II of the RID analysis (§3.3.3, §4.4):
 // per-path symbolic execution that turns each enumerated path into a set of
-// summary entries. Instruction semantics follow Figure 6; call instructions
+// summary entries. Paths that share a prefix share its execution: the
+// executor walks the trie of enumerated paths depth-first and clones the
+// sub-case states only where paths diverge. Instruction semantics follow Figure 6; call instructions
 // follow Algorithm 1 (one forked state per satisfiable callee summary
 // entry); at each return an entry is produced and conditions on local
 // variables are removed by existential projection.
@@ -244,17 +246,20 @@ type Executor struct {
 // by instruction site ID (fresh symbols are named by creation site and
 // occurrence index so the "same" value — e.g. the object allocated by a
 // given call — has one identity across all paths), the task's solver, and
-// the scratch storage reused across tasks via pathRunPool.
+// the scratch storage reused across tasks via pathRunPool. The counters
+// describe the trie node being executed and are restored on backtrack.
 type pathRun struct {
 	*Executor
-	job  *Job
-	slv  *solver.Solver
-	occ  []int32 // per-site occurrence counts, indexed by Job.siteIDs
-	anon int
+	job    *Job
+	slv    *solver.Solver
+	occ    []int32 // per-site occurrence counts, indexed by Job.siteIDs
+	anon   int
+	weight int // paths through the trie node being executed
+	gaveUp int // solver give-ups, each counted once per path through its node
 
 	symBuf      []byte               // siteSym name assembly
-	states      []*state             // live sub-cases, current instruction
-	nextStates  []*state             // live sub-cases, next instruction
+	occSaved    []int32              // occ snapshots, one per open branch node
+	bufs        [][]*state           // free state slices (getBuf/putBuf)
 	finished    []*state             // returned sub-cases awaiting finalize
 	outBuf      []*state             // call() fork results
 	oneBuf      [1]*state            // step() singleton result
@@ -292,14 +297,14 @@ func (pr *pathRun) anonSym(prefix string) *sym.Expr {
 }
 
 // Summarize runs Steps I and II on fn: enumerate paths, symbolically
-// execute each, and return the per-path entries (Step III — consistency
-// checking and merging — lives in internal/ipp). It is Prepare, then
-// RunTask for each path in order on the executor's solver, then Finish;
-// the work-stealing scheduler in package core drives the same seam with
-// stolen tasks, so both share one semantics.
+// execute them over the path trie, and return the per-path entries (Step
+// III — consistency checking and merging — lives in internal/ipp). It is
+// Prepare, then RunTask for each subtree in order on the executor's
+// solver, then Finish; the work-stealing scheduler in package core drives
+// the same seam with stolen tasks, so both share one semantics.
 //
 // ctx bounds the work: when it expires the executor stops at the next
-// path (or block) boundary and returns whatever it has, with Canceled and
+// block boundary and returns whatever it has, with Canceled and
 // Truncated set so the function degrades to a partial summary plus the
 // §5.2 default entry rather than blocking the run.
 func (ex *Executor) Summarize(ctx context.Context, fn *ir.Func) Result {
@@ -310,98 +315,212 @@ func (ex *Executor) Summarize(ctx context.Context, fn *ir.Func) Result {
 	return j.Finish()
 }
 
-// execPath symbolically executes one path and returns its summary
-// entries (with a parallel provenance slice when capture is enabled, nil
-// otherwise), plus whether the sub-case budget truncated the state set and
-// whether the context expired mid-path.
-func (pr *pathRun) execPath(ctx context.Context, fn *ir.Func, path cfg.Path) ([]*summary.Entry, []*EntryProv, bool, bool) {
-	init := getState()
-	for _, p := range fn.Params {
-		init.vmap[p] = sym.Arg(p)
+// walk executes the subtree of the path trie that holds paths [lo,hi).
+// Step I enumerates paths depth-first, so the paths sharing a prefix of
+// d+1 blocks are contiguous and the trie needs no data structure of its
+// own: a node is a range of paths and a depth. The paths in [lo,hi) agree
+// on their first d blocks, whose execution left the live sub-cases in
+// states. walk owns states: every state is finalized or recycled, and each
+// leaf writes its path's slot in Job.outs. truncated reports whether the
+// sub-case budget cut the set anywhere on the shared prefix.
+func (pr *pathRun) walk(lo, hi, d int, states []*state, truncated bool) {
+	j := pr.job
+	blocks := j.fn.Body().Blocks
+	for {
+		path := j.enum.Paths[lo].Blocks
+		if j.ctx.Err() != nil {
+			pr.dropStates(states)
+			pr.endPaths(lo, hi, truncated, true)
+			return
+		}
+		pr.weight = hi - lo
+		instrs := blocks[path[d]].Instrs
+		if d+1 == len(path) {
+			// A leaf: the block ends in the path's return, and a return
+			// block has no successors, so the range is this one path.
+			for _, in := range instrs {
+				if states, truncated = pr.stepAll(in, -1, states, truncated); len(states) == 0 {
+					break
+				}
+			}
+			pr.dropStates(states)
+			pr.finishPath(lo, truncated)
+			return
+		}
+		// Every instruction but the terminator runs the same way for every
+		// child; only the terminator reads the next block.
+		for _, in := range instrs[:len(instrs)-1] {
+			if states, truncated = pr.stepAll(in, -1, states, truncated); len(states) == 0 {
+				pr.endPaths(lo, hi, truncated, false)
+				return
+			}
+		}
+		if pr.childEnd(lo, hi, d) < hi {
+			pr.branch(lo, hi, d, states, truncated)
+			return
+		}
+		// One child: descend in place, no clone.
+		if states, truncated = pr.stepAll(instrs[len(instrs)-1], path[d+1], states, truncated); len(states) == 0 {
+			pr.endPaths(lo, hi, truncated, false)
+			return
+		}
+		d++
 	}
-	states := append(pr.states[:0], init)
-	next := pr.nextStates[:0]
-	finished := pr.finished[:0]
-	truncated := false
-	canceled := false
+}
 
-	blocks := fn.Body().Blocks
-	for bi, b := range path.Blocks {
-		if ctx.Err() != nil {
-			canceled = true
-			break
-		}
-		blk := blocks[b]
-		nextBlock := -1
-		if bi+1 < len(path.Blocks) {
-			nextBlock = path.Blocks[bi+1]
-		}
-		for _, in := range blk.Instrs {
-			pr.occ[pr.job.siteIDs[in]]++
-			next = next[:0]
+// branch runs the children of a trie node whose paths [lo,hi) diverge
+// after block d, in path order. Each child but the last executes on clones
+// of states, the last on states itself. The occurrence counters and the
+// anonymous-symbol counter are restored before each child, so every child
+// names its symbols exactly as a path executed alone from the entry does.
+func (pr *pathRun) branch(lo, hi, d int, states []*state, truncated bool) {
+	j := pr.job
+	term := j.fn.Body().Blocks[j.enum.Paths[lo].Blocks[d]].Terminator()
+	mark := len(pr.occSaved)
+	pr.occSaved = append(pr.occSaved, pr.occ...)
+	anon := pr.anon
+	for first := true; lo < hi; first = false {
+		mid := pr.childEnd(lo, hi, d)
+		sub := states
+		if mid < hi {
+			sub = pr.getBuf()
 			for _, st := range states {
-				if st.dead {
-					putState(st)
-					continue
-				}
-				res := pr.step(fn, st, in, nextBlock)
-				for _, ns := range res {
-					if ns.dead {
-						putState(ns)
-						continue
-					}
-					if ns.hasRet || in.Op == ir.OpReturn {
-						finished = append(finished, ns)
-					} else {
-						next = append(next, ns)
-					}
-				}
-			}
-			states, next = next, states
-			if len(states) > pr.cfg.MaxSubcases {
-				for _, st := range states[pr.cfg.MaxSubcases:] {
-					putState(st)
-				}
-				states = states[:pr.cfg.MaxSubcases]
-				truncated = true
-			}
-			if len(states) == 0 {
-				break
+				sub = append(sub, st.clone())
 			}
 		}
-		if len(states) == 0 {
-			break
+		if !first {
+			copy(pr.occ, pr.occSaved[mark:])
+			pr.anon = anon
 		}
+		pr.weight = mid - lo
+		sub, trunc := pr.stepAll(term, j.enum.Paths[lo].Blocks[d+1], sub, truncated)
+		if len(sub) == 0 {
+			pr.putBuf(sub)
+			pr.endPaths(lo, mid, trunc, false)
+		} else {
+			pr.walk(lo, mid, d+1, sub, trunc)
+		}
+		lo = mid
 	}
-	// States that never reached a return (dead path tail, cancellation)
-	// are dropped; recycle them.
-	for _, st := range states {
-		putState(st)
-	}
+	pr.occSaved = pr.occSaved[:mark]
+}
 
-	var entries []*summary.Entry
-	var provs []*EntryProv
-	for _, st := range finished {
-		e, prov := pr.finalize(fn, st)
+// childEnd returns the end of the child range that starts at lo: the
+// paths of [lo,hi) that agree with path lo on block d+1.
+func (pr *pathRun) childEnd(lo, hi, d int) int {
+	paths := pr.job.enum.Paths
+	b := paths[lo].Blocks[d+1]
+	mid := lo + 1
+	for mid < hi && paths[mid].Blocks[d+1] == b {
+		mid++
+	}
+	return mid
+}
+
+// stepAll executes in on every live state: dead states are recycled,
+// states that return move to pr.finished, and the survivors are cut to
+// the sub-case budget. It consumes states and returns the survivors in a
+// buffer of its own.
+func (pr *pathRun) stepAll(in *ir.Instr, nextBlock int, states []*state, truncated bool) ([]*state, bool) {
+	pr.occ[pr.job.siteIDs[in]]++
+	next := pr.getBuf()
+	for _, st := range states {
+		if st.dead {
+			putState(st)
+			continue
+		}
+		for _, ns := range pr.step(pr.job.fn, st, in, nextBlock) {
+			switch {
+			case ns.dead:
+				putState(ns)
+			case ns.hasRet || in.Op == ir.OpReturn:
+				pr.finished = append(pr.finished, ns)
+			default:
+				next = append(next, ns)
+			}
+		}
+	}
+	pr.putBuf(states)
+	if len(next) > pr.cfg.MaxSubcases {
+		for _, st := range next[pr.cfg.MaxSubcases:] {
+			putState(st)
+		}
+		next = next[:pr.cfg.MaxSubcases]
+		truncated = true
+	}
+	return next, truncated
+}
+
+// finishPath finalizes the returned states of leaf path i into its slot.
+func (pr *pathRun) finishPath(i int, truncated bool) {
+	o := &pr.job.outs[i]
+	for _, st := range pr.finished {
+		e, prov := pr.finalize(pr.job.fn, st)
 		putState(st)
 		if e == nil {
 			continue
 		}
-		entries = append(entries, e)
+		o.entries = append(o.entries, e)
 		if pr.cfg.Provenance {
-			provs = append(provs, prov)
+			o.provs = append(o.provs, prov)
 		}
 	}
-	if len(entries) > pr.cfg.MaxSubcases {
-		entries = entries[:pr.cfg.MaxSubcases]
+	pr.finished = pr.finished[:0]
+	if len(o.entries) > pr.cfg.MaxSubcases {
+		o.entries = o.entries[:pr.cfg.MaxSubcases]
 		truncated = true
-		if provs != nil {
-			provs = provs[:pr.cfg.MaxSubcases]
+		if o.provs != nil {
+			o.provs = o.provs[:pr.cfg.MaxSubcases]
 		}
 	}
-	// Store the (possibly grown) scratch backings back for the next task.
-	pr.states, pr.nextStates, pr.finished = states[:0], next[:0], finished[:0]
-	return entries, provs, truncated, canceled
+	o.truncated = truncated
+}
+
+// endPaths closes paths [lo,hi) without entries: their sub-cases all died
+// on the shared prefix, or the context expired before it ended.
+func (pr *pathRun) endPaths(lo, hi int, truncated, canceled bool) {
+	for i := lo; i < hi; i++ {
+		pr.job.outs[i].truncated = truncated
+		pr.job.outs[i].canceled = canceled
+	}
+}
+
+// dropStates recycles states that will never reach a return and returns
+// the slice to the buffer list.
+func (pr *pathRun) dropStates(states []*state) {
+	for _, st := range states {
+		putState(st)
+	}
+	pr.putBuf(states)
+}
+
+// getBuf and putBuf keep the task's free list of state slices: one
+// slice is live per trie level being walked, plus the one being filled.
+func (pr *pathRun) getBuf() []*state {
+	n := len(pr.bufs)
+	if n == 0 {
+		return nil
+	}
+	b := pr.bufs[n-1]
+	pr.bufs = pr.bufs[:n-1]
+	return b[:0]
+}
+
+func (pr *pathRun) putBuf(b []*state) {
+	if cap(b) > 0 {
+		pr.bufs = append(pr.bufs, b[:0])
+	}
+}
+
+// sat decides cs on the task's solver. A query at a trie node stands for
+// the same query on every path through the node, so a give-up is counted
+// once per path: the DegradeSolverGiveUp count does not depend on how
+// much of the trie is shared.
+func (pr *pathRun) sat(cs sym.Set) bool {
+	g0 := pr.slv.Stats().GaveUp
+	v := pr.slv.Sat(cs)
+	pr.gaveUp += (pr.slv.Stats().GaveUp - g0) * pr.weight
+	return v
 }
 
 // step executes one instruction on st, returning the successor states
@@ -509,7 +628,7 @@ func (pr *pathRun) call(fn *ir.Func, st *state, in *ir.Instr) []*state {
 			continue
 		}
 		if !pr.cfg.NoPrune && inst.Cons.Len() > 0 {
-			if !pr.slv.Sat(ns.consSet()) {
+			if !pr.sat(ns.consSet()) {
 				putState(ns)
 				continue
 			}
@@ -558,25 +677,31 @@ func (pr *pathRun) eval(st *state, v ir.Value) *sym.Expr {
 	return pr.anonSym("v")
 }
 
-// finalize turns a finished state into a summary entry: bind [0] to the
-// returned expression, project local conditions, rewrite refcount keys and
-// the return expression through the projection pins, and drop entries that
-// are unsatisfiable or whose refcounts remain unobservable. Under
-// Config.Provenance the returned EntryProv records the derivation (raw and
-// projected constraints, applied callee entries); it is nil otherwise.
+// finalize turns a finished state into a summary entry: decide
+// feasibility, bind [0] to the returned expression, project local
+// conditions, rewrite refcount keys and the return expression through the
+// projection pins, and drop entries that are unsatisfiable or whose
+// refcounts remain unobservable. Under Config.Provenance the returned
+// EntryProv records the derivation (raw and projected constraints, applied
+// callee entries); it is nil otherwise.
 func (pr *pathRun) finalize(fn *ir.Func, st *state) (*summary.Entry, *EntryProv) {
+	// Feasibility must be decided on the full path condition, locals
+	// included: a path can be infeasible purely through conditions on
+	// locals (e.g. $c < 0 ∧ $c > 0 after the local was overwritten), and
+	// projecting first would silently weaken an unsatisfiable system into
+	// a live one. The binding [0] == ret is left out of the query. No path
+	// condition mentions [0] (a call binds its callee's [0] to the call's
+	// site symbol), so choosing [0] = ret always meets the binding and it
+	// cannot change the verdict. Without it the query stays on the solver's
+	// term ⋈ const fast path and repeats the cache key of the state's last
+	// call-site prune.
 	cons := st.consSet()
+	if cons.HasFalse() || !pr.sat(cons) {
+		return nil, nil
+	}
 	retExpr := st.ret
 	if retExpr != nil {
 		cons = cons.And(sym.Cond(sym.Ret(), ir.EQ, retExpr))
-	}
-
-	// Feasibility must be decided on the full constraint, locals included:
-	// a path can be infeasible purely through conditions on locals (e.g.
-	// $c < 0 ∧ $c > 0 after the local was overwritten), and projecting
-	// first would silently weaken an unsatisfiable system into a live one.
-	if cons.HasFalse() || !pr.slv.Sat(cons) {
-		return nil, nil
 	}
 
 	var prov *EntryProv

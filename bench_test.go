@@ -19,7 +19,6 @@ import (
 	"repro/internal/ir"
 	"repro/internal/lower"
 	"repro/internal/spec"
-	"repro/internal/sym"
 	"repro/internal/symexec"
 	"repro/rid"
 )
@@ -438,70 +437,6 @@ func BenchmarkAblationBudgets(b *testing.B) {
 			var reports int
 			for i := 0; i < b.N; i++ {
 				res := core.Analyze(context.Background(), prog, spec.LinuxDPM(), opts)
-				reports = len(res.Reports)
-			}
-			b.ReportMetric(float64(reports), "reports")
-		})
-	}
-}
-
-// BenchmarkAblationSolverCache toggles constraint-satisfiability
-// memoization.
-func BenchmarkAblationSolverCache(b *testing.B) {
-	prog, _ := ablationProgram(b)
-	for _, noCache := range []bool{false, true} {
-		name := "cache-on"
-		if noCache {
-			name = "cache-off"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				core.Analyze(context.Background(), prog, spec.LinuxDPM(), core.Options{NoCache: noCache})
-			}
-		})
-	}
-}
-
-// BenchmarkAblationInterning toggles expression hash-consing: with it off,
-// every constructor allocates a fresh node, equality falls back to
-// canonical-key strings, and solver cache keys are full-text joins.
-func BenchmarkAblationInterning(b *testing.B) {
-	prog, _ := ablationProgram(b)
-	for _, interning := range []bool{true, false} {
-		name := "interning-on"
-		if !interning {
-			name = "interning-off"
-		}
-		b.Run(name, func(b *testing.B) {
-			prev := sym.SetInterning(interning)
-			defer sym.SetInterning(prev)
-			b.ReportAllocs()
-			var reports int
-			for i := 0; i < b.N; i++ {
-				res := core.Analyze(context.Background(), prog, spec.LinuxDPM(), core.Options{})
-				reports = len(res.Reports)
-			}
-			b.ReportMetric(float64(reports), "reports")
-		})
-	}
-}
-
-// BenchmarkAblationBucketing toggles Step III's changes-signature
-// bucketing and the syntactic contradiction pre-filter: with it off, every
-// kept pair goes through the SameChanges map comparison and the solver.
-func BenchmarkAblationBucketing(b *testing.B) {
-	prog, _ := ablationProgram(b)
-	for _, noBucketing := range []bool{false, true} {
-		name := "bucketing-on"
-		if noBucketing {
-			name = "bucketing-off"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			var reports int
-			for i := 0; i < b.N; i++ {
-				res := core.Analyze(context.Background(), prog, spec.LinuxDPM(), core.Options{NoBucketing: noBucketing})
 				reports = len(res.Reports)
 			}
 			b.ReportMetric(float64(reports), "reports")

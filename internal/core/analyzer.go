@@ -48,10 +48,6 @@ type Options struct {
 	// to prove it; the knob exists for that test and for reproducing a
 	// particular steal interleaving. 0 is fine.
 	StealSeed int64
-	NoCache   bool // disable solver memoization (ablation)
-	// NoBucketing disables Step III's changes-signature bucketing and the
-	// syntactic contradiction pre-filter (ablation).
-	NoBucketing bool
 	// AnalyzeAll disables the §5.2 selective analysis and summarizes every
 	// function (ablation; expensive on large corpora).
 	AnalyzeAll bool

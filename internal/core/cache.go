@@ -106,7 +106,6 @@ func cacheFingerprint(opts Options) store.Fingerprint {
 		KeepLocalConds:       opts.Exec.KeepLocalConds,
 		MaxCat2Conds:         opts.MaxCat2Conds,
 		AnalyzeAll:           opts.AnalyzeAll,
-		NoBucketing:          opts.NoBucketing,
 		SolverMaxConstraints: lim.MaxConstraints,
 		SolverMaxSplits:      lim.MaxSplits,
 		SpecDigest:           opts.specDigest,

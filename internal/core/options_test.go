@@ -92,18 +92,34 @@ int driver(struct device *dev) {
 	}
 }
 
+// TestNoCacheSameReports checks that no solver cache outlives a run:
+// each Analyze starts from an empty cache, so analyzing the same program
+// twice gives the same reports and the same solver counters, cache hits
+// included, and every hit counts its stored verdict.
 func TestNoCacheSameReports(t *testing.T) {
 	prog, err := lower.SourceString("t.c", figure8Src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	with := Analyze(context.Background(), prog, spec.LinuxDPM(), Options{})
-	without := Analyze(context.Background(), prog, spec.LinuxDPM(), Options{NoCache: true})
-	if len(with.Reports) != len(without.Reports) {
-		t.Errorf("cache changed results: %d vs %d", len(with.Reports), len(without.Reports))
+	first := Analyze(context.Background(), prog, spec.LinuxDPM(), Options{})
+	second := Analyze(context.Background(), prog, spec.LinuxDPM(), Options{})
+	if len(first.Reports) == 0 {
+		t.Fatal("figure 8 should be reported")
 	}
-	if without.Stats.Solver.CacheHits != 0 {
-		t.Errorf("NoCache run had %d cache hits", without.Stats.Solver.CacheHits)
+	if len(first.Reports) != len(second.Reports) {
+		t.Fatalf("second run changed results: %d vs %d", len(first.Reports), len(second.Reports))
+	}
+	for i := range first.Reports {
+		if a, b := first.Reports[i].Detail(), second.Reports[i].Detail(); a != b {
+			t.Errorf("report %d differs:\n%s\nvs\n%s", i, a, b)
+		}
+	}
+	if first.Stats.Solver != second.Stats.Solver {
+		t.Errorf("solver counters differ between runs: %+v vs %+v", first.Stats.Solver, second.Stats.Solver)
+	}
+	s := second.Stats.Solver
+	if s.Queries != s.Sat+s.Unsat || s.CacheHits > s.Queries {
+		t.Errorf("solver counters inconsistent: %+v", s)
 	}
 }
 

@@ -94,7 +94,7 @@ func TestProvenanceOffAllocFree(t *testing.T) {
 	specs := spec.LinuxDPM()
 	ctx := context.Background()
 	run := func(prov bool) {
-		Analyze(ctx, prog, specs, Options{Workers: 1, NoCache: true, Provenance: prov})
+		Analyze(ctx, prog, specs, Options{Workers: 1, Provenance: prov})
 	}
 	off1 := testing.AllocsPerRun(10, func() { run(false) })
 	off2 := testing.AllocsPerRun(10, func() { run(false) })

@@ -161,11 +161,8 @@ func analyzeSteal(ctx context.Context, prog *ir.Program, g *callgraph.Graph, db 
 
 	// One cache for the whole run: every worker shares solved sub-results,
 	// so a constraint set solved anywhere in the sweep is a hit everywhere
-	// else. (nil under NoCache: queries always run.)
-	var scache *solver.Cache
-	if !opts.NoCache {
-		scache = solver.NewCache()
-	}
+	// else.
+	scache := solver.NewCache()
 
 	workers := opts.Workers
 	s.deques = make([]sched.Deque[subtreeTask], workers)
@@ -449,7 +446,7 @@ func (s *stealRun) analyzeOne(fn *ir.Func, w *stealWorker) funcOutcome {
 				}
 			}()
 			sres = fj.job.Finish()
-			out.reports, out.sum = ipp.CheckWith(fctx, sres, w.slv, ipp.Options{NoBucketing: opts.NoBucketing, Obs: opts.Obs, Provenance: opts.Provenance, FieldKinds: opts.fieldKinds})
+			out.reports, out.sum = ipp.CheckWith(fctx, sres, w.slv, ipp.Options{Obs: opts.Obs, Provenance: opts.Provenance, FieldKinds: opts.fieldKinds})
 			out.paths = sres.NumPaths
 		}()
 		w.wc.AddBusy(time.Since(tCheck))

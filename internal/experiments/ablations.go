@@ -10,7 +10,6 @@ import (
 	"repro/internal/corpus/kernelgen"
 	"repro/internal/lower"
 	"repro/internal/spec"
-	"repro/internal/sym"
 	"repro/internal/symexec"
 )
 
@@ -64,11 +63,6 @@ func Ablations(ctx context.Context) ([]AblationRow, error) {
 	run("budgets 1000 paths / 50 subcases", core.Options{Exec: symexec.Config{
 		MaxPaths: 1000, MaxSubcases: 50,
 	}})
-	run("solver cache off", core.Options{NoCache: true})
-	run("step-III bucketing off", core.Options{NoBucketing: true})
-	prev := sym.SetInterning(false)
-	run("expression interning off", core.Options{})
-	sym.SetInterning(prev)
 	run("workers = 4 (path-level stealing, §7)", core.Options{Workers: 4})
 
 	// Bit-test preservation needs a differently lowered program; score FPs

@@ -97,12 +97,6 @@ func (r *Report) Detail() string {
 
 // Options tune Step III. The zero value is the production configuration.
 type Options struct {
-	// NoBucketing disables the changes-signature bucketing and the
-	// syntactic contradiction pre-filter (ablation support): every kept
-	// pair goes through SameChanges and the solver, as the original
-	// implementation did.
-	NoBucketing bool
-
 	// Obs, when non-nil, receives the per-function ipp span and the Step
 	// III counters: ipp_candidates (pairs that reached the solver — i.e.
 	// survived bucketing and the bounds pre-filter) and ipp_confirmed
@@ -174,16 +168,14 @@ func CheckWith(ctx context.Context, res symexec.Result, slv *solver.Solver, opts
 
 	// Per-entry precomputation, indexed in parallel with res.Entries /
 	// kept: changes-signature and interval bounds.
-	var sigs, keptSigs []string
-	var bounds, keptBounds []map[string]interval
-	if !opts.NoBucketing {
-		sigs = make([]string, len(res.Entries))
-		bounds = make([]map[string]interval, len(res.Entries))
-		for i, e := range res.Entries {
-			sigs[i] = e.ChangesSignature()
-			bounds[i] = consBounds(e.Cons)
-		}
+	sigs := make([]string, len(res.Entries))
+	bounds := make([]map[string]interval, len(res.Entries))
+	for i, e := range res.Entries {
+		sigs[i] = e.ChangesSignature()
+		bounds[i] = consBounds(e.Cons)
 	}
+	var keptSigs []string
+	var keptBounds []map[string]interval
 
 	canceled := false
 	for ci, cand := range res.Entries {
@@ -201,17 +193,11 @@ func CheckWith(ctx context.Context, res symexec.Result, slv *solver.Solver, opts
 		// to the unbatched slv.Sat(k.Cons ∧ cand.Cons).
 		pairs := slv.Pairs(cand.Cons)
 		for ki, k := range kept {
-			if opts.NoBucketing {
-				if k.SameChanges(cand.Entry) {
-					continue
-				}
-			} else {
-				if keptSigs[ki] == sigs[ci] {
-					continue // same bucket: identical changes, never an IPP
-				}
-				if disjointBounds(keptBounds[ki], bounds[ci]) {
-					continue // syntactically contradictory: Sat would say no
-				}
+			if keptSigs[ki] == sigs[ci] {
+				continue // same bucket: identical changes, never an IPP
+			}
+			if disjointBounds(keptBounds[ki], bounds[ci]) {
+				continue // syntactically contradictory: Sat would say no
 			}
 			// Different changes: IPP iff constraints are co-satisfiable.
 			opts.Obs.Count(obs.MIPPCandidates, 1)
@@ -255,10 +241,8 @@ func CheckWith(ctx context.Context, res symexec.Result, slv *solver.Solver, opts
 		}
 		if !inconsistent {
 			kept = append(kept, cand)
-			if !opts.NoBucketing {
-				keptSigs = append(keptSigs, sigs[ci])
-				keptBounds = append(keptBounds, bounds[ci])
-			}
+			keptSigs = append(keptSigs, sigs[ci])
+			keptBounds = append(keptBounds, bounds[ci])
 		}
 	}
 

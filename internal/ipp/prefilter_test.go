@@ -93,8 +93,8 @@ func TestPrefilterAgreesWithSolver(t *testing.T) {
 	}
 }
 
-// TestBucketingPreservesReports runs Step III with and without bucketing
-// over entry mixes that exercise both the same-signature skip and the
+// TestBucketingPreservesReports runs Step III and its all-pairs reference
+// over an entry mix that exercises both the same-signature skip and the
 // contradiction pre-filter, and requires identical reports and summaries.
 func TestBucketingPreservesReports(t *testing.T) {
 	a := sym.Arg("dev")
@@ -106,7 +106,7 @@ func TestBucketingPreservesReports(t *testing.T) {
 		entry(3, nil, -1, pm, sym.Cond(ret, ir.EQ, sym.Const(0))),
 	)
 	repOn, sumOn := CheckWith(context.Background(), res, solver.New(), Options{})
-	repOff, sumOff := CheckWith(context.Background(), res, solver.New(), Options{NoBucketing: true})
+	repOff, sumOff, _ := checkAllPairs(res, solver.New(), Options{})
 	if len(repOn) != len(repOff) {
 		t.Fatalf("report counts differ: bucketing %d, plain %d", len(repOn), len(repOff))
 	}

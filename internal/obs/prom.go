@@ -23,8 +23,8 @@ var counterHelp = [numMetrics]string{
 	MSummaryEntries:   "finalized per-path summary entries",
 	MSolverQueries:    "satisfiability queries issued",
 	MSolverCacheHits:  "queries answered from the shared cache",
-	MSolverSat:        "SAT verdicts (give-ups included)",
-	MSolverUnsat:      "UNSAT verdicts",
+	MSolverSat:        "SAT verdicts (give-ups and cache hits included)",
+	MSolverUnsat:      "UNSAT verdicts (cache hits included)",
 	MSolverGaveUp:     "queries over budget, answered SAT",
 	MIPPCandidates:    "Step III pairs that reached the solver",
 	MIPPConfirmed:     "inconsistent path pair reports emitted",

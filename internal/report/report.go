@@ -38,11 +38,35 @@ func ParseFormat(s string) (Format, error) {
 	return "", fmt.Errorf("unknown report format %q (want text, json or sarif)", s)
 }
 
-// Write renders the reports to w in the given format. Reports are emitted
-// in deterministic (function, refcount) order regardless of input order.
-func Write(w io.Writer, f Format, reports []*ipp.Report, verbose bool) error {
-	sorted := make([]*ipp.Report, len(reports))
-	copy(sorted, reports)
+// rendered pairs a report with its Detail(), when the caller rendered it.
+type rendered struct {
+	*ipp.Report
+	detail string
+}
+
+// Detail returns the caller's rendering of the report's evidence, or
+// renders it when the caller passed none.
+func (r rendered) Detail() string {
+	if r.detail != "" {
+		return r.detail
+	}
+	return r.Report.Detail()
+}
+
+// Write renders the reports to w in the given format. A caller that has
+// already rendered each report's evidence passes it as details, with
+// details[i] equal to reports[i].Detail(); the verbose text and the JSON
+// records then reuse it instead of rendering it again. Reports are
+// emitted in deterministic (function, refcount) order regardless of input
+// order.
+func Write(w io.Writer, f Format, reports []*ipp.Report, verbose bool, details ...string) error {
+	sorted := make([]rendered, len(reports))
+	for i, r := range reports {
+		sorted[i].Report = r
+		if i < len(details) {
+			sorted[i].detail = details[i]
+		}
+	}
 	sort.Slice(sorted, func(i, j int) bool {
 		if sorted[i].Fn != sorted[j].Fn {
 			return sorted[i].Fn < sorted[j].Fn
@@ -60,9 +84,9 @@ func Write(w io.Writer, f Format, reports []*ipp.Report, verbose bool) error {
 	return fmt.Errorf("unhandled format %q", f)
 }
 
-func writeText(w io.Writer, reports []*ipp.Report, verbose bool) error {
+func writeText(w io.Writer, reports []rendered, verbose bool) error {
 	for _, r := range reports {
-		if _, err := fmt.Fprintln(w, r); err != nil {
+		if _, err := fmt.Fprintln(w, r.Report); err != nil {
 			return err
 		}
 		if verbose {
@@ -90,7 +114,7 @@ type jsonReport struct {
 	Evidence string           `json:"evidence"`
 }
 
-func writeJSON(w io.Writer, reports []*ipp.Report) error {
+func writeJSON(w io.Writer, reports []rendered) error {
 	enc := json.NewEncoder(w)
 	for _, r := range reports {
 		jr := jsonReport{
@@ -242,7 +266,7 @@ type sarifRegion struct {
 
 const ruleID = "RID001"
 
-func writeSARIF(w io.Writer, reports []*ipp.Report) error {
+func writeSARIF(w io.Writer, reports []rendered) error {
 	run := sarifRun{
 		Tool: sarifTool{Driver: sarifDriver{
 			Name:           "rid",
@@ -268,7 +292,7 @@ func writeSARIF(w io.Writer, reports []*ipp.Report) error {
 				Region:           sarifRegion{StartLine: r.Pos.Line},
 			}}}
 		}
-		if cf, ok := sarifFlows(r); ok {
+		if cf, ok := sarifFlows(r.Report); ok {
 			res.CodeFlows = []sarifCodeFlow{cf}
 		}
 		run.Results = append(run.Results, res)

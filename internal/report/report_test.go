@@ -106,6 +106,41 @@ func TestJSONLines(t *testing.T) {
 	}
 }
 
+// TestWriteReusesDetails pins the render-once contract: details passed by
+// the caller stay paired with their reports through the sort and replace
+// the writer's own rendering, and real renderings give the same bytes in
+// every format as a call that passes none.
+func TestWriteReusesDetails(t *testing.T) {
+	rs := sampleReports(t) // zz_op, then aa_op
+	details := make([]string, len(rs))
+	for i, r := range rs {
+		details[i] = r.Detail()
+	}
+	for _, f := range []Format{Text, JSON, SARIF} {
+		var plain, reused bytes.Buffer
+		if err := Write(&plain, f, rs, true); err != nil {
+			t.Fatal(err)
+		}
+		if err := Write(&reused, f, rs, true, details...); err != nil {
+			t.Fatal(err)
+		}
+		if plain.String() != reused.String() {
+			t.Errorf("%s: output differs with pre-rendered details", f)
+		}
+	}
+	var buf bytes.Buffer
+	if err := Write(&buf, JSON, rs, false, "zz detail\n", "aa detail\n"); err != nil {
+		t.Fatal(err)
+	}
+	var first jsonReport
+	if err := json.Unmarshal([]byte(strings.SplitN(buf.String(), "\n", 2)[0]), &first); err != nil {
+		t.Fatal(err)
+	}
+	if first.Function != "aa_op" || first.Evidence != "aa detail\n" {
+		t.Errorf("first record %s carries evidence %q, want aa_op's", first.Function, first.Evidence)
+	}
+}
+
 func TestSARIFWellFormed(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Write(&buf, SARIF, sampleReports(t), false); err != nil {

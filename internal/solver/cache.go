@@ -9,11 +9,12 @@ import "sync"
 // only removes duplicate solves, never changes an answer.
 //
 // Alongside the verdict, each entry records whether solving the query
-// exceeded a budget (gave up). Cache hits replay that flag, so a solver's
-// give-up count is a deterministic function of the queries it issued —
-// independent of which worker happened to populate the cache first. That
-// is what keeps per-function give-up diagnostics byte-identical at any
-// Workers setting under the work-stealing scheduler.
+// exceeded a budget (gave up). Cache hits replay that flag and the
+// verdict, so a solver's give-up, Sat and Unsat counts are a
+// deterministic function of the queries it issued — independent of which
+// worker happened to populate the cache first. That is what keeps
+// per-function give-up diagnostics byte-identical at any Workers setting
+// under the work-stealing scheduler.
 type Cache struct {
 	shards [cacheShardCount]cacheShard
 }

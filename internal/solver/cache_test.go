@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -60,16 +61,6 @@ func TestNewWithCacheSharesAcrossSolvers(t *testing.T) {
 	}
 }
 
-func TestNilCacheDisablesMemoization(t *testing.T) {
-	s := NewWithCache(Limits{}, nil)
-	cs := set(sym.Cond(sym.Arg("x"), ir.LE, sym.Arg("y")))
-	s.Sat(cs)
-	s.Sat(cs)
-	if s.Stats().CacheHits != 0 {
-		t.Errorf("nil cache must disable memoization: %+v", s.Stats())
-	}
-}
-
 func TestCacheConcurrentAccess(t *testing.T) {
 	cache := NewCache()
 	queries := make([]sym.Set, 40)
@@ -100,5 +91,82 @@ func TestCacheConcurrentAccess(t *testing.T) {
 				t.Fatalf("worker %d query %d verdict diverged", w, i)
 			}
 		}
+	}
+}
+
+// TestCacheTransparent is the oracle for the shared solver cache. Over
+// FuzzSolver's seeds and random inputs in its encoding, under each fuzz
+// limit setting, every query's verdict and give-up flag are the same from
+// a shared cache as from a fresh solver: first through Sat, each query on
+// a cache warmed by the queries before it, then in reverse through Sat
+// and through a PairBatch, on a cache warmed by every query. A hit counts
+// exactly as the solve that stored it, so each solver's Sat, Unsat and
+// GaveUp totals equal the fresh solvers' whatever the cache held.
+func TestCacheTransparent(t *testing.T) {
+	inputs := [][]byte{}
+	for _, s := range solverSeeds {
+		inputs = append(inputs, s.data)
+	}
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < 300; i++ {
+		b := make([]byte, 3*(1+rng.Intn(6)))
+		rng.Read(b)
+		inputs = append(inputs, b)
+	}
+	type query struct {
+		base, other sym.Set
+		sat, gaveUp bool
+	}
+	hits, gaveUps := 0, 0
+	for sel := uint8(0); sel < 4; sel++ {
+		l := fuzzLimits(sel)
+		var qs []query
+		var want Stats
+		for _, data := range inputs {
+			conds := fuzzConds(data, fuzzTerms())
+			q := query{base: sym.NewSet(conds[:len(conds)/2]), other: sym.NewSet(conds[len(conds)/2:])}
+			q.sat, q.gaveUp = satGaveUp(l, q.base.AndSet(q.other))
+			qs = append(qs, q)
+			want.Queries++
+			if q.sat {
+				want.Sat++
+			} else {
+				want.Unsat++
+			}
+			if q.gaveUp {
+				want.GaveUp++
+			}
+		}
+		cache := NewCache()
+		plain, again, batch := NewWithCache(l, cache), NewWithCache(l, cache), NewWithCache(l, cache)
+		ask := func(s *Solver, i int, sat func() bool) {
+			before := s.Stats()
+			got := sat()
+			d := s.Stats().Sub(before)
+			if got != qs[i].sat || (d.GaveUp > 0) != qs[i].gaveUp {
+				t.Fatalf("limits %+v, query %d: cached sat=%v gaveUp=%v, fresh sat=%v gaveUp=%v\nconds: %v",
+					l, i, got, d.GaveUp > 0, qs[i].sat, qs[i].gaveUp, qs[i].base.AndSet(qs[i].other).Conds())
+			}
+		}
+		for i, q := range qs {
+			ask(plain, i, func() bool { return plain.Sat(q.base.AndSet(q.other)) })
+		}
+		for i := len(qs) - 1; i >= 0; i-- {
+			q := qs[i]
+			ask(again, i, func() bool { return again.Sat(q.base.AndSet(q.other)) })
+			ask(batch, i, func() bool { return batch.Pairs(q.base).Sat(q.other) })
+		}
+		for name, s := range map[string]*Solver{"Sat": plain, "warm Sat": again, "PairBatch": batch} {
+			got := s.Stats()
+			hits += got.CacheHits
+			got.CacheHits = 0
+			if got != want {
+				t.Errorf("limits %+v, %s: counters %+v, fresh solvers %+v", l, name, got, want)
+			}
+		}
+		gaveUps += want.GaveUp
+	}
+	if hits == 0 || gaveUps == 0 {
+		t.Fatalf("%d cache hits, %d give-ups; oracle too weak", hits, gaveUps)
 	}
 }

@@ -46,26 +46,22 @@ func (s *Solver) Pairs(base sym.Set) *PairBatch {
 // Sat reports whether base ∧ other is satisfiable. Verdicts and give-up
 // accounting are identical to s.Sat(base.AndSet(other)); only the number
 // of cache probes and allocations differ. When per-query timing is on
-// (tracing), or the cache is disabled, it delegates to the plain path so
-// observability output is unchanged.
+// (tracing), it delegates to the plain path so observability output is
+// unchanged.
 func (pb *PairBatch) Sat(other sym.Set) bool {
 	s := pb.s
-	if s.cache == nil || s.obs.QueryTiming() {
+	if s.obs.QueryTiming() {
 		return s.Sat(pb.base.AndSet(other))
 	}
 	if pb.base.HasFalse() || other.HasFalse() {
 		return s.Sat(pb.base.AndSet(other)) // preserve the early-Unsat path
 	}
-	buf, n, ok := sym.AppendMergedCacheKey(pb.buf[:0], pb.base, other)
+	buf, n := sym.AppendMergedCacheKey(pb.buf[:0], pb.base, other)
 	pb.buf = buf
-	if !ok {
-		return s.Sat(pb.base.AndSet(other)) // uninterned conditions: no fast key
-	}
 	if n == 0 {
 		s.stats.Queries++
 		s.obs.Count(obs.MSolverQueries, 1)
-		s.stats.Sat++
-		s.obs.Count(obs.MSolverSat, 1)
+		s.noteVerdict(true, false)
 		return true
 	}
 	if v, ok := pb.memo[string(buf)]; ok {
@@ -73,28 +69,16 @@ func (pb *PairBatch) Sat(other sym.Set) bool {
 	}
 	s.stats.Queries++
 	s.obs.Count(obs.MSolverQueries, 1)
-	if v, gu, ok := s.cache.Get(buf); ok {
+	res, gu, ok := s.cache.Get(buf)
+	if ok {
 		s.stats.CacheHits++
 		s.obs.Count(obs.MSolverCacheHits, 1)
-		if gu {
-			s.noteGaveUp()
-		}
-		pb.memo[string(buf)] = v
-		return v
-	}
-	cs := pb.base.AndSet(other)
-	res := s.solveTracked(cs)
-	s.cache.Put(buf, res, s.curGaveUp)
-	if s.curGaveUp {
-		s.noteGaveUp()
-	}
-	if res {
-		s.stats.Sat++
-		s.obs.Count(obs.MSolverSat, 1)
 	} else {
-		s.stats.Unsat++
-		s.obs.Count(obs.MSolverUnsat, 1)
+		res = s.solveTracked(pb.base.AndSet(other))
+		gu = s.curGaveUp
+		s.cache.Put(buf, res, gu)
 	}
+	s.noteVerdict(res, gu)
 	pb.memo[string(buf)] = res
 	return res
 }

@@ -73,10 +73,10 @@ func TestPropertyRetBindingKeepsVerdict(t *testing.T) {
 	}
 }
 
-// satGaveUp decides cs on a fresh uncached solver with limits l and
-// reports the verdict and whether the query gave up.
+// satGaveUp decides cs on a fresh solver with limits l and an empty
+// cache, and reports the verdict and whether the query gave up.
 func satGaveUp(l Limits, cs sym.Set) (bool, bool) {
-	s := NewWithCache(l, nil)
+	s := NewWithCache(l, NewCache())
 	v := s.Sat(cs)
 	return v, s.Stats().GaveUp > 0
 }

@@ -53,10 +53,11 @@ func (l Limits) Normalized() Limits {
 	return l
 }
 
-// Stats counts solver activity; useful in benchmarks and ablations.
+// Stats counts solver activity; useful in benchmarks and ablations. Every
+// query counts once in Sat or Unsat; CacheHits overlays that split.
 type Stats struct {
 	Queries   int
-	CacheHits int
+	CacheHits int // answered from the cache; also counted in Sat or Unsat
 	Sat       int
 	Unsat     int
 	GaveUp    int // budget exceeded, answered SAT conservatively
@@ -115,8 +116,8 @@ type Solver struct {
 func New() *Solver { return NewWithCache(Limits{}, NewCache()) }
 
 // NewWithCache returns a solver with explicit limits backed by the given
-// shared cache. A nil cache disables memoization. Solvers sharing a cache
-// must use identical limits, so cached verdicts are interchangeable.
+// shared cache, which must be non-nil. Solvers sharing a cache must use
+// identical limits, so cached verdicts are interchangeable.
 func NewWithCache(l Limits, c *Cache) *Solver {
 	return &Solver{limits: l.Normalized(), cache: c}
 }
@@ -152,38 +153,38 @@ func (s *Solver) sat(cs sym.Set) bool {
 	s.stats.Queries++
 	s.obs.Count(obs.MSolverQueries, 1)
 	if cs.HasFalse() {
-		s.stats.Unsat++
-		s.obs.Count(obs.MSolverUnsat, 1)
+		s.noteVerdict(false, false)
 		return false
 	}
 	if cs.Len() == 0 {
-		s.stats.Sat++
-		s.obs.Count(obs.MSolverSat, 1)
+		s.noteVerdict(true, false)
 		return true
 	}
-	if s.cache != nil {
-		s.keyBuf = cs.AppendCacheKey(s.keyBuf[:0])
-		if v, gu, ok := s.cache.Get(s.keyBuf); ok {
-			s.stats.CacheHits++
-			s.obs.Count(obs.MSolverCacheHits, 1)
-			if gu {
-				// Cache-transparent give-up accounting: the stored verdict
-				// was reached by giving up, so this query counts as a
-				// give-up too. GaveUp thereby depends only on the query
-				// stream, not on which worker populated the cache —
-				// per-function give-up diagnostics stay deterministic
-				// under work stealing.
-				s.noteGaveUp()
-			}
-			return v
-		}
+	s.keyBuf = cs.AppendCacheKey(s.keyBuf[:0])
+	res, gu, ok := s.cache.Get(s.keyBuf)
+	if ok {
+		s.stats.CacheHits++
+		s.obs.Count(obs.MSolverCacheHits, 1)
+	} else {
+		res = s.solveTracked(cs)
+		gu = s.curGaveUp
+		s.cache.Put(s.keyBuf, res, gu)
 	}
-	res := s.solveTracked(cs)
-	if s.cache != nil {
-		s.cache.Put(s.keyBuf, res, s.curGaveUp)
-	}
-	if s.curGaveUp {
-		s.noteGaveUp()
+	s.noteVerdict(res, gu)
+	return res
+}
+
+// noteVerdict counts one answered query. A cache hit counts exactly as
+// the solve that stored it: the stored give-up flag and verdict are
+// replayed, so GaveUp, Sat and Unsat depend only on the query stream, not
+// on which worker populated the shared cache first. That keeps the
+// per-function give-up diagnostics and the verdict counters deterministic
+// under work stealing; only CacheHits, which overlays Sat and Unsat,
+// depends on the schedule.
+func (s *Solver) noteVerdict(res, gaveUp bool) {
+	if gaveUp {
+		s.stats.GaveUp++
+		s.obs.Count(obs.MSolverGaveUp, 1)
 	}
 	if res {
 		s.stats.Sat++
@@ -192,7 +193,6 @@ func (s *Solver) sat(cs sym.Set) bool {
 		s.stats.Unsat++
 		s.obs.Count(obs.MSolverUnsat, 1)
 	}
-	return res
 }
 
 // solveTracked runs solve with the per-query give-up flag reset, leaving
@@ -207,12 +207,6 @@ func (s *Solver) solveTracked(cs sym.Set) bool {
 // sub-searches hit a limit.
 func (s *Solver) gaveUp() {
 	s.curGaveUp = true
-}
-
-// noteGaveUp records one gave-up query in the counters.
-func (s *Solver) noteGaveUp() {
-	s.stats.GaveUp++
-	s.obs.Count(obs.MSolverGaveUp, 1)
 }
 
 // ---------------------------------------------------------------------------
@@ -372,11 +366,6 @@ func (s *Solver) quickSolve(cs sym.Set) (verdict, handled bool) {
 				return false, false // term-vs-term: needs elimination
 			}
 			term, pred = c.B, pred.Flip()
-		}
-		if term.ID() == 0 {
-			// Uninterned terms have no cheap identity; use the full
-			// procedure (only reachable with interning ablated off).
-			return false, false
 		}
 		ti := -1
 		for i := 0; i < nTerms; i++ {

@@ -300,18 +300,22 @@ func TestSharedCacheSolversKeepLimits(t *testing.T) {
 	}
 }
 
-// TestDisableCache checks that a solver built without a cache, as
-// core.Options.NoCache builds them, answers every query afresh.
+// TestDisableCache checks that solvers built over their own caches, as
+// New builds them and as TestCacheTransparent's fresh solvers are, share
+// nothing: each answers the same query afresh, with no cache hit.
 func TestDisableCache(t *testing.T) {
-	s := NewWithCache(Limits{}, nil)
 	cs := set(sym.Cond(sym.Arg("a"), ir.GT, sym.Const(0)))
-	s.Sat(cs)
-	s.Sat(cs)
-	if s.Stats().CacheHits != 0 {
-		t.Errorf("cache hits with cache disabled: %d", s.Stats().CacheHits)
+	s1, s2 := New(), NewWithCache(Limits{}, NewCache())
+	if !s1.Sat(cs) || !s2.Sat(cs) {
+		t.Fatal("a > 0 should be SAT on both solvers")
 	}
-	if s.Stats().Queries != 2 {
-		t.Errorf("queries: %d", s.Stats().Queries)
+	for i, s := range []*Solver{s1, s2} {
+		if s.Stats().CacheHits != 0 {
+			t.Errorf("solver %d: cache hits across separate caches: %d", i, s.Stats().CacheHits)
+		}
+		if s.Stats().Queries != 1 || s.Stats().Sat != 1 {
+			t.Errorf("solver %d: stats %+v", i, s.Stats())
+		}
 	}
 }
 

@@ -61,9 +61,9 @@ func (d Digest) IsZero() bool { return d == Digest{} }
 // summary, reports, or deterministic diagnostics. Two runs with equal
 // fingerprints and equal per-function digests compute identical outcomes,
 // so entries are interchangeable between them. Wall-clock options
-// (FuncTimeout), scheduling options (Workers, StealSeed), and
-// memoization toggles (solver cache) are deliberately absent: they cannot
-// change results, only how long they take.
+// (FuncTimeout) and scheduling options (Workers, StealSeed) are
+// deliberately absent: they cannot change results, only how long they
+// take.
 type Fingerprint struct {
 	MaxPaths             int
 	MaxSubcases          int
@@ -71,7 +71,6 @@ type Fingerprint struct {
 	KeepLocalConds       bool
 	MaxCat2Conds         int
 	AnalyzeAll           bool
-	NoBucketing          bool
 	SolverMaxConstraints int // normalized: zero never appears here
 	SolverMaxSplits      int
 	// SpecDigest is the content fingerprint of the run's resource specs
@@ -82,12 +81,14 @@ type Fingerprint struct {
 }
 
 // Hash returns the fingerprint's digest, which seeds every SCC digest and
-// is recorded in every entry header.
+// is recorded in every entry header. It still hashes the literal
+// nobucket=false, from when Step III bucketing could be turned off, so
+// that stores written then keep their digests and still hit.
 func (f Fingerprint) Hash() Digest {
 	h := sha256.New()
-	fmt.Fprintf(h, "rid-fingerprint v%d maxpaths=%d maxsub=%d noprune=%t keeplocals=%t cat2=%d all=%t nobucket=%t maxcons=%d maxsplits=%d spec=%s",
+	fmt.Fprintf(h, "rid-fingerprint v%d maxpaths=%d maxsub=%d noprune=%t keeplocals=%t cat2=%d all=%t nobucket=false maxcons=%d maxsplits=%d spec=%s",
 		FormatVersion, f.MaxPaths, f.MaxSubcases, f.NoPrune, f.KeepLocalConds,
-		f.MaxCat2Conds, f.AnalyzeAll, f.NoBucketing, f.SolverMaxConstraints, f.SolverMaxSplits, f.SpecDigest)
+		f.MaxCat2Conds, f.AnalyzeAll, f.SolverMaxConstraints, f.SolverMaxSplits, f.SpecDigest)
 	var d Digest
 	h.Sum(d[:0])
 	return d

@@ -51,7 +51,7 @@ type Expr struct {
 	Pred ir.Pred // KCond
 	A, B *Expr   // KCond
 
-	id    uint64 // interned identity; 0 when built with interning off
+	id    uint64 // interned identity, nonzero
 	key   string // canonical form, computed once at construction
 	flags uint8
 }
@@ -128,8 +128,9 @@ func Cond(a *Expr, pred ir.Pred, b *Expr) *Expr {
 			return b
 		}
 	}
-	// Identical terms decide reflexive predicates.
-	if a.Equal(b) {
+	// Identical terms decide reflexive predicates (interned: pointer
+	// equality is structural equality).
+	if a == b {
 		switch pred {
 		case ir.EQ, ir.LE, ir.GE:
 			return BoolConst(true)
@@ -259,23 +260,8 @@ func (e *Expr) buildKey() string {
 // String renders the expression in the paper's notation.
 func (e *Expr) String() string { return e.Key() }
 
-// Equal reports structural equality. Interned expressions compare by
-// identity; everything else falls back to canonical keys.
-func (e *Expr) Equal(o *Expr) bool {
-	if e == o {
-		return true
-	}
-	if e == nil || o == nil {
-		return false
-	}
-	if e.id != 0 && o.id != 0 {
-		return false // both interned and not the same node
-	}
-	return e.Key() == o.Key()
-}
-
-// ID returns the interned identity of e (0 when e was built with
-// interning disabled). Stable for the lifetime of the process.
+// ID returns the interned identity of e: nonzero, and stable for the
+// lifetime of the process.
 func (e *Expr) ID() uint64 { return e.id }
 
 // HasLocal reports whether e mentions a local variable or fresh symbol —
@@ -615,9 +601,8 @@ func (s Set) Key() string {
 }
 
 // CacheKey returns a compact canonical identity for the conjunction, used
-// by the solver cache. When every condition is interned it is a join of
-// 8-byte interned IDs (prefixed with a NUL so it can never collide with a
-// textual Key); otherwise it falls back to Key().
+// by the solver cache: a NUL followed by the 8-byte interned IDs of the
+// conditions in canonical order.
 func (s Set) CacheKey() string {
 	return string(s.AppendCacheKey(nil))
 }
@@ -626,11 +611,6 @@ func (s Set) CacheKey() string {
 // extended slice. Callers that reuse b across queries avoid the per-query
 // string allocation; the appended bytes are identical to CacheKey().
 func (s Set) AppendCacheKey(b []byte) []byte {
-	for _, c := range s.sorted {
-		if c.id == 0 {
-			return append(b, s.Key()...)
-		}
-	}
 	b = append(b, 0)
 	for _, c := range s.sorted {
 		b = appendID(b, c.id)
@@ -647,20 +627,8 @@ func appendID(b []byte, id uint64) []byte {
 // AppendMergedCacheKey appends the CacheKey of s.AndSet(o) to b without
 // materializing the conjunction: the two sorted condition lists are merged
 // with duplicates dropped, which is exactly the canonical order AndSet
-// produces. n is the number of distinct conditions in the merge. ok is
-// false — and b is returned unchanged — when either set carries an
-// uninterned condition; callers then fall back to building the set.
-func AppendMergedCacheKey(b []byte, s, o Set) (out []byte, n int, ok bool) {
-	for _, c := range s.sorted {
-		if c.id == 0 {
-			return b, 0, false
-		}
-	}
-	for _, c := range o.sorted {
-		if c.id == 0 {
-			return b, 0, false
-		}
-	}
+// produces. n is the number of distinct conditions in the merge.
+func AppendMergedCacheKey(b []byte, s, o Set) (out []byte, n int) {
 	b = append(b, 0)
 	i, j := 0, 0
 	for i < len(s.sorted) && j < len(o.sorted) {
@@ -687,7 +655,7 @@ func AppendMergedCacheKey(b []byte, s, o Set) (out []byte, n int, ok bool) {
 		b = appendID(b, o.sorted[j].id)
 		n++
 	}
-	return b, n, true
+	return b, n
 }
 
 // String renders the conjunction in the paper's ∧ notation.

@@ -59,7 +59,7 @@ func TestCondBooleanContext(t *testing.T) {
 	}
 	// (c != 0) is c.
 	same := Cond(c, ir.NE, Const(0))
-	if !same.Equal(c) {
+	if same != c {
 		t.Errorf("(c != 0): got %s", same)
 	}
 }
@@ -85,7 +85,7 @@ func TestAsCond(t *testing.T) {
 	}
 	// Conditions pass through.
 	orig := Cond(Arg("a"), ir.GT, Const(2))
-	if !orig.AsCond().Equal(orig) {
+	if orig.AsCond() != orig {
 		t.Error("AsCond(cond) should be identity")
 	}
 	if !Const(7).AsCond().IsTrue() || !Const(0).AsCond().IsFalse() {

@@ -10,11 +10,6 @@
 // computed exactly once, so expression equality is pointer (or ID)
 // comparison and Set/solver cache keys are O(n) ID joins instead of
 // O(tree) string construction.
-//
-// Interning can be switched off (SetInterning) for ablation benchmarks
-// and equivalence tests; constructors then allocate fresh nodes with
-// ID 0, and every consumer falls back to canonical-key comparison, which
-// is what the pre-interning implementation did everywhere.
 package sym
 
 import (
@@ -23,23 +18,6 @@ import (
 
 	"repro/internal/ir"
 )
-
-// interningOff is the ablation switch. The zero value (false) means
-// hash-consing is ON, which is the production configuration.
-var interningOff atomic.Bool
-
-// SetInterning enables or disables hash-consing for subsequently built
-// expressions and reports the previous setting. Already-interned nodes
-// remain valid either way; expressions created while interning is off
-// simply carry no ID and compare by canonical key.
-func SetInterning(on bool) bool {
-	prev := !interningOff.Load()
-	interningOff.Store(!on)
-	return prev
-}
-
-// InterningEnabled reports whether constructors hash-cons new nodes.
-func InterningEnabled() bool { return !interningOff.Load() }
 
 // nodeKey identifies an expression up to structural equality, given that
 // all children are interned: child identity is their interned ID.
@@ -113,13 +91,8 @@ var freshByName = struct {
 }{m: make(map[string]*Expr)}
 
 // FreshBytes returns Fresh(string(name)) without allocating when a fresh
-// symbol of that name was built before. With interning disabled it
-// degrades to Fresh (a new uninterned node per call), preserving the
-// ablation semantics.
+// symbol of that name was built before.
 func FreshBytes(name []byte) *Expr {
-	if interningOff.Load() {
-		return Fresh(string(name))
-	}
 	freshByName.RLock()
 	e := freshByName.m[string(name)] // no allocation: compiler-recognized lookup
 	freshByName.RUnlock()
@@ -135,16 +108,8 @@ func FreshBytes(name []byte) *Expr {
 }
 
 // intern builds (or retrieves) the node for the given parts. Children
-// must already be constructed. When interning is disabled, or when any
-// child predates it (ID 0), a fresh uninterned node is returned.
+// must already be constructed (and therefore interned).
 func intern(kind Kind, num int64, name string, base *Expr, pred ir.Pred, a, b *Expr) *Expr {
-	if interningOff.Load() ||
-		(base != nil && base.id == 0) ||
-		(a != nil && a.id == 0) || (b != nil && b.id == 0) {
-		e := &Expr{Kind: kind, Int: num, Name: name, Base: base, Pred: pred, A: a, B: b}
-		e.initDerived()
-		return e
-	}
 	k := nodeKey{kind: kind, num: num, name: name, pred: pred}
 	if base != nil {
 		k.base = base.id

@@ -7,9 +7,6 @@ import (
 )
 
 func TestInterningPointerIdentity(t *testing.T) {
-	if !InterningEnabled() {
-		t.Fatal("interning must be on by default")
-	}
 	a1 := Field(Arg("dev"), "pm")
 	a2 := Field(Arg("dev"), "pm")
 	if a1 != a2 {
@@ -36,34 +33,6 @@ func TestInterningDistinctNodesDistinctIDs(t *testing.T) {
 	}
 }
 
-func TestInterningToggleFallsBack(t *testing.T) {
-	prev := SetInterning(false)
-	defer SetInterning(prev)
-
-	x1 := Field(Arg("x"), "cnt")
-	x2 := Field(Arg("x"), "cnt")
-	if x1 == x2 {
-		t.Error("interning off must allocate fresh nodes")
-	}
-	if x1.ID() != 0 || x2.ID() != 0 {
-		t.Error("uninterned nodes must carry ID 0")
-	}
-	// Equality, flags, and keys still work via the canonical-key fallback.
-	if !x1.Equal(x2) {
-		t.Error("uninterned structural equality broken")
-	}
-	if x1.Key() != x2.Key() {
-		t.Error("uninterned keys differ")
-	}
-	// A parent built (with interning back on) over an uninterned child must
-	// itself stay uninterned: its child has no identity to key on.
-	SetInterning(true)
-	c := Cond(x1, ir.EQ, Const(0))
-	if c.ID() != 0 {
-		t.Error("parent over uninterned child must not be interned")
-	}
-}
-
 func TestCacheKeyCanonical(t *testing.T) {
 	a := Cond(Arg("a"), ir.GE, Const(0))
 	b := Cond(Arg("b"), ir.LT, Const(5))
@@ -78,16 +47,6 @@ func TestCacheKeyCanonical(t *testing.T) {
 	s3 := True().And(a)
 	if s1.CacheKey() == s3.CacheKey() {
 		t.Error("different sets share a CacheKey")
-	}
-}
-
-func TestCacheKeyFallsBackWhenUninterned(t *testing.T) {
-	prev := SetInterning(false)
-	c := Cond(Arg("z"), ir.NE, Const(0))
-	SetInterning(prev)
-	s := True().And(c)
-	if s.CacheKey() != s.Key() {
-		t.Error("uninterned sets must fall back to the textual key")
 	}
 }
 

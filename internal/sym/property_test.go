@@ -189,3 +189,63 @@ func TestPropertyConstRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestInternIdentity is the oracle for hash-consing, the only way an
+// expression is built: over random expressions, pointer identity is
+// canonical-key equality, every node reachable from a constructor's result
+// carries a nonzero ID, and two constraint sets share a CacheKey exactly
+// when they share a Key.
+func TestInternIdentity(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	var walk func(e *Expr)
+	walk = func(e *Expr) {
+		if e == nil {
+			return
+		}
+		if e.ID() == 0 {
+			t.Fatalf("node %s has no interned ID", e)
+		}
+		walk(e.Base)
+		walk(e.A)
+		walk(e.B)
+	}
+	exprs := make([]*Expr, 300)
+	for i := range exprs {
+		exprs[i] = genExpr(rng, 3)
+		walk(exprs[i])
+	}
+	shared := 0
+	for i, a := range exprs {
+		for j, b := range exprs {
+			if (a == b) != (a.Key() == b.Key()) {
+				t.Fatalf("identity and key disagree: %s (%p) vs %s (%p)", a, a, b, b)
+			}
+			if i != j && a == b {
+				shared++
+			}
+		}
+	}
+
+	sets := make([]Set, 200)
+	for i := range sets {
+		var conds []*Expr
+		for j := rng.Intn(4); j >= 0; j-- {
+			conds = append(conds, genExpr(rng, 2).AsCond())
+		}
+		sets[i] = NewSet(conds)
+	}
+	sharedSets := 0
+	for i, a := range sets {
+		for j, b := range sets {
+			if (a.CacheKey() == b.CacheKey()) != (a.Key() == b.Key()) {
+				t.Fatalf("CacheKey and Key disagree: %q vs %q", a.Key(), b.Key())
+			}
+			if i != j && a.Key() == b.Key() {
+				sharedSets++
+			}
+		}
+	}
+	if shared == 0 || sharedSets == 0 {
+		t.Fatalf("no independently built pair coincided (%d expressions, %d sets); property too weak", shared, sharedSets)
+	}
+}

@@ -141,10 +141,11 @@ func (r *Result) FilterFunctions(fns ...string) *Result {
 			out.Bugs = append(out.Bugs, b)
 		}
 	}
-	out.reports = nil
-	for _, rep := range r.reports {
+	out.reports, out.details = nil, nil
+	for i, rep := range r.reports {
 		if keep[rep.Fn] {
 			out.reports = append(out.reports, rep)
+			out.details = append(out.details, r.details[i])
 		}
 	}
 	return &out

@@ -164,7 +164,9 @@ func TestMetricsGoldenText(t *testing.T) {
 	if vals["funcs_analyzed"] < 1 || vals["paths_enumerated"] < 2 {
 		t.Errorf("pipeline counters implausible: %v", vals)
 	}
-	if q := vals["solver_queries"]; q != vals["solver_cache_hits"]+vals["solver_sat"]+vals["solver_unsat"] {
+	// Every query is answered SAT or UNSAT, cache hits included; the
+	// hits overlay that partition.
+	if q := vals["solver_queries"]; q != vals["solver_sat"]+vals["solver_unsat"] || vals["solver_cache_hits"] > q {
 		t.Errorf("query accounting broken: %v", vals)
 	}
 }

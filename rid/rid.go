@@ -240,9 +240,12 @@ type Result struct {
 	// its configured budgets.
 	Diagnostics []Diagnostic
 
-	db      *summary.DB
-	prog    *ir.Program
+	db   *summary.DB
+	prog *ir.Program
+	// reports are in ReportsByFunction order, and details[i] is
+	// reports[i].Detail(), rendered once for Bugs and every format.
 	reports []*ipp.Report
+	details []string
 	metrics obs.Snapshot
 }
 
@@ -259,7 +262,7 @@ func (r *Result) WriteReports(w io.Writer, format string, verbose bool) error {
 	if err != nil {
 		return err
 	}
-	return report.Write(w, f, r.reports, verbose)
+	return report.Write(w, f, r.reports, verbose, r.details...)
 }
 
 // FunctionSummary renders the derived summary of the named function in the
@@ -585,7 +588,7 @@ func (a *Analyzer) result(res *core.Result, prog *ir.Program) *Result {
 		FuncsPanicked:   res.Stats.FuncsPanicked,
 		db:              res.DB,
 		prog:            prog,
-		reports:         res.Reports,
+		reports:         res.ReportsByFunction(),
 		metrics:         a.reg.Snapshot(),
 	}
 	for _, d := range res.Diagnostics {
@@ -595,8 +598,10 @@ func (a *Analyzer) result(res *core.Result, prog *ir.Program) *Result {
 			Cause:    d.Cause,
 		})
 	}
-	for _, r := range res.ReportsByFunction() {
-		out.Bugs = append(out.Bugs, toBug(r))
+	out.details = make([]string, len(out.reports))
+	for i, r := range out.reports {
+		out.details[i] = r.Detail()
+		out.Bugs = append(out.Bugs, toBug(r, out.details[i]))
 	}
 	return out
 }
@@ -704,7 +709,7 @@ func (r *Result) WriteDiagnostics(w io.Writer, format string) error {
 	return report.WriteDiags(w, f, ds)
 }
 
-func toBug(r *ipp.Report) Bug {
+func toBug(r *ipp.Report, detail string) Bug {
 	return Bug{
 		Function:   r.Fn,
 		File:       r.Pos.File,
@@ -713,7 +718,7 @@ func toBug(r *ipp.Report) Bug {
 		Resource:   r.Resource,
 		DeltaA:     r.DeltaA,
 		DeltaB:     r.DeltaB,
-		Evidence:   r.Detail(),
+		Evidence:   detail,
 		Provenance: fromEvidence(r.Evidence),
 	}
 }

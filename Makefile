@@ -15,13 +15,14 @@ test: vet
 race:
 	$(GO) test -race ./internal/... ./rid/...
 
-# Short fuzzing pass over the six fuzz targets; CI runs the same budget.
+# Short fuzzing pass over the seven fuzz targets; CI runs the same budget.
 # -fuzz is a regexp, so FuzzLexer is anchored to keep it from also matching
 # FuzzLexerMatchesReference.
 fuzz-smoke:
 	$(GO) test ./internal/frontend/lexer -fuzz='^FuzzLexer$$' -fuzztime=20s
 	$(GO) test ./internal/frontend/lexer -fuzz=FuzzLexerMatchesReference -fuzztime=20s
 	$(GO) test ./internal/frontend/parser -fuzz=FuzzParser -fuzztime=20s
+	$(GO) test ./internal/frontend/parser -fuzz=FuzzRecognizerMatchesParser -fuzztime=20s
 	$(GO) test ./internal/solver -fuzz=FuzzSolver -fuzztime=20s
 	$(GO) test ./internal/store -fuzz=FuzzStoreLoad -fuzztime=20s
 	$(GO) test ./internal/spec -fuzz=FuzzSpecParser -fuzztime=20s

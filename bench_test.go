@@ -8,6 +8,7 @@ package repro_test
 
 import (
 	"context"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -180,6 +181,33 @@ func BenchmarkFacadeTable1(b *testing.B) {
 	}
 	b.ReportMetric(float64(res.MetricValue("funcs_lowered")), "funcs-lowered")
 	b.ReportMetric(float64(res.FuncsTotal), "funcs")
+}
+
+// BenchmarkLoadTable1 loads the Table-1 tree into a program, the step
+// every scan begins with: each file is checked and indexed, and no body
+// is built. Besides allocs/op it reports the heap the loaded program
+// keeps live after a collection.
+func BenchmarkLoadTable1(b *testing.B) {
+	cfg := experiments.DefaultTable1()
+	c := kernelgen.Generate(kernelgen.Config{
+		Seed: cfg.Seed, Mix: kernelgen.PaperMix(),
+		SimpleHelpers: cfg.Helpers, ComplexHelpers: cfg.Complex, OtherFuncs: cfg.Other,
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mustProgram(b, c.Files)
+	}
+	b.StopTimer()
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	before := ms.HeapAlloc
+	prog := mustProgram(b, c.Files)
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	runtime.KeepAlive(prog)
+	b.ReportMetric(float64(ms.HeapAlloc-before)/(1<<20), "live-MiB")
 }
 
 // ---------------------------------------------------------------------------

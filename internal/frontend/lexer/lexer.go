@@ -23,6 +23,7 @@ type Lexer struct {
 	src    string
 	off    int // byte offset of the next rune
 	start  int // offset of the first byte after a leading byte-order mark
+	tokOff int // offset of the first byte of the token Next last returned
 	line   int
 	col    int
 	errors []error
@@ -40,6 +41,19 @@ func New(file, src string) *Lexer {
 	}
 	return l
 }
+
+// NewAt returns a lexer over src that starts scanning at byte offset off,
+// which lies at line:col (columns count runes). It yields the tokens a
+// lexer from New yields from that point on, with the same positions.
+func NewAt(file, src string, off, line, col int) *Lexer {
+	l := New(file, src)
+	l.off, l.line, l.col = off, line, col
+	return l
+}
+
+// Offset returns the byte offset at which the token Next last returned
+// starts.
+func (l *Lexer) Offset() int { return l.tokOff }
 
 // Errors returns the scan errors encountered so far, in order.
 func (l *Lexer) Errors() []error { return l.errors }
@@ -188,6 +202,7 @@ func (l *Lexer) skipSpaceAndComments() {
 func (l *Lexer) Next() token.Token {
 	l.skipSpaceAndComments()
 	p := l.pos()
+	l.tokOff = l.off
 	if l.off >= len(l.src) {
 		return token.Token{Kind: token.EOF, Pos: p}
 	}

@@ -250,3 +250,30 @@ func TestPositionsCountRunes(t *testing.T) {
 		}
 	}
 }
+
+// TestNewAtResumes: a lexer started with NewAt at the offset and position
+// of any token yields the rest of the stream a lexer from New yields,
+// positions included, past a byte-order mark, multi-byte runes and a
+// directive line.
+func TestNewAtResumes(t *testing.T) {
+	src := bom + "int é(void) { /* ∑ */ return g(1);\n#define X\n\t}  x"
+	l := New("t.c", src)
+	var toks []token.Token
+	var offs []int
+	for {
+		tok := l.Next()
+		toks, offs = append(toks, tok), append(offs, l.Offset())
+		if tok.Kind == token.EOF {
+			break
+		}
+	}
+	for i, tok := range toks {
+		r := NewAt("t.c", src, offs[i], tok.Pos.Line, tok.Pos.Column)
+		for j, want := range toks[i:] {
+			if got := r.Next(); got != want || r.Offset() != offs[i+j] {
+				t.Fatalf("from token %d: token %d is %v at %v offset %d, want %v at %v offset %d",
+					i, i+j, got, got.Pos, r.Offset(), want, want.Pos, offs[i+j])
+			}
+		}
+	}
+}

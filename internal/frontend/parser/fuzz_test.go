@@ -11,27 +11,18 @@ import (
 	"repro/internal/lower"
 )
 
-// FuzzParser checks the parser and printer against each other on
-// arbitrary input. Invalid sources must fail with an error, never a
-// panic. For any source that parses, the printed form is the parser's own
-// normalization of the program, so it must (a) parse again without error
-// and (b) print identically the second time — print∘parse is idempotent.
-// A violation means the printer emits syntax the grammar rejects, or
-// loses/invents structure on the way through. Every parsed file that
-// lowers must also give each function Calls equal to the callee set of its
-// lowered body, and every body must validate.
-func FuzzParser(f *testing.F) {
-	for _, seed := range []string{
-		"",
-		"int f(int a) { return a; }",
-		`int drv_op(struct device *dev) {
+// parserSeeds seed both parser fuzz targets.
+var parserSeeds = []string{
+	"",
+	"int f(int a) { return a; }",
+	`int drv_op(struct device *dev) {
     int ret = pm_runtime_get_sync(dev);
     if (ret < 0)
         return ret;
     pm_runtime_put(dev);
     return 0;
 }`,
-		`void g(struct s *p) {
+	`void g(struct s *p) {
     int i;
     for (i = 0; i < 4; i++) {
         if (p->cnt != 0 && i % 2 == 0)
@@ -41,7 +32,7 @@ func FuzzParser(f *testing.F) {
     while (p->cnt > 0)
         p->cnt--;
 }`,
-		`int h(int x) {
+	`int h(int x) {
     switch (x) {
     case 0:
         return 1;
@@ -53,10 +44,22 @@ func FuzzParser(f *testing.F) {
 out:
     return -1;
 }`,
-		"struct device { int pm; };\nextern int probe(struct device *d);",
-		"int bad( { ; } }",
-		"assert(p != NULL); int",
-	} {
+	"struct device { int pm; };\nextern int probe(struct device *d);",
+	"int bad( { ; } }",
+	"assert(p != NULL); int",
+}
+
+// FuzzParser checks the parser and printer against each other on
+// arbitrary input. Invalid sources must fail with an error, never a
+// panic. For any source that parses, the printed form is the parser's own
+// normalization of the program, so it must (a) parse again without error
+// and (b) print identically the second time — print∘parse is idempotent.
+// A violation means the printer emits syntax the grammar rejects, or
+// loses/invents structure on the way through. Every parsed file that
+// lowers must also give each function Calls equal to the callee set of its
+// lowered body, and every body must validate.
+func FuzzParser(f *testing.F) {
+	for _, seed := range parserSeeds {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, src string) {

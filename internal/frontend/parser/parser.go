@@ -1,7 +1,9 @@
 // Package parser implements a recursive-descent parser for the mini-C
 // language. It is resilient: on a syntax error it records a diagnostic,
 // resynchronizes at the next statement or declaration boundary, and keeps
-// going, so a large generated corpus parses in one pass.
+// going, so a large generated corpus parses in one pass. Recognize checks
+// a file with the same grammar without building a syntax tree, and
+// ParseBody then parses one function body from the offset it recorded.
 package parser
 
 import (
@@ -26,6 +28,11 @@ type Parser struct {
 	file   string
 	errs   []error
 	panics int // consecutive resync count, to guarantee progress
+
+	// The recognizer's state (recognize.go). offs is nil outside it.
+	offs []int    // byte offset of token i is offs[i&(len(offs)-1)]; len(offs) == len(win)
+	idx  *Index   // what the recognizer has indexed so far
+	strs []string // params and Calls of every function so far, one backing array per file
 }
 
 // ParseFile lexes and parses src, returning the AST and any accumulated
@@ -46,14 +53,27 @@ func ParseFile(filename, src string) (*ast.File, error) {
 // when every slot holds a token not yet consumed.
 func (p *Parser) lex() {
 	if p.lexed-p.pos == len(p.win) {
-		win := make([]token.Token, 2*len(p.win))
-		for i := p.pos; i < p.lexed; i++ {
-			win[i&(len(win)-1)] = p.win[i&(len(p.win)-1)]
+		p.win = grow(p.win, p.pos, p.lexed)
+		if p.offs != nil {
+			p.offs = grow(p.offs, p.pos, p.lexed)
 		}
-		p.win = win
 	}
-	p.win[p.lexed&(len(p.win)-1)] = p.lx.Next()
+	i := p.lexed & (len(p.win) - 1)
+	p.win[i] = p.lx.Next()
+	if p.offs != nil {
+		p.offs[i] = p.lx.Offset()
+	}
 	p.lexed++
+}
+
+// grow returns a ring twice the size of r holding r's entries from index
+// lo up to hi, counted from the start of the file.
+func grow[T any](r []T, lo, hi int) []T {
+	out := make([]T, 2*len(r))
+	for i := lo; i < hi; i++ {
+		out[i&(len(out)-1)] = r[i&(len(r)-1)]
+	}
+	return out
 }
 
 // la returns the token k places after the current one. The lexer yields
@@ -101,6 +121,9 @@ func (p *Parser) expect(k token.Kind) *token.Token {
 }
 
 func (p *Parser) errorf(format string, args ...any) {
+	if p.idx != nil {
+		panic(reject{}) // the recognizer stops at the first error
+	}
 	p.errs = append(p.errs, fmt.Errorf("%s: %s", p.cur().Pos, fmt.Sprintf(format, args...)))
 }
 
@@ -369,20 +392,8 @@ func (p *Parser) parseStmt() ast.Stmt {
 			txt = p.next().Lit
 		}
 		// Swallow any extended-asm operand soup up to the closing paren.
-		depth := 1
-		for depth > 0 && !p.at(token.EOF) {
-			switch p.cur().Kind {
-			case token.LPAREN:
-				depth++
-			case token.RPAREN:
-				depth--
-				if depth == 0 {
-					p.next()
-					p.expect(token.SEMI)
-					return &ast.AsmStmt{Text: txt, P: pos}
-				}
-			}
-			p.next()
+		if p.skipParens() {
+			p.expect(token.SEMI)
 		}
 		return &ast.AsmStmt{Text: txt, P: pos}
 	case token.IDENT:
@@ -649,17 +660,7 @@ func (p *Parser) parseUnary() ast.Expr {
 	case token.KwSizeof:
 		p.next()
 		if p.accept(token.LPAREN) {
-			// sizeof(type) or sizeof(expr): swallow to matching paren.
-			depth := 1
-			for depth > 0 && !p.at(token.EOF) {
-				switch p.cur().Kind {
-				case token.LPAREN:
-					depth++
-				case token.RPAREN:
-					depth--
-				}
-				p.next()
-			}
+			p.skipParens() // sizeof(type) or sizeof(expr)
 		} else {
 			p.parseUnary()
 		}
@@ -758,6 +759,22 @@ func (p *Parser) parsePrimary() ast.Expr {
 	p.errorf("expected expression, found %s", p.cur())
 	p.next()
 	return &ast.IntLit{Value: 0, Text: "0", P: pos}
+}
+
+// skipParens consumes tokens up to and including the ')' that closes a
+// '(' already consumed, and reports whether it found one before EOF.
+func (p *Parser) skipParens() bool {
+	for depth := 1; !p.at(token.EOF); {
+		switch p.next().Kind {
+		case token.LPAREN:
+			depth++
+		case token.RPAREN:
+			if depth--; depth == 0 {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // castLookahead reports whether "( IDENT ..." is a pointer cast such as

@@ -383,7 +383,8 @@ type Func struct {
 	Pos     token.Pos
 	SrcFile string
 	// Calls is the set of function names f calls, sorted. The frontend
-	// reads it off the syntax tree, so the call graph needs no body.
+	// records it while checking the source, so the call graph needs no
+	// body.
 	Calls []string
 
 	// *body is nil until Body runs. It is embedded only so that code
@@ -401,7 +402,7 @@ func (f *Func) Defer(build func() *Body) { f.build = build }
 
 // Body returns f's lowered code, building and validating it on the first
 // call; concurrent first calls build it once. The builder is dropped
-// afterwards, together with any syntax tree it holds.
+// afterwards, together with anything it holds.
 func (f *Func) Body() *Body {
 	f.once.Do(f.force)
 	return f.body

@@ -1,6 +1,7 @@
 package lower
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/corpus/kernelgen"
 	"repro/internal/corpus/lockgen"
 	"repro/internal/corpus/pycgen"
+	"repro/internal/frontend/parser"
 	"repro/internal/ir"
 )
 
@@ -29,11 +31,9 @@ func loweredCallees(f *ir.Func) []string {
 	return slices.Compact(out)
 }
 
-// TestCallsMatchLoweredIR pins the call graph's input: on every corpus
-// family and on the core testdata, each function's Calls, read off the
-// syntax tree before lowering, equals the callee set of its lowered body,
-// and every body validates.
-func TestCallsMatchLoweredIR(t *testing.T) {
+// corpusSets returns a file set from each corpus family and the core
+// testdata.
+func corpusSets(t *testing.T) map[string]map[string]string {
 	sets := map[string]map[string]string{
 		"kernelgen": kernelgen.Generate(kernelgen.Config{Seed: 317, Mix: kernelgen.PaperMix(), SimpleHelpers: 10, ComplexHelpers: 8, OtherFuncs: 200}).Files,
 		"pycgen":    pycgen.Generate(pycgen.PaperConfigs()[0]).Files,
@@ -52,7 +52,15 @@ func TestCallsMatchLoweredIR(t *testing.T) {
 		}
 		sets["testdata"][filepath.Base(p)] = string(data)
 	}
-	for name, files := range sets {
+	return sets
+}
+
+// TestCallsMatchLoweredIR pins the call graph's input: on every corpus
+// family and on the core testdata, each function's Calls, recorded before
+// lowering, equals the callee set of its lowered body, and every body
+// validates.
+func TestCallsMatchLoweredIR(t *testing.T) {
+	for name, files := range corpusSets(t) {
 		for _, preserve := range []bool{false, true} {
 			prog, err := Program(files, Options{PreserveBitTests: preserve})
 			if err != nil {
@@ -72,6 +80,40 @@ func TestCallsMatchLoweredIR(t *testing.T) {
 					t.Fatalf("%s: %s Calls %v, lowered IR calls %v", name, fn, got, want)
 				}
 			}
+		}
+	}
+}
+
+// TestRecognizerMatchesSyntaxTree is the loader's corpus-wide
+// differential: on every corpus family and the core testdata, with and
+// without bit tests, Program (recognize each file, parse a body from its
+// offset on first use) gives the program that parsing each file in full
+// and lowering it with IntoOpts gives: the same functions, externs,
+// signatures, Calls, IR text and instruction positions.
+func TestRecognizerMatchesSyntaxTree(t *testing.T) {
+	for name, files := range corpusSets(t) {
+		names := make([]string, 0, len(files))
+		for n := range files {
+			names = append(names, n)
+		}
+		slices.Sort(names)
+		for _, preserve := range []bool{false, true} {
+			opts := Options{PreserveBitTests: preserve}
+			got, err := Program(files, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			want := ir.NewProgram()
+			for _, n := range names {
+				f, err := parser.ParseFile(n, files[n])
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if err := IntoOpts(want, f, opts); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+			}
+			sameProgram(t, fmt.Sprintf("%s preserve=%t", name, preserve), got, want)
 		}
 	}
 }

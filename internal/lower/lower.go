@@ -110,15 +110,17 @@ type Memo struct {
 	files []loweredFile // sorted by name; never modified once stored
 }
 
-// Load parses a file set (name → source) and merges it into p. Files are
-// parsed in sorted-name order, so last-wins duplicate definitions merge
-// deterministically. Parsing is eager: every parse error and every goto to
-// an undefined label is returned here, and then p is left as it was.
-// Lowering is not: each function carries its signature and Calls, and its
-// body is lowered and validated the first time ir.Func.Body is called.
-// Load is the one loader from source text to IR, so every analysis mode
-// lowers with the same options. reused counts the files taken from the
-// memo; the rest were parsed. A failed call leaves the memo as it was.
+// Load indexes a file set (name → source) and merges it into p. Files are
+// read in sorted-name order, so last-wins duplicate definitions merge
+// deterministically. Checking is eager: every parse error and every goto
+// to an undefined label is returned here, and then p is left as it was.
+// Building is not: a recognizer pass checks each file against the grammar
+// and gives each function its signature and Calls without a syntax tree,
+// and the function's body is parsed from its place in the source, lowered
+// and validated the first time ir.Func.Body is called. Load is the one
+// loader from source text to IR, so every analysis mode lowers with the
+// same options. reused counts the files taken from the memo; the rest
+// were read. A failed call leaves the memo as it was.
 func (m *Memo) Load(p *ir.Program, files map[string]string, opts Options) (reused int, err error) {
 	names := make([]string, 0, len(files))
 	for n := range files {
@@ -143,12 +145,8 @@ func (m *Memo) Load(p *ir.Program, files map[string]string, opts Options) (reuse
 			lf = prev[0]
 			reused++
 		} else {
-			f, err := parser.ParseFile(n, src)
-			if err != nil {
-				return 0, fmt.Errorf("parse %s: %w", n, err)
-			}
-			if lf, err = lowerFile(f, opts); err != nil {
-				return 0, fmt.Errorf("lower %s: %w", n, err)
+			if lf, err = loadFile(n, src, opts); err != nil {
+				return 0, err
 			}
 			lf.name, lf.src = n, src
 		}
@@ -163,6 +161,64 @@ func (m *Memo) Load(p *ir.Program, files map[string]string, opts Options) (reuse
 		m.mu.Unlock()
 	}
 	return reused, nil
+}
+
+// loadFile recognizes one file and defers each function's body to a
+// parse of its own byte range. A file the recognizer rejects is parsed
+// in full, for the parser's error message.
+func loadFile(name, src string, opts Options) (loweredFile, error) {
+	idx, ok := parser.Recognize(name, src)
+	if !ok {
+		f, err := parser.ParseFile(name, src)
+		if err != nil {
+			return loweredFile{}, fmt.Errorf("parse %s: %w", name, err)
+		}
+		// The recognizer rejects only what the parser rejects; should the
+		// two ever disagree, the syntax tree is still right.
+		lf, err := lowerFile(f, opts)
+		if err != nil {
+			return loweredFile{}, fmt.Errorf("lower %s: %w", name, err)
+		}
+		return lf, nil
+	}
+	lf := loweredFile{opts: opts, funcs: make([]*ir.Func, len(idx.Funcs)), externs: idx.Protos}
+	fns := make([]ir.Func, len(idx.Funcs))
+	for i := range idx.Funcs {
+		fi := &idx.Funcs[i]
+		for _, g := range fi.Gotos {
+			if !slices.Contains(fi.Labels, g.Label) {
+				return loweredFile{}, fmt.Errorf("lower %s: %w", name, undefinedLabel(g.Pos, g.Label))
+			}
+		}
+		fn := &fns[i]
+		fn.Name, fn.HasRet, fn.Pos, fn.SrcFile, fn.Calls = fi.Name, fi.HasRet, fi.Pos, name, fi.Calls
+		fn.Params = paramNames(fi.Params)
+		start := fi.Body
+		fn.Defer(func() *ir.Body {
+			body, err := parser.ParseBody(fn.SrcFile, src, start)
+			if err != nil {
+				panic(fmt.Sprintf("lower: recognized body of %s does not parse: %v", fn.Name, err))
+			}
+			return lowerBody(body, fn.Pos, opts)
+		})
+		lf.funcs[i] = fn
+	}
+	return lf, nil
+}
+
+// paramNames names each unnamed parameter argN, N its index. It renames
+// in place: the recognizer's names belong to the caller.
+func paramNames(params []string) []string {
+	for i, name := range params {
+		if name == "" {
+			params[i] = fmt.Sprintf("arg%d", i)
+		}
+	}
+	return params
+}
+
+func undefinedLabel(pos token.Pos, label string) error {
+	return &loweringError{pos, fmt.Sprintf("goto to undefined label %q", label)}
 }
 
 // Program loads a file set into a new program, without a memo.
@@ -219,13 +275,10 @@ func declare(fd *ast.FuncDecl, srcFile string, opts Options) (*ir.Func, error) {
 		Pos:     fd.P,
 		SrcFile: srcFile,
 	}
-	for i, prm := range fd.Params {
-		name := prm.Name
-		if name == "" {
-			name = fmt.Sprintf("arg%d", i)
-		}
-		fn.Params = append(fn.Params, name)
+	for _, prm := range fd.Params {
+		fn.Params = append(fn.Params, prm.Name)
 	}
+	fn.Params = paramNames(fn.Params)
 	var gotos []*ast.GotoStmt
 	var labels []string
 	var visit func(ast.Node) bool
@@ -252,22 +305,23 @@ func declare(fd *ast.FuncDecl, srcFile string, opts Options) (*ir.Func, error) {
 	ast.Inspect(fd.Body, visit)
 	for _, g := range gotos {
 		if !slices.Contains(labels, g.Label) {
-			return nil, &loweringError{g.P, fmt.Sprintf("goto to undefined label %q", g.Label)}
+			return nil, undefinedLabel(g.P, g.Label)
 		}
 	}
 	slices.Sort(fn.Calls)
 	fn.Calls = slices.Compact(fn.Calls)
-	fn.Defer(func() *ir.Body { return lowerBody(fd, opts) })
+	fn.Defer(func() *ir.Body { return lowerBody(fd.Body, fd.P, opts) })
 	return fn, nil
 }
 
-// lowerBody lowers fd's body. declare has checked its gotos.
-func lowerBody(fd *ast.FuncDecl, opts Options) *ir.Body {
+// lowerBody lowers the body of the function declared at pos. Its gotos
+// have been checked.
+func lowerBody(body *ast.BlockStmt, pos token.Pos, opts Options) *ir.Body {
 	fn := &ir.Body{}
 	lw := &funcLowerer{opts: opts, fn: fn, labels: make(map[string]*ir.Block)}
 	lw.cur = fn.NewBlock()
-	lw.stmt(fd.Body)
-	lw.terminateWithReturn(fd.P)
+	lw.stmt(body)
+	lw.terminateWithReturn(pos)
 	for _, g := range lw.gotos {
 		g.block.Terminator().Target = lw.labels[g.label].Index
 	}
@@ -275,7 +329,7 @@ func lowerBody(fd *ast.FuncDecl, opts Options) *ir.Body {
 	// block satisfies the terminator invariant.
 	for _, b := range fn.Blocks {
 		if b.Terminator() == nil {
-			b.Instrs = append(b.Instrs, &ir.Instr{Op: ir.OpReturn, HasVal: false, Pos: fd.P})
+			b.Instrs = append(b.Instrs, &ir.Instr{Op: ir.OpReturn, HasVal: false, Pos: pos})
 		}
 	}
 	// Count conditional branches for the §5.2 category-2 complexity gate.

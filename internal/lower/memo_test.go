@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/frontend/token"
 	"repro/internal/ir"
 )
 
@@ -47,8 +48,8 @@ func load(m *Memo, files map[string]string, opts Options) (*ir.Program, int, err
 }
 
 // sameProgram fails unless got and want have the same definition order,
-// the same externs, and functions that render alike from the same files
-// and positions.
+// the same externs, and functions with the same signatures and Calls that
+// render alike from the same files and positions, instructions included.
 func sameProgram(t *testing.T, step string, got, want *ir.Program) {
 	t.Helper()
 	if !reflect.DeepEqual(got.Order, want.Order) {
@@ -62,7 +63,24 @@ func sameProgram(t *testing.T, step string, got, want *ir.Program) {
 		if g.String() != w.String() || g.SrcFile != w.SrcFile || g.Pos != w.Pos {
 			t.Fatalf("%s: %s is\n%s(%s at %v), want\n%s(%s at %v)", step, name, g, g.SrcFile, g.Pos, w, w.SrcFile, w.Pos)
 		}
+		if !reflect.DeepEqual(g.Params, w.Params) || g.HasRet != w.HasRet || !reflect.DeepEqual(g.Calls, w.Calls) {
+			t.Fatalf("%s: %s has params %q, result %t, Calls %q; want %q, %t, %q", step, name, g.Params, g.HasRet, g.Calls, w.Params, w.HasRet, w.Calls)
+		}
+		if gp, wp := instrPositions(g), instrPositions(w); !reflect.DeepEqual(gp, wp) {
+			t.Fatalf("%s: %s has instruction positions %v, want %v", step, name, gp, wp)
+		}
 	}
+}
+
+// instrPositions lists the positions of f's instructions in block order.
+func instrPositions(f *ir.Func) []token.Pos {
+	var out []token.Pos
+	for _, b := range f.Body().Blocks {
+		for _, in := range b.Instrs {
+			out = append(out, in.Pos)
+		}
+	}
+	return out
 }
 
 // TestMemoMatchesProgram is the memo's differential: over a sequence of

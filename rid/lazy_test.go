@@ -1,6 +1,10 @@
 package rid
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/lower"
+)
 
 // TestBadGotoInCategory3FailsAddSource: lowering is deferred until a body
 // is needed, but the label check is not, so a goto to an undefined label
@@ -30,5 +34,46 @@ int util_sum(int a, int b) {
 	}
 	if n := a.NumFunctions(); n != 0 {
 		t.Fatalf("failed load left %d functions behind", n)
+	}
+}
+
+// TestLoadErrorStrings: the loader checks each file without building a
+// syntax tree and parses a rejected file in full only for its message, so
+// every parse and goto error reads as it did when each file was parsed in
+// full: the parser's joined messages after "parse", and the first bad
+// goto in source order after "lower". A failed load adds no function.
+func TestLoadErrorStrings(t *testing.T) {
+	for _, tc := range []struct{ name, src, want string }{
+		{"first of two bad gotos",
+			"int f(int a) {\n    while (a) {\n        if (a > 1)\n            goto inner;\n    }\n    goto outer;\n}\n",
+			`lower util.c: util.c:4:13: goto to undefined label "inner"`},
+		{"bad goto in a nested block",
+			"int f(int a) {\n    if (a) {\n        while (a) {\n            goto nowhere;\n        }\n    }\n    return 0;\n}\n",
+			`lower util.c: util.c:4:13: goto to undefined label "nowhere"`},
+		{"bad integer literal",
+			"int f(void) {\n    return 09;\n}\n",
+			`parse util.c: util.c:2:12: bad integer literal "09"`},
+		{"lexer error",
+			"int f(void) {\n    return 1 $ 2;\n}\n",
+			"parse util.c: util.c:2:14: unexpected character '$'\nutil.c:2:14: expected ;, found ILLEGAL(\"$\")\nutil.c:2:14: expected expression, found ILLEGAL(\"$\")\nutil.c:2:16: expected ;, found INT(\"2\")"},
+		{"syntax error in a global initializer",
+			"int g = (1 + ;\nint f(void) {\n    return 0;\n}\n",
+			"parse util.c: util.c:1:14: expected expression, found ;\nutil.c:2:1: expected ), found int\nutil.c:2:1: expected ;, found int"},
+		{"syntax error after a valid function",
+			"int f(void) {\n    return 0;\n}\nint g(void) {\n    return 1 +;\n}\n",
+			"parse util.c: util.c:5:15: expected expression, found ;\nutil.c:6:1: expected ;, found }"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := New(LinuxDPMSpecs())
+			if err := a.AddSource("util.c", tc.src); err == nil || err.Error() != tc.want {
+				t.Fatalf("AddSource error = %v, want %s", err, tc.want)
+			}
+			if n := a.NumFunctions(); n != 0 {
+				t.Fatalf("failed load left %d functions behind", n)
+			}
+			if _, err := lower.Program(map[string]string{"util.c": tc.src}, lower.Options{}); err == nil || err.Error() != tc.want {
+				t.Fatalf("lower.Program error = %v, want %s", err, tc.want)
+			}
+		})
 	}
 }

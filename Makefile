@@ -18,14 +18,16 @@ race:
 # Short fuzzing pass over the seven fuzz targets; CI runs the same budget.
 # -fuzz is a regexp, so FuzzLexer is anchored to keep it from also matching
 # FuzzLexerMatchesReference.
+# -fuzzminimizetime=5x caps the minimization of each new interesting input
+# at five runs; Go's default of 60 s each leaves most of the budget idle.
 fuzz-smoke:
-	$(GO) test ./internal/frontend/lexer -fuzz='^FuzzLexer$$' -fuzztime=20s
-	$(GO) test ./internal/frontend/lexer -fuzz=FuzzLexerMatchesReference -fuzztime=20s
-	$(GO) test ./internal/frontend/parser -fuzz=FuzzParser -fuzztime=20s
-	$(GO) test ./internal/frontend/parser -fuzz=FuzzRecognizerMatchesParser -fuzztime=20s
-	$(GO) test ./internal/solver -fuzz=FuzzSolver -fuzztime=20s
-	$(GO) test ./internal/store -fuzz=FuzzStoreLoad -fuzztime=20s
-	$(GO) test ./internal/spec -fuzz=FuzzSpecParser -fuzztime=20s
+	$(GO) test ./internal/frontend/lexer -fuzz='^FuzzLexer$$' -fuzztime=20s -fuzzminimizetime=5x
+	$(GO) test ./internal/frontend/lexer -fuzz=FuzzLexerMatchesReference -fuzztime=20s -fuzzminimizetime=5x
+	$(GO) test ./internal/frontend/parser -fuzz=FuzzParser -fuzztime=20s -fuzzminimizetime=5x
+	$(GO) test ./internal/frontend/parser -fuzz=FuzzRecognizerMatchesParser -fuzztime=20s -fuzzminimizetime=5x
+	$(GO) test ./internal/solver -fuzz=FuzzSolver -fuzztime=20s -fuzzminimizetime=5x
+	$(GO) test ./internal/store -fuzz=FuzzStoreLoad -fuzztime=20s -fuzzminimizetime=5x
+	$(GO) test ./internal/spec -fuzz=FuzzSpecParser -fuzztime=20s -fuzzminimizetime=5x
 
 # The spec-pack quality suite: detection matrices and cache differentials
 # on the lock/fd corpora, plus the precision/recall gates (recall 1.0,

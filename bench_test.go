@@ -210,6 +210,50 @@ func BenchmarkLoadTable1(b *testing.B) {
 	b.ReportMetric(float64(ms.HeapAlloc-before)/(1<<20), "live-MiB")
 }
 
+// BenchmarkLowerBodies builds every body of kernelgen scale 8 and of the
+// Table-1 tree, both seed 400: each is parsed from its place in the
+// source into recycled memory, lowered, and frozen into exact-size
+// arrays. Loading is outside the timer; allocs/body and B/body are what
+// the bodies cost.
+func BenchmarkLowerBodies(b *testing.B) {
+	t := experiments.DefaultTable1()
+	for _, c := range []struct {
+		name  string
+		files map[string]string
+	}{
+		{"kernel8", experiments.ServeCorpus(8, 400)},
+		{"table1", kernelgen.Generate(kernelgen.Config{
+			Seed: 400, Mix: kernelgen.PaperMix(),
+			SimpleHelpers: t.Helpers, ComplexHelpers: t.Complex, OtherFuncs: t.Other,
+		}).Files},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var ms runtime.MemStats
+			var mallocs, bytes uint64
+			bodies := 0
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				prog := mustProgram(b, c.files)
+				runtime.ReadMemStats(&ms)
+				m0, b0 := ms.Mallocs, ms.TotalAlloc
+				b.StartTimer()
+				for _, name := range prog.Order {
+					prog.Funcs[name].Body()
+				}
+				b.StopTimer()
+				runtime.ReadMemStats(&ms)
+				mallocs += ms.Mallocs - m0
+				bytes += ms.TotalAlloc - b0
+				bodies += len(prog.Order)
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(mallocs)/float64(bodies), "allocs/body")
+			b.ReportMetric(float64(bytes)/float64(bodies), "B/body")
+		})
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Table 2 — RID vs the Cpychecker-style escape rule.
 

@@ -45,8 +45,8 @@ func FuzzLexer(f *testing.F) {
 			if tok.Kind == token.EOF {
 				t.Fatalf("EOF at index %d of %d, before end of stream", i, len(toks))
 			}
-			if tok.Pos.Line < 1 || tok.Pos.Column < 1 {
-				t.Fatalf("token %d (%v) has invalid position %v", i, tok.Kind, tok.Pos)
+			if tok.Line < 1 || tok.Column < 1 {
+				t.Fatalf("token %d (%v) has invalid position %v", i, tok.Kind, tok.Pos("fuzz.c"))
 			}
 		}
 		_ = l.Errors() // must be callable; contents are input-dependent
@@ -74,7 +74,7 @@ func FuzzLexerMatchesReference(f *testing.F) {
 		for i := 0; ; i++ {
 			got, want := l.Next(), ref.Next()
 			if got != want {
-				t.Fatalf("token %d: got %v at %v, reference %v at %v", i, got, got.Pos, want, want.Pos)
+				t.Fatalf("token %d: got %v at %v, reference %v at %v", i, got, got.Pos("fuzz.c"), want, want.Pos("fuzz.c"))
 			}
 			if want.Kind == token.EOF {
 				break

@@ -23,7 +23,6 @@ type Lexer struct {
 	src    string
 	off    int // byte offset of the next rune
 	start  int // offset of the first byte after a leading byte-order mark
-	tokOff int // offset of the first byte of the token Next last returned
 	line   int
 	col    int
 	errors []error
@@ -32,38 +31,39 @@ type Lexer struct {
 // bom is the UTF-8 byte-order mark some editors write at the start of a file.
 const bom = "\uFEFF"
 
-// New returns a lexer over src; file is used in positions only. A leading
-// byte-order mark is skipped, so the first token is still at 1:1.
+// New returns a lexer over src; file is used in error positions only. A
+// leading byte-order mark is skipped, so the first token is still at 1:1.
 func New(file, src string) *Lexer {
-	l := &Lexer{file: file, src: src, line: 1, col: 1}
+	l := new(Lexer)
+	l.Reset(file, src)
+	return l
+}
+
+// Reset makes l the lexer New(file, src) returns, in l's own memory.
+func (l *Lexer) Reset(file, src string) {
+	*l = Lexer{file: file, src: src, line: 1, col: 1}
 	if strings.HasPrefix(src, bom) {
 		l.off, l.start = len(bom), len(bom)
 	}
-	return l
 }
 
-// NewAt returns a lexer over src that starts scanning at byte offset off,
-// which lies at line:col (columns count runes). It yields the tokens a
-// lexer from New yields from that point on, with the same positions.
-func NewAt(file, src string, off, line, col int) *Lexer {
-	l := New(file, src)
+// Seek moves the scan to byte offset off, which lies at line:col (columns
+// count runes). The lexer then yields the tokens a lexer from New yields
+// from that point on, with the same positions.
+func (l *Lexer) Seek(off, line, col int) {
 	l.off, l.line, l.col = off, line, col
-	return l
 }
-
-// Offset returns the byte offset at which the token Next last returned
-// starts.
-func (l *Lexer) Offset() int { return l.tokOff }
 
 // Errors returns the scan errors encountered so far, in order.
 func (l *Lexer) Errors() []error { return l.errors }
 
-func (l *Lexer) pos() token.Pos {
-	return token.Pos{File: l.file, Line: l.line, Column: l.col}
+func (l *Lexer) errorf(t *token.Token, format string, args ...any) {
+	l.errors = append(l.errors, fmt.Errorf("%s: %s", t.Pos(l.file), fmt.Sprintf(format, args...)))
 }
 
-func (l *Lexer) errorf(p token.Pos, format string, args ...any) {
-	l.errors = append(l.errors, fmt.Errorf("%s: %s", p, fmt.Sprintf(format, args...)))
+// at returns a token of no kind yet at the scan position.
+func (l *Lexer) at() token.Token {
+	return token.Token{Line: int32(l.line), Column: int32(l.col), Off: int32(l.off)}
 }
 
 // peek returns the next rune without consuming it, or -1 at EOF.
@@ -181,12 +181,12 @@ func (l *Lexer) skipSpaceAndComments() {
 			case '/':
 				l.skipLine()
 			case '*':
-				p := l.pos()
+				t := l.at()
 				if i := strings.Index(l.src[l.off+2:], "*/"); i >= 0 {
 					l.skipTo(l.off + 2 + i + 2)
 				} else {
 					l.skipTo(len(l.src))
-					l.errorf(p, "unterminated block comment")
+					l.errorf(&t, "unterminated block comment")
 				}
 			default:
 				return
@@ -201,113 +201,114 @@ func (l *Lexer) skipSpaceAndComments() {
 // tokens forever.
 func (l *Lexer) Next() token.Token {
 	l.skipSpaceAndComments()
-	p := l.pos()
-	l.tokOff = l.off
+	t := l.at()
 	if l.off >= len(l.src) {
-		return token.Token{Kind: token.EOF, Pos: p}
+		t.Kind = token.EOF
+		return t
 	}
 	c := l.src[l.off]
 	if c >= utf8.RuneSelf {
 		r, w := utf8.DecodeRuneInString(l.src[l.off:])
 		switch {
 		case unicode.IsLetter(r):
-			return l.scanIdent(p)
+			return l.scanIdent(t)
 		case unicode.IsDigit(r):
-			return l.scanNumber(p)
+			return l.scanNumber(t)
 		}
 		l.off += w
 		l.col++
-		l.errorf(p, "unexpected character %q", r)
-		return token.Token{Kind: token.ILLEGAL, Lit: string(r), Pos: p}
+		l.errorf(&t, "unexpected character %q", r)
+		t.Kind, t.Lit = token.ILLEGAL, string(r)
+		return t
 	}
 	switch {
 	case c == '_' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z':
-		return l.scanIdent(p)
+		return l.scanIdent(t)
 	case '0' <= c && c <= '9':
-		return l.scanNumber(p)
+		return l.scanNumber(t)
 	case c == '"':
-		return l.scanString(p)
+		return l.scanString(t)
 	case c == '\'':
-		return l.scanChar(p)
+		return l.scanChar(t)
 	}
 	// c is an ASCII byte other than a newline, which skipSpaceAndComments
 	// has consumed.
 	l.off++
 	l.col++
-	two := func(next byte, k2, k1 token.Kind) token.Token {
+	two := func(next byte, k2, k1 token.Kind) token.Kind {
 		if l.match(next) {
-			return token.Token{Kind: k2, Pos: p}
+			return k2
 		}
-		return token.Token{Kind: k1, Pos: p}
+		return k1
 	}
 	switch c {
 	case '=':
-		return two('=', token.EQ, token.ASSIGN)
+		t.Kind = two('=', token.EQ, token.ASSIGN)
 	case '!':
-		return two('=', token.NE, token.NOT)
+		t.Kind = two('=', token.NE, token.NOT)
 	case '<':
-		if l.match('<') {
-			return token.Token{Kind: token.SHL, Pos: p}
+		if t.Kind = token.SHL; !l.match('<') {
+			t.Kind = two('=', token.LE, token.LT)
 		}
-		return two('=', token.LE, token.LT)
 	case '>':
-		if l.match('>') {
-			return token.Token{Kind: token.SHR, Pos: p}
+		if t.Kind = token.SHR; !l.match('>') {
+			t.Kind = two('=', token.GE, token.GT)
 		}
-		return two('=', token.GE, token.GT)
 	case '&':
-		return two('&', token.LAND, token.AMP)
+		t.Kind = two('&', token.LAND, token.AMP)
 	case '|':
-		return two('|', token.LOR, token.PIPE)
+		t.Kind = two('|', token.LOR, token.PIPE)
 	case '+':
-		if l.match('+') {
-			return token.Token{Kind: token.PLUSPLUS, Pos: p}
+		if t.Kind = token.PLUSPLUS; !l.match('+') {
+			t.Kind = two('=', token.PLUSASSIGN, token.PLUS)
 		}
-		return two('=', token.PLUSASSIGN, token.PLUS)
 	case '-':
-		if l.match('-') {
-			return token.Token{Kind: token.MINUSMINUS, Pos: p}
+		switch {
+		case l.match('-'):
+			t.Kind = token.MINUSMINUS
+		case l.match('>'):
+			t.Kind = token.ARROW
+		default:
+			t.Kind = two('=', token.MINUSASSIGN, token.MINUS)
 		}
-		if l.match('>') {
-			return token.Token{Kind: token.ARROW, Pos: p}
-		}
-		return two('=', token.MINUSASSIGN, token.MINUS)
 	case '*':
-		return token.Token{Kind: token.STAR, Pos: p}
+		t.Kind = token.STAR
 	case '/':
-		return token.Token{Kind: token.SLASH, Pos: p}
+		t.Kind = token.SLASH
 	case '%':
-		return token.Token{Kind: token.PERCENT, Pos: p}
+		t.Kind = token.PERCENT
 	case '^':
-		return token.Token{Kind: token.CARET, Pos: p}
+		t.Kind = token.CARET
 	case '~':
-		return token.Token{Kind: token.TILDE, Pos: p}
+		t.Kind = token.TILDE
 	case '.':
-		return token.Token{Kind: token.DOT, Pos: p}
+		t.Kind = token.DOT
 	case ',':
-		return token.Token{Kind: token.COMMA, Pos: p}
+		t.Kind = token.COMMA
 	case ';':
-		return token.Token{Kind: token.SEMI, Pos: p}
+		t.Kind = token.SEMI
 	case ':':
-		return token.Token{Kind: token.COLON, Pos: p}
+		t.Kind = token.COLON
 	case '(':
-		return token.Token{Kind: token.LPAREN, Pos: p}
+		t.Kind = token.LPAREN
 	case ')':
-		return token.Token{Kind: token.RPAREN, Pos: p}
+		t.Kind = token.RPAREN
 	case '{':
-		return token.Token{Kind: token.LBRACE, Pos: p}
+		t.Kind = token.LBRACE
 	case '}':
-		return token.Token{Kind: token.RBRACE, Pos: p}
+		t.Kind = token.RBRACE
 	case '[':
-		return token.Token{Kind: token.LBRACK, Pos: p}
+		t.Kind = token.LBRACK
 	case ']':
-		return token.Token{Kind: token.RBRACK, Pos: p}
+		t.Kind = token.RBRACK
+	default:
+		l.errorf(&t, "unexpected character %q", rune(c))
+		t.Kind, t.Lit = token.ILLEGAL, string(rune(c))
 	}
-	l.errorf(p, "unexpected character %q", rune(c))
-	return token.Token{Kind: token.ILLEGAL, Lit: string(rune(c)), Pos: p}
+	return t
 }
 
-func (l *Lexer) scanIdent(p token.Pos) token.Token {
+func (l *Lexer) scanIdent(t token.Token) token.Token {
 	start := l.off
 	for l.off < len(l.src) {
 		if c := l.src[l.off]; c < utf8.RuneSelf {
@@ -324,14 +325,12 @@ func (l *Lexer) scanIdent(p token.Pos) token.Token {
 		}
 		l.col++
 	}
-	lit := l.src[start:l.off]
-	if k, ok := token.Lookup(lit); ok {
-		return token.Token{Kind: k, Lit: lit, Pos: p}
-	}
-	return token.Token{Kind: token.IDENT, Lit: lit, Pos: p}
+	t.Lit = l.src[start:l.off]
+	t.Kind, _ = token.Lookup(t.Lit)
+	return t
 }
 
-func (l *Lexer) scanNumber(p token.Pos) token.Token {
+func (l *Lexer) scanNumber(t token.Token) token.Token {
 	start := l.off
 	hex := strings.HasPrefix(l.src[l.off:], "0x") || strings.HasPrefix(l.src[l.off:], "0X")
 	if hex {
@@ -344,7 +343,8 @@ func (l *Lexer) scanNumber(p token.Pos) token.Token {
 		l.off++
 		l.col++
 	}
-	return token.Token{Kind: token.INT, Lit: l.src[start:l.off], Pos: p}
+	t.Kind, t.Lit = token.INT, l.src[start:l.off]
+	return t
 }
 
 // scanDigits consumes a run of decimal digits, or of hex digits when hex is
@@ -368,14 +368,15 @@ func (l *Lexer) scanDigits(hex bool) {
 	}
 }
 
-func (l *Lexer) scanString(p token.Pos) token.Token {
+func (l *Lexer) scanString(t token.Token) token.Token {
 	l.advance() // opening quote
 	start := l.off
 	for {
 		r := l.peek()
 		if r == -1 || r == '\n' {
-			l.errorf(p, "unterminated string literal")
-			return token.Token{Kind: token.ILLEGAL, Lit: l.src[start:l.off], Pos: p}
+			l.errorf(&t, "unterminated string literal")
+			t.Kind, t.Lit = token.ILLEGAL, l.src[start:l.off]
+			return t
 		}
 		if r == '\\' {
 			l.advance()
@@ -383,9 +384,9 @@ func (l *Lexer) scanString(p token.Pos) token.Token {
 			continue
 		}
 		if r == '"' {
-			lit := l.src[start:l.off]
+			t.Kind, t.Lit = token.STRING, l.src[start:l.off]
 			l.advance()
-			return token.Token{Kind: token.STRING, Lit: lit, Pos: p}
+			return t
 		}
 		l.advance()
 	}
@@ -393,7 +394,7 @@ func (l *Lexer) scanString(p token.Pos) token.Token {
 
 // scanChar scans a character literal and yields it as an INT token holding
 // the code point value, matching C semantics closely enough for branches.
-func (l *Lexer) scanChar(p token.Pos) token.Token {
+func (l *Lexer) scanChar(t token.Token) token.Token {
 	l.advance() // opening quote
 	r := l.advance()
 	if r == '\\' {
@@ -414,9 +415,10 @@ func (l *Lexer) scanChar(p token.Pos) token.Token {
 	if l.peek() == '\'' {
 		l.advance()
 	} else {
-		l.errorf(p, "unterminated character literal")
+		l.errorf(&t, "unterminated character literal")
 	}
-	return token.Token{Kind: token.INT, Lit: strconv.Itoa(int(r)), Pos: p}
+	t.Kind, t.Lit = token.INT, strconv.Itoa(int(r))
+	return t
 }
 
 // All scans the entire input and returns every token up to and including

@@ -118,14 +118,14 @@ func TestCommentsAndPreprocessor(t *testing.T) {
 func TestPositions(t *testing.T) {
 	src := "int\nfoo;"
 	ts := New("f.c", src).All()
-	if ts[0].Pos.Line != 1 || ts[0].Pos.Column != 1 {
-		t.Errorf("int pos: %v", ts[0].Pos)
+	if ts[0].Line != 1 || ts[0].Column != 1 {
+		t.Errorf("int pos: %v", ts[0].Pos("f.c"))
 	}
-	if ts[1].Pos.Line != 2 || ts[1].Pos.Column != 1 {
-		t.Errorf("foo pos: %v", ts[1].Pos)
+	if ts[1].Line != 2 || ts[1].Column != 1 {
+		t.Errorf("foo pos: %v", ts[1].Pos("f.c"))
 	}
-	if ts[1].Pos.File != "f.c" {
-		t.Errorf("file: %q", ts[1].Pos.File)
+	if got := ts[1].Pos("f.c").String(); got != "f.c:2:1" {
+		t.Errorf("foo pos in f.c: %q", got)
 	}
 }
 
@@ -179,7 +179,7 @@ func TestByteOrderMark(t *testing.T) {
 	if got := kinds(ts); len(got) != len(want) {
 		t.Fatalf("got %v, want %v", got, want)
 	}
-	if p := ts[0].Pos; p.Line != 1 || p.Column != 1 {
+	if p := ts[0].Pos(""); p.Line != 1 || p.Column != 1 {
 		t.Errorf("first token at %v, want 1:1", p)
 	}
 	// Only a mark at offset 0 is skipped; one anywhere else is a stray
@@ -191,7 +191,7 @@ func TestByteOrderMark(t *testing.T) {
 	}
 	// A directive on the first line still counts as at the line start.
 	l = New("x.c", "\uFEFF#include <a.h>\nint x;")
-	if ts := l.All(); len(l.Errors()) != 0 || ts[0].Kind != token.KwInt || ts[0].Pos.Line != 2 {
+	if ts := l.All(); len(l.Errors()) != 0 || ts[0].Kind != token.KwInt || ts[0].Line != 2 {
 		t.Errorf("directive after a byte-order mark: %v %v", ts, l.Errors())
 	}
 }
@@ -214,7 +214,7 @@ func TestIndentedDirective(t *testing.T) {
 			t.Errorf("token %d: got %s, want %s", i, got[i], want[i])
 		}
 	}
-	if p := ts[6].Pos; p.Line != 4 || p.Column != 2 {
+	if p := ts[6].Pos(""); p.Line != 4 || p.Column != 2 {
 		t.Errorf("return at %v, want 4:2", p)
 	}
 	// A '#' after anything but blanks is still a stray character.
@@ -245,34 +245,34 @@ func TestPositionsCountRunes(t *testing.T) {
 		t.Fatalf("got %v", ts)
 	}
 	for i, w := range want {
-		if ts[i].Kind != w.kind || ts[i].Lit != w.lit || ts[i].Pos.Line != w.line || ts[i].Pos.Column != w.col {
-			t.Errorf("token %d: got %v at %v, want %s %q at %d:%d", i, ts[i], ts[i].Pos, w.kind, w.lit, w.line, w.col)
+		if ts[i].Kind != w.kind || ts[i].Lit != w.lit || int(ts[i].Line) != w.line || int(ts[i].Column) != w.col {
+			t.Errorf("token %d: got %v at %v, want %s %q at %d:%d", i, ts[i], ts[i].Pos(""), w.kind, w.lit, w.line, w.col)
 		}
 	}
 }
 
-// TestNewAtResumes: a lexer started with NewAt at the offset and position
+// TestNewAtResumes: a lexer moved with Seek to the offset and position
 // of any token yields the rest of the stream a lexer from New yields,
-// positions included, past a byte-order mark, multi-byte runes and a
-// directive line.
+// positions and offsets included, past a byte-order mark, multi-byte
+// runes and a directive line.
 func TestNewAtResumes(t *testing.T) {
 	src := bom + "int é(void) { /* ∑ */ return g(1);\n#define X\n\t}  x"
 	l := New("t.c", src)
 	var toks []token.Token
-	var offs []int
 	for {
 		tok := l.Next()
-		toks, offs = append(toks, tok), append(offs, l.Offset())
+		toks = append(toks, tok)
 		if tok.Kind == token.EOF {
 			break
 		}
 	}
 	for i, tok := range toks {
-		r := NewAt("t.c", src, offs[i], tok.Pos.Line, tok.Pos.Column)
+		r := New("t.c", src)
+		r.Seek(int(tok.Off), int(tok.Line), int(tok.Column))
 		for j, want := range toks[i:] {
-			if got := r.Next(); got != want || r.Offset() != offs[i+j] {
+			if got := r.Next(); got != want {
 				t.Fatalf("from token %d: token %d is %v at %v offset %d, want %v at %v offset %d",
-					i, i+j, got, got.Pos, r.Offset(), want, want.Pos, offs[i+j])
+					i, i+j, got, got.Pos("t.c"), got.Off, want, want.Pos("t.c"), want.Off)
 			}
 		}
 	}

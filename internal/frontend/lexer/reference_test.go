@@ -125,15 +125,30 @@ func (l *refLexer) skipSpaceAndComments() {
 	}
 }
 
-// Next scans and returns the next token. At end of input it returns EOF
-// tokens forever.
+// Next returns next's token with the byte offset at which it starts.
 func (l *refLexer) Next() token.Token {
+	l.skipSpaceAndComments()
+	off := l.off
+	t := l.next()
+	t.Off = int32(off)
+	return t
+}
+
+// refToken returns a token at p, as the reference scanner built them
+// when tokens carried a whole position.
+func refToken(kind token.Kind, lit string, p token.Pos) token.Token {
+	return token.Token{Kind: kind, Lit: lit, Line: int32(p.Line), Column: int32(p.Column)}
+}
+
+// next scans and returns the next token. At end of input it returns EOF
+// tokens forever.
+func (l *refLexer) next() token.Token {
 	l.skipSpaceAndComments()
 	p := l.pos()
 	r := l.peek()
 	switch {
 	case r == -1:
-		return token.Token{Kind: token.EOF, Pos: p}
+		return refToken(token.EOF, "", p)
 	case refIsIdentStart(r):
 		return l.scanIdent(p)
 	case unicode.IsDigit(r):
@@ -147,9 +162,9 @@ func (l *refLexer) Next() token.Token {
 	two := func(next rune, k2, k1 token.Kind) token.Token {
 		if l.peek() == next {
 			l.advance()
-			return token.Token{Kind: k2, Pos: p}
+			return refToken(k2, "", p)
 		}
-		return token.Token{Kind: k1, Pos: p}
+		return refToken(k1, "", p)
 	}
 	switch r {
 	case '=':
@@ -159,13 +174,13 @@ func (l *refLexer) Next() token.Token {
 	case '<':
 		if l.peek() == '<' {
 			l.advance()
-			return token.Token{Kind: token.SHL, Pos: p}
+			return refToken(token.SHL, "", p)
 		}
 		return two('=', token.LE, token.LT)
 	case '>':
 		if l.peek() == '>' {
 			l.advance()
-			return token.Token{Kind: token.SHR, Pos: p}
+			return refToken(token.SHR, "", p)
 		}
 		return two('=', token.GE, token.GT)
 	case '&':
@@ -175,52 +190,52 @@ func (l *refLexer) Next() token.Token {
 	case '+':
 		if l.peek() == '+' {
 			l.advance()
-			return token.Token{Kind: token.PLUSPLUS, Pos: p}
+			return refToken(token.PLUSPLUS, "", p)
 		}
 		return two('=', token.PLUSASSIGN, token.PLUS)
 	case '-':
 		if l.peek() == '-' {
 			l.advance()
-			return token.Token{Kind: token.MINUSMINUS, Pos: p}
+			return refToken(token.MINUSMINUS, "", p)
 		}
 		if l.peek() == '>' {
 			l.advance()
-			return token.Token{Kind: token.ARROW, Pos: p}
+			return refToken(token.ARROW, "", p)
 		}
 		return two('=', token.MINUSASSIGN, token.MINUS)
 	case '*':
-		return token.Token{Kind: token.STAR, Pos: p}
+		return refToken(token.STAR, "", p)
 	case '/':
-		return token.Token{Kind: token.SLASH, Pos: p}
+		return refToken(token.SLASH, "", p)
 	case '%':
-		return token.Token{Kind: token.PERCENT, Pos: p}
+		return refToken(token.PERCENT, "", p)
 	case '^':
-		return token.Token{Kind: token.CARET, Pos: p}
+		return refToken(token.CARET, "", p)
 	case '~':
-		return token.Token{Kind: token.TILDE, Pos: p}
+		return refToken(token.TILDE, "", p)
 	case '.':
-		return token.Token{Kind: token.DOT, Pos: p}
+		return refToken(token.DOT, "", p)
 	case ',':
-		return token.Token{Kind: token.COMMA, Pos: p}
+		return refToken(token.COMMA, "", p)
 	case ';':
-		return token.Token{Kind: token.SEMI, Pos: p}
+		return refToken(token.SEMI, "", p)
 	case ':':
-		return token.Token{Kind: token.COLON, Pos: p}
+		return refToken(token.COLON, "", p)
 	case '(':
-		return token.Token{Kind: token.LPAREN, Pos: p}
+		return refToken(token.LPAREN, "", p)
 	case ')':
-		return token.Token{Kind: token.RPAREN, Pos: p}
+		return refToken(token.RPAREN, "", p)
 	case '{':
-		return token.Token{Kind: token.LBRACE, Pos: p}
+		return refToken(token.LBRACE, "", p)
 	case '}':
-		return token.Token{Kind: token.RBRACE, Pos: p}
+		return refToken(token.RBRACE, "", p)
 	case '[':
-		return token.Token{Kind: token.LBRACK, Pos: p}
+		return refToken(token.LBRACK, "", p)
 	case ']':
-		return token.Token{Kind: token.RBRACK, Pos: p}
+		return refToken(token.RBRACK, "", p)
 	}
 	l.errorf(p, "unexpected character %q", r)
-	return token.Token{Kind: token.ILLEGAL, Lit: string(r), Pos: p}
+	return refToken(token.ILLEGAL, string(r), p)
 }
 
 func (l *refLexer) scanIdent(p token.Pos) token.Token {
@@ -230,9 +245,9 @@ func (l *refLexer) scanIdent(p token.Pos) token.Token {
 	}
 	lit := l.src[start:l.off]
 	if k, ok := refKeywords[lit]; ok {
-		return token.Token{Kind: k, Lit: lit, Pos: p}
+		return refToken(k, lit, p)
 	}
-	return token.Token{Kind: token.IDENT, Lit: lit, Pos: p}
+	return refToken(token.IDENT, lit, p)
 }
 
 func (l *refLexer) scanNumber(p token.Pos) token.Token {
@@ -252,7 +267,7 @@ func (l *refLexer) scanNumber(p token.Pos) token.Token {
 	for l.peek() == 'u' || l.peek() == 'U' || l.peek() == 'l' || l.peek() == 'L' {
 		l.advance()
 	}
-	return token.Token{Kind: token.INT, Lit: l.src[start:l.off], Pos: p}
+	return refToken(token.INT, l.src[start:l.off], p)
 }
 
 func refIsHexDigit(r rune) bool {
@@ -266,7 +281,7 @@ func (l *refLexer) scanString(p token.Pos) token.Token {
 		r := l.peek()
 		if r == -1 || r == '\n' {
 			l.errorf(p, "unterminated string literal")
-			return token.Token{Kind: token.ILLEGAL, Lit: l.src[start:l.off], Pos: p}
+			return refToken(token.ILLEGAL, l.src[start:l.off], p)
 		}
 		if r == '\\' {
 			l.advance()
@@ -276,7 +291,7 @@ func (l *refLexer) scanString(p token.Pos) token.Token {
 		if r == '"' {
 			lit := l.src[start:l.off]
 			l.advance()
-			return token.Token{Kind: token.STRING, Lit: lit, Pos: p}
+			return refToken(token.STRING, lit, p)
 		}
 		l.advance()
 	}
@@ -307,7 +322,7 @@ func (l *refLexer) scanChar(p token.Pos) token.Token {
 	} else {
 		l.errorf(p, "unterminated character literal")
 	}
-	return token.Token{Kind: token.INT, Lit: fmt.Sprintf("%d", r), Pos: p}
+	return refToken(token.INT, fmt.Sprintf("%d", r), p)
 }
 
 // All scans the entire input and returns every token up to and including

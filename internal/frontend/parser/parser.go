@@ -21,16 +21,16 @@ import (
 // demand into a small ring window and drops them once consumed, so no
 // per-file token slice is built.
 type Parser struct {
-	lx     *lexer.Lexer
+	lx     lexer.Lexer
 	win    []token.Token // token i is win[i&(len(win)-1)]; len is a power of two
 	pos    int           // index of the current token, counted from the start of the file
 	lexed  int           // tokens taken from lx; always > pos
 	file   string
 	errs   []error
-	panics int // consecutive resync count, to guarantee progress
+	panics int   // consecutive resync count, to guarantee progress
+	tree   nodes // the syntax tree's memory (nodes.go)
 
-	// The recognizer's state (recognize.go). offs is nil outside it.
-	offs []int    // byte offset of token i is offs[i&(len(offs)-1)]; len(offs) == len(win)
+	// The recognizer's state (recognize.go).
 	idx  *Index   // what the recognizer has indexed so far
 	strs []string // params and Calls of every function so far, one backing array per file
 }
@@ -39,7 +39,8 @@ type Parser struct {
 // syntax errors (the AST is still usable when errors are non-nil, covering
 // the declarations that parsed cleanly).
 func ParseFile(filename, src string) (*ast.File, error) {
-	p := &Parser{lx: lexer.New(filename, src), win: make([]token.Token, 8), file: filename}
+	p := &Parser{win: make([]token.Token, 8), file: filename}
+	p.lx.Reset(filename, src)
 	p.lex()
 	f := p.parseFile()
 	errs := append(p.lx.Errors(), p.errs...)
@@ -53,27 +54,19 @@ func ParseFile(filename, src string) (*ast.File, error) {
 // when every slot holds a token not yet consumed.
 func (p *Parser) lex() {
 	if p.lexed-p.pos == len(p.win) {
-		p.win = grow(p.win, p.pos, p.lexed)
-		if p.offs != nil {
-			p.offs = grow(p.offs, p.pos, p.lexed)
-		}
+		p.grow()
 	}
-	i := p.lexed & (len(p.win) - 1)
-	p.win[i] = p.lx.Next()
-	if p.offs != nil {
-		p.offs[i] = p.lx.Offset()
-	}
+	p.win[p.lexed&(len(p.win)-1)] = p.lx.Next()
 	p.lexed++
 }
 
-// grow returns a ring twice the size of r holding r's entries from index
-// lo up to hi, counted from the start of the file.
-func grow[T any](r []T, lo, hi int) []T {
-	out := make([]T, 2*len(r))
-	for i := lo; i < hi; i++ {
-		out[i&(len(out)-1)] = r[i&(len(r)-1)]
+// grow doubles the ring, keeping the tokens from the current one on.
+func (p *Parser) grow() {
+	out := make([]token.Token, 2*len(p.win))
+	for i := p.pos; i < p.lexed; i++ {
+		out[i&(len(out)-1)] = p.win[i&(len(p.win)-1)]
 	}
-	return out
+	p.win = out
 }
 
 // la returns the token k places after the current one. The lexer yields
@@ -104,6 +97,9 @@ func (p *Parser) next() *token.Token {
 
 func (p *Parser) at(k token.Kind) bool { return p.cur().Kind == k }
 
+// here returns the position of the current token.
+func (p *Parser) here() token.Pos { return p.cur().Pos(p.file) }
+
 func (p *Parser) accept(k token.Kind) bool {
 	if p.at(k) {
 		p.next()
@@ -117,14 +113,16 @@ func (p *Parser) expect(k token.Kind) *token.Token {
 		return p.next()
 	}
 	p.errorf("expected %s, found %s", k, p.cur())
-	return &token.Token{Kind: k, Pos: p.cur().Pos}
+	t := *p.cur()
+	t.Kind, t.Lit = k, ""
+	return &t
 }
 
 func (p *Parser) errorf(format string, args ...any) {
 	if p.idx != nil {
 		panic(reject{}) // the recognizer stops at the first error
 	}
-	p.errs = append(p.errs, fmt.Errorf("%s: %s", p.cur().Pos, fmt.Sprintf(format, args...)))
+	p.errs = append(p.errs, fmt.Errorf("%s: %s", p.here(), fmt.Sprintf(format, args...)))
 }
 
 // sync skips tokens until a likely statement/declaration boundary: a
@@ -137,7 +135,7 @@ func (p *Parser) sync() {
 	first := true
 	for {
 		t := p.cur()
-		if !first && t.Pos.Column == 1 && t.Kind.IsTypeKeyword() {
+		if !first && t.Column == 1 && t.Kind.IsTypeKeyword() {
 			return
 		}
 		first = false
@@ -183,7 +181,7 @@ func (p *Parser) parseFile() *ast.File {
 // parseTopDecl parses one top-level declaration. Struct declarations are
 // stored on the file and nil is returned for them.
 func (p *Parser) parseTopDecl(f *ast.File) ast.Decl {
-	pos := p.cur().Pos
+	pos := p.here()
 	extern := p.accept(token.KwExtern)
 	static := p.accept(token.KwStatic)
 	// A struct declaration: struct tag { ... };
@@ -217,7 +215,7 @@ func (p *Parser) parseTopDecl(f *ast.File) ast.Decl {
 }
 
 func (p *Parser) parseStructDecl() *ast.StructDecl {
-	pos := p.expect(token.KwStruct).Pos
+	pos := p.expect(token.KwStruct).Pos(p.file)
 	tag := p.expect(token.IDENT).Lit
 	sd := &ast.StructDecl{Tag: tag, P: pos}
 	if p.accept(token.SEMI) { // opaque forward declaration
@@ -291,7 +289,7 @@ func (p *Parser) parseFuncRest(result ast.Type, name string, pos token.Pos, exte
 			p.next() // f(void)
 		} else {
 			for {
-				ppos := p.cur().Pos
+				ppos := p.here()
 				pt, ok := p.parseType()
 				if !ok {
 					p.errorf("expected parameter type, found %s", p.cur())
@@ -321,31 +319,32 @@ func (p *Parser) parseFuncRest(result ast.Type, name string, pos token.Pos, exte
 // Statements
 
 func (p *Parser) parseBlock() *ast.BlockStmt {
-	b := &ast.BlockStmt{P: p.cur().Pos}
+	b := node(&p.tree.blocks, ast.BlockStmt{P: p.here()})
 	p.expect(token.LBRACE)
+	mark := len(p.tree.stmts)
 	for !p.at(token.RBRACE) && !p.at(token.EOF) {
 		before := p.pos
-		s := p.parseStmt()
-		if s != nil {
-			b.Stmts = append(b.Stmts, s)
+		if s := p.parseStmt(); s != nil {
+			p.tree.stmts = append(p.tree.stmts, s)
 		}
 		if p.pos == before {
 			p.errorf("unexpected token %s in block", p.cur())
 			p.next()
 		}
 	}
+	b.Stmts = p.tree.stmtList(mark)
 	p.expect(token.RBRACE)
 	return b
 }
 
 func (p *Parser) parseStmt() ast.Stmt {
-	pos := p.cur().Pos
+	pos := p.here()
 	switch p.cur().Kind {
 	case token.LBRACE:
 		return p.parseBlock()
 	case token.SEMI:
 		p.next()
-		return &ast.EmptyStmt{P: pos}
+		return node(&p.tree.empties, ast.EmptyStmt{P: pos})
 	case token.KwIf:
 		return p.parseIf()
 	case token.KwWhile:
@@ -360,7 +359,7 @@ func (p *Parser) parseStmt() ast.Stmt {
 		p.next()
 		lbl := p.expect(token.IDENT).Lit
 		p.expect(token.SEMI)
-		return &ast.GotoStmt{Label: lbl, P: pos}
+		return node(&p.tree.gotos, ast.GotoStmt{Label: lbl, P: pos})
 	case token.KwReturn:
 		p.next()
 		var x ast.Expr
@@ -368,22 +367,22 @@ func (p *Parser) parseStmt() ast.Stmt {
 			x = p.parseExpr()
 		}
 		p.expect(token.SEMI)
-		return &ast.ReturnStmt{X: x, P: pos}
+		return node(&p.tree.returns, ast.ReturnStmt{X: x, P: pos})
 	case token.KwBreak:
 		p.next()
 		p.expect(token.SEMI)
-		return &ast.BreakStmt{P: pos}
+		return node(&p.tree.breaks, ast.BreakStmt{P: pos})
 	case token.KwContinue:
 		p.next()
 		p.expect(token.SEMI)
-		return &ast.ContinueStmt{P: pos}
+		return node(&p.tree.continues, ast.ContinueStmt{P: pos})
 	case token.KwAssert:
 		p.next()
 		p.expect(token.LPAREN)
 		x := p.parseExpr()
 		p.expect(token.RPAREN)
 		p.expect(token.SEMI)
-		return &ast.AssertStmt{X: x, P: pos}
+		return node(&p.tree.asserts, ast.AssertStmt{X: x, P: pos})
 	case token.KwAsm:
 		p.next()
 		p.expect(token.LPAREN)
@@ -395,7 +394,7 @@ func (p *Parser) parseStmt() ast.Stmt {
 		if p.skipParens() {
 			p.expect(token.SEMI)
 		}
-		return &ast.AsmStmt{Text: txt, P: pos}
+		return node(&p.tree.asms, ast.AsmStmt{Text: txt, P: pos})
 	case token.IDENT:
 		// Either a label, a typedef-name declaration, or an expression.
 		if p.peek().Kind == token.COLON {
@@ -403,11 +402,11 @@ func (p *Parser) parseStmt() ast.Stmt {
 			p.next() // ':'
 			var inner ast.Stmt
 			if p.at(token.RBRACE) {
-				inner = &ast.EmptyStmt{P: pos} // label at end of block
+				inner = node(&p.tree.empties, ast.EmptyStmt{P: pos}) // label at end of block
 			} else {
 				inner = p.parseStmt()
 			}
-			return &ast.LabeledStmt{Label: name, Stmt: inner, P: pos}
+			return node(&p.tree.labeled, ast.LabeledStmt{Label: name, Stmt: inner, P: pos})
 		}
 		if p.looksLikeDecl() {
 			return p.parseDeclStmt()
@@ -448,7 +447,7 @@ func (p *Parser) looksLikeDecl() bool {
 }
 
 func (p *Parser) parseDeclStmt() ast.Stmt {
-	pos := p.cur().Pos
+	pos := p.here()
 	typ, ok := p.parseType()
 	if !ok {
 		p.errorf("expected type in declaration, found %s", p.cur())
@@ -456,34 +455,37 @@ func (p *Parser) parseDeclStmt() ast.Stmt {
 		return nil
 	}
 	// Possibly several declarators: int a = 1, b;
-	var stmts []ast.Stmt
+	mark := len(p.tree.stmts)
 	for {
 		name := p.expect(token.IDENT).Lit
 		var init ast.Expr
 		if p.accept(token.ASSIGN) {
 			init = p.parseExpr()
 		}
-		stmts = append(stmts, &ast.DeclStmt{Type: typ, Name: name, Init: init, P: pos})
+		d := node(&p.tree.decls, ast.DeclStmt{Type: typ, Name: name, Init: init, P: pos})
+		p.tree.stmts = append(p.tree.stmts, d)
 		if !p.accept(token.COMMA) {
 			break
 		}
 	}
 	p.expect(token.SEMI)
-	if len(stmts) == 1 {
-		return stmts[0]
+	if len(p.tree.stmts) == mark+1 {
+		d := p.tree.stmts[mark]
+		p.tree.stmts = truncate(p.tree.stmts, mark)
+		return d
 	}
-	return &ast.BlockStmt{Stmts: stmts, P: pos}
+	return node(&p.tree.blocks, ast.BlockStmt{Stmts: p.tree.stmtList(mark), P: pos})
 }
 
 func (p *Parser) parseExprStmt() ast.Stmt {
-	pos := p.cur().Pos
+	pos := p.here()
 	x := p.parseExpr()
 	p.expect(token.SEMI)
-	return &ast.ExprStmt{X: x, P: pos}
+	return node(&p.tree.exprStmts, ast.ExprStmt{X: x, P: pos})
 }
 
 func (p *Parser) parseIf() ast.Stmt {
-	pos := p.expect(token.KwIf).Pos
+	pos := p.expect(token.KwIf).Pos(p.file)
 	p.expect(token.LPAREN)
 	cond := p.parseExpr()
 	p.expect(token.RPAREN)
@@ -492,39 +494,39 @@ func (p *Parser) parseIf() ast.Stmt {
 	if p.accept(token.KwElse) {
 		els = p.parseStmt()
 	}
-	return &ast.IfStmt{Cond: cond, Then: then, Else: els, P: pos}
+	return node(&p.tree.ifs, ast.IfStmt{Cond: cond, Then: then, Else: els, P: pos})
 }
 
 func (p *Parser) parseWhile() ast.Stmt {
-	pos := p.expect(token.KwWhile).Pos
+	pos := p.expect(token.KwWhile).Pos(p.file)
 	p.expect(token.LPAREN)
 	cond := p.parseExpr()
 	p.expect(token.RPAREN)
 	body := p.parseStmt()
-	return &ast.WhileStmt{Cond: cond, Body: body, P: pos}
+	return node(&p.tree.whiles, ast.WhileStmt{Cond: cond, Body: body, P: pos})
 }
 
 func (p *Parser) parseDoWhile() ast.Stmt {
-	pos := p.expect(token.KwDo).Pos
+	pos := p.expect(token.KwDo).Pos(p.file)
 	body := p.parseStmt()
 	p.expect(token.KwWhile)
 	p.expect(token.LPAREN)
 	cond := p.parseExpr()
 	p.expect(token.RPAREN)
 	p.expect(token.SEMI)
-	return &ast.DoWhileStmt{Body: body, Cond: cond, P: pos}
+	return node(&p.tree.doWhiles, ast.DoWhileStmt{Body: body, Cond: cond, P: pos})
 }
 
 func (p *Parser) parseFor() ast.Stmt {
-	pos := p.expect(token.KwFor).Pos
+	pos := p.expect(token.KwFor).Pos(p.file)
 	p.expect(token.LPAREN)
-	f := &ast.ForStmt{P: pos}
+	f := node(&p.tree.fors, ast.ForStmt{P: pos})
 	if !p.at(token.SEMI) {
 		if p.cur().Kind.IsTypeKeyword() || p.looksLikeDecl() {
 			f.Init = p.parseDeclStmt() // consumes the ';'
 		} else {
 			x := p.parseExpr()
-			f.Init = &ast.ExprStmt{X: x, P: pos}
+			f.Init = node(&p.tree.exprStmts, ast.ExprStmt{X: x, P: pos})
 			p.expect(token.SEMI)
 		}
 	} else {
@@ -543,36 +545,48 @@ func (p *Parser) parseFor() ast.Stmt {
 }
 
 func (p *Parser) parseSwitch() ast.Stmt {
-	pos := p.expect(token.KwSwitch).Pos
+	pos := p.expect(token.KwSwitch).Pos(p.file)
 	p.expect(token.LPAREN)
 	tag := p.parseExpr()
 	p.expect(token.RPAREN)
 	p.expect(token.LBRACE)
-	sw := &ast.SwitchStmt{Tag: tag, P: pos}
+	sw := node(&p.tree.switches, ast.SwitchStmt{Tag: tag, P: pos})
+	// The current clause's statements collect on the statement stack from
+	// smark on until the next clause starts.
+	cmark, smark := len(p.tree.cases), len(p.tree.stmts)
 	var cur *ast.CaseClause
 	for !p.at(token.RBRACE) && !p.at(token.EOF) {
+		var next *ast.CaseClause
 		switch {
 		case p.accept(token.KwCase):
 			v := p.parseExpr()
 			p.expect(token.COLON)
-			cur = &ast.CaseClause{Value: v, P: pos}
-			sw.Cases = append(sw.Cases, cur)
+			next = node(&p.tree.clauses, ast.CaseClause{Value: v, P: pos})
 		case p.accept(token.KwDefault):
 			p.expect(token.COLON)
-			cur = &ast.CaseClause{IsDefault: true, P: pos}
-			sw.Cases = append(sw.Cases, cur)
+			next = node(&p.tree.clauses, ast.CaseClause{IsDefault: true, P: pos})
 		default:
 			s := p.parseStmt()
 			if cur == nil {
 				p.errorf("statement before first case in switch")
-				cur = &ast.CaseClause{IsDefault: true, P: pos}
-				sw.Cases = append(sw.Cases, cur)
+				next = node(&p.tree.clauses, ast.CaseClause{IsDefault: true, P: pos})
 			}
 			if s != nil {
-				cur.Body = append(cur.Body, s)
+				p.tree.stmts = append(p.tree.stmts, s)
 			}
 		}
+		if next != nil {
+			if cur != nil {
+				cur.Body = p.tree.stmtList(smark)
+			}
+			cur = next
+			p.tree.cases = append(p.tree.cases, cur)
+		}
 	}
+	if cur != nil {
+		cur.Body = p.tree.stmtList(smark)
+	}
+	sw.Cases = p.tree.caseList(cmark)
 	p.expect(token.RBRACE)
 	return sw
 }
@@ -588,7 +602,7 @@ func (p *Parser) parseExpr() ast.Expr {
 	case token.ASSIGN, token.PLUSASSIGN, token.MINUSASSIGN:
 		op := p.next().Kind
 		rhs := p.parseExpr()
-		return &ast.AssignExpr{Op: op, LHS: lhs, RHS: rhs, P: lhs.Pos()}
+		return node(&p.tree.assigns, ast.AssignExpr{Op: op, LHS: lhs, RHS: rhs, P: lhs.Pos()})
 	}
 	return lhs
 }
@@ -637,14 +651,14 @@ func (p *Parser) parseBinary(minPrec int) ast.Expr {
 		if !ok || prec < minPrec {
 			return lhs
 		}
-		pos := p.next().Pos
+		pos := p.next().Pos(p.file)
 		rhs := p.parseBinary(prec + 1)
-		lhs = &ast.BinaryExpr{Op: op, X: lhs, Y: rhs, P: pos}
+		lhs = node(&p.tree.binaries, ast.BinaryExpr{Op: op, X: lhs, Y: rhs, P: pos})
 	}
 }
 
 func (p *Parser) parseUnary() ast.Expr {
-	pos := p.cur().Pos
+	pos := p.here()
 	switch p.cur().Kind {
 	case token.NOT, token.MINUS, token.TILDE, token.STAR, token.AMP, token.PLUS:
 		op := p.next().Kind
@@ -652,11 +666,11 @@ func (p *Parser) parseUnary() ast.Expr {
 		if op == token.PLUS {
 			return x
 		}
-		return &ast.UnaryExpr{Op: op, X: x, P: pos}
+		return node(&p.tree.unaries, ast.UnaryExpr{Op: op, X: x, P: pos})
 	case token.PLUSPLUS, token.MINUSMINUS:
 		op := p.next().Kind
 		x := p.parseUnary()
-		return &ast.IncDecExpr{Op: op, X: x, P: pos}
+		return node(&p.tree.incDecs, ast.IncDecExpr{Op: op, X: x, P: pos})
 	case token.KwSizeof:
 		p.next()
 		if p.accept(token.LPAREN) {
@@ -665,7 +679,7 @@ func (p *Parser) parseUnary() ast.Expr {
 			p.parseUnary()
 		}
 		// Abstract sizeof as an unknown positive — a random value.
-		return &ast.RandomExpr{P: pos}
+		return node(&p.tree.randoms, ast.RandomExpr{P: pos})
 	}
 	return p.parsePostfix()
 }
@@ -673,24 +687,24 @@ func (p *Parser) parseUnary() ast.Expr {
 func (p *Parser) parsePostfix() ast.Expr {
 	x := p.parsePrimary()
 	for {
-		pos := p.cur().Pos
+		pos := p.here()
 		switch p.cur().Kind {
 		case token.ARROW:
 			p.next()
 			name := p.expect(token.IDENT).Lit
-			x = &ast.FieldExpr{X: x, Name: name, Arrow: true, P: pos}
+			x = node(&p.tree.fields, ast.FieldExpr{X: x, Name: name, Arrow: true, P: pos})
 		case token.DOT:
 			p.next()
 			name := p.expect(token.IDENT).Lit
-			x = &ast.FieldExpr{X: x, Name: name, P: pos}
+			x = node(&p.tree.fields, ast.FieldExpr{X: x, Name: name, P: pos})
 		case token.LBRACK:
 			p.next()
 			idx := p.parseExpr()
 			p.expect(token.RBRACK)
-			x = &ast.IndexExpr{X: x, Index: idx, P: pos}
+			x = node(&p.tree.indexes, ast.IndexExpr{X: x, Index: idx, P: pos})
 		case token.PLUSPLUS, token.MINUSMINUS:
 			op := p.next().Kind
-			x = &ast.IncDecExpr{Op: op, X: x, P: pos}
+			x = node(&p.tree.incDecs, ast.IncDecExpr{Op: op, X: x, P: pos})
 		default:
 			return x
 		}
@@ -698,46 +712,49 @@ func (p *Parser) parsePostfix() ast.Expr {
 }
 
 func (p *Parser) parsePrimary() ast.Expr {
-	pos := p.cur().Pos
+	pos := p.here()
 	switch p.cur().Kind {
 	case token.IDENT:
 		name := p.next().Lit
 		if p.accept(token.LPAREN) {
-			call := &ast.CallExpr{Fun: name, P: pos}
+			call := node(&p.tree.calls, ast.CallExpr{Fun: name, P: pos})
+			mark := len(p.tree.exprs)
 			if !p.at(token.RPAREN) {
 				for {
-					call.Args = append(call.Args, p.parseExpr())
+					x := p.parseExpr()
+					p.tree.exprs = append(p.tree.exprs, x)
 					if !p.accept(token.COMMA) {
 						break
 					}
 				}
 			}
+			call.Args = p.tree.exprList(mark)
 			p.expect(token.RPAREN)
 			return call
 		}
-		return &ast.Ident{Name: name, P: pos}
+		return node(&p.tree.idents, ast.Ident{Name: name, P: pos})
 	case token.INT:
 		t := p.next()
 		v, err := parseIntLit(t.Lit)
 		if err != nil {
-			p.errs = append(p.errs, fmt.Errorf("%s: bad integer literal %q", t.Pos, t.Lit))
+			p.errs = append(p.errs, fmt.Errorf("%s: bad integer literal %q", t.Pos(p.file), t.Lit))
 		}
-		return &ast.IntLit{Value: v, Text: t.Lit, P: pos}
+		return node(&p.tree.ints, ast.IntLit{Value: v, Text: t.Lit, P: pos})
 	case token.KwTrue:
 		p.next()
-		return &ast.BoolLit{Value: true, P: pos}
+		return node(&p.tree.bools, ast.BoolLit{Value: true, P: pos})
 	case token.KwFalse:
 		p.next()
-		return &ast.BoolLit{Value: false, P: pos}
+		return node(&p.tree.bools, ast.BoolLit{Value: false, P: pos})
 	case token.KwNull:
 		p.next()
-		return &ast.NullLit{P: pos}
+		return node(&p.tree.nulls, ast.NullLit{P: pos})
 	case token.KwRandom:
 		p.next()
 		if p.accept(token.LPAREN) {
 			p.expect(token.RPAREN)
 		}
-		return &ast.RandomExpr{P: pos}
+		return node(&p.tree.randoms, ast.RandomExpr{P: pos})
 	case token.LPAREN:
 		p.next()
 		// Cast: (type) expr — the analysis is untyped, drop the cast.
@@ -754,11 +771,11 @@ func (p *Parser) parsePrimary() ast.Expr {
 		// String literals appear only as opaque arguments (e.g. dev_err);
 		// model as a random value.
 		_ = t
-		return &ast.RandomExpr{P: pos}
+		return node(&p.tree.randoms, ast.RandomExpr{P: pos})
 	}
 	p.errorf("expected expression, found %s", p.cur())
 	p.next()
-	return &ast.IntLit{Value: 0, Text: "0", P: pos}
+	return node(&p.tree.ints, ast.IntLit{Value: 0, Text: "0", P: pos})
 }
 
 // skipParens consumes tokens up to and including the ')' that closes a

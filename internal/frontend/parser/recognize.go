@@ -1,11 +1,9 @@
 package parser
 
 import (
-	"errors"
 	"slices"
 
 	"repro/internal/frontend/ast"
-	"repro/internal/frontend/lexer"
 	"repro/internal/frontend/token"
 )
 
@@ -53,7 +51,8 @@ type reject struct{}
 // ParseFile reports an error; the recognizer keeps no message, so a
 // caller re-parses a rejected file with ParseFile for one.
 func Recognize(filename, src string) (idx Index, ok bool) {
-	p := &Parser{lx: lexer.New(filename, src), win: make([]token.Token, 8), offs: make([]int, 8), file: filename, idx: &idx}
+	p := &Parser{win: make([]token.Token, 8), file: filename, idx: &idx}
+	p.lx.Reset(filename, src)
 	defer func() {
 		if r := recover(); r != nil {
 			if _, isReject := r.(reject); !isReject {
@@ -73,24 +72,11 @@ func Recognize(filename, src string) (idx Index, ok bool) {
 	return idx, len(p.lx.Errors()) == 0
 }
 
-// ParseBody parses the function body that Recognize located at start.
-// The recognizer accepted the whole file, so an error here means the two
-// disagree.
-func ParseBody(filename, src string, start BodyStart) (*ast.BlockStmt, error) {
-	p := &Parser{lx: lexer.NewAt(filename, src, start.Off, start.Line, start.Col), win: make([]token.Token, 8), file: filename}
-	p.lex()
-	b := p.parseBlock()
-	if errs := append(p.lx.Errors(), p.errs...); len(errs) > 0 {
-		return b, errors.Join(errs...)
-	}
-	return b, nil
-}
-
 // The rec* methods below mirror the parse* methods they are named after,
 // token decision for token decision, and keep only what FuncInfo records.
 
 func (p *Parser) recTopDecl() {
-	pos := p.cur().Pos
+	pos := p.here()
 	p.accept(token.KwExtern)
 	p.accept(token.KwStatic)
 	if p.at(token.KwStruct) && p.peek().Kind == token.IDENT {
@@ -163,7 +149,7 @@ func (p *Parser) recFuncRest(result ast.Type, name string, pos token.Pos) {
 		return
 	}
 	t := p.cur()
-	start := BodyStart{Off: p.offs[p.pos&(len(p.offs)-1)], Line: t.Pos.Line, Col: t.Pos.Column}
+	start := BodyStart{Off: int(t.Off), Line: int(t.Line), Col: int(t.Column)}
 	cstart := len(p.strs)
 	fi := FuncInfo{Name: name, HasRet: !result.IsVoid(), Pos: pos, Body: start}
 	var ginfo gotoInfo
@@ -206,7 +192,6 @@ func (p *Parser) recBlock(g *gotoInfo) {
 }
 
 func (p *Parser) recStmt(g *gotoInfo) {
-	pos := p.cur().Pos
 	switch p.cur().Kind {
 	case token.LBRACE:
 		p.recBlock(g)
@@ -234,7 +219,7 @@ func (p *Parser) recStmt(g *gotoInfo) {
 	case token.KwSwitch:
 		p.recSwitch(g)
 	case token.KwGoto:
-		p.next()
+		pos := p.next().Pos(p.file)
 		lbl := p.expect(token.IDENT).Lit
 		p.expect(token.SEMI)
 		g.gotos = append(g.gotos, Goto{Label: lbl, Pos: pos})

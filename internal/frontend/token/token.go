@@ -10,7 +10,7 @@ package token
 import "fmt"
 
 // Kind identifies the lexical class of a token.
-type Kind int
+type Kind int32
 
 // Token kinds. The zero value is ILLEGAL so that an uninitialized token is
 // never mistaken for a valid one.
@@ -215,12 +215,22 @@ func (p Pos) String() string {
 	return fmt.Sprintf("%s:%d:%d", p.File, p.Line, p.Column)
 }
 
-// Token is a single lexical token with its source position and, for
+// Token is a single lexical token with its place in the source and, for
 // variable-content kinds (IDENT, INT, STRING, COMMENT), its literal text.
+// It carries no file name, which its scanner knows; Pos adds one. Lines,
+// columns (counted in runes) and byte offsets are int32, which keeps a
+// token at 32 bytes and limits a source to 2 GiB.
 type Token struct {
-	Kind Kind
-	Lit  string
-	Pos  Pos
+	Kind   Kind
+	Line   int32
+	Column int32
+	Off    int32 // byte offset of the token's first byte
+	Lit    string
+}
+
+// Pos returns the token's position in the named file.
+func (t Token) Pos(file string) Pos {
+	return Pos{File: file, Line: int(t.Line), Column: int(t.Column)}
 }
 
 // String renders the token for diagnostics.

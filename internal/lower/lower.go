@@ -14,6 +14,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 
 	"repro/internal/frontend/ast"
@@ -195,11 +196,14 @@ func loadFile(name, src string, opts Options) (loweredFile, error) {
 		fn.Params = paramNames(fi.Params)
 		start := fi.Body
 		fn.Defer(func() *ir.Body {
-			body, err := parser.ParseBody(fn.SrcFile, src, start)
+			var body *ir.Body
+			err := parser.ParseBody(fn.SrcFile, src, start, func(tree *ast.BlockStmt) {
+				body = lowerBody(tree, fn.Pos, opts)
+			})
 			if err != nil {
 				panic(fmt.Sprintf("lower: recognized body of %s does not parse: %v", fn.Name, err))
 			}
-			return lowerBody(body, fn.Pos, opts)
+			return body
 		})
 		lf.funcs[i] = fn
 	}
@@ -246,22 +250,62 @@ type loweringError struct {
 
 func (e *loweringError) Error() string { return fmt.Sprintf("%s: %s", e.pos, e.msg) }
 
+// funcLowerer lowers one body. Its memory is recycled (lowerers): it
+// emits instructions into a scratch list in emission order, each tagged
+// with its block, and keeps the call arguments of the emitted calls in
+// the same order; freeze copies both into the body's own arrays.
 type funcLowerer struct {
-	opts    Options
-	fn      *ir.Body
-	cur     *ir.Block
-	ntemp   int
-	labels  map[string]*ir.Block
-	gotos   []pendingGoto
-	brk     []*ir.Block // break target stack
-	cont    []*ir.Block // continue target stack
-	deadCnt int
+	opts   Options
+	instrs []ir.Instr
+	meta   []instrMeta // meta[i] describes instrs[i]
+	blocks []blockState
+	args   []ir.Value // the emitted calls' arguments, call after call
+	stack  []ir.Value // arguments of the calls being lowered
+	cur    int        // the block being filled
+	ntemp  int
+	labels map[string]int
+	gotos  []pendingGoto
+	brk    []int // break target stack
+	cont   []int // continue target stack
+}
+
+type instrMeta struct {
+	block int32 // the block the instruction belongs to
+	nargs int32 // a call's number of arguments
+}
+
+type blockState struct {
+	n    int  // instructions emitted into the block
+	term bool // the last of them is a terminator
 }
 
 type pendingGoto struct {
-	block *ir.Block // block whose terminator must be patched
+	instr int // index in instrs of the branch to patch
 	label string
 }
+
+// lowerers recycles funcLowerers with their scratch lists.
+var lowerers = sync.Pool{New: func() any { return &funcLowerer{labels: make(map[string]int)} }}
+
+// tempNames holds "%t1", "%t2", ... for the temporaries of all but the
+// largest bodies, cut from one string, so naming a temporary allocates
+// nothing.
+var tempNames = func() []string {
+	const n = 1024
+	var sb strings.Builder
+	ends := make([]int, n+1)
+	for i := 1; i <= n; i++ {
+		sb.WriteString("%t")
+		sb.WriteString(strconv.Itoa(i))
+		ends[i] = sb.Len()
+	}
+	all := sb.String()
+	names := make([]string, n+1)
+	for i := 1; i <= n; i++ {
+		names[i] = all[ends[i-1]:ends[i]]
+	}
+	return names
+}()
 
 // declare returns fd's function with its signature and Calls filled in
 // and its body deferred to lowerBody. Calls and the label check walk the
@@ -317,58 +361,151 @@ func declare(fd *ast.FuncDecl, srcFile string, opts Options) (*ir.Func, error) {
 // lowerBody lowers the body of the function declared at pos. Its gotos
 // have been checked.
 func lowerBody(body *ast.BlockStmt, pos token.Pos, opts Options) *ir.Body {
-	fn := &ir.Body{}
-	lw := &funcLowerer{opts: opts, fn: fn, labels: make(map[string]*ir.Block)}
-	lw.cur = fn.NewBlock()
+	lw := lowerers.Get().(*funcLowerer)
+	lw.opts = opts
+	lw.cur = lw.newBlock()
 	lw.stmt(body)
 	lw.terminateWithReturn(pos)
 	for _, g := range lw.gotos {
-		g.block.Terminator().Target = lw.labels[g.label].Index
+		lw.instrs[g.instr].Target = lw.labels[g.label]
 	}
-	// Seal dead continuation blocks (after return/goto/break) so every
-	// block satisfies the terminator invariant.
-	for _, b := range fn.Blocks {
-		if b.Terminator() == nil {
-			b.Instrs = append(b.Instrs, &ir.Instr{Op: ir.OpReturn, HasVal: false, Pos: pos})
+	fn := lw.freeze(pos)
+	lw.release()
+	return fn
+}
+
+// freeze builds the body from the scratch lists, sealing each block left
+// without a terminator (a dead continuation after return, goto or break)
+// with a return at pos. The body takes five arrays, each of exact size:
+// the instructions grouped by block, the blocks, a pointer to each of
+// them, and every call's arguments.
+func (lw *funcLowerer) freeze(pos token.Pos) *ir.Body {
+	n := len(lw.instrs)
+	for _, b := range lw.blocks {
+		if !b.term {
+			n++
+		}
+	}
+	instrs := make([]ir.Instr, n)
+	ptrs := make([]*ir.Instr, n)
+	for i := range instrs {
+		ptrs[i] = &instrs[i]
+	}
+	blocks := make([]ir.Block, len(lw.blocks))
+	fn := &ir.Body{Blocks: make([]*ir.Block, len(blocks))}
+	off := 0
+	for i := range lw.blocks {
+		b := &lw.blocks[i]
+		end := off + b.n
+		if !b.term {
+			instrs[end] = ir.Instr{Op: ir.OpReturn, HasVal: false, Pos: pos}
+			end++
+		}
+		blocks[i] = ir.Block{Index: i, Instrs: ptrs[off:end:end]}
+		fn.Blocks[i] = &blocks[i]
+		b.n = off // from here on, the slot of the block's next instruction
+		off = end
+	}
+	args := make([]ir.Value, len(lw.args))
+	copy(args, lw.args)
+	for i, m := range lw.meta {
+		b := &lw.blocks[m.block]
+		in := &instrs[b.n]
+		b.n++
+		*in = lw.instrs[i]
+		if in.Op == ir.OpCall {
+			in.Args, args = args[:m.nargs:m.nargs], args[m.nargs:]
 		}
 	}
 	// Count conditional branches for the §5.2 category-2 complexity gate.
 	for _, b := range fn.Blocks {
-		if t := b.Terminator(); t != nil && t.Op == ir.OpBranchCond && t.True != t.False {
+		if t := b.Terminator(); t.Op == ir.OpBranchCond && t.True != t.False {
 			fn.NumConds++
 		}
 	}
 	return fn
 }
 
-func (lw *funcLowerer) emit(in *ir.Instr) {
-	if lw.cur.Terminator() != nil {
-		// Unreachable code after return/goto: drop it.
-		lw.deadCnt++
-		return
+// release clears what lw holds of the body it lowered and returns it to
+// lowerers.
+func (lw *funcLowerer) release() {
+	lw.instrs = truncate(lw.instrs, 0)
+	lw.meta = lw.meta[:0]
+	lw.blocks = lw.blocks[:0]
+	lw.args = truncate(lw.args, 0)
+	lw.gotos = truncate(lw.gotos, 0)
+	lw.brk, lw.cont = lw.brk[:0], lw.cont[:0]
+	clear(lw.labels)
+	lw.ntemp = 0
+	lowerers.Put(lw)
+}
+
+// truncate cuts s to length n, zeroing the entries it drops.
+func truncate[T any](s []T, n int) []T {
+	clear(s[n:])
+	return s[:n]
+}
+
+func (lw *funcLowerer) newBlock() int {
+	lw.blocks = append(lw.blocks, blockState{})
+	return len(lw.blocks) - 1
+}
+
+// terminated reports whether the current block has its terminator.
+func (lw *funcLowerer) terminated() bool { return lw.blocks[lw.cur].term }
+
+// emit appends in to the current block and reports whether it did: code
+// after a terminator is unreachable and dropped.
+func (lw *funcLowerer) emit(in ir.Instr) bool {
+	b := &lw.blocks[lw.cur]
+	if b.term {
+		return false
 	}
-	lw.cur.Instrs = append(lw.cur.Instrs, in)
+	b.n++
+	b.term = in.IsTerminator()
+	lw.instrs = append(lw.instrs, in)
+	lw.meta = append(lw.meta, instrMeta{block: int32(lw.cur)})
+	return true
+}
+
+// pushArgs lowers a call's arguments onto the argument stack and returns
+// where they start.
+func (lw *funcLowerer) pushArgs(args []ast.Expr) int {
+	mark := len(lw.stack)
+	for _, a := range args {
+		v := lw.expr(a)
+		lw.stack = append(lw.stack, v)
+	}
+	return mark
+}
+
+// emitCall emits the call in with the arguments pushed since mark.
+func (lw *funcLowerer) emitCall(in ir.Instr, mark int) {
+	if lw.emit(in) {
+		lw.args = append(lw.args, lw.stack[mark:]...)
+		lw.meta[len(lw.meta)-1].nargs = int32(len(lw.stack) - mark)
+	}
+	lw.stack = truncate(lw.stack, mark)
 }
 
 func (lw *funcLowerer) temp() string {
 	lw.ntemp++
+	if lw.ntemp < len(tempNames) {
+		return tempNames[lw.ntemp]
+	}
 	return "%t" + strconv.Itoa(lw.ntemp)
 }
 
 // jump terminates the current block with an unconditional branch if it has
 // no terminator yet, then makes target the current block.
-func (lw *funcLowerer) jumpTo(target *ir.Block) {
-	if lw.cur.Terminator() == nil {
-		lw.emit(&ir.Instr{Op: ir.OpBranch, Target: target.Index})
-	}
+func (lw *funcLowerer) jumpTo(target int) {
+	lw.emit(ir.Instr{Op: ir.OpBranch, Target: target})
 	lw.cur = target
 }
 
 // terminateWithReturn seals the (possibly fallen-off) end of the function.
 func (lw *funcLowerer) terminateWithReturn(pos token.Pos) {
-	if lw.cur.Terminator() == nil {
-		lw.emit(&ir.Instr{Op: ir.OpReturn, HasVal: false, Pos: pos})
-	}
+	lw.emit(ir.Instr{Op: ir.OpReturn, HasVal: false, Pos: pos})
 }
 
 // ---------------------------------------------------------------------------
@@ -398,40 +535,39 @@ func (lw *funcLowerer) stmt(s ast.Stmt) {
 	case *ast.SwitchStmt:
 		lw.switchStmt(s)
 	case *ast.GotoStmt:
-		if lw.cur.Terminator() == nil {
-			lw.emit(&ir.Instr{Op: ir.OpBranch, Target: -1, Pos: s.P})
-			lw.gotos = append(lw.gotos, pendingGoto{lw.cur, s.Label})
-			lw.cur = lw.fn.NewBlock() // dead continuation
+		if lw.emit(ir.Instr{Op: ir.OpBranch, Target: -1, Pos: s.P}) {
+			lw.gotos = append(lw.gotos, pendingGoto{len(lw.instrs) - 1, s.Label})
+			lw.cur = lw.newBlock() // dead continuation
 		}
 	case *ast.LabeledStmt:
-		target := lw.fn.NewBlock()
+		target := lw.newBlock()
 		lw.labels[s.Label] = target
 		lw.jumpTo(target)
 		lw.stmt(s.Stmt)
 	case *ast.ReturnStmt:
-		if lw.cur.Terminator() != nil {
+		if lw.terminated() {
 			return
 		}
 		if s.X != nil {
 			v := lw.expr(s.X)
-			lw.emit(&ir.Instr{Op: ir.OpReturn, Val: v, HasVal: true, Pos: s.P})
+			lw.emit(ir.Instr{Op: ir.OpReturn, Val: v, HasVal: true, Pos: s.P})
 		} else {
-			lw.emit(&ir.Instr{Op: ir.OpReturn, HasVal: false, Pos: s.P})
+			lw.emit(ir.Instr{Op: ir.OpReturn, HasVal: false, Pos: s.P})
 		}
-		lw.cur = lw.fn.NewBlock()
+		lw.cur = lw.newBlock()
 	case *ast.BreakStmt:
-		if n := len(lw.brk); n > 0 && lw.cur.Terminator() == nil {
-			lw.emit(&ir.Instr{Op: ir.OpBranch, Target: lw.brk[n-1].Index, Pos: s.P})
-			lw.cur = lw.fn.NewBlock() // dead continuation
+		if n := len(lw.brk); n > 0 && !lw.terminated() {
+			lw.emit(ir.Instr{Op: ir.OpBranch, Target: lw.brk[n-1], Pos: s.P})
+			lw.cur = lw.newBlock() // dead continuation
 		}
 	case *ast.ContinueStmt:
-		if n := len(lw.cont); n > 0 && lw.cur.Terminator() == nil {
-			lw.emit(&ir.Instr{Op: ir.OpBranch, Target: lw.cont[n-1].Index, Pos: s.P})
-			lw.cur = lw.fn.NewBlock()
+		if n := len(lw.cont); n > 0 && !lw.terminated() {
+			lw.emit(ir.Instr{Op: ir.OpBranch, Target: lw.cont[n-1], Pos: s.P})
+			lw.cur = lw.newBlock()
 		}
 	case *ast.AssertStmt:
 		c := lw.condValue(s.X)
-		lw.emit(&ir.Instr{Op: ir.OpAssume, Cond: c, Pos: s.P})
+		lw.emit(ir.Instr{Op: ir.OpAssume, Cond: c, Pos: s.P})
 	case *ast.AsmStmt:
 		// Opaque; no effect in the abstraction.
 	default:
@@ -440,11 +576,11 @@ func (lw *funcLowerer) stmt(s ast.Stmt) {
 }
 
 func (lw *funcLowerer) ifStmt(s *ast.IfStmt) {
-	thenB := lw.fn.NewBlock()
-	exitB := lw.fn.NewBlock()
+	thenB := lw.newBlock()
+	exitB := lw.newBlock()
 	elseB := exitB
 	if s.Else != nil {
-		elseB = lw.fn.NewBlock()
+		elseB = lw.newBlock()
 	}
 	lw.cond(s.Cond, thenB, elseB)
 	lw.cur = thenB
@@ -459,9 +595,9 @@ func (lw *funcLowerer) ifStmt(s *ast.IfStmt) {
 }
 
 func (lw *funcLowerer) whileStmt(s *ast.WhileStmt) {
-	condB := lw.fn.NewBlock()
-	bodyB := lw.fn.NewBlock()
-	exitB := lw.fn.NewBlock()
+	condB := lw.newBlock()
+	bodyB := lw.newBlock()
+	exitB := lw.newBlock()
 	lw.jumpTo(condB)
 	lw.cond(s.Cond, bodyB, exitB)
 	lw.brk = append(lw.brk, exitB)
@@ -475,9 +611,9 @@ func (lw *funcLowerer) whileStmt(s *ast.WhileStmt) {
 }
 
 func (lw *funcLowerer) doWhileStmt(s *ast.DoWhileStmt) {
-	bodyB := lw.fn.NewBlock()
-	condB := lw.fn.NewBlock()
-	exitB := lw.fn.NewBlock()
+	bodyB := lw.newBlock()
+	condB := lw.newBlock()
+	exitB := lw.newBlock()
 	lw.jumpTo(bodyB)
 	lw.brk = append(lw.brk, exitB)
 	lw.cont = append(lw.cont, condB)
@@ -493,15 +629,15 @@ func (lw *funcLowerer) forStmt(s *ast.ForStmt) {
 	if s.Init != nil {
 		lw.stmt(s.Init)
 	}
-	condB := lw.fn.NewBlock()
-	bodyB := lw.fn.NewBlock()
-	postB := lw.fn.NewBlock()
-	exitB := lw.fn.NewBlock()
+	condB := lw.newBlock()
+	bodyB := lw.newBlock()
+	postB := lw.newBlock()
+	exitB := lw.newBlock()
 	lw.jumpTo(condB)
 	if s.Cond != nil {
 		lw.cond(s.Cond, bodyB, exitB)
 	} else {
-		lw.emit(&ir.Instr{Op: ir.OpBranch, Target: bodyB.Index})
+		lw.emit(ir.Instr{Op: ir.OpBranch, Target: bodyB})
 	}
 	lw.brk = append(lw.brk, exitB)
 	lw.cont = append(lw.cont, postB)
@@ -519,13 +655,14 @@ func (lw *funcLowerer) forStmt(s *ast.ForStmt) {
 
 func (lw *funcLowerer) switchStmt(s *ast.SwitchStmt) {
 	tag := lw.expr(s.Tag)
-	exitB := lw.fn.NewBlock()
+	exitB := lw.newBlock()
 	lw.brk = append(lw.brk, exitB)
 
+	// The case bodies are the n blocks from body0 on.
 	n := len(s.Cases)
-	bodies := make([]*ir.Block, n)
-	for i := range s.Cases {
-		bodies[i] = lw.fn.NewBlock()
+	body0 := len(lw.blocks)
+	for range s.Cases {
+		lw.newBlock()
 	}
 	// Chain of tests; default (if any) is the final fallback.
 	defaultIdx := -1
@@ -536,7 +673,7 @@ func (lw *funcLowerer) switchStmt(s *ast.SwitchStmt) {
 	}
 	fallback := exitB
 	if defaultIdx >= 0 {
-		fallback = bodies[defaultIdx]
+		fallback = body0 + defaultIdx
 	}
 	for i, c := range s.Cases {
 		if c.IsDefault {
@@ -544,20 +681,20 @@ func (lw *funcLowerer) switchStmt(s *ast.SwitchStmt) {
 		}
 		v := lw.expr(c.Value)
 		t := lw.temp()
-		lw.emit(&ir.Instr{Op: ir.OpCompare, Dst: t, Pred: ir.EQ, A: tag, B: v, Pos: c.P})
-		next := lw.fn.NewBlock()
-		lw.emit(&ir.Instr{Op: ir.OpBranchCond, Cond: ir.Var(t), True: bodies[i].Index, False: next.Index, Pos: c.P})
+		lw.emit(ir.Instr{Op: ir.OpCompare, Dst: t, Pred: ir.EQ, A: tag, B: v, Pos: c.P})
+		next := lw.newBlock()
+		lw.emit(ir.Instr{Op: ir.OpBranchCond, Cond: ir.Var(t), True: body0 + i, False: next, Pos: c.P})
 		lw.cur = next
 	}
 	lw.jumpTo(fallback)
 	// Case bodies with C fallthrough.
 	for i, c := range s.Cases {
-		lw.cur = bodies[i]
+		lw.cur = body0 + i
 		for _, st := range c.Body {
 			lw.stmt(st)
 		}
 		if i+1 < n {
-			lw.jumpTo(bodies[i+1])
+			lw.jumpTo(body0 + i + 1)
 		} else {
 			lw.jumpTo(exitB)
 		}
@@ -570,18 +707,18 @@ func (lw *funcLowerer) switchStmt(s *ast.SwitchStmt) {
 // Conditions
 
 // cond lowers a boolean expression as control flow into trueB / falseB.
-func (lw *funcLowerer) cond(e ast.Expr, trueB, falseB *ir.Block) {
+func (lw *funcLowerer) cond(e ast.Expr, trueB, falseB int) {
 	switch e := e.(type) {
 	case *ast.BinaryExpr:
 		switch e.Op {
 		case token.LAND:
-			mid := lw.fn.NewBlock()
+			mid := lw.newBlock()
 			lw.cond(e.X, mid, falseB)
 			lw.cur = mid
 			lw.cond(e.Y, trueB, falseB)
 			return
 		case token.LOR:
-			mid := lw.fn.NewBlock()
+			mid := lw.newBlock()
 			lw.cond(e.X, trueB, mid)
 			lw.cur = mid
 			lw.cond(e.Y, trueB, falseB)
@@ -594,7 +731,7 @@ func (lw *funcLowerer) cond(e ast.Expr, trueB, falseB *ir.Block) {
 		}
 	}
 	v := lw.condValue(e)
-	lw.emit(&ir.Instr{Op: ir.OpBranchCond, Cond: v, True: trueB.Index, False: falseB.Index, Pos: e.Pos()})
+	lw.emit(ir.Instr{Op: ir.OpBranchCond, Cond: v, True: trueB, False: falseB, Pos: e.Pos()})
 }
 
 // condValue lowers a boolean expression to a value suitable for branch or
@@ -607,7 +744,7 @@ func (lw *funcLowerer) condValue(e ast.Expr) ir.Value {
 			a := lw.expr(be.X)
 			b := lw.expr(be.Y)
 			t := lw.temp()
-			lw.emit(&ir.Instr{Op: ir.OpCompare, Dst: t, Pred: pred, A: a, B: b, Pos: be.P})
+			lw.emit(ir.Instr{Op: ir.OpCompare, Dst: t, Pred: pred, A: a, B: b, Pos: be.P})
 			return ir.Var(t)
 		}
 	}
@@ -615,7 +752,7 @@ func (lw *funcLowerer) condValue(e ast.Expr) ir.Value {
 		// !x as a value: x == 0.
 		a := lw.expr(ue.X)
 		t := lw.temp()
-		lw.emit(&ir.Instr{Op: ir.OpCompare, Dst: t, Pred: ir.EQ, A: a, B: ir.Int(0), Pos: ue.P})
+		lw.emit(ir.Instr{Op: ir.OpCompare, Dst: t, Pred: ir.EQ, A: a, B: ir.Int(0), Pos: ue.P})
 		return ir.Var(t)
 	}
 	return lw.expr(e)
@@ -628,8 +765,8 @@ func (lw *funcLowerer) condValue(e ast.Expr) ir.Value {
 func (lw *funcLowerer) exprForEffect(e ast.Expr) {
 	switch e := e.(type) {
 	case *ast.CallExpr:
-		args := lw.args(e.Args)
-		lw.emit(&ir.Instr{Op: ir.OpCall, Fn: e.Fun, Args: args, Pos: e.P})
+		mark := lw.pushArgs(e.Args)
+		lw.emitCall(ir.Instr{Op: ir.OpCall, Fn: e.Fun, Pos: e.P}, mark)
 	case *ast.AssignExpr:
 		lw.assign(e)
 	case *ast.IncDecExpr:
@@ -639,14 +776,6 @@ func (lw *funcLowerer) exprForEffect(e ast.Expr) {
 	}
 }
 
-func (lw *funcLowerer) args(in []ast.Expr) []ir.Value {
-	out := make([]ir.Value, len(in))
-	for i, a := range in {
-		out[i] = lw.expr(a)
-	}
-	return out
-}
-
 func (lw *funcLowerer) assign(e *ast.AssignExpr) {
 	switch lhs := e.LHS.(type) {
 	case *ast.Ident:
@@ -654,7 +783,7 @@ func (lw *funcLowerer) assign(e *ast.AssignExpr) {
 			// x += e is arithmetic: abstracted to random (§4.1 — refcounts
 			// are only changed via APIs, plain arithmetic is ignored).
 			_ = lw.expr(e.RHS)
-			lw.emit(&ir.Instr{Op: ir.OpRandom, Dst: lhs.Name, Pos: e.P})
+			lw.emit(ir.Instr{Op: ir.OpRandom, Dst: lhs.Name, Pos: e.P})
 			return
 		}
 		lw.exprInto(lhs.Name, e.RHS)
@@ -670,7 +799,7 @@ func (lw *funcLowerer) assign(e *ast.AssignExpr) {
 
 func (lw *funcLowerer) incDec(e *ast.IncDecExpr) {
 	if id, ok := e.X.(*ast.Ident); ok {
-		lw.emit(&ir.Instr{Op: ir.OpRandom, Dst: id.Name, Pos: e.P})
+		lw.emit(ir.Instr{Op: ir.OpRandom, Dst: id.Name, Pos: e.P})
 	}
 }
 
@@ -679,25 +808,25 @@ func (lw *funcLowerer) incDec(e *ast.IncDecExpr) {
 func (lw *funcLowerer) exprInto(dst string, e ast.Expr) {
 	switch e := e.(type) {
 	case *ast.CallExpr:
-		args := lw.args(e.Args)
-		lw.emit(&ir.Instr{Op: ir.OpCall, Dst: dst, Fn: e.Fun, Args: args, Pos: e.P})
+		mark := lw.pushArgs(e.Args)
+		lw.emitCall(ir.Instr{Op: ir.OpCall, Dst: dst, Fn: e.Fun, Pos: e.P}, mark)
 	case *ast.FieldExpr:
 		obj := lw.expr(e.X)
-		lw.emit(&ir.Instr{Op: ir.OpLoadField, Dst: dst, Obj: obj, Field: e.Name, Pos: e.P})
+		lw.emit(ir.Instr{Op: ir.OpLoadField, Dst: dst, Obj: obj, Field: e.Name, Pos: e.P})
 	case *ast.RandomExpr:
-		lw.emit(&ir.Instr{Op: ir.OpRandom, Dst: dst, Pos: e.P})
+		lw.emit(ir.Instr{Op: ir.OpRandom, Dst: dst, Pos: e.P})
 	case *ast.BinaryExpr:
 		if pred, isCmp := ir.PredFromToken(e.Op); isCmp {
 			a := lw.expr(e.X)
 			b := lw.expr(e.Y)
-			lw.emit(&ir.Instr{Op: ir.OpCompare, Dst: dst, Pred: pred, A: a, B: b, Pos: e.P})
+			lw.emit(ir.Instr{Op: ir.OpCompare, Dst: dst, Pred: pred, A: a, B: b, Pos: e.P})
 			return
 		}
 		v := lw.expr(e)
-		lw.emit(&ir.Instr{Op: ir.OpAssign, Dst: dst, Val: v, Pos: e.P})
+		lw.emit(ir.Instr{Op: ir.OpAssign, Dst: dst, Val: v, Pos: e.P})
 	default:
 		v := lw.expr(e)
-		lw.emit(&ir.Instr{Op: ir.OpAssign, Dst: dst, Val: v, Pos: e.Pos()})
+		lw.emit(ir.Instr{Op: ir.OpAssign, Dst: dst, Val: v, Pos: e.Pos()})
 	}
 }
 
@@ -714,17 +843,17 @@ func (lw *funcLowerer) expr(e ast.Expr) ir.Value {
 		return ir.Null()
 	case *ast.RandomExpr:
 		t := lw.temp()
-		lw.emit(&ir.Instr{Op: ir.OpRandom, Dst: t, Pos: e.P})
+		lw.emit(ir.Instr{Op: ir.OpRandom, Dst: t, Pos: e.P})
 		return ir.Var(t)
 	case *ast.FieldExpr:
 		obj := lw.expr(e.X)
 		t := lw.temp()
-		lw.emit(&ir.Instr{Op: ir.OpLoadField, Dst: t, Obj: obj, Field: e.Name, Pos: e.P})
+		lw.emit(ir.Instr{Op: ir.OpLoadField, Dst: t, Obj: obj, Field: e.Name, Pos: e.P})
 		return ir.Var(t)
 	case *ast.CallExpr:
-		args := lw.args(e.Args)
+		mark := lw.pushArgs(e.Args)
 		t := lw.temp()
-		lw.emit(&ir.Instr{Op: ir.OpCall, Dst: t, Fn: e.Fun, Args: args, Pos: e.P})
+		lw.emitCall(ir.Instr{Op: ir.OpCall, Dst: t, Fn: e.Fun, Pos: e.P}, mark)
 		return ir.Var(t)
 	case *ast.UnaryExpr:
 		return lw.unary(e)
@@ -759,7 +888,7 @@ func (lw *funcLowerer) expr(e ast.Expr) ir.Value {
 // havoc materializes an unknown value (the random generator of Figure 3).
 func (lw *funcLowerer) havoc(pos token.Pos) ir.Value {
 	t := lw.temp()
-	lw.emit(&ir.Instr{Op: ir.OpRandom, Dst: t, Pos: pos})
+	lw.emit(ir.Instr{Op: ir.OpRandom, Dst: t, Pos: pos})
 	return ir.Var(t)
 }
 
@@ -768,7 +897,7 @@ func (lw *funcLowerer) unary(e *ast.UnaryExpr) ir.Value {
 	case token.NOT:
 		a := lw.expr(e.X)
 		t := lw.temp()
-		lw.emit(&ir.Instr{Op: ir.OpCompare, Dst: t, Pred: ir.EQ, A: a, B: ir.Int(0), Pos: e.P})
+		lw.emit(ir.Instr{Op: ir.OpCompare, Dst: t, Pred: ir.EQ, A: a, B: ir.Int(0), Pos: e.P})
 		return ir.Var(t)
 	case token.MINUS:
 		// Negation of a literal stays precise; otherwise havoc.
@@ -783,7 +912,7 @@ func (lw *funcLowerer) unary(e *ast.UnaryExpr) ir.Value {
 		if fe, ok := e.X.(*ast.FieldExpr); ok {
 			obj := lw.expr(fe.X)
 			t := lw.temp()
-			lw.emit(&ir.Instr{Op: ir.OpLoadField, Dst: t, Obj: obj, Field: fe.Name, Pos: e.P})
+			lw.emit(ir.Instr{Op: ir.OpLoadField, Dst: t, Obj: obj, Field: fe.Name, Pos: e.P})
 			return ir.Var(t)
 		}
 		_ = lw.expr(e.X)
@@ -793,7 +922,7 @@ func (lw *funcLowerer) unary(e *ast.UnaryExpr) ir.Value {
 		// field so *p keeps a stable symbolic identity.
 		obj := lw.expr(e.X)
 		t := lw.temp()
-		lw.emit(&ir.Instr{Op: ir.OpLoadField, Dst: t, Obj: obj, Field: "*", Pos: e.P})
+		lw.emit(ir.Instr{Op: ir.OpLoadField, Dst: t, Obj: obj, Field: "*", Pos: e.P})
 		return ir.Var(t)
 	case token.TILDE:
 		_ = lw.expr(e.X)
@@ -808,22 +937,22 @@ func (lw *funcLowerer) binary(e *ast.BinaryExpr) ir.Value {
 		a := lw.expr(e.X)
 		b := lw.expr(e.Y)
 		t := lw.temp()
-		lw.emit(&ir.Instr{Op: ir.OpCompare, Dst: t, Pred: pred, A: a, B: b, Pos: e.P})
+		lw.emit(ir.Instr{Op: ir.OpCompare, Dst: t, Pred: pred, A: a, B: b, Pos: e.P})
 		return ir.Var(t)
 	}
 	switch e.Op {
 	case token.LAND, token.LOR:
 		// Value position: lower via control flow into a temp.
 		t := lw.temp()
-		trueB := lw.fn.NewBlock()
-		falseB := lw.fn.NewBlock()
-		exitB := lw.fn.NewBlock()
+		trueB := lw.newBlock()
+		falseB := lw.newBlock()
+		exitB := lw.newBlock()
 		lw.cond(e, trueB, falseB)
 		lw.cur = trueB
-		lw.emit(&ir.Instr{Op: ir.OpAssign, Dst: t, Val: ir.Bool(true), Pos: e.P})
+		lw.emit(ir.Instr{Op: ir.OpAssign, Dst: t, Val: ir.Bool(true), Pos: e.P})
 		lw.jumpTo(exitB)
 		lw.cur = falseB
-		lw.emit(&ir.Instr{Op: ir.OpAssign, Dst: t, Val: ir.Bool(false), Pos: e.P})
+		lw.emit(ir.Instr{Op: ir.OpAssign, Dst: t, Val: ir.Bool(false), Pos: e.P})
 		lw.jumpTo(exitB)
 		lw.cur = exitB
 		return ir.Var(t)
@@ -834,13 +963,13 @@ func (lw *funcLowerer) binary(e *ast.BinaryExpr) ir.Value {
 		if lit, ok := e.Y.(*ast.IntLit); ok {
 			base := lw.expr(e.X)
 			t := lw.temp()
-			lw.emit(&ir.Instr{Op: ir.OpLoadField, Dst: t, Obj: base, Field: fmt.Sprintf("&%d", lit.Value), Pos: e.P})
+			lw.emit(ir.Instr{Op: ir.OpLoadField, Dst: t, Obj: base, Field: "&" + strconv.FormatInt(lit.Value, 10), Pos: e.P})
 			return ir.Var(t)
 		}
 		if lit, ok := e.X.(*ast.IntLit); ok {
 			base := lw.expr(e.Y)
 			t := lw.temp()
-			lw.emit(&ir.Instr{Op: ir.OpLoadField, Dst: t, Obj: base, Field: fmt.Sprintf("&%d", lit.Value), Pos: e.P})
+			lw.emit(ir.Instr{Op: ir.OpLoadField, Dst: t, Obj: base, Field: "&" + strconv.FormatInt(lit.Value, 10), Pos: e.P})
 			return ir.Var(t)
 		}
 	}

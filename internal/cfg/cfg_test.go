@@ -1,11 +1,14 @@
 package cfg
 
 import (
+	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/ir"
 	"repro/internal/lower"
+	"repro/internal/racebuild"
 )
 
 func mustCFG(t *testing.T, src, fn string) *Graph {
@@ -150,6 +153,121 @@ func TestPathBudgetTruncation(t *testing.T) {
 	}
 }
 
+// TestPathBudgetExact: a function with exactly maxPaths paths is fully
+// enumerated, and only a (maxPaths+1)-th path makes the result truncated.
+func TestPathBudgetExact(t *testing.T) {
+	g := mustCFG(t, `
+int f(int a) {
+    int r = 0;
+    if (a > 0)
+        r = g(a);
+    else
+        r = h(a);
+    return r;
+}`, "f")
+	for _, tc := range []struct {
+		budget, paths int
+		truncated     bool
+	}{{1, 1, true}, {2, 2, false}, {3, 2, false}} {
+		res := g.Enumerate(tc.budget)
+		if len(res.Paths) != tc.paths || res.Truncated != tc.truncated {
+			t.Errorf("Enumerate(%d): %d paths, truncated=%v; want %d, %v",
+				tc.budget, len(res.Paths), res.Truncated, tc.paths, tc.truncated)
+		}
+	}
+	// 2^3 paths: exactly at a budget of 8, one over at 7.
+	g = mustCFG(t, `
+int f(int a, int b, int c) {
+    int r = 0;
+    if (a > 0) r = g(a);
+    if (b > 0) r = g(b);
+    if (c > 0) r = g(c);
+    return r;
+}`, "f")
+	if res := g.Enumerate(8); len(res.Paths) != 8 || res.Truncated {
+		t.Errorf("Enumerate(8): %d paths, truncated=%v; want 8, false", len(res.Paths), res.Truncated)
+	}
+	if res := g.Enumerate(7); len(res.Paths) != 7 || !res.Truncated {
+		t.Errorf("Enumerate(7): %d paths, truncated=%v; want 7, true", len(res.Paths), res.Truncated)
+	}
+}
+
+// TestPathsFrozenExactSize: the paths of a result are carved at
+// cap == len from one array, so appending to one path reallocates it and
+// leaves its siblings as they were — also when the recycled graph of
+// Paths has since enumerated other functions.
+func TestPathsFrozenExactSize(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var results []EnumerateResult
+	var want [][][]int
+	for trial := 0; trial < 40; trial++ {
+		src := `int f(int a, int b) { int r = 0;`
+		for i, n := 0, 1+rng.Intn(5); i < n; i++ {
+			switch rng.Intn(3) {
+			case 0:
+				src += `if (a > 0) r = g(a);`
+			case 1:
+				src += `if (b < 0) { r = g(b); } else { r = h(b); }`
+			case 2:
+				src += `while (r > 0) r = g(r);`
+			}
+		}
+		src += `return r; }`
+		g := mustCFG(t, src, "f")
+		budget := 1 + rng.Intn(40)
+		res := Paths(context.Background(), g.Fn, budget, nil)
+		if ref := g.Enumerate(budget); ref.Truncated != res.Truncated || len(ref.Paths) != len(res.Paths) {
+			t.Fatalf("trial %d: recycled graph gives %d paths (truncated=%v), a fresh one %d (%v)",
+				trial, len(res.Paths), res.Truncated, len(ref.Paths), ref.Truncated)
+		}
+		snap := make([][]int, len(res.Paths))
+		for i, p := range res.Paths {
+			if cap(p.Blocks) != len(p.Blocks) {
+				t.Fatalf("trial %d: path %d has cap %d, len %d", trial, i, cap(p.Blocks), len(p.Blocks))
+			}
+			snap[i] = append([]int(nil), p.Blocks...)
+		}
+		results = append(results, res)
+		want = append(want, snap)
+	}
+	for r, res := range results {
+		for i := range res.Paths {
+			_ = append(res.Paths[i].Blocks, -7)
+		}
+		for i, p := range res.Paths {
+			if !slices.Equal(p.Blocks, want[r][i]) {
+				t.Fatalf("result %d path %d changed: %v, was %v", r, i, p.Blocks, want[r][i])
+			}
+		}
+	}
+}
+
+// TestGraphReleaseContract pins the build-tagged halves of release: the
+// normal build keeps a recycled graph's storage for the next function and
+// drops only the function, and the race build poisons the storage a stale
+// alias could read and drops it.
+func TestGraphReleaseContract(t *testing.T) {
+	g := mustCFG(t, `int f(int a) { while (a > 0) a = g(a); return a; }`, "f")
+	g.Enumerate(0)
+	succ, flat := g.succBack, g.en.flat
+	g.release()
+	if g.Fn != nil {
+		t.Error("a released graph pins its function")
+	}
+	if racebuild.Enabled {
+		if succ[0] != -1 || flat[0] != -1 {
+			t.Error("race build must poison released storage")
+		}
+		if g.Succ != nil || g.succBack != nil || g.en.flat != nil {
+			t.Error("race build must drop poisoned storage")
+		}
+		return
+	}
+	if cap(g.succBack) == 0 || cap(g.en.flat) == 0 {
+		t.Error("the normal build must keep a released graph's storage")
+	}
+}
+
 func TestReachability(t *testing.T) {
 	g := mustCFG(t, `
 int f(int a) {
@@ -248,4 +366,15 @@ again:
 	if len(res.Paths) != 2 {
 		t.Errorf("paths: %d, want 2", len(res.Paths))
 	}
+}
+
+// Instrs returns the straight-line instruction sequence of the path,
+// including each block's terminator.
+func (p Path) Instrs(fn *ir.Func) []*ir.Instr {
+	var out []*ir.Instr
+	blocks := fn.Body().Blocks
+	for _, b := range p.Blocks {
+		out = append(out, blocks[b].Instrs...)
+	}
+	return out
 }

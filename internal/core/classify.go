@@ -87,6 +87,7 @@ func classify(g *callgraph.Graph, db *summary.DB, maxCat2Conds int) *Classificat
 	// fixpoint: every category-1 or -2 function is sliced exactly once,
 	// whatever the names of the members.
 	sliced := make(map[string]bool)
+	var slicer slice.Slicer // its result maps are reused from one slice to the next
 	sccs := g.SCCs()
 	for i := len(sccs) - 1; i >= 0; i-- {
 		for changed := true; changed; {
@@ -96,7 +97,7 @@ func classify(g *callgraph.Graph, db *summary.DB, maxCat2Conds int) *Classificat
 					continue
 				}
 				sliced[fn], changed = true, true
-				res := slice.Compute(g.Prog.Funcs[fn], slice.Criteria{
+				res := slicer.Compute(g.Prog.Funcs[fn], slice.Criteria{
 					ReturnValue:   true,
 					ArgsOfCallsTo: affectsRC,
 				})

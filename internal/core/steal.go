@@ -78,11 +78,12 @@ func (fj *funcJob) panicCauseMin() (string, bool) {
 }
 
 // stealWorker is one worker's private state: its solver (shared query
-// cache, private counters), its seeded victim-selection RNG, and its
-// utilization record.
+// cache, private counters), the executor that prepares the functions it
+// owns, its seeded victim-selection RNG, and its utilization record.
 type stealWorker struct {
 	id  int
 	slv *solver.Solver
+	ex  *symexec.Executor
 	rng *sched.RNG
 	wc  *obs.WorkerCounters
 }
@@ -179,6 +180,7 @@ func analyzeSteal(ctx context.Context, prog *ir.Program, g *callgraph.Graph, db 
 				wc:  reg.Worker(id),
 			}
 			w.slv.SetObs(opts.Obs)
+			w.ex = symexec.New(db, w.slv, opts.Exec)
 			s.worker(w)
 		}(i)
 	}
@@ -382,8 +384,7 @@ func (s *stealRun) analyzeOne(fn *ir.Func, w *stealWorker) funcOutcome {
 				fj.notePanic(-1, r)
 			}
 		}()
-		ex := symexec.New(s.db, w.slv, opts.Exec)
-		fj.job = ex.Prepare(fctx, fn)
+		fj.job = w.ex.Prepare(fctx, fn)
 	}()
 	w.wc.AddBusy(time.Since(tPrep))
 

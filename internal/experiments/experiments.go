@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"time"
 
@@ -354,6 +355,11 @@ type PerfPoint struct {
 	// are individually timed in this mode, so the "solver" row is
 	// populated; the timing overhead is part of the measured run.
 	Phases []obs.PhaseStats
+	// Mallocs and AllocBytes are the heap objects and bytes allocated
+	// while core.Analyze ran (runtime.MemStats deltas): classification,
+	// the lowering it forces, and Steps I–III.
+	Mallocs    uint64
+	AllocBytes uint64
 }
 
 // Perf measures classification and analysis time across corpus scales and
@@ -367,7 +373,11 @@ func Perf(ctx context.Context, scales []int, workers int) ([]PerfPoint, error) {
 		}
 		o := obs.New(nil, obs.NewRegistry())
 		o.EnableQueryTiming()
-		res := core.Analyze(ctx, prog, spec.LinuxDPM(), core.Options{Workers: workers, Obs: o})
+		specs := spec.LinuxDPM()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		res := core.Analyze(ctx, prog, specs, core.Options{Workers: workers, Obs: o})
+		runtime.ReadMemStats(&m1)
 		out = append(out, PerfPoint{
 			Funcs:        res.Stats.FuncsTotal,
 			Paths:        res.Stats.PathsEnumerated,
@@ -375,6 +385,8 @@ func Perf(ctx context.Context, scales []int, workers int) ([]PerfPoint, error) {
 			AnalyzeTime:  res.Stats.AnalyzeTime,
 			Solver:       res.Stats.Solver,
 			Phases:       o.Registry().Snapshot().Phases,
+			Mallocs:      m1.Mallocs - m0.Mallocs,
+			AllocBytes:   m1.TotalAlloc - m0.TotalAlloc,
 		})
 	}
 	return out, nil
@@ -416,12 +428,13 @@ func scaleMix(m kernelgen.Mix, s int) kernelgen.Mix {
 func FormatPerf(points []PerfPoint, workers int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "§6.5: performance scaling (workers=%d; paper: 64 min classify + 67 min analyze for 270k functions)\n", workers)
-	fmt.Fprintf(&b, "%10s %14s %14s %10s %10s %8s %8s %8s\n",
-		"functions", "classify", "analyze", "queries", "cachehits", "sat", "unsat", "gaveup")
+	fmt.Fprintf(&b, "%10s %14s %14s %10s %10s %8s %8s %8s %10s %9s\n",
+		"functions", "classify", "analyze", "queries", "cachehits", "sat", "unsat", "gaveup", "mallocs", "alloc MiB")
 	for _, p := range points {
-		fmt.Fprintf(&b, "%10d %14s %14s %10d %10d %8d %8d %8d\n",
+		fmt.Fprintf(&b, "%10d %14s %14s %10d %10d %8d %8d %8d %10d %9.1f\n",
 			p.Funcs, p.ClassifyTime.Round(time.Microsecond), p.AnalyzeTime.Round(time.Microsecond),
-			p.Solver.Queries, p.Solver.CacheHits, p.Solver.Sat, p.Solver.Unsat, p.Solver.GaveUp)
+			p.Solver.Queries, p.Solver.CacheHits, p.Solver.Sat, p.Solver.Unsat, p.Solver.GaveUp,
+			p.Mallocs, float64(p.AllocBytes)/(1<<20))
 	}
 	b.WriteString("phase wall-clock histograms (per-query solver timing on):\n")
 	for _, p := range points {

@@ -103,6 +103,9 @@ func TestPerfSeries(t *testing.T) {
 	if len(pts) != 1 || pts[0].Funcs == 0 {
 		t.Errorf("points: %+v", pts)
 	}
+	if pts[0].Mallocs == 0 || pts[0].AllocBytes < pts[0].Mallocs {
+		t.Errorf("analyze window: %d mallocs, %d bytes", pts[0].Mallocs, pts[0].AllocBytes)
+	}
 	if !strings.Contains(FormatPerf(pts, 1), "§6.5") {
 		t.Error("format header missing")
 	}

@@ -26,6 +26,8 @@ func sweepFixture() *PerfSweep {
 			AnalyzeTime:  analyze,
 			Solver:       solver.Stats{Queries: 100, CacheHits: 40},
 			Phases:       []obs.PhaseStats{symexecPhase},
+			Mallocs:      uint64(90 * paths),
+			AllocBytes:   uint64(9000 * paths),
 		}
 	}
 	return &PerfSweep{Snapshots: []PerfSnapshot{

@@ -7,7 +7,10 @@
 // goto/label), assertions, calls, field accesses and linear comparisons.
 package token
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Kind identifies the lexical class of a token.
 type Kind int32
@@ -209,10 +212,22 @@ func (p Pos) String() string {
 	if !p.IsValid() {
 		return "-"
 	}
-	if p.File == "" {
-		return fmt.Sprintf("%d:%d", p.Line, p.Column)
+	return string(p.AppendText(make([]byte, 0, len(p.File)+16)))
+}
+
+// AppendText appends the String form of p to dst and returns the extended
+// slice.
+func (p Pos) AppendText(dst []byte) []byte {
+	if !p.IsValid() {
+		return append(dst, '-')
 	}
-	return fmt.Sprintf("%s:%d:%d", p.File, p.Line, p.Column)
+	if p.File != "" {
+		dst = append(dst, p.File...)
+		dst = append(dst, ':')
+	}
+	dst = strconv.AppendInt(dst, int64(p.Line), 10)
+	dst = append(dst, ':')
+	return strconv.AppendInt(dst, int64(p.Column), 10)
 }
 
 // Token is a single lexical token with its place in the source and, for

@@ -5,13 +5,15 @@
 package ipp
 
 import (
+	"bytes"
 	"context"
-	"fmt"
-	"sort"
-	"strings"
+	"slices"
+	"strconv"
+	"sync"
 
 	"repro/internal/frontend/token"
 	"repro/internal/obs"
+	"repro/internal/racebuild"
 	"repro/internal/solver"
 	"repro/internal/summary"
 	"repro/internal/sym"
@@ -65,34 +67,66 @@ func (r *Report) ResourceWord() string {
 
 // String renders a human-readable one-line diagnostic.
 func (r *Report) String() string {
-	return fmt.Sprintf("%s: function %s: inconsistent path pair on %s %s (path %d: %+d, path %d: %+d)",
-		r.Pos, r.Fn, r.ResourceWord(), r.Refcount, r.PathA, r.DeltaA, r.PathB, r.DeltaB)
+	b := make([]byte, 0, 128)
+	b = r.Pos.AppendText(b)
+	b = append(b, ": function "...)
+	b = append(b, r.Fn...)
+	b = append(b, ": inconsistent path pair on "...)
+	b = append(b, r.ResourceWord()...)
+	b = append(b, ' ')
+	b = append(b, r.Refcount.String()...)
+	b = append(b, " (path "...)
+	b = strconv.AppendInt(b, int64(r.PathA), 10)
+	b = append(b, ": "...)
+	b = summary.AppendDelta(b, r.DeltaA)
+	b = append(b, ", path "...)
+	b = strconv.AppendInt(b, int64(r.PathB), 10)
+	b = append(b, ": "...)
+	b = summary.AppendDelta(b, r.DeltaB)
+	b = append(b, ')')
+	return string(b)
 }
 
 // Detail renders the full two-entry evidence, in the layout of Figure 2,
 // including a concrete witness assignment when one was found.
 func (r *Report) Detail() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "function %s (%s)\n", r.Fn, r.Pos)
-	fmt.Fprintf(&b, "  %s: %s\n", r.ResourceWord(), r.Refcount)
-	fmt.Fprintf(&b, "  path %d entry: %s\n", r.PathA, r.EntryA)
-	fmt.Fprintf(&b, "  path %d entry: %s\n", r.PathB, r.EntryB)
+	b := make([]byte, 0, 512)
+	b = append(b, "function "...)
+	b = append(b, r.Fn...)
+	b = append(b, " ("...)
+	b = r.Pos.AppendText(b)
+	b = append(b, ")\n  "...)
+	b = append(b, r.ResourceWord()...)
+	b = append(b, ": "...)
+	b = append(b, r.Refcount.String()...)
+	b = append(b, "\n  path "...)
+	b = strconv.AppendInt(b, int64(r.PathA), 10)
+	b = append(b, " entry: "...)
+	b = r.EntryA.AppendText(b)
+	b = append(b, "\n  path "...)
+	b = strconv.AppendInt(b, int64(r.PathB), 10)
+	b = append(b, " entry: "...)
+	b = r.EntryB.AppendText(b)
+	b = append(b, '\n')
 	if len(r.Witness) > 0 {
-		keys := make([]string, 0, len(r.Witness))
+		var small [8]string
+		keys := small[:0]
 		for k := range r.Witness {
 			keys = append(keys, k)
 		}
-		sort.Strings(keys)
-		b.WriteString("  witness: ")
+		slices.Sort(keys)
+		b = append(b, "  witness: "...)
 		for i, k := range keys {
 			if i > 0 {
-				b.WriteString(", ")
+				b = append(b, ", "...)
 			}
-			fmt.Fprintf(&b, "%s = %d", k, r.Witness[k])
+			b = append(b, k...)
+			b = append(b, " = "...)
+			b = strconv.AppendInt(b, r.Witness[k], 10)
 		}
-		b.WriteString("\n")
+		b = append(b, '\n')
 	}
-	return b.String()
+	return string(b)
 }
 
 // Options tune Step III. The zero value is the production configuration.
@@ -163,19 +197,17 @@ func CheckWith(ctx context.Context, res symexec.Result, slv *solver.Solver, opts
 	sum.Params = fn.Params
 
 	var reports []*Report
-	var seen map[string]bool // report dedup per (fn, refcount); lazy — most functions report nothing
-	var kept []symexec.PathEntry
 
-	// Per-entry precomputation, indexed in parallel with res.Entries /
-	// kept: changes-signature and interval bounds.
-	sigs := make([]string, len(res.Entries))
-	bounds := make([]map[string]interval, len(res.Entries))
-	for i, e := range res.Entries {
-		sigs[i] = e.ChangesSignature()
-		bounds[i] = consBounds(e.Cons)
+	// Per-entry precomputation — changes-signature and interval bounds —
+	// and the admitted entries live in scratch borrowed for this call.
+	c := getChecker()
+	defer putChecker(c)
+	for _, e := range res.Entries {
+		c.sigs = e.AppendChangesSignature(c.sigs)
+		c.sigEnd = append(c.sigEnd, len(c.sigs))
+		c.bounds = appendBounds(c.bounds, e.Cons)
+		c.boundEnd = append(c.boundEnd, len(c.bounds))
 	}
-	var keptSigs []string
-	var keptBounds []map[string]interval
 
 	canceled := false
 	for ci, cand := range res.Entries {
@@ -192,11 +224,12 @@ func CheckWith(ctx context.Context, res symexec.Result, slv *solver.Solver, opts
 		// materialized on a cache miss. Verdicts and counters are identical
 		// to the unbatched slv.Sat(k.Cons ∧ cand.Cons).
 		pairs := slv.Pairs(cand.Cons)
-		for ki, k := range kept {
-			if keptSigs[ki] == sigs[ci] {
+		for _, ki := range c.kept {
+			k := res.Entries[ki]
+			if bytes.Equal(c.sig(ki), c.sig(ci)) {
 				continue // same bucket: identical changes, never an IPP
 			}
-			if disjointBounds(keptBounds[ki], bounds[ci]) {
+			if disjointBounds(c.bound(ki), c.bound(ci)) {
 				continue // syntactically contradictory: Sat would say no
 			}
 			// Different changes: IPP iff constraints are co-satisfiable.
@@ -213,7 +246,10 @@ func CheckWith(ctx context.Context, res symexec.Result, slv *solver.Solver, opts
 			}
 			witness, _ := slv.Model(k.Cons.AndSet(cand.Cons))
 			for _, rc := range k.DifferingRefcounts(cand.Entry) {
-				rep := &Report{
+				if reported(reports, rc) {
+					continue // one report per function and refcount
+				}
+				reports = append(reports, &Report{
 					Fn:       fn.Name,
 					SrcFile:  fn.SrcFile,
 					Pos:      fn.Pos,
@@ -227,35 +263,92 @@ func CheckWith(ctx context.Context, res symexec.Result, slv *solver.Solver, opts
 					DeltaB:   cand.Changes[rc.Key()].Delta,
 					Witness:  witness,
 					Evidence: ev,
-				}
-				if !seen[rep.Key()] {
-					if seen == nil {
-						seen = make(map[string]bool, 4)
-					}
-					seen[rep.Key()] = true
-					reports = append(reports, rep)
-					opts.Obs.Count(obs.MIPPConfirmed, 1)
-				}
+				})
+				opts.Obs.Count(obs.MIPPConfirmed, 1)
 			}
 			break
 		}
 		if !inconsistent {
-			kept = append(kept, cand)
-			keptSigs = append(keptSigs, sigs[ci])
-			keptBounds = append(keptBounds, bounds[ci])
+			c.kept = append(c.kept, ci)
 		}
 	}
 
-	for _, k := range kept {
-		sum.Entries = append(sum.Entries, exportable(k.Entry))
+	// Partially analyzed (or fully infeasible): add the default entry so
+	// callers can still be analyzed (§5.2).
+	sum.HasDefault = res.Truncated || canceled || len(c.kept) == 0
+	n := len(c.kept)
+	if sum.HasDefault {
+		n++
 	}
-	if res.Truncated || canceled || len(sum.Entries) == 0 {
-		// Partially analyzed (or fully infeasible): add the default entry
-		// so callers can still be analyzed (§5.2).
-		sum.HasDefault = true
+	sum.Entries = make([]*summary.Entry, 0, n)
+	for _, ki := range c.kept {
+		sum.Entries = append(sum.Entries, exportable(res.Entries[ki].Entry))
+	}
+	if sum.HasDefault {
 		sum.Entries = append(sum.Entries, summary.NewEntry(sym.True(), sym.Ret()))
 	}
 	return reports, sum
+}
+
+// reported reports whether reports already has one on rc. Every report of
+// a CheckWith call is on the same function, and expressions are interned,
+// so this is the Key dedup without building keys.
+func reported(reports []*Report, rc *sym.Expr) bool {
+	for _, r := range reports {
+		if r.Refcount == rc {
+			return true
+		}
+	}
+	return false
+}
+
+// checker is CheckWith's scratch, borrowed from checkerPool for one call:
+// entry i's changes-signature is sigs[sigEnd[i-1]:sigEnd[i]] and its
+// bounds are bounds[boundEnd[i-1]:boundEnd[i]]; kept lists the admitted
+// entries. Nothing in it outlives the call.
+type checker struct {
+	sigs     []byte
+	sigEnd   []int
+	bounds   []termBound
+	boundEnd []int
+	kept     []int
+}
+
+var checkerPool = sync.Pool{New: func() any { return new(checker) }}
+
+func getChecker() *checker { return checkerPool.Get().(*checker) }
+
+// putChecker empties c and returns it to the pool. In -race builds its
+// storage is poisoned and dropped instead, so a reader that kept an alias
+// sees garbage.
+func putChecker(c *checker) {
+	if racebuild.Enabled {
+		for i := range c.sigs {
+			c.sigs[i] = 0xff
+		}
+		for i := range c.bounds {
+			c.bounds[i] = termBound{id: ^uint64(0), iv: interval{lo: 1}}
+		}
+		*c = checker{}
+	}
+	c.sigs, c.sigEnd, c.bounds, c.boundEnd, c.kept = c.sigs[:0], c.sigEnd[:0], c.bounds[:0], c.boundEnd[:0], c.kept[:0]
+	checkerPool.Put(c)
+}
+
+func (c *checker) sig(i int) []byte {
+	lo := 0
+	if i > 0 {
+		lo = c.sigEnd[i-1]
+	}
+	return c.sigs[lo:c.sigEnd[i]]
+}
+
+func (c *checker) bound(i int) []termBound {
+	lo := 0
+	if i > 0 {
+		lo = c.boundEnd[i-1]
+	}
+	return c.bounds[lo:c.boundEnd[i]]
 }
 
 // exportable strips refcount changes keyed by local or fresh symbols from

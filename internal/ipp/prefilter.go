@@ -2,6 +2,7 @@ package ipp
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/ir"
 	"repro/internal/sym"
@@ -10,10 +11,6 @@ import (
 // interval is a saturating integer range [lo, hi].
 type interval struct {
 	lo, hi int64
-}
-
-func fullInterval() interval {
-	return interval{lo: math.MinInt64, hi: math.MaxInt64}
 }
 
 // intersect narrows i by o and reports whether the result is non-empty.
@@ -27,17 +24,23 @@ func (i interval) intersect(o interval) (interval, bool) {
 	return i, i.lo <= i.hi
 }
 
-// consBounds extracts, from the conjuncts of cs that have the shape
+// termBound confines one term, named by its interned ID, to an interval.
+type termBound struct {
+	id uint64
+	iv interval
+}
+
+// appendBounds appends to dst, for the conjuncts of cs that have the shape
 // term ⋈ const (either orientation), the interval each term is confined
-// to. The expression language has no arithmetic, so any non-constant
-// comparison operand is a single uninterpreted term — exactly one solver
-// variable — which makes these bounds sound: if two entries confine a
-// shared term to disjoint intervals, their conjunction is UNSAT and
-// Fourier–Motzkin would return the same verdict. Disequalities and
-// term-vs-term comparisons contribute nothing (interval stays full).
-// Returns nil when no conjunct yields a bound.
-func consBounds(cs sym.Set) map[string]interval {
-	var out map[string]interval
+// to: one bound per term, sorted by term ID. The expression language has
+// no arithmetic, so any non-constant comparison operand is a single
+// uninterpreted term — exactly one solver variable — which makes these
+// bounds sound: if two entries confine a shared term to disjoint
+// intervals, their conjunction is UNSAT and Fourier–Motzkin would return
+// the same verdict. Disequalities and term-vs-term comparisons contribute
+// nothing.
+func appendBounds(dst []termBound, cs sym.Set) []termBound {
+	start := len(dst)
 	for _, c := range cs.Conds() {
 		if c.Kind != sym.KCond {
 			continue
@@ -77,40 +80,40 @@ func consBounds(cs sym.Set) map[string]interval {
 		default: // NE carries no interval information
 			continue
 		}
-		if out == nil {
-			out = make(map[string]interval, 4)
+		// Insert in ID order, or narrow the term's bound. An empty
+		// within-entry intersection means the entry itself is UNSAT; keep
+		// the empty interval — it makes every pairing with a bounded shared
+		// term disjoint, matching the solver's verdict.
+		id := term.ID()
+		i := len(dst)
+		for i > start && dst[i-1].id > id {
+			i--
 		}
-		key := term.Key()
-		cur, have := out[key]
-		if !have {
-			cur = fullInterval()
-		}
-		// An empty within-entry intersection means the entry itself is
-		// UNSAT; keep the empty interval — it makes every pairing with a
-		// bounded shared term disjoint, matching the solver's verdict.
-		cur, _ = cur.intersect(iv)
-		out[key] = cur
-	}
-	return out
-}
-
-// disjointBounds reports whether some term bounded in both maps has
-// disjoint intervals — a syntactic proof that the conjunction of the two
-// constraint sets is unsatisfiable.
-func disjointBounds(a, b map[string]interval) bool {
-	if len(a) == 0 || len(b) == 0 {
-		return false
-	}
-	if len(b) < len(a) {
-		a, b = b, a
-	}
-	for key, ia := range a {
-		ib, ok := b[key]
-		if !ok {
+		if i > start && dst[i-1].id == id {
+			dst[i-1].iv, _ = dst[i-1].iv.intersect(iv)
 			continue
 		}
-		if _, nonEmpty := ia.intersect(ib); !nonEmpty {
-			return true
+		dst = slices.Insert(dst, i, termBound{id: id, iv: iv})
+	}
+	return dst
+}
+
+// disjointBounds reports whether some term bounded in both lists has
+// disjoint intervals — a syntactic proof that the conjunction of the two
+// constraint sets is unsatisfiable. Both lists are sorted by term ID, so
+// this is a merge.
+func disjointBounds(a, b []termBound) bool {
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0].id < b[0].id:
+			a = a[1:]
+		case a[0].id > b[0].id:
+			b = b[1:]
+		default:
+			if _, nonEmpty := a[0].iv.intersect(b[0].iv); !nonEmpty {
+				return true
+			}
+			a, b = a[1:], b[1:]
 		}
 	}
 	return false

@@ -10,8 +10,18 @@ import (
 	"repro/internal/sym"
 )
 
-func boundsOf(conds ...*sym.Expr) map[string]interval {
-	return consBounds(sym.NewSet(conds))
+func boundsOf(conds ...*sym.Expr) []termBound {
+	return appendBounds(nil, sym.NewSet(conds))
+}
+
+// boundOn returns the bound on term in b.
+func boundOn(b []termBound, term *sym.Expr) (interval, bool) {
+	for _, tb := range b {
+		if tb.id == term.ID() {
+			return tb.iv, true
+		}
+	}
+	return interval{}, false
 }
 
 func TestConsBoundsExtraction(t *testing.T) {
@@ -20,7 +30,7 @@ func TestConsBoundsExtraction(t *testing.T) {
 		sym.Cond(a, ir.GE, sym.Const(2)),
 		sym.Cond(a, ir.LT, sym.Const(10)),
 	)
-	iv, ok := b["[a]"]
+	iv, ok := boundOn(b, a)
 	if !ok {
 		t.Fatal("no bound for [a]")
 	}
@@ -32,7 +42,7 @@ func TestConsBoundsExtraction(t *testing.T) {
 func TestConsBoundsFlippedOrientation(t *testing.T) {
 	// const ⋈ term: 5 < a means a ≥ 6.
 	b := boundsOf(sym.Cond(sym.Const(5), ir.LT, sym.Arg("a")))
-	iv := b["[a]"]
+	iv, _ := boundOn(b, sym.Arg("a"))
 	if iv.lo != 6 || iv.hi != math.MaxInt64 {
 		t.Errorf("interval [%d,%d], want [6,max]", iv.lo, iv.hi)
 	}
@@ -69,6 +79,36 @@ func TestDisjointBounds(t *testing.T) {
 	}
 }
 
+// TestBoundsSortedByTerm: an entry's bounds come one per term in term-ID
+// order, repeated conjuncts on a term narrow one bound, and the merge in
+// disjointBounds finds a shared term wherever it sits in either list.
+func TestBoundsSortedByTerm(t *testing.T) {
+	terms := []*sym.Expr{sym.Arg("p"), sym.Arg("q"), sym.Arg("r"), sym.Ret()}
+	var conds []*sym.Expr
+	for i := len(terms) - 1; i >= 0; i-- {
+		conds = append(conds, sym.Cond(terms[i], ir.GE, sym.Const(int64(i))))
+	}
+	conds = append(conds, sym.Cond(terms[1], ir.LE, sym.Const(7)))
+	b := boundsOf(conds...)
+	if len(b) != len(terms) {
+		t.Fatalf("%d bounds, want %d", len(b), len(terms))
+	}
+	for i := 1; i < len(b); i++ {
+		if b[i-1].id >= b[i].id {
+			t.Fatalf("bounds not sorted by term ID: %v", b)
+		}
+	}
+	if iv, _ := boundOn(b, terms[1]); iv.lo != 1 || iv.hi != 7 {
+		t.Errorf("narrowed bound [%d,%d], want [1,7]", iv.lo, iv.hi)
+	}
+	for _, term := range terms {
+		other := boundsOf(sym.Cond(term, ir.LT, sym.Const(-1)))
+		if !disjointBounds(b, other) || !disjointBounds(other, b) {
+			t.Errorf("%s < -1 must be disjoint from %v", term, b)
+		}
+	}
+}
+
 // TestPrefilterAgreesWithSolver cross-checks the pre-filter against the
 // decision procedure: whenever disjointBounds fires, the solver must find
 // the conjunction UNSAT.
@@ -84,7 +124,7 @@ func TestPrefilterAgreesWithSolver(t *testing.T) {
 					c1 := sym.Cond(a, p1, sym.Const(k1))
 					c2 := sym.Cond(a, p2, sym.Const(k2))
 					s1, s2 := sym.NewSet([]*sym.Expr{c1}), sym.NewSet([]*sym.Expr{c2})
-					if disjointBounds(consBounds(s1), consBounds(s2)) && slv.Sat(s1.AndSet(s2)) {
+					if disjointBounds(appendBounds(nil, s1), appendBounds(nil, s2)) && slv.Sat(s1.AndSet(s2)) {
 						t.Errorf("prefilter claims UNSAT but solver says SAT: %s ∧ %s", c1, c2)
 					}
 				}

@@ -36,63 +36,76 @@ type Result struct {
 
 // Compute returns the backward slice of fn for the given criteria.
 func Compute(fn *ir.Func, crit Criteria) Result {
-	res := Result{
-		Relevant:       make(map[string]bool),
-		CalleesInSlice: make(map[string]bool),
+	var s Slicer
+	return s.Compute(fn, crit)
+}
+
+// Slicer computes slices in storage it reuses from one function to the
+// next: the result maps are cleared rather than reallocated, and the
+// reachability pass runs in recycled arrays. The zero value is ready to
+// use; a Slicer is not safe for concurrent use.
+type Slicer struct {
+	res     Result
+	seeds   []bool // blocks holding a slice criterion
+	reach   []bool // blocks from which a seed block is reachable
+	preds   [][]int
+	predBuf []int
+	work    []int
+}
+
+// Compute returns the backward slice of fn for the given criteria. The
+// result's maps belong to s: they are valid until the next Compute call.
+func (s *Slicer) Compute(fn *ir.Func, crit Criteria) Result {
+	if s.res.Relevant == nil {
+		s.res = Result{Relevant: make(map[string]bool), CalleesInSlice: make(map[string]bool)}
 	}
-	addVal := func(v ir.Value) {
-		if v.Kind == ir.ValVar {
-			res.Relevant[v.Var] = true
-		}
-	}
+	res := s.res
+	clear(res.Relevant)
+	clear(res.CalleesInSlice)
+	blocks := fn.Body().Blocks
+	s.seeds = grow(s.seeds, len(blocks))
+	clear(s.seeds)
 
 	// Seeds.
-	seedBlocks := make(map[int]bool)
-	for _, b := range fn.Body().Blocks {
+	for _, b := range blocks {
 		for _, in := range b.Instrs {
 			switch in.Op {
 			case ir.OpReturn:
 				if crit.ReturnValue && in.HasVal {
-					addVal(in.Val)
-					seedBlocks[b.Index] = true
+					addVar(res.Relevant, in.Val)
+					s.seeds[b.Index] = true
 				}
 			case ir.OpCall:
 				if crit.ArgsOfCallsTo != nil && crit.ArgsOfCallsTo(in.Fn) {
 					for _, a := range in.Args {
-						addVal(a)
+						addVar(res.Relevant, a)
 					}
-					seedBlocks[b.Index] = true
+					s.seeds[b.Index] = true
 				}
 			}
 		}
 	}
 
-	reach := reachesAny(fn, seedBlocks)
+	reach := s.reachesAny(blocks)
 
 	// Fixpoint over data and control dependencies.
 	for changed := true; changed; {
 		changed = false
-		grow := func(v ir.Value) {
-			if v.Kind == ir.ValVar && !res.Relevant[v.Var] {
-				res.Relevant[v.Var] = true
-				changed = true
-			}
-		}
-		for _, b := range fn.Body().Blocks {
+		for _, b := range blocks {
 			for _, in := range b.Instrs {
 				switch in.Op {
 				case ir.OpAssign:
 					if res.Relevant[in.Dst] {
-						grow(in.Val)
+						changed = addVar(res.Relevant, in.Val) || changed
 					}
 				case ir.OpLoadField:
 					if res.Relevant[in.Dst] {
-						grow(in.Obj)
+						changed = addVar(res.Relevant, in.Obj) || changed
 					}
 				case ir.OpCompare:
 					if res.Relevant[in.Dst] {
-						grow(in.A)
-						grow(in.B)
+						changed = addVar(res.Relevant, in.A) || changed
+						changed = addVar(res.Relevant, in.B) || changed
 					}
 				case ir.OpCall:
 					if in.Dst != "" && res.Relevant[in.Dst] {
@@ -101,17 +114,14 @@ func Compute(fn *ir.Func, crit Criteria) Result {
 							changed = true
 						}
 						for _, a := range in.Args {
-							grow(a)
+							changed = addVar(res.Relevant, a) || changed
 						}
 					}
 				case ir.OpBranchCond:
 					// Control dependence: a branch that can lead to a
 					// criterion-bearing block pulls its condition in.
 					if in.True != in.False && (reach[in.True] || reach[in.False]) {
-						if in.Cond.Kind == ir.ValVar && !res.Relevant[in.Cond.Var] {
-							res.Relevant[in.Cond.Var] = true
-							changed = true
-						}
+						changed = addVar(res.Relevant, in.Cond) || changed
 					}
 				}
 			}
@@ -120,22 +130,59 @@ func Compute(fn *ir.Func, crit Criteria) Result {
 	return res
 }
 
-// reachesAny computes, per block, whether any block in targets is
-// reachable from it (including itself).
-func reachesAny(fn *ir.Func, targets map[int]bool) []bool {
-	n := len(fn.Body().Blocks)
-	reach := make([]bool, n)
-	// Predecessor map.
-	preds := make([][]int, n)
+// addVar adds v to the relevant set when it is a variable, and reports
+// whether the set grew.
+func addVar(relevant map[string]bool, v ir.Value) bool {
+	if v.Kind != ir.ValVar || relevant[v.Var] {
+		return false
+	}
+	relevant[v.Var] = true
+	return true
+}
+
+// grow returns s resized to n, reusing its storage when it is big enough.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// reachesAny computes, per block, whether any seed block is reachable
+// from it (including itself). Predecessor lists are carved from one
+// backing array sized by a counting pass.
+func (s *Slicer) reachesAny(blocks []*ir.Block) []bool {
+	n := len(blocks)
+	s.reach = grow(s.reach, n)
+	reach := s.reach
+	clear(reach)
+	s.preds = grow(s.preds, n)
+	indeg := s.work[:0]
+	for range n {
+		indeg = append(indeg, 0)
+	}
+	total := 0
 	var two [2]int
-	for _, b := range fn.Body().Blocks {
-		for _, s := range b.AppendSuccs(two[:0]) {
-			preds[s] = append(preds[s], b.Index)
+	for _, b := range blocks {
+		for _, succ := range b.AppendSuccs(two[:0]) {
+			indeg[succ]++
+			total++
 		}
 	}
-	var work []int
-	for t := range targets {
-		if !reach[t] {
+	s.predBuf = grow(s.predBuf, total)
+	off := 0
+	for i := range n {
+		s.preds[i] = s.predBuf[off : off : off+indeg[i]]
+		off += indeg[i]
+	}
+	for _, b := range blocks {
+		for _, succ := range b.AppendSuccs(two[:0]) {
+			s.preds[succ] = append(s.preds[succ], b.Index)
+		}
+	}
+	work := indeg[:0]
+	for t, seed := range s.seeds {
+		if seed {
 			reach[t] = true
 			work = append(work, t)
 		}
@@ -143,12 +190,13 @@ func reachesAny(fn *ir.Func, targets map[int]bool) []bool {
 	for len(work) > 0 {
 		v := work[len(work)-1]
 		work = work[:len(work)-1]
-		for _, p := range preds[v] {
+		for _, p := range s.preds[v] {
 			if !reach[p] {
 				reach[p] = true
 				work = append(work, p)
 			}
 		}
 	}
+	s.work = work
 	return reach
 }

@@ -46,7 +46,10 @@ import (
 // Version 3: digests and entries carry no source positions or file names.
 // Version 4: each function's callees come sorted from the frontend, which
 // renumbers SCCs and reorders the extern records a digest hashes.
-const FormatVersion = 4
+// Version 5: a function with exactly MaxPaths paths is no longer
+// path-budget truncated, so it has no §5.2 default entry and no
+// path-budget diagnostic.
+const FormatVersion = 5
 
 // Digest is a SHA-256 content address.
 type Digest [sha256.Size]byte

@@ -136,7 +136,7 @@ func digestCorpora() []struct {
 
 // TestDigestsMatchFmtRecipe pins the digest bytes: the appender-based
 // Digests equals the fmt recipe on every function of every corpus family,
-// with PreserveBitTests off and on, so FormatVersion stays 4.
+// with PreserveBitTests off and on, so the digest recipe did not change.
 func TestDigestsMatchFmtRecipe(t *testing.T) {
 	for _, c := range digestCorpora() {
 		for _, preserve := range []bool{false, true} {

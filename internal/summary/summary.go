@@ -7,10 +7,9 @@
 package summary
 
 import (
-	"fmt"
+	"slices"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 
 	"repro/internal/sym"
@@ -87,25 +86,29 @@ func (e *Entry) SameChanges(o *Entry) bool {
 // DifferingRefcounts returns the refcount expressions whose deltas differ
 // between the entries, sorted by key for determinism.
 func (e *Entry) DifferingRefcounts(o *Entry) []*sym.Expr {
-	seen := make(map[string]*sym.Expr)
+	var small [8]string
+	keys := small[:0]
 	for k, c := range e.Changes {
-		if oc := o.Changes[k]; oc.Delta != c.Delta {
-			seen[k] = c.RC
+		if o.Changes[k].Delta != c.Delta {
+			keys = append(keys, k)
 		}
 	}
 	for k, c := range o.Changes {
-		if ec := e.Changes[k]; ec.Delta != c.Delta {
-			seen[k] = c.RC
+		if _, both := e.Changes[k]; !both && c.Delta != 0 {
+			keys = append(keys, k)
 		}
 	}
-	keys := make([]string, 0, len(seen))
-	for k := range seen {
-		keys = append(keys, k)
+	if len(keys) == 0 {
+		return nil
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	out := make([]*sym.Expr, len(keys))
 	for i, k := range keys {
-		out[i] = seen[k]
+		c, ok := e.Changes[k]
+		if !ok {
+			c = o.Changes[k]
+		}
+		out[i] = c.RC
 	}
 	return out
 }
@@ -147,39 +150,36 @@ func (e *Entry) InstantiateInto(dst *Entry, m map[string]*sym.Expr) *Entry {
 	return dst
 }
 
-// ChangesSignature returns a canonical string identifying the entry's
-// refcount changes: the sorted (refcount key, delta) pairs. Two entries
-// have equal signatures iff SameChanges holds, so Step III can bucket
-// entries by signature and only cross-bucket pairs can form an IPP.
-func (e *Entry) ChangesSignature() string {
-	if len(e.Changes) == 0 {
-		return ""
+// AppendChangesSignature appends to dst a canonical identity of the
+// entry's refcount changes, the sorted (refcount key, delta) pairs, and
+// returns the extended slice. Two entries have equal signatures iff
+// SameChanges holds, so Step III can bucket entries by signature and only
+// cross-bucket pairs can form an IPP.
+func (e *Entry) AppendChangesSignature(dst []byte) []byte {
+	var small [8]string
+	for _, k := range e.appendSortedKeys(small[:0]) {
+		dst = append(dst, k...)
+		dst = append(dst, '=')
+		dst = strconv.AppendInt(dst, int64(e.Changes[k].Delta), 10)
+		dst = append(dst, ';')
 	}
-	keys := make([]string, 0, len(e.Changes))
-	n := 0
+	return dst
+}
+
+// appendSortedKeys appends the keys of e's changes to dst in sorted order
+// and returns the extended slice.
+func (e *Entry) appendSortedKeys(dst []string) []string {
+	n := len(dst)
 	for k := range e.Changes {
-		keys = append(keys, k)
-		n += len(k) + 24
+		dst = append(dst, k)
 	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.Grow(n)
-	for _, k := range keys {
-		b.WriteString(k)
-		b.WriteByte('=')
-		b.WriteString(strconv.Itoa(e.Changes[k].Delta))
-		b.WriteByte(';')
-	}
-	return b.String()
+	slices.Sort(dst[n:])
+	return dst
 }
 
 // SortedChanges returns the changes sorted by refcount key.
 func (e *Entry) SortedChanges() []Change {
-	keys := make([]string, 0, len(e.Changes))
-	for k := range e.Changes {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	keys := e.appendSortedKeys(make([]string, 0, len(e.Changes)))
 	out := make([]Change, len(keys))
 	for i, k := range keys {
 		out[i] = e.Changes[k]
@@ -189,21 +189,39 @@ func (e *Entry) SortedChanges() []Change {
 
 // String renders the entry in the paper's (cons, changes, return) layout.
 func (e *Entry) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "cons: %s; changes:", e.Cons)
+	return string(e.AppendText(make([]byte, 0, 64)))
+}
+
+// AppendText appends the String form of e to dst and returns the extended
+// slice.
+func (e *Entry) AppendText(dst []byte) []byte {
+	dst = append(dst, "cons: "...)
+	dst = e.Cons.AppendText(dst)
+	dst = append(dst, "; changes:"...)
 	if len(e.Changes) == 0 {
-		b.WriteString(" -")
+		dst = append(dst, " -"...)
 	}
-	for _, c := range e.SortedChanges() {
-		fmt.Fprintf(&b, " %s:%+d", c.RC, c.Delta)
+	var small [8]string
+	for _, k := range e.appendSortedKeys(small[:0]) {
+		c := e.Changes[k]
+		dst = append(dst, ' ')
+		dst = append(dst, c.RC.String()...)
+		dst = append(dst, ':')
+		dst = AppendDelta(dst, c.Delta)
 	}
-	b.WriteString("; return: ")
+	dst = append(dst, "; return: "...)
 	if e.Ret == nil {
-		b.WriteString("-")
-	} else {
-		b.WriteString(e.Ret.String())
+		return append(dst, '-')
 	}
-	return b.String()
+	return append(dst, e.Ret.String()...)
+}
+
+// AppendDelta appends d with an explicit sign, as fmt's %+d renders it.
+func AppendDelta(dst []byte, d int) []byte {
+	if d >= 0 {
+		dst = append(dst, '+')
+	}
+	return strconv.AppendInt(dst, int64(d), 10)
 }
 
 // ---------------------------------------------------------------------------
@@ -243,12 +261,18 @@ func (s *Summary) ChangesRefcounts() bool {
 
 // String renders all entries, one per line.
 func (s *Summary) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "summary %s:\n", s.Fn)
+	b := make([]byte, 0, 64*(len(s.Entries)+1))
+	b = append(b, "summary "...)
+	b = append(b, s.Fn...)
+	b = append(b, ":\n"...)
 	for i, e := range s.Entries {
-		fmt.Fprintf(&b, "  entry %d: %s\n", i+1, e)
+		b = append(b, "  entry "...)
+		b = strconv.AppendInt(b, int64(i+1), 10)
+		b = append(b, ": "...)
+		b = e.AppendText(b)
+		b = append(b, '\n')
 	}
-	return b.String()
+	return string(b)
 }
 
 // ---------------------------------------------------------------------------

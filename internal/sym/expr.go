@@ -495,34 +495,67 @@ func (s Set) Subst(m map[string]*Expr) Set {
 // local to an observable expression are used to rewrite that local away, so
 // information such as "[0] = v ∧ v ≥ 0" survives as "[0] ≥ 0".
 func (s Set) WithoutLocals() Set {
-	out, _ := s.ProjectLocals()
+	var p Projector
+	out, _ := p.Project(s, nil)
 	return out
 }
 
-// ProjectLocals performs the local projection of WithoutLocals and also
-// returns the accumulated substitution that pinned locals to observable
-// expressions. Callers (the symbolic executor) apply the same substitution
-// to refcount keys and return expressions so that, e.g., the refcount of an
-// object held in a returned local becomes the refcount of [0].
-func (s Set) ProjectLocals() (Set, map[string]*Expr) {
-	// Fast path: nothing mentions a local, so there is nothing to project
-	// and nothing to pin.
-	anyLocal := false
-	for _, c := range s.conds {
-		if c.HasLocal() {
-			anyLocal = true
-			break
+// Projector performs the projection of WithoutLocals in scratch it keeps
+// across calls: the pin maps and the condition lists of the fixpoint
+// rounds. The zero value is ready to use; a Projector is not safe for
+// concurrent use.
+type Projector struct {
+	pins, round map[string]*Expr
+	a, b        []*Expr
+}
+
+// Project returns (s ∧ c).WithoutLocals(), or s.WithoutLocals() when c
+// is nil, together with the accumulated substitution that pinned
+// locals to observable expressions. Callers (the symbolic executor) apply
+// the same substitution to refcount keys and return expressions so that,
+// e.g., the refcount of an object held in a returned local becomes the
+// refcount of [0]. The map is the Projector's own: it is valid until the
+// next Project or Reset call and must not be retained; it is nil when
+// nothing mentions a local. The conjunction is built only when it is the
+// result; otherwise the projection is the only new Set.
+func (p *Projector) Project(s Set, c *Expr) (Set, map[string]*Expr) {
+	if c != nil {
+		if c = c.AsCond(); c.IsTrue() {
+			c = nil
 		}
 	}
+	// Fast path: nothing mentions a local, so there is nothing to project
+	// and nothing to pin.
+	anyLocal := c != nil && c.HasLocal()
+	for _, x := range s.conds {
+		if anyLocal {
+			break
+		}
+		anyLocal = x.HasLocal()
+	}
 	if !anyLocal {
+		if c != nil {
+			s = s.And(c)
+		}
 		return s, nil
 	}
 	conds := s.conds
-	pins := make(map[string]*Expr)
+	if c != nil {
+		// A c that s already holds repeats a condition, which the rounds
+		// and NewSet drop as And would have.
+		conds = append(append(p.b[:0], s.conds...), c)
+		p.b = conds
+	}
+	if p.pins == nil {
+		p.pins = make(map[string]*Expr)
+		p.round = make(map[string]*Expr)
+	}
+	pins, m := p.pins, p.round
+	clear(pins)
 	// Fixpoint: substitute locals that are pinned by an equality to a
 	// local-free expression.
 	for iter := 0; iter < 8; iter++ {
-		m := make(map[string]*Expr)
+		clear(m)
 		for _, c := range conds {
 			if c.Kind != KCond || c.Pred != ir.EQ {
 				continue
@@ -551,19 +584,44 @@ func (s Set) ProjectLocals() (Set, map[string]*Expr) {
 				pins[k] = v
 			}
 		}
-		subbed := make([]*Expr, len(conds))
-		for i, c := range conds {
-			subbed[i] = c.Subst(m)
+		// The substituted conditions, deduplicated as NewSet would. The
+		// round reads one scratch list and writes the other.
+		next := p.a[:0]
+		for _, c := range conds {
+			if nc := c.Subst(m).AsCond(); !nc.IsTrue() && !containsKey(next, nc) {
+				next = append(next, nc)
+			}
 		}
-		conds = NewSet(subbed).conds
+		p.a, p.b = p.b, next
+		conds = next
 	}
-	keep := make([]*Expr, 0, len(conds))
+	keep := p.a[:0]
 	for _, c := range conds {
 		if !c.HasLocal() {
 			keep = append(keep, c)
 		}
 	}
+	p.a = keep
 	return NewSet(keep), pins
+}
+
+// Reset drops everything p's scratch references, keeping its capacity.
+func (p *Projector) Reset() {
+	clear(p.pins)
+	clear(p.round)
+	clear(p.a[:cap(p.a)])
+	clear(p.b[:cap(p.b)])
+	p.a, p.b = p.a[:0], p.b[:0]
+}
+
+// containsKey reports whether list holds a condition with c's key.
+func containsKey(list []*Expr, c *Expr) bool {
+	for _, x := range list {
+		if x == c || x.Key() == c.Key() {
+			return true
+		}
+	}
+	return false
 }
 
 // isProjectable reports whether e is a term whose only unobservable part is
@@ -660,12 +718,38 @@ func AppendMergedCacheKey(b []byte, s, o Set) (out []byte, n int) {
 
 // String renders the conjunction in the paper's ∧ notation.
 func (s Set) String() string {
-	if len(s.conds) == 0 {
+	switch len(s.conds) {
+	case 0:
 		return "true"
+	case 1:
+		return s.conds[0].String()
 	}
-	parts := make([]string, len(s.conds))
+	n := 4 * (len(s.conds) - 1)
+	for _, c := range s.conds {
+		n += len(c.Key())
+	}
+	var b strings.Builder
+	b.Grow(n)
 	for i, c := range s.conds {
-		parts[i] = c.String()
+		if i > 0 {
+			b.WriteString(" && ")
+		}
+		b.WriteString(c.String())
 	}
-	return strings.Join(parts, " && ")
+	return b.String()
+}
+
+// AppendText appends the String form of s to dst and returns the extended
+// slice.
+func (s Set) AppendText(dst []byte) []byte {
+	if len(s.conds) == 0 {
+		return append(dst, "true"...)
+	}
+	for i, c := range s.conds {
+		if i > 0 {
+			dst = append(dst, " && "...)
+		}
+		dst = append(dst, c.String()...)
+	}
+	return dst
 }

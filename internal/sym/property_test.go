@@ -249,3 +249,141 @@ func TestInternIdentity(t *testing.T) {
 		t.Fatalf("no independently built pair coincided (%d expressions, %d sets); property too weak", shared, sharedSets)
 	}
 }
+
+// projectLocalsReference is the projection as first written: fresh maps
+// and a NewSet per fixpoint round. It is the oracle for Projector.
+func projectLocalsReference(s Set) (Set, map[string]*Expr) {
+	anyLocal := false
+	for _, c := range s.conds {
+		anyLocal = anyLocal || c.HasLocal()
+	}
+	if !anyLocal {
+		return s, nil
+	}
+	conds := s.conds
+	pins := make(map[string]*Expr)
+	for iter := 0; iter < 8; iter++ {
+		m := make(map[string]*Expr)
+		for _, c := range conds {
+			if c.Kind != KCond || c.Pred != ir.EQ {
+				continue
+			}
+			a, b := c.A, c.B
+			if isProjectable(a) && !b.HasLocal() {
+				if _, dup := m[a.Key()]; !dup {
+					m[a.Key()] = b
+				}
+			} else if isProjectable(b) && !a.HasLocal() {
+				if _, dup := m[b.Key()]; !dup {
+					m[b.Key()] = a
+				}
+			}
+		}
+		if len(m) == 0 {
+			break
+		}
+		for k, v := range pins {
+			pins[k] = v.Subst(m)
+		}
+		for k, v := range m {
+			if _, dup := pins[k]; !dup {
+				pins[k] = v
+			}
+		}
+		subbed := make([]*Expr, len(conds))
+		for i, c := range conds {
+			subbed[i] = c.Subst(m)
+		}
+		conds = NewSet(subbed).conds
+	}
+	var keep []*Expr
+	for _, c := range conds {
+		if !c.HasLocal() {
+			keep = append(keep, c)
+		}
+	}
+	return NewSet(keep), pins
+}
+
+// TestProjectorMatchesReference: one Projector reused across random sets,
+// pinning equalities included, projects s ∧ c exactly as the reference
+// projects the built conjunction — the same conditions in the same order
+// and the same pins — and leaves no earlier call's pins behind.
+func TestProjectorMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	pinning := []*Expr{
+		Cond(Local("v"), ir.EQ, Arg("a")),
+		Cond(Fresh("r1"), ir.EQ, Local("w")),
+		Cond(Local("w"), ir.EQ, Const(3)),
+		Cond(Ret(), ir.EQ, Fresh("r2")),
+		Cond(Fresh("r2"), ir.EQ, Field(Arg("dev"), "pm")),
+	}
+	var p Projector
+	rounds := 0
+	for i := 0; i < 2000; i++ {
+		s := True()
+		for j, n := 0, rng.Intn(7); j < n; j++ {
+			if rng.Intn(3) == 0 {
+				s = s.And(pinning[rng.Intn(len(pinning))])
+			} else if c := genExpr(rng, 2).AsCond(); c.Kind == KCond {
+				s = s.And(c)
+			}
+		}
+		var c *Expr
+		switch rng.Intn(3) {
+		case 0:
+			c = pinning[rng.Intn(len(pinning))]
+		case 1:
+			c = genExpr(rng, 2)
+		}
+		want := s
+		if c != nil {
+			want = s.And(c)
+		}
+		wantSet, wantPins := projectLocalsReference(want)
+		gotSet, gotPins := p.Project(s, c)
+		if len(gotSet.Conds()) != len(wantSet.Conds()) {
+			t.Fatalf("%s ∧ %v: projected to %s, want %s", s, c, gotSet, wantSet)
+		}
+		for k, x := range gotSet.Conds() {
+			if x != wantSet.Conds()[k] {
+				t.Fatalf("%s ∧ %v: projected to %s, want %s", s, c, gotSet, wantSet)
+			}
+		}
+		if gotSet.Key() != wantSet.Key() || len(gotPins) != len(wantPins) {
+			t.Fatalf("%s ∧ %v: pins %v, want %v", s, c, gotPins, wantPins)
+		}
+		for k, v := range wantPins {
+			if gotPins[k] != v {
+				t.Fatalf("%s ∧ %v: pin %s = %v, want %v", s, c, k, gotPins[k], v)
+			}
+		}
+		if len(wantPins) > 0 {
+			rounds++
+		}
+	}
+	if rounds < 100 {
+		t.Errorf("only %d sets pinned a local; generator too weak", rounds)
+	}
+}
+
+// TestProjectorReset: Reset leaves a Projector holding no pins and no
+// condition, so a pooled owner pins nothing between borrows.
+func TestProjectorReset(t *testing.T) {
+	var p Projector
+	p.Project(NewSet([]*Expr{Cond(Local("v"), ir.EQ, Arg("a")), Cond(Local("v"), ir.GT, Const(0))}), Cond(Ret(), ir.EQ, Local("v")))
+	if len(p.pins) == 0 {
+		t.Fatal("the projection pinned nothing; test too weak")
+	}
+	p.Reset()
+	if len(p.pins) != 0 || len(p.round) != 0 {
+		t.Error("Reset left pins")
+	}
+	for _, buf := range [][]*Expr{p.a[:cap(p.a)], p.b[:cap(p.b)]} {
+		for _, c := range buf {
+			if c != nil {
+				t.Fatal("Reset left a condition in scratch")
+			}
+		}
+	}
+}

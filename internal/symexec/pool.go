@@ -3,6 +3,7 @@ package symexec
 import (
 	"sync"
 
+	"repro/internal/racebuild"
 	"repro/internal/solver"
 	"repro/internal/summary"
 	"repro/internal/sym"
@@ -25,9 +26,9 @@ import (
 //   - st.apps escapes into EntryProv at finalize under Config.Provenance,
 //     so resetForPut always drops the apps backing rather than reusing it.
 //
-// resetForPut is build-tagged: the normal build clears containers and
-// keeps their capacity (pool_norace.go); the -race build poisons
-// uniquely-owned storage and drops it (pool_race.go), so a retained alias
+// resetForPut keeps the build-tagged contract of internal/racebuild: the
+// normal build clears containers and keeps their capacity; the -race
+// build poisons uniquely-owned storage and drops it, so a retained alias
 // fails loudly under the race/alloc-guard tests instead of silently
 // reading recycled data.
 
@@ -43,6 +44,33 @@ func getState() *state {
 		st.vmap = make(map[string]*sym.Expr)
 	}
 	return st
+}
+
+// resetForPut clears the state for reuse. In the normal build it keeps
+// the capacity of its uniquely-owned containers (conds, changes, vmap,
+// consScratch); in the -race build it scribbles over them and drops them,
+// so an alias that escaped the ownership contract dereferences a nil
+// condition or observes a cleared map. cons only has its field zeroed:
+// the Set's backing arrays may be shared with live clones and are
+// immutable, so they are neither cleared nor reused in place. apps is
+// always dropped — its backing can escape into an EntryProv.
+func (st *state) resetForPut() {
+	clear(st.changes)
+	clear(st.vmap)
+	st.ret = nil
+	st.hasRet = false
+	st.dead = false
+	st.apps = nil
+	st.cons = sym.Set{}
+	st.consValid = false
+	if racebuild.Enabled {
+		clear(st.conds) // nil cond: any later use panics
+		clear(st.consScratch)
+		st.conds, st.changes, st.vmap, st.consScratch = nil, nil, nil, nil
+		return
+	}
+	st.conds = st.conds[:0]
+	st.consScratch = st.consScratch[:0]
 }
 
 // putState recycles a dropped state. The caller must hold the only
@@ -91,5 +119,8 @@ func putPathRun(pr *pathRun) {
 	pr.instScratch.Cons = sym.Set{}
 	pr.instScratch.Ret = nil
 	clear(pr.instScratch.Changes) // keep the map's capacity
+	pr.proj.Reset()
+	clear(pr.entries) // freezeEntries leaves it empty; a test may not
+	pr.entries = pr.entries[:0]
 	pathRunPool.Put(pr)
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/lower"
+	"repro/internal/racebuild"
 	"repro/internal/solver"
 	"repro/internal/spec"
 	"repro/internal/summary"
@@ -75,7 +76,7 @@ func TestStateResetBuildContract(t *testing.T) {
 	alias := st.conds
 	condCap := cap(st.conds)
 	st.resetForPut()
-	if raceEnabled {
+	if racebuild.Enabled {
 		if st.conds != nil || st.changes != nil || st.vmap != nil || st.consScratch != nil {
 			t.Error("race build must drop poisoned containers")
 		}
@@ -142,6 +143,7 @@ func TestPathRunPoolDropsJobReferences(t *testing.T) {
 	pr.callArgs["arg0"] = sym.Arg("v")
 	pr.instScratch.Ret = sym.Arg("r")
 	pr.instScratch.AddChange(sym.Arg("dev"), 1)
+	pr.entries = append(pr.entries, frozenEntry{Entry: summary.Entry{Ret: sym.Arg("r")}, path: 1})
 
 	putPathRun(pr)
 	if pr.Executor != nil || pr.job != nil || pr.slv != nil {
@@ -163,6 +165,9 @@ func TestPathRunPoolDropsJobReferences(t *testing.T) {
 	}
 	if pr.instScratch.Ret != nil || pr.instScratch.Cons.Len() != 0 || len(pr.instScratch.Changes) != 0 {
 		t.Error("recycled pathRun carries instantiation scratch")
+	}
+	if len(pr.entries) != 0 || pr.entries[:1][0].Ret != nil {
+		t.Error("recycled pathRun carries or pins finalized entries")
 	}
 
 	// A fresh acquisition against the same job must see cleared counters.

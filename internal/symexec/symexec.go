@@ -252,7 +252,8 @@ type pathRun struct {
 	*Executor
 	job    *Job
 	slv    *solver.Solver
-	occ    []int32 // per-site occurrence counts, indexed by Job.siteIDs
+	occ    []int32 // per-site occurrence counts, indexed by site ID
+	site   int     // site ID of the instruction being executed
 	anon   int
 	weight int // paths through the trie node being executed
 	gaveUp int // solver give-ups, each counted once per path through its node
@@ -265,6 +266,11 @@ type pathRun struct {
 	oneBuf      [1]*state            // step() singleton result
 	callArgs    map[string]*sym.Expr // Algorithm-1 instantiation map
 	instScratch summary.Entry        // InstantiateInto target
+	proj        sym.Projector        // finalize's local projection
+
+	// The task's finalized entries, in path order, until freezeEntries
+	// copies them out.
+	entries []frozenEntry
 }
 
 // New returns an executor. db supplies callee summaries (predefined and
@@ -277,8 +283,8 @@ func New(db *summary.DB, slv *solver.Solver, cfg Config) *Executor {
 // across paths (same site, same occurrence index → same symbol). The name
 // is assembled in a reused buffer and interned through FreshBytes, so the
 // common case — a symbol already seen on another path — allocates nothing.
-func (pr *pathRun) siteSym(fn *ir.Func, in *ir.Instr, prefix string) *sym.Expr {
-	id := pr.job.siteIDs[in]
+func (pr *pathRun) siteSym(fn *ir.Func, prefix string) *sym.Expr {
+	id := pr.site
 	b := pr.symBuf[:0]
 	b = append(b, prefix...)
 	b = append(b, '@')
@@ -321,13 +327,14 @@ func (ex *Executor) Summarize(ctx context.Context, fn *ir.Func) Result {
 // own: a node is a range of paths and a depth. The paths in [lo,hi) agree
 // on their first d blocks, whose execution left the live sub-cases in
 // states. walk owns states: every state is finalized or recycled, and each
-// leaf writes its path's slot in Job.outs. truncated reports whether the
-// sub-case budget cut the set anywhere on the shared prefix.
+// leaf sets its path's flags and adds its entries to the task's. truncated
+// reports whether the sub-case budget cut the set anywhere on the shared
+// prefix.
 func (pr *pathRun) walk(lo, hi, d int, states []*state, truncated bool) {
 	j := pr.job
 	blocks := j.fn.Body().Blocks
 	for {
-		path := j.enum.Paths[lo].Blocks
+		path := j.paths[lo].Blocks
 		if j.ctx.Err() != nil {
 			pr.dropStates(states)
 			pr.endPaths(lo, hi, truncated, true)
@@ -335,11 +342,12 @@ func (pr *pathRun) walk(lo, hi, d int, states []*state, truncated bool) {
 		}
 		pr.weight = hi - lo
 		instrs := blocks[path[d]].Instrs
+		site := j.siteBase[path[d]]
 		if d+1 == len(path) {
 			// A leaf: the block ends in the path's return, and a return
 			// block has no successors, so the range is this one path.
-			for _, in := range instrs {
-				if states, truncated = pr.stepAll(in, -1, states, truncated); len(states) == 0 {
+			for k, in := range instrs {
+				if states, truncated = pr.stepAll(in, site+k, -1, states, truncated); len(states) == 0 {
 					break
 				}
 			}
@@ -349,8 +357,9 @@ func (pr *pathRun) walk(lo, hi, d int, states []*state, truncated bool) {
 		}
 		// Every instruction but the terminator runs the same way for every
 		// child; only the terminator reads the next block.
-		for _, in := range instrs[:len(instrs)-1] {
-			if states, truncated = pr.stepAll(in, -1, states, truncated); len(states) == 0 {
+		last := len(instrs) - 1
+		for k, in := range instrs[:last] {
+			if states, truncated = pr.stepAll(in, site+k, -1, states, truncated); len(states) == 0 {
 				pr.endPaths(lo, hi, truncated, false)
 				return
 			}
@@ -360,7 +369,7 @@ func (pr *pathRun) walk(lo, hi, d int, states []*state, truncated bool) {
 			return
 		}
 		// One child: descend in place, no clone.
-		if states, truncated = pr.stepAll(instrs[len(instrs)-1], path[d+1], states, truncated); len(states) == 0 {
+		if states, truncated = pr.stepAll(instrs[last], site+last, path[d+1], states, truncated); len(states) == 0 {
 			pr.endPaths(lo, hi, truncated, false)
 			return
 		}
@@ -375,7 +384,9 @@ func (pr *pathRun) walk(lo, hi, d int, states []*state, truncated bool) {
 // names its symbols exactly as a path executed alone from the entry does.
 func (pr *pathRun) branch(lo, hi, d int, states []*state, truncated bool) {
 	j := pr.job
-	term := j.fn.Body().Blocks[j.enum.Paths[lo].Blocks[d]].Terminator()
+	b := j.paths[lo].Blocks[d]
+	instrs := j.fn.Body().Blocks[b].Instrs
+	term, site := instrs[len(instrs)-1], j.siteBase[b]+len(instrs)-1
 	mark := len(pr.occSaved)
 	pr.occSaved = append(pr.occSaved, pr.occ...)
 	anon := pr.anon
@@ -393,7 +404,7 @@ func (pr *pathRun) branch(lo, hi, d int, states []*state, truncated bool) {
 			pr.anon = anon
 		}
 		pr.weight = mid - lo
-		sub, trunc := pr.stepAll(term, j.enum.Paths[lo].Blocks[d+1], sub, truncated)
+		sub, trunc := pr.stepAll(term, site, j.paths[lo].Blocks[d+1], sub, truncated)
 		if len(sub) == 0 {
 			pr.putBuf(sub)
 			pr.endPaths(lo, mid, trunc, false)
@@ -408,7 +419,7 @@ func (pr *pathRun) branch(lo, hi, d int, states []*state, truncated bool) {
 // childEnd returns the end of the child range that starts at lo: the
 // paths of [lo,hi) that agree with path lo on block d+1.
 func (pr *pathRun) childEnd(lo, hi, d int) int {
-	paths := pr.job.enum.Paths
+	paths := pr.job.paths
 	b := paths[lo].Blocks[d+1]
 	mid := lo + 1
 	for mid < hi && paths[mid].Blocks[d+1] == b {
@@ -417,12 +428,13 @@ func (pr *pathRun) childEnd(lo, hi, d int) int {
 	return mid
 }
 
-// stepAll executes in on every live state: dead states are recycled,
-// states that return move to pr.finished, and the survivors are cut to
-// the sub-case budget. It consumes states and returns the survivors in a
-// buffer of its own.
-func (pr *pathRun) stepAll(in *ir.Instr, nextBlock int, states []*state, truncated bool) ([]*state, bool) {
-	pr.occ[pr.job.siteIDs[in]]++
+// stepAll executes in, whose site ID is site, on every live state: dead
+// states are recycled, states that return move to pr.finished, and the
+// survivors are cut to the sub-case budget. It consumes states and
+// returns the survivors in a buffer of its own.
+func (pr *pathRun) stepAll(in *ir.Instr, site, nextBlock int, states []*state, truncated bool) ([]*state, bool) {
+	pr.site = site
+	pr.occ[site]++
 	next := pr.getBuf()
 	for _, st := range states {
 		if st.dead {
@@ -451,37 +463,57 @@ func (pr *pathRun) stepAll(in *ir.Instr, nextBlock int, states []*state, truncat
 	return next, truncated
 }
 
-// finishPath finalizes the returned states of leaf path i into its slot.
+// finishPath finalizes the returned states of leaf path i into the task's
+// entry scratch.
 func (pr *pathRun) finishPath(i int, truncated bool) {
-	o := &pr.job.outs[i]
+	mark := len(pr.entries)
 	for _, st := range pr.finished {
-		e, prov := pr.finalize(pr.job.fn, st)
+		pr.entries = append(pr.entries, frozenEntry{path: i})
+		fe := &pr.entries[len(pr.entries)-1]
+		prov, ok := pr.finalize(pr.job.fn, st, &fe.Entry)
 		putState(st)
-		if e == nil {
-			continue
-		}
-		o.entries = append(o.entries, e)
-		if pr.cfg.Provenance {
-			o.provs = append(o.provs, prov)
+		if ok {
+			fe.prov = prov
+		} else {
+			pr.entries = pr.entries[:len(pr.entries)-1]
 		}
 	}
 	pr.finished = pr.finished[:0]
-	if len(o.entries) > pr.cfg.MaxSubcases {
-		o.entries = o.entries[:pr.cfg.MaxSubcases]
+	if len(pr.entries)-mark > pr.cfg.MaxSubcases {
+		cut := mark + pr.cfg.MaxSubcases
+		clear(pr.entries[cut:])
+		pr.entries = pr.entries[:cut]
 		truncated = true
-		if o.provs != nil {
-			o.provs = o.provs[:pr.cfg.MaxSubcases]
-		}
 	}
-	o.truncated = truncated
+	pr.endPaths(i, i+1, truncated, false)
 }
 
-// endPaths closes paths [lo,hi) without entries: their sub-cases all died
-// on the shared prefix, or the context expired before it ended.
+// freezeEntries copies the task's entries out of scratch into an array of
+// exactly their number, and clears the scratch.
+func (pr *pathRun) freezeEntries() []frozenEntry {
+	if len(pr.entries) == 0 {
+		return nil
+	}
+	out := make([]frozenEntry, len(pr.entries))
+	copy(out, pr.entries)
+	clear(pr.entries)
+	pr.entries = pr.entries[:0]
+	return out
+}
+
+// endPaths closes paths [lo,hi): their sub-cases all died on the shared
+// prefix, or the context expired before it ended, or (hi = lo+1) the path
+// finished.
 func (pr *pathRun) endPaths(lo, hi int, truncated, canceled bool) {
+	f := 0
+	if truncated {
+		f |= pathTruncated
+	}
+	if canceled {
+		f |= pathCanceled
+	}
 	for i := lo; i < hi; i++ {
-		pr.job.outs[i].truncated = truncated
-		pr.job.outs[i].canceled = canceled
+		pr.job.pathFlags[i] = f
 	}
 }
 
@@ -535,7 +567,7 @@ func (pr *pathRun) step(fn *ir.Func, st *state, in *ir.Instr, nextBlock int) []*
 	case ir.OpLoadField:
 		st.vmap[in.Dst] = sym.Field(pr.eval(st, in.Obj), in.Field)
 	case ir.OpRandom:
-		st.vmap[in.Dst] = pr.siteSym(fn, in, "r")
+		st.vmap[in.Dst] = pr.siteSym(fn, "r")
 	case ir.OpCompare:
 		a := pr.eval(st, in.A)
 		b := pr.eval(st, in.B)
@@ -579,7 +611,7 @@ func (pr *pathRun) call(fn *ir.Func, st *state, in *ir.Instr) []*state {
 		// return) without registering it, matching §5.2's "assume these
 		// functions can return any possible value".
 		if in.Dst != "" {
-			st.vmap[in.Dst] = pr.siteSym(fn, in, in.Fn)
+			st.vmap[in.Dst] = pr.siteSym(fn, in.Fn)
 		}
 		pr.oneBuf[0] = st
 		return pr.oneBuf[:]
@@ -595,7 +627,7 @@ func (pr *pathRun) call(fn *ir.Func, st *state, in *ir.Instr) []*state {
 			m[sym.Arg(p).Key()] = pr.eval(st, in.Args[i])
 		}
 	}
-	result := pr.siteSym(fn, in, in.Fn)
+	result := pr.siteSym(fn, in.Fn)
 	m[sym.Ret().Key()] = result
 
 	out := pr.outBuf[:0]
@@ -677,14 +709,14 @@ func (pr *pathRun) eval(st *state, v ir.Value) *sym.Expr {
 	return pr.anonSym("v")
 }
 
-// finalize turns a finished state into a summary entry: decide
+// finalize turns a finished state into the summary entry e: decide
 // feasibility, bind [0] to the returned expression, project local
-// conditions, rewrite refcount keys and the return expression through the
-// projection pins, and drop entries that are unsatisfiable or whose
-// refcounts remain unobservable. Under Config.Provenance the returned
-// EntryProv records the derivation (raw and projected constraints, applied
-// callee entries); it is nil otherwise.
-func (pr *pathRun) finalize(fn *ir.Func, st *state) (*summary.Entry, *EntryProv) {
+// conditions, and rewrite refcount keys and the return expression through
+// the projection pins. It reports false, leaving e as it was, for an
+// unsatisfiable path. Under Config.Provenance the returned EntryProv
+// records the derivation (raw and projected constraints, applied callee
+// entries); it is nil otherwise.
+func (pr *pathRun) finalize(fn *ir.Func, st *state, e *summary.Entry) (*EntryProv, bool) {
 	// Feasibility must be decided on the full path condition, locals
 	// included: a path can be infeasible purely through conditions on
 	// locals (e.g. $c < 0 ∧ $c > 0 after the local was overwritten), and
@@ -697,24 +729,33 @@ func (pr *pathRun) finalize(fn *ir.Func, st *state) (*summary.Entry, *EntryProv)
 	// call-site prune.
 	cons := st.consSet()
 	if cons.HasFalse() || !pr.sat(cons) {
-		return nil, nil
+		return nil, false
 	}
 	retExpr := st.ret
+	var bind *sym.Expr // [0] == ret
 	if retExpr != nil {
-		cons = cons.And(sym.Cond(sym.Ret(), ir.EQ, retExpr))
+		bind = sym.Cond(sym.Ret(), ir.EQ, retExpr)
 	}
 
 	var prov *EntryProv
 	if pr.cfg.Provenance {
-		prov = &EntryProv{RawCons: cons.String(), Apps: st.apps}
+		raw := cons
+		if bind != nil {
+			raw = raw.And(bind)
+		}
+		prov = &EntryProv{RawCons: raw.String(), Apps: st.apps}
 	}
 
 	var pins map[string]*sym.Expr
-	if !pr.cfg.KeepLocalConds {
-		cons, pins = cons.ProjectLocals()
+	if pr.cfg.KeepLocalConds {
+		if bind != nil {
+			cons = cons.And(bind)
+		}
+	} else {
+		cons, pins = pr.proj.Project(cons, bind)
 	}
 
-	e := summary.NewEntry(cons, nil)
+	e.Cons = cons
 	if prov != nil {
 		prov.Cons = cons.String()
 	}
@@ -740,5 +781,5 @@ func (pr *pathRun) finalize(fn *ir.Func, st *state) (*summary.Entry, *EntryProv)
 		// ipp.Check, since callers can neither observe nor balance them.
 		e.AddChange(rc, ch.Delta)
 	}
-	return e, prov
+	return prov, true
 }

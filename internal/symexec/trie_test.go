@@ -53,8 +53,9 @@ func (pr *pathRun) execPath(ctx context.Context, fn *ir.Func, path cfg.Path) ([]
 		if bi+1 < len(path.Blocks) {
 			nextBlock = path.Blocks[bi+1]
 		}
-		for _, in := range blocks[b].Instrs {
-			pr.occ[pr.job.siteIDs[in]]++
+		for k, in := range blocks[b].Instrs {
+			pr.site = pr.job.siteBase[b] + k
+			pr.occ[pr.site]++
 			next = next[:0]
 			for _, st := range states {
 				if st.dead {
@@ -96,9 +97,10 @@ func (pr *pathRun) execPath(ctx context.Context, fn *ir.Func, path cfg.Path) ([]
 	var entries []*summary.Entry
 	var provs []*EntryProv
 	for _, st := range finished {
-		e, prov := pr.finalize(fn, st)
+		e := new(summary.Entry)
+		prov, ok := pr.finalize(fn, st, e)
 		putState(st)
-		if e == nil {
+		if !ok {
 			continue
 		}
 		entries = append(entries, e)
@@ -242,30 +244,31 @@ func TestTrieMatchesPerPathExecution(t *testing.T) {
 					j := ex.Prepare(ctx, fn)
 					trieGaveUp := runTasks(j, workers)
 					totalGaveUp += trieGaveUp
-					if j.NumTasks() < len(j.enum.Paths) {
+					if j.NumTasks() < len(j.paths) {
 						shared++
 					}
+					trieEntries, trieProvs := perPath(j)
 					refGaveUp := 0
-					for i, p := range j.enum.Paths {
+					for i, p := range j.paths {
 						pr := getPathRun(j, refSlv)
 						entries, provs, trunc, canc := pr.execPath(ctx, fn, p)
 						refGaveUp += pr.gaveUp
 						putPathRun(pr)
-						o := &j.outs[i]
 						where := fmt.Sprintf("%s/%s: %s path %d %v", name, tc.name, fnName, i, p.Blocks)
-						if got, want := renderEntries(o.entries), renderEntries(entries); got != want {
+						if got, want := renderEntries(trieEntries[i]), renderEntries(entries); got != want {
 							t.Fatalf("%s: entries differ\ntrie:\n%s\nper-path:\n%s", where, got, want)
 						}
-						if !reflect.DeepEqual(o.provs, provs) {
-							t.Fatalf("%s: provenance differs\ntrie: %+v\nper-path: %+v", where, o.provs, provs)
+						if !reflect.DeepEqual(trieProvs[i], provs) {
+							t.Fatalf("%s: provenance differs\ntrie: %+v\nper-path: %+v", where, trieProvs[i], provs)
 						}
-						if o.truncated != trunc || o.canceled != canc {
-							t.Fatalf("%s: truncated/canceled %v/%v, per-path %v/%v", where, o.truncated, o.canceled, trunc, canc)
+						f := j.pathFlags[i]
+						if f&pathTruncated != 0 != trunc || f&pathCanceled != 0 != canc {
+							t.Fatalf("%s: flags %b, per-path truncated/canceled %v/%v", where, f, trunc, canc)
 						}
 						if fnName == "loop" && revisits(p.Blocks) {
 							sawLoopRevisit = true
 						}
-						if fnName == "dies" && len(j.enum.Paths) > 1 && len(entries) == 0 {
+						if fnName == "dies" && len(j.paths) > 1 && len(entries) == 0 {
 							sawDeadPrefix = true
 						}
 					}
@@ -315,8 +318,8 @@ func TestTrieCanceledMarksEveryPath(t *testing.T) {
 	if !res.Canceled || !res.Truncated || len(res.Entries) != 0 {
 		t.Errorf("canceled=%v truncated=%v entries=%d, want canceled, truncated, none", res.Canceled, res.Truncated, len(res.Entries))
 	}
-	for i, o := range j.outs {
-		if !o.canceled {
+	for i, f := range j.pathFlags {
+		if f&pathCanceled == 0 {
 			t.Errorf("path %d not marked canceled", i)
 		}
 	}
@@ -336,8 +339,12 @@ func TestSubtreeTasks(t *testing.T) {
 		// Stem 0→1, then three children of block 1; the second has two paths.
 		{[]cfg.Path{p(0, 1, 2), p(0, 1, 3, 5), p(0, 1, 3, 6), p(0, 1, 4)}, []int{0, 1, 3, 4}},
 	} {
-		if got := subtrees(tc.paths); !reflect.DeepEqual(got, tc.want) {
+		d := divergence(tc.paths)
+		if got := subtrees(tc.paths, d, nil); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("subtrees(%v) = %v, want %v", tc.paths, got, tc.want)
+		}
+		if n := numSubtrees(tc.paths, d); n != len(tc.want)-1 {
+			t.Errorf("numSubtrees(%v) = %d, want %d", tc.paths, n, len(tc.want)-1)
 		}
 	}
 }
@@ -362,6 +369,23 @@ func runTasks(j *Job, slvs []*solver.Solver) int {
 	}
 	wg.Wait()
 	return int(gaveUp.Load())
+}
+
+// perPath splits the frozen task results of j by path: entries, and
+// provenance (nil for a path without entries, as execPath returns it).
+func perPath(j *Job) ([][]*summary.Entry, [][]*EntryProv) {
+	entries := make([][]*summary.Entry, len(j.paths))
+	provs := make([][]*EntryProv, len(j.paths))
+	for _, o := range j.outs {
+		for k := range o.entries {
+			e := &o.entries[k]
+			entries[e.path] = append(entries[e.path], &e.Entry)
+			if j.ex.cfg.Provenance {
+				provs[e.path] = append(provs[e.path], e.prov)
+			}
+		}
+	}
+	return entries, provs
 }
 
 func renderEntries(es []*summary.Entry) string {

@@ -26,6 +26,7 @@ import (
 	"repro/internal/spec"
 	"repro/internal/store"
 	"repro/internal/summary"
+	"repro/internal/sym"
 	"repro/internal/symexec"
 )
 
@@ -175,21 +176,25 @@ func (r *Result) ReportsByFunction() []*ipp.Report {
 // Analyze runs RID over prog with the given API specifications. When ctx
 // is canceled (or its deadline passes) the run stops promptly at the next
 // function or path boundary and returns the partial result, with a
-// DegradeCanceled diagnostic recording how far it got.
+// DegradeCanceled diagnostic recording how far it got. The run builds its
+// expressions in a table of its own; the result's summaries and reports
+// keep what they reference, and the rest is dropped with the run.
 func Analyze(ctx context.Context, prog *ir.Program, specs *spec.Specs, opts Options) *Result {
 	opts = opts.withDefaults()
 	db := summary.NewDB()
 	if specs != nil {
 		specs.ApplyTo(db)
 	}
-	return analyzeWithDB(ctx, prog, specs, db, opts)
+	return analyzeWithDB(ctx, prog, specs, sym.NewTable(), db, opts)
 }
 
 // analyzeWithDB runs the pipeline against an existing summary database
-// (multi-file mode carries summaries across calls). specs is used only by
+// (multi-file mode carries summaries across calls), building every
+// expression in syms: the executors, Step III's default entries and the
+// store's decoded entries all go there. specs is used only by
 // the provenance replay post-pass (extern callees execute their predefined
 // summaries); nil is fine without Options.Provenance.
-func analyzeWithDB(ctx context.Context, prog *ir.Program, specs *spec.Specs, db *summary.DB, opts Options) *Result {
+func analyzeWithDB(ctx context.Context, prog *ir.Program, specs *spec.Specs, syms *sym.Table, db *summary.DB, opts Options) *Result {
 	// Every run counts into a registry (a private one when the caller did
 	// not attach an observer) so Stats.Solver can be read back as the
 	// counter delta across this call — exact under Workers>1, and immune
@@ -247,11 +252,11 @@ func analyzeWithDB(ctx context.Context, prog *ir.Program, specs *spec.Specs, db 
 	// is never serialized, and explain must observe a real derivation.
 	var cache *cacheState
 	if opts.CacheDir != "" && !opts.Provenance {
-		cache = openCache(opts, g, db, toAnalyze, res)
+		cache = openCache(opts, syms, g, db, toAnalyze, res)
 	}
 
 	t1 := time.Now()
-	analyzeSteal(ctx, prog, g, db, toAnalyze, cache, opts, res)
+	analyzeSteal(ctx, prog, g, syms, db, toAnalyze, cache, opts, res)
 	res.Stats.AnalyzeTime = time.Since(t1)
 	// Drain the fleet write-behind queue and surface any remote
 	// degradation before diagnostics are sorted into their final order.

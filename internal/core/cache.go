@@ -10,6 +10,7 @@ import (
 	"repro/internal/store"
 	"repro/internal/store/remote"
 	"repro/internal/summary"
+	"repro/internal/sym"
 )
 
 // cacheState binds an open persistent summary store to one analyzeWithDB
@@ -21,6 +22,7 @@ import (
 // fleet degraded.
 type cacheState struct {
 	store    store.Backend
+	syms     *sym.Table // the run's: hits decode into it
 	tiered   *remote.Tiered
 	prog     *ir.Program
 	digests  map[string]store.Digest
@@ -33,7 +35,7 @@ type cacheState struct {
 // returns nil — the run proceeds cold, it never dies over the cache. A fleet store that cannot even be
 // configured (a malformed URL) likewise only costs a cache-remote
 // diagnostic, not the local tier.
-func openCache(opts Options, g *callgraph.Graph, db *summary.DB, toAnalyze func(string) bool, res *Result) *cacheState {
+func openCache(opts Options, syms *sym.Table, g *callgraph.Graph, db *summary.DB, toAnalyze func(string) bool, res *Result) *cacheState {
 	fp := cacheFingerprint(opts)
 	st, err := store.Open(opts.CacheDir, fp, opts.Obs)
 	if err != nil {
@@ -46,7 +48,7 @@ func openCache(opts Options, g *callgraph.Graph, db *summary.DB, toAnalyze func(
 	sp := opts.Obs.Start(obs.PhaseCacheIO, "")
 	digests := store.Digests(g, db, fp)
 	sp.End()
-	c := &cacheState{store: opts.Resident.Over(st, opts.Obs), prog: g.Prog, digests: digests}
+	c := &cacheState{store: opts.Resident.Over(st, opts.Obs), syms: syms, prog: g.Prog, digests: digests}
 	if opts.CacheURL != "" {
 		client, err := remote.NewClient(remote.Config{
 			URL:         opts.CacheURL,
@@ -122,7 +124,7 @@ func (c *cacheState) load(fn string) (out funcOutcome, hit bool, diag *Diagnosti
 	if !ok {
 		return out, false, nil
 	}
-	e, err := c.store.Load(fn, d)
+	e, err := c.store.Load(c.syms, fn, d)
 	if err != nil {
 		return out, false, &Diagnostic{Fn: fn, Kind: DegradeCacheInvalid,
 			Cause: fmt.Sprintf("stored entry unusable, analyzed cold: %v", err)}

@@ -13,6 +13,7 @@ import (
 	"repro/internal/spec"
 	"repro/internal/store"
 	"repro/internal/summary"
+	"repro/internal/sym"
 )
 
 // cacheSrc has one real IPP bug (drv_op's error path returns with the
@@ -303,8 +304,8 @@ func TestCacheTransientOutcomesNotStored(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := store.Digest{5}
-	c := &cacheState{store: st, prog: prog, digests: map[string]store.Digest{"f": d}}
-	sum := summary.Default("f")
+	c := &cacheState{store: st, syms: sym.NewTable(), prog: prog, digests: map[string]store.Digest{"f": d}}
+	sum := summary.Default(sym.NewTable(), "f")
 	for _, out := range []funcOutcome{
 		{sum: sum, timedOut: true},
 		{sum: sum, panicked: true},
@@ -313,7 +314,7 @@ func TestCacheTransientOutcomesNotStored(t *testing.T) {
 		if diag := c.save("f", out); diag != nil {
 			t.Fatalf("save of transient outcome returned diagnostic: %v", diag)
 		}
-		if e, lerr := st.Load("f", d); e != nil || lerr != nil {
+		if e, lerr := st.Load(sym.NewTable(), "f", d); e != nil || lerr != nil {
 			t.Fatalf("transient outcome was persisted: (%v, %v)", e, lerr)
 		}
 	}

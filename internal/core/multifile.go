@@ -9,6 +9,7 @@ import (
 	"repro/internal/ir"
 	"repro/internal/spec"
 	"repro/internal/summary"
+	"repro/internal/sym"
 )
 
 // AnalyzeFiles implements the separate-compilation mode of §5.3: progs
@@ -60,7 +61,10 @@ func AnalyzeFiles(ctx context.Context, progs map[string]*ir.Program, specs *spec
 	// Strongly connected file groups, dependencies first.
 	groups := callgraph.Tarjan(deps)
 
-	// Shared state across groups.
+	// Shared state across groups: one expression table for the whole
+	// call, so a later group instantiates an earlier group's summaries
+	// without importing them.
+	syms := sym.NewTable()
 	db := summary.NewDB()
 	if specs != nil {
 		specs.ApplyTo(db)
@@ -80,7 +84,7 @@ func AnalyzeFiles(ctx context.Context, progs map[string]*ir.Program, specs *spec
 		for _, i := range group {
 			linked.Merge(progs[names[i]])
 		}
-		res := analyzeWithDB(ctx, linked, specs, db, opts)
+		res := analyzeWithDB(ctx, linked, specs, syms, db, opts)
 		total.Reports = append(total.Reports, res.Reports...)
 		total.Diagnostics = append(total.Diagnostics, res.Diagnostics...)
 		total.Stats.FuncsTotal += res.Stats.FuncsTotal

@@ -34,6 +34,7 @@ import (
 	"repro/internal/sched"
 	"repro/internal/solver"
 	"repro/internal/summary"
+	"repro/internal/sym"
 	"repro/internal/symexec"
 )
 
@@ -92,6 +93,7 @@ type stealWorker struct {
 type stealRun struct {
 	ctx       context.Context
 	prog      *ir.Program
+	syms      *sym.Table
 	db        *summary.DB
 	toAnalyze func(string) bool
 	cache     *cacheState
@@ -120,11 +122,11 @@ type stealRun struct {
 // analyzeSteal runs the two-level work-stealing scheduler with
 // opts.Workers workers. Extra workers help inside a single expensive
 // function instead of idling beside it.
-func analyzeSteal(ctx context.Context, prog *ir.Program, g *callgraph.Graph, db *summary.DB, toAnalyze func(string) bool, cache *cacheState, opts Options, res *Result) {
+func analyzeSteal(ctx context.Context, prog *ir.Program, g *callgraph.Graph, syms *sym.Table, db *summary.DB, toAnalyze func(string) bool, cache *cacheState, opts Options, res *Result) {
 	sccs := g.SCCs()
 	n := len(sccs)
 	s := &stealRun{
-		ctx: ctx, prog: prog, db: db, toAnalyze: toAnalyze,
+		ctx: ctx, prog: prog, syms: syms, db: db, toAnalyze: toAnalyze,
 		cache: cache, opts: opts, res: res,
 		sccs: sccs, pending: n,
 	}
@@ -180,7 +182,7 @@ func analyzeSteal(ctx context.Context, prog *ir.Program, g *callgraph.Graph, db 
 				wc:  reg.Worker(id),
 			}
 			w.slv.SetObs(opts.Obs)
-			w.ex = symexec.New(db, w.slv, opts.Exec)
+			w.ex = symexec.New(syms, db, w.slv, opts.Exec)
 			s.worker(w)
 		}(i)
 	}
@@ -455,7 +457,7 @@ func (s *stealRun) analyzeOne(fn *ir.Func, w *stealWorker) funcOutcome {
 	if cause, panicked := fj.panicCauseMin(); panicked {
 		return funcOutcome{
 			panicked: true,
-			sum:      summary.Default(fn.Name),
+			sum:      summary.Default(s.syms, fn.Name),
 			diags:    []Diagnostic{{Fn: fn.Name, Kind: DegradePanic, Cause: cause}},
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/solver"
 	"repro/internal/spec"
+	"repro/internal/sym"
 	"repro/internal/symexec"
 )
 
@@ -99,7 +100,7 @@ func TestStealSchedulerCountsTasks(t *testing.T) {
 		subtrees := 0
 		for _, name := range res.DB.Names() {
 			if s := res.DB.Get(name); !s.Predefined && prog.Funcs[name] != nil {
-				subtrees += symexec.New(nil, nil, symexec.Config{}).Prepare(context.Background(), prog.Funcs[name]).NumTasks()
+				subtrees += symexec.New(sym.NewTable(), nil, nil, symexec.Config{}).Prepare(context.Background(), prog.Funcs[name]).NumTasks()
 			}
 		}
 		got := reg.Counter(obs.MTasksExecuted)

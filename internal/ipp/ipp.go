@@ -285,7 +285,7 @@ func CheckWith(ctx context.Context, res symexec.Result, slv *solver.Solver, opts
 		sum.Entries = append(sum.Entries, exportable(res.Entries[ki].Entry))
 	}
 	if sum.HasDefault {
-		sum.Entries = append(sum.Entries, summary.NewEntry(sym.True(), sym.Ret()))
+		sum.Entries = append(sum.Entries, summary.NewEntry(sym.True(), res.Syms.Ret()))
 	}
 	return reports, sum
 }

@@ -13,10 +13,10 @@ import (
 
 // entry builds a path entry with the given constraint conditions and one
 // optional change.
-func entry(path int, ret *sym.Expr, delta int, rc *sym.Expr, conds ...*sym.Expr) symexec.PathEntry {
+func entry(tb *sym.Table, path int, ret *sym.Expr, delta int, rc *sym.Expr, conds ...*sym.Expr) symexec.PathEntry {
 	cons := sym.True()
 	for _, c := range conds {
-		cons = cons.And(c)
+		cons = cons.And(tb, c)
 	}
 	e := summary.NewEntry(cons, ret)
 	if rc != nil && delta != 0 {
@@ -25,19 +25,21 @@ func entry(path int, ret *sym.Expr, delta int, rc *sym.Expr, conds ...*sym.Expr)
 	return symexec.PathEntry{Entry: e, PathIndex: path}
 }
 
-func result(fn string, entries ...symexec.PathEntry) symexec.Result {
+func result(tb *sym.Table, fn string, entries ...symexec.PathEntry) symexec.Result {
 	f := &ir.Func{Name: fn, Params: []string{"dev"}}
 	f.Body().NewBlock().Instrs = []*ir.Instr{{Op: ir.OpReturn}}
-	return symexec.Result{Fn: f, Entries: entries, NumPaths: len(entries)}
+	return symexec.Result{Fn: f, Entries: entries, NumPaths: len(entries), Syms: tb}
 }
 
-var pm = sym.Field(sym.Arg("dev"), "pm")
+// pm is the tracked refcount [dev].pm(tb), built in tb.
+func pm(tb *sym.Table) *sym.Expr { return tb.Field(tb.Arg("dev"), "pm") }
 
 func TestInconsistentPairReported(t *testing.T) {
-	retZero := sym.Cond(sym.Ret(), ir.EQ, sym.Const(0))
-	res := result("foo",
-		entry(0, sym.Const(0), 1, pm, retZero),
-		entry(1, sym.Const(0), 0, nil, retZero),
+	tb := sym.NewTable()
+	retZero := tb.Cond(tb.Ret(), ir.EQ, tb.Const(0))
+	res := result(tb, "foo",
+		entry(tb, 0, tb.Const(0), 1, pm(tb), retZero),
+		entry(tb, 1, tb.Const(0), 0, nil, retZero),
 	)
 	reports, sum := Check(res, solver.New())
 	if len(reports) != 1 {
@@ -57,9 +59,10 @@ func TestInconsistentPairReported(t *testing.T) {
 }
 
 func TestDistinguishableByReturnNotReported(t *testing.T) {
-	res := result("f",
-		entry(0, sym.Const(0), 1, pm, sym.Cond(sym.Ret(), ir.EQ, sym.Const(0))),
-		entry(1, sym.Const(1), 0, nil, sym.Cond(sym.Ret(), ir.EQ, sym.Const(1))),
+	tb := sym.NewTable()
+	res := result(tb, "f",
+		entry(tb, 0, tb.Const(0), 1, pm(tb), tb.Cond(tb.Ret(), ir.EQ, tb.Const(0))),
+		entry(tb, 1, tb.Const(1), 0, nil, tb.Cond(tb.Ret(), ir.EQ, tb.Const(1))),
 	)
 	reports, sum := Check(res, solver.New())
 	if len(reports) != 0 {
@@ -71,10 +74,11 @@ func TestDistinguishableByReturnNotReported(t *testing.T) {
 }
 
 func TestDistinguishableByArgumentNotReported(t *testing.T) {
-	a := sym.Arg("a")
-	res := result("f",
-		entry(0, nil, 1, pm, sym.Cond(a, ir.GT, sym.Const(0))),
-		entry(1, nil, 0, nil, sym.Cond(a, ir.LE, sym.Const(0))),
+	tb := sym.NewTable()
+	a := tb.Arg("a")
+	res := result(tb, "f",
+		entry(tb, 0, nil, 1, pm(tb), tb.Cond(a, ir.GT, tb.Const(0))),
+		entry(tb, 1, nil, 0, nil, tb.Cond(a, ir.LE, tb.Const(0))),
 	)
 	reports, _ := Check(res, solver.New())
 	if len(reports) != 0 {
@@ -83,9 +87,10 @@ func TestDistinguishableByArgumentNotReported(t *testing.T) {
 }
 
 func TestSameChangesNeverReported(t *testing.T) {
-	res := result("f",
-		entry(0, nil, 1, pm),
-		entry(1, nil, 1, pm),
+	tb := sym.NewTable()
+	res := result(tb, "f",
+		entry(tb, 0, nil, 1, pm(tb)),
+		entry(tb, 1, nil, 1, pm(tb)),
 	)
 	reports, sum := Check(res, solver.New())
 	if len(reports) != 0 {
@@ -97,12 +102,13 @@ func TestSameChangesNeverReported(t *testing.T) {
 }
 
 func TestReportDedupPerRefcount(t *testing.T) {
+	tb := sym.NewTable()
 	// Three no-change entries against one +1 entry: one report, not three.
-	res := result("f",
-		entry(0, nil, 1, pm),
-		entry(1, nil, 0, nil),
-		entry(2, nil, 0, nil),
-		entry(3, nil, 0, nil),
+	res := result(tb, "f",
+		entry(tb, 0, nil, 1, pm(tb)),
+		entry(tb, 1, nil, 0, nil),
+		entry(tb, 2, nil, 0, nil),
+		entry(tb, 3, nil, 0, nil),
 	)
 	reports, _ := Check(res, solver.New())
 	if len(reports) != 1 {
@@ -111,10 +117,11 @@ func TestReportDedupPerRefcount(t *testing.T) {
 }
 
 func TestMultipleRefcountsMultipleReports(t *testing.T) {
-	rc2 := sym.Field(sym.Arg("dev"), "usage")
-	e1 := entry(0, nil, 1, pm)
+	tb := sym.NewTable()
+	rc2 := tb.Field(tb.Arg("dev"), "usage")
+	e1 := entry(tb, 0, nil, 1, pm(tb))
 	e1.AddChange(rc2, -1)
-	res := result("f", e1, entry(1, nil, 0, nil))
+	res := result(tb, "f", e1, entry(tb, 1, nil, 0, nil))
 	reports, _ := Check(res, solver.New())
 	if len(reports) != 2 {
 		t.Fatalf("reports: %d, want 2", len(reports))
@@ -122,7 +129,8 @@ func TestMultipleRefcountsMultipleReports(t *testing.T) {
 }
 
 func TestTruncatedGetsDefaultEntry(t *testing.T) {
-	res := result("f", entry(0, nil, 1, pm))
+	tb := sym.NewTable()
+	res := result(tb, "f", entry(tb, 0, nil, 1, pm(tb)))
 	res.Truncated = true
 	_, sum := Check(res, solver.New())
 	if !sum.HasDefault {
@@ -135,7 +143,8 @@ func TestTruncatedGetsDefaultEntry(t *testing.T) {
 }
 
 func TestEmptyResultGetsDefaultEntry(t *testing.T) {
-	res := result("f")
+	tb := sym.NewTable()
+	res := result(tb, "f")
 	_, sum := Check(res, solver.New())
 	if !sum.HasDefault || len(sum.Entries) != 1 {
 		t.Errorf("summary: %s", sum)
@@ -143,11 +152,12 @@ func TestEmptyResultGetsDefaultEntry(t *testing.T) {
 }
 
 func TestLocalKeyedChangesComparedButNotExported(t *testing.T) {
-	obj := sym.Field(sym.Fresh("alloc@f#0.1"), "rc")
-	retNull := sym.Cond(sym.Ret(), ir.EQ, sym.Const(0))
-	res := result("f",
-		entry(0, sym.Null(), 1, obj, retNull),
-		entry(1, sym.Null(), 0, nil, retNull),
+	tb := sym.NewTable()
+	obj := tb.Field(tb.Fresh("alloc@f#0.1"), "rc")
+	retNull := tb.Cond(tb.Ret(), ir.EQ, tb.Const(0))
+	res := result(tb, "f",
+		entry(tb, 0, tb.Null(), 1, obj, retNull),
+		entry(tb, 1, tb.Null(), 0, nil, retNull),
 	)
 	reports, sum := Check(res, solver.New())
 	if len(reports) != 1 {
@@ -163,16 +173,18 @@ func TestLocalKeyedChangesComparedButNotExported(t *testing.T) {
 }
 
 func TestSummaryKeepsParams(t *testing.T) {
-	_, sum := Check(result("f"), solver.New())
+	tb := sym.NewTable()
+	_, sum := Check(result(tb, "f"), solver.New())
 	if len(sum.Params) != 1 || sum.Params[0] != "dev" {
 		t.Errorf("params: %v", sum.Params)
 	}
 }
 
 func TestReportRendering(t *testing.T) {
-	res := result("foo",
-		entry(0, nil, 1, pm),
-		entry(1, nil, 0, nil),
+	tb := sym.NewTable()
+	res := result(tb, "foo",
+		entry(tb, 0, nil, 1, pm(tb)),
+		entry(tb, 1, nil, 0, nil),
 	)
 	reports, _ := Check(res, solver.New())
 	if len(reports) != 1 {

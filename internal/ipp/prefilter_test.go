@@ -10,8 +10,8 @@ import (
 	"repro/internal/sym"
 )
 
-func boundsOf(conds ...*sym.Expr) []termBound {
-	return appendBounds(nil, sym.NewSet(conds))
+func boundsOf(tb *sym.Table, conds ...*sym.Expr) []termBound {
+	return appendBounds(nil, sym.NewSet(tb, conds))
 }
 
 // boundOn returns the bound on term in b.
@@ -25,10 +25,11 @@ func boundOn(b []termBound, term *sym.Expr) (interval, bool) {
 }
 
 func TestConsBoundsExtraction(t *testing.T) {
-	a := sym.Arg("a")
-	b := boundsOf(
-		sym.Cond(a, ir.GE, sym.Const(2)),
-		sym.Cond(a, ir.LT, sym.Const(10)),
+	tb := sym.NewTable()
+	a := tb.Arg("a")
+	b := boundsOf(tb,
+		tb.Cond(a, ir.GE, tb.Const(2)),
+		tb.Cond(a, ir.LT, tb.Const(10)),
 	)
 	iv, ok := boundOn(b, a)
 	if !ok {
@@ -40,19 +41,21 @@ func TestConsBoundsExtraction(t *testing.T) {
 }
 
 func TestConsBoundsFlippedOrientation(t *testing.T) {
+	tb := sym.NewTable()
 	// const ⋈ term: 5 < a means a ≥ 6.
-	b := boundsOf(sym.Cond(sym.Const(5), ir.LT, sym.Arg("a")))
-	iv, _ := boundOn(b, sym.Arg("a"))
+	b := boundsOf(tb, tb.Cond(tb.Const(5), ir.LT, tb.Arg("a")))
+	iv, _ := boundOn(b, tb.Arg("a"))
 	if iv.lo != 6 || iv.hi != math.MaxInt64 {
 		t.Errorf("interval [%d,%d], want [6,max]", iv.lo, iv.hi)
 	}
 }
 
 func TestConsBoundsSkipsUninformative(t *testing.T) {
-	a, c := sym.Arg("a"), sym.Arg("c")
-	b := boundsOf(
-		sym.Cond(a, ir.NE, sym.Const(3)), // disequality: no interval
-		sym.Cond(a, ir.EQ, c),            // term-vs-term: no interval
+	tb := sym.NewTable()
+	a, c := tb.Arg("a"), tb.Arg("c")
+	b := boundsOf(tb,
+		tb.Cond(a, ir.NE, tb.Const(3)), // disequality: no interval
+		tb.Cond(a, ir.EQ, c),           // term-vs-term: no interval
 	)
 	if len(b) != 0 {
 		t.Errorf("expected no bounds, got %v", b)
@@ -60,17 +63,18 @@ func TestConsBoundsSkipsUninformative(t *testing.T) {
 }
 
 func TestDisjointBounds(t *testing.T) {
-	a := sym.Arg("a")
-	le := boundsOf(sym.Cond(a, ir.LE, sym.Const(4)))
-	ge := boundsOf(sym.Cond(a, ir.GE, sym.Const(5)))
+	tb := sym.NewTable()
+	a := tb.Arg("a")
+	le := boundsOf(tb, tb.Cond(a, ir.LE, tb.Const(4)))
+	ge := boundsOf(tb, tb.Cond(a, ir.GE, tb.Const(5)))
 	if !disjointBounds(le, ge) {
 		t.Error("a ≤ 4 vs a ≥ 5 must be disjoint")
 	}
-	touching := boundsOf(sym.Cond(a, ir.GE, sym.Const(4)))
+	touching := boundsOf(tb, tb.Cond(a, ir.GE, tb.Const(4)))
 	if disjointBounds(le, touching) {
 		t.Error("a ≤ 4 vs a ≥ 4 overlap at 4")
 	}
-	other := boundsOf(sym.Cond(sym.Arg("b"), ir.GE, sym.Const(9)))
+	other := boundsOf(tb, tb.Cond(tb.Arg("b"), ir.GE, tb.Const(9)))
 	if disjointBounds(le, other) {
 		t.Error("bounds on different terms are never disjoint")
 	}
@@ -83,13 +87,14 @@ func TestDisjointBounds(t *testing.T) {
 // order, repeated conjuncts on a term narrow one bound, and the merge in
 // disjointBounds finds a shared term wherever it sits in either list.
 func TestBoundsSortedByTerm(t *testing.T) {
-	terms := []*sym.Expr{sym.Arg("p"), sym.Arg("q"), sym.Arg("r"), sym.Ret()}
+	tb := sym.NewTable()
+	terms := []*sym.Expr{tb.Arg("p"), tb.Arg("q"), tb.Arg("r"), tb.Ret()}
 	var conds []*sym.Expr
 	for i := len(terms) - 1; i >= 0; i-- {
-		conds = append(conds, sym.Cond(terms[i], ir.GE, sym.Const(int64(i))))
+		conds = append(conds, tb.Cond(terms[i], ir.GE, tb.Const(int64(i))))
 	}
-	conds = append(conds, sym.Cond(terms[1], ir.LE, sym.Const(7)))
-	b := boundsOf(conds...)
+	conds = append(conds, tb.Cond(terms[1], ir.LE, tb.Const(7)))
+	b := boundsOf(tb, conds...)
 	if len(b) != len(terms) {
 		t.Fatalf("%d bounds, want %d", len(b), len(terms))
 	}
@@ -102,7 +107,7 @@ func TestBoundsSortedByTerm(t *testing.T) {
 		t.Errorf("narrowed bound [%d,%d], want [1,7]", iv.lo, iv.hi)
 	}
 	for _, term := range terms {
-		other := boundsOf(sym.Cond(term, ir.LT, sym.Const(-1)))
+		other := boundsOf(tb, tb.Cond(term, ir.LT, tb.Const(-1)))
 		if !disjointBounds(b, other) || !disjointBounds(other, b) {
 			t.Errorf("%s < -1 must be disjoint from %v", term, b)
 		}
@@ -113,7 +118,8 @@ func TestBoundsSortedByTerm(t *testing.T) {
 // decision procedure: whenever disjointBounds fires, the solver must find
 // the conjunction UNSAT.
 func TestPrefilterAgreesWithSolver(t *testing.T) {
-	a := sym.Arg("a")
+	tb := sym.NewTable()
+	a := tb.Arg("a")
 	slv := solver.New()
 	consts := []int64{-2, 0, 1, 4}
 	preds := []ir.Pred{ir.EQ, ir.NE, ir.LT, ir.LE, ir.GT, ir.GE}
@@ -121,9 +127,9 @@ func TestPrefilterAgreesWithSolver(t *testing.T) {
 		for _, k1 := range consts {
 			for _, p2 := range preds {
 				for _, k2 := range consts {
-					c1 := sym.Cond(a, p1, sym.Const(k1))
-					c2 := sym.Cond(a, p2, sym.Const(k2))
-					s1, s2 := sym.NewSet([]*sym.Expr{c1}), sym.NewSet([]*sym.Expr{c2})
+					c1 := tb.Cond(a, p1, tb.Const(k1))
+					c2 := tb.Cond(a, p2, tb.Const(k2))
+					s1, s2 := sym.NewSet(tb, []*sym.Expr{c1}), sym.NewSet(tb, []*sym.Expr{c2})
 					if disjointBounds(appendBounds(nil, s1), appendBounds(nil, s2)) && slv.Sat(s1.AndSet(s2)) {
 						t.Errorf("prefilter claims UNSAT but solver says SAT: %s ∧ %s", c1, c2)
 					}
@@ -137,13 +143,14 @@ func TestPrefilterAgreesWithSolver(t *testing.T) {
 // over an entry mix that exercises both the same-signature skip and the
 // contradiction pre-filter, and requires identical reports and summaries.
 func TestBucketingPreservesReports(t *testing.T) {
-	a := sym.Arg("dev")
-	ret := sym.Ret()
-	res := result("f",
-		entry(0, nil, 1, pm, sym.Cond(a, ir.LE, sym.Const(4)), sym.Cond(ret, ir.EQ, sym.Const(0))),
-		entry(1, nil, 1, pm, sym.Cond(a, ir.GE, sym.Const(0))),  // same signature as 0
-		entry(2, nil, 0, nil, sym.Cond(a, ir.GE, sym.Const(5))), // prefilter vs 0, solver vs 1
-		entry(3, nil, -1, pm, sym.Cond(ret, ir.EQ, sym.Const(0))),
+	tb := sym.NewTable()
+	a := tb.Arg("dev")
+	ret := tb.Ret()
+	res := result(tb, "f",
+		entry(tb, 0, nil, 1, pm(tb), tb.Cond(a, ir.LE, tb.Const(4)), tb.Cond(ret, ir.EQ, tb.Const(0))),
+		entry(tb, 1, nil, 1, pm(tb), tb.Cond(a, ir.GE, tb.Const(0))), // same signature as 0
+		entry(tb, 2, nil, 0, nil, tb.Cond(a, ir.GE, tb.Const(5))),    // prefilter vs 0, solver vs 1
+		entry(tb, 3, nil, -1, pm(tb), tb.Cond(ret, ir.EQ, tb.Const(0))),
 	)
 	repOn, sumOn := CheckWith(context.Background(), res, solver.New(), Options{})
 	repOff, sumOff, _ := checkAllPairs(res, solver.New(), Options{})

@@ -82,7 +82,7 @@ func checkAllPairs(res symexec.Result, slv *solver.Solver, opts Options) ([]*Rep
 	}
 	if res.Truncated || len(sum.Entries) == 0 {
 		sum.HasDefault = true
-		sum.Entries = append(sum.Entries, summary.NewEntry(sym.True(), sym.Ret()))
+		sum.Entries = append(sum.Entries, summary.NewEntry(sym.True(), res.Syms.Ret()))
 	}
 	return reports, sum, solved
 }
@@ -156,6 +156,7 @@ func fmtSummary(s *summary.Summary) string {
 // the text is byte-identical to its fmt recipe. Each side has its own
 // solver, so neither sees the other's cache.
 func TestStepIIIReference(t *testing.T) {
+	tb := sym.NewTable()
 	ctx := context.Background()
 	coreFiles := map[string]string{}
 	matches, err := filepath.Glob("../core/testdata/*.c")
@@ -192,7 +193,7 @@ func TestStepIIIReference(t *testing.T) {
 		}
 		db := summary.NewDB()
 		c.specs.ApplyTo(db)
-		ex := symexec.New(db, solver.New(), symexec.Config{})
+		ex := symexec.New(tb, db, solver.New(), symexec.Config{})
 		slv, refSlv := solver.New(), solver.New()
 		reg := obs.NewRegistry()
 		opts := Options{Obs: obs.New(nil, reg), FieldKinds: c.specs.FieldKinds()}
@@ -233,7 +234,7 @@ func TestStepIIIReference(t *testing.T) {
 	// Random entry mixes reach shapes the corpora rarely produce: bounds
 	// on terms only one side of a pair mentions, and adjacent intervals.
 	rng := rand.New(rand.NewSource(5))
-	terms := []*sym.Expr{sym.Arg("dev"), sym.Ret(), sym.Field(sym.Arg("dev"), "len")}
+	terms := []*sym.Expr{tb.Arg("dev"), tb.Ret(), tb.Field(tb.Arg("dev"), "len")}
 	preds := []ir.Pred{ir.EQ, ir.NE, ir.LT, ir.LE, ir.GT, ir.GE}
 	reports := 0
 	for i := 0; i < 500; i++ {
@@ -241,11 +242,11 @@ func TestStepIIIReference(t *testing.T) {
 		for p := 0; p < 2+rng.Intn(5); p++ {
 			var conds []*sym.Expr
 			for j := rng.Intn(3); j >= 0; j-- {
-				conds = append(conds, sym.Cond(terms[rng.Intn(len(terms))], preds[rng.Intn(len(preds))], sym.Const(int64(rng.Intn(5)-2))))
+				conds = append(conds, tb.Cond(terms[rng.Intn(len(terms))], preds[rng.Intn(len(preds))], tb.Const(int64(rng.Intn(5)-2))))
 			}
-			entries = append(entries, entry(p, nil, rng.Intn(3)-1, pm, conds...))
+			entries = append(entries, entry(tb, p, nil, rng.Intn(3)-1, pm(tb), conds...))
 		}
-		res := result("f", entries...)
+		res := result(tb, "f", entries...)
 		got, gotSum := CheckWith(ctx, res, solver.New(), Options{})
 		want, wantSum, _ := checkAllPairs(res, solver.New(), Options{})
 		if len(got) != len(want) || gotSum.String() != wantSum.String() {

@@ -13,6 +13,7 @@ import (
 	"repro/internal/solver"
 	"repro/internal/spec"
 	"repro/internal/summary"
+	"repro/internal/sym"
 	"repro/internal/symexec"
 )
 
@@ -44,6 +45,7 @@ func render(res symexec.Result, reps []*Report, sum *summary.Summary) string {
 // they did when it finished the function. Under -race the scratch is
 // poisoned when it is put back, so an alias shows as changed text.
 func TestResultsSurviveScratchReuse(t *testing.T) {
+	tb := sym.NewTable()
 	c := kernelgen.Generate(kernelgen.Config{Seed: 71, Mix: kernelgen.PaperMix(), SimpleHelpers: 10, ComplexHelpers: 8, OtherFuncs: 20})
 	prog, err := lower.Program(c.Files, lower.Options{})
 	if err != nil {
@@ -53,7 +55,7 @@ func TestResultsSurviveScratchReuse(t *testing.T) {
 		db := summary.NewDB()
 		spec.LinuxDPM().ApplyTo(db)
 		slv := solver.New()
-		ex := symexec.New(db, slv, symexec.Config{Provenance: provenance})
+		ex := symexec.New(tb, db, slv, symexec.Config{Provenance: provenance})
 		type kept struct {
 			fn   string
 			res  symexec.Result

@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/store"
 	"repro/internal/store/remote"
+	"repro/internal/sym"
 	"repro/rid"
 )
 
@@ -473,7 +474,9 @@ func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {
 	}
 	var d store.Digest
 	copy(d[:], raw)
-	e, err := s.lookup.LookupDigest(d)
+	// The entry is rendered and dropped within the request, so it decodes
+	// into a table of its own.
+	e, err := s.lookup.LookupDigest(sym.NewTable(), d)
 	if err != nil {
 		errorJSON(w, http.StatusInternalServerError, "%v", err)
 		return

@@ -1,6 +1,9 @@
 package solver
 
-import "sync"
+import (
+	"sync"
+	"unsafe"
+)
 
 // Cache is a sharded, mutex-striped SAT/UNSAT memo table keyed by the
 // canonical identity of a constraint set (sym.Set.CacheKey). A single
@@ -15,11 +18,22 @@ import "sync"
 // worker happened to populate the cache first. That is what keeps
 // per-function give-up diagnostics byte-identical at any Workers setting
 // under the work-stealing scheduler.
+//
+// A cache lives as long as its run, and so do its keys: each shard copies
+// the keys it stores into a chunked byte arena rather than allocating a
+// string per entry.
 type Cache struct {
 	shards [cacheShardCount]cacheShard
 }
 
 const cacheShardCount = 64
+
+// A shard's first key chunk holds keyChunkMin bytes; each later one
+// doubles, up to keyChunkMax.
+const (
+	keyChunkMin = 256
+	keyChunkMax = 32 << 10
+)
 
 // cache entry bits.
 const (
@@ -28,18 +42,26 @@ const (
 )
 
 type cacheShard struct {
-	mu sync.RWMutex
-	m  map[string]uint8
+	mu   sync.RWMutex
+	m    map[string]uint8
+	keys []byte // arena chunk; stored keys are views of its bytes
 }
 
-// NewCache returns an empty shared solver cache.
-func NewCache() *Cache {
-	c := &Cache{}
-	for i := range c.shards {
-		c.shards[i].m = make(map[string]uint8)
+// keep returns a copy of key in the shard's arena. Keys are only ever
+// appended within a chunk's capacity, so earlier views stay valid after
+// a new chunk is started. Callers hold the write lock.
+func (s *cacheShard) keep(key []byte) string {
+	if cap(s.keys)-len(s.keys) < len(key) {
+		s.keys = make([]byte, 0, max(min(max(2*cap(s.keys), keyChunkMin), keyChunkMax), len(key)))
 	}
-	return c
+	start := len(s.keys)
+	s.keys = append(s.keys, key...)
+	return unsafe.String(unsafe.SliceData(s.keys[start:]), len(key))
 }
+
+// NewCache returns an empty shared solver cache. A shard's map is made
+// by its first Put, so a run that issues few queries pays for few maps.
+func NewCache() *Cache { return &Cache{} }
 
 // shardFor hashes the key (FNV-1a) onto a stripe.
 func (c *Cache) shardFor(key []byte) *cacheShard {
@@ -74,7 +96,10 @@ func (c *Cache) Put(key []byte, verdict, gaveUp bool) {
 	}
 	s := c.shardFor(key)
 	s.mu.Lock()
-	s.m[string(key)] = e
+	if s.m == nil {
+		s.m = make(map[string]uint8)
+	}
+	s.m[s.keep(key)] = e
 	s.mu.Unlock()
 }
 

@@ -13,9 +13,10 @@ import (
 // its one cache: a later worker hits the verdict an earlier one cached, and
 // each keeps counters of its own.
 func TestCacheSharedAcrossForks(t *testing.T) {
+	tb := sym.NewTable()
 	cache := NewCache()
 	parent := NewWithCache(Limits{}, cache)
-	cs := set(sym.Cond(sym.Arg("a"), ir.GT, sym.Arg("b")))
+	cs := set(tb, tb.Cond(tb.Arg("a"), ir.GT, tb.Arg("b")))
 	if !parent.Sat(cs) {
 		t.Fatal("query should be SAT")
 	}
@@ -46,10 +47,11 @@ func TestStatsAdd(t *testing.T) {
 }
 
 func TestNewWithCacheSharesAcrossSolvers(t *testing.T) {
+	tb := sym.NewTable()
 	cache := NewCache()
 	s1 := NewWithCache(Limits{}, cache)
 	s2 := NewWithCache(Limits{}, cache)
-	cs := set(sym.Cond(sym.Arg("x"), ir.LE, sym.Arg("y")))
+	cs := set(tb, tb.Cond(tb.Arg("x"), ir.LE, tb.Arg("y")))
 	if !s1.Sat(cs) || !s2.Sat(cs) {
 		t.Fatal("query should be SAT on both solvers")
 	}
@@ -62,13 +64,14 @@ func TestNewWithCacheSharesAcrossSolvers(t *testing.T) {
 }
 
 func TestCacheConcurrentAccess(t *testing.T) {
+	tb := sym.NewTable()
 	cache := NewCache()
 	queries := make([]sym.Set, 40)
 	for i := range queries {
-		queries[i] = set(
-			sym.Cond(sym.Arg("a"), ir.GE, sym.Arg("b")), // forces the full procedure
-			sym.Cond(sym.Arg("a"), ir.GE, sym.Const(int64(i%7))),
-			sym.Cond(sym.Arg("b"), ir.LT, sym.Const(int64(i%5))),
+		queries[i] = set(tb,
+			tb.Cond(tb.Arg("a"), ir.GE, tb.Arg("b")), // forces the full procedure
+			tb.Cond(tb.Arg("a"), ir.GE, tb.Const(int64(i%7))),
+			tb.Cond(tb.Arg("b"), ir.LT, tb.Const(int64(i%5))),
 		)
 	}
 	var wg sync.WaitGroup
@@ -103,6 +106,7 @@ func TestCacheConcurrentAccess(t *testing.T) {
 // exactly as the solve that stored it, so each solver's Sat, Unsat and
 // GaveUp totals equal the fresh solvers' whatever the cache held.
 func TestCacheTransparent(t *testing.T) {
+	tb := sym.NewTable()
 	inputs := [][]byte{}
 	for _, s := range solverSeeds {
 		inputs = append(inputs, s.data)
@@ -123,8 +127,8 @@ func TestCacheTransparent(t *testing.T) {
 		var qs []query
 		var want Stats
 		for _, data := range inputs {
-			conds := fuzzConds(data, fuzzTerms())
-			q := query{base: sym.NewSet(conds[:len(conds)/2]), other: sym.NewSet(conds[len(conds)/2:])}
+			conds := fuzzConds(tb, data, fuzzTerms(tb))
+			q := query{base: sym.NewSet(tb, conds[:len(conds)/2]), other: sym.NewSet(tb, conds[len(conds)/2:])}
 			q.sat, q.gaveUp = satGaveUp(l, q.base.AndSet(q.other))
 			qs = append(qs, q)
 			want.Queries++
@@ -169,4 +173,52 @@ func TestCacheTransparent(t *testing.T) {
 	if hits == 0 || gaveUps == 0 {
 		t.Fatalf("%d cache hits, %d give-ups; oracle too weak", hits, gaveUps)
 	}
+}
+
+// TestCacheKeysSurviveChunkRollover fills one shard's key arena through
+// several chunks, then reads every key back: a stored key must stay a
+// valid view of its bytes after later keys start new chunks, and the
+// caller's buffer must not be retained.
+func TestCacheKeysSurviveChunkRollover(t *testing.T) {
+	c := NewCache()
+	buf := make([]byte, 0, 64)
+	key := func(i int) []byte {
+		buf = append(buf[:0], 0)
+		for j := 0; j < 1+i%5; j++ {
+			buf = appendKeyWord(buf, uint64(i*7+j))
+		}
+		return buf
+	}
+	const n = 4000 // ~150 KiB of keys: every shard starts several chunks
+	for i := 0; i < n; i++ {
+		c.Put(key(i), i%3 == 0, i%5 == 0)
+	}
+	for i := range buf[:cap(buf)] {
+		buf[:cap(buf)][i] = 0xff // scribble over the last key written
+	}
+	for i := 0; i < n; i++ {
+		v, g, ok := c.Get(key(i))
+		if !ok || v != (i%3 == 0) || g != (i%5 == 0) {
+			t.Fatalf("key %d: got (%t, %t, %t)", i, v, g, ok)
+		}
+	}
+	if c.Len() != n {
+		t.Fatalf("Len = %d, want %d", c.Len(), n)
+	}
+	chunks := 0
+	for i := range c.shards {
+		if cap(c.shards[i].keys) > keyChunkMin {
+			chunks++
+		}
+	}
+	if chunks == 0 {
+		t.Fatal("no shard rolled over to a second chunk; test too weak")
+	}
+}
+
+func appendKeyWord(b []byte, v uint64) []byte {
+	for k := 0; k < 8; k++ {
+		b = append(b, byte(v>>(8*k)))
+	}
+	return b
 }

@@ -15,12 +15,13 @@ import (
 // over a small term vocabulary (so terms collide and intervals interact)
 // and asserts both procedures agree under several limit settings.
 func FuzzSolver(f *testing.F) {
+	tb := sym.NewTable()
 	for _, seed := range solverSeeds {
 		f.Add(seed.data, seed.limitSel)
 	}
 	f.Fuzz(func(t *testing.T, data []byte, limitSel uint8) {
 		limits := fuzzLimits(limitSel)
-		cs := sym.NewSet(fuzzConds(data, fuzzTerms()))
+		cs := sym.NewSet(tb, fuzzConds(tb, data, fuzzTerms(tb)))
 
 		fast := NewWithCache(limits, NewCache())
 		slow := NewWithCache(limits, NewCache())
@@ -66,29 +67,29 @@ func fuzzLimits(sel uint8) Limits {
 
 // fuzzTerms is a small vocabulary of interned terms: collisions across
 // conjuncts are what make intervals (and disequality exclusions) interact.
-func fuzzTerms() []*sym.Expr {
+func fuzzTerms(tb *sym.Table) []*sym.Expr {
 	return []*sym.Expr{
-		sym.Arg("a"),
-		sym.Arg("b"),
-		sym.Field(sym.Arg("a"), "f"),
-		sym.Fresh("w"),
-		sym.Ret(),
-		sym.Cond(sym.Arg("b"), ir.NE, sym.Null()), // opaque boolean term
+		tb.Arg("a"),
+		tb.Arg("b"),
+		tb.Field(tb.Arg("a"), "f"),
+		tb.Fresh("w"),
+		tb.Ret(),
+		tb.Cond(tb.Arg("b"), ir.NE, tb.Null()), // opaque boolean term
 	}
 }
 
 // fuzzConds decodes data into a conjunction over terms, three bytes per
 // conjunct: term (low nibble; 0x40 makes the right side a term too, 0x80
 // puts the constant on the left), predicate, and a small constant.
-func fuzzConds(data []byte, terms []*sym.Expr) []*sym.Expr {
+func fuzzConds(tb *sym.Table, data []byte, terms []*sym.Expr) []*sym.Expr {
 	preds := []ir.Pred{ir.EQ, ir.NE, ir.LT, ir.LE, ir.GT, ir.GE}
 	var conds []*sym.Expr
 	for i := 0; i+2 < len(data) && len(conds) < 24; i += 3 {
 		tm := terms[int(data[i]&0x0f)%len(terms)]
 		pred := preds[int(data[i+1])%len(preds)]
 		// Small constants so bounds from different conjuncts overlap.
-		k := sym.Const(int64(int8(data[i+2])) / 8)
-		a, b := tm, sym.Const(k.Int)
+		k := tb.Const(int64(int8(data[i+2])) / 8)
+		a, b := tm, tb.Const(k.Int)
 		switch {
 		case data[i]&0x40 != 0:
 			// Term-vs-term conjunct: out of quickSolve's scope by
@@ -97,7 +98,7 @@ func fuzzConds(data []byte, terms []*sym.Expr) []*sym.Expr {
 		case data[i]&0x80 != 0:
 			a, b = b, a // constant on the left
 		}
-		conds = append(conds, sym.Cond(a, pred, b))
+		conds = append(conds, tb.Cond(a, pred, b))
 	}
 	return conds
 }

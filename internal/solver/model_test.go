@@ -33,10 +33,11 @@ func checkModel(t *testing.T, cs sym.Set, m map[string]int64) {
 }
 
 func TestModelSimple(t *testing.T) {
-	a := sym.Arg("a")
-	cs := set(
-		sym.Cond(a, ir.GT, sym.Const(2)),
-		sym.Cond(a, ir.LT, sym.Const(5)),
+	tb := sym.NewTable()
+	a := tb.Arg("a")
+	cs := set(tb,
+		tb.Cond(a, ir.GT, tb.Const(2)),
+		tb.Cond(a, ir.LT, tb.Const(5)),
 	)
 	s := New()
 	m, ok := s.Model(cs)
@@ -50,10 +51,11 @@ func TestModelSimple(t *testing.T) {
 }
 
 func TestModelUnsat(t *testing.T) {
-	a := sym.Arg("a")
-	cs := set(
-		sym.Cond(a, ir.GT, sym.Const(2)),
-		sym.Cond(a, ir.LT, sym.Const(2)),
+	tb := sym.NewTable()
+	a := tb.Arg("a")
+	cs := set(tb,
+		tb.Cond(a, ir.GT, tb.Const(2)),
+		tb.Cond(a, ir.LT, tb.Const(2)),
 	)
 	if _, ok := New().Model(cs); ok {
 		t.Fatal("model for unsat system")
@@ -61,11 +63,12 @@ func TestModelUnsat(t *testing.T) {
 }
 
 func TestModelDisequality(t *testing.T) {
-	a := sym.Arg("a")
-	cs := set(
-		sym.Cond(a, ir.GE, sym.Const(0)),
-		sym.Cond(a, ir.LE, sym.Const(1)),
-		sym.Cond(a, ir.NE, sym.Const(0)),
+	tb := sym.NewTable()
+	a := tb.Arg("a")
+	cs := set(tb,
+		tb.Cond(a, ir.GE, tb.Const(0)),
+		tb.Cond(a, ir.LE, tb.Const(1)),
+		tb.Cond(a, ir.NE, tb.Const(0)),
 	)
 	m, ok := New().Model(cs)
 	if !ok {
@@ -78,11 +81,12 @@ func TestModelDisequality(t *testing.T) {
 }
 
 func TestModelFieldChains(t *testing.T) {
-	dev := sym.Arg("dev")
-	cs := set(
-		sym.Cond(dev, ir.NE, sym.Null()),
-		sym.Cond(sym.Ret(), ir.EQ, sym.Const(0)),
-		sym.Cond(sym.Field(dev, "pm"), ir.GE, sym.Const(1)),
+	tb := sym.NewTable()
+	dev := tb.Arg("dev")
+	cs := set(tb,
+		tb.Cond(dev, ir.NE, tb.Null()),
+		tb.Cond(tb.Ret(), ir.EQ, tb.Const(0)),
+		tb.Cond(tb.Field(dev, "pm"), ir.GE, tb.Const(1)),
 	)
 	m, ok := New().Model(cs)
 	if !ok {
@@ -95,7 +99,8 @@ func TestModelFieldChains(t *testing.T) {
 }
 
 func TestModelPrefersSmallValues(t *testing.T) {
-	cs := set(sym.Cond(sym.Arg("x"), ir.GE, sym.Const(0)))
+	tb := sym.NewTable()
+	cs := set(tb, tb.Cond(tb.Arg("x"), ir.GE, tb.Const(0)))
 	m, ok := New().Model(cs)
 	if !ok || m["[x]"] != 0 {
 		t.Errorf("model: %v", m)
@@ -105,14 +110,15 @@ func TestModelPrefersSmallValues(t *testing.T) {
 // Property: whenever Sat says satisfiable on a small random system, Model
 // finds an assignment and the assignment checks out.
 func TestPropertyModelMatchesSat(t *testing.T) {
+	tb := sym.NewTable()
 	rng := rand.New(rand.NewSource(3))
-	vars := []*sym.Expr{sym.Arg("a"), sym.Arg("b")}
+	vars := []*sym.Expr{tb.Arg("a"), tb.Arg("b")}
 	for trial := 0; trial < 300; trial++ {
 		cs := sym.True()
 		for i := 0; i < 4; i++ {
-			c := randomAtom(rng, vars)
+			c := randomAtom(tb, rng, vars)
 			if c.Kind == sym.KCond {
-				cs = cs.And(c)
+				cs = cs.And(tb, c)
 			}
 		}
 		s := New()

@@ -27,8 +27,9 @@ import (
 // query right at that budget can give up with the binding and be decided
 // exactly without it.
 func TestPropertyRetBindingKeepsVerdict(t *testing.T) {
+	tb := sym.NewTable()
 	var terms []*sym.Expr
-	for _, tm := range fuzzTerms() {
+	for _, tm := range fuzzTerms(tb) {
 		if tm.Kind != sym.KRet {
 			terms = append(terms, tm)
 		}
@@ -47,15 +48,15 @@ func TestPropertyRetBindingKeepsVerdict(t *testing.T) {
 
 	checked, gaveUp := 0, 0
 	for _, data := range inputs {
-		conds := fuzzConds(data, terms)
+		conds := fuzzConds(tb, data, terms)
 		if len(conds) == 0 {
 			continue
 		}
-		c := sym.NewSet(conds)
+		c := sym.NewSet(tb, conds)
 		for _, l := range []Limits{{}, {MaxSplits: 1}, {MaxSplits: 3}} {
 			want, wantGU := satGaveUp(l, c)
-			for _, rt := range bindingTargets(conds) {
-				bound := c.And(sym.Cond(sym.Ret(), ir.EQ, rt))
+			for _, rt := range bindingTargets(tb, conds) {
+				bound := c.And(tb, tb.Cond(tb.Ret(), ir.EQ, rt))
 				got, gotGU := satGaveUp(l, bound)
 				if got != want || gotGU != wantGU {
 					t.Fatalf("limits %+v: Sat(C)=%v gaveUp=%v but Sat(C ∧ [0] == %s)=%v gaveUp=%v\nC: %v",
@@ -83,9 +84,9 @@ func satGaveUp(l Limits, cs sym.Set) (bool, bool) {
 
 // bindingTargets lists the distinct sides of conds, constants included,
 // plus a fresh term none of them mentions.
-func bindingTargets(conds []*sym.Expr) []*sym.Expr {
+func bindingTargets(tb *sym.Table, conds []*sym.Expr) []*sym.Expr {
 	seen := map[*sym.Expr]bool{}
-	out := []*sym.Expr{sym.Fresh("t"), sym.Const(0)}
+	out := []*sym.Expr{tb.Fresh("t"), tb.Const(0)}
 	for _, c := range conds {
 		if c.Kind != sym.KCond {
 			continue

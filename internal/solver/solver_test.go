@@ -8,38 +8,39 @@ import (
 	"repro/internal/sym"
 )
 
-func set(conds ...*sym.Expr) sym.Set {
+func set(tb *sym.Table, conds ...*sym.Expr) sym.Set {
 	s := sym.True()
 	for _, c := range conds {
-		s = s.And(c)
+		s = s.And(tb, c)
 	}
 	return s
 }
 
 func TestSatBasics(t *testing.T) {
-	a := sym.Arg("a")
-	b := sym.Arg("b")
+	tb := sym.NewTable()
+	a := tb.Arg("a")
+	b := tb.Arg("b")
 	tests := []struct {
 		name string
 		cs   sym.Set
 		want bool
 	}{
 		{"empty", sym.True(), true},
-		{"a>0", set(sym.Cond(a, ir.GT, sym.Const(0))), true},
-		{"a>0 and a<0", set(sym.Cond(a, ir.GT, sym.Const(0)), sym.Cond(a, ir.LT, sym.Const(0))), false},
-		{"a>=0 and a<=0", set(sym.Cond(a, ir.GE, sym.Const(0)), sym.Cond(a, ir.LE, sym.Const(0))), true},
-		{"a>0 and a<1 (integers)", set(sym.Cond(a, ir.GT, sym.Const(0)), sym.Cond(a, ir.LT, sym.Const(1))), false},
-		{"a=5 and a!=5", set(sym.Cond(a, ir.EQ, sym.Const(5)), sym.Cond(a, ir.NE, sym.Const(5))), false},
-		{"a!=0", set(sym.Cond(a, ir.NE, sym.Const(0))), true},
-		{"a<b and b<a", set(sym.Cond(a, ir.LT, b), sym.Cond(b, ir.LT, a)), false},
-		{"a<=b and b<=a", set(sym.Cond(a, ir.LE, b), sym.Cond(b, ir.LE, a)), true},
-		{"transitive", set(
-			sym.Cond(a, ir.LT, b),
-			sym.Cond(b, ir.LT, sym.Const(3)),
-			sym.Cond(a, ir.GT, sym.Const(5)),
+		{"a>0", set(tb, tb.Cond(a, ir.GT, tb.Const(0))), true},
+		{"a>0 and a<0", set(tb, tb.Cond(a, ir.GT, tb.Const(0)), tb.Cond(a, ir.LT, tb.Const(0))), false},
+		{"a>=0 and a<=0", set(tb, tb.Cond(a, ir.GE, tb.Const(0)), tb.Cond(a, ir.LE, tb.Const(0))), true},
+		{"a>0 and a<1 (integers)", set(tb, tb.Cond(a, ir.GT, tb.Const(0)), tb.Cond(a, ir.LT, tb.Const(1))), false},
+		{"a=5 and a!=5", set(tb, tb.Cond(a, ir.EQ, tb.Const(5)), tb.Cond(a, ir.NE, tb.Const(5))), false},
+		{"a!=0", set(tb, tb.Cond(a, ir.NE, tb.Const(0))), true},
+		{"a<b and b<a", set(tb, tb.Cond(a, ir.LT, b), tb.Cond(b, ir.LT, a)), false},
+		{"a<=b and b<=a", set(tb, tb.Cond(a, ir.LE, b), tb.Cond(b, ir.LE, a)), true},
+		{"transitive", set(tb,
+			tb.Cond(a, ir.LT, b),
+			tb.Cond(b, ir.LT, tb.Const(3)),
+			tb.Cond(a, ir.GT, tb.Const(5)),
 		), false},
-		{"null eq", set(sym.Cond(a, ir.EQ, sym.Null()), sym.Cond(a, ir.NE, sym.Const(0))), false},
-		{"const true", set(sym.Cond(sym.Const(1), ir.LT, sym.Const(2))), true},
+		{"null eq", set(tb, tb.Cond(a, ir.EQ, tb.Null()), tb.Cond(a, ir.NE, tb.Const(0))), false},
+		{"const true", set(tb, tb.Cond(tb.Const(1), ir.LT, tb.Const(2))), true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -51,12 +52,13 @@ func TestSatBasics(t *testing.T) {
 }
 
 func TestSatFigure2Inconsistency(t *testing.T) {
+	tb := sym.NewTable()
 	// The two inconsistent entries of foo(): both have cons
 	// [dev]≠null ∧ [0]=0; their conjunction must be satisfiable.
-	dev := sym.Arg("dev")
-	cons := set(
-		sym.Cond(dev, ir.NE, sym.Null()),
-		sym.Cond(sym.Ret(), ir.EQ, sym.Const(0)),
+	dev := tb.Arg("dev")
+	cons := set(tb,
+		tb.Cond(dev, ir.NE, tb.Null()),
+		tb.Cond(tb.Ret(), ir.EQ, tb.Const(0)),
 	)
 	if !New().Sat(cons.AndSet(cons)) {
 		t.Error("identical constraints must be co-satisfiable")
@@ -64,30 +66,32 @@ func TestSatFigure2Inconsistency(t *testing.T) {
 }
 
 func TestSatErrorCodeDisjoint(t *testing.T) {
+	tb := sym.NewTable()
 	// Entry A: [0] >= 0; entry B: [0] = -1. Conjunction unsat, so the
 	// paths are distinguishable by return value — no IPP.
-	r := sym.Ret()
-	a := set(sym.Cond(r, ir.GE, sym.Const(0)))
-	b := set(sym.Cond(r, ir.EQ, sym.Const(-1)))
+	r := tb.Ret()
+	a := set(tb, tb.Cond(r, ir.GE, tb.Const(0)))
+	b := set(tb, tb.Cond(r, ir.EQ, tb.Const(-1)))
 	if New().Sat(a.AndSet(b)) {
 		t.Error("[0]>=0 ∧ [0]=-1 must be unsatisfiable")
 	}
 }
 
 func TestSatFieldChainsAreOpaqueTerms(t *testing.T) {
-	pm := sym.Field(sym.Arg("dev"), "pm")
-	cs := set(
-		sym.Cond(pm, ir.GE, sym.Const(0)),
-		sym.Cond(pm, ir.LT, sym.Const(0)),
+	tb := sym.NewTable()
+	pm := tb.Field(tb.Arg("dev"), "pm")
+	cs := set(tb,
+		tb.Cond(pm, ir.GE, tb.Const(0)),
+		tb.Cond(pm, ir.LT, tb.Const(0)),
 	)
 	if New().Sat(cs) {
 		t.Error("same field chain must be one variable")
 	}
 	// Different chains are independent.
-	other := sym.Field(sym.Arg("dev"), "usage")
-	cs2 := set(
-		sym.Cond(pm, ir.GE, sym.Const(0)),
-		sym.Cond(other, ir.LT, sym.Const(0)),
+	other := tb.Field(tb.Arg("dev"), "usage")
+	cs2 := set(tb,
+		tb.Cond(pm, ir.GE, tb.Const(0)),
+		tb.Cond(other, ir.LT, tb.Const(0)),
 	)
 	if !New().Sat(cs2) {
 		t.Error("distinct field chains must be independent variables")
@@ -95,17 +99,19 @@ func TestSatFieldChainsAreOpaqueTerms(t *testing.T) {
 }
 
 func TestSatNestedBoolTerm(t *testing.T) {
+	tb := sym.NewTable()
 	// A condition used as an opaque 0/1 term: c >= 2 is unsat.
-	c := sym.Cond(sym.Arg("a"), ir.GT, sym.Const(0))
-	cs := set(sym.Cond(c, ir.GE, sym.Const(2)))
+	c := tb.Cond(tb.Arg("a"), ir.GT, tb.Const(0))
+	cs := set(tb, tb.Cond(c, ir.GE, tb.Const(2)))
 	if New().Sat(cs) {
 		t.Error("boolean term must be bounded to {0,1}")
 	}
 }
 
 func TestSatCache(t *testing.T) {
+	tb := sym.NewTable()
 	s := New()
-	cs := set(sym.Cond(sym.Arg("a"), ir.GT, sym.Const(0)))
+	cs := set(tb, tb.Cond(tb.Arg("a"), ir.GT, tb.Const(0)))
 	s.Sat(cs)
 	s.Sat(cs)
 	if s.Stats().CacheHits != 1 {
@@ -114,10 +120,11 @@ func TestSatCache(t *testing.T) {
 }
 
 func TestSatCacheTermVsTerm(t *testing.T) {
+	tb := sym.NewTable()
 	// Term-vs-term comparisons take the full Fourier–Motzkin path; they
 	// must be memoized too.
 	s := New()
-	cs := set(sym.Cond(sym.Arg("a"), ir.GT, sym.Arg("b")))
+	cs := set(tb, tb.Cond(tb.Arg("a"), ir.GT, tb.Arg("b")))
 	s.Sat(cs)
 	s.Sat(cs)
 	if s.Stats().CacheHits != 1 {
@@ -126,15 +133,16 @@ func TestSatCacheTermVsTerm(t *testing.T) {
 }
 
 func TestSatManyDisequalities(t *testing.T) {
+	tb := sym.NewTable()
 	// a ∈ {0..3} with a ≠ 0, a ≠ 1, a ≠ 2, a ≠ 3: unsat, needs splits.
-	a := sym.Arg("a")
-	cs := set(
-		sym.Cond(a, ir.GE, sym.Const(0)),
-		sym.Cond(a, ir.LE, sym.Const(3)),
-		sym.Cond(a, ir.NE, sym.Const(0)),
-		sym.Cond(a, ir.NE, sym.Const(1)),
-		sym.Cond(a, ir.NE, sym.Const(2)),
-		sym.Cond(a, ir.NE, sym.Const(3)),
+	a := tb.Arg("a")
+	cs := set(tb,
+		tb.Cond(a, ir.GE, tb.Const(0)),
+		tb.Cond(a, ir.LE, tb.Const(3)),
+		tb.Cond(a, ir.NE, tb.Const(0)),
+		tb.Cond(a, ir.NE, tb.Const(1)),
+		tb.Cond(a, ir.NE, tb.Const(2)),
+		tb.Cond(a, ir.NE, tb.Const(3)),
 	)
 	if New().Sat(cs) {
 		t.Error("pigeonhole disequalities must be unsat")
@@ -146,16 +154,16 @@ func TestSatManyDisequalities(t *testing.T) {
 
 // randomAtom builds a random condition over nvars variables with constants
 // in [-3, 3].
-func randomAtom(rng *rand.Rand, vars []*sym.Expr) *sym.Expr {
+func randomAtom(tb *sym.Table, rng *rand.Rand, vars []*sym.Expr) *sym.Expr {
 	a := vars[rng.Intn(len(vars))]
 	var b *sym.Expr
 	if rng.Intn(2) == 0 {
-		b = sym.Const(int64(rng.Intn(7) - 3))
+		b = tb.Const(int64(rng.Intn(7) - 3))
 	} else {
 		b = vars[rng.Intn(len(vars))]
 	}
 	preds := []ir.Pred{ir.EQ, ir.NE, ir.LT, ir.LE, ir.GT, ir.GE}
-	return sym.Cond(a, preds[rng.Intn(len(preds))], b)
+	return tb.Cond(a, preds[rng.Intn(len(preds))], b)
 }
 
 // bruteSat enumerates assignments over [-bound, bound]^n.
@@ -197,19 +205,20 @@ func evalTerm(e *sym.Expr, assign map[string]int64) int64 {
 }
 
 func TestPropertySolverMatchesBruteForce(t *testing.T) {
+	tb := sym.NewTable()
 	rng := rand.New(rand.NewSource(20160402)) // ASPLOS'16 date
-	vars := []*sym.Expr{sym.Arg("a"), sym.Arg("b"), sym.Arg("c")}
+	vars := []*sym.Expr{tb.Arg("a"), tb.Arg("b"), tb.Arg("c")}
 	const trials = 400
 	for trial := 0; trial < trials; trial++ {
 		n := 1 + rng.Intn(5)
 		cs := sym.True()
 		var conds []*sym.Expr
 		for i := 0; i < n; i++ {
-			c := randomAtom(rng, vars)
+			c := randomAtom(tb, rng, vars)
 			if c.Kind != sym.KCond {
 				continue // folded to a constant
 			}
-			cs = cs.And(c)
+			cs = cs.And(tb, c)
 			conds = append(conds, c)
 		}
 		got := New().Sat(cs)
@@ -225,19 +234,20 @@ func TestPropertySolverMatchesBruteForce(t *testing.T) {
 }
 
 func TestPropertyUnsatHasNoWitness(t *testing.T) {
+	tb := sym.NewTable()
 	// Directed property: whenever the solver says UNSAT, brute force over a
 	// wide domain must find nothing (soundness of UNSAT answers).
 	rng := rand.New(rand.NewSource(99))
-	vars := []*sym.Expr{sym.Arg("x"), sym.Arg("y")}
+	vars := []*sym.Expr{tb.Arg("x"), tb.Arg("y")}
 	for trial := 0; trial < 300; trial++ {
 		cs := sym.True()
 		var conds []*sym.Expr
 		for i := 0; i < 4; i++ {
-			c := randomAtom(rng, vars)
+			c := randomAtom(tb, rng, vars)
 			if c.Kind != sym.KCond {
 				continue
 			}
-			cs = cs.And(c)
+			cs = cs.And(tb, c)
 			conds = append(conds, c)
 		}
 		if !New().Sat(cs) && bruteSat(conds, vars, 12) {
@@ -247,13 +257,14 @@ func TestPropertyUnsatHasNoWitness(t *testing.T) {
 }
 
 func BenchmarkSolverTypicalEntry(b *testing.B) {
-	dev := sym.Arg("dev")
-	r := sym.Ret()
-	cs := set(
-		sym.Cond(dev, ir.NE, sym.Null()),
-		sym.Cond(r, ir.GE, sym.Const(0)),
-		sym.Cond(r, ir.LE, sym.Const(0)),
-		sym.Cond(sym.Field(dev, "pm"), ir.GE, sym.Const(0)),
+	tb := sym.NewTable()
+	dev := tb.Arg("dev")
+	r := tb.Ret()
+	cs := set(tb,
+		tb.Cond(dev, ir.NE, tb.Null()),
+		tb.Cond(r, ir.GE, tb.Const(0)),
+		tb.Cond(r, ir.LE, tb.Const(0)),
+		tb.Cond(tb.Field(dev, "pm"), ir.GE, tb.Const(0)),
 	)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -263,17 +274,18 @@ func BenchmarkSolverTypicalEntry(b *testing.B) {
 }
 
 func TestSplitBudgetGivesUpConservatively(t *testing.T) {
+	tb := sym.NewTable()
 	// With only one split allowed, the pigeonhole system cannot be refuted
 	// and the solver must answer SAT (the conservative direction: a wrong
 	// SAT can only create a false positive, never hide an IPP).
-	a := sym.Arg("a")
-	cs := set(
-		sym.Cond(a, ir.GE, sym.Const(0)),
-		sym.Cond(a, ir.LE, sym.Const(3)),
-		sym.Cond(a, ir.NE, sym.Const(0)),
-		sym.Cond(a, ir.NE, sym.Const(1)),
-		sym.Cond(a, ir.NE, sym.Const(2)),
-		sym.Cond(a, ir.NE, sym.Const(3)),
+	a := tb.Arg("a")
+	cs := set(tb,
+		tb.Cond(a, ir.GE, tb.Const(0)),
+		tb.Cond(a, ir.LE, tb.Const(3)),
+		tb.Cond(a, ir.NE, tb.Const(0)),
+		tb.Cond(a, ir.NE, tb.Const(1)),
+		tb.Cond(a, ir.NE, tb.Const(2)),
+		tb.Cond(a, ir.NE, tb.Const(3)),
 	)
 	s := NewWithCache(Limits{MaxSplits: 1}, NewCache())
 	if !s.Sat(cs) {
@@ -304,7 +316,8 @@ func TestSharedCacheSolversKeepLimits(t *testing.T) {
 // New builds them and as TestCacheTransparent's fresh solvers are, share
 // nothing: each answers the same query afresh, with no cache hit.
 func TestDisableCache(t *testing.T) {
-	cs := set(sym.Cond(sym.Arg("a"), ir.GT, sym.Const(0)))
+	tb := sym.NewTable()
+	cs := set(tb, tb.Cond(tb.Arg("a"), ir.GT, tb.Const(0)))
 	s1, s2 := New(), NewWithCache(Limits{}, NewCache())
 	if !s1.Sat(cs) || !s2.Sat(cs) {
 		t.Fatal("a > 0 should be SAT on both solvers")
@@ -320,14 +333,15 @@ func TestDisableCache(t *testing.T) {
 }
 
 func TestConstantDisequalities(t *testing.T) {
+	tb := sym.NewTable()
 	// 3 != 3 is false; 3 != 4 is true.
-	bad := set(sym.Cond(sym.Const(3), ir.NE, sym.Const(3)))
+	bad := set(tb, tb.Cond(tb.Const(3), ir.NE, tb.Const(3)))
 	if bad.HasFalse() {
 		// Folded at construction — also acceptable.
 	} else if New().Sat(bad) {
 		t.Error("3 != 3 must be unsat")
 	}
-	good := set(sym.Cond(sym.Const(3), ir.NE, sym.Const(4)), sym.Cond(sym.Arg("a"), ir.GT, sym.Const(0)))
+	good := set(tb, tb.Cond(tb.Const(3), ir.NE, tb.Const(4)), tb.Cond(tb.Arg("a"), ir.GT, tb.Const(0)))
 	if !New().Sat(good) {
 		t.Error("3 != 4 ∧ a > 0 must be sat")
 	}

@@ -184,9 +184,12 @@ func MustParse(name, src string) *Specs {
 	return s
 }
 
-// Parse parses the DSL text; name is used in error messages.
+// Parse parses the DSL text; name is used in error messages. The
+// summaries' expressions are built in a table of their own, which lives
+// as long as the parsed Specs: a run imports an entry into its own table
+// the first time it instantiates it.
 func Parse(name, src string) (*Specs, error) {
-	p := &specParser{name: name, src: src}
+	p := &specParser{name: name, src: src, syms: sym.NewTable()}
 	p.next()
 	specs := NewSpecs()
 	for p.tok != "" {
@@ -215,6 +218,7 @@ func Parse(name, src string) (*Specs, error) {
 type specParser struct {
 	name string
 	src  string
+	syms *sym.Table
 	off  int
 	line int
 	tok  string
@@ -513,7 +517,7 @@ func (p *specParser) parseCons(e *summary.Entry, params []string) error {
 		if err != nil {
 			return err
 		}
-		e.Cons = e.Cons.And(sym.Cond(a, pred, b))
+		e.Cons = e.Cons.And(p.syms, p.syms.Cond(a, pred, b))
 		if p.tok == "&&" {
 			p.next()
 			continue
@@ -558,7 +562,7 @@ func (p *specParser) parseTerm(params []string) (*sym.Expr, error) {
 	case p.tok == "[":
 		p.next()
 		if p.tok == "0" {
-			base = sym.Ret()
+			base = p.syms.Ret()
 		} else {
 			found := false
 			for _, prm := range params {
@@ -569,7 +573,7 @@ func (p *specParser) parseTerm(params []string) (*sym.Expr, error) {
 			if !found {
 				return nil, p.errorf("unknown parameter %q in term", p.tok)
 			}
-			base = sym.Arg(p.tok)
+			base = p.syms.Arg(p.tok)
 		}
 		p.next()
 		if err := p.expect("]"); err != nil {
@@ -577,17 +581,17 @@ func (p *specParser) parseTerm(params []string) (*sym.Expr, error) {
 		}
 	case p.tok == "null":
 		p.next()
-		return sym.Null(), nil
+		return p.syms.Null(), nil
 	case p.tok == "true":
 		p.next()
-		return sym.BoolConst(true), nil
+		return p.syms.BoolConst(true), nil
 	case p.tok == "false":
 		p.next()
-		return sym.BoolConst(false), nil
+		return p.syms.BoolConst(false), nil
 	default:
 		if n, err := strconv.ParseInt(p.tok, 10, 64); err == nil {
 			p.next()
-			return sym.Const(n), nil
+			return p.syms.Const(n), nil
 		}
 		return nil, p.errorf("expected term, found %q", p.tok)
 	}
@@ -597,7 +601,7 @@ func (p *specParser) parseTerm(params []string) (*sym.Expr, error) {
 		if !isIdent(field) {
 			return nil, p.errorf("expected field name after '.', found %q", field)
 		}
-		base = sym.Field(base, field)
+		base = p.syms.Field(base, field)
 		p.next()
 	}
 	return base, nil

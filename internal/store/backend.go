@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+
+	"repro/internal/sym"
 )
 
 // Backend is the summary-store contract the analysis pipeline programs
@@ -24,10 +26,13 @@ import (
 //	              same content must converge to one valid entry.
 //	LookupDigest: content digests are global names; (nil, nil) when no
 //	              entry carries the digest.
+//
+// Load and LookupDigest decode into the caller's table t: an analysis run
+// passes its own, so a decoded entry's expressions live with the run.
 type Backend interface {
-	Load(fn string, d Digest) (*Entry, error)
+	Load(t *sym.Table, fn string, d Digest) (*Entry, error)
 	Save(fn string, d Digest, e *Entry) error
-	LookupDigest(d Digest) (*Entry, error)
+	LookupDigest(t *sym.Table, d Digest) (*Entry, error)
 }
 
 var _ Backend = (*Store)(nil)

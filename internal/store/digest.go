@@ -147,9 +147,12 @@ func Digests(g *callgraph.Graph, db *summary.DB, fp Fingerprint) map[string]Dige
 // externRecord renders an undefined callee for its callers' digests: its
 // name and the summary it resolves to (nil when unknown).
 func externRecord(callee string, s *summary.Summary) []byte {
-	rec := fmt.Appendf(nil, "extern\x00%s\x00", callee)
+	rec := make([]byte, 0, 512)
+	rec = append(append(append(rec, "extern\x00"...), callee...), 0)
 	if s != nil {
-		rec = fmt.Appendf(rec, "pre=%t def=%t %s", s.Predefined, s.HasDefault, s)
+		rec = strconv.AppendBool(append(rec, "pre="...), s.Predefined)
+		rec = strconv.AppendBool(append(rec, " def="...), s.HasDefault)
+		rec = s.AppendText(append(rec, ' '))
 	} else {
 		rec = append(rec, "unknown"...)
 	}

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/sym"
 )
 
 // FuzzStoreLoad drives ParseEntry — the full on-disk decode surface:
@@ -21,7 +23,7 @@ func FuzzStoreLoad(f *testing.F) {
 	f.Add([]byte("not a store entry at all"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		e, err := ParseEntry(data)
+		e, err := ParseEntry(sym.NewTable(), data)
 		if err != nil {
 			if e != nil {
 				t.Fatal("ParseEntry returned both an entry and an error")
@@ -42,7 +44,7 @@ func FuzzStoreLoad(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encode of decoded entry failed: %v", err)
 		}
-		e2, err := ParseEntry(re)
+		e2, err := ParseEntry(sym.NewTable(), re)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
@@ -62,12 +64,12 @@ func fuzzSeeds(f *testing.F) (valid, skew []byte) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	if _, err := ParseEntry(valid); err != nil {
+	if _, err := ParseEntry(sym.NewTable(), valid); err != nil {
 		f.Fatalf("valid seed does not parse: %v", err)
 	}
 	cur := fmt.Sprintf("%s %d ", magic, FormatVersion)
 	skew = bytes.Replace(valid, []byte(cur), []byte(fmt.Sprintf("%s %d ", magic, FormatVersion+1)), 1)
-	if _, err := ParseEntry(skew); err == nil || !strings.Contains(err.Error(), "version") {
+	if _, err := ParseEntry(sym.NewTable(), skew); err == nil || !strings.Contains(err.Error(), "version") {
 		f.Fatalf("version-skew seed: got error %v, want a version error", err)
 	}
 	return valid, skew

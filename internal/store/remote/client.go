@@ -37,6 +37,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/store"
+	"repro/internal/sym"
 )
 
 // Config tunes a fleet-store client. Only URL is required.
@@ -287,7 +288,7 @@ func (c *Client) Ping() error {
 
 // Load implements store.Backend: a validated remote entry, (nil, nil) on
 // miss, or an error for remote failure or an untrustworthy response.
-func (c *Client) Load(fn string, d store.Digest) (*store.Entry, error) {
+func (c *Client) Load(t *sym.Table, fn string, d store.Digest) (*store.Entry, error) {
 	data, err := c.GetRaw(fn, d)
 	if err != nil || data == nil {
 		if err == nil {
@@ -295,7 +296,7 @@ func (c *Client) Load(fn string, d store.Digest) (*store.Entry, error) {
 		}
 		return nil, err
 	}
-	e, err := store.ParseEntry(data)
+	e, err := store.ParseEntry(t, data)
 	if err != nil {
 		c.o.Count(obs.MRemoteIntegrity, 1)
 		return nil, fmt.Errorf("fleet store entry %s: %w", store.EntryName(fn), err)
@@ -317,12 +318,12 @@ func (c *Client) Save(fn string, d store.Digest, e *store.Entry) error {
 }
 
 // LookupDigest implements store.Backend over GET /v1/digest.
-func (c *Client) LookupDigest(d store.Digest) (*store.Entry, error) {
+func (c *Client) LookupDigest(t *sym.Table, d store.Digest) (*store.Entry, error) {
 	data, err := c.GetDigestRaw(d)
 	if err != nil || data == nil {
 		return nil, err
 	}
-	e, err := store.ParseEntry(data)
+	e, err := store.ParseEntry(t, data)
 	if err != nil {
 		c.o.Count(obs.MRemoteIntegrity, 1)
 		return nil, fmt.Errorf("fleet store digest %s: %w", d.String()[:12], err)

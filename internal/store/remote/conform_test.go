@@ -10,6 +10,7 @@ import (
 	"repro/internal/store"
 	"repro/internal/store/remote"
 	"repro/internal/store/storetest"
+	"repro/internal/sym"
 )
 
 // startServer runs a store server on a fresh directory and loopback port,
@@ -107,7 +108,7 @@ func TestFlakyProxySingleFaultRetried(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p.Inject(tc.fault)
-			e, err := c.Load(fn, d)
+			e, err := c.Load(sym.NewTable(), fn, d)
 			if err != nil {
 				t.Fatalf("Load with one %s fault: %v (retry should absorb it)", tc.name, err)
 			}
@@ -140,7 +141,7 @@ func TestFlakyProxyDoubleFaultSurfaces(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p.Inject(tc.fault, tc.fault)
-			e, err := c.Load(fn, d)
+			e, err := c.Load(sym.NewTable(), fn, d)
 			if err == nil {
 				t.Fatalf("Load with two %s faults succeeded; the strict client must surface the failure", tc.name)
 			}
@@ -150,7 +151,7 @@ func TestFlakyProxyDoubleFaultSurfaces(t *testing.T) {
 		})
 	}
 	// The script is drained: the store is immediately usable again.
-	e, err := c.Load(fn, d)
+	e, err := c.Load(sym.NewTable(), fn, d)
 	if err != nil || e == nil {
 		t.Fatalf("Load after faults drained = (%v, %v), want hit", e, err)
 	}
@@ -167,7 +168,7 @@ func TestFlakyProxyCorruptBodyIsIntegrityError(t *testing.T) {
 	fn := "flaky_corrupt"
 	d := seedEntry(t, c, fn)
 	p.Inject(storetest.CorruptBody)
-	e, err := c.Load(fn, d)
+	e, err := c.Load(sym.NewTable(), fn, d)
 	if err == nil || e != nil {
 		t.Fatalf("Load of corrupted-in-flight entry = (%v, %v), want integrity error", e, err)
 	}
@@ -175,7 +176,7 @@ func TestFlakyProxyCorruptBodyIsIntegrityError(t *testing.T) {
 		t.Fatal("remote_integrity_errors counter not incremented")
 	}
 	// Clean wire, same entry: the data on the server was never damaged.
-	e, err = c.Load(fn, d)
+	e, err = c.Load(sym.NewTable(), fn, d)
 	if err != nil || e == nil {
 		t.Fatalf("Load after corruption cleared = (%v, %v), want hit", e, err)
 	}
@@ -202,7 +203,7 @@ func TestCircuitBreakerOpensAndProbes(t *testing.T) {
 	// Two failed operations (each fault pair defeats one op's retry).
 	p.Inject(storetest.Err500, storetest.Err500, storetest.Err500, storetest.Err500)
 	for i := 0; i < 2; i++ {
-		if _, err := c.Load(fn, d); err == nil {
+		if _, err := c.Load(sym.NewTable(), fn, d); err == nil {
 			t.Fatalf("Load %d should have failed", i)
 		}
 	}
@@ -212,7 +213,7 @@ func TestCircuitBreakerOpensAndProbes(t *testing.T) {
 
 	// Open circuit: refused without touching the wire.
 	before := p.Served()
-	_, err := c.Load(fn, d)
+	_, err := c.Load(sym.NewTable(), fn, d)
 	if !errors.Is(err, remote.ErrCircuitOpen) {
 		t.Fatalf("Load with open circuit: %v, want ErrCircuitOpen", err)
 	}
@@ -222,7 +223,7 @@ func TestCircuitBreakerOpensAndProbes(t *testing.T) {
 
 	// After the probe interval one operation goes through; success closes.
 	time.Sleep(70 * time.Millisecond)
-	e, err := c.Load(fn, d)
+	e, err := c.Load(sym.NewTable(), fn, d)
 	if err != nil || e == nil {
 		t.Fatalf("probe Load = (%v, %v), want hit", e, err)
 	}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/store"
 	"repro/internal/store/remote"
 	"repro/internal/store/storetest"
+	"repro/internal/sym"
 )
 
 // health mirrors the /healthz fields the soak asserts on.
@@ -99,7 +100,7 @@ func TestSoakConcurrentClients(t *testing.T) {
 						t.Errorf("client %d round %d: Save(%s): %v", c, r, fns[i], err)
 						return
 					}
-					e, err := client.Load(fns[i], digests[i])
+					e, err := client.Load(sym.NewTable(), fns[i], digests[i])
 					if err != nil || e == nil || e.Fn != fns[i] {
 						t.Errorf("client %d round %d: Load(%s) = (%v, %v), want hit", c, r, fns[i], e, err)
 						return

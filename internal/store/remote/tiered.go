@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/store"
+	"repro/internal/sym"
 )
 
 // writeBehindDepth bounds the ship-to-fleet queue. When the writer falls
@@ -139,8 +140,8 @@ func (t *Tiered) skipRemote(name string) bool {
 // Load implements store.Backend. Local errors (an untrustworthy local
 // entry) surface unchanged — that is the cache-invalid path and has
 // nothing to do with the fleet. Remote failures of any kind are misses.
-func (t *Tiered) Load(fn string, d store.Digest) (*store.Entry, error) {
-	e, err := t.local.Load(fn, d)
+func (t *Tiered) Load(syms *sym.Table, fn string, d store.Digest) (*store.Entry, error) {
+	e, err := t.local.Load(syms, fn, d)
 	if e != nil || err != nil {
 		return e, err
 	}
@@ -158,7 +159,7 @@ func (t *Tiered) Load(fn string, d store.Digest) (*store.Entry, error) {
 		t.o.Count(obs.MRemoteMisses, 1)
 		return nil, nil
 	}
-	re, err := store.ParseEntry(data)
+	re, err := store.ParseEntry(syms, data)
 	if err != nil {
 		// Header validated but payload didn't decode: count it against
 		// the fleet's integrity, analyze locally.
@@ -199,12 +200,12 @@ func (t *Tiered) Save(fn string, d store.Digest, e *store.Entry) error {
 
 // LookupDigest implements store.Backend: local first, then the fleet
 // (lenient — a remote failure means "not found here").
-func (t *Tiered) LookupDigest(d store.Digest) (*store.Entry, error) {
-	e, err := t.local.LookupDigest(d)
+func (t *Tiered) LookupDigest(syms *sym.Table, d store.Digest) (*store.Entry, error) {
+	e, err := t.local.LookupDigest(syms, d)
 	if e != nil || err != nil {
 		return e, err
 	}
-	re, err := t.client.LookupDigest(d)
+	re, err := t.client.LookupDigest(syms, d)
 	if err != nil {
 		t.note(err)
 		return nil, nil

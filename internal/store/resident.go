@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/ipp"
 	"repro/internal/obs"
+	"repro/internal/sym"
 )
 
 // residentCap bounds how many functions a Resident holds decoded. It is
@@ -23,6 +24,11 @@ const residentCap = 1 << 16
 // (fn, d). Entries enter only from a validated backend hit or after a
 // successful Save, so nothing the backend refused is ever served. Safe
 // for concurrent use.
+//
+// A resident entry keeps the expressions of the run that decoded or
+// computed it. A later run that hits it does not copy them: it imports an
+// entry into its own table only when it first instantiates it (see
+// summary.Entry.InstantiateInto).
 type Resident struct {
 	mu sync.Mutex
 	m  map[string]residentEntry
@@ -73,12 +79,16 @@ func (r *Resident) put(fn string, d Digest, e *Entry) {
 // copyReports returns e with its own report structs: loading callers set
 // each report's SrcFile and Pos, which must never reach another run's
 // copy. The summary is shared, as summaries are immutable once computed.
+// The copies share one backing array.
 func (e *Entry) copyReports() *Entry {
 	c := *e
-	c.Reports = make([]*ipp.Report, len(e.Reports))
-	for i, rep := range e.Reports {
-		rc := *rep
-		c.Reports[i] = &rc
+	if len(e.Reports) > 0 {
+		reps := make([]ipp.Report, len(e.Reports))
+		c.Reports = make([]*ipp.Report, len(e.Reports))
+		for i, rep := range e.Reports {
+			reps[i] = *rep
+			c.Reports[i] = &reps[i]
+		}
 	}
 	return &c
 }
@@ -107,7 +117,7 @@ type residentBackend struct {
 	o *obs.Obs
 }
 
-func (rb *residentBackend) Load(fn string, d Digest) (*Entry, error) {
+func (rb *residentBackend) Load(t *sym.Table, fn string, d Digest) (*Entry, error) {
 	if e := rb.r.get(fn, d); e != nil {
 		sp := rb.o.Start(obs.PhaseCacheIO, fn)
 		rb.o.Count(obs.MStoreHits, 1)
@@ -115,7 +125,7 @@ func (rb *residentBackend) Load(fn string, d Digest) (*Entry, error) {
 		sp.End()
 		return e.copyReports(), nil
 	}
-	e, err := rb.Backend.Load(fn, d)
+	e, err := rb.Backend.Load(t, fn, d)
 	if e != nil && err == nil {
 		rb.r.put(fn, d, e)
 	}

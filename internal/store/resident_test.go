@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/frontend/token"
 	"repro/internal/obs"
+	"repro/internal/sym"
 )
 
 // countingBackend is a Backend fake that serves a fixed (entry, error)
@@ -21,7 +22,7 @@ type countingBackend struct {
 	saveErr error
 }
 
-func (b *countingBackend) Load(fn string, d Digest) (*Entry, error) {
+func (b *countingBackend) Load(_ *sym.Table, fn string, d Digest) (*Entry, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.loads++
@@ -30,7 +31,7 @@ func (b *countingBackend) Load(fn string, d Digest) (*Entry, error) {
 
 func (b *countingBackend) Save(fn string, d Digest, e *Entry) error { return b.saveErr }
 
-func (b *countingBackend) LookupDigest(Digest) (*Entry, error) { return nil, nil }
+func (b *countingBackend) LookupDigest(*sym.Table, Digest) (*Entry, error) { return nil, nil }
 
 func (b *countingBackend) backendLoads() int {
 	b.mu.Lock()
@@ -46,7 +47,7 @@ func TestResidentHitOnlyOnEqualDigest(t *testing.T) {
 	if err := b.Save("f", d, testEntry("f")); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
-	e, err := b.Load("f", d)
+	e, err := b.Load(sym.NewTable(), "f", d)
 	if err != nil || e == nil || e.Summary.String() != testEntry("f").Summary.String() {
 		t.Fatalf("Load at the saved digest = (%v, %v), want the saved entry", e, err)
 	}
@@ -54,7 +55,7 @@ func TestResidentHitOnlyOnEqualDigest(t *testing.T) {
 		t.Fatalf("hits/resident hits = %d/%d, want 1/1", h, rh)
 	}
 	// Another digest is the disk store's question, answered as a stale miss.
-	if e, err := b.Load("f", Digest{0xbb}); e != nil || err != nil {
+	if e, err := b.Load(sym.NewTable(), "f", Digest{0xbb}); e != nil || err != nil {
 		t.Fatalf("Load at another digest = (%v, %v), want a miss", e, err)
 	}
 	if !r.Has("f", d) || r.Has("f", Digest{0xbb}) || r.Has("g", d) {
@@ -68,7 +69,7 @@ func TestResidentHitOnlyOnEqualDigest(t *testing.T) {
 	cb := &countingBackend{entry: testEntry("g")}
 	b = r.Over(cb, nil)
 	for i := 0; i < 2; i++ {
-		if e, err := b.Load("g", d); e == nil || err != nil {
+		if e, err := b.Load(sym.NewTable(), "g", d); e == nil || err != nil {
 			t.Fatalf("Load %d = (%v, %v), want a hit", i, e, err)
 		}
 	}
@@ -95,10 +96,10 @@ func TestResidentReportsArePrivate(t *testing.T) {
 	want := saved.Reports[0].Detail()
 	// Neither the saver nor a loader can reach the resident copy.
 	saved.Reports[0].SrcFile = "saver.c"
-	first, _ := b.Load("f", d)
+	first, _ := b.Load(sym.NewTable(), "f", d)
 	first.Reports[0].SrcFile, first.Reports[0].Pos = "loader.c", token.Pos{File: "loader.c", Line: 9}
 	first.Reports = nil
-	second, _ := b.Load("f", d)
+	second, _ := b.Load(sym.NewTable(), "f", d)
 	if len(second.Reports) != 1 {
 		t.Fatalf("second hit has %d reports, want 1", len(second.Reports))
 	}
@@ -121,7 +122,7 @@ func TestResidentRefusesFailures(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			r := NewResident()
 			b := r.Over(tc.cb, nil)
-			if _, err := b.Load("f", d); (err != nil) != (tc.cb.loadErr != nil) {
+			if _, err := b.Load(sym.NewTable(), "f", d); (err != nil) != (tc.cb.loadErr != nil) {
 				t.Fatalf("Load error %v, want the backend's %v", err, tc.cb.loadErr)
 			}
 			if r.Has("f", d) {
@@ -135,7 +136,7 @@ func TestResidentRefusesFailures(t *testing.T) {
 			}
 			if tc.cb.saveErr != nil {
 				// Still not resident: every load asks the backend.
-				b.Load("f", d)
+				b.Load(sym.NewTable(), "f", d)
 				if n := tc.cb.backendLoads(); n != 2 {
 					t.Fatalf("backend loads = %d, want 2", n)
 				}
@@ -184,7 +185,7 @@ func TestResidentConcurrentRuns(t *testing.T) {
 			for i := 0; i < 20; i++ {
 				fn := fmt.Sprintf("f%d", i%5)
 				d := Digest{byte(i % 5), byte(w % 2)}
-				e, err := b.Load(fn, d)
+				e, err := b.Load(sym.NewTable(), fn, d)
 				if err != nil {
 					t.Errorf("Load: %v", err)
 					return

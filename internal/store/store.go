@@ -39,6 +39,7 @@ import (
 	"repro/internal/ipp"
 	"repro/internal/obs"
 	"repro/internal/summary"
+	"repro/internal/sym"
 )
 
 const magic = "RIDSUM"
@@ -94,14 +95,15 @@ func (s *Store) path(fn string) string {
 	return EntryPath(s.dir, EntryName(fn))
 }
 
-// Load looks up fn's entry and returns it if its digest matches d.
-// The three outcomes mirror the caller's three behaviors:
+// Load looks up fn's entry and returns it, its expressions built in t, if
+// its digest matches d. The three outcomes mirror the caller's three
+// behaviors:
 //
 //	(e, nil)     — hit: replay e instead of analyzing.
 //	(nil, nil)   — miss (no entry, or a stale digest): analyze cold, save.
 //	(nil, err)   — invalid entry: analyze cold, emit a cache-invalid
 //	               diagnostic carrying err.
-func (s *Store) Load(fn string, d Digest) (*Entry, error) {
+func (s *Store) Load(t *sym.Table, fn string, d Digest) (*Entry, error) {
 	sp := s.o.Start(obs.PhaseCacheIO, fn)
 	defer sp.End()
 	data, err := os.ReadFile(s.path(fn))
@@ -137,7 +139,7 @@ func (s *Store) Load(fn string, d Digest) (*Entry, error) {
 		s.o.Count(obs.MStoreMisses, 1)
 		return nil, nil
 	}
-	e, err := decodePayload(hdr, payload)
+	e, err := decodePayload(t, hdr, payload)
 	if err != nil {
 		s.o.Count(obs.MStoreMisses, 1)
 		return nil, err
@@ -182,18 +184,19 @@ func syncDir(dir string) error {
 }
 
 // LookupDigest finds the entry published under content digest d (any
-// function name) and decodes it. It is the lookup behind `rid serve`'s
-// GET /v1/summary/{digest}: content digests are global names, so a client
-// holding one can fetch the corresponding summary without knowing which
-// function produced it. Returns (nil, nil) when no entry carries d.
-func (s *Store) LookupDigest(d Digest) (*Entry, error) {
+// function name) and decodes it into t. It is the lookup behind `rid
+// serve`'s GET /v1/summary/{digest}: content digests are global names, so
+// a client holding one can fetch the corresponding summary without
+// knowing which function produced it. Returns (nil, nil) when no entry
+// carries d.
+func (s *Store) LookupDigest(t *sym.Table, d Digest) (*Entry, error) {
 	sp := s.o.Start(obs.PhaseCacheIO, "")
 	defer sp.End()
 	data, err := s.RawDigest(d)
 	if err != nil || data == nil {
 		return nil, err
 	}
-	return ParseEntry(data)
+	return ParseEntry(t, data)
 }
 
 // ---------------------------------------------------------------------------
@@ -270,19 +273,21 @@ func parseDigest(s string, d *Digest) error {
 
 // ParseEntry decodes raw file bytes into an entry with full validation
 // (header shape, version, checksum, payload structure) but no expectations
-// about which function or digest it should be for. It is the fuzz surface:
-// arbitrary bytes must yield an entry or an error, never a panic.
-func ParseEntry(data []byte) (*Entry, error) {
+// about which function or digest it should be for. Its expressions are
+// built in t. It is the fuzz surface: arbitrary bytes must yield an entry
+// or an error, never a panic.
+func ParseEntry(t *sym.Table, data []byte) (*Entry, error) {
 	hdr, payload, err := parseHeader(data)
 	if err != nil {
 		return nil, err
 	}
-	return decodePayload(hdr, payload)
+	return decodePayload(t, hdr, payload)
 }
 
 // The payload wire format. Summaries and expressions reuse the structural
-// JSON of summary.DB.Save, so decoding rebuilds them through the sym
-// constructors and every loaded expression is re-interned.
+// JSON of summary.DB.Save, so decoding rebuilds them through the
+// constructors of the caller's table and every loaded expression is
+// interned there.
 
 // Reports are stored without SrcFile and Pos: both are the reported
 // function's, and the replaying run sets them from its own IR, so a stored
@@ -343,7 +348,7 @@ func encodeEntry(e *Entry, fp, d Digest) ([]byte, error) {
 	return append([]byte(hdr), payload...), nil
 }
 
-func decodePayload(hdr header, payload []byte) (*Entry, error) {
+func decodePayload(t *sym.Table, hdr header, payload []byte) (*Entry, error) {
 	var ej entryJSON
 	if err := json.Unmarshal(payload, &ej); err != nil {
 		return nil, fmt.Errorf("decode entry payload: %w", err)
@@ -354,7 +359,7 @@ func decodePayload(hdr header, payload []byte) (*Entry, error) {
 	if len(ej.Summary) == 0 || string(ej.Summary) == "null" {
 		return nil, fmt.Errorf("entry for %q has no summary", ej.Fn)
 	}
-	sum, err := summary.UnmarshalSummary(ej.Summary)
+	sum, err := summary.UnmarshalSummary(t, ej.Summary)
 	if err != nil {
 		return nil, fmt.Errorf("decode summary: %w", err)
 	}
@@ -370,16 +375,16 @@ func decodePayload(hdr header, payload []byte) (*Entry, error) {
 			DeltaA: rj.DeltaA, DeltaB: rj.DeltaB,
 			Witness: rj.Witness,
 		}
-		if r.Refcount, err = summary.UnmarshalExpr(rj.Refcount); err != nil {
+		if r.Refcount, err = summary.UnmarshalExpr(t, rj.Refcount); err != nil {
 			return nil, fmt.Errorf("report %d refcount: %w", i, err)
 		}
 		if r.Refcount == nil {
 			return nil, fmt.Errorf("report %d has no refcount", i)
 		}
-		if r.EntryA, err = unmarshalReportEntry(rj.EntryA); err != nil {
+		if r.EntryA, err = unmarshalReportEntry(t, rj.EntryA); err != nil {
 			return nil, fmt.Errorf("report %d entry A: %w", i, err)
 		}
-		if r.EntryB, err = unmarshalReportEntry(rj.EntryB); err != nil {
+		if r.EntryB, err = unmarshalReportEntry(t, rj.EntryB); err != nil {
 			return nil, fmt.Errorf("report %d entry B: %w", i, err)
 		}
 		e.Reports = append(e.Reports, r)
@@ -387,9 +392,9 @@ func decodePayload(hdr header, payload []byte) (*Entry, error) {
 	return e, nil
 }
 
-func unmarshalReportEntry(data json.RawMessage) (*summary.Entry, error) {
+func unmarshalReportEntry(t *sym.Table, data json.RawMessage) (*summary.Entry, error) {
 	if len(data) == 0 || string(data) == "null" {
 		return nil, fmt.Errorf("missing")
 	}
-	return summary.UnmarshalEntry(data)
+	return summary.UnmarshalEntry(t, data)
 }

@@ -29,17 +29,18 @@ func testFingerprint() Fingerprint {
 // constraints and changes, one report with a witness, and a deterministic
 // diagnostic.
 func testEntry(fn string) *Entry {
+	tb := sym.NewTable()
 	s := summary.New(fn)
 	s.Params = []string{"dev", "flags"}
-	e1 := summary.NewEntry(sym.True().And(sym.Cond(sym.Arg("dev"), ir.NE, sym.Null())), sym.Const(0))
-	e1.AddChange(sym.Field(sym.Arg("dev"), "pm"), 1)
-	e2 := summary.NewEntry(sym.True(), sym.Const(-1))
+	e1 := summary.NewEntry(sym.True().And(tb, tb.Cond(tb.Arg("dev"), ir.NE, tb.Null())), tb.Const(0))
+	e1.AddChange(tb.Field(tb.Arg("dev"), "pm"), 1)
+	e2 := summary.NewEntry(sym.True(), tb.Const(-1))
 	s.Entries = append(s.Entries, e1, e2)
 	rep := &ipp.Report{
 		Fn:       fn,
 		SrcFile:  "drivers/gen/file0001.c",
 		Pos:      token.Pos{File: "drivers/gen/file0001.c", Line: 42, Column: 5},
-		Refcount: sym.Field(sym.Arg("dev"), "pm"),
+		Refcount: tb.Field(tb.Arg("dev"), "pm"),
 		EntryA:   e1,
 		EntryB:   e2,
 		PathA:    0, PathB: 3,
@@ -66,6 +67,7 @@ func openTestStore(t *testing.T, fp Fingerprint) (*Store, *obs.Registry) {
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {
+	tb := sym.NewTable()
 	st, reg := openTestStore(t, testFingerprint())
 	var d Digest
 	d[0] = 0xaa
@@ -73,7 +75,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := st.Save("drv_probe", d, e); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
-	got, err := st.Load("drv_probe", d)
+	got, err := st.Load(tb, "drv_probe", d)
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -101,10 +103,10 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if len(gr.Witness) != 2 || gr.Witness["dev"] != 1 {
 		t.Errorf("witness round-trip: %v", gr.Witness)
 	}
-	// Loaded expressions are rebuilt through the sym constructors, so they
-	// are interned: identical to freshly constructed ones.
-	if gr.Refcount != sym.Field(sym.Arg("dev"), "pm") {
-		t.Errorf("loaded refcount not interned: %p vs %p", gr.Refcount, sym.Field(sym.Arg("dev"), "pm"))
+	// Loaded expressions are rebuilt through the constructors of the
+	// loading table, so they are interned: identical to ones built there.
+	if gr.Refcount != tb.Field(tb.Arg("dev"), "pm") {
+		t.Errorf("loaded refcount not interned: %p vs %p", gr.Refcount, tb.Field(tb.Arg("dev"), "pm"))
 	}
 	if len(got.Diags) != 1 || got.Diags[0] != e.Diags[0] {
 		t.Errorf("diags round-trip: %v", got.Diags)
@@ -116,7 +118,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 
 func TestLoadMissAbsent(t *testing.T) {
 	st, reg := openTestStore(t, testFingerprint())
-	e, err := st.Load("nothing", Digest{1})
+	e, err := st.Load(sym.NewTable(), "nothing", Digest{1})
 	if e != nil || err != nil {
 		t.Fatalf("Load absent = (%v, %v), want (nil, nil)", e, err)
 	}
@@ -131,7 +133,7 @@ func TestLoadMissStaleDigest(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Different digest (edited function): a silent miss, not an error.
-	e, err := st.Load("f", Digest{2})
+	e, err := st.Load(sym.NewTable(), "f", Digest{2})
 	if e != nil || err != nil {
 		t.Fatalf("Load stale = (%v, %v), want (nil, nil)", e, err)
 	}
@@ -155,10 +157,10 @@ func TestEvictionOnOverwrite(t *testing.T) {
 		t.Errorf("evictions after overwrite = %d, want 1", ev)
 	}
 	// The replacement won: the new digest hits, the old misses.
-	if e, err := st.Load("f", Digest{2}); e == nil || err != nil {
+	if e, err := st.Load(sym.NewTable(), "f", Digest{2}); e == nil || err != nil {
 		t.Errorf("Load new digest = (%v, %v), want hit", e, err)
 	}
-	if e, err := st.Load("f", Digest{1}); e != nil || err != nil {
+	if e, err := st.Load(sym.NewTable(), "f", Digest{1}); e != nil || err != nil {
 		t.Errorf("Load old digest = (%v, %v), want silent miss", e, err)
 	}
 }
@@ -189,7 +191,7 @@ func corruptedEntry(t *testing.T, mutate func([]byte) []byte) (*Store, Digest) {
 // panic) with an error mentioning want.
 func wantInvalid(t *testing.T, st *Store, d Digest, want string) {
 	t.Helper()
-	e, err := st.Load("victim", d)
+	e, err := st.Load(sym.NewTable(), "victim", d)
 	if e != nil {
 		t.Fatalf("Load corrupt entry returned an entry: %+v", e)
 	}
@@ -269,7 +271,7 @@ func TestLoadNameCollision(t *testing.T) {
 	if err := os.WriteFile(p, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	e, err := st.Load("imposter", d)
+	e, err := st.Load(sym.NewTable(), "imposter", d)
 	if e != nil || err != nil {
 		t.Fatalf("Load collided entry = (%v, %v), want (nil, nil)", e, err)
 	}
@@ -293,13 +295,13 @@ func TestMidWriteCrashLeavesNoEntry(t *testing.T) {
 	if err := os.WriteFile(tmp, full[:len(full)/3], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if e, lerr := st.Load("f", d); e != nil || lerr != nil {
+	if e, lerr := st.Load(sym.NewTable(), "f", d); e != nil || lerr != nil {
 		t.Fatalf("Load with only a temp file = (%v, %v), want (nil, nil)", e, lerr)
 	}
 	if err := st.Save("f", d, testEntry("f")); err != nil {
 		t.Fatalf("Save after crash debris: %v", err)
 	}
-	if e, lerr := st.Load("f", d); e == nil || lerr != nil {
+	if e, lerr := st.Load(sym.NewTable(), "f", d); e == nil || lerr != nil {
 		t.Fatalf("Load after save = (%v, %v), want hit", e, lerr)
 	}
 	if _, err := os.Stat(tmp); err != nil {
@@ -431,7 +433,7 @@ func TestLookupDigestFindsEntry(t *testing.T) {
 	if err := st.Save("other_fn", Digest{9}, testEntry("other_fn")); err != nil {
 		t.Fatal(err)
 	}
-	e, err := st.LookupDigest(d)
+	e, err := st.LookupDigest(sym.NewTable(), d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +444,7 @@ func TestLookupDigestFindsEntry(t *testing.T) {
 		t.Fatalf("decoded entry incomplete: %+v", e)
 	}
 	// An unknown digest is an ordinary miss, not an error.
-	if e, err := st.LookupDigest(Digest{0xff}); err != nil || e != nil {
+	if e, err := st.LookupDigest(sym.NewTable(), Digest{0xff}); err != nil || e != nil {
 		t.Fatalf("unknown digest: got (%v, %v), want (nil, nil)", e, err)
 	}
 }
@@ -462,7 +464,7 @@ func TestLookupDigestSkipsCorrupt(t *testing.T) {
 	if err := os.WriteFile(bad, []byte("not a store entry at all"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	e, err := st.LookupDigest(d)
+	e, err := st.LookupDigest(sym.NewTable(), d)
 	if err != nil || e == nil || e.Fn != "good_fn" {
 		t.Fatalf("lookup with corrupt neighbor: got (%v, %v)", e, err)
 	}

@@ -50,15 +50,16 @@ type Target struct {
 // deterministic diagnostic — every payload shape the wire and disk
 // formats must round-trip.
 func Entry(fn string) *store.Entry {
+	tb := sym.NewTable()
 	s := summary.New(fn)
 	s.Params = []string{"dev", "flags"}
-	e1 := summary.NewEntry(sym.True().And(sym.Cond(sym.Arg("dev"), ir.NE, sym.Null())), sym.Const(0))
-	e1.AddChange(sym.Field(sym.Arg("dev"), "pm"), 1)
-	e2 := summary.NewEntry(sym.True(), sym.Const(-1))
+	e1 := summary.NewEntry(sym.True().And(tb, tb.Cond(tb.Arg("dev"), ir.NE, tb.Null())), tb.Const(0))
+	e1.AddChange(tb.Field(tb.Arg("dev"), "pm"), 1)
+	e2 := summary.NewEntry(sym.True(), tb.Const(-1))
 	s.Entries = append(s.Entries, e1, e2)
 	rep := &ipp.Report{
 		Fn:       fn,
-		Refcount: sym.Field(sym.Arg("dev"), "pm"),
+		Refcount: tb.Field(tb.Arg("dev"), "pm"),
 		EntryA:   e1,
 		EntryB:   e2,
 		PathA:    0, PathB: 3,
@@ -117,7 +118,7 @@ func saved(t *testing.T, tgt Target, fn string) store.Digest {
 // or — for LoadErrorsAreMisses targets — a miss. Never a hit.
 func wantCorrupt(t *testing.T, tgt Target, fn string, d store.Digest, what string) {
 	t.Helper()
-	e, err := tgt.Backend.Load(fn, d)
+	e, err := tgt.Backend.Load(sym.NewTable(), fn, d)
 	if e != nil {
 		t.Fatalf("%s: Load returned an entry from corrupted bytes", what)
 	}
@@ -132,7 +133,7 @@ func Conform(t *testing.T, tgt Target) {
 	t.Run("roundtrip", func(t *testing.T) {
 		fn := "conform_roundtrip"
 		d := saved(t, tgt, fn)
-		got, err := tgt.Backend.Load(fn, d)
+		got, err := tgt.Backend.Load(sym.NewTable(), fn, d)
 		if err != nil {
 			t.Fatalf("Load: %v", err)
 		}
@@ -155,7 +156,7 @@ func Conform(t *testing.T, tgt Target) {
 	})
 
 	t.Run("miss-absent", func(t *testing.T) {
-		e, err := tgt.Backend.Load("conform_never_saved", digestFor("conform_never_saved"))
+		e, err := tgt.Backend.Load(sym.NewTable(), "conform_never_saved", digestFor("conform_never_saved"))
 		if e != nil || err != nil {
 			t.Fatalf("Load(absent) = (%v, %v), want (nil, nil)", e, err)
 		}
@@ -166,7 +167,7 @@ func Conform(t *testing.T, tgt Target) {
 		saved(t, tgt, fn)
 		other := digestFor(fn)
 		other[0] ^= 0xff
-		e, err := tgt.Backend.Load(fn, other)
+		e, err := tgt.Backend.Load(sym.NewTable(), fn, other)
 		if e != nil || err != nil {
 			t.Fatalf("Load(stale digest) = (%v, %v), want silent miss", e, err)
 		}
@@ -175,7 +176,7 @@ func Conform(t *testing.T, tgt Target) {
 	t.Run("lookup-digest", func(t *testing.T) {
 		fn := "conform_lookup"
 		d := saved(t, tgt, fn)
-		e, err := tgt.Backend.LookupDigest(d)
+		e, err := tgt.Backend.LookupDigest(sym.NewTable(), d)
 		if err != nil {
 			t.Fatalf("LookupDigest: %v", err)
 		}
@@ -184,7 +185,7 @@ func Conform(t *testing.T, tgt Target) {
 		}
 		var unknown store.Digest
 		unknown[0] = 0xee
-		e, err = tgt.Backend.LookupDigest(unknown)
+		e, err = tgt.Backend.LookupDigest(sym.NewTable(), unknown)
 		if e != nil || err != nil {
 			t.Fatalf("LookupDigest(unknown) = (%v, %v), want (nil, nil)", e, err)
 		}
@@ -196,7 +197,7 @@ func Conform(t *testing.T, tgt Target) {
 		if err := tgt.Backend.Save(fn, d, Entry(fn)); err != nil {
 			t.Fatalf("second Save: %v", err)
 		}
-		e, err := tgt.Backend.Load(fn, d)
+		e, err := tgt.Backend.Load(sym.NewTable(), fn, d)
 		if err != nil || e == nil {
 			t.Fatalf("Load after resave = (%v, %v), want hit", e, err)
 		}
@@ -224,7 +225,7 @@ func Conform(t *testing.T, tgt Target) {
 				t.Fatalf("racing Save %d: %v", i, err)
 			}
 		}
-		e, err := tgt.Backend.Load(fn, d)
+		e, err := tgt.Backend.Load(sym.NewTable(), fn, d)
 		if err != nil || e == nil {
 			t.Fatalf("Load after racing saves = (%v, %v), want hit", e, err)
 		}
@@ -242,7 +243,7 @@ func Conform(t *testing.T, tgt Target) {
 		dwg.Wait()
 		for i := 0; i < writers; i++ {
 			dfn := fmt.Sprintf("conform_race_distinct_%d", i)
-			e, err := tgt.Backend.Load(dfn, digestFor(dfn))
+			e, err := tgt.Backend.Load(sym.NewTable(), dfn, digestFor(dfn))
 			if err != nil || e == nil || e.Fn != dfn {
 				t.Fatalf("Load(%s) after concurrent distinct saves = (%v, %v)", dfn, e, err)
 			}
@@ -312,7 +313,7 @@ func Conform(t *testing.T, tgt Target) {
 		if err := tgt.Backend.Save(fn, digestFor(fn), Entry(fn)); err != nil {
 			t.Fatalf("Save after unblocking: %v", err)
 		}
-		e, lerr := tgt.Backend.Load(fn, digestFor(fn))
+		e, lerr := tgt.Backend.Load(sym.NewTable(), fn, digestFor(fn))
 		if lerr != nil || e == nil {
 			t.Fatalf("Load after recovery = (%v, %v), want hit", e, lerr)
 		}

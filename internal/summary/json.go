@@ -84,7 +84,7 @@ func exprToDTO(e *sym.Expr) *exprDTO {
 	return d
 }
 
-func exprFromDTO(d *exprDTO) (*sym.Expr, error) {
+func exprFromDTO(t *sym.Table, d *exprDTO) (*sym.Expr, error) {
 	if d == nil {
 		return nil, nil
 	}
@@ -94,37 +94,37 @@ func exprFromDTO(d *exprDTO) (*sym.Expr, error) {
 	}
 	switch kind {
 	case sym.KConst:
-		return sym.Const(d.Int), nil
+		return t.Const(d.Int), nil
 	case sym.KNull:
-		return sym.Null(), nil
+		return t.Null(), nil
 	case sym.KArg:
-		return sym.Arg(d.Name), nil
+		return t.Arg(d.Name), nil
 	case sym.KRet:
-		return sym.Ret(), nil
+		return t.Ret(), nil
 	case sym.KLocal:
-		return sym.Local(d.Name), nil
+		return t.Local(d.Name), nil
 	case sym.KFresh:
-		return sym.Fresh(d.Name), nil
+		return t.Fresh(d.Name), nil
 	case sym.KField:
-		base, err := exprFromDTO(d.Base)
+		base, err := exprFromDTO(t, d.Base)
 		if err != nil {
 			return nil, err
 		}
-		return sym.Field(base, d.Name), nil
+		return t.Field(base, d.Name), nil
 	case sym.KCond:
 		pred, ok := predByName[d.Pred]
 		if !ok {
 			return nil, fmt.Errorf("unknown predicate %q", d.Pred)
 		}
-		a, err := exprFromDTO(d.A)
+		a, err := exprFromDTO(t, d.A)
 		if err != nil {
 			return nil, err
 		}
-		b, err := exprFromDTO(d.B)
+		b, err := exprFromDTO(t, d.B)
 		if err != nil {
 			return nil, err
 		}
-		return sym.Cond(a, pred, b), nil
+		return t.Cond(a, pred, b), nil
 	}
 	return nil, fmt.Errorf("unhandled kind %q", d.Kind)
 }
@@ -140,21 +140,21 @@ func entryToDTO(e *Entry) *entryDTO {
 	return d
 }
 
-func entryFromDTO(d *entryDTO) (*Entry, error) {
-	ret, err := exprFromDTO(d.Ret)
+func entryFromDTO(t *sym.Table, d *entryDTO) (*Entry, error) {
+	ret, err := exprFromDTO(t, d.Ret)
 	if err != nil {
 		return nil, err
 	}
 	e := NewEntry(sym.True(), ret)
 	for _, cd := range d.Cons {
-		c, err := exprFromDTO(cd)
+		c, err := exprFromDTO(t, cd)
 		if err != nil {
 			return nil, err
 		}
-		e.Cons = e.Cons.And(c)
+		e.Cons = e.Cons.And(t, c)
 	}
 	for _, cd := range d.Changes {
-		rc, err := exprFromDTO(cd.RC)
+		rc, err := exprFromDTO(t, cd.RC)
 		if err != nil {
 			return nil, err
 		}
@@ -171,14 +171,14 @@ func MarshalExpr(e *sym.Expr) ([]byte, error) {
 }
 
 // UnmarshalExpr decodes an expression written by MarshalExpr. The result
-// is rebuilt through the sym constructors, so it is hash-consed: loading
+// is rebuilt through t's constructors, so it is hash-consed: loading
 // restores the pointer-equality invariants of interned expressions.
-func UnmarshalExpr(data []byte) (*sym.Expr, error) {
+func UnmarshalExpr(t *sym.Table, data []byte) (*sym.Expr, error) {
 	var d *exprDTO
 	if err := json.Unmarshal(data, &d); err != nil {
 		return nil, err
 	}
-	return exprFromDTO(d)
+	return exprFromDTO(t, d)
 }
 
 // MarshalEntry encodes one summary entry in the DB.Save wire format.
@@ -186,14 +186,14 @@ func MarshalEntry(e *Entry) ([]byte, error) {
 	return json.Marshal(entryToDTO(e))
 }
 
-// UnmarshalEntry decodes an entry written by MarshalEntry, re-interning
-// every expression it contains.
-func UnmarshalEntry(data []byte) (*Entry, error) {
+// UnmarshalEntry decodes an entry written by MarshalEntry, interning
+// every expression it contains in t.
+func UnmarshalEntry(t *sym.Table, data []byte) (*Entry, error) {
 	var d entryDTO
 	if err := json.Unmarshal(data, &d); err != nil {
 		return nil, err
 	}
-	return entryFromDTO(&d)
+	return entryFromDTO(t, &d)
 }
 
 // MarshalSummary encodes one function summary in the DB.Save wire format.
@@ -202,13 +202,13 @@ func MarshalSummary(s *Summary) ([]byte, error) {
 }
 
 // UnmarshalSummary decodes a summary written by MarshalSummary,
-// re-interning every expression it contains.
-func UnmarshalSummary(data []byte) (*Summary, error) {
+// interning every expression it contains in t.
+func UnmarshalSummary(t *sym.Table, data []byte) (*Summary, error) {
 	var d summaryDTO
 	if err := json.Unmarshal(data, &d); err != nil {
 		return nil, err
 	}
-	return summaryFromDTO(&d)
+	return summaryFromDTO(t, &d)
 }
 
 func summaryToDTO(s *Summary) *summaryDTO {
@@ -219,13 +219,13 @@ func summaryToDTO(s *Summary) *summaryDTO {
 	return sd
 }
 
-func summaryFromDTO(sd *summaryDTO) (*Summary, error) {
+func summaryFromDTO(t *sym.Table, sd *summaryDTO) (*Summary, error) {
 	s := New(sd.Fn)
 	s.Params = sd.Params
 	s.HasDefault = sd.HasDefault
 	s.Predefined = sd.Predefined
 	for _, ed := range sd.Entries {
-		e, err := entryFromDTO(ed)
+		e, err := entryFromDTO(t, ed)
 		if err != nil {
 			return nil, fmt.Errorf("summary %s: %w", sd.Fn, err)
 		}
@@ -245,14 +245,15 @@ func (db *DB) Save(w io.Writer) error {
 	return enc.Encode(dto)
 }
 
-// Load reads a database previously written by Save and merges it into db.
-func (db *DB) Load(r io.Reader) error {
+// Load reads a database previously written by Save and merges it into
+// db, building its expressions in t.
+func (db *DB) Load(t *sym.Table, r io.Reader) error {
 	var dto dbDTO
 	if err := json.NewDecoder(r).Decode(&dto); err != nil {
 		return fmt.Errorf("decode summary database: %w", err)
 	}
 	for _, sd := range dto.Summaries {
-		s, err := summaryFromDTO(sd)
+		s, err := summaryFromDTO(t, sd)
 		if err != nil {
 			return err
 		}

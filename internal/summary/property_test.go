@@ -10,46 +10,47 @@ import (
 )
 
 // genEntry builds a random entry over a fixed parameter alphabet.
-func genEntry(rng *rand.Rand) *Entry {
+func genEntry(tb *sym.Table, rng *rand.Rand) *Entry {
 	params := []string{"a", "b", "dev"}
 	cons := sym.True()
 	for i := rng.Intn(3); i > 0; i-- {
-		a := sym.Arg(params[rng.Intn(len(params))])
+		a := tb.Arg(params[rng.Intn(len(params))])
 		preds := []ir.Pred{ir.EQ, ir.NE, ir.LT, ir.LE, ir.GT, ir.GE}
-		cons = cons.And(sym.Cond(a, preds[rng.Intn(len(preds))], sym.Const(int64(rng.Intn(5)-2))))
+		cons = cons.And(tb, tb.Cond(a, preds[rng.Intn(len(preds))], tb.Const(int64(rng.Intn(5)-2))))
 	}
 	var ret *sym.Expr
 	switch rng.Intn(3) {
 	case 0:
-		ret = sym.Ret()
+		ret = tb.Ret()
 	case 1:
-		ret = sym.Const(int64(rng.Intn(3) - 1))
+		ret = tb.Const(int64(rng.Intn(3) - 1))
 	}
 	e := NewEntry(cons, ret)
 	for i := rng.Intn(3); i > 0; i-- {
-		rc := sym.Field(sym.Arg(params[rng.Intn(len(params))]), "pm")
+		rc := tb.Field(tb.Arg(params[rng.Intn(len(params))]), "pm")
 		e.AddChange(rc, rng.Intn(3)-1)
 	}
 	return e
 }
 
 // identityMap maps every alphabet symbol to itself.
-func identityMap() map[string]*sym.Expr {
+func identityMap(tb *sym.Table) map[string]*sym.Expr {
 	return map[string]*sym.Expr{
-		sym.Arg("a").Key():   sym.Arg("a"),
-		sym.Arg("b").Key():   sym.Arg("b"),
-		sym.Arg("dev").Key(): sym.Arg("dev"),
-		sym.Ret().Key():      sym.Ret(),
+		tb.Arg("a").Key():   tb.Arg("a"),
+		tb.Arg("b").Key():   tb.Arg("b"),
+		tb.Arg("dev").Key(): tb.Arg("dev"),
+		tb.Ret().Key():      tb.Ret(),
 	}
 }
 
 // Property: instantiating with the identity substitution preserves the
 // entry (up to rendering).
 func TestPropertyInstantiateIdentity(t *testing.T) {
+	tb := sym.NewTable()
 	rng := rand.New(rand.NewSource(21))
 	for i := 0; i < 300; i++ {
-		e := genEntry(rng)
-		got := e.Instantiate(identityMap())
+		e := genEntry(tb, rng)
+		got := e.Instantiate(tb, identityMap(tb))
 		if got.String() != e.String() {
 			t.Fatalf("identity instantiation changed entry:\n  %s\n  %s", e, got)
 		}
@@ -58,10 +59,11 @@ func TestPropertyInstantiateIdentity(t *testing.T) {
 
 // Property: SameChanges is an equivalence relation on generated entries.
 func TestPropertySameChangesEquivalence(t *testing.T) {
+	tb := sym.NewTable()
 	rng := rand.New(rand.NewSource(22))
 	var entries []*Entry
 	for i := 0; i < 30; i++ {
-		entries = append(entries, genEntry(rng))
+		entries = append(entries, genEntry(tb, rng))
 	}
 	for _, a := range entries {
 		if !a.SameChanges(a) {
@@ -82,9 +84,10 @@ func TestPropertySameChangesEquivalence(t *testing.T) {
 
 // Property: DifferingRefcounts is empty iff SameChanges.
 func TestPropertyDifferingMatchesSame(t *testing.T) {
+	tb := sym.NewTable()
 	rng := rand.New(rand.NewSource(23))
 	for i := 0; i < 300; i++ {
-		a, b := genEntry(rng), genEntry(rng)
+		a, b := genEntry(tb, rng), genEntry(tb, rng)
 		same := a.SameChanges(b)
 		diff := a.DifferingRefcounts(b)
 		if same != (len(diff) == 0) {
@@ -94,11 +97,11 @@ func TestPropertyDifferingMatchesSame(t *testing.T) {
 }
 
 // genSummary wraps random entries in a summary with random flags.
-func genSummary(rng *rand.Rand) *Summary {
+func genSummary(tb *sym.Table, rng *rand.Rand) *Summary {
 	s := New("f")
 	s.Params = []string{"a", "b", "dev"}
 	for i := rng.Intn(4); i > 0; i-- {
-		s.Entries = append(s.Entries, genEntry(rng))
+		s.Entries = append(s.Entries, genEntry(tb, rng))
 	}
 	s.HasDefault = rng.Intn(2) == 0
 	s.Predefined = rng.Intn(2) == 0
@@ -107,17 +110,18 @@ func genSummary(rng *rand.Rand) *Summary {
 
 // Property: Marshal/Unmarshal round-trips a summary exactly — rendering,
 // per-entry change signatures and SameChanges relations all survive, and
-// decoded expressions are re-interned into the shared hash-cons table
-// (pointer-equal to freshly built ones).
+// decoded expressions are interned into the decoding table (pointer-equal
+// to ones built there).
 func TestPropertyMarshalRoundTrip(t *testing.T) {
+	tb := sym.NewTable()
 	rng := rand.New(rand.NewSource(25))
 	for i := 0; i < 300; i++ {
-		s := genSummary(rng)
+		s := genSummary(tb, rng)
 		data, err := MarshalSummary(s)
 		if err != nil {
 			t.Fatalf("marshal: %v", err)
 		}
-		got, err := UnmarshalSummary(data)
+		got, err := UnmarshalSummary(tb, data)
 		if err != nil {
 			t.Fatalf("unmarshal: %v", err)
 		}
@@ -139,7 +143,7 @@ func TestPropertyMarshalRoundTrip(t *testing.T) {
 				t.Fatalf("entry %d lost change equality:\n  %s\n  %s", j, e, g)
 			}
 			for _, c := range g.SortedChanges() {
-				if c.RC != UnmarshalInterned(t, c.RC) {
+				if c.RC != UnmarshalInterned(t, tb, c.RC) {
 					t.Fatalf("entry %d refcount %s not re-interned", j, c.RC)
 				}
 			}
@@ -149,13 +153,13 @@ func TestPropertyMarshalRoundTrip(t *testing.T) {
 
 // UnmarshalInterned re-marshals and decodes one expression, returning the
 // decoded pointer; with hash-consing it must be the identical pointer.
-func UnmarshalInterned(t *testing.T, e *sym.Expr) *sym.Expr {
+func UnmarshalInterned(t *testing.T, tb *sym.Table, e *sym.Expr) *sym.Expr {
 	t.Helper()
 	data, err := MarshalExpr(e)
 	if err != nil {
 		t.Fatalf("marshal expr: %v", err)
 	}
-	got, err := UnmarshalExpr(data)
+	got, err := UnmarshalExpr(tb, data)
 	if err != nil {
 		t.Fatalf("unmarshal expr: %v", err)
 	}
@@ -165,16 +169,17 @@ func UnmarshalInterned(t *testing.T, e *sym.Expr) *sym.Expr {
 // Property: instantiation distributes over SameChanges — entries with the
 // same changes still have the same changes after any substitution.
 func TestPropertyInstantiatePreservesSameChanges(t *testing.T) {
+	tb := sym.NewTable()
 	rng := rand.New(rand.NewSource(24))
 	m := map[string]*sym.Expr{
-		sym.Arg("a").Key():   sym.Field(sym.Arg("intf"), "dev"),
-		sym.Arg("b").Key():   sym.Arg("x"),
-		sym.Arg("dev").Key(): sym.Arg("x"), // collide b and dev on purpose
-		sym.Ret().Key():      sym.Fresh("r"),
+		tb.Arg("a").Key():   tb.Field(tb.Arg("intf"), "dev"),
+		tb.Arg("b").Key():   tb.Arg("x"),
+		tb.Arg("dev").Key(): tb.Arg("x"), // collide b and dev on purpose
+		tb.Ret().Key():      tb.Fresh("r"),
 	}
 	for i := 0; i < 300; i++ {
-		a, b := genEntry(rng), genEntry(rng)
-		if a.SameChanges(b) && !a.Instantiate(m).SameChanges(b.Instantiate(m)) {
+		a, b := genEntry(tb, rng), genEntry(tb, rng)
+		if a.SameChanges(b) && !a.Instantiate(tb, m).SameChanges(b.Instantiate(tb, m)) {
 			t.Fatalf("substitution broke change equality:\n  %s\n  %s", a, b)
 		}
 	}

@@ -116,9 +116,9 @@ func (e *Entry) DifferingRefcounts(o *Entry) []*sym.Expr {
 // Instantiate returns the entry with formal arguments and [0] replaced
 // according to m (Algorithm 1: "formal arguments are replaced by the
 // expressions of actual arguments and [0] is replaced by the variable
-// holding the return value").
-func (e *Entry) Instantiate(m map[string]*sym.Expr) *Entry {
-	return e.InstantiateInto(&Entry{}, m)
+// holding the return value"), built in t.
+func (e *Entry) Instantiate(t *sym.Table, m map[string]*sym.Expr) *Entry {
+	return e.InstantiateInto(t, &Entry{}, m)
 }
 
 // InstantiateInto is Instantiate writing the result into dst, reusing
@@ -128,11 +128,17 @@ func (e *Entry) Instantiate(m map[string]*sym.Expr) *Entry {
 // next instantiation reuses the scratch, and everything the consumer
 // keeps — interned expressions, the substituted constraint Set — is
 // immutable, so reuse never aliases live state.
-func (e *Entry) InstantiateInto(dst *Entry, m map[string]*sym.Expr) *Entry {
-	dst.Cons = e.Cons.Subst(m)
+//
+// The result is built in t, which must own m's values. An entry another
+// table built — a spec summary, or one the resident store tier kept from
+// an earlier run — is first imported into t, once per table (see
+// importInto).
+func (e *Entry) InstantiateInto(t *sym.Table, dst *Entry, m map[string]*sym.Expr) *Entry {
+	e = e.importInto(t)
+	dst.Cons = e.Cons.Subst(t, m)
 	dst.Ret = nil
 	if e.Ret != nil {
-		dst.Ret = e.Ret.Subst(m)
+		dst.Ret = e.Ret.Subst(t, m)
 	}
 	clear(dst.Changes)
 	if len(e.Changes) > 0 {
@@ -140,7 +146,7 @@ func (e *Entry) InstantiateInto(dst *Entry, m map[string]*sym.Expr) *Entry {
 			dst.Changes = make(map[string]Change, len(e.Changes))
 		}
 		for _, c := range e.Changes {
-			rc := c.RC.Subst(m)
+			rc := c.RC.Subst(t, m)
 			nc := dst.Changes[rc.Key()]
 			nc.RC = rc
 			nc.Delta += c.Delta
@@ -148,6 +154,43 @@ func (e *Entry) InstantiateInto(dst *Entry, m map[string]*sym.Expr) *Entry {
 		}
 	}
 	return dst
+}
+
+// importInto returns e with every expression in t: e itself when t built
+// it, else a copy rebuilt in t. The copy is memoized in t, so a run pays
+// one rebuild per foreign entry it instantiates, and only for those. An
+// entry's expressions all come from one table, so one lookup decides.
+func (e *Entry) importInto(t *sym.Table) *Entry {
+	x := e.Ret
+	if conds := e.Cons.Conds(); len(conds) > 0 {
+		x = conds[0]
+	}
+	if x == nil {
+		for _, c := range e.Changes {
+			x = c.RC
+			break
+		}
+	}
+	if x == nil || t.Owns(x) {
+		return e
+	}
+	if v, ok := t.LoadImport(e); ok {
+		return v.(*Entry)
+	}
+	var small [8]*sym.Expr
+	conds := small[:0]
+	for _, c := range e.Cons.Conds() {
+		conds = append(conds, t.Import(c))
+	}
+	n := &Entry{Cons: sym.NewSet(t, conds), Ret: t.Import(e.Ret)}
+	if len(e.Changes) > 0 {
+		n.Changes = make(map[string]Change, len(e.Changes))
+		for _, c := range e.Changes {
+			rc := t.Import(c.RC)
+			n.Changes[rc.Key()] = Change{RC: rc, Delta: c.Delta}
+		}
+	}
+	return t.StoreImport(e, n).(*Entry)
 }
 
 // AppendChangesSignature appends to dst a canonical identity of the
@@ -240,11 +283,11 @@ func New(fn string) *Summary { return &Summary{Fn: fn} }
 
 // Default returns the default summary used for functions that are unknown
 // or not (fully) analyzed: no refcount changes and no conditions on the
-// return value.
-func Default(fn string) *Summary {
+// return value, built in t.
+func Default(t *sym.Table, fn string) *Summary {
 	s := New(fn)
 	s.HasDefault = true
-	s.Entries = append(s.Entries, NewEntry(sym.True(), sym.Ret()))
+	s.Entries = append(s.Entries, NewEntry(sym.True(), t.Ret()))
 	return s
 }
 
@@ -261,7 +304,12 @@ func (s *Summary) ChangesRefcounts() bool {
 
 // String renders all entries, one per line.
 func (s *Summary) String() string {
-	b := make([]byte, 0, 64*(len(s.Entries)+1))
+	return string(s.AppendText(make([]byte, 0, 64*(len(s.Entries)+1))))
+}
+
+// AppendText appends the String form of s to b and returns the extended
+// slice.
+func (s *Summary) AppendText(b []byte) []byte {
 	b = append(b, "summary "...)
 	b = append(b, s.Fn...)
 	b = append(b, ":\n"...)
@@ -272,7 +320,7 @@ func (s *Summary) String() string {
 		b = e.AppendText(b)
 		b = append(b, '\n')
 	}
-	return string(b)
+	return b
 }
 
 // ---------------------------------------------------------------------------

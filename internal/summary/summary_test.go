@@ -9,13 +9,14 @@ import (
 	"repro/internal/sym"
 )
 
-func cond(a *sym.Expr, p ir.Pred, b *sym.Expr) sym.Set {
-	return sym.True().And(sym.Cond(a, p, b))
+func cond(tb *sym.Table, a *sym.Expr, p ir.Pred, b *sym.Expr) sym.Set {
+	return sym.True().And(tb, tb.Cond(a, p, b))
 }
 
 func TestAddChangeAccumulatesAndCancels(t *testing.T) {
+	tb := sym.NewTable()
 	e := NewEntry(sym.True(), nil)
-	rc := sym.Field(sym.Arg("dev"), "pm")
+	rc := tb.Field(tb.Arg("dev"), "pm")
 	e.AddChange(rc, 1)
 	e.AddChange(rc, 1)
 	if e.Changes[rc.Key()].Delta != 2 {
@@ -28,8 +29,9 @@ func TestAddChangeAccumulatesAndCancels(t *testing.T) {
 }
 
 func TestSameChangesAndDiffering(t *testing.T) {
-	rc1 := sym.Field(sym.Arg("a"), "pm")
-	rc2 := sym.Field(sym.Arg("b"), "pm")
+	tb := sym.NewTable()
+	rc1 := tb.Field(tb.Arg("a"), "pm")
+	rc2 := tb.Field(tb.Arg("b"), "pm")
 	e1 := NewEntry(sym.True(), nil)
 	e1.AddChange(rc1, 1)
 	e2 := NewEntry(sym.True(), nil)
@@ -53,15 +55,16 @@ func TestSameChangesAndDiffering(t *testing.T) {
 }
 
 func TestInstantiate(t *testing.T) {
+	tb := sym.NewTable()
 	// Summary of wrapper(d): changes [d].pm under cons [d] != null,
 	// returns [0]. Instantiate d := [intf].dev, [0] := $r.
-	e := NewEntry(cond(sym.Arg("d"), ir.NE, sym.Null()), sym.Ret())
-	e.AddChange(sym.Field(sym.Arg("d"), "pm"), 1)
+	e := NewEntry(cond(tb, tb.Arg("d"), ir.NE, tb.Null()), tb.Ret())
+	e.AddChange(tb.Field(tb.Arg("d"), "pm"), 1)
 	m := map[string]*sym.Expr{
-		sym.Arg("d").Key(): sym.Field(sym.Arg("intf"), "dev"),
-		sym.Ret().Key():    sym.Fresh("r"),
+		tb.Arg("d").Key(): tb.Field(tb.Arg("intf"), "dev"),
+		tb.Ret().Key():    tb.Fresh("r"),
 	}
-	inst := e.Instantiate(m)
+	inst := e.Instantiate(tb, m)
 	if _, ok := inst.Changes["[intf].dev.pm"]; !ok {
 		t.Errorf("changes not instantiated: %v", inst.Changes)
 	}
@@ -78,24 +81,26 @@ func TestInstantiate(t *testing.T) {
 }
 
 func TestInstantiateMergesCollidingKeys(t *testing.T) {
+	tb := sym.NewTable()
 	// changes on [a].rc and [b].rc where both instantiate to the same
 	// object must merge their deltas.
 	e := NewEntry(sym.True(), nil)
-	e.AddChange(sym.Field(sym.Arg("a"), "rc"), 1)
-	e.AddChange(sym.Field(sym.Arg("b"), "rc"), 1)
-	obj := sym.Arg("o")
+	e.AddChange(tb.Field(tb.Arg("a"), "rc"), 1)
+	e.AddChange(tb.Field(tb.Arg("b"), "rc"), 1)
+	obj := tb.Arg("o")
 	m := map[string]*sym.Expr{
-		sym.Arg("a").Key(): obj,
-		sym.Arg("b").Key(): obj,
+		tb.Arg("a").Key(): obj,
+		tb.Arg("b").Key(): obj,
 	}
-	inst := e.Instantiate(m)
+	inst := e.Instantiate(tb, m)
 	if c := inst.Changes["[o].rc"]; c.Delta != 2 {
 		t.Errorf("merged delta: %d, want 2", c.Delta)
 	}
 }
 
 func TestDefaultSummary(t *testing.T) {
-	s := Default("mystery")
+	tb := sym.NewTable()
+	s := Default(tb, "mystery")
 	if !s.HasDefault || len(s.Entries) != 1 {
 		t.Fatalf("default: %+v", s)
 	}
@@ -109,8 +114,9 @@ func TestDefaultSummary(t *testing.T) {
 }
 
 func TestEntryString(t *testing.T) {
-	e := NewEntry(cond(sym.Ret(), ir.EQ, sym.Const(0)), sym.Const(0))
-	e.AddChange(sym.Field(sym.Arg("dev"), "pm"), 1)
+	tb := sym.NewTable()
+	e := NewEntry(cond(tb, tb.Ret(), ir.EQ, tb.Const(0)), tb.Const(0))
+	e.AddChange(tb.Field(tb.Arg("dev"), "pm"), 1)
 	got := e.String()
 	for _, want := range []string{"[dev].pm:+1", "return: 0"} {
 		if !strings.Contains(got, want) {
@@ -161,15 +167,16 @@ func TestDBConcurrentAccess(t *testing.T) {
 }
 
 func TestJSONRoundTrip(t *testing.T) {
+	tb := sym.NewTable()
 	db := NewDB()
 	s := New("wrapper")
 	s.Params = []string{"intf"}
 	s.Predefined = false
 	s.HasDefault = true
-	e1 := NewEntry(cond(sym.Ret(), ir.LT, sym.Const(0)), sym.Ret())
-	e2 := NewEntry(cond(sym.Field(sym.Arg("intf"), "dev"), ir.NE, sym.Const(0)), sym.Const(0))
-	e2.AddChange(sym.Field(sym.Field(sym.Arg("intf"), "dev"), "pm"), 1)
-	e2.AddChange(sym.Field(sym.Fresh("o"), "rc"), -1)
+	e1 := NewEntry(cond(tb, tb.Ret(), ir.LT, tb.Const(0)), tb.Ret())
+	e2 := NewEntry(cond(tb, tb.Field(tb.Arg("intf"), "dev"), ir.NE, tb.Const(0)), tb.Const(0))
+	e2.AddChange(tb.Field(tb.Field(tb.Arg("intf"), "dev"), "pm"), 1)
+	e2.AddChange(tb.Field(tb.Fresh("o"), "rc"), -1)
 	s.Entries = append(s.Entries, e1, e2)
 	db.Put(s)
 
@@ -178,7 +185,7 @@ func TestJSONRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	db2 := NewDB()
-	if err := db2.Load(&buf); err != nil {
+	if err := db2.Load(tb, &buf); err != nil {
 		t.Fatal(err)
 	}
 	got := db2.Get("wrapper")
@@ -194,22 +201,65 @@ func TestJSONRoundTrip(t *testing.T) {
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
+	tb := sym.NewTable()
 	db := NewDB()
-	if err := db.Load(strings.NewReader("not json")); err == nil {
+	if err := db.Load(tb, strings.NewReader("not json")); err == nil {
 		t.Error("expected decode error")
 	}
-	if err := db.Load(strings.NewReader(`{"summaries":[{"fn":"f","entries":[{"cons":[{"kind":"alien"}]}]}]}`)); err == nil {
+	if err := db.Load(tb, strings.NewReader(`{"summaries":[{"fn":"f","entries":[{"cons":[{"kind":"alien"}]}]}]}`)); err == nil {
 		t.Error("expected unknown-kind error")
 	}
 }
 
 func TestCloneIsolation(t *testing.T) {
+	tb := sym.NewTable()
 	e := NewEntry(sym.True(), nil)
-	rc := sym.Field(sym.Arg("a"), "pm")
+	rc := tb.Field(tb.Arg("a"), "pm")
 	e.AddChange(rc, 1)
 	c := e.Clone()
 	c.AddChange(rc, 5)
 	if e.Changes[rc.Key()].Delta != 1 {
 		t.Error("clone shares the changes map")
+	}
+}
+
+// TestInstantiateImportsForeignEntry: instantiating an entry another table
+// built yields expressions of the instantiating table, pointer-equal to
+// the ones it builds itself, and the import is made once per table.
+func TestInstantiateImportsForeignEntry(t *testing.T) {
+	spec, run := sym.NewTable(), sym.NewTable()
+	e := NewEntry(cond(spec, spec.Ret(), ir.NE, spec.Null()), spec.Ret())
+	e.AddChange(spec.Field(spec.Arg("dev"), "pm"), 1)
+	m := map[string]*sym.Expr{
+		run.Arg("dev").Key(): run.Field(run.Arg("intf"), "dev"),
+		run.Ret().Key():      run.Fresh("r1"),
+	}
+	got := e.Instantiate(run, m)
+	if got.Ret != run.Fresh("r1") {
+		t.Fatalf("ret %s is not the run's node", got.Ret)
+	}
+	if c := got.Cons.Conds()[0]; c != run.Cond(run.Fresh("r1"), ir.NE, run.Const(0)) {
+		t.Fatalf("constraint %s is not the run's node", c)
+	}
+	want := run.Field(run.Field(run.Arg("intf"), "dev"), "pm")
+	if ch, ok := got.Changes[want.Key()]; !ok || ch.RC != want || ch.Delta != 1 {
+		t.Fatalf("changes %v, want %s +1 as the run's node", got.Changes, want)
+	}
+	imp, ok := run.LoadImport(e)
+	if !ok {
+		t.Fatal("the import was not memoized in the run's table")
+	}
+	e.Instantiate(run, m)
+	if again, _ := run.LoadImport(e); again != imp {
+		t.Fatal("a second instantiation imported the entry again")
+	}
+	if _, ok := spec.LoadImport(e); ok {
+		t.Fatal("the owning table recorded an import of its own entry")
+	}
+	// An entry the run built needs no import.
+	own := NewEntry(cond(run, run.Ret(), ir.NE, run.Null()), run.Ret())
+	own.Instantiate(run, m)
+	if _, ok := run.LoadImport(own); ok {
+		t.Fatal("an owned entry was imported")
 	}
 }

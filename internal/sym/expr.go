@@ -8,16 +8,17 @@
 // property that they are unobservable outside the function and are
 // existentially projected away when a path summary is finalized.
 //
-// Expressions are immutable and hash-consed (see intern.go): structurally
-// equal expressions are pointer-identical, Key() is a string computed once
-// per distinct node, and HasLocal/HasRet are precomputed flags.
+// Expressions are immutable and hash-consed in a Table (see table.go):
+// structurally equal expressions of one table are pointer-identical,
+// Key() is a string computed once per distinct node, and HasLocal/HasRet
+// are precomputed flags.
 package sym
 
 import (
-	"strconv"
 	"strings"
 
 	"repro/internal/ir"
+	"repro/internal/racebuild"
 )
 
 // Kind discriminates Expr.
@@ -37,8 +38,7 @@ const (
 
 // Derived-property flag bits.
 const (
-	flagComputed = 1 << iota // initDerived ran (distinguishes zero value)
-	flagHasLocal
+	flagHasLocal = 1 << iota
 	flagHasRet
 )
 
@@ -56,66 +56,72 @@ type Expr struct {
 	flags uint8
 }
 
-// Constructors.
+// Constructors. Each builds in (or finds in) the table t; the children
+// of Field and Cond must belong to t.
 
 // Const returns an integer constant expression.
-func Const(v int64) *Expr { return intern(KConst, v, "", nil, 0, nil, nil) }
+func (t *Table) Const(v int64) *Expr { return t.intern(KConst, v, "", nil, 0, nil, nil) }
 
 // BoolConst returns 1 for true and 0 for false, the integer encoding used
 // throughout the analysis.
-func BoolConst(b bool) *Expr {
+func (t *Table) BoolConst(b bool) *Expr {
 	if b {
-		return Const(1)
+		return t.Const(1)
 	}
-	return Const(0)
+	return t.Const(0)
 }
 
 // Null returns the null-pointer expression.
-func Null() *Expr { return intern(KNull, 0, "", nil, 0, nil, nil) }
+func (t *Table) Null() *Expr { return t.intern(KNull, 0, "", nil, 0, nil, nil) }
 
 // Arg returns the expression for formal argument name, written [name].
-func Arg(name string) *Expr { return intern(KArg, 0, name, nil, 0, nil, nil) }
+func (t *Table) Arg(name string) *Expr { return t.intern(KArg, 0, name, nil, 0, nil, nil) }
 
 // Ret returns [0], the summarized function's return value.
-func Ret() *Expr { return intern(KRet, 0, "", nil, 0, nil, nil) }
+func (t *Table) Ret() *Expr { return t.intern(KRet, 0, "", nil, 0, nil, nil) }
 
 // Local returns the expression for a local variable read before assignment.
-func Local(name string) *Expr { return intern(KLocal, 0, name, nil, 0, nil, nil) }
+func (t *Table) Local(name string) *Expr { return t.intern(KLocal, 0, name, nil, 0, nil, nil) }
 
 // Fresh returns a fresh symbol; callers must ensure name uniqueness (the
 // symbolic executor uses a per-path counter).
-func Fresh(name string) *Expr { return intern(KFresh, 0, name, nil, 0, nil, nil) }
+func (t *Table) Fresh(name string) *Expr { return t.intern(KFresh, 0, name, nil, 0, nil, nil) }
 
 // Field returns base.name.
-func Field(base *Expr, name string) *Expr {
-	return intern(KField, 0, name, base, 0, nil, nil)
+func (t *Table) Field(base *Expr, name string) *Expr {
+	return t.intern(KField, 0, name, base, 0, nil, nil)
 }
 
 // Cond returns the condition a pred b, folding constants and boolean
 // comparisons where possible. The result is either a KCond expression or a
 // KConst 0/1 when the condition is decided structurally.
-func Cond(a *Expr, pred ir.Pred, b *Expr) *Expr {
+func (t *Table) Cond(a *Expr, pred ir.Pred, b *Expr) *Expr {
+	if racebuild.Enabled {
+		// Folding may return a or b without interning anything.
+		t.mustOwn(a)
+		t.mustOwn(b)
+	}
 	// Null is the integer 0 throughout the analysis; canonicalize it here
 	// so "x != null" and "0 != x" build the same condition (one solver
 	// variable, one dedup key).
 	if a.Kind == KNull {
-		a = Const(0)
+		a = t.Const(0)
 	}
 	if b.Kind == KNull {
-		b = Const(0)
+		b = t.Const(0)
 	}
 	// Constant folding.
 	av, aok := a.constValue()
 	bv, bok := b.constValue()
 	if aok && bok {
-		return BoolConst(pred.Eval(av, bv))
+		return t.BoolConst(pred.Eval(av, bv))
 	}
 	// Boolean-context folding: (C == 0) is ¬C, (C != 0) is C, and the
 	// 1-valued duals, where C is itself a condition.
 	if a.Kind == KCond && bok {
 		switch {
 		case bv == 0 && pred == ir.EQ, bv == 1 && pred == ir.NE:
-			return a.NegateCond()
+			return a.NegateCond(t)
 		case bv == 0 && pred == ir.NE, bv == 1 && pred == ir.EQ:
 			return a
 		}
@@ -123,7 +129,7 @@ func Cond(a *Expr, pred ir.Pred, b *Expr) *Expr {
 	if b.Kind == KCond && aok {
 		switch {
 		case av == 0 && pred == ir.EQ, av == 1 && pred == ir.NE:
-			return b.NegateCond()
+			return b.NegateCond(t)
 		case av == 0 && pred == ir.NE, av == 1 && pred == ir.EQ:
 			return b
 		}
@@ -133,16 +139,16 @@ func Cond(a *Expr, pred ir.Pred, b *Expr) *Expr {
 	if a == b {
 		switch pred {
 		case ir.EQ, ir.LE, ir.GE:
-			return BoolConst(true)
+			return t.BoolConst(true)
 		case ir.NE, ir.LT, ir.GT:
-			return BoolConst(false)
+			return t.BoolConst(false)
 		}
 	}
 	// Canonical operand order for symmetric predicates keeps keys stable.
 	if (pred == ir.EQ || pred == ir.NE) && a.Key() > b.Key() {
 		a, b = b, a
 	}
-	return intern(KCond, 0, "", nil, pred, a, b)
+	return t.intern(KCond, 0, "", nil, pred, a, b)
 }
 
 // constValue returns the integer value of constants and null.
@@ -169,140 +175,73 @@ func (e *Expr) IsFalse() bool {
 	return ok && v == 0
 }
 
-// NegateCond negates a boolean expression: conditions flip their
+// NegateCond negates a boolean expression in t: conditions flip their
 // predicate, constants invert, and any other expression e becomes e == 0
 // (the C truth-value convention).
-func (e *Expr) NegateCond() *Expr {
+func (e *Expr) NegateCond(t *Table) *Expr {
 	switch e.Kind {
 	case KCond:
-		return Cond(e.A, e.Pred.Negate(), e.B)
+		return t.Cond(e.A, e.Pred.Negate(), e.B)
 	case KConst, KNull:
 		v, _ := e.constValue()
-		return BoolConst(v == 0)
+		return t.BoolConst(v == 0)
 	}
-	return Cond(e, ir.EQ, Const(0))
+	return t.Cond(e, ir.EQ, t.Const(0))
 }
 
-// AsCond coerces e to a boolean condition: conditions pass through and any
-// other expression e becomes e != 0.
-func (e *Expr) AsCond() *Expr {
+// AsCond coerces e to a boolean condition in t: conditions pass through
+// and any other expression e becomes e != 0.
+func (e *Expr) AsCond(t *Table) *Expr {
 	switch e.Kind {
 	case KCond, KConst, KNull:
 		if e.Kind != KCond {
 			v, _ := e.constValue()
-			return BoolConst(v != 0)
+			return t.BoolConst(v != 0)
 		}
 		return e
 	}
-	return Cond(e, ir.NE, Const(0))
+	return t.Cond(e, ir.NE, t.Const(0))
 }
 
-// initDerived computes the canonical key and the derived flags exactly
-// once, at construction, before the node can be shared across goroutines.
-func (e *Expr) initDerived() {
-	e.key = e.buildKey()
-	e.flags = flagComputed
+// initFlags computes the derived flags exactly once, at construction,
+// before the node can be shared across goroutines.
+func (e *Expr) initFlags() {
 	switch e.Kind {
 	case KLocal, KFresh:
-		e.flags |= flagHasLocal
+		e.flags = flagHasLocal
 	case KRet:
-		e.flags |= flagHasRet
+		e.flags = flagHasRet
 	case KField:
-		e.flags |= e.Base.flags & (flagHasLocal | flagHasRet)
+		e.flags = e.Base.flags
 	case KCond:
-		e.flags |= (e.A.flags | e.B.flags) & (flagHasLocal | flagHasRet)
+		e.flags = e.A.flags | e.B.flags
 	}
 }
 
 // Key returns the canonical string form of e. Two expressions are
 // structurally equal iff their keys are equal.
-func (e *Expr) Key() string {
-	if e.key == "" {
-		// Only reachable for Expr literals built outside the constructors
-		// (none in this repository); constructed nodes precompute the key.
-		e.key = e.buildKey()
-	}
-	return e.key
-}
-
-func (e *Expr) buildKey() string {
-	switch e.Kind {
-	case KConst:
-		return strconv.FormatInt(e.Int, 10)
-	case KNull:
-		return "null"
-	case KArg:
-		return "[" + e.Name + "]"
-	case KRet:
-		return "[0]"
-	case KLocal:
-		return e.Name
-	case KFresh:
-		return "$" + e.Name
-	case KField:
-		return e.Base.Key() + "." + e.Name
-	case KCond:
-		ak, pk, bk := e.A.Key(), e.Pred.String(), e.B.Key()
-		var b strings.Builder
-		b.Grow(len(ak) + len(pk) + len(bk) + 4)
-		b.WriteByte('(')
-		b.WriteString(ak)
-		b.WriteByte(' ')
-		b.WriteString(pk)
-		b.WriteByte(' ')
-		b.WriteString(bk)
-		b.WriteByte(')')
-		return b.String()
-	}
-	return "?"
-}
+func (e *Expr) Key() string { return e.key }
 
 // String renders the expression in the paper's notation.
 func (e *Expr) String() string { return e.Key() }
 
-// ID returns the interned identity of e: nonzero, and stable for the
-// lifetime of the process.
+// ID returns the interned identity of e: nonzero, stable for the lifetime
+// of the process, and never shared with a node of another table.
 func (e *Expr) ID() uint64 { return e.id }
 
 // HasLocal reports whether e mentions a local variable or fresh symbol —
 // i.e. anything unobservable outside the function.
-func (e *Expr) HasLocal() bool {
-	if e.flags&flagComputed != 0 {
-		return e.flags&flagHasLocal != 0
-	}
-	switch e.Kind {
-	case KLocal, KFresh:
-		return true
-	case KField:
-		return e.Base.HasLocal()
-	case KCond:
-		return e.A.HasLocal() || e.B.HasLocal()
-	}
-	return false
-}
+func (e *Expr) HasLocal() bool { return e.flags&flagHasLocal != 0 }
 
 // HasRet reports whether e mentions [0].
-func (e *Expr) HasRet() bool {
-	if e.flags&flagComputed != 0 {
-		return e.flags&flagHasRet != 0
-	}
-	switch e.Kind {
-	case KRet:
-		return true
-	case KField:
-		return e.Base.HasRet()
-	case KCond:
-		return e.A.HasRet() || e.B.HasRet()
-	}
-	return false
-}
+func (e *Expr) HasRet() bool { return e.flags&flagHasRet != 0 }
 
 // Subst returns e with every maximal subexpression whose Key appears in m
 // replaced by the mapped expression. The substitution is simultaneous.
-// Untouched subtrees are returned as-is, and rebuilt nodes are interned,
-// so instantiating a summary reuses existing subtrees instead of
-// reallocating them.
-func (e *Expr) Subst(m map[string]*Expr) *Expr {
+// Untouched subtrees are returned as-is, and rebuilt nodes are interned in
+// t, which must own e and m's values, so instantiating a summary reuses
+// existing subtrees instead of reallocating them.
+func (e *Expr) Subst(t *Table, m map[string]*Expr) *Expr {
 	if len(m) == 0 {
 		return e
 	}
@@ -311,17 +250,17 @@ func (e *Expr) Subst(m map[string]*Expr) *Expr {
 	}
 	switch e.Kind {
 	case KField:
-		nb := e.Base.Subst(m)
+		nb := e.Base.Subst(t, m)
 		if nb == e.Base {
 			return e
 		}
-		return Field(nb, e.Name)
+		return t.Field(nb, e.Name)
 	case KCond:
-		na, nbb := e.A.Subst(m), e.B.Subst(m)
+		na, nbb := e.A.Subst(t, m), e.B.Subst(t, m)
 		if na == e.A && nbb == e.B {
 			return e
 		}
-		return Cond(na, e.Pred, nbb)
+		return t.Cond(na, e.Pred, nbb)
 	}
 	return e
 }
@@ -359,9 +298,13 @@ type Set struct {
 func True() Set { return Set{} }
 
 // NewSet returns the conjunction of conds, exactly as if And were folded
-// over them: conditions are coerced via AsCond, decided-true conditions
-// and duplicates are dropped (first occurrence wins).
-func NewSet(conds []*Expr) Set {
+// over them: conditions are coerced via AsCond in t, decided-true
+// conditions and duplicates are dropped (first occurrence wins).
+func NewSet(t *Table, conds []*Expr) Set { return newSet(t, conds) }
+
+// newSet is NewSet; a nil t means conds are conditions of other sets,
+// already coerced, so nothing is built.
+func newSet(t *Table, conds []*Expr) Set {
 	// conds and sorted are carved from one backing array: sets are
 	// allocated once per path constraint rebuild, so halving the object
 	// count here is measurable on large corpora. Both slices are full-cap
@@ -373,8 +316,10 @@ func NewSet(conds []*Expr) Set {
 		conds:  back[0:0:n],
 		sorted: back[n : n : 2*n],
 	}
-	for _, cond := range conds {
-		c := cond.AsCond()
+	for _, c := range conds {
+		if t != nil {
+			c = c.AsCond(t)
+		}
 		if c.IsTrue() {
 			continue
 		}
@@ -406,11 +351,11 @@ func (s Set) search(c *Expr) (int, bool) {
 	return lo, lo < len(s.sorted) && s.sorted[lo].Key() == key
 }
 
-// And returns s extended with cond (coerced via AsCond). Decided-true
+// And returns s extended with cond (coerced via AsCond in t). Decided-true
 // conditions are dropped; duplicates are dropped; a decided-false condition
 // is recorded as the single constant-false condition.
-func (s Set) And(cond *Expr) Set {
-	c := cond.AsCond()
+func (s Set) And(t *Table, cond *Expr) Set {
+	c := cond.AsCond(t)
 	if c.IsTrue() {
 		return s
 	}
@@ -431,7 +376,8 @@ func (s Set) And(cond *Expr) Set {
 	return n
 }
 
-// AndSet returns the conjunction of s and o.
+// AndSet returns the conjunction of s and o. Both hold coerced conditions
+// only, so it builds no expression and needs no table.
 func (s Set) AndSet(o Set) Set {
 	if len(o.conds) == 0 {
 		return s
@@ -442,7 +388,7 @@ func (s Set) AndSet(o Set) Set {
 	merged := make([]*Expr, 0, len(s.conds)+len(o.conds))
 	merged = append(merged, s.conds...)
 	merged = append(merged, o.conds...)
-	return NewSet(merged)
+	return newSet(nil, merged)
 }
 
 // Conds returns the conditions in insertion order. The slice must not be
@@ -463,8 +409,9 @@ func (s Set) HasFalse() bool {
 	return false
 }
 
-// Subst applies an expression substitution to every condition.
-func (s Set) Subst(m map[string]*Expr) Set {
+// Subst applies an expression substitution to every condition, building
+// in t.
+func (s Set) Subst(t *Table, m map[string]*Expr) Set {
 	if len(m) == 0 {
 		return s
 	}
@@ -473,7 +420,7 @@ func (s Set) Subst(m map[string]*Expr) Set {
 	// the common case at call sites) returns the receiver as-is.
 	var subbed []*Expr
 	for i, c := range s.conds {
-		nc := c.Subst(m)
+		nc := c.Subst(t, m)
 		if subbed == nil {
 			if nc == c {
 				continue
@@ -486,7 +433,7 @@ func (s Set) Subst(m map[string]*Expr) Set {
 	if subbed == nil {
 		return s
 	}
-	return NewSet(subbed)
+	return NewSet(t, subbed)
 }
 
 // WithoutLocals returns the set with every condition that mentions a local
@@ -494,9 +441,9 @@ func (s Set) Subst(m map[string]*Expr) Set {
 // conditions on local variables"). Before projecting, equalities that pin a
 // local to an observable expression are used to rewrite that local away, so
 // information such as "[0] = v ∧ v ≥ 0" survives as "[0] ≥ 0".
-func (s Set) WithoutLocals() Set {
+func (s Set) WithoutLocals(t *Table) Set {
 	var p Projector
-	out, _ := p.Project(s, nil)
+	out, _ := p.Project(t, s, nil)
 	return out
 }
 
@@ -509,8 +456,8 @@ type Projector struct {
 	a, b        []*Expr
 }
 
-// Project returns (s ∧ c).WithoutLocals(), or s.WithoutLocals() when c
-// is nil, together with the accumulated substitution that pinned
+// Project returns (s ∧ c).WithoutLocals(t), or s.WithoutLocals(t) when c
+// is nil, building in t, together with the accumulated substitution that pinned
 // locals to observable expressions. Callers (the symbolic executor) apply
 // the same substitution to refcount keys and return expressions so that,
 // e.g., the refcount of an object held in a returned local becomes the
@@ -518,9 +465,9 @@ type Projector struct {
 // next Project or Reset call and must not be retained; it is nil when
 // nothing mentions a local. The conjunction is built only when it is the
 // result; otherwise the projection is the only new Set.
-func (p *Projector) Project(s Set, c *Expr) (Set, map[string]*Expr) {
+func (p *Projector) Project(t *Table, s Set, c *Expr) (Set, map[string]*Expr) {
 	if c != nil {
-		if c = c.AsCond(); c.IsTrue() {
+		if c = c.AsCond(t); c.IsTrue() {
 			c = nil
 		}
 	}
@@ -535,7 +482,7 @@ func (p *Projector) Project(s Set, c *Expr) (Set, map[string]*Expr) {
 	}
 	if !anyLocal {
 		if c != nil {
-			s = s.And(c)
+			s = s.And(t, c)
 		}
 		return s, nil
 	}
@@ -577,7 +524,7 @@ func (p *Projector) Project(s Set, c *Expr) (Set, map[string]*Expr) {
 		// Compose: earlier pins must see this round's substitutions so a
 		// single application of pins is equivalent to the whole chain.
 		for k, v := range pins {
-			pins[k] = v.Subst(m)
+			pins[k] = v.Subst(t, m)
 		}
 		for k, v := range m {
 			if _, dup := pins[k]; !dup {
@@ -588,7 +535,7 @@ func (p *Projector) Project(s Set, c *Expr) (Set, map[string]*Expr) {
 		// round reads one scratch list and writes the other.
 		next := p.a[:0]
 		for _, c := range conds {
-			if nc := c.Subst(m).AsCond(); !nc.IsTrue() && !containsKey(next, nc) {
+			if nc := c.Subst(t, m).AsCond(t); !nc.IsTrue() && !containsKey(next, nc) {
 				next = append(next, nc)
 			}
 		}
@@ -602,7 +549,7 @@ func (p *Projector) Project(s Set, c *Expr) (Set, map[string]*Expr) {
 		}
 	}
 	p.a = keep
-	return NewSet(keep), pins
+	return NewSet(t, keep), pins
 }
 
 // Reset drops everything p's scratch references, keeping its capacity.

@@ -9,44 +9,45 @@ import (
 )
 
 // genExpr builds a random expression of bounded depth.
-func genExpr(rng *rand.Rand, depth int) *Expr {
+func genExpr(tb *Table, rng *rand.Rand, depth int) *Expr {
 	if depth <= 0 {
 		switch rng.Intn(6) {
 		case 0:
-			return Const(int64(rng.Intn(7) - 3))
+			return tb.Const(int64(rng.Intn(7) - 3))
 		case 1:
-			return Null()
+			return tb.Null()
 		case 2:
-			return Arg([]string{"a", "b", "dev"}[rng.Intn(3)])
+			return tb.Arg([]string{"a", "b", "dev"}[rng.Intn(3)])
 		case 3:
-			return Ret()
+			return tb.Ret()
 		case 4:
-			return Local([]string{"v", "w"}[rng.Intn(2)])
+			return tb.Local([]string{"v", "w"}[rng.Intn(2)])
 		default:
-			return Fresh([]string{"r1", "r2"}[rng.Intn(2)])
+			return tb.Fresh([]string{"r1", "r2"}[rng.Intn(2)])
 		}
 	}
 	switch rng.Intn(3) {
 	case 0:
-		return Field(genExpr(rng, depth-1), []string{"pm", "rc", "dev"}[rng.Intn(3)])
+		return tb.Field(genExpr(tb, rng, depth-1), []string{"pm", "rc", "dev"}[rng.Intn(3)])
 	case 1:
 		preds := []ir.Pred{ir.EQ, ir.NE, ir.LT, ir.LE, ir.GT, ir.GE}
-		return Cond(genExpr(rng, depth-1), preds[rng.Intn(len(preds))], genExpr(rng, depth-1))
+		return tb.Cond(genExpr(tb, rng, depth-1), preds[rng.Intn(len(preds))], genExpr(tb, rng, depth-1))
 	default:
-		return genExpr(rng, 0)
+		return genExpr(tb, rng, 0)
 	}
 }
 
 // Property: Key() is injective enough — structurally distinct productions
 // with equal keys must be Equal, and Subst with an empty map is identity.
 func TestPropertyEmptySubstIsIdentity(t *testing.T) {
+	tb := NewTable()
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 500; i++ {
-		e := genExpr(rng, 3)
-		if got := e.Subst(nil); got != e {
+		e := genExpr(tb, rng, 3)
+		if got := e.Subst(tb, nil); got != e {
 			t.Fatalf("Subst(nil) changed %s", e)
 		}
-		if got := e.Subst(map[string]*Expr{}); got != e {
+		if got := e.Subst(tb, map[string]*Expr{}); got != e {
 			t.Fatalf("Subst(empty) changed %s", e)
 		}
 	}
@@ -54,14 +55,15 @@ func TestPropertyEmptySubstIsIdentity(t *testing.T) {
 
 // Property: substituting x↦x is a no-op up to keys.
 func TestPropertyIdentitySubstitution(t *testing.T) {
+	tb := NewTable()
 	rng := rand.New(rand.NewSource(8))
 	for i := 0; i < 500; i++ {
-		e := genExpr(rng, 3)
+		e := genExpr(tb, rng, 3)
 		m := map[string]*Expr{
-			Arg("a").Key():   Arg("a"),
-			Local("v").Key(): Local("v"),
+			tb.Arg("a").Key():   tb.Arg("a"),
+			tb.Local("v").Key(): tb.Local("v"),
 		}
-		if got := e.Subst(m); got.Key() != e.Key() {
+		if got := e.Subst(tb, m); got.Key() != e.Key() {
 			t.Fatalf("identity substitution changed %s to %s", e, got)
 		}
 	}
@@ -70,15 +72,16 @@ func TestPropertyIdentitySubstitution(t *testing.T) {
 // Property: substitution commutes with Key-equality — two expressions with
 // the same key substitute to the same key.
 func TestPropertySubstRespectsEquality(t *testing.T) {
+	tb := NewTable()
 	rng := rand.New(rand.NewSource(9))
 	m := map[string]*Expr{
-		Arg("a").Key():    Field(Arg("intf"), "dev"),
-		Fresh("r1").Key(): Ret(),
+		tb.Arg("a").Key():    tb.Field(tb.Arg("intf"), "dev"),
+		tb.Fresh("r1").Key(): tb.Ret(),
 	}
 	for i := 0; i < 500; i++ {
-		e := genExpr(rng, 3)
-		e2 := genExpr(rng, 3)
-		if e.Key() == e2.Key() && e.Subst(m).Key() != e2.Subst(m).Key() {
+		e := genExpr(tb, rng, 3)
+		e2 := genExpr(tb, rng, 3)
+		if e.Key() == e2.Key() && e.Subst(tb, m).Key() != e2.Subst(tb, m).Key() {
 			t.Fatalf("equal keys substituted differently: %s vs %s", e, e2)
 		}
 	}
@@ -86,13 +89,14 @@ func TestPropertySubstRespectsEquality(t *testing.T) {
 
 // Property: double negation of a condition is the original condition.
 func TestPropertyDoubleNegation(t *testing.T) {
+	tb := NewTable()
 	rng := rand.New(rand.NewSource(10))
 	for i := 0; i < 500; i++ {
-		e := genExpr(rng, 2).AsCond()
+		e := genExpr(tb, rng, 2).AsCond(tb)
 		if e.Kind != KCond {
 			continue
 		}
-		if got := e.NegateCond().NegateCond(); got.Key() != e.Key() {
+		if got := e.NegateCond(tb).NegateCond(tb); got.Key() != e.Key() {
 			t.Fatalf("¬¬%s = %s", e, got)
 		}
 	}
@@ -100,13 +104,14 @@ func TestPropertyDoubleNegation(t *testing.T) {
 
 // Property: HasLocal is monotone under Field and Cond construction.
 func TestPropertyHasLocalMonotone(t *testing.T) {
+	tb := NewTable()
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 500; i++ {
-		e := genExpr(rng, 3)
-		if e.HasLocal() && !Field(e, "x").HasLocal() {
+		e := genExpr(tb, rng, 3)
+		if e.HasLocal() && !tb.Field(e, "x").HasLocal() {
 			t.Fatalf("Field lost locality of %s", e)
 		}
-		c := Cond(e, ir.LT, Const(0))
+		c := tb.Cond(e, ir.LT, tb.Const(0))
 		if c.Kind == KCond && e.HasLocal() && !c.HasLocal() {
 			t.Fatalf("Cond lost locality of %s", e)
 		}
@@ -115,28 +120,29 @@ func TestPropertyHasLocalMonotone(t *testing.T) {
 
 // Property: And is idempotent and order-insensitive w.r.t. Set.Key().
 func TestPropertySetAlgebra(t *testing.T) {
+	tb := NewTable()
 	rng := rand.New(rand.NewSource(12))
 	for i := 0; i < 200; i++ {
 		var conds []*Expr
 		for j := 0; j < 4; j++ {
-			c := genExpr(rng, 2).AsCond()
+			c := genExpr(tb, rng, 2).AsCond(tb)
 			if c.Kind == KCond {
 				conds = append(conds, c)
 			}
 		}
 		fwd, rev := True(), True()
 		for _, c := range conds {
-			fwd = fwd.And(c)
+			fwd = fwd.And(tb, c)
 		}
 		for j := len(conds) - 1; j >= 0; j-- {
-			rev = rev.And(conds[j])
+			rev = rev.And(tb, conds[j])
 		}
 		if fwd.Key() != rev.Key() {
 			t.Fatalf("order sensitivity: %q vs %q", fwd.Key(), rev.Key())
 		}
 		again := fwd
 		for _, c := range conds {
-			again = again.And(c)
+			again = again.And(tb, c)
 		}
 		if again.Key() != fwd.Key() || again.Len() != fwd.Len() {
 			t.Fatalf("And not idempotent")
@@ -147,16 +153,17 @@ func TestPropertySetAlgebra(t *testing.T) {
 // Property: WithoutLocals never leaves a local behind and never invents
 // conditions.
 func TestPropertyProjectionSound(t *testing.T) {
+	tb := NewTable()
 	rng := rand.New(rand.NewSource(13))
 	for i := 0; i < 300; i++ {
 		s := True()
 		for j := 0; j < 5; j++ {
-			c := genExpr(rng, 2).AsCond()
+			c := genExpr(tb, rng, 2).AsCond(tb)
 			if c.Kind == KCond {
-				s = s.And(c)
+				s = s.And(tb, c)
 			}
 		}
-		p := s.WithoutLocals()
+		p := s.WithoutLocals(tb)
 		for _, c := range p.Conds() {
 			if c.HasLocal() {
 				t.Fatalf("local survived projection: %s in %s", c, p)
@@ -170,8 +177,9 @@ func TestPropertyProjectionSound(t *testing.T) {
 
 // quick.Check-based property: BoolConst/IsTrue/IsFalse coherence.
 func TestPropertyBoolConst(t *testing.T) {
+	tb := NewTable()
 	f := func(b bool) bool {
-		e := BoolConst(b)
+		e := tb.BoolConst(b)
 		return e.IsTrue() == b && e.IsFalse() == !b
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -181,8 +189,9 @@ func TestPropertyBoolConst(t *testing.T) {
 
 // quick.Check-based property: Const round-trips through IsConst.
 func TestPropertyConstRoundTrip(t *testing.T) {
+	tb := NewTable()
 	f := func(v int64) bool {
-		got, ok := Const(v).IsConst()
+		got, ok := tb.Const(v).IsConst()
 		return ok && got == v
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -191,11 +200,13 @@ func TestPropertyConstRoundTrip(t *testing.T) {
 }
 
 // TestInternIdentity is the oracle for hash-consing, the only way an
-// expression is built: over random expressions, pointer identity is
-// canonical-key equality, every node reachable from a constructor's result
-// carries a nonzero ID, and two constraint sets share a CacheKey exactly
-// when they share a Key.
+// expression is built: over random expressions built in one table,
+// pointer identity is canonical-key equality, every node reachable from a
+// constructor's result carries a nonzero ID, and two constraint sets share
+// a CacheKey exactly when they share a Key. Across tables no node or ID is
+// ever shared, and importing maps each node to its key-equal twin.
 func TestInternIdentity(t *testing.T) {
+	tb := NewTable()
 	rng := rand.New(rand.NewSource(14))
 	var walk func(e *Expr)
 	walk = func(e *Expr) {
@@ -211,7 +222,7 @@ func TestInternIdentity(t *testing.T) {
 	}
 	exprs := make([]*Expr, 300)
 	for i := range exprs {
-		exprs[i] = genExpr(rng, 3)
+		exprs[i] = genExpr(tb, rng, 3)
 		walk(exprs[i])
 	}
 	shared := 0
@@ -230,9 +241,9 @@ func TestInternIdentity(t *testing.T) {
 	for i := range sets {
 		var conds []*Expr
 		for j := rng.Intn(4); j >= 0; j-- {
-			conds = append(conds, genExpr(rng, 2).AsCond())
+			conds = append(conds, genExpr(tb, rng, 2).AsCond(tb))
 		}
-		sets[i] = NewSet(conds)
+		sets[i] = NewSet(tb, conds)
 	}
 	sharedSets := 0
 	for i, a := range sets {
@@ -245,6 +256,26 @@ func TestInternIdentity(t *testing.T) {
 			}
 		}
 	}
+	other := NewTable()
+	ids := map[uint64]bool{}
+	for _, e := range exprs {
+		ids[e.ID()] = true
+	}
+	for i := 0; i < 300; i++ {
+		e := genExpr(other, rng, 3)
+		if ids[e.ID()] || tb.Owns(e) {
+			t.Fatalf("node %s of another table shares an ID or is owned", e)
+		}
+		imp := tb.Import(e)
+		if imp.Key() != e.Key() || !tb.Owns(imp) || imp != tb.Import(e) {
+			t.Fatalf("import of %s gave %s", e, imp)
+		}
+		for _, a := range exprs {
+			if (a == imp) != (a.Key() == e.Key()) {
+				t.Fatalf("imported %s and built %s disagree on identity", imp, a)
+			}
+		}
+	}
 	if shared == 0 || sharedSets == 0 {
 		t.Fatalf("no independently built pair coincided (%d expressions, %d sets); property too weak", shared, sharedSets)
 	}
@@ -252,7 +283,7 @@ func TestInternIdentity(t *testing.T) {
 
 // projectLocalsReference is the projection as first written: fresh maps
 // and a NewSet per fixpoint round. It is the oracle for Projector.
-func projectLocalsReference(s Set) (Set, map[string]*Expr) {
+func projectLocalsReference(tb *Table, s Set) (Set, map[string]*Expr) {
 	anyLocal := false
 	for _, c := range s.conds {
 		anyLocal = anyLocal || c.HasLocal()
@@ -283,7 +314,7 @@ func projectLocalsReference(s Set) (Set, map[string]*Expr) {
 			break
 		}
 		for k, v := range pins {
-			pins[k] = v.Subst(m)
+			pins[k] = v.Subst(tb, m)
 		}
 		for k, v := range m {
 			if _, dup := pins[k]; !dup {
@@ -292,9 +323,9 @@ func projectLocalsReference(s Set) (Set, map[string]*Expr) {
 		}
 		subbed := make([]*Expr, len(conds))
 		for i, c := range conds {
-			subbed[i] = c.Subst(m)
+			subbed[i] = c.Subst(tb, m)
 		}
-		conds = NewSet(subbed).conds
+		conds = NewSet(tb, subbed).conds
 	}
 	var keep []*Expr
 	for _, c := range conds {
@@ -302,7 +333,7 @@ func projectLocalsReference(s Set) (Set, map[string]*Expr) {
 			keep = append(keep, c)
 		}
 	}
-	return NewSet(keep), pins
+	return NewSet(tb, keep), pins
 }
 
 // TestProjectorMatchesReference: one Projector reused across random sets,
@@ -310,13 +341,14 @@ func projectLocalsReference(s Set) (Set, map[string]*Expr) {
 // projects the built conjunction — the same conditions in the same order
 // and the same pins — and leaves no earlier call's pins behind.
 func TestProjectorMatchesReference(t *testing.T) {
+	tb := NewTable()
 	rng := rand.New(rand.NewSource(15))
 	pinning := []*Expr{
-		Cond(Local("v"), ir.EQ, Arg("a")),
-		Cond(Fresh("r1"), ir.EQ, Local("w")),
-		Cond(Local("w"), ir.EQ, Const(3)),
-		Cond(Ret(), ir.EQ, Fresh("r2")),
-		Cond(Fresh("r2"), ir.EQ, Field(Arg("dev"), "pm")),
+		tb.Cond(tb.Local("v"), ir.EQ, tb.Arg("a")),
+		tb.Cond(tb.Fresh("r1"), ir.EQ, tb.Local("w")),
+		tb.Cond(tb.Local("w"), ir.EQ, tb.Const(3)),
+		tb.Cond(tb.Ret(), ir.EQ, tb.Fresh("r2")),
+		tb.Cond(tb.Fresh("r2"), ir.EQ, tb.Field(tb.Arg("dev"), "pm")),
 	}
 	var p Projector
 	rounds := 0
@@ -324,9 +356,9 @@ func TestProjectorMatchesReference(t *testing.T) {
 		s := True()
 		for j, n := 0, rng.Intn(7); j < n; j++ {
 			if rng.Intn(3) == 0 {
-				s = s.And(pinning[rng.Intn(len(pinning))])
-			} else if c := genExpr(rng, 2).AsCond(); c.Kind == KCond {
-				s = s.And(c)
+				s = s.And(tb, pinning[rng.Intn(len(pinning))])
+			} else if c := genExpr(tb, rng, 2).AsCond(tb); c.Kind == KCond {
+				s = s.And(tb, c)
 			}
 		}
 		var c *Expr
@@ -334,14 +366,14 @@ func TestProjectorMatchesReference(t *testing.T) {
 		case 0:
 			c = pinning[rng.Intn(len(pinning))]
 		case 1:
-			c = genExpr(rng, 2)
+			c = genExpr(tb, rng, 2)
 		}
 		want := s
 		if c != nil {
-			want = s.And(c)
+			want = s.And(tb, c)
 		}
-		wantSet, wantPins := projectLocalsReference(want)
-		gotSet, gotPins := p.Project(s, c)
+		wantSet, wantPins := projectLocalsReference(tb, want)
+		gotSet, gotPins := p.Project(tb, s, c)
 		if len(gotSet.Conds()) != len(wantSet.Conds()) {
 			t.Fatalf("%s ∧ %v: projected to %s, want %s", s, c, gotSet, wantSet)
 		}
@@ -370,8 +402,9 @@ func TestProjectorMatchesReference(t *testing.T) {
 // TestProjectorReset: Reset leaves a Projector holding no pins and no
 // condition, so a pooled owner pins nothing between borrows.
 func TestProjectorReset(t *testing.T) {
+	tb := NewTable()
 	var p Projector
-	p.Project(NewSet([]*Expr{Cond(Local("v"), ir.EQ, Arg("a")), Cond(Local("v"), ir.GT, Const(0))}), Cond(Ret(), ir.EQ, Local("v")))
+	p.Project(tb, NewSet(tb, []*Expr{tb.Cond(tb.Local("v"), ir.EQ, tb.Arg("a")), tb.Cond(tb.Local("v"), ir.GT, tb.Const(0))}), tb.Cond(tb.Ret(), ir.EQ, tb.Local("v")))
 	if len(p.pins) == 0 {
 		t.Fatal("the projection pinned nothing; test too weak")
 	}

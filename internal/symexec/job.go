@@ -8,7 +8,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/solver"
 	"repro/internal/summary"
-	"repro/internal/sym"
 )
 
 // Job is one function's Step I+II work split into independently runnable
@@ -85,6 +84,7 @@ func (ex *Executor) Prepare(ctx context.Context, fn *ir.Func) *Job {
 	j.paths = enum.Paths
 	j.res = Result{
 		Fn:             fn,
+		Syms:           ex.syms,
 		NumPaths:       len(enum.Paths),
 		Truncated:      enum.Truncated,
 		TruncatedPaths: enum.Truncated && !enum.Canceled,
@@ -182,7 +182,7 @@ func (j *Job) RunTask(i int, slv *solver.Solver) (gaveUp int) {
 	pr := getPathRun(j, slv)
 	init := getState()
 	for _, p := range j.fn.Params {
-		init.vmap[p] = sym.Arg(p)
+		init.vmap[p] = pr.syms.Arg(p)
 	}
 	pr.walk(lo, hi, 0, append(pr.getBuf(), init), false)
 	j.outs[i].entries = pr.freezeEntries()

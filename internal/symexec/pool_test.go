@@ -15,17 +15,18 @@ import (
 // dirtyState fills every mutable field of a pooled state, standing in for
 // a state at the end of a path.
 func dirtyState() *state {
+	tb := sym.NewTable()
 	st := getState()
-	st.conds = append(st.conds, taggedCond{cond: sym.Arg("a")}, taggedCond{cond: sym.Arg("b")})
-	st.changes["rc"] = summary.Change{RC: sym.Arg("dev"), Delta: 1}
-	st.vmap["x"] = sym.Arg("x")
-	st.ret = sym.Arg("r")
+	st.conds = append(st.conds, taggedCond{cond: tb.Arg("a")}, taggedCond{cond: tb.Arg("b")})
+	st.changes["rc"] = summary.Change{RC: tb.Arg("dev"), Delta: 1}
+	st.vmap["x"] = tb.Arg("x")
+	st.ret = tb.Arg("r")
 	st.hasRet = true
 	st.dead = true
 	st.apps = append(st.apps, CalleeApp{})
-	st.cons = sym.NewSet([]*sym.Expr{sym.Arg("a")})
+	st.cons = sym.NewSet(tb, []*sym.Expr{tb.Arg("a")})
 	st.consValid = true
-	st.consScratch = append(st.consScratch, sym.Arg("a"))
+	st.consScratch = append(st.consScratch, tb.Arg("a"))
 	return st
 }
 
@@ -117,6 +118,7 @@ int f(struct device *dev, int a, int b, int c, int d, int e) {
 // pooling contract: a recycled pathRun must not pin the finished job,
 // executor, or solver, and all scratch must be observably empty on reuse.
 func TestPathRunPoolDropsJobReferences(t *testing.T) {
+	tb := sym.NewTable()
 	prog, err := lower.SourceString("t.c", branchySrc)
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +126,7 @@ func TestPathRunPoolDropsJobReferences(t *testing.T) {
 	db := summary.NewDB()
 	spec.LinuxDPM().ApplyTo(db)
 	slv := solver.New()
-	ex := New(db, slv, Config{MaxPaths: 100, MaxSubcases: 10})
+	ex := New(tb, db, slv, Config{MaxPaths: 100, MaxSubcases: 10})
 	j := ex.Prepare(context.Background(), prog.Funcs["f"])
 
 	pr := getPathRun(j, slv)
@@ -140,10 +142,10 @@ func TestPathRunPoolDropsJobReferences(t *testing.T) {
 	pr.putBuf(append(pr.getBuf(), getState()))
 	pr.occSaved = append(pr.occSaved, pr.occ...)
 	pr.weight, pr.gaveUp = 3, 2
-	pr.callArgs["arg0"] = sym.Arg("v")
-	pr.instScratch.Ret = sym.Arg("r")
-	pr.instScratch.AddChange(sym.Arg("dev"), 1)
-	pr.entries = append(pr.entries, frozenEntry{Entry: summary.Entry{Ret: sym.Arg("r")}, path: 1})
+	pr.callArgs["arg0"] = tb.Arg("v")
+	pr.instScratch.Ret = tb.Arg("r")
+	pr.instScratch.AddChange(tb.Arg("dev"), 1)
+	pr.entries = append(pr.entries, frozenEntry{Entry: summary.Entry{Ret: tb.Arg("r")}, path: 1})
 
 	putPathRun(pr)
 	if pr.Executor != nil || pr.job != nil || pr.slv != nil {

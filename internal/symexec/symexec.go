@@ -118,6 +118,9 @@ type PathEntry struct {
 type Result struct {
 	Fn      *ir.Func
 	Entries []PathEntry
+	// Syms is the table the entries' expressions were built in; Step III
+	// builds the function's default entry there too.
+	Syms *sym.Table
 	// Paths holds the enumerated paths (indexed by PathEntry.PathIndex)
 	// when Config.Provenance is set; nil otherwise.
 	Paths     []cfg.Path
@@ -182,14 +185,14 @@ func (st *state) clone() *state {
 	return n
 }
 
-func (st *state) consSet() sym.Set {
+func (st *state) consSet(t *sym.Table) sym.Set {
 	if !st.consValid {
 		conds := st.consScratch[:0]
 		for _, tc := range st.conds {
 			conds = append(conds, tc.cond)
 		}
 		st.consScratch = conds
-		st.cons = sym.NewSet(conds)
+		st.cons = sym.NewSet(t, conds)
 		st.consValid = true
 	}
 	return st.cons
@@ -197,7 +200,7 @@ func (st *state) consSet() sym.Set {
 
 // addCond appends a condition; returns false when the state became
 // trivially infeasible.
-func (st *state) addCond(c *sym.Expr, src *ir.Instr) bool {
+func (st *state) addCond(t *sym.Table, c *sym.Expr, src *ir.Instr) bool {
 	if c.IsTrue() {
 		if src != nil {
 			st.removeCondFrom(src)
@@ -213,7 +216,7 @@ func (st *state) addCond(c *sym.Expr, src *ir.Instr) bool {
 	}
 	st.conds = append(st.conds, taggedCond{cond: c, src: src})
 	if st.consValid {
-		st.cons = st.cons.And(c)
+		st.cons = st.cons.And(t, c)
 	}
 	return true
 }
@@ -235,11 +238,13 @@ func (st *state) removeCondFrom(src *ir.Instr) {
 
 // ---------------------------------------------------------------------------
 
-// Executor summarizes functions against a summary database.
+// Executor summarizes functions against a summary database, building
+// every expression in one table.
 type Executor struct {
-	cfg Config
-	db  *summary.DB
-	slv *solver.Solver
+	cfg  Config
+	syms *sym.Table
+	db   *summary.DB
+	slv  *solver.Solver
 }
 
 // pathRun is the per-task execution context: occurrence counters indexed
@@ -273,16 +278,18 @@ type pathRun struct {
 	entries []frozenEntry
 }
 
-// New returns an executor. db supplies callee summaries (predefined and
+// New returns an executor that builds its expressions in syms, the
+// analysis run's table. db supplies callee summaries (predefined and
 // previously computed); slv decides constraint satisfiability.
-func New(db *summary.DB, slv *solver.Solver, cfg Config) *Executor {
-	return &Executor{cfg: cfg.withDefaults(), db: db, slv: slv}
+func New(syms *sym.Table, db *summary.DB, slv *solver.Solver, cfg Config) *Executor {
+	return &Executor{cfg: cfg.withDefaults(), syms: syms, db: db, slv: slv}
 }
 
 // siteSym returns the fresh symbol for the current execution of in: stable
 // across paths (same site, same occurrence index → same symbol). The name
-// is assembled in a reused buffer and interned through FreshBytes, so the
-// common case — a symbol already seen on another path — allocates nothing.
+// is assembled in a reused buffer and interned through FreshBytes, so no
+// case allocates: a symbol already seen on another path is found, and a
+// new one copies its name into the table's arena.
 func (pr *pathRun) siteSym(fn *ir.Func, prefix string) *sym.Expr {
 	id := pr.site
 	b := pr.symBuf[:0]
@@ -294,12 +301,12 @@ func (pr *pathRun) siteSym(fn *ir.Func, prefix string) *sym.Expr {
 	b = append(b, '.')
 	b = strconv.AppendInt(b, int64(pr.occ[id]), 10)
 	pr.symBuf = b
-	return sym.FreshBytes(b)
+	return pr.syms.FreshBytes(b)
 }
 
 func (pr *pathRun) anonSym(prefix string) *sym.Expr {
 	pr.anon++
-	return sym.Fresh(prefix + strconv.Itoa(pr.anon))
+	return pr.syms.Fresh(prefix + strconv.Itoa(pr.anon))
 }
 
 // Summarize runs Steps I and II on fn: enumerate paths, symbolically
@@ -565,31 +572,31 @@ func (pr *pathRun) step(fn *ir.Func, st *state, in *ir.Instr, nextBlock int) []*
 	case ir.OpAssign:
 		st.vmap[in.Dst] = pr.eval(st, in.Val)
 	case ir.OpLoadField:
-		st.vmap[in.Dst] = sym.Field(pr.eval(st, in.Obj), in.Field)
+		st.vmap[in.Dst] = pr.syms.Field(pr.eval(st, in.Obj), in.Field)
 	case ir.OpRandom:
 		st.vmap[in.Dst] = pr.siteSym(fn, "r")
 	case ir.OpCompare:
 		a := pr.eval(st, in.A)
 		b := pr.eval(st, in.B)
-		st.vmap[in.Dst] = sym.Cond(a, in.Pred, b)
+		st.vmap[in.Dst] = pr.syms.Cond(a, in.Pred, b)
 	case ir.OpAssume:
-		c := pr.eval(st, in.Cond).AsCond()
-		st.addCond(c, nil)
+		c := pr.eval(st, in.Cond).AsCond(pr.syms)
+		st.addCond(pr.syms, c, nil)
 	case ir.OpBranch:
 		// Control transfer only; the path dictates the successor.
 	case ir.OpBranchCond:
 		if in.True == in.False || nextBlock < 0 {
 			return one
 		}
-		c := pr.eval(st, in.Cond).AsCond()
+		c := pr.eval(st, in.Cond).AsCond(pr.syms)
 		if nextBlock == in.False {
-			c = c.NegateCond()
+			c = c.NegateCond(pr.syms)
 		} else if nextBlock != in.True {
 			// Path and terminator disagree: malformed path; kill the state.
 			st.dead = true
 			return one
 		}
-		st.addCond(c, in)
+		st.addCond(pr.syms, c, in)
 	case ir.OpCall:
 		return pr.call(fn, st, in)
 	case ir.OpReturn:
@@ -624,17 +631,17 @@ func (pr *pathRun) call(fn *ir.Func, st *state, in *ir.Instr) []*state {
 	clear(m)
 	for i, p := range sum.Params {
 		if i < len(in.Args) {
-			m[sym.Arg(p).Key()] = pr.eval(st, in.Args[i])
+			m[pr.syms.Arg(p).Key()] = pr.eval(st, in.Args[i])
 		}
 	}
 	result := pr.siteSym(fn, in.Fn)
-	m[sym.Ret().Key()] = result
+	m[pr.syms.Ret().Key()] = result
 
 	out := pr.outBuf[:0]
 	for idx, entry := range sum.Entries {
 		// The instantiated entry lives in pathRun scratch and is fully
 		// consumed below before the next iteration reuses it.
-		inst := entry.InstantiateInto(&pr.instScratch, m)
+		inst := entry.InstantiateInto(pr.syms, &pr.instScratch, m)
 		ns := st
 		if idx < len(sum.Entries)-1 {
 			ns = st.clone()
@@ -650,7 +657,7 @@ func (pr *pathRun) call(fn *ir.Func, st *state, in *ir.Instr) []*state {
 		}
 		ok := true
 		for _, c := range inst.Cons.Conds() {
-			if !ns.addCond(c, nil) {
+			if !ns.addCond(pr.syms, c, nil) {
 				ok = false
 				break
 			}
@@ -660,7 +667,7 @@ func (pr *pathRun) call(fn *ir.Func, st *state, in *ir.Instr) []*state {
 			continue
 		}
 		if !pr.cfg.NoPrune && inst.Cons.Len() > 0 {
-			if !pr.sat(ns.consSet()) {
+			if !pr.sat(ns.consSet(pr.syms)) {
 				putState(ns)
 				continue
 			}
@@ -696,15 +703,15 @@ func (pr *pathRun) eval(st *state, v ir.Value) *sym.Expr {
 			return e
 		}
 		// Read before assignment: an (unobservable) local symbol.
-		e := sym.Local(v.Var)
+		e := pr.syms.Local(v.Var)
 		st.vmap[v.Var] = e
 		return e
 	case ir.ValInt:
-		return sym.Const(v.Int)
+		return pr.syms.Const(v.Int)
 	case ir.ValBool:
-		return sym.BoolConst(v.Bool)
+		return pr.syms.BoolConst(v.Bool)
 	case ir.ValNull:
-		return sym.Null()
+		return pr.syms.Null()
 	}
 	return pr.anonSym("v")
 }
@@ -727,21 +734,21 @@ func (pr *pathRun) finalize(fn *ir.Func, st *state, e *summary.Entry) (*EntryPro
 	// cannot change the verdict. Without it the query stays on the solver's
 	// term ⋈ const fast path and repeats the cache key of the state's last
 	// call-site prune.
-	cons := st.consSet()
+	cons := st.consSet(pr.syms)
 	if cons.HasFalse() || !pr.sat(cons) {
 		return nil, false
 	}
 	retExpr := st.ret
 	var bind *sym.Expr // [0] == ret
 	if retExpr != nil {
-		bind = sym.Cond(sym.Ret(), ir.EQ, retExpr)
+		bind = pr.syms.Cond(pr.syms.Ret(), ir.EQ, retExpr)
 	}
 
 	var prov *EntryProv
 	if pr.cfg.Provenance {
 		raw := cons
 		if bind != nil {
-			raw = raw.And(bind)
+			raw = raw.And(pr.syms, bind)
 		}
 		prov = &EntryProv{RawCons: raw.String(), Apps: st.apps}
 	}
@@ -749,10 +756,10 @@ func (pr *pathRun) finalize(fn *ir.Func, st *state, e *summary.Entry) (*EntryPro
 	var pins map[string]*sym.Expr
 	if pr.cfg.KeepLocalConds {
 		if bind != nil {
-			cons = cons.And(bind)
+			cons = cons.And(pr.syms, bind)
 		}
 	} else {
-		cons, pins = pr.proj.Project(cons, bind)
+		cons, pins = pr.proj.Project(pr.syms, cons, bind)
 	}
 
 	e.Cons = cons
@@ -762,17 +769,17 @@ func (pr *pathRun) finalize(fn *ir.Func, st *state, e *summary.Entry) (*EntryPro
 	if retExpr != nil {
 		r := retExpr
 		if pins != nil {
-			r = r.Subst(pins)
+			r = r.Subst(pr.syms, pins)
 		}
 		if r.HasLocal() {
-			r = sym.Ret() // unconstrained: "can return anything"
+			r = pr.syms.Ret() // unconstrained: "can return anything"
 		}
 		e.Ret = r
 	}
 	for _, ch := range st.changes {
 		rc := ch.RC
 		if pins != nil {
-			rc = rc.Subst(pins)
+			rc = rc.Subst(pr.syms, pins)
 		}
 		// Refcounts on unobservable (local) objects are kept here: their
 		// site-stable names make them comparable across the function's own

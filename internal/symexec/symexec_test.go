@@ -15,6 +15,7 @@ import (
 // summarize lowers src, installs the Linux DPM specs plus any extra DSL,
 // and summarizes the named function (its callees must be predefined).
 func summarize(t *testing.T, src, fn string, cfg Config) Result {
+	tb := sym.NewTable()
 	t.Helper()
 	prog, err := lower.SourceString("t.c", src)
 	if err != nil {
@@ -23,7 +24,7 @@ func summarize(t *testing.T, src, fn string, cfg Config) Result {
 	db := summary.NewDB()
 	spec.LinuxDPM().ApplyTo(db)
 	spec.PythonC().ApplyTo(db)
-	ex := New(db, solver.New(), cfg)
+	ex := New(tb, db, solver.New(), cfg)
 	f := prog.Funcs[fn]
 	if f == nil {
 		t.Fatalf("function %s not found", fn)

@@ -36,7 +36,7 @@ func (pr *pathRun) execPath(ctx context.Context, fn *ir.Func, path cfg.Path) ([]
 	pr.weight = 1
 	init := getState()
 	for _, p := range fn.Params {
-		init.vmap[p] = sym.Arg(p)
+		init.vmap[p] = pr.syms.Arg(p)
 	}
 	states := []*state{init}
 	var next, finished []*state
@@ -225,6 +225,7 @@ func TestTrieMatchesPerPathExecution(t *testing.T) {
 		}
 		g := callgraph.Build(prog)
 		for _, tc := range trieCases() {
+			tb := sym.NewTable()
 			db := summary.NewDB()
 			c.specs.ApplyTo(db)
 			cache := solver.NewCache()
@@ -233,7 +234,7 @@ func TestTrieMatchesPerPathExecution(t *testing.T) {
 				workers[i] = solver.NewWithCache(tc.limits, cache)
 			}
 			refSlv := solver.NewWithCache(tc.limits, solver.NewCache())
-			ex := New(db, workers[0], tc.cfg)
+			ex := New(tb, db, workers[0], tc.cfg)
 			shared, totalGaveUp := 0, 0
 			for _, scc := range g.SCCs() {
 				for _, fnName := range scc {
@@ -301,6 +302,7 @@ func TestTrieMatchesPerPathExecution(t *testing.T) {
 // subtree task: a context that is already done marks every path of the
 // task canceled and yields no entries.
 func TestTrieCanceledMarksEveryPath(t *testing.T) {
+	tb := sym.NewTable()
 	prog, err := lower.SourceString("t.c", branchySrc)
 	if err != nil {
 		t.Fatal(err)
@@ -309,7 +311,7 @@ func TestTrieCanceledMarksEveryPath(t *testing.T) {
 	spec.LinuxDPM().ApplyTo(db)
 	ctx, cancel := context.WithCancel(context.Background())
 	slv := solver.New()
-	j := New(db, slv, DefaultConfig()).Prepare(ctx, prog.Funcs["f"])
+	j := New(tb, db, slv, DefaultConfig()).Prepare(ctx, prog.Funcs["f"])
 	cancel()
 	for i := 0; i < j.NumTasks(); i++ {
 		j.RunTask(i, slv)

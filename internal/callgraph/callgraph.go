@@ -38,15 +38,28 @@ func Build(prog *ir.Program) *Graph {
 	for i, name := range g.Nodes {
 		g.index[name] = i
 	}
-	succs := make([][]int, n)
-	for i, name := range g.Nodes {
+	// Each node's successors are carved from one array, sized by a
+	// counting pass over the defined callees.
+	edges := 0
+	for _, name := range g.Nodes {
 		callees := prog.Funcs[name].Calls
 		g.All[name] = callees
 		for _, c := range callees {
-			if j, defined := g.index[c]; defined {
-				succs[i] = append(succs[i], j)
+			if _, defined := g.index[c]; defined {
+				edges++
 			}
 		}
+	}
+	succs := make([][]int, n)
+	flat := make([]int, 0, edges)
+	for i, name := range g.Nodes {
+		start := len(flat)
+		for _, c := range g.All[name] {
+			if j, defined := g.index[c]; defined {
+				flat = append(flat, j)
+			}
+		}
+		succs[i] = flat[start:len(flat):len(flat)]
 	}
 	g.condense(succs)
 	return g
@@ -99,21 +112,37 @@ func (g *Graph) condense(succs [][]int) {
 		sort.Strings(members) // deterministic member order
 		g.sccs[i] = members[:len(comp):len(comp)]
 	}
-	// Tarjan emits SCCs in reverse topological order already. seen[j] ==
-	// i+1 marks SCC j as already listed for SCC i.
+	// Tarjan emits SCCs in reverse topological order already. Every SCC's
+	// successor list is carved from one array: a counting pass sizes it,
+	// and a second pass fills it. In pass p, seen[j] == p*len(comps)+i+1
+	// marks SCC j as already listed for SCC i. An SCC with no successors
+	// keeps a nil list.
 	g.sccDAG = make([][]int, len(comps))
 	seen := make([]int, len(comps))
-	for i, comp := range comps {
-		seen[i] = i + 1
-		for _, v := range comp {
+	mark := func(pass, i int, add func(int)) {
+		m := pass*len(comps) + i + 1
+		seen[i] = m
+		for _, v := range comps[i] {
 			for _, w := range succs[v] {
-				if cs := g.sccOf[w]; seen[cs] != i+1 {
-					seen[cs] = i + 1
-					g.sccDAG[i] = append(g.sccDAG[i], cs)
+				if cs := g.sccOf[w]; seen[cs] != m {
+					seen[cs] = m
+					add(cs)
 				}
 			}
 		}
-		sort.Ints(g.sccDAG[i])
+	}
+	edges := 0
+	for i := range comps {
+		mark(0, i, func(int) { edges++ })
+	}
+	flat := make([]int, 0, edges)
+	for i := range comps {
+		start := len(flat)
+		mark(1, i, func(cs int) { flat = append(flat, cs) })
+		if len(flat) > start {
+			g.sccDAG[i] = flat[start:len(flat):len(flat)]
+			sort.Ints(g.sccDAG[i])
+		}
 	}
 }
 

@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/callgraph"
+	"repro/internal/ipp"
 	"repro/internal/ir"
 	"repro/internal/obs"
 	"repro/internal/store"
@@ -117,8 +119,10 @@ func cacheFingerprint(opts Options) store.Fingerprint {
 // load looks fn up in the store. hit means out replays a previous run's
 // outcome (including its deterministic diagnostics) with each report's
 // position and source file taken from fn's current IR: entries store no
-// positions, so a function that only moved still hits. A non-nil diag
-// reports an invalid entry; the caller appends it and analyzes cold.
+// positions, so a function that only moved still hits. A loaded entry may
+// be shared with other runs (the resident tier), so load never writes
+// into it: it gives the run its own reports only when fn moved. A non-nil
+// diag reports an invalid entry; the caller appends it and analyzes cold.
 func (c *cacheState) load(fn string) (out funcOutcome, hit bool, diag *Diagnostic) {
 	d, ok := c.digests[fn]
 	if !ok {
@@ -132,12 +136,8 @@ func (c *cacheState) load(fn string) (out funcOutcome, hit bool, diag *Diagnosti
 	if e == nil {
 		return out, false, nil
 	}
-	f := c.prog.Funcs[fn]
-	for _, r := range e.Reports {
-		r.SrcFile, r.Pos = f.SrcFile, f.Pos
-	}
 	out.sum = e.Summary
-	out.reports = e.Reports
+	out.reports = placeReports(e.Reports, c.prog.Funcs[fn])
 	out.paths = e.Paths
 	for _, dg := range e.Diags {
 		k, ok := ParseDegradeKind(dg.Kind)
@@ -156,6 +156,23 @@ func (c *cacheState) load(fn string) (out funcOutcome, hit bool, diag *Diagnosti
 		}
 	}
 	return out, true, nil
+}
+
+// placeReports returns reps positioned at f: reps itself when every
+// report already is, or else copies, which share one backing array.
+func placeReports(reps []*ipp.Report, f *ir.Func) []*ipp.Report {
+	moved := func(r *ipp.Report) bool { return r.SrcFile != f.SrcFile || r.Pos != f.Pos }
+	if !slices.ContainsFunc(reps, moved) {
+		return reps
+	}
+	placed := make([]ipp.Report, len(reps))
+	out := make([]*ipp.Report, len(reps))
+	for i, r := range reps {
+		placed[i] = *r
+		placed[i].SrcFile, placed[i].Pos = f.SrcFile, f.Pos
+		out[i] = &placed[i]
+	}
+	return out
 }
 
 // save persists one freshly computed outcome. Outcomes shaped by

@@ -20,6 +20,7 @@
 package ir
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"strconv"
 	"strings"
@@ -225,8 +226,8 @@ type Instr struct {
 func (in *Instr) String() string { return string(in.AppendText(nil)) }
 
 // AppendText appends the instruction's String form to dst and returns the
-// extended slice. Hot serializers (the summary store's digests) use it to
-// render into one reused buffer.
+// extended slice. Func.Digest uses it to render a whole function
+// into one reused buffer.
 func (in *Instr) AppendText(dst []byte) []byte {
 	switch in.Op {
 	case OpAssign:
@@ -369,6 +370,11 @@ func (b *Block) NumSuccs() int {
 type Body struct {
 	Blocks   []*Block
 	NumConds int // number of conditional branches (category-2 gating, §5.2)
+
+	// digest memoizes Func.Digest. It lives here rather than in Func so
+	// that only lowered functions pay for it.
+	digestOnce sync.Once
+	digest     [sha256.Size]byte
 }
 
 // body names Body for embedding in Func under an unexported field name.
@@ -424,6 +430,56 @@ func (f *Func) force() {
 
 // Lowered reports whether a deferred builder has produced f's body.
 func (f *Func) Lowered() bool { return f.lowered.Load() }
+
+// Digest returns the SHA-256 of f's canonical text (appendCanon). It is
+// computed on the first call and memoized with the body, so a function
+// shared across runs (lower.Memo) is rendered and hashed once. A body
+// must not change after its digest is taken.
+func (f *Func) Digest() [sha256.Size]byte {
+	b := f.Body()
+	b.digestOnce.Do(func() {
+		buf := canonBufs.Get().(*[]byte)
+		*buf = f.appendCanon((*buf)[:0])
+		b.digest = sha256.Sum256(*buf)
+		canonBufs.Put(buf)
+	})
+	return b.digest
+}
+
+// canonBufs recycles the canonical text Digest hashes.
+var canonBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// appendCanon appends everything about f that the analysis can observe to
+// dst: its signature and every instruction, without positions or file
+// name. Changing this text changes every summary-store digest, so it
+// needs a new store.FormatVersion.
+func (f *Func) appendCanon(dst []byte) []byte {
+	dst = append(dst, "func "...)
+	dst = append(dst, f.Name...)
+	dst = append(dst, '(')
+	for i, p := range f.Params {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, p...)
+	}
+	body := f.Body()
+	dst = append(dst, ") ret="...)
+	dst = strconv.AppendBool(dst, f.HasRet)
+	dst = append(dst, " conds="...)
+	dst = strconv.AppendInt(dst, int64(body.NumConds), 10)
+	dst = append(dst, '\n')
+	for _, b := range body.Blocks {
+		dst = append(dst, 'b')
+		dst = strconv.AppendInt(dst, int64(b.Index), 10)
+		dst = append(dst, ":\n"...)
+		for _, in := range b.Instrs {
+			dst = in.AppendText(dst)
+			dst = append(dst, '\n')
+		}
+	}
+	return dst
+}
 
 // NewBlock appends an empty block and returns it.
 func (b *Body) NewBlock() *Block {

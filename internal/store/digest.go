@@ -9,8 +9,14 @@
 //
 //	digest(SCC) = H(format version, options fingerprint,
 //	                digests of callee SCCs,
-//	                canonical IR of every member (sorted),
-//	                name + predefined/db summary of every undefined callee)
+//	                for every member (sorted): its own digest, then
+//	                name + predefined/db summary of each undefined callee)
+//
+// A function's own digest is the SHA-256 of its canonical IR
+// (ir.Func.Digest). It depends on nothing outside the function, so it is
+// memoized with the lowered body: a warm `rid serve` request, whose
+// frontend memo hands back the unchanged files' functions, hashes only the
+// edited function's text again and then 32 bytes per SCC member.
 //
 // All members of an SCC share one combined digest: mutual recursion means
 // any member's edit can change every member's summary. Editing a function
@@ -18,11 +24,11 @@
 // can reach it — exactly the cone the edit can affect — while every other
 // entry keeps its digest and stays valid.
 //
-// The canonical IR serialization has no source positions and no file
-// names: nothing the analysis computes depends on them, and the only
-// positions a stored outcome could carry — each report's function position
-// and source file — are set from the current IR when the entry is
-// replayed. A comment that shifts every line below it, or a file rename,
+// The canonical IR that ir.Func.Digest hashes has no source positions
+// and no file names: nothing the analysis computes depends on them, and
+// the only positions a stored outcome could carry — each report's
+// function position and source file — are taken from the current IR when
+// the entry is replayed. A comment that shifts every line below it, or a file rename,
 // therefore keeps every digest; only an edit to a function's code, or to
 // a callee's, invalidates its entry.
 package store
@@ -31,11 +37,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"io"
 	"strconv"
 
 	"repro/internal/callgraph"
-	"repro/internal/ir"
 	"repro/internal/summary"
 )
 
@@ -48,8 +52,14 @@ import (
 // renumbers SCCs and reorders the extern records a digest hashes.
 // Version 5: a function with exactly MaxPaths paths is no longer
 // path-budget truncated, so it has no §5.2 default entry and no
-// path-budget diagnostic.
-const FormatVersion = 5
+// path-budget diagnostic. Version 6: an SCC digest hashes each member's
+// own digest instead of its canonical IR text.
+const FormatVersion = 6
+
+// digestHeader opens every SCC digest. It is a []byte because the SHA-256
+// hash has no WriteString, and io.WriteString would copy a string on every
+// call.
+var digestHeader = []byte("rid-store v" + strconv.Itoa(FormatVersion) + "\x00")
 
 // Digest is a SHA-256 content address.
 type Digest [sha256.Size]byte
@@ -105,24 +115,22 @@ func (f Fingerprint) Hash() Digest {
 // does.
 func Digests(g *callgraph.Graph, db *summary.DB, fp Fingerprint) map[string]Digest {
 	fph := fp.Hash()
-	header := fmt.Sprintf("rid-store v%d\x00", FormatVersion)
 	sccs := g.SCCs()
 	sccDigest := make([]Digest, len(sccs))
 	h := sha256.New()
-	var buf []byte // canonical IR of one function, reused across functions
 	// Each undefined callee's record is rendered once per call.
 	externs := make(map[string][]byte)
 	for i, members := range sccs {
 		h.Reset()
-		io.WriteString(h, header)
+		h.Write(digestHeader)
 		h.Write(fph[:])
 		// Callee SCCs precede i in SCCs() order, so their digests exist.
 		for _, dep := range g.SCCSuccs(i) {
 			h.Write(sccDigest[dep][:])
 		}
 		for _, m := range members {
-			buf = appendCanonFunc(buf[:0], g.Prog.Funcs[m])
-			h.Write(buf)
+			own := g.Prog.Funcs[m].Digest()
+			h.Write(own[:])
 			for _, callee := range g.All[m] {
 				if _, defined := g.Prog.Funcs[callee]; defined {
 					continue
@@ -157,35 +165,4 @@ func externRecord(callee string, s *summary.Summary) []byte {
 		rec = append(rec, "unknown"...)
 	}
 	return append(rec, 0)
-}
-
-// appendCanonFunc appends everything about a function that the analysis
-// can observe to dst: its signature and every instruction, without
-// positions.
-func appendCanonFunc(dst []byte, f *ir.Func) []byte {
-	dst = append(dst, "func "...)
-	dst = append(dst, f.Name...)
-	dst = append(dst, '(')
-	for i, p := range f.Params {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = append(dst, p...)
-	}
-	body := f.Body()
-	dst = append(dst, ") ret="...)
-	dst = strconv.AppendBool(dst, f.HasRet)
-	dst = append(dst, " conds="...)
-	dst = strconv.AppendInt(dst, int64(body.NumConds), 10)
-	dst = append(dst, '\n')
-	for _, b := range body.Blocks {
-		dst = append(dst, 'b')
-		dst = strconv.AppendInt(dst, int64(b.Index), 10)
-		dst = append(dst, ":\n"...)
-		for _, in := range b.Instrs {
-			dst = in.AppendText(dst)
-			dst = append(dst, '\n')
-		}
-	}
-	return dst
 }

@@ -4,6 +4,9 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"io"
+	"maps"
+	"regexp"
+	"sort"
 	"strings"
 	"testing"
 
@@ -18,9 +21,12 @@ import (
 	"repro/internal/summary"
 )
 
-// fmtDigests is the version-3 digest recipe as first written, through
-// fmt: the reference Digests must reproduce byte for byte, so caches
-// written before the appender rewrite stay warm.
+// fmtDigests is the digest recipe derived on its own through fmt: each
+// member's own digest is SHA-256 of its fmt-rendered canonical text, and
+// an SCC hashes the header, the fingerprint, its callee SCCs' digests and,
+// per member, the own digest and the extern records. Digests, which
+// memoizes the own digests with the lowered bodies, must reproduce it
+// byte for byte.
 func fmtDigests(g *callgraph.Graph, db *summary.DB, fp Fingerprint) map[string]Digest {
 	fph := fp.Hash()
 	sccs := g.SCCs()
@@ -34,14 +40,17 @@ func fmtDigests(g *callgraph.Graph, db *summary.DB, fp Fingerprint) map[string]D
 		}
 		for _, m := range members {
 			f := g.Prog.Funcs[m]
-			fmt.Fprintf(h, "func %s(%s) ret=%t conds=%d\n",
+			var text strings.Builder
+			fmt.Fprintf(&text, "func %s(%s) ret=%t conds=%d\n",
 				f.Name, strings.Join(f.Params, ","), f.HasRet, f.Body().NumConds)
 			for _, b := range f.Body().Blocks {
-				fmt.Fprintf(h, "b%d:\n", b.Index)
+				fmt.Fprintf(&text, "b%d:\n", b.Index)
 				for _, in := range b.Instrs {
-					fmt.Fprintf(h, "%s\n", fmtInstr(in))
+					fmt.Fprintf(&text, "%s\n", fmtInstr(in))
 				}
 			}
+			own := sha256.Sum256([]byte(text.String()))
+			h.Write(own[:])
 			for _, callee := range g.All[m] {
 				if _, defined := g.Prog.Funcs[callee]; defined {
 					continue
@@ -134,9 +143,9 @@ func digestCorpora() []struct {
 	}
 }
 
-// TestDigestsMatchFmtRecipe pins the digest bytes: the appender-based
-// Digests equals the fmt recipe on every function of every corpus family,
-// with PreserveBitTests off and on, so the digest recipe did not change.
+// TestDigestsMatchFmtRecipe pins the digest bytes: the appender-based,
+// memoizing Digests equals the fmt recipe on every function of every
+// corpus family, with PreserveBitTests off and on.
 func TestDigestsMatchFmtRecipe(t *testing.T) {
 	for _, c := range digestCorpora() {
 		for _, preserve := range []bool{false, true} {
@@ -169,20 +178,121 @@ func TestDigestsMatchFmtRecipe(t *testing.T) {
 	}
 }
 
-func BenchmarkDigests(b *testing.B) {
-	c := digestCorpora()[0]
-	prog, err := lower.Program(c.files, lower.Options{})
-	if err != nil {
-		b.Fatal(err)
+// memoEditHeader matches a top-level "int f(...) {" line and captures f.
+var memoEditHeader = regexp.MustCompile(`(?m)^int (\w+)\(.*\) \{$`)
+
+// editFirstFunc returns files with a local declaration inserted into the
+// first function of file name, and that function's name.
+func editFirstFunc(t *testing.T, files map[string]string, name string) (map[string]string, string) {
+	t.Helper()
+	src := files[name]
+	m := memoEditHeader.FindStringSubmatchIndex(src)
+	if m == nil {
+		t.Fatalf("%s has no function header", name)
 	}
+	out := maps.Clone(files)
+	out[name] = src[:m[1]] + " int memo_edit = 1;" + src[m[1]:]
+	return out, src[m[2]:m[3]]
+}
+
+// TestDigestsMemoMatchesFresh runs an edit sequence through one
+// lower.Memo, as `rid serve` does: edit a function, restore it, then edit
+// a function in another file. At every step the digests of the program
+// the memo assembled, whose unchanged functions keep the own digests
+// memoized on an earlier step, equal those of a freshly lowered program.
+func TestDigestsMemoMatchesFresh(t *testing.T) {
+	c := digestCorpora()[0]
+	names := make([]string, 0, len(c.files))
+	for n := range c.files {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	editA, fnA := editFirstFunc(t, c.files, names[0])
+	editB, fnB := editFirstFunc(t, c.files, names[len(names)-1])
 	db := summary.NewDB()
 	c.specs.ApplyTo(db)
-	g := callgraph.Build(prog)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		digestSink = Digests(g, db, testFingerprint())
+	digests := func(p *ir.Program) map[string]Digest {
+		return Digests(callgraph.Build(p), db, testFingerprint())
 	}
+	base, err := lower.Program(c.files, lower.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseDigests := digests(base)
+
+	var memo lower.Memo
+	steps := []struct {
+		name    string
+		files   map[string]string
+		changed string // a function whose digest differs from the base tree's
+	}{{"base", c.files, ""}, {"edit A", editA, fnA}, {"restore", c.files, ""}, {"edit B", editB, fnB}}
+	for i, st := range steps {
+		p := ir.NewProgram()
+		reused, err := memo.Load(p, st.files, lower.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		if i > 0 && reused != len(names)-1 {
+			t.Fatalf("%s: memo reused %d of %d files, want all but the edited one", st.name, reused, len(names))
+		}
+		fresh, err := lower.Program(st.files, lower.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := digests(p), digests(fresh)
+		if len(got) != len(want) || len(got) == 0 {
+			t.Fatalf("%s: %d digests, fresh program %d", st.name, len(got), len(want))
+		}
+		for fn, d := range want {
+			if got[fn] != d {
+				t.Errorf("%s: digest of %s over the memo differs from a fresh lowering", st.name, fn)
+			}
+		}
+		if st.changed != "" && got[st.changed] == baseDigests[st.changed] {
+			t.Errorf("%s: digest of edited %s did not change", st.name, st.changed)
+		}
+		if st.changed == "" && !maps.Equal(got, baseDigests) {
+			t.Errorf("%s: digests differ from the base tree's", st.name)
+		}
+	}
+}
+
+// BenchmarkDigests digests the kernelgen tree of digestCorpora. cold
+// digests a freshly lowered program each time, so every function's own
+// digest is computed; warm digests one program again, as a warm `rid
+// serve` request does for the functions its frontend memo kept.
+func BenchmarkDigests(b *testing.B) {
+	c := digestCorpora()[0]
+	db := summary.NewDB()
+	c.specs.ApplyTo(db)
+	graph := func() *callgraph.Graph {
+		prog, err := lower.Program(c.files, lower.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, f := range prog.Funcs {
+			f.Body()
+		}
+		return callgraph.Build(prog)
+	}
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			g := graph()
+			b.StartTimer()
+			digestSink = Digests(g, db, testFingerprint())
+		}
+	})
+	b.Run("warm", func(b *testing.B) {
+		g := graph()
+		Digests(g, db, testFingerprint())
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			digestSink = Digests(g, db, testFingerprint())
+		}
+	})
 }
 
 var digestSink map[string]Digest

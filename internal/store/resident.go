@@ -25,10 +25,12 @@ const residentCap = 1 << 16
 // successful Save, so nothing the backend refused is ever served. Safe
 // for concurrent use.
 //
-// A resident entry keeps the expressions of the run that decoded or
-// computed it. A later run that hits it does not copy them: it imports an
-// entry into its own table only when it first instantiates it (see
-// summary.Entry.InstantiateInto).
+// A hit hands out the resident entry itself, shared by every run that
+// hits it, so a loaded entry is read-only: a run that needs other report
+// positions (its function moved) copies the reports it replays. The entry
+// keeps the expressions of the run that decoded or computed it, and a
+// later run imports an entry into its own table only when it first
+// instantiates it (see summary.Entry.InstantiateInto).
 type Resident struct {
 	mu sync.Mutex
 	m  map[string]residentEntry
@@ -62,9 +64,8 @@ func (r *Resident) get(fn string, d Digest) *Entry {
 	return nil
 }
 
-// put makes a private copy of e resident for fn under d.
+// put makes e resident for fn under d.
 func (r *Resident) put(fn string, d Digest, e *Entry) {
-	e = e.copyReports()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, ok := r.m[fn]; !ok && len(r.m) >= residentCap {
@@ -76,10 +77,10 @@ func (r *Resident) put(fn string, d Digest, e *Entry) {
 	r.m[fn] = residentEntry{d: d, e: e}
 }
 
-// copyReports returns e with its own report structs: loading callers set
-// each report's SrcFile and Pos, which must never reach another run's
-// copy. The summary is shared, as summaries are immutable once computed.
-// The copies share one backing array.
+// copyReports returns e with its own report structs, so that the saver
+// keeps no way to write into what later runs replay. The summary is
+// shared, as summaries are immutable once computed. The copies share one
+// backing array.
 func (e *Entry) copyReports() *Entry {
 	c := *e
 	if len(e.Reports) > 0 {
@@ -96,11 +97,12 @@ func (e *Entry) copyReports() *Entry {
 // Over returns b with r in front of it for one run, counting into o. A
 // nil Resident returns b unchanged.
 //
-//	Load:         the resident entry when its digest equals d, counted
-//	              as a store hit and a resident hit; otherwise b's answer,
-//	              and a hit from b becomes resident. Misses and errors
-//	              never do.
-//	Save:         b first; the entry becomes resident only if b succeeds.
+//	Load:         the resident entry itself (read-only) when its digest
+//	              equals d, counted as a store hit and a resident hit;
+//	              otherwise b's answer, and a hit from b becomes
+//	              resident. Misses and errors never do.
+//	Save:         b first; a copy of the entry's reports becomes
+//	              resident only if b succeeds.
 //	LookupDigest: b's answer.
 func (r *Resident) Over(b Backend, o *obs.Obs) Backend {
 	if r == nil {
@@ -123,7 +125,7 @@ func (rb *residentBackend) Load(t *sym.Table, fn string, d Digest) (*Entry, erro
 		rb.o.Count(obs.MStoreHits, 1)
 		rb.o.Count(obs.MResidentHits, 1)
 		sp.End()
-		return e.copyReports(), nil
+		return e, nil
 	}
 	e, err := rb.Backend.Load(t, fn, d)
 	if e != nil && err == nil {
@@ -136,6 +138,6 @@ func (rb *residentBackend) Save(fn string, d Digest, e *Entry) error {
 	if err := rb.Backend.Save(fn, d, e); err != nil {
 		return err
 	}
-	rb.r.put(fn, d, e)
+	rb.r.put(fn, d, e.copyReports())
 	return nil
 }

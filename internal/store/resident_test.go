@@ -85,7 +85,10 @@ func TestResidentHitOnlyOnEqualDigest(t *testing.T) {
 	}
 }
 
-func TestResidentReportsArePrivate(t *testing.T) {
+// TestResidentHitsShareSavedCopy pins the resident contract: every hit
+// hands out the one resident entry, read-only, and it is a copy of what
+// the saver passed, so the saver's later writes cannot reach it.
+func TestResidentHitsShareSavedCopy(t *testing.T) {
 	r := NewResident()
 	b := r.Over(&countingBackend{}, nil)
 	d := Digest{1}
@@ -94,17 +97,18 @@ func TestResidentReportsArePrivate(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := saved.Reports[0].Detail()
-	// Neither the saver nor a loader can reach the resident copy.
-	saved.Reports[0].SrcFile = "saver.c"
+	saved.Reports[0].SrcFile, saved.Reports[0].Pos = "saver.c", token.Pos{File: "saver.c", Line: 9}
+	saved.Reports = nil
 	first, _ := b.Load(sym.NewTable(), "f", d)
-	first.Reports[0].SrcFile, first.Reports[0].Pos = "loader.c", token.Pos{File: "loader.c", Line: 9}
-	first.Reports = nil
 	second, _ := b.Load(sym.NewTable(), "f", d)
+	if first == nil || first != second {
+		t.Fatalf("two hits returned %p and %p, want one shared entry", first, second)
+	}
 	if len(second.Reports) != 1 {
-		t.Fatalf("second hit has %d reports, want 1", len(second.Reports))
+		t.Fatalf("hit has %d reports, want 1", len(second.Reports))
 	}
 	if got := second.Reports[0]; got.SrcFile != "drivers/gen/file0001.c" || got.Detail() != want {
-		t.Fatalf("second hit sees another run's writes: %q %s", got.SrcFile, got.Detail())
+		t.Fatalf("hit sees the saver's writes: %q %s", got.SrcFile, got.Detail())
 	}
 }
 
@@ -171,8 +175,8 @@ func TestResidentCapEvicts(t *testing.T) {
 }
 
 // TestResidentConcurrentRuns drives one Resident from many runs at once,
-// as the daemon's concurrent requests do; `go test -race` checks the
-// sharing.
+// as the daemon's concurrent requests do, each reading the entries it
+// hits; `go test -race` checks the sharing.
 func TestResidentConcurrentRuns(t *testing.T) {
 	st, _ := openTestStore(t, testFingerprint())
 	r := NewResident()
@@ -196,7 +200,11 @@ func TestResidentConcurrentRuns(t *testing.T) {
 					}
 					continue
 				}
-				e.Reports[0].SrcFile = fmt.Sprintf("w%d.c", w)
+				// A hit is shared with the other runs: read it only.
+				if e.Reports[0].Fn != fn {
+					t.Errorf("hit of %s reports function %q", fn, e.Reports[0].Fn)
+					return
+				}
 			}
 		}(w)
 	}

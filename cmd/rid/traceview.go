@@ -27,10 +27,11 @@ type traceSpanLine struct {
 }
 
 // traceHeader is the optional first line of a daemon-flushed slow trace.
+// ReplyUS is the time from the request's start to its reply's start.
 type traceHeader struct {
 	RequestID *string `json:"request_id"`
 	Status    int     `json:"status"`
-	ElapsedUS int64   `json:"elapsed_us"`
+	ReplyUS   int64   `json:"reply_us"`
 	Dropped   int64   `json:"dropped_bytes"`
 }
 
@@ -121,8 +122,8 @@ func runExplainTrace(path string) {
 
 	fmt.Printf("trace %s: %d spans, seq 1..%d\n", path, spans, lastSeq)
 	if hdr != nil {
-		fmt.Printf("request %s: status %d, elapsed %.1fms", *hdr.RequestID, hdr.Status,
-			float64(hdr.ElapsedUS)/1000)
+		fmt.Printf("request %s: status %d, reply after %.1fms", *hdr.RequestID, hdr.Status,
+			float64(hdr.ReplyUS)/1000)
 		if hdr.Dropped > 0 {
 			fmt.Printf(" (trace truncated: %d bytes dropped)", hdr.Dropped)
 		}

@@ -66,8 +66,10 @@ func (r *Report) ResourceWord() string {
 }
 
 // String renders a human-readable one-line diagnostic.
-func (r *Report) String() string {
-	b := make([]byte, 0, 128)
+func (r *Report) String() string { return string(r.AppendText(make([]byte, 0, 128))) }
+
+// AppendText appends the one-line rendering String returns to b.
+func (r *Report) AppendText(b []byte) []byte {
 	b = r.Pos.AppendText(b)
 	b = append(b, ": function "...)
 	b = append(b, r.Fn...)
@@ -83,8 +85,7 @@ func (r *Report) String() string {
 	b = strconv.AppendInt(b, int64(r.PathB), 10)
 	b = append(b, ": "...)
 	b = summary.AppendDelta(b, r.DeltaB)
-	b = append(b, ')')
-	return string(b)
+	return append(b, ')')
 }
 
 // Detail renders the full two-entry evidence, in the layout of Figure 2,

@@ -44,6 +44,7 @@ var counterHelp = [numMetrics]string{
 	MResidentHits:     "store hits served from memory without a disk read",
 	MFrontendReused:   "source files whose lowered IR was reused",
 	MFrontendLowered:  "source files parsed and lowered",
+	MFuncsLowered:     "function bodies lowered to IR",
 }
 
 // promBucketBounds returns the histogram upper bounds in seconds: bucket
@@ -109,23 +110,12 @@ func WritePrometheus(w io.Writer, r *Registry) error {
 // callers outside the phase taxonomy — `rid serve` keeps queue-wait and
 // request-duration histograms and exposes them on /metrics next to the
 // registry's phase series.
+// The zero value is an empty histogram.
 type Histogram struct{ h hist }
-
-// NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram { return &Histogram{} }
 
 // Observe records one duration. Allocation-free and safe for concurrent
 // use.
 func (h *Histogram) Observe(d time.Duration) { h.h.observe(int64(d)) }
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.h.count.Load() }
-
-// Sum returns the total observed duration.
-func (h *Histogram) Sum() time.Duration { return time.Duration(h.h.sum.Load()) }
-
-// Quantile estimates the q-quantile (exact to within a factor of √2).
-func (h *Histogram) Quantile(q float64) time.Duration { return h.h.quantile(q) }
 
 // AppendProm emits the histogram as one Prometheus sub-series.
 func (h *Histogram) AppendProm(pw *promtext.Writer, name string, labels ...promtext.Label) {

@@ -84,20 +84,29 @@ func Write(w io.Writer, f Format, reports []*ipp.Report, verbose bool, details .
 	return fmt.Errorf("unhandled format %q", f)
 }
 
+// writeText renders every report, and with verbose each evidence line
+// indented by four spaces, into one buffer and writes it once.
 func writeText(w io.Writer, reports []rendered, verbose bool) error {
+	b := make([]byte, 0, 128*len(reports))
 	for _, r := range reports {
-		if _, err := fmt.Fprintln(w, r.Report); err != nil {
-			return err
+		b = append(r.AppendText(b), '\n')
+		if !verbose {
+			continue
 		}
-		if verbose {
-			for _, line := range strings.Split(strings.TrimRight(r.Detail(), "\n"), "\n") {
-				if _, err := fmt.Fprintf(w, "    %s\n", line); err != nil {
-					return err
-				}
+		detail := strings.TrimRight(r.Detail(), "\n")
+		for {
+			line, rest, more := strings.Cut(detail, "\n")
+			b = append(b, "    "...)
+			b = append(b, line...)
+			b = append(b, '\n')
+			if !more {
+				break
 			}
+			detail = rest
 		}
 	}
-	return nil
+	_, err := w.Write(b)
+	return err
 }
 
 // jsonReport is the line-JSON wire format.

@@ -16,6 +16,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/admit"
 	"repro/internal/store"
 	"repro/internal/store/remote"
 	"repro/internal/sym"
@@ -146,48 +147,50 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Admission before any expensive work.
-	rec := recordOf(w)
-	release, qwait, err := s.admit(r.Context())
-	if rec != nil {
-		rec.queueWait = qwait
-	}
-	if err != nil {
-		if err == errOverloaded {
-			w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
-			errorJSON(w, http.StatusTooManyRequests, "overloaded: %d analyses running, %d queued", s.gate.Inflight(), s.gate.Queued())
-			return
-		}
-		errorJSON(w, http.StatusServiceUnavailable, "%v", err)
+	if !s.admit(w, r) {
 		return
 	}
-	defer release()
-
 	ctx, cancel := s.requestContext(r.Context(), req.DeadlineMS)
 	defer cancel()
 
 	t0 := time.Now()
-	resp, status, runErr := s.runAnalyze(ctx, specs, &req, rec)
+	resp, status, runErr := s.runAnalyze(ctx, specs, &req, w.(*instrumented).rec)
 	if runErr != nil {
 		errorJSON(w, status, "%v", runErr)
 		return
 	}
 	resp.ElapsedMS = float64(time.Since(t0).Microseconds()) / 1000
-	if status == http.StatusOK {
-		s.served.Add(1)
-	} else if status == http.StatusGatewayTimeout {
-		s.deadlineExceeded.Add(1)
-	}
 	s.logf("analyze files=%d corpus=%t status=%d elapsed=%.1fms",
 		len(req.Files), req.Corpus, status, resp.ElapsedMS)
 	w.Header().Set("Server-Timing", serverTiming(resp.Phases))
 	writeJSON(w, status, resp)
 }
 
+// admit takes an inflight slot for the request behind w, or answers 429
+// (with Retry-After) or 503 and returns false. The instrumentation
+// middleware gives the slot back when the reply starts.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
+	iw := w.(*instrumented)
+	release, wait, err := s.gate.Admit(r.Context())
+	iw.rec.queueWait = wait
+	switch {
+	case err == nil:
+		iw.release = release
+		return true
+	case errors.Is(err, admit.ErrOverloaded):
+		w.Header().Set("Retry-After", strconv.Itoa(s.gate.RetryAfter()))
+		errorJSON(w, http.StatusTooManyRequests, "overloaded: %d analyses running, %d queued", s.gate.Inflight(), s.gate.Queued())
+	default:
+		errorJSON(w, http.StatusServiceUnavailable, "%v", err)
+	}
+	return false
+}
+
 // runAnalyze performs one admitted, deadline-bounded analysis and shapes
 // the response. It returns a non-nil error only for client mistakes
-// (unparsable sources); degradation is reported in-band. rec, when
-// non-nil, is annotated with the run's phase breakdown, store traffic,
-// and degradation outcome for the access log and slow-trace sampler.
+// (unparsable sources); degradation is reported in-band. rec is annotated
+// with the run's phase breakdown, store traffic, and degradation outcome
+// for the access log and slow-trace sampler.
 func (s *Server) runAnalyze(ctx context.Context, specs rid.Specs, req *AnalyzeRequest, rec *reqRecord) (*AnalyzeResponse, int, error) {
 	// Every request runs on a child of the server registry: its own
 	// counters are an exact per-request delta (the phase breakdown and
@@ -227,7 +230,7 @@ func (s *Server) runAnalyze(ctx context.Context, specs rid.Specs, req *AnalyzeRe
 	if req.Trace {
 		sink = &traceBuf
 	}
-	if rec != nil && rec.trace != nil {
+	if rec.trace != nil {
 		if sink != nil {
 			sink = io.MultiWriter(sink, rec.trace)
 		} else {
@@ -282,17 +285,15 @@ func (s *Server) runAnalyze(ctx context.Context, specs rid.Specs, req *AnalyzeRe
 	for _, d := range res.Diagnostics {
 		resp.Diagnostics = append(resp.Diagnostics, Diag{Function: d.Function, Kind: d.Kind, Cause: d.Cause})
 	}
-	if rec != nil {
-		rec.phases = append(rec.phases[:0], timings...)
-		rec.storeHit = res.MetricValue("store_hits")
-		rec.storeMiss = res.MetricValue("store_misses")
-		rec.lowered = res.MetricValue("funcs_lowered")
-		rec.degraded = res.Degraded()
-		rec.diags = diagKinds(rec.diags[:0], res.Diagnostics)
-		for _, k := range rec.diags {
-			if k == "panic" {
-				rec.panicked = true
-			}
+	rec.phases = append(rec.phases[:0], timings...)
+	rec.storeHit = res.MetricValue("store_hits")
+	rec.storeMiss = res.MetricValue("store_misses")
+	rec.lowered = res.MetricValue("funcs_lowered")
+	rec.degraded = res.Degraded()
+	rec.diags = diagKinds(rec.diags[:0], res.Diagnostics)
+	for _, k := range rec.diags {
+		if k == "panic" {
+			rec.panicked = true
 		}
 	}
 	if req.Metrics {
@@ -386,26 +387,14 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		errorJSON(w, http.StatusNotFound, "function %q not defined in the resident corpus", fn)
 		return
 	}
-	release, qwait, err := s.admit(r.Context())
-	if rec := recordOf(w); rec != nil {
-		rec.queueWait = qwait
-	}
-	if err != nil {
-		if err == errOverloaded {
-			w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
-			errorJSON(w, http.StatusTooManyRequests, "overloaded")
-			return
-		}
-		errorJSON(w, http.StatusServiceUnavailable, "%v", err)
+	if !s.admit(w, r) {
 		return
 	}
-	defer release()
 	ctx, cancel := s.requestContext(r.Context(), 0)
 	defer cancel()
 	res, err := s.explainResult(ctx)
 	if err != nil {
 		if ctx.Err() != nil {
-			s.deadlineExceeded.Add(1)
 			errorJSON(w, http.StatusGatewayTimeout, "%v", err)
 			return
 		}
@@ -506,6 +495,9 @@ func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {
 // load run, zero stuck inflight after drain). New fields are appended
 // and no field is renamed; a field is removed only together with the
 // mechanism it reports. The full schema is documented in DESIGN.md §10.
+// Served (analyze requests answered 200), Rejected (429s) and
+// DeadlineExceeded (504s) are read from the route×status matrix behind
+// rid_serve_requests_total, never counted a second time.
 type Health struct {
 	Spec             string `json:"spec"`
 	CorpusFuncs      int    `json:"corpus_funcs"`
@@ -542,9 +534,9 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		MaxInflight:      s.cfg.MaxInflight,
 		Queued:           s.gate.Queued(),
 		QueueDepth:       s.cfg.QueueDepth,
-		Served:           s.served.Load(),
-		Rejected:         s.gate.Rejected(),
-		DeadlineExceeded: s.deadlineExceeded.Load(),
+		Served:           s.metrics.requests[routeAnalyze][statusIdx(http.StatusOK)].Load(),
+		Rejected:         s.metrics.answered(http.StatusTooManyRequests),
+		DeadlineExceeded: s.metrics.answered(http.StatusGatewayTimeout),
 		Goroutines:       runtime.NumGoroutine(),
 		StoreHits:        s.base.LiveMetricValue("store_hits"),
 		StoreMisses:      s.base.LiveMetricValue("store_misses"),

@@ -14,7 +14,6 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"io"
-	mrand "math/rand"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -99,7 +98,9 @@ func statusIdx(code int) int {
 
 // serveMetrics is the daemon's own metric store, beside (not inside) the
 // analysis registry: request counts by route and status, and wall-clock
-// histograms for queue wait and request duration. All fields are
+// histograms for queue wait and request duration. The route×status
+// matrix is the one count of every request outcome: /healthz derives
+// served, rejected and deadline_exceeded from it. All fields are
 // lock-free; exposition iterates them in fixed order.
 type serveMetrics struct {
 	requests   [numRoutes][numStatus]atomic.Int64
@@ -108,41 +109,22 @@ type serveMetrics struct {
 	slowTraces atomic.Int64
 }
 
-func (m *serveMetrics) record(rt route, code int, dur time.Duration) {
-	m.requests[rt][statusIdx(code)].Add(1)
-	m.duration[rt].Observe(dur)
+// answered sums one status code's requests over every route.
+func (m *serveMetrics) answered(code int) int64 {
+	var n int64
+	for rt := range m.requests {
+		n += m.requests[rt][statusIdx(code)].Load()
+	}
+	return n
 }
 
 // ---------------------------------------------------------------------------
 // Request identity
 
-// idSource mints request IDs: 16 hex digits, either crypto-random or —
-// when seeded, for reproducible tests — from a deterministic stream.
-type idSource struct {
-	mu  sync.Mutex
-	rng *mrand.Rand // nil = crypto/rand
-}
-
-func newIDSource(seed int64) *idSource {
-	s := &idSource{}
-	if seed != 0 {
-		s.rng = mrand.New(mrand.NewSource(seed))
-	}
-	return s
-}
-
-func (s *idSource) next() string {
+// newRequestID mints a request ID: 16 hex digits from crypto/rand.
+func newRequestID() string {
 	var b [8]byte
-	s.mu.Lock()
-	if s.rng != nil {
-		u := s.rng.Uint64()
-		for i := range b {
-			b[i] = byte(u >> (8 * i))
-		}
-	} else {
-		rand.Read(b[:]) //nolint:errcheck // crypto/rand never fails on supported platforms
-	}
-	s.mu.Unlock()
+	rand.Read(b[:]) //nolint:errcheck // crypto/rand never fails on supported platforms
 	return hex.EncodeToString(b[:])
 }
 
@@ -197,37 +179,62 @@ func (rec *reqRecord) reset() {
 var recordPool = sync.Pool{New: func() any { return new(reqRecord) }}
 
 // instrumented is the response writer wrapper carrying the request
-// record; handlers retrieve it with recordOf to annotate the request.
+// record; handlers reach it through w to annotate the request and to
+// hand it their admission slot.
 type instrumented struct {
 	http.ResponseWriter
-	rec *reqRecord
+	s       *Server
+	rec     *reqRecord
+	t0      time.Time
+	release func() // the admission slot, held until the reply starts
 }
 
 func (iw *instrumented) WriteHeader(code int) {
-	iw.rec.status = code
+	if iw.rec.status == 0 {
+		iw.replyStarts(code)
+	}
 	iw.ResponseWriter.WriteHeader(code)
 }
 
 func (iw *instrumented) Write(b []byte) (int, error) {
 	if iw.rec.status == 0 {
-		iw.rec.status = http.StatusOK
+		iw.replyStarts(http.StatusOK)
 	}
 	return iw.ResponseWriter.Write(b)
 }
 
-// recordOf returns the request record behind w, or nil when the handler
-// runs outside the instrumentation middleware (direct Handler() tests).
-func recordOf(w http.ResponseWriter) *reqRecord {
-	if iw, ok := w.(*instrumented); ok {
-		return iw.rec
+// replyStarts accounts for the request once, as its reply starts and
+// before any byte of it can reach the client: the admission slot goes
+// back, the slow-trace decision is made (timed to this point), and the
+// route×status count moves. So every counter and gauge /healthz and
+// /metrics show is final by the time the client sees the status line.
+func (iw *instrumented) replyStarts(code int) {
+	rec, s := iw.rec, iw.s
+	rec.status = code
+	iw.releaseSlot()
+	if rec.trace != nil {
+		if flushed, err := s.sampler.finish(rec, time.Since(iw.t0)); err != nil {
+			s.logf("slow-trace flush %s: %v", rec.id, err)
+		} else if flushed {
+			s.metrics.slowTraces.Add(1)
+		}
 	}
-	return nil
+	s.metrics.requests[rec.route][statusIdx(code)].Add(1)
 }
 
-// instrument wraps the daemon's mux: assigns the request ID, times the
-// request, counts it into the route×status matrix, emits the access-log
-// line, and feeds the slow-trace sampler. One wrapper for every route so
-// the accounting can't drift from the mux table.
+func (iw *instrumented) releaseSlot() {
+	if iw.release != nil {
+		iw.release()
+		iw.release = nil
+	}
+}
+
+// instrument wraps the daemon's mux: assigns the request ID, accounts for
+// the request when its reply starts (replyStarts), times the whole
+// request into the duration histogram and emits the access-log line.
+// One wrapper for every route so the accounting can't drift from the
+// mux table. A handler that writes nothing is counted as a 200 when it
+// returns.
 func (s *Server) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		rec := recordPool.Get().(*reqRecord)
@@ -236,25 +243,22 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		if id := r.Header.Get(requestIDHeader); validInboundID(id) {
 			rec.id = id
 		} else {
-			rec.id = s.ids.next()
+			rec.id = newRequestID()
 		}
 		w.Header().Set(requestIDHeader, rec.id)
 		if s.sampler != nil && rec.route == routeAnalyze {
 			rec.trace = s.sampler.buffer()
 		}
-		iw := &instrumented{ResponseWriter: w, rec: rec}
-		t0 := time.Now()
+		iw := &instrumented{ResponseWriter: w, s: s, rec: rec, t0: time.Now()}
+		defer iw.releaseSlot() // a handler that panics still gives its slot back
 		next.ServeHTTP(iw, r)
-		rec.elapsed = time.Since(t0)
 		if rec.status == 0 {
-			rec.status = http.StatusOK
+			iw.replyStarts(http.StatusOK)
 		}
-		s.metrics.record(rec.route, rec.status, rec.elapsed)
+		rec.elapsed = time.Since(iw.t0)
+		s.metrics.duration[rec.route].Observe(rec.elapsed)
 		if s.access != nil {
 			s.access.log(rec)
-		}
-		if s.sampler != nil && rec.route == routeAnalyze {
-			s.sampler.finish(rec, &s.metrics.slowTraces, s)
 		}
 		recordPool.Put(rec)
 	})
@@ -439,39 +443,37 @@ func (s *slowSampler) slow(dur time.Duration) bool {
 	return trip
 }
 
-// finish makes the sampling decision for one completed request and
-// either flushes its trace file or recycles the buffer.
-func (s *slowSampler) finish(rec *reqRecord, flushed *atomic.Int64, srv *Server) {
+// finish makes the sampling decision for one analyze request whose reply
+// starts replyAt after the request did, and either flushes its trace file
+// or recycles the buffer. It reports whether a file was written.
+func (s *slowSampler) finish(rec *reqRecord, replyAt time.Duration) (flushed bool, err error) {
 	buf := rec.trace
-	if buf == nil {
-		return
-	}
 	rec.trace = nil
 	bad := rec.status == http.StatusGatewayTimeout || rec.panicked
-	slow := s.slow(rec.elapsed)
+	slow := s.slow(replyAt)
 	if (bad || slow) && len(buf.b) > 0 {
-		if err := s.flush(rec, buf); err != nil {
-			srv.logf("slow-trace flush %s: %v", rec.id, err)
-		} else {
-			flushed.Add(1)
-		}
+		err = s.flush(rec, replyAt, buf)
+		flushed = err == nil
 	}
 	if cap(buf.b) <= maxTraceBuf {
 		s.pool.Put(buf)
 	}
+	return flushed, err
 }
 
 // flush writes the trace file. The first line is a header object (same
-// append-only JSONL discipline) identifying the request; span lines
-// follow verbatim. rec.id is validated path-safe at ingress.
-func (s *slowSampler) flush(rec *reqRecord, buf *boundedBuf) error {
+// append-only JSONL discipline) identifying the request; reply_us is the
+// time from the request's start to its reply's start, when the flush
+// decision is made. Span lines follow verbatim. rec.id is validated
+// path-safe at ingress.
+func (s *slowSampler) flush(rec *reqRecord, replyAt time.Duration, buf *boundedBuf) error {
 	var hdr []byte
 	hdr = append(hdr, `{"request_id":`...)
 	hdr = strconv.AppendQuote(hdr, rec.id)
 	hdr = append(hdr, `,"status":`...)
 	hdr = strconv.AppendInt(hdr, int64(rec.status), 10)
-	hdr = append(hdr, `,"elapsed_us":`...)
-	hdr = strconv.AppendInt(hdr, rec.elapsed.Microseconds(), 10)
+	hdr = append(hdr, `,"reply_us":`...)
+	hdr = strconv.AppendInt(hdr, replyAt.Microseconds(), 10)
 	hdr = append(hdr, `,"dropped_bytes":`...)
 	hdr = strconv.AppendInt(hdr, buf.dropped, 10)
 	hdr = append(hdr, '}', '\n')
@@ -535,10 +537,6 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 	pw.Family("rid_serve_queue_limit", "gauge", "QueueDepth setting")
 	pw.Int("rid_serve_queue_limit", nil, int64(s.cfg.QueueDepth))
 
-	pw.Family("rid_serve_rejected_total", "counter", "requests rejected 429 by admission control")
-	pw.Int("rid_serve_rejected_total", nil, s.gate.Rejected())
-	pw.Family("rid_serve_deadline_exceeded_total", "counter", "requests answered 504 with partial results")
-	pw.Int("rid_serve_deadline_exceeded_total", nil, s.deadlineExceeded.Load())
 	pw.Family("rid_serve_slow_traces_total", "counter", "slow-request trace files flushed by tail sampling")
 	pw.Int("rid_serve_slow_traces_total", nil, s.metrics.slowTraces.Load())
 

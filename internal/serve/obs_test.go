@@ -3,8 +3,12 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
+	"io"
+	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -14,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/experiments"
 	"repro/internal/obs/promtext"
 )
 
@@ -55,8 +60,6 @@ func TestMetricsGoldenShape(t *testing.T) {
 		{"rid_serve_inflight_limit", "gauge"},
 		{"rid_serve_queued", "gauge"},
 		{"rid_serve_queue_limit", "gauge"},
-		{"rid_serve_rejected_total", "counter"},
-		{"rid_serve_deadline_exceeded_total", "counter"},
 		{"rid_serve_slow_traces_total", "counter"},
 		{"rid_serve_queue_wait_seconds", "histogram"},
 		{"rid_serve_request_duration_seconds", "histogram"},
@@ -201,11 +204,11 @@ func labelString(labels map[string]string) string {
 	return strings.Join(parts, ",")
 }
 
-// TestRequestIDs: generated IDs are deterministic under IDSeed, inbound
-// IDs are honored when sane and replaced when not, and every response
-// carries the header.
+// TestRequestIDs: generated IDs are 16 hex digits, inbound IDs are
+// honored when sane and replaced when not, and every response carries
+// the header.
 func TestRequestIDs(t *testing.T) {
-	_, ts := newTestServer(t, Config{IDSeed: 7})
+	_, ts := newTestServer(t, Config{})
 
 	get := func(hdr string) string {
 		req, _ := http.NewRequest(http.MethodGet, ts.URL+"/healthz", nil)
@@ -229,18 +232,6 @@ func TestRequestIDs(t *testing.T) {
 	}
 	if got := get("../../etc/passwd"); got == "../../etc/passwd" || got == "" {
 		t.Fatalf("path-hostile inbound id must be replaced, got %q", got)
-	}
-
-	// Determinism: a second server with the same seed mints the same
-	// first id.
-	_, ts2 := newTestServer(t, Config{IDSeed: 7})
-	resp, err := http.Get(ts2.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if got := resp.Header.Get("X-Rid-Request-Id"); got != first {
-		t.Fatalf("seeded id stream not deterministic: %q vs %q", got, first)
 	}
 }
 
@@ -294,7 +285,7 @@ func waitLines(t *testing.T, buf *syncBuf, want int) []string {
 // carries a real pipeline phase.
 func TestAccessLog(t *testing.T) {
 	var buf syncBuf
-	_, ts := newTestServer(t, Config{AccessLog: &buf, IDSeed: 3})
+	_, ts := newTestServer(t, Config{AccessLog: &buf})
 
 	postAnalyze(t, ts.URL, &AnalyzeRequest{Files: map[string]string{"drv.c": buggyDriver}})
 	postAnalyze(t, ts.URL, &AnalyzeRequest{Files: map[string]string{"drv.c": buggyDriver}})
@@ -376,14 +367,15 @@ func TestPhaseBreakdownAndServerTiming(t *testing.T) {
 // do; non-analyze routes never buffer at all.
 func TestSlowTraceSampling(t *testing.T) {
 	dir := t.TempDir()
-	_, ts := newTestServer(t, Config{SlowTraceDir: dir, SlowThreshold: time.Nanosecond, IDSeed: 9})
+	_, ts := newTestServer(t, Config{SlowTraceDir: dir, SlowThreshold: time.Nanosecond})
 
 	resp, _ := postAnalyze(t, ts.URL, &AnalyzeRequest{Files: map[string]string{"drv.c": buggyDriver}})
 	id := resp.Header.Get("X-Rid-Request-Id")
 	getHealth(t, ts.URL)
 
+	// The flush decision is made before the reply starts, so the file is
+	// there once the reply is.
 	path := filepath.Join(dir, id+".jsonl")
-	waitForFile(t, path)
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -396,23 +388,8 @@ func TestSlowTraceSampling(t *testing.T) {
 	slow := t.TempDir()
 	_, ts2 := newTestServer(t, Config{SlowTraceDir: slow, SlowThreshold: time.Hour})
 	postAnalyze(t, ts2.URL, &AnalyzeRequest{Files: map[string]string{"drv.c": buggyDriver}})
-	time.Sleep(50 * time.Millisecond)
 	if entries, _ := os.ReadDir(slow); len(entries) != 0 {
 		t.Fatalf("fast request flushed a trace: %v", entries)
-	}
-}
-
-func waitForFile(t *testing.T, path string) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, err := os.Stat(path); err == nil {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("trace file %s never appeared", path)
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -463,45 +440,36 @@ func TestSlowSampler504Trigger(t *testing.T) {
 	s := newSlowSampler(dir, time.Hour)
 	buf := s.buffer()
 	buf.Write([]byte(`{"seq":1,"phase":"classify","fn":"","start_us":1,"dur_us":2}` + "\n"))
-	rec := &reqRecord{id: "deadbeef00000000", route: routeAnalyze, status: http.StatusGatewayTimeout,
-		elapsed: time.Millisecond, trace: buf}
-	srv := &Server{}
-	s.finish(rec, &srv.metrics.slowTraces, srv)
+	rec := &reqRecord{id: "deadbeef00000000", route: routeAnalyze, status: http.StatusGatewayTimeout, trace: buf}
+	if flushed, err := s.finish(rec, time.Millisecond); !flushed || err != nil {
+		t.Fatalf("504 request: flushed=%t err=%v", flushed, err)
+	}
 	if _, err := os.Stat(filepath.Join(dir, "deadbeef00000000.jsonl")); err != nil {
 		t.Fatalf("504 request did not flush: %v", err)
-	}
-	if srv.metrics.slowTraces.Load() != 1 {
-		t.Fatal("slow trace counter not incremented")
 	}
 
 	// Same shape, 200 and fast: no flush.
 	buf2 := s.buffer()
 	buf2.Write([]byte(`{"seq":1,"phase":"classify","fn":"","start_us":1,"dur_us":2}` + "\n"))
-	rec2 := &reqRecord{id: "cafe000000000000", route: routeAnalyze, status: http.StatusOK,
-		elapsed: time.Millisecond, trace: buf2}
-	s.finish(rec2, &srv.metrics.slowTraces, srv)
+	rec2 := &reqRecord{id: "cafe000000000000", route: routeAnalyze, status: http.StatusOK, trace: buf2}
+	if flushed, _ := s.finish(rec2, time.Millisecond); flushed {
+		t.Fatal("fast OK request reported a flush")
+	}
 	if _, err := os.Stat(filepath.Join(dir, "cafe000000000000.jsonl")); err == nil {
 		t.Fatal("fast OK request flushed a trace")
 	}
 }
 
-// TestHealthzObservabilityCounters: the appended healthz fields move.
+// TestHealthzObservabilityCounters: the appended healthz fields move,
+// and the first read after the replies already shows them.
 func TestHealthzObservabilityCounters(t *testing.T) {
 	dir := t.TempDir()
 	_, ts := newTestServer(t, Config{SlowTraceDir: dir, SlowThreshold: time.Nanosecond})
 	postAnalyze(t, ts.URL, &AnalyzeRequest{Files: map[string]string{"drv.c": buggyDriver}})
 	postAnalyze(t, ts.URL, &AnalyzeRequest{Files: map[string]string{"drv.c": buggyDriver}})
 
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		h := getHealth(t, ts.URL)
-		if h.Served == 2 && h.SlowTraces >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("healthz counters never converged: %+v", h)
-		}
-		time.Sleep(5 * time.Millisecond)
+	if h := getHealth(t, ts.URL); h.Served != 2 || h.SlowTraces != 2 {
+		t.Fatalf("healthz after two slow analyzes: %+v", h)
 	}
 }
 
@@ -524,4 +492,141 @@ func TestBoundedBuf(t *testing.T) {
 	if b.dropped != total-int64(maxTraceBuf) {
 		t.Fatalf("dropped = %d, want %d", b.dropped, total-int64(maxTraceBuf))
 	}
+}
+
+// smallWriteBuffers shrinks the send buffer of every accepted connection,
+// so a reply of a few hundred KiB cannot fit in the connection.
+type smallWriteBuffers struct{ net.Listener }
+
+func (l smallWriteBuffers) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	if err := c.(*net.TCPConn).SetWriteBuffer(16 << 10); err != nil {
+		c.Close()
+		return nil, err
+	}
+	return c, nil
+}
+
+// replyCounts is what /healthz and /metrics each say about the requests
+// answered so far and the admission slots in use.
+type replyCounts struct {
+	served, rejected, deadlineExceeded, slowTraces, inflight, queued int64
+}
+
+// readCounts reads /healthz once and /metrics once and fails unless both
+// views equal want.
+func readCounts(t *testing.T, url string, want replyCounts) {
+	t.Helper()
+	h := getHealth(t, url)
+	fams := scrapeMetrics(t, url)
+	byCode := func(code string) int64 {
+		var n float64
+		for _, s := range fams["rid_serve_requests_total"].Samples {
+			if s.Labels["code"] == code {
+				n += s.Value
+			}
+		}
+		return int64(n)
+	}
+	value := func(name string) int64 {
+		v, _ := fams.Value(name, nil)
+		return int64(v)
+	}
+	served, _ := fams.Value("rid_serve_requests_total", map[string]string{"route": "analyze", "code": "200"})
+	views := map[string]replyCounts{
+		"/healthz": {h.Served, h.Rejected, h.DeadlineExceeded, h.SlowTraces, int64(h.Inflight), h.Queued},
+		"/metrics": {int64(served), byCode("429"), byCode("504"), value("rid_serve_slow_traces_total"),
+			value("rid_serve_inflight"), value("rid_serve_queued")},
+	}
+	for view, got := range views {
+		if got != want {
+			t.Errorf("%s reads %+v, want %+v", view, got, want)
+		}
+	}
+}
+
+// TestCountsFinalAtReplyStart: every counter and gauge /healthz and
+// /metrics show is final once a reply's headers arrive. The 200s are far
+// larger than the connection's buffers and are read only after the
+// counts, so their handlers are still writing when the counts are read.
+func TestCountsFinalAtReplyStart(t *testing.T) {
+	srv, err := New(Config{MaxInflight: 1, QueueDepth: -1, SlowTraceDir: t.TempDir(), SlowThreshold: time.Nanosecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewUnstartedServer(srv.Handler())
+	ts.Listener = smallWriteBuffers{ts.Listener}
+	ts.Start()
+	t.Cleanup(ts.Close)
+	client := &http.Client{Transport: &http.Transport{
+		DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+			c, err := (&net.Dialer{}).DialContext(ctx, network, addr)
+			if err != nil {
+				return nil, err
+			}
+			if err := c.(*net.TCPConn).SetReadBuffer(16 << 10); err != nil {
+				c.Close()
+				return nil, err
+			}
+			return c, nil
+		},
+	}}
+	t.Cleanup(client.CloseIdleConnections)
+	post := func(req *AnalyzeRequest) *http.Response {
+		t.Helper()
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := client.Post(ts.URL+"/v1/analyze", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { resp.Body.Close() })
+		return resp
+	}
+	// Every analyze flushes a slow trace (1ns threshold) once it has run.
+	big := &AnalyzeRequest{Files: experiments.ServeCorpus(1, 317), Verbose: true, Trace: true}
+	const minReply = 256 << 10
+	want := replyCounts{}
+
+	// 200: read the counts between the headers and the body.
+	for i := 0; i < 2; i++ {
+		resp := post(big)
+		want.served++
+		want.slowTraces++
+		readCounts(t, ts.URL, want)
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || len(data) < minReply {
+			t.Fatalf("200 #%d: status %d, %d-byte reply (want ≥%d)", i, resp.StatusCode, len(data), minReply)
+		}
+	}
+
+	// 429: the only slot is held; the counts are read once it is free.
+	release, _, err := srv.gate.Admit(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := post(&AnalyzeRequest{Files: map[string]string{"drv.c": buggyDriver}})
+	release()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("status %d, want 429", resp.StatusCode)
+	}
+	want.rejected++
+	readCounts(t, ts.URL, want)
+
+	// 504: a deadline of 1ms; the run's trace is flushed as a bad outcome.
+	resp = post(&AnalyzeRequest{Files: experiments.ServeCorpus(1, 1), DeadlineMS: 1})
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("status %d, want 504", resp.StatusCode)
+	}
+	want.deadlineExceeded++
+	want.slowTraces++
+	readCounts(t, ts.URL, want)
 }

@@ -49,7 +49,6 @@ import (
 	"net/http"
 	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/admit"
@@ -102,9 +101,6 @@ type Config struct {
 	// SlowThreshold is the fixed slow-request trigger (default 0: only
 	// the p99 and failure triggers fire).
 	SlowThreshold time.Duration
-	// IDSeed, when nonzero, makes generated request IDs a deterministic
-	// stream (tests); 0 uses crypto/rand.
-	IDSeed int64
 }
 
 func (c Config) withDefaults() Config {
@@ -131,20 +127,15 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg     Config
 	base    *rid.Analyzer // resident corpus + shared metrics registry
-	mux     *http.ServeMux
-	handler http.Handler // mux behind the instrumentation middleware
+	handler http.Handler  // mux behind the instrumentation middleware
 
 	metrics serveMetrics
-	ids     *idSource
 	access  *accessLogger // nil without Config.AccessLog
 	sampler *slowSampler  // nil without Config.SlowTraceDir
 
 	corpus map[string]string // resident sources, nil when none loaded
 
 	gate *admit.Gate // inflight slots + bounded queue (shared admission plumbing)
-
-	served           atomic.Int64 // analyze requests answered 200
-	deadlineExceeded atomic.Int64 // 504s
 
 	// lookup answers /v1/summary digest lookups: the local store when the
 	// server has -cache-dir, layered over the fleet store when it also has
@@ -167,7 +158,6 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:  cfg,
 		base: base,
-		ids:  newIDSource(cfg.IDSeed),
 	}
 	s.gate = admit.New(cfg.MaxInflight, cfg.QueueDepth, cfg.QueueWait, s.metrics.queueWait.Observe)
 	if cfg.AccessLog != nil {
@@ -226,7 +216,6 @@ func New(cfg Config) (*Server, error) {
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.Handle("/debug/", base.DebugHandler())
-	s.mux = mux
 	s.handler = s.instrument(mux)
 	return s, nil
 }

@@ -86,24 +86,16 @@ func getHealth(t *testing.T, url string) Health {
 	return h
 }
 
-// drainedHealth polls /healthz until no request holds or waits for an
-// inflight slot, and fails only if that never happens within a bounded
-// deadline. The analyze handler frees its slot in a deferred call that
-// runs after the response is written, so a client can read its response
-// before the slot is back; a single immediate /healthz read races that.
+// drainedHealth reads /healthz once and fails unless no request holds or
+// waits for an inflight slot. A slot goes back before its reply starts,
+// so once every client has its reply the first read is final.
 func drainedHealth(t *testing.T, url string) Health {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		h := getHealth(t, url)
-		if h.Inflight == 0 && h.Queued == 0 {
-			return h
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("slots never drained: %+v", h)
-		}
-		time.Sleep(time.Millisecond)
+	h := getHealth(t, url)
+	if h.Inflight != 0 || h.Queued != 0 {
+		t.Fatalf("slots not drained: %+v", h)
 	}
+	return h
 }
 
 func TestAnalyzeFindsBug(t *testing.T) {

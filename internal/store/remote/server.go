@@ -362,8 +362,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	emit("rid_storeserve_corrupt_entries_total", "on-disk entries that failed validation when served", s.corrupt.Load())
 	emit("rid_storeserve_injected_failures_total", "fail-every 500s served", s.injected.Load())
 	emit("rid_storeserve_admission_rejected_total", "operations refused with 429", s.gate.Rejected())
+	emit("rid_storeserve_has_probes_total", "entry names answered by has-batch probes", s.hasProbes.Load())
 	pw.Family("rid_storeserve_inflight", "gauge", "operations currently running")
 	pw.Int("rid_storeserve_inflight", nil, int64(s.gate.Inflight()))
+	pw.Family("rid_storeserve_queued", "gauge", "operations waiting for an inflight slot")
+	pw.Int("rid_storeserve_queued", nil, s.gate.Queued())
 	pw.Flush() //nolint:errcheck // client disconnects are its problem
 }
 

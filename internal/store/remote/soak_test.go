@@ -4,10 +4,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/obs/promtext"
 	"repro/internal/store"
 	"repro/internal/store/remote"
 	"repro/internal/store/storetest"
@@ -139,5 +141,49 @@ func TestSoakConcurrentClients(t *testing.T) {
 	}
 	if want := int64(clients * rounds * funcs); h.Puts < want {
 		t.Errorf("puts_total = %d, want at least %d", h.Puts, want)
+	}
+	checkHealthMatchesMetrics(t, url)
+}
+
+// checkHealthMatchesMetrics reads /healthz and /metrics once each and
+// requires every /healthz counter (a *_total key) and the inflight and
+// queued gauges to equal their rid_storeserve_* series.
+func checkHealthMatchesMetrics(t *testing.T, url string) {
+	t.Helper()
+	resp, err := http.Get(url + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]any
+	err = json.NewDecoder(resp.Body).Decode(&fields)
+	resp.Body.Close() //nolint:errcheck
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err = http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fams, err := promtext.Parse(resp.Body)
+	resp.Body.Close() //nolint:errcheck
+	if err != nil {
+		t.Fatalf("/metrics: %v", err)
+	}
+	series := map[string]string{"rejected_total": "rid_storeserve_admission_rejected_total"}
+	for key, v := range fields {
+		name, ok := series[key]
+		switch {
+		case ok:
+		case strings.HasSuffix(key, "_total"), key == "inflight", key == "queued":
+			name = "rid_storeserve_" + key
+		default:
+			continue
+		}
+		got, ok := fams.Value(name, nil)
+		if !ok {
+			t.Errorf("/healthz %s = %v has no /metrics series %s", key, v, name)
+		} else if got != v.(float64) {
+			t.Errorf("/healthz %s = %v, /metrics %s = %v", key, v, name, got)
+		}
 	}
 }

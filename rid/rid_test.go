@@ -190,6 +190,31 @@ func TestWriteReportsFormats(t *testing.T) {
 	}
 }
 
+// TestWriteTextAllocs: rendering a result as text appends every report
+// line, verbose evidence included, into one buffer. On kernelgen scale 1
+// (137 reports) that is a handful of allocations, not one or more per
+// report.
+func TestWriteTextAllocs(t *testing.T) {
+	a := New(LinuxDPMSpecs())
+	if err := a.AddSources(scaledCorpus(317, 1).Files); err != nil {
+		t.Fatal(err)
+	}
+	res, err := a.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Bugs) < 100 {
+		t.Fatalf("%d reports, want the scale-1 corpus's 137", len(res.Bugs))
+	}
+	for _, verbose := range []bool{false, true} {
+		if got := testing.AllocsPerRun(10, func() {
+			res.WriteReports(io.Discard, "text", verbose) //nolint:errcheck // io.Discard never fails
+		}); got > 16 {
+			t.Errorf("verbose=%t: %v allocations to render %d reports, want ≤16", verbose, got, len(res.Bugs))
+		}
+	}
+}
+
 func TestSuppressOption(t *testing.T) {
 	a := New(LinuxDPMSpecs())
 	a.SetOptions(Options{Suppress: []string{"drv_op"}})

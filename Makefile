@@ -24,7 +24,7 @@ fuzz-smoke:
 	$(GO) test ./internal/frontend/lexer -fuzz='^FuzzLexer$$' -fuzztime=20s -fuzzminimizetime=5x
 	$(GO) test ./internal/frontend/lexer -fuzz=FuzzLexerMatchesReference -fuzztime=20s -fuzzminimizetime=5x
 	$(GO) test ./internal/frontend/parser -fuzz=FuzzParser -fuzztime=20s -fuzzminimizetime=5x
-	$(GO) test ./internal/frontend/parser -fuzz=FuzzRecognizerMatchesParser -fuzztime=20s -fuzzminimizetime=5x
+	$(GO) test ./internal/frontend/parser -fuzz=FuzzLoadMatchesParseFile -fuzztime=20s -fuzzminimizetime=5x
 	$(GO) test ./internal/solver -fuzz=FuzzSolver -fuzztime=20s -fuzzminimizetime=5x
 	$(GO) test ./internal/store -fuzz=FuzzStoreLoad -fuzztime=20s -fuzzminimizetime=5x
 	$(GO) test ./internal/spec -fuzz=FuzzSpecParser -fuzztime=20s -fuzzminimizetime=5x

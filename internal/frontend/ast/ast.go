@@ -99,6 +99,8 @@ type FuncDecl struct {
 	Extern bool
 	Static bool
 	P      token.Pos
+	// BodyOff is the byte offset of Body's opening brace in the source.
+	BodyOff int
 }
 
 func (d *FuncDecl) declNode() {}
@@ -373,12 +375,6 @@ type IndexExpr struct {
 // non-deterministic integer (e.g. a device register read).
 type RandomExpr struct{ P token.Pos }
 
-// CondExpr is the ternary Cond ? Then : Else.
-type CondExpr struct {
-	Cond, Then, Else Expr
-	P                token.Pos
-}
-
 func (*Ident) exprNode()      {}
 func (*IntLit) exprNode()     {}
 func (*BoolLit) exprNode()    {}
@@ -391,7 +387,6 @@ func (*CallExpr) exprNode()   {}
 func (*FieldExpr) exprNode()  {}
 func (*IndexExpr) exprNode()  {}
 func (*RandomExpr) exprNode() {}
-func (*CondExpr) exprNode()   {}
 
 // Pos implementations.
 func (e *Ident) Pos() token.Pos      { return e.P }
@@ -406,4 +401,3 @@ func (e *CallExpr) Pos() token.Pos   { return e.P }
 func (e *FieldExpr) Pos() token.Pos  { return e.P }
 func (e *IndexExpr) Pos() token.Pos  { return e.P }
 func (e *RandomExpr) Pos() token.Pos { return e.P }
-func (e *CondExpr) Pos() token.Pos   { return e.P }

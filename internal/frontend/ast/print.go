@@ -266,14 +266,6 @@ func (p *printer) expr(e Expr) {
 		p.b.WriteString("]")
 	case *RandomExpr:
 		p.b.WriteString("random()")
-	case *CondExpr:
-		p.b.WriteString("(")
-		p.expr(e.Cond)
-		p.b.WriteString(" ? ")
-		p.expr(e.Then)
-		p.b.WriteString(" : ")
-		p.expr(e.Else)
-		p.b.WriteString(")")
 	}
 }
 

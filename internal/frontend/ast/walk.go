@@ -90,10 +90,6 @@ func Inspect(n Node, f func(Node) bool) {
 	case *IndexExpr:
 		Inspect(n.X, f)
 		Inspect(n.Index, f)
-	case *CondExpr:
-		Inspect(n.Cond, f)
-		Inspect(n.Then, f)
-		Inspect(n.Else, f)
 	}
 }
 

@@ -54,6 +54,9 @@ func (l *Lexer) Seek(off, line, col int) {
 	l.off, l.line, l.col = off, line, col
 }
 
+// Stop ends the scan: Next returns EOF from here on.
+func (l *Lexer) Stop() { l.off = len(l.src) }
+
 // Errors returns the scan errors encountered so far, in order.
 func (l *Lexer) Errors() []error { return l.errors }
 

@@ -1,93 +1,87 @@
 package parser
 
 import (
-	"errors"
 	"sync"
 
 	"repro/internal/frontend/ast"
 	"repro/internal/frontend/token"
 )
 
-// nodes is the memory a parse builds its syntax tree in: the statement
-// and expression nodes in one slab per type, and every list (a block's
-// statements, a call's arguments, a switch's clauses) carved from a slab
-// once it is complete. While a list is being parsed, its elements wait on
-// a stack, since the lists of nested constructs are built inside it.
-// A tree from ParseFile keeps its slabs; ParseBody resets and reuses them.
+// nodes is the memory a parse builds its syntax tree in: the file, its
+// declarations and every statement and expression node in one slab per
+// type, and every list (a file's declarations, a function's parameters, a
+// block's statements, a call's arguments, a switch's clauses) carved from
+// a slab once it is complete. While a list is being parsed, its elements
+// wait on a stack, since the lists of nested constructs are built inside
+// it. A tree from ParseFile keeps its slabs; a recycled parser resets and
+// reuses them.
 type nodes struct {
-	blocks    slab[ast.BlockStmt]
-	decls     slab[ast.DeclStmt]
-	exprStmts slab[ast.ExprStmt]
-	ifs       slab[ast.IfStmt]
-	whiles    slab[ast.WhileStmt]
-	doWhiles  slab[ast.DoWhileStmt]
-	fors      slab[ast.ForStmt]
-	gotos     slab[ast.GotoStmt]
-	labeled   slab[ast.LabeledStmt]
-	returns   slab[ast.ReturnStmt]
-	breaks    slab[ast.BreakStmt]
-	continues slab[ast.ContinueStmt]
-	asserts   slab[ast.AssertStmt]
-	asms      slab[ast.AsmStmt]
-	empties   slab[ast.EmptyStmt]
-	switches  slab[ast.SwitchStmt]
-	clauses   slab[ast.CaseClause]
-	idents    slab[ast.Ident]
-	ints      slab[ast.IntLit]
-	bools     slab[ast.BoolLit]
-	nulls     slab[ast.NullLit]
-	unaries   slab[ast.UnaryExpr]
-	binaries  slab[ast.BinaryExpr]
-	assigns   slab[ast.AssignExpr]
-	incDecs   slab[ast.IncDecExpr]
-	calls     slab[ast.CallExpr]
-	fields    slab[ast.FieldExpr]
-	indexes   slab[ast.IndexExpr]
-	randoms   slab[ast.RandomExpr]
+	files       slab[ast.File]
+	funcDecls   slab[ast.FuncDecl]
+	varDecls    slab[ast.VarDecl]
+	structDecls slab[ast.StructDecl]
+	params      slab[ast.Param]
+	blocks      slab[ast.BlockStmt]
+	decls       slab[ast.DeclStmt]
+	exprStmts   slab[ast.ExprStmt]
+	ifs         slab[ast.IfStmt]
+	whiles      slab[ast.WhileStmt]
+	doWhiles    slab[ast.DoWhileStmt]
+	fors        slab[ast.ForStmt]
+	gotos       slab[ast.GotoStmt]
+	labeled     slab[ast.LabeledStmt]
+	returns     slab[ast.ReturnStmt]
+	breaks      slab[ast.BreakStmt]
+	continues   slab[ast.ContinueStmt]
+	asserts     slab[ast.AssertStmt]
+	asms        slab[ast.AsmStmt]
+	empties     slab[ast.EmptyStmt]
+	switches    slab[ast.SwitchStmt]
+	clauses     slab[ast.CaseClause]
+	idents      slab[ast.Ident]
+	ints        slab[ast.IntLit]
+	bools       slab[ast.BoolLit]
+	nulls       slab[ast.NullLit]
+	unaries     slab[ast.UnaryExpr]
+	binaries    slab[ast.BinaryExpr]
+	assigns     slab[ast.AssignExpr]
+	incDecs     slab[ast.IncDecExpr]
+	calls       slab[ast.CallExpr]
+	fields      slab[ast.FieldExpr]
+	indexes     slab[ast.IndexExpr]
+	randoms     slab[ast.RandomExpr]
 
-	stmtLists slab[ast.Stmt]
-	exprLists slab[ast.Expr]
-	caseLists slab[*ast.CaseClause]
-	stmts     []ast.Stmt // the statement stack
-	exprs     []ast.Expr // the argument stack
-	cases     []*ast.CaseClause
+	declLists   slab[ast.Decl]
+	structLists slab[*ast.StructDecl]
+	paramLists  slab[*ast.Param]
+	stmtLists   slab[ast.Stmt]
+	exprLists   slab[ast.Expr]
+	caseLists   slab[*ast.CaseClause]
+	topDecls    []ast.Decl        // the file's declarations
+	structs     []*ast.StructDecl // the file's struct declarations
+	paramStack  []*ast.Param      // a function's parameters or a struct's fields
+	stmts       []ast.Stmt        // the statement stack
+	exprs       []ast.Expr        // the argument stack
+	cases       []*ast.CaseClause
 }
 
 // reset zeroes every node and list handed out, so that nothing the slabs
 // keep for reuse points into a source or a tree, and makes them reusable.
 func (t *nodes) reset() {
-	t.blocks.reset()
-	t.decls.reset()
-	t.exprStmts.reset()
-	t.ifs.reset()
-	t.whiles.reset()
-	t.doWhiles.reset()
-	t.fors.reset()
-	t.gotos.reset()
-	t.labeled.reset()
-	t.returns.reset()
-	t.breaks.reset()
-	t.continues.reset()
-	t.asserts.reset()
-	t.asms.reset()
-	t.empties.reset()
-	t.switches.reset()
-	t.clauses.reset()
-	t.idents.reset()
-	t.ints.reset()
-	t.bools.reset()
-	t.nulls.reset()
-	t.unaries.reset()
-	t.binaries.reset()
-	t.assigns.reset()
-	t.incDecs.reset()
-	t.calls.reset()
-	t.fields.reset()
-	t.indexes.reset()
-	t.randoms.reset()
-	t.stmtLists.reset()
-	t.exprLists.reset()
-	t.caseLists.reset()
+	for _, s := range [...]interface{ reset() }{
+		&t.files, &t.funcDecls, &t.varDecls, &t.structDecls, &t.params,
+		&t.blocks, &t.decls, &t.exprStmts, &t.ifs, &t.whiles, &t.doWhiles, &t.fors,
+		&t.gotos, &t.labeled, &t.returns, &t.breaks, &t.continues, &t.asserts,
+		&t.asms, &t.empties, &t.switches, &t.clauses, &t.idents, &t.ints, &t.bools,
+		&t.nulls, &t.unaries, &t.binaries, &t.assigns, &t.incDecs, &t.calls,
+		&t.fields, &t.indexes, &t.randoms, &t.declLists, &t.structLists,
+		&t.paramLists, &t.stmtLists, &t.exprLists, &t.caseLists,
+	} {
+		s.reset()
+	}
+	t.topDecls = truncate(t.topDecls, 0)
+	t.structs = truncate(t.structs, 0)
+	t.paramStack = truncate(t.paramStack, 0)
 	t.stmts = truncate(t.stmts, 0)
 	t.exprs = truncate(t.exprs, 0)
 	t.cases = truncate(t.cases, 0)
@@ -166,39 +160,69 @@ func node[T any](s *slab[T], v T) *T {
 	return n
 }
 
-// bodyParsers recycles the parsers ParseBody uses, with their token ring
-// and their slabs.
-var bodyParsers = sync.Pool{New: func() any { return &Parser{win: make([]token.Token, 8)} }}
+// parsers recycles the parsers of ParseScoped and ParseBody, with their
+// token ring and their slabs.
+var parsers = sync.Pool{New: func() any { return &Parser{win: make([]token.Token, 8)} }}
 
-// ParseBody parses the function body that Recognize located at start and
-// calls use with it. The tree lives in a recycled parser's slabs and is
-// valid only while use runs: ParseBody takes the memory back when use
-// returns, so use must keep nothing of the tree, only what it builds from
-// it. The recognizer accepted the whole file, so an error here means the
-// two disagree; use is not called then.
+// ParseScoped parses a whole file as ParseFile does and calls use with the
+// tree if the file parses without error. The tree lives in a recycled
+// parser's slabs and is valid only while use runs: ParseScoped takes the
+// memory back when use returns, so use must keep nothing of the tree,
+// only what it builds from it, such as where a body starts for ParseBody.
+func ParseScoped(filename, src string, use func(*ast.File)) error {
+	p := parsers.Get().(*Parser)
+	defer p.release()
+	p.file = filename
+	p.lx.Reset(filename, src)
+	p.lex()
+	f := p.parseFile()
+	err := p.err()
+	if err == nil {
+		use(f)
+	}
+	return err
+}
+
+// BodyStart locates a function body's opening brace: its byte offset in
+// the source (FuncDecl.BodyOff) and its line and column (columns count
+// runes).
+type BodyStart struct {
+	Off, Line, Col int
+}
+
+// ParseBody parses the function body at start and calls use with it, on
+// the terms of ParseScoped. Every body of a file that ParseScoped accepts
+// parses without error.
 func ParseBody(filename, src string, start BodyStart, use func(*ast.BlockStmt)) error {
-	p := bodyParsers.Get().(*Parser)
+	p := parsers.Get().(*Parser)
+	defer p.release()
 	p.file = filename
 	p.lx.Reset(filename, src)
 	p.lx.Seek(start.Off, start.Line, start.Col)
 	p.lex()
 	b := p.parseBlock()
-	var err error
-	if errs := append(p.lx.Errors(), p.errs...); len(errs) > 0 {
-		err = errors.Join(errs...)
-	} else {
+	err := p.err()
+	if err == nil {
 		use(b)
 	}
-	p.release()
 	return err
 }
 
-// release empties a parser from bodyParsers of everything that points
-// into the source or the tree and returns it to the pool.
+// maxPooledTokens bounds the files whose parsers go back to the pool: a
+// parser keeps the slabs of the largest tree it has built, ~30 bytes a
+// token, so one huge file would otherwise pin its tree's memory.
+const maxPooledTokens = 1 << 16
+
+// release empties a parser from parsers of everything that points into
+// the source or the tree and returns it to the pool, unless it read more
+// than maxPooledTokens tokens.
 func (p *Parser) release() {
+	if p.lexed > maxPooledTokens {
+		return
+	}
 	clear(p.win)
 	p.lx.Reset("", "")
-	p.pos, p.lexed, p.file, p.errs, p.panics = 0, 0, "", nil, 0
+	p.pos, p.lexed, p.file, p.errs, p.depth, p.stopped = 0, 0, "", nil, 0, false
 	p.tree.reset()
-	bodyParsers.Put(p)
+	parsers.Put(p)
 }

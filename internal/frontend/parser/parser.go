@@ -1,9 +1,11 @@
 // Package parser implements a recursive-descent parser for the mini-C
 // language. It is resilient: on a syntax error it records a diagnostic,
 // resynchronizes at the next statement or declaration boundary, and keeps
-// going, so a large generated corpus parses in one pass. Recognize checks
-// a file with the same grammar without building a syntax tree, and
-// ParseBody then parses one function body from the offset it recorded.
+// going, so a large generated corpus parses in one pass. Nesting is
+// bounded (maxDepth), so no input can exhaust the stack. ParseFile keeps
+// the tree it builds; ParseScoped and ParseBody build a whole file or one
+// function body in a recycled parser's memory and take it back once their
+// caller is done with the tree.
 package parser
 
 import (
@@ -21,18 +23,15 @@ import (
 // demand into a small ring window and drops them once consumed, so no
 // per-file token slice is built.
 type Parser struct {
-	lx     lexer.Lexer
-	win    []token.Token // token i is win[i&(len(win)-1)]; len is a power of two
-	pos    int           // index of the current token, counted from the start of the file
-	lexed  int           // tokens taken from lx; always > pos
-	file   string
-	errs   []error
-	panics int   // consecutive resync count, to guarantee progress
-	tree   nodes // the syntax tree's memory (nodes.go)
-
-	// The recognizer's state (recognize.go).
-	idx  *Index   // what the recognizer has indexed so far
-	strs []string // params and Calls of every function so far, one backing array per file
+	lx      lexer.Lexer
+	win     []token.Token // token i is win[i&(len(win)-1)]; len is a power of two
+	pos     int           // index of the current token, counted from the start of the file
+	lexed   int           // tokens taken from lx; always > pos
+	file    string
+	errs    []error
+	depth   int   // constructs open at the current token (enter)
+	stopped bool  // the input nests too deeply; the parse has skipped to EOF
+	tree    nodes // the syntax tree's memory (nodes.go)
 }
 
 // ParseFile lexes and parses src, returning the AST and any accumulated
@@ -43,11 +42,12 @@ func ParseFile(filename, src string) (*ast.File, error) {
 	p.lx.Reset(filename, src)
 	p.lex()
 	f := p.parseFile()
-	errs := append(p.lx.Errors(), p.errs...)
-	if len(errs) > 0 {
-		return f, errors.Join(errs...)
-	}
-	return f, nil
+	return f, p.err()
+}
+
+// err joins the scan and syntax errors of the parse so far.
+func (p *Parser) err() error {
+	return errors.Join(append(p.lx.Errors(), p.errs...)...)
 }
 
 // lex appends the lexer's next token to the window, doubling the window
@@ -119,10 +119,38 @@ func (p *Parser) expect(k token.Kind) *token.Token {
 }
 
 func (p *Parser) errorf(format string, args ...any) {
-	if p.idx != nil {
-		panic(reject{}) // the recognizer stops at the first error
+	if p.stopped {
+		return
 	}
 	p.errs = append(p.errs, fmt.Errorf("%s: %s", p.here(), fmt.Sprintf(format, args...)))
+}
+
+// maxDepth bounds how deeply constructs nest. Each statement that holds
+// statements (a block, if, loop, switch or label), each parenthesis, call
+// argument list and index, each unary operator and each assignment is one
+// level; a function body is level 0.
+const maxDepth = 1000
+
+// enter opens a level of nesting at the current token, and leave closes
+// it.
+func (p *Parser) enter() {
+	if p.depth++; p.depth > maxDepth && !p.stopped {
+		p.stop()
+	}
+}
+
+func (p *Parser) leave() { p.depth-- }
+
+// stop records that the input nests too deeply and ends the parse: the
+// rest of the input reads as EOF, so every open construct closes at once
+// and reports nothing more. Hostile input thus costs linear time and one
+// error.
+func (p *Parser) stop() {
+	p.errorf("nesting deeper than %d", maxDepth)
+	p.stopped = true
+	p.lx.Stop()
+	p.pos = p.lexed
+	p.lex()
 }
 
 // sync skips tokens until a likely statement/declaration boundary: a
@@ -130,7 +158,6 @@ func (p *Parser) errorf(format string, args ...any) {
 // counting is unreliable after a syntax error — a type keyword at the start
 // of a line, which in this corpus always begins a new top-level declaration.
 func (p *Parser) sync() {
-	p.panics++
 	depth := 0
 	first := true
 	for {
@@ -163,24 +190,25 @@ func (p *Parser) sync() {
 // Declarations
 
 func (p *Parser) parseFile() *ast.File {
-	f := &ast.File{Name: p.file}
+	f := node(&p.tree.files, ast.File{Name: p.file})
 	for !p.at(token.EOF) {
 		before := p.pos
-		d := p.parseTopDecl(f)
-		if d != nil {
-			f.Decls = append(f.Decls, d)
+		if d := p.parseTopDecl(); d != nil {
+			p.tree.topDecls = append(p.tree.topDecls, d)
 		}
 		if p.pos == before { // no progress: drop a token to avoid livelock
 			p.errorf("unexpected token %s", p.cur())
 			p.next()
 		}
 	}
+	f.Decls = list(&p.tree.declLists, &p.tree.topDecls, 0)
+	f.Structs = list(&p.tree.structLists, &p.tree.structs, 0)
 	return f
 }
 
 // parseTopDecl parses one top-level declaration. Struct declarations are
-// stored on the file and nil is returned for them.
-func (p *Parser) parseTopDecl(f *ast.File) ast.Decl {
+// stacked for the file's Structs and nil is returned for them.
+func (p *Parser) parseTopDecl() ast.Decl {
 	pos := p.here()
 	extern := p.accept(token.KwExtern)
 	static := p.accept(token.KwStatic)
@@ -188,10 +216,7 @@ func (p *Parser) parseTopDecl(f *ast.File) ast.Decl {
 	if p.at(token.KwStruct) && p.peek().Kind == token.IDENT {
 		// Lookahead for "struct tag {" or "struct tag ;"
 		if k := p.la(2).Kind; k == token.LBRACE || k == token.SEMI {
-			sd := p.parseStructDecl()
-			if sd != nil {
-				f.Structs = append(f.Structs, sd)
-			}
+			p.tree.structs = append(p.tree.structs, p.parseStructDecl())
 			return nil
 		}
 	}
@@ -211,13 +236,13 @@ func (p *Parser) parseTopDecl(f *ast.File) ast.Decl {
 		init = p.parseExpr()
 	}
 	p.expect(token.SEMI)
-	return &ast.VarDecl{Type: typ, Name: name, Init: init, P: pos}
+	return node(&p.tree.varDecls, ast.VarDecl{Type: typ, Name: name, Init: init, P: pos})
 }
 
 func (p *Parser) parseStructDecl() *ast.StructDecl {
 	pos := p.expect(token.KwStruct).Pos(p.file)
 	tag := p.expect(token.IDENT).Lit
-	sd := &ast.StructDecl{Tag: tag, P: pos}
+	sd := node(&p.tree.structDecls, ast.StructDecl{Tag: tag, P: pos})
 	if p.accept(token.SEMI) { // opaque forward declaration
 		return sd
 	}
@@ -230,9 +255,10 @@ func (p *Parser) parseStructDecl() *ast.StructDecl {
 			break
 		}
 		fname := p.expect(token.IDENT).Lit
-		sd.Fields = append(sd.Fields, &ast.Param{Type: ft, Name: fname, P: pos})
+		p.tree.paramStack = append(p.tree.paramStack, node(&p.tree.params, ast.Param{Type: ft, Name: fname, P: pos}))
 		p.expect(token.SEMI)
 	}
+	sd.Fields = list(&p.tree.paramLists, &p.tree.paramStack, 0)
 	p.expect(token.RBRACE)
 	p.expect(token.SEMI)
 	return sd
@@ -283,7 +309,7 @@ func (p *Parser) parseType() (ast.Type, bool) {
 
 func (p *Parser) parseFuncRest(result ast.Type, name string, pos token.Pos, extern, static bool) ast.Decl {
 	p.expect(token.LPAREN)
-	fd := &ast.FuncDecl{Result: result, Name: name, Extern: extern, Static: static, P: pos}
+	fd := node(&p.tree.funcDecls, ast.FuncDecl{Result: result, Name: name, Extern: extern, Static: static, P: pos})
 	if !p.at(token.RPAREN) {
 		if p.at(token.KwVoid) && p.peek().Kind == token.RPAREN {
 			p.next() // f(void)
@@ -294,23 +320,26 @@ func (p *Parser) parseFuncRest(result ast.Type, name string, pos token.Pos, exte
 				if !ok {
 					p.errorf("expected parameter type, found %s", p.cur())
 					p.sync()
+					fd.Params = list(&p.tree.paramLists, &p.tree.paramStack, 0)
 					return fd
 				}
 				pname := ""
 				if p.at(token.IDENT) {
 					pname = p.next().Lit
 				}
-				fd.Params = append(fd.Params, &ast.Param{Type: pt, Name: pname, P: ppos})
+				p.tree.paramStack = append(p.tree.paramStack, node(&p.tree.params, ast.Param{Type: pt, Name: pname, P: ppos}))
 				if !p.accept(token.COMMA) {
 					break
 				}
 			}
 		}
 	}
+	fd.Params = list(&p.tree.paramLists, &p.tree.paramStack, 0)
 	p.expect(token.RPAREN)
 	if p.accept(token.SEMI) {
 		return fd // prototype
 	}
+	fd.BodyOff = int(p.cur().Off)
 	fd.Body = p.parseBlock()
 	return fd
 }
@@ -341,7 +370,10 @@ func (p *Parser) parseStmt() ast.Stmt {
 	pos := p.here()
 	switch p.cur().Kind {
 	case token.LBRACE:
-		return p.parseBlock()
+		p.enter()
+		b := p.parseBlock()
+		p.leave()
+		return b
 	case token.SEMI:
 		p.next()
 		return node(&p.tree.empties, ast.EmptyStmt{P: pos})
@@ -398,6 +430,7 @@ func (p *Parser) parseStmt() ast.Stmt {
 	case token.IDENT:
 		// Either a label, a typedef-name declaration, or an expression.
 		if p.peek().Kind == token.COLON {
+			p.enter()
 			name := p.next().Lit
 			p.next() // ':'
 			var inner ast.Stmt
@@ -406,6 +439,7 @@ func (p *Parser) parseStmt() ast.Stmt {
 			} else {
 				inner = p.parseStmt()
 			}
+			p.leave()
 			return node(&p.tree.labeled, ast.LabeledStmt{Label: name, Stmt: inner, P: pos})
 		}
 		if p.looksLikeDecl() {
@@ -485,6 +519,8 @@ func (p *Parser) parseExprStmt() ast.Stmt {
 }
 
 func (p *Parser) parseIf() ast.Stmt {
+	p.enter()
+	defer p.leave()
 	pos := p.expect(token.KwIf).Pos(p.file)
 	p.expect(token.LPAREN)
 	cond := p.parseExpr()
@@ -498,6 +534,8 @@ func (p *Parser) parseIf() ast.Stmt {
 }
 
 func (p *Parser) parseWhile() ast.Stmt {
+	p.enter()
+	defer p.leave()
 	pos := p.expect(token.KwWhile).Pos(p.file)
 	p.expect(token.LPAREN)
 	cond := p.parseExpr()
@@ -507,6 +545,8 @@ func (p *Parser) parseWhile() ast.Stmt {
 }
 
 func (p *Parser) parseDoWhile() ast.Stmt {
+	p.enter()
+	defer p.leave()
 	pos := p.expect(token.KwDo).Pos(p.file)
 	body := p.parseStmt()
 	p.expect(token.KwWhile)
@@ -518,6 +558,8 @@ func (p *Parser) parseDoWhile() ast.Stmt {
 }
 
 func (p *Parser) parseFor() ast.Stmt {
+	p.enter()
+	defer p.leave()
 	pos := p.expect(token.KwFor).Pos(p.file)
 	p.expect(token.LPAREN)
 	f := node(&p.tree.fors, ast.ForStmt{P: pos})
@@ -545,6 +587,8 @@ func (p *Parser) parseFor() ast.Stmt {
 }
 
 func (p *Parser) parseSwitch() ast.Stmt {
+	p.enter()
+	defer p.leave()
 	pos := p.expect(token.KwSwitch).Pos(p.file)
 	p.expect(token.LPAREN)
 	tag := p.parseExpr()
@@ -597,22 +641,16 @@ func (p *Parser) parseSwitch() ast.Stmt {
 // parseExpr parses an expression including assignment (lowest precedence,
 // right-associative).
 func (p *Parser) parseExpr() ast.Expr {
-	lhs := p.parseTernary()
+	lhs := p.parseBinary(0) // the grammar has no ?: operator
 	switch p.cur().Kind {
 	case token.ASSIGN, token.PLUSASSIGN, token.MINUSASSIGN:
+		p.enter()
 		op := p.next().Kind
 		rhs := p.parseExpr()
+		p.leave()
 		return node(&p.tree.assigns, ast.AssignExpr{Op: op, LHS: lhs, RHS: rhs, P: lhs.Pos()})
 	}
 	return lhs
-}
-
-// parseTernary parses the conditional-expression level. The mini-C grammar
-// has no '?:' operator (generated corpora use explicit if/else), so this is
-// currently the binary-expression level; the hook keeps the precedence
-// ladder explicit for future extension.
-func (p *Parser) parseTernary() ast.Expr {
-	return p.parseBinary(0)
 }
 
 // precedence returns a binary operator's precedence, loosest (1) to
@@ -661,23 +699,29 @@ func (p *Parser) parseUnary() ast.Expr {
 	pos := p.here()
 	switch p.cur().Kind {
 	case token.NOT, token.MINUS, token.TILDE, token.STAR, token.AMP, token.PLUS:
+		p.enter()
 		op := p.next().Kind
 		x := p.parseUnary()
+		p.leave()
 		if op == token.PLUS {
 			return x
 		}
 		return node(&p.tree.unaries, ast.UnaryExpr{Op: op, X: x, P: pos})
 	case token.PLUSPLUS, token.MINUSMINUS:
+		p.enter()
 		op := p.next().Kind
 		x := p.parseUnary()
+		p.leave()
 		return node(&p.tree.incDecs, ast.IncDecExpr{Op: op, X: x, P: pos})
 	case token.KwSizeof:
+		p.enter()
 		p.next()
 		if p.accept(token.LPAREN) {
 			p.skipParens() // sizeof(type) or sizeof(expr)
 		} else {
 			p.parseUnary()
 		}
+		p.leave()
 		// Abstract sizeof as an unknown positive — a random value.
 		return node(&p.tree.randoms, ast.RandomExpr{P: pos})
 	}
@@ -698,9 +742,11 @@ func (p *Parser) parsePostfix() ast.Expr {
 			name := p.expect(token.IDENT).Lit
 			x = node(&p.tree.fields, ast.FieldExpr{X: x, Name: name, P: pos})
 		case token.LBRACK:
+			p.enter()
 			p.next()
 			idx := p.parseExpr()
 			p.expect(token.RBRACK)
+			p.leave()
 			x = node(&p.tree.indexes, ast.IndexExpr{X: x, Index: idx, P: pos})
 		case token.PLUSPLUS, token.MINUSMINUS:
 			op := p.next().Kind
@@ -716,7 +762,9 @@ func (p *Parser) parsePrimary() ast.Expr {
 	switch p.cur().Kind {
 	case token.IDENT:
 		name := p.next().Lit
-		if p.accept(token.LPAREN) {
+		if p.at(token.LPAREN) {
+			p.enter()
+			p.next()
 			call := node(&p.tree.calls, ast.CallExpr{Fun: name, P: pos})
 			mark := len(p.tree.exprs)
 			if !p.at(token.RPAREN) {
@@ -730,6 +778,7 @@ func (p *Parser) parsePrimary() ast.Expr {
 			}
 			call.Args = p.tree.exprList(mark)
 			p.expect(token.RPAREN)
+			p.leave()
 			return call
 		}
 		return node(&p.tree.idents, ast.Ident{Name: name, P: pos})
@@ -756,6 +805,8 @@ func (p *Parser) parsePrimary() ast.Expr {
 		}
 		return node(&p.tree.randoms, ast.RandomExpr{P: pos})
 	case token.LPAREN:
+		p.enter()
+		defer p.leave()
 		p.next()
 		// Cast: (type) expr — the analysis is untyped, drop the cast.
 		if p.cur().Kind.IsTypeKeyword() || (p.cur().Kind == token.IDENT && castLookahead(p)) {

@@ -84,13 +84,13 @@ func TestCallsMatchLoweredIR(t *testing.T) {
 	}
 }
 
-// TestRecognizerMatchesSyntaxTree is the loader's corpus-wide
-// differential: on every corpus family and the core testdata, with and
-// without bit tests, Program (recognize each file, parse a body from its
-// offset on first use) gives the program that parsing each file in full
-// and lowering it with IntoOpts gives: the same functions, externs,
-// signatures, Calls, IR text and instruction positions.
-func TestRecognizerMatchesSyntaxTree(t *testing.T) {
+// TestLoadMatchesSyntaxTree is the loader's corpus-wide differential: on
+// every corpus family and the core testdata, with and without bit tests,
+// Program (parse each file into recycled memory, parse a body again from
+// its offset on first use) gives the program that parsing each file with
+// ParseFile and lowering it with IntoOpts gives: the same functions,
+// externs, signatures, Calls, IR text and instruction positions.
+func TestLoadMatchesSyntaxTree(t *testing.T) {
 	for name, files := range corpusSets(t) {
 		names := make([]string, 0, len(files))
 		for n := range files {

@@ -38,7 +38,9 @@ type Options struct {
 // IntoOpts lowers a parsed file into an existing program with explicit
 // abstraction options. Each function's body is built on first use.
 func IntoOpts(p *ir.Program, f *ast.File, opts Options) error {
-	lf, err := lowerFile(f, opts)
+	lf, err := lowerFile(f, opts, func(fd *ast.FuncDecl, fn *ir.Func) {
+		fn.Defer(func() *ir.Body { return lowerBody(fd.Body, fd.P, opts) })
+	})
 	if err != nil {
 		return err
 	}
@@ -58,7 +60,12 @@ type loweredFile struct {
 	externs   []string
 }
 
-func lowerFile(f *ast.File, opts Options) (loweredFile, error) {
+// lowerFile declares f's function definitions and externs. Each
+// definition gets its signature and Calls, copied out of the tree into
+// exact-size arrays of the file's own, and deferBody gives it the builder
+// of its body. The only error is a goto to a label its function does not
+// define.
+func lowerFile(f *ast.File, opts Options, deferBody func(*ast.FuncDecl, *ir.Func)) (loweredFile, error) {
 	nfuncs, nexterns := 0, 0
 	for _, d := range f.Decls {
 		if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
@@ -71,6 +78,9 @@ func lowerFile(f *ast.File, opts Options) (loweredFile, error) {
 	if nexterns > 0 {
 		lf.externs = make([]string, 0, nexterns)
 	}
+	fns := make([]ir.Func, nfuncs)
+	dc := declarers.Get().(*declarer)
+	defer dc.release()
 	for _, d := range f.Decls {
 		fd, ok := d.(*ast.FuncDecl)
 		if !ok {
@@ -80,12 +90,15 @@ func lowerFile(f *ast.File, opts Options) (loweredFile, error) {
 			lf.externs = append(lf.externs, fd.Name)
 			continue
 		}
-		fn, err := declare(fd, f.Name, opts)
-		if err != nil {
+		fn := &fns[len(lf.funcs)]
+		fn.Name, fn.HasRet, fn.Pos, fn.SrcFile = fd.Name, !fd.Result.IsVoid(), fd.P, f.Name
+		if err := dc.declare(fd, fn); err != nil {
 			return loweredFile{}, err
 		}
+		deferBody(fd, fn)
 		lf.funcs = append(lf.funcs, fn)
 	}
+	dc.freeze(lf.funcs)
 	return lf, nil
 }
 
@@ -115,10 +128,10 @@ type Memo struct {
 // read in sorted-name order, so last-wins duplicate definitions merge
 // deterministically. Checking is eager: every parse error and every goto
 // to an undefined label is returned here, and then p is left as it was.
-// Building is not: a recognizer pass checks each file against the grammar
-// and gives each function its signature and Calls without a syntax tree,
-// and the function's body is parsed from its place in the source, lowered
-// and validated the first time ir.Func.Body is called. Load is the one
+// Building is not: one parse of each file into recycled memory gives each
+// function its signature and Calls, and the function's body is parsed
+// again from its place in the source, lowered and validated the first
+// time ir.Func.Body is called. Load is the one
 // loader from source text to IR, so every analysis mode lowers with the
 // same options. reused counts the files taken from the memo; the rest
 // were read. A failed call leaves the memo as it was.
@@ -164,61 +177,33 @@ func (m *Memo) Load(p *ir.Program, files map[string]string, opts Options) (reuse
 	return reused, nil
 }
 
-// loadFile recognizes one file and defers each function's body to a
-// parse of its own byte range. A file the recognizer rejects is parsed
-// in full, for the parser's error message.
-func loadFile(name, src string, opts Options) (loweredFile, error) {
-	idx, ok := parser.Recognize(name, src)
-	if !ok {
-		f, err := parser.ParseFile(name, src)
-		if err != nil {
-			return loweredFile{}, fmt.Errorf("parse %s: %w", name, err)
-		}
-		// The recognizer rejects only what the parser rejects; should the
-		// two ever disagree, the syntax tree is still right.
-		lf, err := lowerFile(f, opts)
-		if err != nil {
-			return loweredFile{}, fmt.Errorf("lower %s: %w", name, err)
-		}
-		return lf, nil
-	}
-	lf := loweredFile{opts: opts, funcs: make([]*ir.Func, len(idx.Funcs)), externs: idx.Protos}
-	fns := make([]ir.Func, len(idx.Funcs))
-	for i := range idx.Funcs {
-		fi := &idx.Funcs[i]
-		for _, g := range fi.Gotos {
-			if !slices.Contains(fi.Labels, g.Label) {
-				return loweredFile{}, fmt.Errorf("lower %s: %w", name, undefinedLabel(g.Pos, g.Label))
-			}
-		}
-		fn := &fns[i]
-		fn.Name, fn.HasRet, fn.Pos, fn.SrcFile, fn.Calls = fi.Name, fi.HasRet, fi.Pos, name, fi.Calls
-		fn.Params = paramNames(fi.Params)
-		start := fi.Body
-		fn.Defer(func() *ir.Body {
-			var body *ir.Body
-			err := parser.ParseBody(fn.SrcFile, src, start, func(tree *ast.BlockStmt) {
-				body = lowerBody(tree, fn.Pos, opts)
+// loadFile parses one file into recycled memory and declares its
+// functions from that tree, deferring each body to a parse of its own
+// from the place the tree recorded. A file that does not parse returns
+// that parse's errors.
+func loadFile(name, src string, opts Options) (lf loweredFile, err error) {
+	perr := parser.ParseScoped(name, src, func(f *ast.File) {
+		lf, err = lowerFile(f, opts, func(fd *ast.FuncDecl, fn *ir.Func) {
+			start := parser.BodyStart{Off: fd.BodyOff, Line: fd.Body.P.Line, Col: fd.Body.P.Column}
+			fn.Defer(func() *ir.Body {
+				var body *ir.Body
+				err := parser.ParseBody(fn.SrcFile, src, start, func(tree *ast.BlockStmt) {
+					body = lowerBody(tree, fn.Pos, opts)
+				})
+				if err != nil {
+					panic(fmt.Sprintf("lower: body of %s does not parse, though its file did: %v", fn.Name, err))
+				}
+				return body
 			})
-			if err != nil {
-				panic(fmt.Sprintf("lower: recognized body of %s does not parse: %v", fn.Name, err))
-			}
-			return body
 		})
-		lf.funcs[i] = fn
+	})
+	if perr != nil {
+		return loweredFile{}, fmt.Errorf("parse %s: %w", name, perr)
+	}
+	if err != nil {
+		return loweredFile{}, fmt.Errorf("lower %s: %w", name, err)
 	}
 	return lf, nil
-}
-
-// paramNames names each unnamed parameter argN, N its index. It renames
-// in place: the recognizer's names belong to the caller.
-func paramNames(params []string) []string {
-	for i, name := range params {
-		if name == "" {
-			params[i] = fmt.Sprintf("arg%d", i)
-		}
-	}
-	return params
 }
 
 func undefinedLabel(pos token.Pos, label string) error {
@@ -307,55 +292,140 @@ var tempNames = func() []string {
 	return names
 }()
 
-// declare returns fd's function with its signature and Calls filled in
-// and its body deferred to lowerBody. Calls and the label check walk the
-// syntax tree the way lowering will, skipping the operands lowering never
-// evaluates, so Calls is exactly the callee set of the lowered body. The
-// only error is a goto to a label fd does not define.
-func declare(fd *ast.FuncDecl, srcFile string, opts Options) (*ir.Func, error) {
-	fn := &ir.Func{
-		Name:    fd.Name,
-		HasRet:  !fd.Result.IsVoid(),
-		Pos:     fd.P,
-		SrcFile: srcFile,
+// declarer walks function bodies the way lowering will, for their Calls
+// and their gotos and labels. Its scratch is recycled (declarers): strs
+// holds the parameters and Calls of a file's functions so far, until
+// freeze copies them out.
+type declarer struct {
+	strs   []string
+	gotos  []*ast.GotoStmt
+	labels []string
+}
+
+var declarers = sync.Pool{New: func() any { return new(declarer) }}
+
+// declare gives fn the Params and Calls of fd, as spans of d.strs until
+// freeze, and checks fd's gotos. The walk skips the operands lowering
+// never evaluates, so Calls is exactly the callee set of the lowered body.
+func (d *declarer) declare(fd *ast.FuncDecl, fn *ir.Func) error {
+	lo := len(d.strs)
+	for i, prm := range fd.Params {
+		name := prm.Name
+		if name == "" {
+			name = fmt.Sprintf("arg%d", i)
+		}
+		d.strs = append(d.strs, name)
 	}
-	for _, prm := range fd.Params {
-		fn.Params = append(fn.Params, prm.Name)
+	mid := len(d.strs)
+	d.gotos, d.labels = truncate(d.gotos, 0), truncate(d.labels, 0)
+	d.walk(fd.Body)
+	for _, g := range d.gotos {
+		if !slices.Contains(d.labels, g.Label) {
+			return undefinedLabel(g.P, g.Label)
+		}
 	}
-	fn.Params = paramNames(fn.Params)
-	var gotos []*ast.GotoStmt
-	var labels []string
-	var visit func(ast.Node) bool
-	visit = func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			fn.Calls = append(fn.Calls, n.Fun)
-		case *ast.GotoStmt:
-			gotos = append(gotos, n)
-		case *ast.LabeledStmt:
-			labels = append(labels, n.Label)
-		case *ast.IncDecExpr:
-			return false // only an identifier operand is lowered, as random
-		case *ast.AssignExpr:
-			switch n.LHS.(type) {
-			case *ast.Ident, *ast.FieldExpr, *ast.IndexExpr, *ast.UnaryExpr:
-			default:
-				ast.Inspect(n.RHS, visit) // any other target is dropped
-				return false
+	calls := d.strs[mid:]
+	slices.Sort(calls)
+	d.strs = d.strs[:mid+len(slices.Compact(calls))]
+	fn.Params, fn.Calls = d.strs[lo:mid], d.strs[mid:]
+	return nil
+}
+
+// walk collects the calls under n that lowering evaluates, and n's gotos
+// and labels. A nil n is no node of any type, so it adds nothing.
+func (d *declarer) walk(n ast.Node) {
+	switch n := n.(type) {
+	case *ast.BlockStmt:
+		for _, s := range n.Stmts {
+			d.walk(s)
+		}
+	case *ast.DeclStmt:
+		d.walk(n.Init)
+	case *ast.ExprStmt:
+		d.walk(n.X)
+	case *ast.IfStmt:
+		d.walk(n.Cond)
+		d.walk(n.Then)
+		d.walk(n.Else)
+	case *ast.WhileStmt:
+		d.walk(n.Cond)
+		d.walk(n.Body)
+	case *ast.DoWhileStmt:
+		d.walk(n.Body)
+		d.walk(n.Cond)
+	case *ast.ForStmt:
+		d.walk(n.Init)
+		d.walk(n.Cond)
+		d.walk(n.Post)
+		d.walk(n.Body)
+	case *ast.SwitchStmt:
+		d.walk(n.Tag)
+		for _, c := range n.Cases {
+			d.walk(c.Value)
+			for _, s := range c.Body {
+				d.walk(s)
 			}
 		}
-		return true
-	}
-	ast.Inspect(fd.Body, visit)
-	for _, g := range gotos {
-		if !slices.Contains(labels, g.Label) {
-			return nil, undefinedLabel(g.P, g.Label)
+	case *ast.LabeledStmt:
+		d.labels = append(d.labels, n.Label)
+		d.walk(n.Stmt)
+	case *ast.GotoStmt:
+		d.gotos = append(d.gotos, n)
+	case *ast.ReturnStmt:
+		d.walk(n.X)
+	case *ast.AssertStmt:
+		d.walk(n.X)
+	case *ast.CallExpr:
+		d.strs = append(d.strs, n.Fun)
+		for _, a := range n.Args {
+			d.walk(a)
 		}
+	case *ast.UnaryExpr:
+		d.walk(n.X)
+	case *ast.BinaryExpr:
+		d.walk(n.X)
+		d.walk(n.Y)
+	case *ast.AssignExpr:
+		switch n.LHS.(type) {
+		case *ast.Ident, *ast.FieldExpr, *ast.IndexExpr, *ast.UnaryExpr:
+			d.walk(n.LHS) // any other target is dropped
+		}
+		d.walk(n.RHS)
+	case *ast.IncDecExpr: // only an identifier operand is lowered, as random
+	case *ast.FieldExpr:
+		d.walk(n.X)
+	case *ast.IndexExpr:
+		d.walk(n.X)
+		d.walk(n.Index)
 	}
-	slices.Sort(fn.Calls)
-	fn.Calls = slices.Compact(fn.Calls)
-	fn.Defer(func() *ir.Body { return lowerBody(fd.Body, fd.P, opts) })
-	return fn, nil
+}
+
+// freeze copies the Params and Calls of fns into one array of exact size,
+// each list with its length as capacity and nil when empty.
+func (d *declarer) freeze(fns []*ir.Func) {
+	all := make([]string, len(d.strs))
+	copy(all, d.strs)
+	for _, fn := range fns {
+		fn.Params, all = cut(all, len(fn.Params))
+		fn.Calls, all = cut(all, len(fn.Calls))
+	}
+}
+
+// cut splits s after its first n strings, the first part capped at n.
+func cut(s []string, n int) ([]string, []string) {
+	if n == 0 {
+		return nil, s
+	}
+	return s[:n:n], s[n:]
+}
+
+// release clears d's scratch of everything that points into a source or
+// a tree and returns d to declarers.
+func (d *declarer) release() {
+	d.strs = truncate(d.strs, 0)
+	d.gotos = truncate(d.gotos, 0)
+	d.labels = truncate(d.labels, 0)
+	declarers.Put(d)
 }
 
 // lowerBody lowers the body of the function declared at pos. Its gotos
@@ -874,12 +944,6 @@ func (lw *funcLowerer) expr(e ast.Expr) ir.Value {
 	case *ast.IndexExpr:
 		_ = lw.expr(e.X)
 		_ = lw.expr(e.Index)
-		return lw.havoc(e.P)
-	case *ast.CondExpr:
-		// No ternary in the grammar today; kept for completeness.
-		_ = lw.expr(e.Cond)
-		_ = lw.expr(e.Then)
-		_ = lw.expr(e.Else)
 		return lw.havoc(e.P)
 	}
 	return lw.havoc(e.Pos())

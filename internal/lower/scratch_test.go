@@ -1,6 +1,7 @@
 package lower
 
 import (
+	"fmt"
 	"slices"
 	"sync"
 	"testing"
@@ -113,6 +114,89 @@ func TestRecycledScratchConcurrentForce(t *testing.T) {
 	}
 	wg.Wait()
 	sameProgram(t, "kernelgen scale 8 forced from 4 goroutines", got, want)
+}
+
+// TestLoadAllocs bounds what loading costs per function: one parse of
+// each file into recycled memory, a few exact-size arrays per file and
+// the builder of each body. It gates allocation count without a clock.
+func TestLoadAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled scratch at random")
+	}
+	const limit = 2.5
+	files := table1(317)
+	prog, err := Program(files, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	avg := testing.AllocsPerRun(3, func() {
+		if _, err := Program(files, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	perFunc := avg / float64(len(prog.Order))
+	t.Logf("%.0f allocations per load of %d functions: %.2f per function", avg, len(prog.Order), perFunc)
+	if perFunc > limit {
+		t.Errorf("%.2f allocations per function, want at most %.1f", perFunc, limit)
+	}
+}
+
+// TestLoadConcurrentRecycled: four goroutines load distinct kernelgen
+// scale-8 trees at once, so recycled parsers and declarers pass between
+// files and goroutines, and each program equals the one a serial
+// ParseFile and IntoOpts give. Every function's Params and Calls have
+// their length as capacity, so an append to one leaves every other
+// function as it was. Run under -race in CI.
+func TestLoadConcurrentRecycled(t *testing.T) {
+	const workers = 4
+	sets := make([]map[string]string, workers)
+	got := make([]*ir.Program, workers)
+	errs := make([]error, workers)
+	for w := range sets {
+		sets[w] = kernelScale(8, int64(500+w))
+	}
+	var wg sync.WaitGroup
+	for w := range sets {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			got[w], errs[w] = Program(sets[w], Options{})
+		}(w)
+	}
+	wg.Wait()
+	for w, files := range sets {
+		if errs[w] != nil {
+			t.Fatal(errs[w])
+		}
+		fns := funcsOf(got[w])
+		lists := make([]string, len(fns))
+		for i, fn := range fns {
+			if cap(fn.Params) != len(fn.Params) || cap(fn.Calls) != len(fn.Calls) {
+				t.Fatalf("%s: Params %d/%d, Calls %d/%d (length/capacity)", fn.Name, len(fn.Params), cap(fn.Params), len(fn.Calls), cap(fn.Calls))
+			}
+			lists[i] = fmt.Sprint(fn.Params, fn.Calls)
+		}
+		for _, fn := range fns {
+			_ = append(fn.Params, "appended")
+			_ = append(fn.Calls, "appended")
+		}
+		for i, fn := range fns {
+			if now := fmt.Sprint(fn.Params, fn.Calls); now != lists[i] {
+				t.Fatalf("%s: lists %s after appends to the others, were %s", fn.Name, now, lists[i])
+			}
+		}
+		want := ir.NewProgram()
+		for _, n := range sortedNames(files) {
+			f, err := parser.ParseFile(n, files[n])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := IntoOpts(want, f, Options{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sameProgram(t, fmt.Sprintf("tree %d, loaded concurrently", w), got[w], want)
+	}
 }
 
 // TestFrozenBlocksDoNotAlias: the blocks of a body share one instruction

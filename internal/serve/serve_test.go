@@ -169,6 +169,23 @@ func TestAnalyzeBodyTooLarge(t *testing.T) {
 	}
 }
 
+// TestAnalyzeDeepNesting: a source nested far past the parser's bound is
+// refused with 400 and the parser's one error instead of overflowing the
+// daemon's stack, and the daemon then serves the next request.
+func TestAnalyzeDeepNesting(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	const n = 100000
+	src := "int f(void) { return " + strings.Repeat("(", n) + "0" + strings.Repeat(")", n) + "; }"
+	resp, ar := postAnalyze(t, ts.URL, &AnalyzeRequest{Files: map[string]string{"deep.c": src}})
+	if resp.StatusCode != http.StatusBadRequest || !strings.HasSuffix(ar.Error, "nesting deeper than 1000") {
+		t.Fatalf("status %d (want 400), error %q", resp.StatusCode, ar.Error)
+	}
+	resp, ar = postAnalyze(t, ts.URL, &AnalyzeRequest{Files: map[string]string{"drv.c": buggyDriver}})
+	if resp.StatusCode != http.StatusOK || ar.Bugs != 1 {
+		t.Fatalf("next request: status %d: %+v", resp.StatusCode, ar)
+	}
+}
+
 // zeroDigits is an endless stream of '0' bytes.
 type zeroDigits struct{}
 

@@ -37,11 +37,11 @@ int util_sum(int a, int b) {
 	}
 }
 
-// TestLoadErrorStrings: the loader checks each file without building a
-// syntax tree and parses a rejected file in full only for its message, so
-// every parse and goto error reads as it did when each file was parsed in
-// full: the parser's joined messages after "parse", and the first bad
-// goto in source order after "lower". A failed load adds no function.
+// TestLoadErrorStrings: the loader parses each file once, into recycled
+// memory, and a rejected file returns that parse's errors, so every parse
+// and goto error reads as it did when each file was parsed with
+// ParseFile: the parser's joined messages after "parse", and the first
+// bad goto in source order after "lower". A failed load adds no function.
 func TestLoadErrorStrings(t *testing.T) {
 	for _, tc := range []struct{ name, src, want string }{
 		{"first of two bad gotos",

@@ -1,7 +1,7 @@
 // Package core orchestrates the complete RID analysis: predefined-summary
 // installation, call-graph construction, the two-phase function
 // classification of §5.2, and summary-based inter-procedural IPP checking
-// in reverse topological order on a work-stealing scheduler (§5.3).
+// in reverse topological order on a pool of workers (§5.3).
 //
 // The pipeline degrades rather than dies: every entry point takes a
 // context.Context, a per-function wall-clock budget and per-query solver
@@ -35,20 +35,11 @@ import (
 type Options struct {
 	Exec         symexec.Config
 	MaxCat2Conds int // §5.2 complexity gate; default 3
-	// Workers is the number of workers of the two-level work-stealing
-	// scheduler: default 1; any negative value means runtime.GOMAXPROCS(0).
-	// SCCs are distributed in reverse topological order and, within a
-	// function, subtrees of the path trie are stolen between workers. One
-	// worker is simply the case nobody steals from: it runs each
-	// function's subtrees in index order. Output is byte-identical at any
-	// setting.
+	// Workers is the number of scheduler workers: default 1; any negative
+	// value means runtime.GOMAXPROCS(0). Each worker takes ready SCCs in
+	// reverse topological order and analyzes their functions whole.
+	// Output is byte-identical at any setting.
 	Workers int
-	// StealSeed seeds the per-worker victim-selection RNG of the
-	// work-stealing scheduler. Any seed produces identical reports,
-	// diagnostics, and stats — the determinism property test sweeps seeds
-	// to prove it; the knob exists for that test and for reproducing a
-	// particular steal interleaving. 0 is fine.
-	StealSeed int64
 	// AnalyzeAll disables the §5.2 selective analysis and summarizes every
 	// function (ablation; expensive on large corpora).
 	AnalyzeAll bool
@@ -256,7 +247,7 @@ func analyzeWithDB(ctx context.Context, prog *ir.Program, specs *spec.Specs, sym
 	}
 
 	t1 := time.Now()
-	analyzeSteal(ctx, prog, g, syms, db, toAnalyze, cache, opts, res)
+	analyzeSCCs(ctx, prog, g, syms, db, toAnalyze, cache, opts, res)
 	res.Stats.AnalyzeTime = time.Since(t1)
 	// Drain the fleet write-behind queue and surface any remote
 	// degradation before diagnostics are sorted into their final order.

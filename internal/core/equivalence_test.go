@@ -40,11 +40,10 @@ func renderReports(res *Result) string {
 // TestOptimizationsAreReportPreserving runs the full pipeline over seeded
 // kernelgen and pycgen corpora at Workers=1 and Workers=4 and requires
 // byte-identical rendered reports, witnesses included: with four workers
-// the shared solver cache is filled in a different order and path-trie
-// subtrees are stolen. The performance layers that have no switch keep
-// their own oracles: ipp.TestStepIIIReference for bucketing,
-// solver.TestCacheTransparent for the solver cache and
-// sym.TestInternIdentity for hash-consing.
+// the shared solver cache is filled in a different order. The
+// performance layers that have no switch keep their own oracles:
+// ipp.TestStepIIIReference for bucketing, solver.TestCacheTransparent for
+// the solver cache and sym.TestInternIdentity for hash-consing.
 func TestOptimizationsAreReportPreserving(t *testing.T) {
 	type corpus struct {
 		name  string

@@ -10,7 +10,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/solver"
 	"repro/internal/spec"
-	"repro/internal/sym"
 	"repro/internal/symexec"
 )
 
@@ -36,17 +35,13 @@ func renderOutcome(res *Result) string {
 }
 
 // TestStealDeterminismProperty is the scheduler's determinism property
-// test: the work-stealing scheduler, driven through many injected steal
-// orders (StealSeed seeds the victim-selection RNG) and worker counts,
-// must produce byte-identical reports, diagnostics, and stats to the
-// single-worker run, where nobody steals and every function's paths run in
-// index order. The run's one solver cache is shared by all workers, as in
-// production. A cache hit counts its verdict and give-up flag as the solve
-// that stored it did, so Queries, Sat, Unsat and GaveUp are compared
-// exactly; only CacheHits, which depends on which worker filled an entry
-// first, is left out. Budgets are set tight enough that truncation and
-// give-up diagnostics — the outputs most exposed to per-task accounting
-// bugs — actually occur.
+// test: runs at 2, 4 and 8 workers must produce byte-identical reports,
+// diagnostics, and stats to the single-worker run. The run's one solver
+// cache is shared by all workers, as in production. A cache hit counts its
+// verdict and give-up flag as the solve that stored it did, so Queries,
+// Sat, Unsat and GaveUp are compared exactly; only CacheHits, which
+// depends on which worker filled an entry first, is left out. Budgets are
+// set tight enough that truncation and give-up diagnostics actually occur.
 func TestStealDeterminismProperty(t *testing.T) {
 	c := kernelgen.Generate(kernelgen.Config{
 		Seed: 23, Mix: kernelgen.PaperMix(),
@@ -54,34 +49,31 @@ func TestStealDeterminismProperty(t *testing.T) {
 	})
 	prog := buildCorpus(t, c.Files)
 
-	opts := func(workers int, seed int64) Options {
+	opts := func(workers int) Options {
 		return Options{
 			Workers:      workers,
-			StealSeed:    seed,
 			Exec:         symexec.Config{MaxPaths: 6, MaxSubcases: 4},
 			SolverLimits: solver.Limits{MaxSplits: 2},
 		}
 	}
-	want := renderOutcome(Analyze(context.Background(), prog, spec.LinuxDPM(), opts(1, 0)))
+	want := renderOutcome(Analyze(context.Background(), prog, spec.LinuxDPM(), opts(1)))
 	if !strings.Contains(want, "truncated") {
 		t.Fatal("corpus produced no truncation diagnostics; oracle too weak")
 	}
 
 	for _, workers := range []int{2, 4, 8} {
-		for seed := int64(0); seed < 4; seed++ {
-			got := renderOutcome(Analyze(context.Background(), prog, spec.LinuxDPM(), opts(workers, seed)))
-			if got != want {
-				t.Fatalf("workers=%d seed=%d diverged from the single-worker run\n--- got ---\n%s\n--- want ---\n%s",
-					workers, seed, got, want)
-			}
+		got := renderOutcome(Analyze(context.Background(), prog, spec.LinuxDPM(), opts(workers)))
+		if got != want {
+			t.Fatalf("workers=%d diverged from the single-worker run\n--- got ---\n%s\n--- want ---\n%s",
+				workers, got, want)
 		}
 	}
 }
 
 // TestStealSchedulerCountsTasks pins that the scheduler feeds the
 // observability layer at any worker count, the single worker included:
-// every executed subtree task is counted and every worker registers a
-// utilization record.
+// each analyzed function is one task, nothing is stolen, and every worker
+// registers a utilization record.
 func TestStealSchedulerCountsTasks(t *testing.T) {
 	c := kernelgen.Generate(kernelgen.Config{
 		Seed: 23, Mix: kernelgen.PaperMix(),
@@ -92,33 +84,24 @@ func TestStealSchedulerCountsTasks(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		reg := obs.NewRegistry()
 		res := Analyze(context.Background(), prog, spec.LinuxDPM(), Options{Workers: workers, Obs: obs.New(nil, reg)})
-		if res.Stats.PathsEnumerated == 0 {
-			t.Fatal("corpus enumerated no paths")
+		if res.Stats.FuncsAnalyzed == 0 {
+			t.Fatal("corpus analyzed no functions")
 		}
-		// Every subtree of every cold-analyzed function's path trie is
-		// exactly one task, and sharing makes tasks fewer than paths.
-		subtrees := 0
-		for _, name := range res.DB.Names() {
-			if s := res.DB.Get(name); !s.Predefined && prog.Funcs[name] != nil {
-				subtrees += symexec.New(sym.NewTable(), nil, nil, symexec.Config{}).Prepare(context.Background(), prog.Funcs[name]).NumTasks()
-			}
+		if got := reg.Counter(obs.MTasksExecuted); got != int64(res.Stats.FuncsAnalyzed) {
+			t.Errorf("workers=%d: tasks_executed = %d, want %d (one per analyzed function)", workers, got, res.Stats.FuncsAnalyzed)
 		}
-		got := reg.Counter(obs.MTasksExecuted)
-		if got != int64(subtrees) {
-			t.Errorf("workers=%d: tasks_executed = %d, want %d (one per subtree)", workers, got, subtrees)
-		}
-		if got >= int64(res.Stats.PathsEnumerated) {
-			t.Errorf("workers=%d: tasks_executed = %d, want fewer than the %d paths", workers, got, res.Stats.PathsEnumerated)
+		if got := reg.Counter(obs.MTasksStolen); got != 0 {
+			t.Errorf("workers=%d: tasks_stolen = %d, want 0", workers, got)
 		}
 		if reg.NumWorkers() != workers {
 			t.Errorf("workers=%d: registered worker records = %d", workers, reg.NumWorkers())
 		}
-		// tasks_stolen is schedule-dependent (may legitimately be zero on a
-		// fast corpus), but can never exceed tasks_executed, and a lone
-		// worker has nobody to steal from.
-		stolen, tasks := reg.Counter(obs.MTasksStolen), reg.Counter(obs.MTasksExecuted)
-		if stolen > tasks || (workers == 1 && stolen != 0) {
-			t.Errorf("workers=%d: tasks_stolen = %d, tasks_executed = %d", workers, stolen, tasks)
+		var tasks int64
+		for _, w := range reg.Snapshot().Workers {
+			tasks += w.Tasks
+		}
+		if tasks != int64(res.Stats.FuncsAnalyzed) {
+			t.Errorf("workers=%d: worker records hold %d tasks, want %d", workers, tasks, res.Stats.FuncsAnalyzed)
 		}
 	}
 }

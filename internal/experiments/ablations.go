@@ -63,7 +63,7 @@ func Ablations(ctx context.Context) ([]AblationRow, error) {
 	run("budgets 1000 paths / 50 subcases", core.Options{Exec: symexec.Config{
 		MaxPaths: 1000, MaxSubcases: 50,
 	}})
-	run("workers = 4 (path-level stealing, §7)", core.Options{Workers: 4})
+	run("workers = 4 (SCC-level parallelism, §5.3)", core.Options{Workers: 4})
 
 	// Bit-test preservation needs a differently lowered program; score FPs
 	// and true bugs against ground truth for both abstractions.

@@ -36,8 +36,8 @@ const (
 	PhaseSolver                 // one satisfiability query
 	PhaseReplay                 // one witness replay of a reported IPP
 	PhaseCacheIO                // one persistent summary-store operation (digest/load/save)
-	PhaseSteal                  // one successful steal: time spent hunting before acquiring a task
-	PhaseQueue                  // one task's wait from enqueue to execution start
+	PhaseSteal                  // never recorded: nothing is stolen; kept for bench/ridperf
+	PhaseQueue                  // never recorded: no task is queued; kept for bench/ridperf
 	PhaseCallgraph              // call graph and SCC construction
 	numPhases
 )

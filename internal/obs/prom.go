@@ -34,8 +34,8 @@ var counterHelp = [numMetrics]string{
 	MStoreHits:        "functions served from the persistent summary store",
 	MStoreMisses:      "functions analyzed cold",
 	MStoreEvictions:   "stale store entries replaced by a fresh write",
-	MTasksExecuted:    "path-trie subtree tasks executed by the scheduler",
-	MTasksStolen:      "tasks executed by a worker other than the enqueuer",
+	MTasksExecuted:    "functions analyzed cold, one scheduler task each",
+	MTasksStolen:      "always 0, kept for bench/ridperf",
 	MRemoteHits:       "functions served from the fleet summary store",
 	MRemoteMisses:     "fleet-store lookups that found no usable entry",
 	MRemoteErrors:     "fleet-store operations that failed",

@@ -36,8 +36,8 @@ const (
 	MStoreHits                      // functions served from the persistent summary store
 	MStoreMisses                    // functions analyzed cold (absent or stale store entry)
 	MStoreEvictions                 // stale store entries replaced by a fresh write
-	MTasksExecuted                  // path-trie subtree tasks executed (any worker)
-	MTasksStolen                    // tasks executed by a worker other than the enqueuer
+	MTasksExecuted                  // functions analyzed cold, one scheduler task each
+	MTasksStolen                    // always 0: nothing is stolen; kept for bench/ridperf
 	MRemoteHits                     // functions served from the fleet summary store
 	MRemoteMisses                   // fleet-store lookups that found no usable entry
 	MRemoteErrors                   // fleet-store operations that failed (timeout, refusal, 5xx)
@@ -180,29 +180,21 @@ func (h *hist) quantile(q float64) time.Duration {
 }
 
 // WorkerCounters is the utilization record of one scheduler worker:
-// tasks executed, tasks stolen from another worker's deque, and total
-// busy time. All fields are atomics so workers update without locks; the
-// struct is padded so neighboring workers never share a cache line.
+// tasks executed and total busy time. The fields are atomics so workers
+// update without locks; the struct is padded so neighboring workers never
+// share a cache line.
 type WorkerCounters struct {
 	tasks  atomic.Int64
-	stolen atomic.Int64
 	busyNS atomic.Int64
-	_      [40]byte
+	_      [48]byte
 }
 
-// AddTask records one executed task: stolen marks cross-worker execution,
-// d is the wall-clock the task occupied the worker.
-func (w *WorkerCounters) AddTask(stolen bool, d time.Duration) {
+// AddTask records one executed task: d is the wall-clock the task
+// occupied the worker.
+func (w *WorkerCounters) AddTask(d time.Duration) {
 	w.tasks.Add(1)
-	if stolen {
-		w.stolen.Add(1)
-	}
 	w.busyNS.Add(int64(d))
 }
-
-// AddBusy adds non-task scheduler work (function prepare/merge/check time
-// spent by the driving worker) to the busy total.
-func (w *WorkerCounters) AddBusy(d time.Duration) { w.busyNS.Add(int64(d)) }
 
 // Registry is the shared metrics store: a fixed set of padded atomic
 // counters plus one duration histogram per phase, and one utilization
@@ -310,7 +302,6 @@ type PhaseStats struct {
 type WorkerStats struct {
 	Worker int           `json:"worker"`
 	Tasks  int64         `json:"tasks"`
-	Stolen int64         `json:"stolen"`
 	Busy   time.Duration `json:"busy_ns"`
 }
 
@@ -351,7 +342,6 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Workers = append(s.Workers, WorkerStats{
 			Worker: i,
 			Tasks:  w.tasks.Load(),
-			Stolen: w.stolen.Load(),
 			Busy:   time.Duration(w.busyNS.Load()),
 		})
 	}

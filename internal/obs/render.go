@@ -42,8 +42,8 @@ func (s Snapshot) WriteText(w io.Writer) error {
 		}
 	}
 	for _, wk := range s.Workers {
-		if _, err := fmt.Fprintf(w, "worker %-3d tasks=%d stolen=%d busy=%s\n",
-			wk.Worker, wk.Tasks, wk.Stolen, wk.Busy.Round(time.Microsecond)); err != nil {
+		if _, err := fmt.Fprintf(w, "worker %-3d tasks=%d busy=%s\n",
+			wk.Worker, wk.Tasks, wk.Busy.Round(time.Microsecond)); err != nil {
 			return err
 		}
 	}

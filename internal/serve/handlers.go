@@ -45,7 +45,10 @@ type AnalyzeRequest struct {
 	// the same settings.
 	Format  string `json:"format,omitempty"`
 	Verbose bool   `json:"verbose,omitempty"`
-	// Analysis budget overrides; zero keeps the server defaults.
+	// Analysis budget overrides; zero keeps the server defaults. A
+	// positive Workers is capped at GOMAXPROCS, since each worker owns a
+	// goroutine, a solver and an executor, and output is byte-identical
+	// at any Workers value; a negative one means all cores.
 	Workers     int      `json:"workers,omitempty"`
 	MaxPaths    int      `json:"max_paths,omitempty"`
 	MaxSubcases int      `json:"max_subcases,omitempty"`
@@ -201,7 +204,7 @@ func (s *Server) runAnalyze(ctx context.Context, specs rid.Specs, req *AnalyzeRe
 	a.SetSpecs(specs)
 	opts := s.cfg.Options
 	if req.Workers != 0 {
-		opts.Workers = req.Workers
+		opts.Workers = min(req.Workers, runtime.GOMAXPROCS(0))
 	}
 	if req.MaxPaths != 0 {
 		opts.MaxPaths = req.MaxPaths

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -109,6 +110,29 @@ func TestAnalyzeFindsBug(t *testing.T) {
 	}
 	if h := drainedHealth(t, ts.URL); h.Served != 1 {
 		t.Fatalf("health after one request: %+v", h)
+	}
+}
+
+// TestAnalyzeWorkersCapped pins that a request's workers is capped at
+// GOMAXPROCS: the run registers that many worker records, and the report
+// is the one-worker report.
+func TestAnalyzeWorkersCapped(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	files := experiments.ServeCorpus(1, 317)
+	want, _, err := analyzeSnapshot(ts.URL, files, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	procs := runtime.GOMAXPROCS(0)
+	got, snap, err := analyzeSnapshot(ts.URL, files, procs+3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Workers) != procs {
+		t.Errorf("workers=%d: %d worker records, want GOMAXPROCS=%d", procs+3, len(snap.Workers), procs)
+	}
+	if got.Report != want.Report || got.Bugs == 0 {
+		t.Errorf("workers=%d report (%d bugs) differs from workers=1 (%d bugs)", procs+3, got.Bugs, want.Bugs)
 	}
 }
 

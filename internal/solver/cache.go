@@ -16,8 +16,7 @@ import (
 // verdict, so a solver's give-up, Sat and Unsat counts are a
 // deterministic function of the queries it issued — independent of which
 // worker happened to populate the cache first. That is what keeps
-// per-function give-up diagnostics byte-identical at any Workers setting
-// under the work-stealing scheduler.
+// per-function give-up diagnostics byte-identical at any Workers setting.
 //
 // A cache lives as long as its run, and so do its keys: each shard copies
 // the keys it stores into a chunked byte arena rather than allocating a

@@ -179,7 +179,7 @@ func (s *Solver) sat(cs sym.Set) bool {
 // replayed, so GaveUp, Sat and Unsat depend only on the query stream, not
 // on which worker populated the shared cache first. That keeps the
 // per-function give-up diagnostics and the verdict counters deterministic
-// under work stealing; only CacheHits, which overlays Sat and Unsat,
+// at any Workers setting; only CacheHits, which overlays Sat and Unsat,
 // depends on the schedule.
 func (s *Solver) noteVerdict(res, gaveUp bool) {
 	if gaveUp {

@@ -74,7 +74,7 @@ func (d Digest) IsZero() bool { return d == Digest{} }
 // summary, reports, or deterministic diagnostics. Two runs with equal
 // fingerprints and equal per-function digests compute identical outcomes,
 // so entries are interchangeable between them. Wall-clock options
-// (FuncTimeout) and scheduling options (Workers, StealSeed) are
+// (FuncTimeout) and the scheduling option (Workers) are
 // deliberately absent: they cannot change results, only how long they
 // take.
 type Fingerprint struct {

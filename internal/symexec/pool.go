@@ -9,7 +9,7 @@ import (
 	"repro/internal/sym"
 )
 
-// Step II allocates in two hot shapes: one pathRun per task (occurrence
+// Step II allocates in two hot shapes: one pathRun per function (occurrence
 // counters, scratch buffers) and one state per live sub-case (forked on
 // every multi-entry call, cloned where trie paths diverge). Both are
 // recycled through sync.Pools under an ownership contract:
@@ -82,9 +82,9 @@ func putState(st *state) {
 
 var pathRunPool = sync.Pool{New: func() any { return new(pathRun) }}
 
-// getPathRun returns a per-task execution context bound to job and slv,
+// getPathRun returns a per-function execution context bound to j and slv,
 // with occurrence counters sized to the function and cleared.
-func getPathRun(j *Job, slv *solver.Solver) *pathRun {
+func getPathRun(j *job, slv *solver.Solver) *pathRun {
 	pr := pathRunPool.Get().(*pathRun)
 	pr.Executor = j.ex
 	pr.job = j
@@ -104,9 +104,9 @@ func getPathRun(j *Job, slv *solver.Solver) *pathRun {
 	return pr
 }
 
-// putPathRun recycles a task context. Scratch buffers keep their capacity;
-// references into the job are dropped so pooled contexts never pin a
-// finished function.
+// putPathRun recycles an execution context. Scratch buffers keep their
+// capacity; references into the job are dropped so pooled contexts never
+// pin a finished function.
 func putPathRun(pr *pathRun) {
 	pr.Executor = nil
 	pr.job = nil

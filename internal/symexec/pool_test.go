@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/cfg"
 	"repro/internal/lower"
 	"repro/internal/racebuild"
 	"repro/internal/solver"
@@ -127,16 +128,17 @@ func TestPathRunPoolDropsJobReferences(t *testing.T) {
 	spec.LinuxDPM().ApplyTo(db)
 	slv := solver.New()
 	ex := New(tb, db, slv, Config{MaxPaths: 100, MaxSubcases: 10})
-	j := ex.Prepare(context.Background(), prog.Funcs["f"])
+	fn := prog.Funcs["f"]
+	j := ex.execute(context.Background(), fn, cfg.Paths(context.Background(), fn, ex.cfg.MaxPaths, nil))
 
 	pr := getPathRun(j, slv)
 	if pr.job != j || pr.slv != slv || pr.Executor != ex {
-		t.Fatal("getPathRun did not bind the task context")
+		t.Fatal("getPathRun did not bind the execution context")
 	}
 	if len(pr.occ) != j.numSites {
 		t.Fatalf("occ sized %d, want %d", len(pr.occ), j.numSites)
 	}
-	// Dirty the scratch as a task would.
+	// Dirty the scratch as a run would.
 	pr.occ[0] = 7
 	pr.finished = append(pr.finished, getState())
 	pr.putBuf(append(pr.getBuf(), getState()))

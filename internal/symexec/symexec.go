@@ -9,7 +9,6 @@
 package symexec
 
 import (
-	"context"
 	"strconv"
 
 	"repro/internal/cfg"
@@ -132,6 +131,12 @@ type Result struct {
 	TruncatedPaths    bool // path enumeration budget (MaxPaths)
 	TruncatedSubcases bool // per-path sub-case budget (MaxSubcases)
 	Canceled          bool // context canceled/deadline exceeded
+
+	// GaveUp counts the solver give-ups of Step II. A query at a trie node
+	// stands for the same query on every path through the node, so it is
+	// counted once per such path: the count does not depend on how much
+	// of the trie is shared.
+	GaveUp int
 }
 
 // taggedCond is one conjunct of the path constraint, remembering which
@@ -247,15 +252,15 @@ type Executor struct {
 	slv  *solver.Solver
 }
 
-// pathRun is the per-task execution context: occurrence counters indexed
-// by instruction site ID (fresh symbols are named by creation site and
-// occurrence index so the "same" value — e.g. the object allocated by a
-// given call — has one identity across all paths), the task's solver, and
-// the scratch storage reused across tasks via pathRunPool. The counters
+// pathRun is the per-function execution context: occurrence counters
+// indexed by instruction site ID (fresh symbols are named by creation site
+// and occurrence index so the "same" value — e.g. the object allocated by
+// a given call — has one identity across all paths), the solver, and the
+// scratch storage reused across functions via pathRunPool. The counters
 // describe the trie node being executed and are restored on backtrack.
 type pathRun struct {
 	*Executor
-	job    *Job
+	job    *job
 	slv    *solver.Solver
 	occ    []int32 // per-site occurrence counts, indexed by site ID
 	site   int     // site ID of the instruction being executed
@@ -273,8 +278,8 @@ type pathRun struct {
 	instScratch summary.Entry        // InstantiateInto target
 	proj        sym.Projector        // finalize's local projection
 
-	// The task's finalized entries, in path order, until freezeEntries
-	// copies them out.
+	// The function's finalized entries, in path order, until
+	// freezeEntries copies them out.
 	entries []frozenEntry
 }
 
@@ -309,34 +314,15 @@ func (pr *pathRun) anonSym(prefix string) *sym.Expr {
 	return pr.syms.Fresh(prefix + strconv.Itoa(pr.anon))
 }
 
-// Summarize runs Steps I and II on fn: enumerate paths, symbolically
-// execute them over the path trie, and return the per-path entries (Step
-// III — consistency checking and merging — lives in internal/ipp). It is
-// Prepare, then RunTask for each subtree in order on the executor's
-// solver, then Finish; the work-stealing scheduler in package core drives
-// the same seam with stolen tasks, so both share one semantics.
-//
-// ctx bounds the work: when it expires the executor stops at the next
-// block boundary and returns whatever it has, with Canceled and
-// Truncated set so the function degrades to a partial summary plus the
-// §5.2 default entry rather than blocking the run.
-func (ex *Executor) Summarize(ctx context.Context, fn *ir.Func) Result {
-	j := ex.Prepare(ctx, fn)
-	for i := 0; i < j.NumTasks(); i++ {
-		j.RunTask(i, ex.slv)
-	}
-	return j.Finish()
-}
-
 // walk executes the subtree of the path trie that holds paths [lo,hi).
 // Step I enumerates paths depth-first, so the paths sharing a prefix of
 // d+1 blocks are contiguous and the trie needs no data structure of its
 // own: a node is a range of paths and a depth. The paths in [lo,hi) agree
 // on their first d blocks, whose execution left the live sub-cases in
 // states. walk owns states: every state is finalized or recycled, and each
-// leaf sets its path's flags and adds its entries to the task's. truncated
-// reports whether the sub-case budget cut the set anywhere on the shared
-// prefix.
+// leaf sets its path's flags and adds its entries to the function's.
+// truncated reports whether the sub-case budget cut the set anywhere on the
+// shared prefix.
 func (pr *pathRun) walk(lo, hi, d int, states []*state, truncated bool) {
 	j := pr.job
 	blocks := j.fn.Body().Blocks
@@ -470,8 +456,8 @@ func (pr *pathRun) stepAll(in *ir.Instr, site, nextBlock int, states []*state, t
 	return next, truncated
 }
 
-// finishPath finalizes the returned states of leaf path i into the task's
-// entry scratch.
+// finishPath finalizes the returned states of leaf path i into the
+// function's entry scratch.
 func (pr *pathRun) finishPath(i int, truncated bool) {
 	mark := len(pr.entries)
 	for _, st := range pr.finished {
@@ -495,7 +481,7 @@ func (pr *pathRun) finishPath(i int, truncated bool) {
 	pr.endPaths(i, i+1, truncated, false)
 }
 
-// freezeEntries copies the task's entries out of scratch into an array of
+// freezeEntries copies the function's entries out of scratch into an array of
 // exactly their number, and clears the scratch.
 func (pr *pathRun) freezeEntries() []frozenEntry {
 	if len(pr.entries) == 0 {
@@ -533,7 +519,7 @@ func (pr *pathRun) dropStates(states []*state) {
 	pr.putBuf(states)
 }
 
-// getBuf and putBuf keep the task's free list of state slices: one
+// getBuf and putBuf keep the free list of state slices: one
 // slice is live per trie level being walked, plus the one being filled.
 func (pr *pathRun) getBuf() []*state {
 	n := len(pr.bufs)
@@ -551,7 +537,7 @@ func (pr *pathRun) putBuf(b []*state) {
 	}
 }
 
-// sat decides cs on the task's solver. A query at a trie node stands for
+// sat decides cs on the run's solver. A query at a trie node stands for
 // the same query on every path through the node, so a give-up is counted
 // once per path: the DegradeSolverGiveUp count does not depend on how
 // much of the trie is shared.

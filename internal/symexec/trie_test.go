@@ -8,8 +8,6 @@ import (
 	"reflect"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/callgraph"
@@ -212,9 +210,7 @@ int dies(PyObject *o, int a) {
 // truncated and canceled flags, and give-up count must equal what
 // executing that path alone from the entry produces. Summaries are built
 // bottom-up over the call graph from the trie's own entries, so callers
-// fork on real callee summaries. The subtree tasks run on four goroutines
-// with a solver each over one shared cache, as the scheduler's workers
-// run stolen tasks, so the race detector watches concurrent subtrees.
+// fork on real callee summaries.
 func TestTrieMatchesPerPathExecution(t *testing.T) {
 	ctx := context.Background()
 	sawLoopRevisit, sawDeadPrefix := false, false
@@ -228,13 +224,8 @@ func TestTrieMatchesPerPathExecution(t *testing.T) {
 			tb := sym.NewTable()
 			db := summary.NewDB()
 			c.specs.ApplyTo(db)
-			cache := solver.NewCache()
-			workers := make([]*solver.Solver, 4)
-			for i := range workers {
-				workers[i] = solver.NewWithCache(tc.limits, cache)
-			}
 			refSlv := solver.NewWithCache(tc.limits, solver.NewCache())
-			ex := New(tb, db, workers[0], tc.cfg)
+			ex := New(tb, db, solver.NewWithCache(tc.limits, solver.NewCache()), tc.cfg)
 			shared, totalGaveUp := 0, 0
 			for _, scc := range g.SCCs() {
 				for _, fnName := range scc {
@@ -242,13 +233,13 @@ func TestTrieMatchesPerPathExecution(t *testing.T) {
 					if fn == nil {
 						continue
 					}
-					j := ex.Prepare(ctx, fn)
-					trieGaveUp := runTasks(j, workers)
-					totalGaveUp += trieGaveUp
-					if j.NumTasks() < len(j.paths) {
+					j := ex.execute(ctx, fn, cfg.Paths(ctx, fn, ex.cfg.MaxPaths, nil))
+					res := j.res
+					totalGaveUp += res.GaveUp
+					if len(j.paths) > 1 {
 						shared++
 					}
-					trieEntries, trieProvs := perPath(j)
+					trieEntries, trieProvs := perPath(res)
 					refGaveUp := 0
 					for i, p := range j.paths {
 						pr := getPathRun(j, refSlv)
@@ -273,10 +264,9 @@ func TestTrieMatchesPerPathExecution(t *testing.T) {
 							sawDeadPrefix = true
 						}
 					}
-					if trieGaveUp != refGaveUp {
-						t.Fatalf("%s/%s: %s: trie counted %d give-ups, per-path %d", name, tc.name, fnName, trieGaveUp, refGaveUp)
+					if res.GaveUp != refGaveUp {
+						t.Fatalf("%s/%s: %s: trie counted %d give-ups, per-path %d", name, tc.name, fnName, res.GaveUp, refGaveUp)
 					}
-					res := j.Finish()
 					sum := summary.New(fnName)
 					sum.Params = fn.Params
 					for _, e := range res.Entries {
@@ -286,7 +276,7 @@ func TestTrieMatchesPerPathExecution(t *testing.T) {
 				}
 			}
 			if shared == 0 {
-				t.Errorf("%s/%s: no function shared a prefix between tasks; oracle too weak", name, tc.name)
+				t.Errorf("%s/%s: no function shared a prefix between paths; oracle too weak", name, tc.name)
 			}
 			if tc.limits.MaxSplits > 0 && totalGaveUp == 0 && name != "core" && name != "shapes" {
 				t.Errorf("%s/%s: no solver give-ups; oracle too weak", name, tc.name)
@@ -298,9 +288,9 @@ func TestTrieMatchesPerPathExecution(t *testing.T) {
 	}
 }
 
-// TestTrieCanceledMarksEveryPath pins the cancellation contract of a
-// subtree task: a context that is already done marks every path of the
-// task canceled and yields no entries.
+// TestTrieCanceledMarksEveryPath pins the cancellation contract of the
+// trie walk: a context that is done before execution starts marks every
+// enumerated path canceled and yields no entries.
 func TestTrieCanceledMarksEveryPath(t *testing.T) {
 	tb := sym.NewTable()
 	prog, err := lower.SourceString("t.c", branchySrc)
@@ -309,16 +299,16 @@ func TestTrieCanceledMarksEveryPath(t *testing.T) {
 	}
 	db := summary.NewDB()
 	spec.LinuxDPM().ApplyTo(db)
+	fn := prog.Funcs["f"]
+	enum := cfg.Paths(context.Background(), fn, 100, nil)
 	ctx, cancel := context.WithCancel(context.Background())
-	slv := solver.New()
-	j := New(tb, db, slv, DefaultConfig()).Prepare(ctx, prog.Funcs["f"])
 	cancel()
-	for i := 0; i < j.NumTasks(); i++ {
-		j.RunTask(i, slv)
+	j := New(tb, db, solver.New(), DefaultConfig()).execute(ctx, fn, enum)
+	if !j.res.Canceled || !j.res.Truncated || len(j.res.Entries) != 0 {
+		t.Errorf("canceled=%v truncated=%v entries=%d, want canceled, truncated, none", j.res.Canceled, j.res.Truncated, len(j.res.Entries))
 	}
-	res := j.Finish()
-	if !res.Canceled || !res.Truncated || len(res.Entries) != 0 {
-		t.Errorf("canceled=%v truncated=%v entries=%d, want canceled, truncated, none", res.Canceled, res.Truncated, len(res.Entries))
+	if len(j.pathFlags) == 0 {
+		t.Fatal("no paths enumerated")
 	}
 	for i, f := range j.pathFlags {
 		if f&pathCanceled == 0 {
@@ -327,64 +317,15 @@ func TestTrieCanceledMarksEveryPath(t *testing.T) {
 	}
 }
 
-// TestSubtreeTasks pins the task split: one task per child of the first
-// block at which the paths diverge, each a contiguous path range.
-func TestSubtreeTasks(t *testing.T) {
-	p := func(b ...int) cfg.Path { return cfg.Path{Blocks: b} }
-	for _, tc := range []struct {
-		paths []cfg.Path
-		want  []int
-	}{
-		{nil, []int{0}},
-		{[]cfg.Path{p(0, 1)}, []int{0, 1}},
-		{[]cfg.Path{p(0, 1, 2), p(0, 1, 3)}, []int{0, 1, 2}},
-		// Stem 0→1, then three children of block 1; the second has two paths.
-		{[]cfg.Path{p(0, 1, 2), p(0, 1, 3, 5), p(0, 1, 3, 6), p(0, 1, 4)}, []int{0, 1, 3, 4}},
-	} {
-		d := divergence(tc.paths)
-		if got := subtrees(tc.paths, d, nil); !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("subtrees(%v) = %v, want %v", tc.paths, got, tc.want)
-		}
-		if n := numSubtrees(tc.paths, d); n != len(tc.want)-1 {
-			t.Errorf("numSubtrees(%v) = %d, want %d", tc.paths, n, len(tc.want)-1)
-		}
-	}
-}
-
-// runTasks runs j's subtree tasks on one goroutine per solver, each
-// taking the next unclaimed task, and returns the summed give-ups.
-func runTasks(j *Job, slvs []*solver.Solver) int {
-	var next, gaveUp atomic.Int64
-	var wg sync.WaitGroup
-	for _, slv := range slvs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= j.NumTasks() {
-					return
-				}
-				gaveUp.Add(int64(j.RunTask(i, slv)))
-			}
-		}()
-	}
-	wg.Wait()
-	return int(gaveUp.Load())
-}
-
-// perPath splits the frozen task results of j by path: entries, and
-// provenance (nil for a path without entries, as execPath returns it).
-func perPath(j *Job) ([][]*summary.Entry, [][]*EntryProv) {
-	entries := make([][]*summary.Entry, len(j.paths))
-	provs := make([][]*EntryProv, len(j.paths))
-	for _, o := range j.outs {
-		for k := range o.entries {
-			e := &o.entries[k]
-			entries[e.path] = append(entries[e.path], &e.Entry)
-			if j.ex.cfg.Provenance {
-				provs[e.path] = append(provs[e.path], e.prov)
-			}
+// perPath splits res's entries by path: entries, and provenance (nil for
+// a path without entries, as execPath returns it).
+func perPath(res Result) ([][]*summary.Entry, [][]*EntryProv) {
+	entries := make([][]*summary.Entry, res.NumPaths)
+	provs := make([][]*EntryProv, res.NumPaths)
+	for _, e := range res.Entries {
+		entries[e.PathIndex] = append(entries[e.PathIndex], e.Entry)
+		if e.Prov != nil {
+			provs[e.PathIndex] = append(provs[e.PathIndex], e.Prov)
 		}
 	}
 	return entries, provs

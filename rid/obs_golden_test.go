@@ -147,16 +147,15 @@ func TestMetricsGoldenText(t *testing.T) {
 			t.Fatalf("phase line %d = %q, want phase %s", i, ln, name)
 		}
 	}
-	workerLine := regexp.MustCompile(`^worker 0 +tasks=(\d+) stolen=0 busy=\S+$`)
+	workerLine := regexp.MustCompile(`^worker 0 +tasks=(\d+) busy=\S+$`)
 	m := workerLine.FindStringSubmatch(lines[len(lines)-1])
 	if m == nil {
 		t.Fatalf("last line = %q, want the single worker 0 line", lines[len(lines)-1])
 	}
-	// One task per subtree of the path trie: drv_op's two paths part at
-	// its first block, so its trie has two subtrees.
-	if m[1] != fmt.Sprint(vals["tasks_executed"]) || vals["tasks_executed"] != 2 || vals["tasks_executed"] > vals["paths_enumerated"] {
-		t.Errorf("worker 0 tasks=%s, tasks_executed=%d, paths_enumerated=%d; want tasks=tasks_executed=2 subtrees, at most the paths",
-			m[1], vals["tasks_executed"], vals["paths_enumerated"])
+	// One task per analyzed function: drv_op is the only one.
+	if m[1] != fmt.Sprint(vals["tasks_executed"]) || vals["tasks_executed"] != 1 || vals["tasks_executed"] != vals["funcs_analyzed"] {
+		t.Errorf("worker 0 tasks=%s, tasks_executed=%d, funcs_analyzed=%d; want tasks=tasks_executed=funcs_analyzed=1",
+			m[1], vals["tasks_executed"], vals["funcs_analyzed"])
 	}
 	if vals["ipp_confirmed"] != 1 {
 		t.Errorf("ipp_confirmed = %d, want 1 (one bug in input)", vals["ipp_confirmed"])

@@ -105,9 +105,9 @@ type Options struct {
 	MaxSubcases int
 	// MaxCat2Conds is the §5.2 complexity gate (default 3).
 	MaxCat2Conds int
-	// Workers is the number of work-stealing scheduler workers (default
-	// 1): extra workers take independent call-graph SCCs and steal per-path
-	// tasks inside a function. <0 uses GOMAXPROCS. Reports are
+	// Workers is the number of scheduler workers (default 1): each takes
+	// independent call-graph SCCs whose callees are done and analyzes
+	// their functions whole. <0 uses GOMAXPROCS. Reports are
 	// byte-identical at any setting.
 	Workers int
 	// PreserveBitTests keeps "x & CONST" expressions as stable symbolic
